@@ -9,7 +9,9 @@
 ``python3 child.py measure <workload> --seed N --seconds S --trace 0|1
 [--reference DIGEST]``
     run one untimed warm-up repetition, then repetitions until S seconds are
-    used, check every output, and print the samples as JSON.  With
+    used, with a host-speed calibration (``calibrate.py``) before the first
+    and after each one; check every output, and print the samples, raw and
+    adjusted to the reference host, as JSON.  With
     ``--trace 1`` untraced and traced repetitions alternate, and the traced
     ones record the per-layer metrics.
 ``python3 child.py record > expected.json``
@@ -24,11 +26,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import statistics
 import sys
 import time
 from typing import Any
 
+import calibrate
 import workloads as wl
 from tracer import Tracer
 
@@ -138,6 +142,11 @@ def cmd_measure(
     workload: wl.Workload, seed: int, seconds: float, trace: bool, reference: str | None
 ) -> None:
     memory = wl.WorkerMemory()
+    if workload.kind != "sharded":
+        # One CPU for the repetitions and the calibrations between them: the
+        # CPUs of a shared host slow down independently, so a calibration on
+        # another CPU would not tell how fast the repetition ran.
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     wl.setup(workload)
     if workload.kind == "sharded":
         import repro.campaign.sharded as sharded
@@ -192,10 +201,13 @@ def cmd_measure(
     repetition(traced=False)  # warm-up: fills import-time and gate-table caches
     attempted = 1
     rss_kb = worker_rss_kb = 0
+    untraced: list[tuple[int, float]] = []  # (repetition, seconds) for calibrate.adjust
+    calibrations = [calibrate.measure()]
     start = time.perf_counter()
     while True:
         traced = trace and attempted % 2 == 0
         wall = repetition(traced)
+        calibrations.append(calibrate.measure())
         attempted += 1
         if attempted == 2:
             # Peak memory after a fixed amount of work (warm-up plus one
@@ -206,6 +218,8 @@ def cmd_measure(
             rss_kb, worker_rss_kb = wl.peak_rss_kb(), memory.peak_kb
         if wall is not None:
             (traced_samples if traced else samples).append(wall)
+            if not traced:
+                untraced.append((attempted - 1, wall))
         done = samples + traced_samples
         estimate = statistics.median(done) if done else 0.0
         # With --trace 1, stop only after at least one traced repetition.
@@ -214,6 +228,8 @@ def cmd_measure(
 
     out: dict[str, Any] = {
         "samples": samples,
+        "adjusted": calibrate.adjust(untraced, calibrations),
+        "calibrations": calibrations,
         "attempted": attempted,
         "failures": failures,
         "problems": problems,

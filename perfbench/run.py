@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload sa-rdag --seed 0 --seconds 18 --trace 0
+    python3 perfbench/run.py --workload sa-rdag --seed 0 --seconds 35 --trace 0
 
 The workload runs in its own process (``child.py``), with ``src`` on
 ``PYTHONPATH``: one untimed warm-up repetition, then repetitions until
@@ -13,10 +13,12 @@ first; the last line of standard output is one JSON object with the keys
 
 ``--trace 0`` reports the end-to-end metrics:
 
-* ``wall_s`` -- median seconds per repetition;
+* ``wall_s`` -- median seconds per repetition, each adjusted to the speed of
+  a reference host by the calibration loop of ``calibrate.py`` timed
+  between repetitions (the raw median is printed beside it);
 * ``setup_s`` -- median, over several fresh interpreters, of the seconds from
   process start until the workload's layers are imported and its circuit is
-  built (or its technology loaded);
+  built (or its technology loaded), adjusted the same way;
 * ``faults_per_s`` -- faults of the collapsed universe per second, or for
   ``table1-spice`` Table-1 entries (one OBD fault characterized each);
 * ``peak_rss_mb`` -- peak RSS of the workload process after the warm-up and
@@ -58,6 +60,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
+import calibrate  # noqa: E402
 import workloads as wl  # noqa: E402
 
 #: Fresh interpreters started to measure ``setup_s``.
@@ -99,21 +102,25 @@ def run_child(*args: str, timeout: float) -> dict:
 
 
 def measure_setup(workload: wl.Workload) -> list[float]:
-    """Seconds from process start to ``ready``, once per fresh interpreter."""
+    """Seconds from process start to ``ready``, once per fresh interpreter,
+    adjusted to the reference host by calibrations between the launches."""
     times = []
-    for _ in range(SETUP_LAUNCHES):
+    calibrations = [calibrate.measure()]
+    for launch in range(1, SETUP_LAUNCHES + 1):
         start = time.perf_counter()
         with subprocess.Popen(
             child_command("setup", workload.name), env=child_env(),
             stdout=subprocess.PIPE, text=True,
         ) as proc:
             line = proc.stdout.readline()
-            times.append(time.perf_counter() - start)
+            seconds = time.perf_counter() - start
             proc.stdout.read()
             proc.wait(timeout=CHILD_GRACE)
         if line.strip() != "ready" or proc.returncode != 0:
             raise RuntimeError(f"setup of {workload.name} failed")
-    return times
+        calibrations.append(calibrate.measure())
+        times.append((launch, seconds))
+    return calibrate.adjust(times, calibrations)
 
 
 def tail_percentile(samples: list[float]) -> tuple[float, float] | None:
@@ -151,7 +158,7 @@ def main() -> int:
         "--seed", type=int, default=wl.RECORDED_SEED,
         help="pattern seed of the campaign workloads (table1-spice has no random input)",
     )
-    parser.add_argument("--seconds", type=float, default=18.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
@@ -194,13 +201,18 @@ def main() -> int:
         print("error: no repetition succeeded", file=sys.stderr)
         return 1
 
-    wall = statistics.median(samples)
+    wall = statistics.median(out["adjusted"])
     items = out["work_items"]
-    tail = tail_percentile(samples)
+    tail = tail_percentile(out["adjusted"])
     print(
-        f"wall_s         = {wall:.4f} s   (median of n={len(samples)}; "
+        f"wall_s         = {wall:.4f} s   (median of n={len(samples)}, at reference host speed; "
         + (f"p{tail[0]:.0f} = {tail[1]:.4f} s, 10 samples beyond it)" if tail
            else "too few samples for a tail percentile with 10 beyond it)")
+    )
+    speeds = [calibrate.REFERENCE_S / c for c in out["calibrations"]]
+    print(
+        f"raw wall       = {statistics.median(samples):.4f} s   (median as measured; host speed "
+        f"{min(speeds):.2f} to {max(speeds):.2f} x reference, median {statistics.median(speeds):.2f})"
     )
     if workload.is_campaign:
         print(f"faults_per_s   = {items / wall:.2f} 1/s ({items} collapsed faults)")
@@ -217,7 +229,9 @@ def main() -> int:
 
     if args.trace:
         layers = dict(out["layers"])
-        layers["trace.overhead_s"] = statistics.median(out["traced_samples"]) - wall
+        layers["trace.overhead_s"] = (
+            statistics.median(out["traced_samples"]) - statistics.median(samples)
+        )
         print(f"per-layer metrics (median of {len(out['traced_samples'])} traced repetitions):")
         for name, value in layers.items():
             print(f"  {name:<32} {value:.6g} {unit_of(name)}")
@@ -231,7 +245,7 @@ def main() -> int:
         setup_s = statistics.median(setup_times)
         print(
             f"setup_s        = {setup_s:.4f} s   "
-            f"(median of {len(setup_times)} fresh interpreters)"
+            f"(median of {len(setup_times)} fresh interpreters, at reference host speed)"
         )
         values = {
             "wall_s": wall,

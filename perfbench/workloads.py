@@ -63,7 +63,7 @@ class Workload:
         )
 
 
-#: The ``why`` texts are the ones in ``BENCHMARK.json``.
+#: The ``why`` texts of the workloads ``BENCHMARK.json`` lists are the ones there.
 WORKLOADS = {
     w.name: w
     for w in (
