@@ -16,12 +16,17 @@ here reasons about a :class:`~repro.logic.netlist.LogicCircuit` (or its
 * :mod:`~repro.analysis_static.untestable` -- structural untestability
   proofs for stuck-at and transition faults (unexcitable / unobservable /
   dead cone), consumed by the campaign layer's static phase.
+* :mod:`~repro.analysis_static.analysis` -- the per-circuit
+  :class:`CircuitAnalysis` (order, fan-out, observability, SCOAP, static
+  learning) that lint, the prover and the ATPG engines share, built once
+  per circuit through :func:`circuit_analysis`.
 
 The campaign integration lives in :mod:`repro.campaign`: lint errors become
 :class:`~repro.campaign.errors.CampaignError`\\ s, and statically proven
 faults are recorded as untestable with ``proven_static`` provenance.
 """
 
+from .analysis import CircuitAnalysis, circuit_analysis
 from .diagnostics import Diagnostic, LintReport, Severity
 from .implication import ImplicationEngine, StaticLearning, learn_implications
 from .lint import LintRule, lint_bench, lint_circuit, registered_rules
@@ -47,6 +52,8 @@ __all__ = [
     "ImplicationEngine",
     "StaticLearning",
     "learn_implications",
+    "CircuitAnalysis",
+    "circuit_analysis",
     "StaticProof",
     "StaticUntestabilityProver",
     "prove_stuck_at_untestable",

@@ -4,9 +4,10 @@ Each check is a :class:`LintRule` instance in a module-level registry (the
 analyzer-registry pattern: a rule owns an id, a severity, a one-line
 description, and a ``check`` hook producing structured
 :class:`~repro.analysis_static.diagnostics.Diagnostic`\\ s).  Rules run in
-registration order over a shared :class:`LintContext`, which caches the
-expensive derived structure (driven sets, PO-reachability, the implication
-baseline) so adding a rule stays cheap.
+registration order over a shared :class:`LintContext`, which reads the
+expensive derived structure (PO-reachability, static-learning constants)
+from the circuit's shared analysis (:mod:`repro.analysis_static.analysis`),
+so adding a rule stays cheap.
 
 Two front doors:
 
@@ -28,15 +29,15 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from ..logic.bench import _DECL_RE, _GATE_RE, _strip, parse_bench
 from ..logic.netlist import LogicCircuitError
+from .analysis import circuit_analysis
 from .diagnostics import Diagnostic, LintReport, Severity
-from .implication import ImplicationEngine, learn_implications
 
 if TYPE_CHECKING:
     from ..logic.netlist import LogicCircuit
 
 
 class LintContext:
-    """Shared state for one lint run: the circuit plus cached derivations."""
+    """Shared state for one lint run: the circuit plus its source positions."""
 
     def __init__(
         self,
@@ -50,8 +51,6 @@ class LintContext:
         #: ``.bench``-level driver lines per net (if linting source text).
         self.bench_drivers = dict(bench_drivers or {})
         self.driven = set(circuit.primary_inputs) | {g.output for g in circuit}
-        self._observable: set[str] | None = None
-        self._constants: dict[str, int] | None = None
 
     def line_of(self, net: str) -> Optional[int]:
         return self.net_lines.get(net)
@@ -68,21 +67,12 @@ class LintContext:
     @property
     def observable_nets(self) -> set[str]:
         """Nets from which at least one primary output is reachable."""
-        if self._observable is None:
-            observable = set(self.circuit.primary_outputs)
-            for gate in reversed(self.circuit.topological_order()):
-                if gate.output in observable:
-                    observable.update(gate.inputs)
-            self._observable = observable
-        return self._observable
+        return circuit_analysis(self.circuit).observable
 
     @property
     def constants(self) -> dict[str, int]:
         """Nets proven constant by implication plus static learning."""
-        if self._constants is None:
-            engine = ImplicationEngine(self.circuit)
-            self._constants = learn_implications(self.circuit, engine).constants
-        return self._constants
+        return circuit_analysis(self.circuit).learning.constants
 
 
 class LintRule:

@@ -144,9 +144,12 @@ def scoap_summary(circuit: "LogicCircuit") -> dict[str, float | int]:
 
     ``unreachable`` counts the infinite entries across all three measures
     (values no input vector can produce, nets no output observes); the
-    max/mean figures aggregate the finite entries only.
+    max/mean figures aggregate the finite entries only.  The measures come
+    from the circuit's shared analysis, so they are computed once.
     """
-    measures = scoap_measures(circuit)
+    from .analysis import circuit_analysis  # analysis imports this module
+
+    measures = circuit_analysis(circuit).scoap
     cc = _finite(measures.cc0.values()) + _finite(measures.cc1.values())
     co = _finite(measures.co.values())
     unreachable = (

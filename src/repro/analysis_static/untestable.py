@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .implication import ImplicationEngine, _gate_relation, learn_implications
+from .analysis import circuit_analysis
+from .implication import _gate_relation
 
 if TYPE_CHECKING:
     from ..faults.stuck_at import StuckAtFault
@@ -63,23 +64,16 @@ class StaticProof:
 
 
 class StaticUntestabilityProver:
-    """Per-circuit prover: one learning pass, then cheap per-fault checks."""
+    """Per-circuit prover: the shared learning pass, then cheap per-fault checks."""
 
     def __init__(self, circuit: "LogicCircuit"):
         self.circuit = circuit
-        learning = learn_implications(circuit)
-        self.learning = learning
-        self.engine = ImplicationEngine(
-            circuit, learned=learning.implications, constants=learning.constants
-        )
-        self.order = circuit.topological_order()
+        analysis = circuit_analysis(circuit)
+        self.engine = analysis.implication_engine
+        self.order = analysis.order
         self.outputs = set(circuit.primary_outputs)
-        observable = set(self.outputs)
-        for gate in reversed(self.order):
-            if gate.output in observable:
-                observable.update(gate.inputs)
         #: Nets from which at least one primary output is reachable.
-        self.observable = observable
+        self.observable = analysis.observable
 
     # ------------------------------------------------------------------ #
     # Stuck-at.

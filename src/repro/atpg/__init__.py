@@ -44,8 +44,7 @@ objects behind the ``simulate_*`` entry points:
   little-endian ``uint64`` ndarray words (thousands of patterns per block)
   with PPSFP fault batching: faults sharing a fault-site net stack their
   forced words and broadcast through one cone-kernel call.  The fastest
-  engine on large pattern sets; needs the optional numpy dependency
-  (``pip install repro[numpy]``).
+  engine on large pattern sets.
 * **interp** -- the same packed algorithm through the tuple-dispatch
   interpreter at the legacy 64-bit width (``engine="interp"``): the
   in-process baseline the generated code is benchmarked and CI-smoked

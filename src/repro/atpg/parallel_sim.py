@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as _np
+
 from ..faults.obd import ObdFault
 from ..faults.path_delay import RISING, PathDelayFault
 from ..faults.stuck_at import StuckAtFault
@@ -72,11 +74,6 @@ from ..logic.compiled import (
 )
 from ..logic.netlist import LogicCircuit, LogicCircuitError
 from .fault_sim import DetectionReport, Pattern, PatternPair
-
-try:  # Optional dependency of the "numpy" backend drivers.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY monkeypatching
-    _np = None
 
 
 def _record(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from ..analysis_static.analysis import circuit_analysis
 from ..faults.stuck_at import StuckAtFault
 from ..logic.gates import GateType
 from ..logic.netlist import Gate, LogicCircuit
@@ -66,7 +67,8 @@ class _PodemEngine:
         self.fault = fault
         self.constraints = dict(constraints)
         self.options = options
-        self.order = circuit.topological_order()
+        self.analysis = circuit_analysis(circuit)
+        self.order = self.analysis.order
         self.assignments: dict[str, int] = {}
         self.values: dict[str, LogicValue] = {}
         self.backtracks = 0
@@ -80,7 +82,7 @@ class _PodemEngine:
         self._validate()
 
     def _validate(self) -> None:
-        nets = set(self.circuit.nets())
+        nets = self.analysis.loads
         if self.fault is not None and self.fault.net not in nets:
             raise ValueError(f"fault net {self.fault.net!r} is not in the circuit")
         for net, value in self.constraints.items():
@@ -168,7 +170,7 @@ class _PodemEngine:
                     continue
                 if net in targets:
                     return True
-                stack.extend(self.circuit.fanout_nets(net))
+                stack.extend(self.analysis.fanout_nets(net))
         return False
 
     def done(self) -> bool:

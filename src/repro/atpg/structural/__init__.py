@@ -27,12 +27,10 @@ from .engine import (
     PROVEN_REDUNDANT,
     STATUSES,
     TESTED,
-    CircuitContext,
     StructuralAtpg,
     StructuralAtpgError,
     StructuralResult,
     atpg_engine_names,
-    circuit_context,
     get_atpg_engine,
     register_atpg_engine,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "PROVEN_REDUNDANT",
     "STATUSES",
     "TESTED",
-    "CircuitContext",
     "DAlgorithm",
     "LegacyPodem",
     "StructuralAtpg",
@@ -53,7 +50,6 @@ __all__ = [
     "StructuralPodem",
     "StructuralResult",
     "atpg_engine_names",
-    "circuit_context",
     "get_atpg_engine",
     "register_atpg_engine",
 ]

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...analysis_static.analysis import CircuitAnalysis
 from ...faults.stuck_at import StuckAtFault
 from ..podem import PodemOptions
 from .engine import (
     ABORTED,
     PROVEN_REDUNDANT,
     TESTED,
-    CircuitContext,
     StructuralAtpg,
     StructuralResult,
     register_atpg_engine,
@@ -70,12 +70,12 @@ class DAlgorithm(StructuralAtpg):
 
     def _search(
         self,
-        context: CircuitContext,
+        analysis: CircuitAnalysis,
         fault: StuckAtFault,
         closure: dict[str, int],
         options: PodemOptions,
     ) -> StructuralResult:
-        return _DAlgSearch(context, fault, closure, options).run()
+        return _DAlgSearch(analysis, fault, closure, options).run()
 
 
 #: One decision alternative: the (gate, input-cube) pair to apply.
@@ -85,17 +85,17 @@ _Alternative = tuple[object, tuple[int, ...]]
 class _DAlgSearch:
     def __init__(
         self,
-        context: CircuitContext,
+        analysis: CircuitAnalysis,
         fault: StuckAtFault,
         closure: dict[str, int],
         options: PodemOptions,
     ):
-        self.context = context
-        self.circuit = context.circuit
+        self.analysis = analysis
+        self.circuit = analysis.circuit
         self.fault = fault
         self.options = options
-        self.cone = context.fanout_cone(fault.net)
-        self.fault_driver = context.circuit.driver_of(fault.net)
+        self.cone = analysis.fanout_cone(fault.net)
+        self.fault_driver = analysis.circuit.driver_of(fault.net)
         self.site_value = VD if fault.value == 0 else VDB
         self.values: dict[str, int] = {}
         self.trail: list[str] = []
@@ -155,7 +155,7 @@ class _DAlgSearch:
         changed = True
         while changed and not self.conflict:
             changed = False
-            for gate in self.context.order:
+            for gate in self.analysis.order:
                 table = gate_table(gate.gate_type)
                 computed = table[tuple(self.values.get(n, VX) for n in gate.inputs)]
                 if gate is self.fault_driver:
@@ -199,18 +199,18 @@ class _DAlgSearch:
     # ------------------------------------------------------------------ #
     def _d_frontier(self) -> list:
         frontier = []
-        for gate in self.context.order:
+        for gate in self.analysis.order:
             if self.values.get(gate.output) is not None:
                 continue
             if any(self.values.get(n, VX) in ERRORS for n in gate.inputs):
                 frontier.append(gate)
-        co = self.context.scoap.co
+        co = self.analysis.scoap.co
         frontier.sort(key=lambda g: co[g.output])
         return frontier
 
     def _j_frontier(self) -> list:
         frontier = []
-        for gate in self.context.order:
+        for gate in self.analysis.order:
             if gate is not self.fault_driver and self.values.get(gate.output) is None:
                 continue
             computed = gate_table(gate.gate_type)[
@@ -218,7 +218,7 @@ class _DAlgSearch:
             ]
             if computed == VX:
                 frontier.append(gate)
-        levels = self.context.levels
+        levels = self.analysis.levels
         frontier.sort(key=lambda g: -levels[g.output])
         return frontier
 
@@ -247,7 +247,7 @@ class _DAlgSearch:
                     continue
                 if net in targets:
                     return False
-                stack.extend(self.context.fanout_nets(net))
+                stack.extend(self.analysis.fanout_nets(net))
         return True
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""The :class:`StructuralAtpg` interface, engine registry and shared context.
+"""The :class:`StructuralAtpg` interface and engine registry.
 
 Every structural test generator resolves one stuck-at fault to exactly one
 of three outcomes:
@@ -14,26 +14,24 @@ Engines register themselves in :data:`ATPG_ENGINES` -- the ATPG counterpart
 of :data:`repro.atpg.parallel_sim.PACKED_SIMULATORS` -- and campaigns select
 one via ``CampaignSpec.atpg_engine``.
 
-The :class:`CircuitContext` carries everything the searches share per
-circuit: topological order, levels, fan-out maps, SCOAP testability numbers
-(guiding PODEM's backtrace and the D-algorithm's frontier ordering) and the
-static-learning implication engine whose excitation closures both prune the
-search and prove ``unexcitable`` / ``dead-cone`` faults outright.  Contexts
-are cached per circuit object, so a campaign pays for SCOAP and static
-learning once, not once per fault.
+Every search reads its per-circuit facts from the circuit's shared
+:class:`~repro.analysis_static.analysis.CircuitAnalysis`: topological order,
+levels, fan-out, observability, SCOAP numbers (guiding PODEM's backtrace and
+the D-algorithm's frontier ordering) and the static-learning implication
+engine, whose excitation closures both prune the search and prove
+``unexcitable`` faults outright.  The same analysis serves lint and the
+static untestability prover, so a campaign learns once, not once per fault
+or per consumer.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
-from ...analysis_static.implication import ImplicationEngine, learn_implications
-from ...analysis_static.scoap import ScoapMeasures, scoap_measures
+from ...analysis_static.analysis import CircuitAnalysis, circuit_analysis
 from ...faults.stuck_at import StuckAtFault
-from ...logic.netlist import Gate, LogicCircuit
+from ...logic.netlist import LogicCircuit
 from ..fault_sim import simulate_with_forced_net
 from ..podem import PodemOptions
 
@@ -84,88 +82,8 @@ class StructuralAtpgError(Exception):
     fails verification, an unknown engine name)."""
 
 
-@dataclass
-class CircuitContext:
-    """Per-circuit derived structure shared by every fault's search."""
-
-    circuit: LogicCircuit
-    order: list[Gate] = field(init=False)
-    levels: dict[str, int] = field(init=False)
-    #: Gates reading each net (structural fan-out).
-    loads: dict[str, list[Gate]] = field(init=False)
-    #: Nets from which at least one primary output is reachable.
-    observable: set[str] = field(init=False)
-
-    def __post_init__(self) -> None:
-        circuit = self.circuit
-        self.order = circuit.topological_order()
-        self.levels = circuit.levelize()
-        loads: dict[str, list[Gate]] = {net: [] for net in circuit.nets()}
-        for gate in self.order:
-            for net in dict.fromkeys(gate.inputs):
-                loads[net].append(gate)
-        self.loads = loads
-        observable = set(circuit.primary_outputs)
-        for gate in reversed(self.order):
-            if gate.output in observable:
-                observable.update(gate.inputs)
-        self.observable = observable
-
-    def fanout_nets(self, net: str) -> list[str]:
-        """Output nets of the gates reading *net* (precomputed loads)."""
-        return [gate.output for gate in self.loads[net]]
-
-    def fanout_cone(self, net: str) -> set[str]:
-        """Transitive fan-out of *net*, itself included."""
-        cone: set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            if current in cone:
-                continue
-            cone.add(current)
-            stack.extend(gate.output for gate in self.loads[current])
-        return cone
-
-    @cached_property
-    def scoap(self) -> ScoapMeasures:
-        """SCOAP controllability / observability (computed lazily, once)."""
-        return scoap_measures(self.circuit)
-
-    @cached_property
-    def implication_engine(self) -> ImplicationEngine:
-        """Static-learning implication engine over the good machine."""
-        learning = learn_implications(self.circuit)
-        return ImplicationEngine(
-            self.circuit, learned=learning.implications, constants=learning.constants
-        )
-
-    def excitation_closure(self, fault: StuckAtFault) -> Optional[dict[str, int]]:
-        """Necessary good-machine values of every test exciting *fault*.
-
-        The implication closure of ``{fault.net: 1 - fault.value}`` under
-        the learned implications; None means the activating value is
-        unreachable (the fault is statically proven unexcitable).
-        """
-        return self.implication_engine.imply({fault.net: 1 - fault.value})
-
-
-_CONTEXTS: "weakref.WeakKeyDictionary[LogicCircuit, CircuitContext]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def circuit_context(circuit: LogicCircuit) -> CircuitContext:
-    """The (cached) shared context for *circuit*."""
-    context = _CONTEXTS.get(circuit)
-    if context is None:
-        context = CircuitContext(circuit)
-        _CONTEXTS[circuit] = context
-    return context
-
-
 class StructuralAtpg:
-    """Base class: static screening, pattern fill and verification.
+    """Base class: static screening and verification.
 
     Subclasses implement :meth:`_search` and may assume the fault is
     neither dead-cone nor statically unexcitable -- :meth:`generate`
@@ -188,19 +106,19 @@ class StructuralAtpg:
     ) -> StructuralResult:
         """Resolve *fault* to tested / proven_redundant / aborted."""
         options = options or PodemOptions()
-        context = circuit_context(circuit)
-        if fault.net not in context.loads:
+        analysis = circuit_analysis(circuit)
+        if fault.net not in analysis.loads:
             raise ValueError(f"fault net {fault.net!r} is not in the circuit")
-        if fault.net not in context.observable:
+        if fault.net not in analysis.observable:
             return StructuralResult(
                 PROVEN_REDUNDANT, None, implications=1, engine=self.name
             )
-        closure = context.excitation_closure(fault)
+        closure = analysis.excitation_closure(fault)
         if closure is None:
             return StructuralResult(
                 PROVEN_REDUNDANT, None, implications=1, engine=self.name
             )
-        result = self._search(context, fault, closure, options)
+        result = self._search(analysis, fault, closure, options)
         if result.status == TESTED:
             self._verify(circuit, fault, result.pattern)
         return result
@@ -209,24 +127,12 @@ class StructuralAtpg:
 
     def _search(
         self,
-        context: CircuitContext,
+        analysis: CircuitAnalysis,
         fault: StuckAtFault,
         closure: dict[str, int],
         options: PodemOptions,
     ) -> StructuralResult:
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def _fill(
-        self,
-        context: CircuitContext,
-        assignments: dict[str, int],
-        options: PodemOptions,
-    ) -> dict[str, int]:
-        """Complete a partial primary-input cube with the fill value."""
-        return {
-            net: assignments.get(net, options.fill_value)
-            for net in context.circuit.primary_inputs
-        }
 
     def _verify(
         self, circuit: LogicCircuit, fault: StuckAtFault, pattern: dict[str, int]

@@ -15,13 +15,13 @@ engines.
 
 from __future__ import annotations
 
+from ...analysis_static.analysis import CircuitAnalysis
 from ...faults.stuck_at import StuckAtFault
 from ..podem import PodemOptions, generate_stuck_at_test
 from .engine import (
     ABORTED,
     PROVEN_REDUNDANT,
     TESTED,
-    CircuitContext,
     StructuralAtpg,
     StructuralResult,
     register_atpg_engine,
@@ -36,12 +36,12 @@ class LegacyPodem(StructuralAtpg):
 
     def _search(
         self,
-        context: CircuitContext,
+        analysis: CircuitAnalysis,
         fault: StuckAtFault,
         closure: dict[str, int],
         options: PodemOptions,
     ) -> StructuralResult:
-        result = generate_stuck_at_test(context.circuit, fault, options=options)
+        result = generate_stuck_at_test(analysis.circuit, fault, options=options)
         if result.success:
             status = TESTED
         elif result.aborted:

@@ -29,6 +29,7 @@ implication step -- hardened in four ways over the legacy engine in
 
 from __future__ import annotations
 
+from ...analysis_static.analysis import CircuitAnalysis
 from ...faults.stuck_at import StuckAtFault
 from ...logic.gates import controlling_value
 from ..podem import PodemOptions
@@ -36,7 +37,6 @@ from .engine import (
     ABORTED,
     PROVEN_REDUNDANT,
     TESTED,
-    CircuitContext,
     StructuralAtpg,
     StructuralAtpgError,
     StructuralResult,
@@ -63,24 +63,24 @@ class StructuralPodem(StructuralAtpg):
 
     def _search(
         self,
-        context: CircuitContext,
+        analysis: CircuitAnalysis,
         fault: StuckAtFault,
         closure: dict[str, int],
         options: PodemOptions,
     ) -> StructuralResult:
-        return _PodemSearch(context, fault, closure, options).run()
+        return _PodemSearch(analysis, fault, closure, options).run()
 
 
 class _PodemSearch:
     def __init__(
         self,
-        context: CircuitContext,
+        analysis: CircuitAnalysis,
         fault: StuckAtFault,
         closure: dict[str, int],
         options: PodemOptions,
     ):
-        self.context = context
-        self.circuit = context.circuit
+        self.analysis = analysis
+        self.circuit = analysis.circuit
         self.fault = fault
         self.closure = closure
         self.options = options
@@ -107,7 +107,7 @@ class _PodemSearch:
             if net == fault.net:
                 value = self._inject(value)
             values[net] = value
-        for gate in self.context.order:
+        for gate in self.analysis.order:
             value = gate_table(gate.gate_type)[tuple(values[n] for n in gate.inputs)]
             if gate.output == fault.net:
                 value = self._inject(value)
@@ -145,12 +145,12 @@ class _PodemSearch:
     def _d_frontier(self) -> list:
         frontier = []
         values = self.values
-        for gate in self.context.order:
+        for gate in self.analysis.order:
             if values[gate.output] != VX:
                 continue
             if any(values[n] in ERRORS for n in gate.inputs):
                 frontier.append(gate)
-        co = self.context.scoap.co
+        co = self.analysis.scoap.co
         frontier.sort(key=lambda g: co[g.output])
         return frontier
 
@@ -173,7 +173,7 @@ class _PodemSearch:
                     continue
                 if net in targets:
                     return True
-                stack.extend(self.context.fanout_nets(net))
+                stack.extend(self.analysis.fanout_nets(net))
         return False
 
     # ------------------------------------------------------------------ #
@@ -196,7 +196,7 @@ class _PodemSearch:
         (five-valued simulation determines outputs from fully known inputs),
         so the walk terminates at an unassigned input by construction.
         """
-        scoap = self.context.scoap
+        scoap = self.analysis.scoap
         current, target = net, value
         bound = 2 * (len(self.circuit) + len(self.circuit.primary_inputs)) + 4
         for _ in range(bound):

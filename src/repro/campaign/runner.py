@@ -36,7 +36,6 @@ from ..atpg.random_tpg import (
 )
 from ..atpg.structural import ATPG_ENGINES
 from ..faults.base import FaultList
-from ..logic.compiled import HAVE_NUMPY
 from ..logic.netlist import CircuitStats, LogicCircuit, LogicCircuitError
 from .circuits import resolve_circuit
 from .errors import CampaignError
@@ -74,8 +73,7 @@ class CampaignSpec:
 
     ``engine`` picks the fault-simulation engine (``"packed"`` generated
     code over big-int words, ``"numpy"`` generated code over uint64 ndarray
-    words with PPSFP fault batching -- needs the optional numpy dependency,
-    ``pip install repro[numpy]`` -- ``"interp"`` packed interpreter
+    words with PPSFP fault batching, ``"interp"`` packed interpreter
     baseline, ``"serial"`` reference), and ``word_bits`` overrides its block
     width (None keeps the engine's default:
     :data:`~repro.logic.compiled.DEFAULT_WORD_BITS` for packed,
@@ -172,12 +170,6 @@ class CampaignSpec:
             _check_engine(self.engine)
         except ValueError as exc:
             raise CampaignError(str(exc)) from None
-        if self.engine == "numpy" and not HAVE_NUMPY:
-            raise CampaignError(
-                "engine='numpy' requires the optional numpy dependency "
-                "(pip install 'repro[numpy]'); fall back to engine='packed' "
-                "for the big-int backend of the same generated-code engine"
-            )
         if self.atpg_engine not in ATPG_ENGINES:
             raise CampaignError(
                 f"unknown ATPG engine {self.atpg_engine!r}; expected one of "

@@ -29,7 +29,9 @@ Each worker process compiles the circuit once per campaign (keyed by a run
 token) and reuses the same :class:`~repro.logic.compiled.CompiledCircuit`
 for both rounds, so sharding adds one compile per worker, not per task.
 Workers receive plain picklable payloads (the netlist, fault dataclasses,
-test tuples); compiled circuits never cross process boundaries.
+test tuples); compiled circuits never cross process boundaries.  The
+netlist carries its :class:`~repro.analysis_static.analysis.CircuitAnalysis`,
+which the parent builds before dispatch, so workers never relearn.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..analysis_static.analysis import circuit_analysis
 from ..atpg.compaction import merge_fault_shards
 from ..atpg.coverage import coverage_from_report
 from ..atpg.fault_sim import DetectionReport
@@ -244,8 +247,7 @@ def _shard_resimulate(
 #: executor may fall back one rung and try again.  Every engine is
 #: property-tested bit-identical to the others, so degradation can change
 #: only runtime, never the result.  The numpy backend falls back to the
-#: big-int backend of the same generated code, which needs no optional
-#: dependency at all.
+#: big-int backend of the same generated code.
 DEGRADE_FALLBACK = {"numpy": "packed", "packed": "interp", "interp": "serial"}
 
 
@@ -526,6 +528,10 @@ class ShardedCampaign:
         if spec.static_phase:
             static_phase = run_static_phase(model, circuit, faults, lint=lint)
             proven = frozenset(static_phase.proofs)
+        if spec.run_atpg:
+            # The analysis is pickled with the circuit, so building it here
+            # spares every shard task its own static-learning pass.
+            circuit_analysis(circuit).build()
         shard_lists = [s for s in partition_faults(faults, self.shards) if s]
 
         tests: Optional[list] = None

@@ -25,8 +25,6 @@ over two interchangeable **backends** (:data:`BACKENDS`):
   Cone kernels additionally accept a *stacked* ``(g, n_words)`` forced
   array and broadcast the whole cone re-simulation across a fault group in
   one pass (PPSFP batching -- see :mod:`repro.atpg.parallel_sim`).
-  NumPy is an optional dependency (``pip install repro[numpy]``); the
-  backend raises :class:`LogicCircuitError` when requested without it.
 
 Two evaluation strategies sit behind one API:
 
@@ -55,16 +53,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as _np
+
 from .gates import GateType
 from .netlist import LogicCircuit, LogicCircuitError
-
-try:  # Optional dependency: the "numpy" word backend.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY monkeypatching
-    _np = None
-
-#: Whether the optional NumPy word backend is importable in this process.
-HAVE_NUMPY = _np is not None
 
 #: Default number of patterns packed into one word of the engine.  Wider than
 #: a machine word on purpose: per-op Python overhead, not bit-width, bounds
@@ -84,7 +76,7 @@ WORD_BITS = 64
 DEFAULT_NUMPY_WORD_BITS = 16384
 
 #: Registered packed word backends: ``"int"`` (arbitrary-precision Python
-#: ints, the reference) and ``"numpy"`` (uint64 ndarrays, optional).
+#: ints, the reference) and ``"numpy"`` (uint64 ndarrays).
 BACKENDS = ("int", "numpy")
 
 
@@ -92,12 +84,6 @@ def _check_backend(backend: str) -> None:
     if backend not in BACKENDS:
         raise LogicCircuitError(
             f"unknown packed word backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "numpy" and not HAVE_NUMPY:
-        raise LogicCircuitError(
-            "the numpy word backend requires the optional numpy dependency "
-            "(pip install 'repro[numpy]'); use the int-backend engines "
-            "('packed'/'interp'/'serial') without it"
         )
 
 # Flat op codes; variadic gate types (AND2/AND3, ...) share one code and are

@@ -79,6 +79,10 @@ class LogicCircuit:
         self._outputs: list[str] = []
         self._gates: dict[str, Gate] = {}
         self._driver: dict[str, str] = {}
+        #: The circuit's :class:`~repro.analysis_static.analysis.CircuitAnalysis`,
+        #: owned by :func:`~repro.analysis_static.analysis.circuit_analysis`
+        #: and dropped by every construction call below.
+        self._analysis = None
 
     # ------------------------------------------------------------------ #
     # Construction.
@@ -90,6 +94,7 @@ class LogicCircuit:
         if net in self._driver:
             raise LogicCircuitError(f"net {net!r} is already driven by gate {self._driver[net]!r}")
         self._inputs.append(net)
+        self._analysis = None
         return net
 
     def add_inputs(self, nets: Iterable[str]) -> list[str]:
@@ -100,6 +105,7 @@ class LogicCircuit:
         if net in self._outputs:
             raise LogicCircuitError(f"primary output {net!r} already declared")
         self._outputs.append(net)
+        self._analysis = None
         return net
 
     def add_gate(
@@ -127,6 +133,7 @@ class LogicCircuit:
         gate = Gate(name=name, gate_type=gate_type, inputs=tuple(inputs), output=output)
         self._gates[name] = gate
         self._driver[output] = name
+        self._analysis = None
         return gate
 
     # ------------------------------------------------------------------ #
@@ -178,10 +185,6 @@ class LogicCircuit:
                 if inp == net:
                     loads.append((gate, index))
         return loads
-
-    def fanout_nets(self, net: str) -> list[str]:
-        """Output nets of the gates directly reading *net*."""
-        return [gate.output for gate, _ in self.loads_of(net)]
 
     def gate_count(self, gate_type: GateType | str | None = None) -> int:
         """Number of gates, optionally restricted to one type."""
@@ -275,16 +278,15 @@ class LogicCircuit:
         return cone
 
     def fanout_cone(self, net: str) -> set[str]:
-        """All nets in the transitive fan-out of *net* (including itself)."""
-        cone: set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            if current in cone:
-                continue
-            cone.add(current)
-            stack.extend(self.fanout_nets(current))
-        return cone
+        """All nets in the transitive fan-out of *net* (including itself).
+
+        Read from the circuit's shared analysis, so the circuit must be
+        closed and acyclic (see :meth:`validate`).
+        """
+        # Function-level import: analysis_static sits on top of logic.
+        from ..analysis_static.analysis import circuit_analysis
+
+        return circuit_analysis(self).fanout_cone(net)
 
     def stats(self, include_scoap: bool = False) -> CircuitStats:
         """Structural profile: gate counts by type, depth, fan-out histogram.
@@ -292,7 +294,7 @@ class LogicCircuit:
         One pass over the gates counts loads and types; the depth adds one
         levelization, so the whole profile is linear in gates + pins.
         ``include_scoap=True`` additionally attaches the SCOAP testability
-        roll-up (two more topological passes) as :attr:`CircuitStats.scoap`.
+        roll-up of the circuit's analysis as :attr:`CircuitStats.scoap`.
         """
         gate_counts: dict[str, int] = {}
         loads = {net: 0 for net in self.nets()}
@@ -305,7 +307,6 @@ class LogicCircuit:
             fanout_histogram[count] = fanout_histogram.get(count, 0) + 1
         scoap = None
         if include_scoap:
-            # Function-level import: analysis_static sits on top of logic.
             from ..analysis_static.scoap import scoap_summary
 
             scoap = scoap_summary(self)

@@ -29,7 +29,6 @@ from repro.atpg import (
 from repro.atpg.random_tpg import random_pairs, random_patterns
 from repro.campaign import (
     Campaign,
-    CampaignError,
     CampaignSpec,
     get_model,
     run_sharded_campaign,
@@ -44,7 +43,6 @@ from repro.faults import (
 from repro.logic import LogicCircuitError, generate
 from repro.logic.compiled import (
     DEFAULT_NUMPY_WORD_BITS,
-    HAVE_NUMPY,
     compile_circuit,
     num_words_for,
     pack_pair_blocks,
@@ -53,8 +51,6 @@ from repro.logic.compiled import (
     pack_pattern_blocks_array,
     words_to_int,
 )
-
-np = pytest.importorskip("numpy")
 
 #: 130 tests leave ragged final blocks at every width in the matrix and
 #: exercise non-byte-multiple decode paths at widths 1 and 63.
@@ -293,7 +289,7 @@ class TestNumpyCampaign:
 
 
 # --------------------------------------------------------------------------- #
-# Degradation ladder and the optional-dependency gate.
+# Degradation ladder and numpy availability.
 # --------------------------------------------------------------------------- #
 class TestDegradeAndGating:
     def test_fallback_ladder(self):
@@ -307,17 +303,8 @@ class TestDegradeAndGating:
         strict = CampaignSpec(engine="numpy", allow_degraded=False)
         assert RetryPolicy.for_spec(strict).degrade_to is None
 
-    def test_have_numpy_is_true_in_this_environment(self):
-        assert HAVE_NUMPY
-
-    def test_spec_validation_without_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.campaign.runner.HAVE_NUMPY", False)
-        with pytest.raises(CampaignError, match="repro\\[numpy\\]"):
-            CampaignSpec(engine="numpy").validate()
-        CampaignSpec(engine="packed").validate()
-
-    def test_compile_without_numpy(self, c17_circuit, monkeypatch):
-        monkeypatch.setattr("repro.logic.compiled.HAVE_NUMPY", False)
-        with pytest.raises(LogicCircuitError, match="repro\\[numpy\\]"):
-            compile_circuit(c17_circuit, backend="numpy")
-        compile_circuit(c17_circuit)  # the int backend never needs numpy
+    def test_numpy_engine_always_available(self, c17_circuit):
+        # numpy is a declared dependency: the engine validates and compiles
+        # unconditionally.
+        CampaignSpec(engine="numpy").validate()
+        assert compile_circuit(c17_circuit, backend="numpy").backend == "numpy"
