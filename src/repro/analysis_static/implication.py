@@ -11,6 +11,11 @@ each touched relation against the currently known values:
 * if every surviving row agrees on a still-unknown net, that value is
   **forced** and propagates further, forward and backward alike.
 
+The filter is table-driven.  The scalar row filter (:func:`_filter_rows`)
+is the reference: for each gate shape -- gate type plus pin-tie pattern,
+never net names -- it is evaluated once, on first use, over every ternary
+state of the shape's nets, and a worklist visit is one lookup.
+
 Because only forced values are ever derived, the engine is *sound but
 incomplete*: ``imply`` returning a value map means every complete consistent
 assignment extends it, and ``imply`` returning None means the seed
@@ -29,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..logic.gates import GateType, evaluate_gate
@@ -40,7 +46,42 @@ if TYPE_CHECKING:
 Literal = tuple[str, int]
 
 
-@lru_cache(maxsize=8192)
+def _tie_pattern(
+    inputs: tuple[str, ...], output: str
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The gate's distinct nets and its pin-tie pattern.
+
+    ``nets`` lists the distinct input nets in first-use order, followed by
+    the output net unless it already appears among them.  The pattern holds,
+    for every input pin and then the output, the position of its net in
+    ``nets``: ``NAND3(a, b, a)`` has pattern ``(0, 1, 0, 2)``.  Gates with
+    the same type and pattern share one relation whatever their net names.
+    """
+    nets = tuple(dict.fromkeys(inputs))
+    if output not in nets:
+        nets += (output,)
+    return nets, tuple(nets.index(net) for net in inputs + (output,))
+
+
+@lru_cache(maxsize=None)
+def _relation_rows(gate_type: GateType, pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the relation of one gate shape (see :func:`_gate_relation`)."""
+    *pins, out = pattern
+    width = max(pins) + 1
+    rows: list[tuple[int, ...]] = []
+    for value in range(2**width):
+        assign = tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+        result = evaluate_gate(gate_type, [assign[pin] for pin in pins])
+        if out < width:
+            # Self-loop (only possible in cyclic netlists): keep the row
+            # only when it is a fixed point of the gate function.
+            if assign[out] == result:
+                rows.append(assign)
+        else:
+            rows.append(assign + (result,))
+    return tuple(rows)
+
+
 def _gate_relation(
     gate_type: GateType, inputs: tuple[str, ...], output: str
 ) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
@@ -50,25 +91,47 @@ def _gate_relation(
     followed by the output net, and each row assigns one value per entry of
     ``nets``.  Tied pins (the same net on several inputs) are merged, so
     rows where tied pins would disagree simply do not exist -- this is what
-    lets the engine prove ``XOR2(x, x)`` constant 0.
+    lets the engine prove ``XOR2(x, x)`` constant 0.  The rows are cached
+    per gate shape, not per gate.
     """
-    in_nets = tuple(dict.fromkeys(inputs))
-    rows: list[tuple[int, ...]] = []
-    for value in range(2 ** len(in_nets)):
-        assign = {
-            net: (value >> (len(in_nets) - 1 - i)) & 1 for i, net in enumerate(in_nets)
-        }
-        out = evaluate_gate(gate_type, [assign[net] for net in inputs])
-        if output in assign:
-            # Self-loop (only possible in cyclic netlists): keep the row
-            # only when it is a fixed point of the gate function.
-            if assign[output] != out:
-                continue
-            rows.append(tuple(assign[net] for net in in_nets))
-        else:
-            rows.append(tuple(assign[net] for net in in_nets) + (out,))
-    nets = in_nets if output in in_nets else in_nets + (output,)
-    return nets, tuple(rows)
+    nets, pattern = _tie_pattern(inputs, output)
+    return nets, _relation_rows(gate_type, pattern)
+
+
+def _filter_rows(
+    rows: tuple[tuple[int, ...], ...], known: tuple[Optional[int], ...]
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """Filter a relation against known values (None = unknown).
+
+    Returns None when no row survives (a conflict), else the ``(position,
+    value)`` pairs every surviving row agrees on at an unknown position.
+    """
+    consistent = [
+        row for row in rows if all(k is None or k == bit for k, bit in zip(known, row))
+    ]
+    if not consistent:
+        return None
+    first = consistent[0]
+    return tuple(
+        (position, first[position])
+        for position, k in enumerate(known)
+        if k is None and all(row[position] == first[position] for row in consistent)
+    )
+
+
+@lru_cache(maxsize=None)
+def _closure_table(
+    gate_type: GateType, pattern: tuple[int, ...]
+) -> tuple[Optional[tuple[tuple[int, int], ...]], ...]:
+    """:func:`_filter_rows` of one gate shape for every ternary state.
+
+    Entry ``sum(code[i] * 3**(width-1-i))`` holds the result for the known
+    values ``code`` (0, 1, or 2 for unknown) over the shape's distinct nets.
+    """
+    rows = _relation_rows(gate_type, pattern)
+    return tuple(
+        _filter_rows(rows, known) for known in product((0, 1, None), repeat=max(pattern) + 1)
+    )
 
 
 class ImplicationEngine:
@@ -95,9 +158,11 @@ class ImplicationEngine:
             key: tuple(value) for key, value in (learned or {}).items()
         }
         self._gates = list(circuit)
-        self._relations = [
-            _gate_relation(g.gate_type, g.inputs, g.output) for g in self._gates
-        ]
+        #: Per gate: its distinct nets and its shape's closure table.
+        self._relations = []
+        for gate in self._gates:
+            nets, pattern = _tie_pattern(gate.inputs, gate.output)
+            self._relations.append((nets, _closure_table(gate.gate_type, pattern)))
         self._nets = set(circuit.nets())
         touch: dict[str, list[int]] = {}
         for index, gate in enumerate(self._gates):
@@ -119,9 +184,11 @@ class ImplicationEngine:
         complete consistent assignment extending *assignments*; None means
         no complete consistent assignment exists at all.
         """
-        for net in assignments:
+        for net, value in assignments.items():
             if net not in self._nets:
                 raise ValueError(f"net {net!r} is not in the circuit")
+            if value not in (0, 1):
+                raise ValueError(f"value for {net!r} must be 0/1")
         return self._closure(assignments, self.baseline, seed_all=False)
 
     def _closure(
@@ -159,20 +226,15 @@ class ImplicationEngine:
                 break
             index = work.popleft()
             in_work[index] = False
-            nets, rows = self._relations[index]
-            known = [values.get(net) for net in nets]
-            consistent = [
-                row
-                for row in rows
-                if all(k is None or k == bit for k, bit in zip(known, row))
-            ]
-            if not consistent:
+            nets, table = self._relations[index]
+            state = 0
+            for net in nets:
+                state = state * 3 + values.get(net, 2)
+            forced = table[state]
+            if forced is None:
                 return None
-            for position, net in enumerate(nets):
-                if known[position] is None:
-                    first = consistent[0][position]
-                    if all(row[position] == first for row in consistent):
-                        todo.append((net, first))
+            for position, value in forced:
+                todo.append((nets[position], value))
         return values
 
 

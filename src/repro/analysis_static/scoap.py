@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .implication import _gate_relation
+from .implication import _gate_relation, _relation_rows, _tie_pattern
 
 if TYPE_CHECKING:
     from ..logic.gates import GateType
@@ -40,18 +40,19 @@ if TYPE_CHECKING:
 INF = math.inf
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=None)
 def _controllability_cubes(
-    gate_type: "GateType", inputs: tuple[str, ...], output: str
+    gate_type: "GateType", pattern: tuple[int, ...]
 ) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
     """Per output value, the input cubes guaranteeing it (None = don't care).
 
     Classical SCOAP charges only the inputs that *must* be set -- e.g.
     ``CC0(AND) = 1 + min(CC0(a), CC0(b))`` leaves the other input free -- so
-    controllability minimizes over cubes, not fully specified rows.
+    controllability minimizes over cubes, not fully specified rows.  Cached
+    per gate shape (type and pin-tie pattern).
     """
-    nets, rows = _gate_relation(gate_type, inputs, output)
-    arity = len(nets) - 1
+    rows = _relation_rows(gate_type, pattern)
+    arity = max(pattern)
     by_value: tuple[list[tuple[int | None, ...]], list[tuple[int | None, ...]]] = ([], [])
     for cube in product((None, 0, 1), repeat=arity):
         outs = {
@@ -89,9 +90,9 @@ def scoap_measures(circuit: "LogicCircuit") -> ScoapMeasures:
 
     order = circuit.topological_order()
     for gate in order:
-        nets, _ = _gate_relation(gate.gate_type, gate.inputs, gate.output)
+        nets, pattern = _tie_pattern(gate.inputs, gate.output)
         in_nets = nets[:-1]
-        cubes = _controllability_cubes(gate.gate_type, gate.inputs, gate.output)
+        cubes = _controllability_cubes(gate.gate_type, pattern)
         best = [INF, INF]
         for value in (0, 1):
             for cube in cubes[value]:

@@ -8,11 +8,19 @@ The engine serves three callers:
 * constrained stuck-at ATPG, where specific nets must settle to required
   good-machine values in addition to detecting the fault -- this is how the
   OBD ATPG pins the defective gate's inputs to the excitation cube.
+
+Implication is table-driven: each net carries its (good, faulty) value as
+one small int, and each gate type has a lookup table over those codes,
+built once on first use from the scalar reference
+:func:`repro.atpg.values.evaluate_gate_values`.  An implication pass is one
+tuple-keyed lookup per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Mapping, Optional
 
 from ..analysis_static.analysis import circuit_analysis
@@ -20,6 +28,32 @@ from ..faults.stuck_at import StuckAtFault
 from ..logic.gates import GateType
 from ..logic.netlist import Gate, LogicCircuit
 from .values import LogicValue, evaluate_gate_values, from_bit, noncontrolling_value
+
+#: The nine (good, faulty) pairs over 0/1/unknown.  The search carries each
+#: net's value as its index here, its *pair code* ``good * 3 + faulty`` with
+#: unknown coded as 2: X is 8, D is 3 and D-bar is 1.
+_PAIRS = tuple(LogicValue(good, faulty) for good in (0, 1, None) for faulty in (0, 1, None))
+_GOOD = tuple(value.good for value in _PAIRS)
+_KNOWN = tuple(value.is_known for value in _PAIRS)
+_ERROR = tuple(value.is_error for value in _PAIRS)
+_FROM_BIT = {bit: _PAIRS.index(from_bit(bit)) for bit in (0, 1, None)}
+
+
+@lru_cache(maxsize=64)
+def _table(gate_type: GateType, stuck: Optional[int] = None) -> dict[tuple[int, ...], int]:
+    """Two-rail truth table of one gate type over pair codes.
+
+    Built once per gate type from :func:`evaluate_gate_values`, so
+    evaluation during search is one tuple-keyed lookup.  With *stuck* set,
+    the faulty rail of the output is forced to it: the table of a gate whose
+    output carries the stuck-at fault.
+    """
+    if stuck is not None:
+        return {key: code // 3 * 3 + stuck for key, code in _table(gate_type).items()}
+    return {
+        codes: _PAIRS.index(evaluate_gate_values(gate_type, [_PAIRS[c] for c in codes]))
+        for codes in product(range(len(_PAIRS)), repeat=GateType(gate_type).num_inputs)
+    }
 
 
 @dataclass
@@ -70,7 +104,8 @@ class _PodemEngine:
         self.analysis = circuit_analysis(circuit)
         self.order = self.analysis.order
         self.assignments: dict[str, int] = {}
-        self.values: dict[str, LogicValue] = {}
+        #: Pair code of every net (see :data:`_PAIRS`).
+        self.values: dict[str, int] = {}
         self.backtracks = 0
         self.decisions = 0
         #: Set when a branch is abandoned without exploring it (backtrace
@@ -80,6 +115,17 @@ class _PodemEngine:
         self.gave_up = False
         self._pi_set = frozenset(circuit.primary_inputs)
         self._validate()
+        #: One ``(table, inputs, output)`` step per gate in topological
+        #: order; the faulty gate's table injects the stuck value.
+        self._plan = [
+            (
+                _table(gate.gate_type,
+                       fault.value if fault is not None and gate.output == fault.net else None),
+                gate.inputs,
+                gate.output,
+            )
+            for gate in self.order
+        ]
 
     def _validate(self) -> None:
         nets = self.analysis.loads
@@ -92,21 +138,17 @@ class _PodemEngine:
                 raise ValueError(f"constraint value for {net!r} must be 0/1")
 
     # ------------------------------------------------------------------ #
-    # Implication (five-valued forward simulation).
+    # Implication (two-rail forward simulation over pair codes).
     # ------------------------------------------------------------------ #
     def imply(self) -> None:
-        values: dict[str, LogicValue] = {}
+        assignments = self.assignments
+        values = {net: _FROM_BIT[assignments.get(net)] for net in self.circuit.primary_inputs}
         fault = self.fault
-        for net in self.circuit.primary_inputs:
-            value = from_bit(self.assignments.get(net))
-            if fault is not None and net == fault.net:
-                value = LogicValue(value.good, fault.value)
-            values[net] = value
-        for gate in self.order:
-            value = evaluate_gate_values(gate.gate_type, [values[n] for n in gate.inputs])
-            if fault is not None and gate.output == fault.net:
-                value = LogicValue(value.good, fault.value)
-            values[gate.output] = value
+        if fault is not None and fault.net in values:
+            values[fault.net] = values[fault.net] // 3 * 3 + fault.value
+        code = values.__getitem__
+        for table, inputs, output in self._plan:
+            values[output] = table[tuple(map(code, inputs))]
         self.values = values
 
     # ------------------------------------------------------------------ #
@@ -115,14 +157,14 @@ class _PodemEngine:
     def fault_detected(self) -> bool:
         if self.fault is None:
             return False
-        return any(self.values[net].is_error for net in self.circuit.primary_outputs)
+        return any(_ERROR[self.values[net]] for net in self.circuit.primary_outputs)
 
     def constraints_satisfied(self) -> bool:
-        return all(self.values[net].good == value for net, value in self.constraints.items())
+        return all(_GOOD[self.values[net]] == value for net, value in self.constraints.items())
 
     def constraints_violated(self) -> bool:
         for net, value in self.constraints.items():
-            good = self.values[net].good
+            good = _GOOD[self.values[net]]
             if good is not None and good != value:
                 return True
         return False
@@ -131,15 +173,16 @@ class _PodemEngine:
         """Fault site already settled to the stuck value in the good machine."""
         if self.fault is None:
             return False
-        good = self.values[self.fault.net].good
+        good = _GOOD[self.values[self.fault.net]]
         return good is not None and good == self.fault.value
 
     def d_frontier(self) -> list[Gate]:
         frontier = []
+        values = self.values
         for gate in self.order:
-            if self.values[gate.output].is_known:
+            if _KNOWN[values[gate.output]]:
                 continue
-            if any(self.values[n].is_error for n in gate.inputs):
+            if any(_ERROR[values[n]] for n in gate.inputs):
                 frontier.append(gate)
         return frontier
 
@@ -147,7 +190,7 @@ class _PodemEngine:
         """The fault site carries an error value (D or D-bar)."""
         if self.fault is None:
             return False
-        return self.values[self.fault.net].is_error
+        return _ERROR[self.values[self.fault.net]]
 
     def x_path_exists(self) -> bool:
         """Is there a path of unknown-valued nets from the D-frontier to a PO?"""
@@ -166,7 +209,7 @@ class _PodemEngine:
                 if net in seen:
                     continue
                 seen.add(net)
-                if self.values[net].is_known and not self.values[net].is_error:
+                if _KNOWN[self.values[net]] and not _ERROR[self.values[net]]:
                     continue
                 if net in targets:
                     return True
@@ -201,11 +244,11 @@ class _PodemEngine:
     def objective(self) -> Optional[tuple[str, int]]:
         # 1. Unsatisfied constraints.
         for net, value in self.constraints.items():
-            if self.values[net].good is None:
+            if _GOOD[self.values[net]] is None:
                 return net, value
         # 2. Fault activation.
         if self.fault is not None:
-            good = self.values[self.fault.net].good
+            good = _GOOD[self.values[self.fault.net]]
             if good is None:
                 return self.fault.net, 1 - self.fault.value
             # 3. Fault propagation through the D-frontier.
@@ -213,7 +256,7 @@ class _PodemEngine:
             if frontier:
                 gate = frontier[0]
                 for net in gate.inputs:
-                    if self.values[net].good is None:
+                    if _GOOD[self.values[net]] is None:
                         value = noncontrolling_value(gate.gate_type)
                         return net, value if value is not None else 1
         return None
@@ -225,7 +268,7 @@ class _PodemEngine:
             driver = self.circuit.driver_of(current)
             if driver is None:
                 return current, target
-            inputs_x = [n for n in driver.inputs if self.values[n].good is None]
+            inputs_x = [n for n in driver.inputs if _GOOD[self.values[n]] is None]
             if not inputs_x:
                 # Everything justified below; fall back to the first input.
                 inputs_x = [driver.inputs[0]]
@@ -251,14 +294,14 @@ class _PodemEngine:
         while True:
             if self.done():
                 return self._success()
-            if self.failed() or self.objective() is None:
+            if self.failed() or (objective := self.objective()) is None:
                 if not self._backtrack(stack):
                     return self._exhausted()
                 continue
             if self.backtracks > self.options.max_backtracks:
                 return PodemResult(False, None, self.backtracks, aborted=True,
                                    decisions=self.decisions)
-            net, value = self.objective()
+            net, value = objective
             pi, pi_value = self.backtrace(net, value)
             if pi in self.assignments or pi not in self._pi_set:
                 # Backtrace landed on an assigned (or non-input) net: the

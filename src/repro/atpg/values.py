@@ -3,6 +3,10 @@
 A signal value carries the pair (good-machine value, faulty-machine value),
 each of which is 0, 1 or unknown.  ``D`` is (1, 0) and ``D-bar`` is (0, 1);
 a fault is observable when a primary output carries ``D`` or ``D-bar``.
+
+:func:`evaluate_gate_values` is the reference definition of two-rail gate
+evaluation; the PODEM engine in :mod:`repro.atpg.podem` does not call it
+during search but builds its per-gate-type lookup tables from it.
 """
 
 from __future__ import annotations

@@ -254,10 +254,17 @@ def excitation_conditions(
 ) -> list[Sequence2]:
     """All two-pattern sequences that excite the defect at *site*.
 
-    ``mode`` selects the OBD rule (default) or the EM rule.
+    ``mode`` selects the OBD rule (default) or the EM rule.  The switch-level
+    path walk runs once per gate type, site and mode; every call returns a
+    fresh list.
     """
+    return list(_excitation_conditions(GateType(gate_type), site.upper(), mode))
+
+
+@lru_cache(maxsize=None)
+def _excitation_conditions(gate_type: GateType, site: str, mode: str) -> tuple[Sequence2, ...]:
     predicate = is_excited_obd if mode == "obd" else is_exercised_em
-    return [seq for seq in all_sequences(gate_type) if predicate(gate_type, site, seq)]
+    return tuple(seq for seq in all_sequences(gate_type) if predicate(gate_type, site, seq))
 
 
 def excited_sites(gate_type: GateType | str, sequence: Sequence2, mode: str = "obd") -> set[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from repro.atpg import (
@@ -30,7 +32,15 @@ from repro.atpg import (
     single_input_change_pairs,
     transition_fault_detected,
 )
-from repro.atpg.values import D, DBAR, ONE, X, ZERO, evaluate_gate_values, from_bit
+from repro.atpg.podem import _PAIRS, _table
+from repro.atpg.values import D, DBAR, ONE, X, ZERO, LogicValue, evaluate_gate_values, from_bit
+from repro.core.excitation import (
+    all_sequences,
+    excitation_conditions,
+    gate_structure,
+    is_excited_obd,
+    is_exercised_em,
+)
 from repro.faults import (
     ObdFault,
     PathDelayFault,
@@ -121,6 +131,45 @@ class TestFiveValuedAlgebra:
     def test_complex_gate_three_valued(self):
         assert evaluate_gate_values(GateType.AOI21, [ONE, ONE, X]) == ZERO
         assert evaluate_gate_values(GateType.OAI21, [ZERO, ZERO, X]) == ONE
+
+
+class TestTableParity:
+    """The lookup tables on the OBD ATPG path equal the scalar references."""
+
+    def test_pair_code_layout(self):
+        assert _PAIRS[8] == X and _PAIRS[3] == D and _PAIRS[1] == DBAR
+        assert _PAIRS[0] == ZERO and _PAIRS[4] == ONE
+
+    @pytest.mark.parametrize("gate_type", list(GateType))
+    def test_two_rail_table_equals_evaluate_gate_values(self, gate_type):
+        table = _table(gate_type)
+        keys = list(product(range(9), repeat=gate_type.num_inputs))
+        assert sorted(table) == keys
+        for codes in keys:
+            want = evaluate_gate_values(gate_type, [_PAIRS[c] for c in codes])
+            assert _PAIRS[table[codes]] == want
+            for stuck in (0, 1):
+                assert _PAIRS[_table(gate_type, stuck)[codes]] == LogicValue(want.good, stuck)
+
+    @pytest.mark.parametrize("mode", ["obd", "em"])
+    @pytest.mark.parametrize(
+        "gate_type",
+        [GateType.INV, GateType.NAND2, GateType.NAND3, GateType.NOR2, GateType.NOR3,
+         GateType.AOI21, GateType.OAI21],
+    )
+    def test_memoized_excitation_equals_predicate_filter(self, gate_type, mode):
+        predicate = is_excited_obd if mode == "obd" else is_exercised_em
+        for site in gate_structure(gate_type).sites:
+            want = [seq for seq in all_sequences(gate_type) if predicate(gate_type, site, seq)]
+            assert excitation_conditions(gate_type, site, mode) == want
+            assert excitation_conditions(gate_type.value, site.lower(), mode) == want
+
+    def test_mutating_returned_conditions_does_not_leak(self):
+        first = excitation_conditions(GateType.NAND2, "NA")
+        expected = list(first)
+        first.clear()
+        assert excitation_conditions(GateType.NAND2, "NA") == expected
+        assert list(ObdFault("g", GateType.NAND2, "NA").local_sequences) == expected
 
 
 class TestPodem:

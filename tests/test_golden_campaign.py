@@ -135,3 +135,24 @@ def test_bench_fixtures_parse_to_expected_shapes():
     fa = resolve_circuit(GOLDEN_DIR / "fa_sum.bench")
     assert (len(c17.primary_inputs), len(c17.primary_outputs), len(c17.gates)) == (5, 2, 6)
     assert len(fa.primary_inputs) == 3
+
+
+def test_obd_benchmark_spec_search_is_pinned():
+    """The end-to-end benchmark's OBD campaign makes the same search decisions.
+
+    The two-rail PODEM runs from lookup tables; these counts pin its
+    decision order on a circuit large enough to backtrack often.
+    """
+    spec = CampaignSpec(
+        model="obd",
+        circuit="rdag:60,4",
+        pattern_source="random",
+        pattern_count=256,
+        seed=0,
+        engine="packed",
+    )
+    result = Campaign(spec).run()
+    atpg = result.atpg_phase
+    assert (atpg.attempted, atpg.backtracks, atpg.decisions) == (70, 1710, 930)
+    assert round(result.coverage.coverage, 6) == 0.632979
+    assert result.compaction.size == 18

@@ -11,6 +11,7 @@ collapsing.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.analysis_static import (
     scoap_summary,
 )
 from repro.analysis_static.cli import main as lint_cli_main
+from repro.analysis_static.implication import _closure_table, _gate_relation, _tie_pattern
 from repro.analysis_static.untestable import (
     DEAD_CONE,
     LAUNCH_IMPOSSIBLE,
@@ -48,6 +50,7 @@ from repro.campaign import (
 )
 from repro.faults import stuck_at_universe, transition_fault_universe
 from repro.logic import GateType, LogicCircuit, random_dag, write_bench
+from repro.logic.gates import evaluate_gate
 
 
 # --------------------------------------------------------------------- #
@@ -276,6 +279,70 @@ class TestImplication:
         # b tracks x, so x=0 must force y=0 (and the contrapositive y=1 -> x=1).
         forced = dict(learning.implications).get(("x", 0), ())
         assert ("y", 0) in forced or ("b", 0) in forced
+
+
+def _tie_patterns(arity: int):
+    """Every pin-tie pattern of *arity* input pins plus an output.
+
+    Inputs get restricted-growth labels (first-use order); the output is a
+    fresh net or, for a self-loop, one of the input nets.
+    """
+    labels = [[0]]
+    for _ in range(arity - 1):
+        labels = [pins + [k] for pins in labels for k in range(max(pins) + 2)]
+    for pins in labels:
+        for out in range(max(pins) + 2):
+            yield tuple(pins) + (out,)
+
+
+def _brute_force_closure(gate_type, pattern, known):
+    """Conflict (None) or forced ``(position, value)`` pairs by enumeration."""
+    *pins, out = pattern
+    solutions = [
+        bits
+        for bits in product((0, 1), repeat=len(known))
+        if all(k is None or k == b for k, b in zip(known, bits))
+        and bits[out] == evaluate_gate(gate_type, [bits[p] for p in pins])
+    ]
+    if not solutions:
+        return None
+    return tuple(
+        (position, solutions[0][position])
+        for position, k in enumerate(known)
+        if k is None and len({s[position] for s in solutions}) == 1
+    )
+
+
+class TestClosureTables:
+    def test_tie_patterns_of_named_shapes(self):
+        assert _tie_pattern(("x", "x"), "y") == (("x", "y"), (0, 0, 1))
+        assert _tie_pattern(("a", "b", "a"), "y") == (("a", "b", "y"), (0, 1, 0, 2))
+        assert _tie_pattern(("a", "a", "b"), "y") == (("a", "b", "y"), (0, 0, 1, 2))
+        # XOR2(x, x) is constant 0 with nothing known.
+        assert _closure_table(GateType.XOR2, (0, 0, 1))[8] == ((1, 0),)
+
+    @pytest.mark.parametrize("gate_type", list(GateType))
+    def test_closure_table_equals_brute_force(self, gate_type):
+        for pattern in _tie_patterns(gate_type.num_inputs):
+            table = _closure_table(gate_type, pattern)
+            states = list(product((0, 1, None), repeat=max(pattern) + 1))
+            assert len(table) == len(states)
+            for index, known in enumerate(states):
+                assert table[index] == _brute_force_closure(gate_type, pattern, known), (
+                    gate_type, pattern, known
+                )
+
+    def test_relation_rows_are_shared_across_net_names(self):
+        nets_a, rows_a = _gate_relation(GateType.NAND3, ("a", "b", "a"), "y")
+        nets_b, rows_b = _gate_relation(GateType.NAND3, ("p", "q", "p"), "z")
+        assert nets_a == ("a", "b", "y") and nets_b == ("p", "q", "z")
+        assert rows_a is rows_b
+        assert rows_a == ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+    def test_non_binary_seed_value_is_rejected(self):
+        # The closure tables index known values as 0/1 and unknown as 2.
+        with pytest.raises(ValueError, match="must be 0/1"):
+            ImplicationEngine(and2_circuit()).imply({"a": 2})
 
 
 # --------------------------------------------------------------------- #
