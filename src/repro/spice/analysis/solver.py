@@ -1,4 +1,12 @@
-"""Damped Newton-Raphson solver for the nonlinear MNA system."""
+"""Damped Newton-Raphson solver for the nonlinear MNA system.
+
+:func:`newton_solve` assembles each iterate's linearized system from the
+system's compiled :class:`~repro.spice.analysis.mna.StampPlan`: the stamps
+fixed within one solve (linear elements, sources, capacitor companions and
+``gmin``) once per call, and the MOSFETs and diodes once per iteration.
+:meth:`Element.stamp <repro.spice.elements.Element.stamp>` is the scalar
+reference for the same matrix and right-hand side.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..elements import StampContext, Stamper
+from ..elements import StampContext
 from ..errors import ConvergenceError
 from .mna import MnaSystem
 
@@ -61,21 +69,19 @@ def newton_solve(
     solves).
     """
     options = options or SolverOptions()
-    circuit = system.circuit
+    plan = system.plan
     x = np.array(x0, dtype=float, copy=True)
     num_nodes = system.num_nodes
     max_delta = np.inf
+    linear = plan.linear(ctx, max(options.gmin, ctx.gmin))
 
     for iteration in range(1, options.max_iterations + 1):
         ctx.x = x
-        stamper = Stamper(system.size)
-        stamper.gmin_to_ground(num_nodes, max(options.gmin, ctx.gmin))
-        for element in circuit:
-            element.stamp(stamper, ctx)
+        matrix, rhs = plan.assemble(linear, x)
         try:
-            x_new = np.linalg.solve(stamper.matrix, stamper.rhs)
+            x_new = np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError:
-            x_new, *_ = np.linalg.lstsq(stamper.matrix, stamper.rhs, rcond=None)
+            x_new, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
         if not np.all(np.isfinite(x_new)):
             return SolveResult(x=x, converged=False, iterations=iteration, max_delta=np.inf)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -106,12 +107,12 @@ def transient(
 
     x_prev = op0.x
     t = 0.0
-    num_steps = int(round(t_stop / dt))
+    num_steps = _step_count(t_stop, dt)
     accepted = 0
 
     for step in range(1, num_steps + 1):
-        t_target = min(step * dt, t_stop)
-        x_prev, t = _advance(system, circuit, ctx, x_prev, t, t_target, options)
+        t_target = t_stop if step == num_steps else step * dt
+        x_prev, t = _advance(system, ctx, x_prev, t, t_target, options)
         accepted += 1
         if accepted % options.decimation == 0 or t >= t_stop:
             times.append(t)
@@ -127,7 +128,20 @@ def transient(
     )
 
 
-def _advance(system, circuit, ctx, x_prev, t_from, t_to, options) -> tuple[np.ndarray, float]:
+def _step_count(t_stop: float, dt: float) -> int:
+    """Steps of size *dt* needed to reach *t_stop*; the last one may be shorter.
+
+    A ratio within rounding of an integer keeps that integer, so floating-point
+    noise in ``t_stop / dt`` adds no sliver step.
+    """
+    ratio = t_stop / dt
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= 1e-9 * nearest:
+        return int(nearest)
+    return math.ceil(ratio)
+
+
+def _advance(system, ctx, x_prev, t_from, t_to, options) -> tuple[np.ndarray, float]:
     """Advance the solution from *t_from* to *t_to*, refining on failure."""
     stack = [(t_from, t_to, 0)]
     x = x_prev
@@ -140,8 +154,7 @@ def _advance(system, circuit, ctx, x_prev, t_from, t_to, options) -> tuple[np.nd
         ctx.x_prev = x
         result = newton_solve(system, ctx, x, options.solver)
         if result.converged:
-            for element in circuit:
-                element.update_state(ctx)
+            system.plan.commit(ctx)
             x = result.x
             t = target
             continue

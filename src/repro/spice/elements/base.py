@@ -1,8 +1,10 @@
 """Element base class and the stamping context shared by all analyses.
 
 Every circuit element knows how to *stamp* its (linearized) companion model
-into a modified-nodal-analysis (MNA) system.  The convention used throughout
-the simulator is::
+into a modified-nodal-analysis (MNA) system.  These scalar stamps are the
+reference; the solver assembles the same system from the compiled stamp plan
+of :mod:`repro.spice.analysis.mna`.  The convention used throughout the
+simulator is::
 
     G @ x = b
 
@@ -54,7 +56,12 @@ class StampContext:
         Minimum conductance tied from every node to ground for convergence.
     state:
         Per-element persistent state (e.g. capacitor branch currents for the
-        trapezoidal rule), keyed by element name.  Owned by the analysis.
+        trapezoidal rule), keyed by element name, as read by
+        :meth:`Element.stamp`.  Owned by the analysis.
+    capacitor_currents:
+        The same trapezoidal capacitor currents as one array, in the order of
+        the stamp plan's ``capacitors``; written and read by the compiled
+        plan (:class:`repro.spice.analysis.mna.StampPlan`).
     """
 
     mode: str = "dc"
@@ -66,6 +73,7 @@ class StampContext:
     source_scale: float = 1.0
     gmin: float = 1e-12
     state: dict = field(default_factory=dict)
+    capacitor_currents: Optional[np.ndarray] = None
 
 
 class Element(ABC):
@@ -126,9 +134,6 @@ class Element(ABC):
     @abstractmethod
     def stamp(self, stamper: "Stamper", ctx: StampContext) -> None:
         """Add the element's companion model to the MNA system."""
-
-    def update_state(self, ctx: StampContext) -> None:
-        """Commit per-step state after a transient step is accepted."""
 
     def clone(self) -> "Element":
         """Return a deep, index-free copy of the element."""
@@ -197,10 +202,3 @@ class Stamper:
         self.add_matrix(branch, p, 1.0)
         self.add_matrix(branch, n, -1.0)
         self.add_rhs(branch, value)
-
-    def gmin_to_ground(self, node_count: int, gmin: float) -> None:
-        """Tie every node to ground with a small conductance."""
-        if gmin <= 0.0:
-            return
-        for i in range(node_count):
-            self.matrix[i, i] += gmin

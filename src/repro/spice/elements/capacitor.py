@@ -15,7 +15,8 @@ class Capacitor(Element):
     * trapezoidal:      ``i_n = (2C/h) (v_n - v_{n-1}) - i_{n-1}``
 
     The trapezoidal rule requires the element to remember its branch current
-    from the previous accepted step, which is kept in ``ctx.state``.
+    from the previous accepted step, which :meth:`stamp` reads from
+    ``ctx.state``.
     """
 
     def __init__(self, name: str, a: str, b: str, capacitance: float, ic: float | None = None):
@@ -51,20 +52,3 @@ class Capacitor(Element):
         # Element current (a -> b) is geq * v_ab - i_rhs; the constant term is
         # an injection of i_rhs into node a (see Stamper.current convention).
         stamper.current(a, b, -i_rhs)
-
-    def update_state(self, ctx: StampContext) -> None:
-        """Record the branch current of the accepted step (trapezoidal)."""
-        if ctx.mode != "tran" or ctx.dt <= 0.0 or self.capacitance == 0.0:
-            return
-        a, b = self._indices
-        va = ctx.x[a] if a >= 0 else 0.0
-        vb = ctx.x[b] if b >= 0 else 0.0
-        v_now = float(va - vb)
-        v_prev = self._previous_voltage(ctx)
-        if ctx.method == "trapezoidal":
-            geq = 2.0 * self.capacitance / ctx.dt
-            i_prev = float(ctx.state.get(self.name, {}).get("current", 0.0))
-            i_now = geq * (v_now - v_prev) - i_prev
-        else:
-            i_now = self.capacitance / ctx.dt * (v_now - v_prev)
-        ctx.state.setdefault(self.name, {})["current"] = i_now

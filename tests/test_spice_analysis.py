@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.cells import build_gate_harness
+from repro.core import BreakdownStage, OBDDefect, inject_into_harness
 from repro.spice import (
     AnalysisError,
     Circuit,
@@ -19,6 +23,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.analysis.mna import MnaSystem
+from repro.spice.elements import Capacitor, Diode, Mosfet, StampContext, Stamper
 from repro.spice.errors import CircuitError
 
 
@@ -54,6 +59,117 @@ class TestMnaSystem:
     def test_empty_circuit_rejected(self):
         with pytest.raises(CircuitError):
             MnaSystem(Circuit("empty"))
+
+
+def _cell_fixture(tech, gate_type, sequence, defect_site):
+    """A Figure-5 harness, optionally with an OBD defect, plus odd elements: a
+    current source, a zero-valued capacitor, a capacitor with an initial
+    voltage and a ground-to-ground resistor."""
+    harness = build_gate_harness(tech, gate_type, sequence)
+    if defect_site is not None:
+        inject_into_harness(harness, OBDDefect(site=defect_site, stage=BreakdownStage.MBD2))
+    circuit = harness.circuit
+    circuit.add_current_source("iprobe", "out", "0", dc=2e-6)
+    circuit.add_capacitor("czero", "out", "vdd", 0.0)
+    circuit.add(Capacitor("cic", "load1", "0", 5e-15, ic=0.7))
+    circuit.add_resistor("rgnd", "0", "gnd", 1e3)
+    return circuit
+
+
+def _reference_system(system, ctx, gmin):
+    """Matrix and RHS stamped element by element, the scalar reference."""
+    stamper = Stamper(system.size)
+    nodes = np.arange(system.num_nodes)
+    stamper.matrix[nodes, nodes] += gmin
+    for element in system.circuit:
+        element.stamp(stamper, ctx)
+    return stamper.matrix, stamper.rhs
+
+
+def _diode_region(diode, vd):
+    model = diode.model
+    if vd > model.critical_voltage:
+        return "linearized"
+    if vd < -5.0 * model.thermal_voltage:
+        return "reverse"
+    return "exponential"
+
+
+CELL_FIXTURES = [
+    ("INV", ((0,), (1,)), None),
+    ("INV", ((0,), (1,)), "NA"),
+    ("NAND2", ((0, 1), (1, 1)), None),
+    ("NAND2", ((0, 1), (1, 1)), "NA"),
+    ("NOR2", ((1, 0), (0, 0)), None),
+    ("NOR2", ((1, 0), (0, 0)), "PB"),
+]
+
+
+class TestStampPlanParity:
+    """The compiled stamp plan assembles exactly the reference system."""
+
+    @pytest.mark.parametrize("gate_type,sequence,defect_site", CELL_FIXTURES)
+    def test_plan_matches_element_stamps(self, tech, gate_type, sequence, defect_site):
+        circuit = _cell_fixture(tech, gate_type, sequence, defect_site)
+        system = MnaSystem(circuit)
+        plan = system.plan
+        rng = np.random.default_rng(7)
+        mosfets = [el for el in circuit if isinstance(el, Mosfet)]
+        diodes = [el for el in circuit if isinstance(el, Diode)]
+        capacitors = [el for el in circuit if isinstance(el, Capacitor)]
+        assert any(c.capacitance == 0.0 for c in capacitors)
+        assert [c.capacitance != 0.0 for c in capacitors].count(True) == len(plan.capacitors)
+        reversed_seen, regions_seen = set(), set()
+        modes = (("dc", "backward_euler"), ("tran", "backward_euler"), ("tran", "trapezoidal"))
+        for trial in range(6):
+            x = rng.uniform(-1.5, tech.vdd + 2.5, system.size)
+            x_prev = rng.uniform(-0.5, tech.vdd + 0.5, system.size)
+            currents = rng.normal(scale=1e-4, size=len(plan.capacitors))
+            state = {c.name: {"current": i} for c, i in zip(plan.capacitors, currents)}
+            for (mode, method), gmin, scale, previous in itertools.product(
+                modes, (0.0, 1e-12, 1e-3), (1.0, 0.35), (x_prev, None)
+            ):
+                ctx = StampContext(
+                    mode=mode, x=x, time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
+                    x_prev=previous, method=method, source_scale=scale, gmin=gmin,
+                    state=state, capacitor_currents=currents,
+                )
+                matrix, rhs = plan.assemble(plan.linear(ctx, gmin), x)
+                ref_matrix, ref_rhs = _reference_system(system, ctx, gmin)
+                np.testing.assert_allclose(matrix, ref_matrix, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=0)
+            for m in mosfets:
+                reversed_seen.add(m.evaluate(*(system.voltage(x, n) for n in m.nodes)).reversed)
+            for d in diodes:
+                vd = system.voltage(x, d.nodes[0]) - system.voltage(x, d.nodes[1])
+                regions_seen.add(_diode_region(d, vd))
+        assert reversed_seen == {False, True}
+        if diodes:
+            assert regions_seen == {"linearized", "exponential", "reverse"}
+
+    def test_trapezoidal_commit_stores_capacitor_currents(self):
+        c = Circuit("rc")
+        c.add_voltage_source("v1", "a", "0", dc=1.0)
+        c.add_resistor("r1", "a", "b", 1000.0)
+        c.add_capacitor("c1", "b", "0", 1e-12)
+        c.add_capacitor("c2", "a", "b", 2e-12)
+        system = MnaSystem(c)
+        x_prev = np.array([1.0, 0.2, 0.0])
+        x_now = np.array([1.0, 0.5, -1e-3])
+        ctx = StampContext(mode="tran", dt=1e-12, x_prev=x_prev, method="trapezoidal", x=x_now)
+        previous = np.array([1e-3, -2e-3])
+        ctx.capacitor_currents = previous.copy()
+        system.plan.commit(ctx)
+        v_now = np.array([0.5, 0.5])
+        v_prev = np.array([0.2, 0.8])
+        geq = 2.0 * np.array([1e-12, 2e-12]) / 1e-12
+        np.testing.assert_allclose(ctx.capacitor_currents, geq * (v_now - v_prev) - previous)
+
+    def test_backward_euler_commit_stores_nothing(self):
+        system = MnaSystem(_divider())
+        ctx = StampContext(mode="tran", dt=1e-12, x_prev=np.zeros(3), x=np.ones(3))
+        system.plan.commit(ctx)
+        assert ctx.capacitor_currents is None
 
 
 class TestOperatingPoint:
@@ -103,7 +219,6 @@ class TestOperatingPoint:
         """Regression: a rung that diverges to NaN must not poison the next
         rung's starting point (and the dead converged-branch is gone)."""
         from repro.spice.analysis import solver as solver_module
-        from repro.spice.elements import StampContext
 
         system = MnaSystem(_divider())
         ctx = StampContext(mode="dc", gmin=1e-12)
@@ -198,6 +313,30 @@ class TestTransient:
         assert out.final_value() == pytest.approx(0.0, abs=0.05)
         delay = propagation_delay(result.waveform("in"), out, tech.vdd / 2, "rising", "falling")
         assert delay is not None and 1e-12 < delay < 300e-12
+
+    @pytest.mark.parametrize(
+        "dt,times", [(0.3e-9, [0.0, 0.3e-9, 0.6e-9, 0.9e-9, 1e-9]),
+                     (0.4e-9, [0.0, 0.4e-9, 0.8e-9, 1e-9])]
+    )
+    def test_ends_at_t_stop_when_dt_does_not_divide_it(self, dt, times):
+        c = Circuit("rc")
+        c.add_voltage_source("v1", "a", "0", dc=1.0)
+        c.add_resistor("r1", "a", "b", 1000.0)
+        c.add_capacitor("c1", "b", "0", 1e-12)
+        result = transient(c, 1e-9, dt, record_nodes=["b"])
+        np.testing.assert_allclose(result.time, times, rtol=1e-12)
+        assert result.time[-1] == 1e-9
+
+    def test_near_integer_ratio_keeps_its_step_count(self):
+        """Table 1's t_stop/dt is 750.0000000000001: 750 steps, no sliver step."""
+        c = Circuit("rc")
+        c.add_voltage_source("v1", "a", "0", dc=1.0)
+        c.add_resistor("r1", "a", "b", 1000.0)
+        c.add_capacitor("c1", "b", "0", 1e-12)
+        t_stop = 2e-9 + 2.5e-9
+        result = transient(c, t_stop, 6e-12, record_nodes=["b"])
+        assert len(result.time) == 751
+        assert result.time[-1] == t_stop
 
     def test_invalid_arguments(self, tech):
         c = _inverter(tech)

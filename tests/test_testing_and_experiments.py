@@ -13,6 +13,7 @@ from repro.experiments import (
     run_nand_conditions,
     run_nor_conditions,
     run_progression_window,
+    run_table1,
     run_upstream_stress,
 )
 from repro.logic import c17
@@ -179,3 +180,33 @@ class TestExperimentsFast:
         )
         assert result.current_grows_monotonically()
         assert result.supply_current[BreakdownStage.HBD] > 1e-4
+
+
+#: Table-1 delays at dt=6e-12, as stored for the end-to-end benchmark's
+#: result check (NMOS MBD3 at NA, PMOS MBD1 at PB, both sequences each).
+TABLE1_DELAYS = {
+    ("nmos", "(01,11)", "NA"): 6.493840243886285e-10,
+    ("nmos", "(10,11)", "NA"): 6.478872035795164e-10,
+    ("pmos", "(11,10)", "PB"): 2.4510647977313603e-10,
+    ("pmos", "(11,01)", "PB"): 5.705009482412324e-11,
+}
+
+
+class TestTable1Pin:
+    def test_delays_match_stored_values(self):
+        result = run_table1(
+            nmos_stages=[BreakdownStage.MBD3],
+            pmos_stages=[BreakdownStage.MBD1],
+            nmos_sites=("NA",),
+            pmos_sites=("PB",),
+            dt=6e-12,
+        )
+        measured = {}
+        for polarity, table in (("nmos", result.nmos), ("pmos", result.pmos)):
+            for per_seq in table.values():
+                for sequence, per_site in per_seq.items():
+                    for site, entry in per_site.items():
+                        measured[(polarity, sequence, site)] = entry.measurement.delay
+        assert measured.keys() == TABLE1_DELAYS.keys()
+        for key, want in TABLE1_DELAYS.items():
+            assert measured[key] == pytest.approx(want, rel=1e-9, abs=0.0), key
