@@ -47,9 +47,9 @@ def record_faultsim(
 ) -> float:
     """Record one fault-simulation measurement; returns fault-tests/second.
 
-    ``engine`` is one of ``"codegen"`` / ``"numpy"`` / ``"interp"`` /
-    ``"serial"``; ``backend`` is the packed-word representation behind the
-    engine (``"int"`` for arbitrary-precision integers, ``"numpy"`` for
+    ``engine`` is one of ``"codegen"`` / ``"numpy"`` / ``"serial"``;
+    ``backend`` is the packed-word representation behind the engine
+    (``"int"`` for arbitrary-precision integers, ``"numpy"`` for
     uint64 ndarrays), giving the JSON a backend axis now that the same
     generated code runs over more than one word type.  ``family`` is the
     circuit family (``"rdag"``, ``"mult"``, ``"rca"``, ...)

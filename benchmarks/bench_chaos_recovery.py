@@ -43,7 +43,7 @@ def _spec() -> CampaignSpec:
         pattern_source="random",
         pattern_count=PATTERNS,
         seed=5,
-        engine="interp",
+        engine="packed",
         shards=SHARDS,
         max_retries=1,
         retry_backoff=0.0,

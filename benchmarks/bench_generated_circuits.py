@@ -20,13 +20,14 @@ import time
 import pytest
 
 from repro.atpg import (
-    packed_simulate_stuck_at,
+    compile_for_engine,
     random_patterns,
     serial_simulate_stuck_at,
+    simulate_stuck_at,
 )
 from repro.campaign import CampaignSpec, resolve_circuit, run_campaign
 from repro.faults import stuck_at_universe
-from repro.logic import WORD_BITS, compile_circuit, random_dag
+from repro.logic import random_dag
 
 from _report import record_faultsim, report
 
@@ -46,20 +47,16 @@ FAMILY_REFS = [
 
 
 @pytest.mark.benchmark(group="generated-circuits")
-@pytest.mark.parametrize("engine", ["codegen", "interp"])
 @pytest.mark.parametrize("ref", FAMILY_REFS)
-def test_packed_throughput_per_family(ref, engine, benchmark):
+def test_packed_throughput_per_family(ref, benchmark):
     circuit = resolve_circuit(ref)
     stats = circuit.stats()
     patterns = random_patterns(circuit, NUM_TESTS, seed=21)
     faults = list(stuck_at_universe(circuit))
-    if engine == "codegen":
-        compiled = compile_circuit(circuit)
-    else:
-        compiled = compile_circuit(circuit, word_bits=WORD_BITS, codegen=False)
+    compiled = compile_for_engine(circuit, "packed", None)
 
     rep = benchmark.pedantic(
-        packed_simulate_stuck_at,
+        simulate_stuck_at,
         args=(circuit, patterns, faults),
         kwargs={"compiled": compiled},
         rounds=3,
@@ -72,12 +69,12 @@ def test_packed_throughput_per_family(ref, engine, benchmark):
         elapsed = timing.stats.mean
     else:
         start = time.perf_counter()
-        packed_simulate_stuck_at(circuit, patterns, faults, compiled=compiled)
+        simulate_stuck_at(circuit, patterns, faults, compiled=compiled)
         elapsed = time.perf_counter() - start
     throughput = record_faultsim(
         circuit=ref,
         family=ref.split(":", 1)[0],
-        engine=engine,
+        engine="codegen",
         model="stuck-at",
         num_faults=len(faults),
         num_tests=NUM_TESTS,
@@ -87,7 +84,7 @@ def test_packed_throughput_per_family(ref, engine, benchmark):
     report(
         [
             f"  {stats.describe()}",
-            f"  stuck-at[{engine}]: {len(faults)} faults x {NUM_TESTS} patterns in "
+            f"  stuck-at[packed]: {len(faults)} faults x {NUM_TESTS} patterns in "
             f"{elapsed * 1e3:7.1f} ms -> {throughput / 1e6:6.2f} Mfault-patterns/s, "
             f"coverage {100 * rep.coverage:.1f}%",
         ]
@@ -126,7 +123,7 @@ def test_serial_packed_agree_on_generated_workload(benchmark):
     faults = list(stuck_at_universe(circuit))
     serial = serial_simulate_stuck_at(circuit, patterns, faults)
     packed = benchmark.pedantic(
-        packed_simulate_stuck_at, args=(circuit, patterns, faults), rounds=1, iterations=1
+        simulate_stuck_at, args=(circuit, patterns, faults), rounds=1, iterations=1
     )
     assert packed.detections == serial.detections
     assert packed.num_tests == serial.num_tests

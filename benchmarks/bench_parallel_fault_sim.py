@@ -1,16 +1,11 @@
-"""Fault-simulation engine benchmarks: serial vs interpreter vs generated code.
+"""Fault-simulation engine benchmarks: serial vs big-int vs ndarray words.
 
 Three benchmark groups:
 
-* ``parallel-fault-sim`` -- the packed engine (now generated code at the
+* ``parallel-fault-sim`` -- the packed engine (generated code at the
   default ``word_bits``) must beat the serial reference engine by at least an
   order of magnitude on an 8-bit ripple-carry adder with 256 random tests,
   all four fault models.
-* ``codegen-fault-sim`` -- the generated-code engine must beat the packed
-  *interpreter* baseline (the pre-codegen engine: tuple-dispatch op loop at
-  the legacy 64-bit width) by ``REPRO_BENCH_CODEGEN_MIN`` (default 5x) on
-  the random-DAG and array-multiplier workloads, with detections
-  bit-identical to the serial reference.
 * ``numpy-fault-sim`` -- the ndarray backend (same generated code over
   uint64 arrays with PPSFP row-packing) must beat the big-int codegen
   engine by ``REPRO_BENCH_NUMPY_MIN`` (default 3x) combined stuck-at +
@@ -30,21 +25,19 @@ Every measurement is recorded via :func:`_report.record_faultsim`, and the
 session conftest writes them to ``BENCH_faultsim.json`` for CI to archive.
 
 CI smoke mode: set ``REPRO_BENCH_BITS`` / ``REPRO_BENCH_TESTS`` (e.g. 4 / 64)
-to shrink the adder workload, ``REPRO_BENCH_RDAG`` / ``REPRO_BENCH_MULT`` /
-``REPRO_BENCH_CODEGEN_TESTS`` to shrink the codegen workloads, and
-``REPRO_BENCH_CODEGEN_MIN`` (e.g. 1.0) to relax the speedup floor so the
-smoke only fails when codegen is *slower* than the interpreter; the numpy
-group has the same pair of knobs (``REPRO_BENCH_NUMPY_TESTS`` /
-``REPRO_BENCH_NUMPY_MIN``) -- the array backend only wins at large pattern
-counts, so a smoke that shrinks the test count must relax the floor too.  For the
-sharded group, ``REPRO_BENCH_SHARDS`` picks the workers axis (e.g. ``2`` or
-``2,4``), ``REPRO_BENCH_SHARD_MIN`` the floor for the largest worker count
-(e.g. CI asserts 1.5x at 2 workers) and ``REPRO_BENCH_SHARD_PATTERNS`` the
-pattern-phase size.
+to shrink the adder workload, ``REPRO_BENCH_RDAG`` / ``REPRO_BENCH_MULT`` to
+shrink the circuit pair, and ``REPRO_BENCH_NUMPY_TESTS`` /
+``REPRO_BENCH_NUMPY_MIN`` to shrink the numpy workload -- the array backend
+only wins at large pattern counts, so a smoke that shrinks the test count
+must relax the floor too.  For the sharded group, ``REPRO_BENCH_SHARDS``
+picks the workers axis (e.g. ``2`` or ``2,4``), ``REPRO_BENCH_SHARD_MIN``
+the floor for the largest worker count (e.g. CI asserts 1.5x at 2 workers)
+and ``REPRO_BENCH_SHARD_PATTERNS`` the pattern-phase size.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -52,18 +45,16 @@ import pytest
 
 from repro.atpg import (
     compile_for_engine,
-    numpy_simulate_stuck_at,
-    numpy_simulate_transition,
-    packed_simulate_obd,
-    packed_simulate_path_delay,
-    packed_simulate_stuck_at,
-    packed_simulate_transition,
     random_pairs,
     random_patterns,
     serial_simulate_obd,
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
     serial_simulate_transition,
+    simulate_obd,
+    simulate_path_delay,
+    simulate_stuck_at,
+    simulate_transition,
 )
 from repro.campaign import resolve_circuit
 from repro.faults import (
@@ -72,7 +63,7 @@ from repro.faults import (
     stuck_at_universe,
     transition_fault_universe,
 )
-from repro.logic import WORD_BITS, compile_circuit, ripple_carry_adder
+from repro.logic import ripple_carry_adder
 
 from _report import record_faultsim, report
 
@@ -81,21 +72,17 @@ NUM_TESTS = int(os.environ.get("REPRO_BENCH_TESTS", "256"))
 #: Structural-path cap for the path-delay universe (keeps the serial run sane).
 PATH_LIMIT = int(os.environ.get("REPRO_BENCH_PATHS", "200"))
 
-#: Codegen-vs-interpreter workloads (the tentpole acceptance criterion).
+#: The circuit pair of the numpy and sharded workloads.
 RDAG_REF = os.environ.get("REPRO_BENCH_RDAG", "rdag:300,4")
 MULT_REF = os.environ.get("REPRO_BENCH_MULT", "mult:6")
-CODEGEN_TESTS = int(os.environ.get("REPRO_BENCH_CODEGEN_TESTS", "512"))
-#: Minimum combined (stuck-at + transition) speedup of generated code over
-#: the interpreter baseline; CI smoke relaxes this to 1.0.
-CODEGEN_MIN = float(os.environ.get("REPRO_BENCH_CODEGEN_MIN", "5.0"))
 #: Pattern-prefix length for the serial bit-identity cross-check (the serial
 #: engine is orders of magnitude slower, so it checks a prefix).
 SERIAL_CHECK = int(os.environ.get("REPRO_BENCH_SERIAL_CHECK", "64"))
 
 #: Numpy-vs-codegen workload size and floor (the PR-10 tentpole criterion).
 #: The array backend amortizes ufunc dispatch over thousands of patterns per
-#: block, so the pattern count is deliberately much larger than the codegen
-#: group's -- shrinking it in a smoke run requires relaxing the floor.
+#: block, so the pattern count is deliberately large -- shrinking it in a
+#: smoke run requires relaxing the floor.
 NUMPY_TESTS = int(os.environ.get("REPRO_BENCH_NUMPY_TESTS", "8192"))
 NUMPY_MIN = float(os.environ.get("REPRO_BENCH_NUMPY_MIN", "3.0"))
 
@@ -162,10 +149,10 @@ def test_packed_stuck_at_speedup(rca8, benchmark):
     patterns = random_patterns(rca8, NUM_TESTS, seed=11)
     faults = list(stuck_at_universe(rca8))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_stuck_at, packed_simulate_stuck_at, rca8, patterns, faults
+        serial_simulate_stuck_at, simulate_stuck_at, rca8, patterns, faults
     )
     benchmark.pedantic(
-        packed_simulate_stuck_at, args=(rca8, patterns, faults), rounds=3, iterations=1
+        simulate_stuck_at, args=(rca8, patterns, faults), rounds=3, iterations=1
     )
     speedup = serial_s / packed_s
     _record_rca("stuck-at", len(faults), serial_s, packed_s)
@@ -184,10 +171,10 @@ def test_packed_transition_speedup(rca8, benchmark):
     pairs = random_pairs(rca8, NUM_TESTS, seed=12)
     faults = list(transition_fault_universe(rca8))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_transition, packed_simulate_transition, rca8, pairs, faults
+        serial_simulate_transition, simulate_transition, rca8, pairs, faults
     )
     benchmark.pedantic(
-        packed_simulate_transition, args=(rca8, pairs, faults), rounds=3, iterations=1
+        simulate_transition, args=(rca8, pairs, faults), rounds=3, iterations=1
     )
     speedup = serial_s / packed_s
     _record_rca("transition", len(faults), serial_s, packed_s)
@@ -206,10 +193,10 @@ def test_packed_path_delay_speedup(rca8, benchmark):
     pairs = random_pairs(rca8, NUM_TESTS, seed=14)
     faults = list(path_delay_universe(rca8, limit=PATH_LIMIT))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_path_delay, packed_simulate_path_delay, rca8, pairs, faults
+        serial_simulate_path_delay, simulate_path_delay, rca8, pairs, faults
     )
     benchmark.pedantic(
-        packed_simulate_path_delay, args=(rca8, pairs, faults), rounds=3, iterations=1
+        simulate_path_delay, args=(rca8, pairs, faults), rounds=3, iterations=1
     )
     speedup = serial_s / packed_s
     _record_rca("path-delay", len(faults), serial_s, packed_s)
@@ -228,9 +215,9 @@ def test_packed_obd_speedup(rca8, benchmark):
     pairs = random_pairs(rca8, NUM_TESTS, seed=13)
     faults = list(obd_fault_universe(rca8))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_obd, packed_simulate_obd, rca8, pairs, faults
+        serial_simulate_obd, simulate_obd, rca8, pairs, faults
     )
-    benchmark.pedantic(packed_simulate_obd, args=(rca8, pairs, faults), rounds=3, iterations=1)
+    benchmark.pedantic(simulate_obd, args=(rca8, pairs, faults), rounds=3, iterations=1)
     speedup = serial_s / packed_s
     _record_rca("obd", len(faults), serial_s, packed_s)
     report(
@@ -241,84 +228,6 @@ def test_packed_obd_speedup(rca8, benchmark):
         ]
     )
     assert speedup >= 10.0
-
-
-# --------------------------------------------------------------------------- #
-# Generated code vs. the interpreter baseline (the tentpole criterion).
-# --------------------------------------------------------------------------- #
-@pytest.mark.benchmark(group="codegen-fault-sim")
-@pytest.mark.parametrize("ref", [RDAG_REF, MULT_REF], ids=lambda r: r.split(":")[0])
-def test_codegen_speedup_over_interpreter(ref, benchmark):
-    """Generated code at the default word_bits vs. the packed interpreter.
-
-    Asserts (a) detections bit-identical between the two packed engines on
-    the full workload and vs. the serial reference on a pattern prefix, and
-    (b) combined stuck-at + transition speedup >= CODEGEN_MIN.
-    """
-    circuit = resolve_circuit(ref)
-    family = ref.split(":", 1)[0]
-    patterns = random_patterns(circuit, CODEGEN_TESTS, seed=41)
-    pairs = random_pairs(circuit, CODEGEN_TESTS, seed=42)
-    sa_faults = list(stuck_at_universe(circuit))
-    tr_faults = list(transition_fault_universe(circuit))
-    interp = compile_circuit(circuit, word_bits=WORD_BITS, codegen=False)
-    codegen = compile_circuit(circuit)  # generated code, DEFAULT_WORD_BITS
-
-    workloads = [
-        ("stuck-at", packed_simulate_stuck_at, patterns, sa_faults, serial_simulate_stuck_at),
-        ("transition", packed_simulate_transition, pairs, tr_faults, serial_simulate_transition),
-    ]
-    timings: dict[str, dict[str, float]] = {"interp": {}, "codegen": {}}
-    for model, packed_fn, tests, faults, serial_fn in workloads:
-        reports = {}
-        for engine, cc in (("interp", interp), ("codegen", codegen)):
-            reports[engine] = packed_fn(circuit, tests, faults, compiled=cc)  # warm
-            timings[engine][model] = _best_of(
-                3, lambda f=packed_fn, c=cc: f(circuit, tests, faults, compiled=c)
-            )
-            record_faultsim(
-                circuit=ref,
-                family=family,
-                engine=engine,
-                model=model,
-                num_faults=len(faults),
-                num_tests=len(tests),
-                seconds=timings[engine][model],
-                word_bits=cc.word_bits,
-            )
-        assert reports["codegen"].detections == reports["interp"].detections
-        # Serial bit-identity on a prefix (the reference engine is orders of
-        # magnitude slower; full-set identity is covered by the property and
-        # parity suites).
-        prefix = tests[:SERIAL_CHECK]
-        serial_rep = serial_fn(circuit, prefix, faults)
-        codegen_rep = packed_fn(circuit, prefix, faults, compiled=codegen)
-        assert codegen_rep.detections == serial_rep.detections
-
-    benchmark.pedantic(
-        packed_simulate_stuck_at,
-        args=(circuit, patterns, sa_faults),
-        kwargs={"compiled": codegen},
-        rounds=3,
-        iterations=1,
-    )
-    interp_s = sum(timings["interp"].values())
-    codegen_s = sum(timings["codegen"].values())
-    speedup = interp_s / codegen_s
-    rows = [
-        f"codegen      : {ref} ({len(sa_faults)} sa + {len(tr_faults)} tr faults "
-        f"x {CODEGEN_TESTS} tests, word_bits={codegen.word_bits})"
-    ]
-    for model, _fn, tests, faults, _serial in workloads:
-        ti, tc = timings["interp"][model], timings["codegen"][model]
-        rows.append(
-            f"  {model:10s} interp {ti * 1e3:7.1f} ms | codegen {tc * 1e3:6.1f} ms | "
-            f"speedup {ti / tc:5.1f}x | "
-            f"{len(faults) * len(tests) / tc / 1e6:6.2f} Mfault-tests/s"
-        )
-    rows.append(f"  combined speedup {speedup:.1f}x (floor {CODEGEN_MIN}x)")
-    report(rows)
-    assert speedup >= CODEGEN_MIN
 
 
 # --------------------------------------------------------------------------- #
@@ -351,10 +260,8 @@ def test_numpy_speedup_over_codegen(benchmark):
             # generated code at DEFAULT_NUMPY_WORD_BITS -- each backend at
             # its own best width, exactly what ``CampaignSpec.engine``
             # selects between.
-            "codegen": ("int", compile_circuit(circuit), packed_simulate_stuck_at,
-                        packed_simulate_transition),
-            "numpy": ("numpy", compile_for_engine(circuit, "numpy", None),
-                      numpy_simulate_stuck_at, numpy_simulate_transition),
+            "codegen": ("packed", compile_for_engine(circuit, "packed", None)),
+            "numpy": ("numpy", compile_for_engine(circuit, "numpy", None)),
         }
         if numpy_pedantic is None:
             numpy_pedantic = (circuit, patterns, sa_faults, engines["numpy"][1])
@@ -363,24 +270,22 @@ def test_numpy_speedup_over_codegen(benchmark):
             f"x {NUMPY_TESTS} tests, word_bits={engines['numpy'][1].word_bits})"
         )
         workloads = [
-            ("stuck-at", 0, patterns, sa_faults, serial_simulate_stuck_at),
-            ("transition", 1, pairs, tr_faults, serial_simulate_transition),
+            ("stuck-at", simulate_stuck_at, patterns, sa_faults, serial_simulate_stuck_at),
+            ("transition", simulate_transition, pairs, tr_faults, serial_simulate_transition),
         ]
-        for model, slot, tests, faults, serial_fn in workloads:
+        for model, fn, tests, faults, serial_fn in workloads:
             reports = {}
             seconds = {}
-            for engine, (backend, cc, *fns) in engines.items():
-                fn = fns[slot]
-                reports[engine] = fn(circuit, tests, faults, compiled=cc)  # warm
-                seconds[engine] = _best_of(
-                    3, lambda f=fn, c=cc: f(circuit, tests, faults, compiled=c)
-                )
+            for engine, (name, cc) in engines.items():
+                run = functools.partial(fn, circuit, tests, faults, engine=name, compiled=cc)
+                reports[engine] = run()  # warm
+                seconds[engine] = _best_of(3, run)
                 timings[engine] += seconds[engine]
                 record_faultsim(
                     circuit=ref,
                     family=family,
                     engine=engine,
-                    backend=backend,
+                    backend=cc.backend,
                     model=model,
                     num_faults=len(faults),
                     num_tests=len(tests),
@@ -391,8 +296,8 @@ def test_numpy_speedup_over_codegen(benchmark):
             assert reports["numpy"].num_tests == reports["codegen"].num_tests
             prefix = tests[:SERIAL_CHECK]
             serial_rep = serial_fn(circuit, prefix, faults)
-            numpy_rep = engines["numpy"][2 + slot](
-                circuit, prefix, faults, compiled=engines["numpy"][1]
+            numpy_rep = fn(
+                circuit, prefix, faults, engine="numpy", compiled=engines["numpy"][1]
             )
             assert numpy_rep.detections == serial_rep.detections
             ti, tn = seconds["codegen"], seconds["numpy"]
@@ -404,9 +309,9 @@ def test_numpy_speedup_over_codegen(benchmark):
 
     circuit, patterns, sa_faults, numpy_cc = numpy_pedantic
     benchmark.pedantic(
-        numpy_simulate_stuck_at,
+        simulate_stuck_at,
         args=(circuit, patterns, sa_faults),
-        kwargs={"compiled": numpy_cc},
+        kwargs={"engine": "numpy", "compiled": numpy_cc},
         rounds=3,
         iterations=1,
     )

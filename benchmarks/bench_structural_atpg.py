@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.atpg import PodemOptions, get_atpg_engine, packed_simulate_stuck_at
+from repro.atpg import PodemOptions, get_atpg_engine, simulate_stuck_at
 from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
 from repro.campaign import resolve_circuit
 from repro.faults.collapse import collapse_stuck_at_faults
@@ -105,7 +105,7 @@ def test_structural_engines_throughput_and_coverage_floor(ref, benchmark):
         # Soundness: every vector must detect its fault under packed sim.
         if vectors:
             patterns = [p for _, p in vectors]
-            packed = packed_simulate_stuck_at(circuit, patterns, [f for f, _ in vectors])
+            packed = simulate_stuck_at(circuit, patterns, [f for f, _ in vectors])
             for index, (fault, _) in enumerate(vectors):
                 assert index in packed.detections[fault.key], (name, fault.key)
     report(rows)

@@ -38,6 +38,7 @@ import json
 import sys
 import time
 
+from repro.atpg.fault_sim import ENGINES
 from repro.campaign import (
     Campaign,
     CampaignError,
@@ -60,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", nargs="+", default=["stuck-at"], choices=registered_models(),
         help="fault model(s); multiple values imply --suite",
     )
-    parser.add_argument("--engine", default="packed",
-                        choices=("packed", "interp", "serial"))
+    parser.add_argument("--engine", default="packed", choices=ENGINES)
     parser.add_argument("--patterns", type=int, default=64,
                         help="random pattern-phase size (0 disables the phase)")
     parser.add_argument("--seed", type=int, default=0)

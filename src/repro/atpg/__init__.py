@@ -30,7 +30,7 @@ working unchanged.
 Fault-simulation engines
 ------------------------
 
-Four engines produce identical :class:`~repro.atpg.fault_sim.DetectionReport`
+Three engines produce identical :class:`~repro.atpg.fault_sim.DetectionReport`
 objects behind the ``simulate_*`` entry points:
 
 * **packed** (default) -- the bit-parallel engine in
@@ -40,24 +40,22 @@ objects behind the ``simulate_*`` entry points:
   ``exec``-compiled straight-line function and shared across all faults, and
   each fault costs one call into a per-cone specialized kernel.  Use it
   everywhere; it is the engine that makes ISCAS-scale workloads practical.
-* **numpy** (``engine="numpy"``) -- the same generated code over
-  little-endian ``uint64`` ndarray words (thousands of patterns per block)
-  with PPSFP fault batching: faults sharing a fault-site net stack their
-  forced words and broadcast through one cone-kernel call.  The fastest
-  engine on large pattern sets.
-* **interp** -- the same packed algorithm through the tuple-dispatch
-  interpreter at the legacy 64-bit width (``engine="interp"``): the
-  in-process baseline the generated code is benchmarked and CI-smoked
-  against.
+* **numpy** (``engine="numpy"``) -- the same block loop and generated code
+  over little-endian ``uint64`` ndarray words (thousands of patterns per
+  block) with PPSFP fault batching: faults sharing a fault-site net and
+  forced row share one stacked row, and rows broadcast through one
+  union-cone pass.  The fastest engine on large pattern sets.
 * **serial** -- the reference engine in :mod:`repro.atpg.fault_sim`
   (``serial_simulate_*``, or ``engine="serial"``).  One full circuit walk per
   (fault, pattern): easy to read and to instrument, and the executable
   specification every packed variant is property-tested against.  Reach for
   it when debugging a coverage discrepancy or adding a new fault model.
 
-All four models support ``drop_detected`` (stop simulating a fault after its
-first detection) in every engine with identical first-detection indices, at
-any ``word_bits``.
+Both packed engines run one block loop
+(:func:`~repro.atpg.parallel_sim.simulate_sites`) over the per-fault site
+descriptors each fault model builds.  All four models support
+``drop_detected`` (stop simulating a fault after its first detection) in
+every engine with identical first-detection indices, at any ``word_bits``.
 """
 
 from .compaction import (
@@ -86,20 +84,8 @@ from .fault_sim import (
 from .obd_atpg import ObdAtpgSummary, ObdTestResult, generate_obd_test, run_obd_atpg
 from .parallel_sim import (
     ENGINE_BACKENDS,
-    NUMPY_SIMULATORS,
-    PACKED_SIMULATORS,
-    SIMULATOR_BACKENDS,
     compile_for_engine,
     compiled_matches_engine,
-    numpy_simulate_obd,
-    numpy_simulate_path_delay,
-    numpy_simulate_stuck_at,
-    numpy_simulate_transition,
-    packed_simulate_obd,
-    packed_simulate_path_delay,
-    packed_simulate_shard,
-    packed_simulate_stuck_at,
-    packed_simulate_transition,
 )
 from .path_delay_atpg import PathDelayTestResult, generate_path_delay_test
 from .podem import PodemOptions, PodemResult, generate_stuck_at_test, justify
@@ -160,18 +146,6 @@ __all__ = [
     "serial_simulate_transition",
     "serial_simulate_path_delay",
     "serial_simulate_obd",
-    "packed_simulate_stuck_at",
-    "packed_simulate_transition",
-    "packed_simulate_path_delay",
-    "packed_simulate_obd",
-    "packed_simulate_shard",
-    "numpy_simulate_stuck_at",
-    "numpy_simulate_transition",
-    "numpy_simulate_path_delay",
-    "numpy_simulate_obd",
-    "PACKED_SIMULATORS",
-    "NUMPY_SIMULATORS",
-    "SIMULATOR_BACKENDS",
     "ENGINE_BACKENDS",
     "compile_for_engine",
     "compiled_matches_engine",

@@ -1,19 +1,17 @@
 """Fault simulation for the stuck-at, transition, path-delay and OBD models.
 
-Four engines sit behind one API.  The default is the **packed** bit-parallel
+Three engines sit behind one API.  The default is the **packed** bit-parallel
 engine (:mod:`repro.atpg.parallel_sim`): patterns are simulated hundreds at a
 time over wide bit-vectors by per-circuit generated straight-line code
 (:mod:`repro.logic.compiled`), the good machine is computed once per block
 and shared across all faults, and each fault costs one per-cone kernel call.
-``engine="numpy"`` runs the same generated code over ``uint64`` ndarray
-words (thousands of patterns per block) with PPSFP fault batching -- the
-fastest engine on large pattern sets, needing the optional numpy dependency.
-``engine="interp"`` runs the packed algorithm through the tuple-dispatch
-interpreter at the legacy 64-bit width -- the in-process baseline the
-generated code is benchmarked against.  The **serial** engine in this module
-re-walks the circuit one (fault, pattern) at a time; it is the executable
-specification the packed variants are property-tested against, and remains
-available via ``engine="serial"`` for debugging and for cross-checking.
+``engine="numpy"`` runs the same block loop and generated code over
+``uint64`` ndarray words (thousands of patterns per block) with PPSFP fault
+batching -- the fastest engine on large pattern sets.  The **serial** engine
+in this module re-walks the circuit one (fault, pattern) at a time; it is the
+executable specification the packed engines are property-tested against, and
+remains available via ``engine="serial"`` for debugging and for
+cross-checking.
 
 The ``simulate_*`` entry points are thin compatibility wrappers over the
 fault-model registry (:mod:`repro.campaign`): each registered
@@ -45,11 +43,9 @@ PatternPair = tuple[Pattern, Pattern]
 
 #: Engine names accepted by the ``simulate_*`` entry points: ``"packed"``
 #: (generated code, wide big-int words -- the default), ``"numpy"``
-#: (generated code over uint64 ndarray words with PPSFP fault batching;
-#: needs the optional numpy dependency), ``"interp"`` (the packed
-#: interpreter baseline at the legacy 64-bit width) and ``"serial"`` (the
-#: one-(fault, pattern)-at-a-time reference).
-ENGINES = ("packed", "numpy", "interp", "serial")
+#: (generated code over uint64 ndarray words with PPSFP fault batching) and
+#: ``"serial"`` (the one-(fault, pattern)-at-a-time reference).
+ENGINES = ("packed", "numpy", "serial")
 
 
 def _check_engine(engine: str) -> None:

@@ -1,7 +1,7 @@
 """Frontier-based structural ATPG: D-algorithm and hardened PODEM.
 
 The package exposes one interface -- :class:`StructuralAtpg` -- with three
-registered engines (the registry mirrors ``PACKED_SIMULATORS``):
+registered engines:
 
 ========== ==================================================================
 ``d-alg``  Roth's D-algorithm: decisions on internal nets via D-frontier

@@ -10,9 +10,8 @@ of three outcomes:
 * ``aborted`` -- the backtrack budget ran out (or the engine gave up
   heuristically) before either of the above.
 
-Engines register themselves in :data:`ATPG_ENGINES` -- the ATPG counterpart
-of :data:`repro.atpg.parallel_sim.PACKED_SIMULATORS` -- and campaigns select
-one via ``CampaignSpec.atpg_engine``.
+Engines register themselves in :data:`ATPG_ENGINES` and campaigns select one
+via ``CampaignSpec.atpg_engine``.
 
 Every search reads its per-circuit facts from the circuit's shared
 :class:`~repro.analysis_static.analysis.CircuitAnalysis`: topological order,
@@ -155,7 +154,7 @@ class StructuralAtpg:
 
 
 #: Registered structural ATPG engines, keyed by name (the values accepted
-#: by ``CampaignSpec.atpg_engine``).  Mirrors ``PACKED_SIMULATORS``.
+#: by ``CampaignSpec.atpg_engine``).
 ATPG_ENGINES: dict[str, StructuralAtpg] = {}
 
 

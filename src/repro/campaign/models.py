@@ -1,10 +1,13 @@
 """The four registered fault models of the reproduction.
 
 Each adapter packages one model's universe builder, structural collapsing,
-packed/serial fault-simulation hooks and deterministic ATPG behind the
-:class:`~repro.campaign.model.FaultModel` protocol.  The legacy free
-functions (``simulate_stuck_at``, ``run_obd_atpg``, ...) remain available as
-thin wrappers over these adapters.
+fault-simulation hooks and deterministic ATPG behind the
+:class:`~repro.campaign.model.FaultModel` protocol.  For fault simulation a
+model supplies only its serial reference and its per-fault
+:class:`~repro.atpg.parallel_sim.FaultSite` descriptors; the shared
+``simulate`` method runs both word backends through one block loop.  The
+legacy free functions (``simulate_stuck_at``, ``run_obd_atpg``, ...) remain
+available as thin wrappers over these adapters.
 """
 
 from __future__ import annotations
@@ -26,26 +29,24 @@ from ..atpg.fault_sim import (
 )
 from ..atpg.obd_atpg import generate_obd_test
 from ..atpg.parallel_sim import (
-    NUMPY_SIMULATORS,
+    HOLD,
+    FaultSite,
     compile_for_engine,
     compiled_matches_engine,
-    packed_simulate_obd,
-    packed_simulate_path_delay,
-    packed_simulate_stuck_at,
-    packed_simulate_transition,
+    simulate_sites,
 )
 from ..atpg.path_delay_atpg import generate_path_delay_test
 from ..atpg.podem import PodemOptions
 from ..atpg.structural import get_atpg_engine
 from ..atpg.two_pattern import generate_transition_test, pattern_tuple
-from ..faults.base import FaultList
+from ..faults.base import Fault, FaultList
 from ..faults.collapse import (
     collapse_stuck_at_dominance,
     collapse_stuck_at_faults,
     obd_equivalence_groups,
 )
 from ..faults.obd import ObdFault, obd_fault_universe
-from ..faults.path_delay import PathDelayFault, path_delay_universe
+from ..faults.path_delay import RISING, PathDelayFault, path_delay_universe
 from ..faults.stuck_at import StuckAtFault, stuck_at_universe
 from ..faults.transition import TransitionFault, transition_fault_universe
 from ..logic.compiled import CompiledCircuit
@@ -53,33 +54,84 @@ from ..logic.netlist import LogicCircuit
 from .model import SINGLE_PATTERN, TWO_PATTERN, AtpgOutcome, register_model
 
 
-def _dispatch(
-    packed_fn, serial_fn, model_name, circuit, tests, faults, drop_detected, engine,
-    compiled, word_bits,
-):
-    """Route one simulate() call to the right engine.
+def _transition_excite(net: int, launch: int, final: int):
+    """Launch value at *net* in the first frame, final value in the last."""
 
-    ``"packed"``, ``"numpy"`` and ``"interp"`` all run the bit-parallel
-    algorithm; the difference is the :class:`CompiledCircuit` flavor
-    (backend, codegen, block width -- see
-    :func:`~repro.atpg.parallel_sim.compile_for_engine`).  A caller-supplied
-    *compiled* circuit is reused when its flavor matches the requested
-    engine and *word_bits*, so campaigns compile exactly once; on any
-    mismatch -- including a non-default *word_bits* the prebuilt circuit
-    does not have -- the call recompiles rather than silently simulating at
-    the wrong width or through the wrong engine.
+    def excite(first, last, words):
+        return (first[net] ^ words[1 - launch]) & (last[net] ^ words[1 - final])
+
+    return excite
+
+
+def _path_delay_excite(nets: tuple[int, ...], edge: int):
+    """The path input ends at *edge* (1 = rising), and every path net toggles."""
+
+    def excite(first, last, words):
+        word = last[nets[0]] ^ words[1 - edge]
+        for net in nets:
+            word = word & (first[net] ^ last[net])
+        return word
+
+    return excite
+
+
+def _obd_excite(pins: tuple[int, ...], sequences):
+    """OR over the local sequences of the AND of per-pin matches.
+
+    ``frame[pin] ^ words[1 - v]`` is the word of "pin equals v".
     """
-    _check_engine(engine)
-    if engine == "serial":
-        return serial_fn(circuit, tests, faults, drop_detected=drop_detected)
-    if not compiled_matches_engine(compiled, engine, word_bits):
-        compiled = compile_for_engine(circuit, engine, word_bits)
-    fn = NUMPY_SIMULATORS[model_name] if engine == "numpy" else packed_fn
-    return fn(circuit, tests, faults, drop_detected=drop_detected, compiled=compiled)
+
+    def excite(first, last, words):
+        excited = words[0]
+        for values1, values2 in sequences:
+            word = words[1]
+            for pin, v1, v2 in zip(pins, values1, values2):
+                word = word & (first[pin] ^ words[1 - v1]) & (last[pin] ^ words[1 - v2])
+            excited = excited | word
+        return excited
+
+    return excite
 
 
-class _StaticHooksMixin:
-    """Default static-analysis hooks: no dominance collapsing, no proofs."""
+class _ModelBase:
+    """Shared model behaviour: one ``simulate`` over the model's
+    :meth:`fault_sites` and ``serial_simulate`` hooks, and the default
+    static-analysis hooks (no dominance collapsing, no proofs)."""
+
+    def simulate(
+        self,
+        circuit: LogicCircuit,
+        tests: Sequence,
+        faults: Iterable[Fault],
+        *,
+        drop_detected: bool = False,
+        engine: str = "packed",
+        compiled: CompiledCircuit | None = None,
+        word_bits: int | None = None,
+    ) -> DetectionReport:
+        """Route one call to the serial reference or the block loop.
+
+        ``"packed"`` and ``"numpy"`` both run
+        :func:`~repro.atpg.parallel_sim.simulate_sites`; they differ only in
+        the :class:`CompiledCircuit` flavor (see
+        :func:`~repro.atpg.parallel_sim.compile_for_engine`).  A
+        caller-supplied *compiled* circuit is reused when its flavor matches
+        the requested engine and *word_bits*, so campaigns compile exactly
+        once; on any mismatch the call recompiles rather than silently
+        simulating at the wrong width or through the wrong engine.
+        """
+        _check_engine(engine)
+        if engine == "serial":
+            return self.serial_simulate(circuit, tests, faults, drop_detected=drop_detected)
+        if not compiled_matches_engine(compiled, engine, word_bits):
+            compiled = compile_for_engine(circuit, engine, word_bits)
+        return simulate_sites(
+            compiled,
+            tests,
+            self.fault_sites(circuit, compiled, faults),
+            two_pattern=self.pattern_kind == TWO_PATTERN,
+            drop_detected=drop_detected,
+        )
 
     def collapse_dominance(self, circuit: LogicCircuit, faults: FaultList) -> FaultList:
         return self.collapse(circuit, faults)
@@ -90,7 +142,7 @@ class _StaticHooksMixin:
         return {}
 
 
-class StuckAtModel(_StaticHooksMixin):
+class StuckAtModel(_ModelBase):
     """Classical single stuck-at model: single patterns, PODEM ATPG."""
 
     name = "stuck-at"
@@ -113,29 +165,13 @@ class StuckAtModel(_StaticHooksMixin):
     ) -> dict[str, StaticProof]:
         return prove_stuck_at_untestable(circuit, faults)
 
-    def simulate(
-        self,
-        circuit: LogicCircuit,
-        tests: Sequence,
-        faults: Iterable[StuckAtFault],
-        *,
-        drop_detected: bool = False,
-        engine: str = "packed",
-        compiled: CompiledCircuit | None = None,
-        word_bits: int | None = None,
-    ) -> DetectionReport:
-        return _dispatch(
-            packed_simulate_stuck_at,
-            serial_simulate_stuck_at,
-            self.name,
-            circuit,
-            tests,
-            faults,
-            drop_detected,
-            engine,
-            compiled,
-            word_bits,
-        )
+    serial_simulate = staticmethod(serial_simulate_stuck_at)
+
+    def fault_sites(
+        self, circuit: LogicCircuit, compiled: CompiledCircuit, faults: Iterable[StuckAtFault]
+    ) -> list[FaultSite]:
+        index = compiled.net_index
+        return [FaultSite(f.key, index[f.net], f.value, None) for f in faults]
 
     #: Structural engine used when a caller does not pick one explicitly.
     default_atpg_engine = "podem"
@@ -161,7 +197,7 @@ class StuckAtModel(_StaticHooksMixin):
         )
 
 
-class TransitionModel(_StaticHooksMixin):
+class TransitionModel(_ModelBase):
     """Classical transition (slow-to-rise / slow-to-fall) model."""
 
     name = "transition"
@@ -174,29 +210,18 @@ class TransitionModel(_StaticHooksMixin):
     def collapse(self, circuit: LogicCircuit, faults: FaultList) -> FaultList:
         return faults
 
-    def simulate(
-        self,
-        circuit: LogicCircuit,
-        tests: Sequence,
-        faults: Iterable[TransitionFault],
-        *,
-        drop_detected: bool = False,
-        engine: str = "packed",
-        compiled: CompiledCircuit | None = None,
-        word_bits: int | None = None,
-    ) -> DetectionReport:
-        return _dispatch(
-            packed_simulate_transition,
-            serial_simulate_transition,
-            self.name,
-            circuit,
-            tests,
-            faults,
-            drop_detected,
-            engine,
-            compiled,
-            word_bits,
-        )
+    serial_simulate = staticmethod(serial_simulate_transition)
+
+    def fault_sites(
+        self, circuit: LogicCircuit, compiled: CompiledCircuit, faults: Iterable[TransitionFault]
+    ) -> list[FaultSite]:
+        # The slow net holds its launch value into pattern two.
+        sites = []
+        for fault in faults:
+            net, launch = compiled.net_index[fault.net], fault.launch_value
+            excite = _transition_excite(net, launch, fault.final_value)
+            sites.append(FaultSite(fault.key, net, launch, excite))
+        return sites
 
     def prove_untestable(
         self, circuit: LogicCircuit, faults: FaultList
@@ -229,7 +254,7 @@ class TransitionModel(_StaticHooksMixin):
         )
 
 
-class PathDelayModel(_StaticHooksMixin):
+class PathDelayModel(_ModelBase):
     """Path-delay model: non-robust sensitization over structural paths."""
 
     name = "path-delay"
@@ -242,29 +267,20 @@ class PathDelayModel(_StaticHooksMixin):
     def collapse(self, circuit: LogicCircuit, faults: FaultList) -> FaultList:
         return faults
 
-    def simulate(
-        self,
-        circuit: LogicCircuit,
-        tests: Sequence,
-        faults: Iterable[PathDelayFault],
-        *,
-        drop_detected: bool = False,
-        engine: str = "packed",
-        compiled: CompiledCircuit | None = None,
-        word_bits: int | None = None,
-    ) -> DetectionReport:
-        return _dispatch(
-            packed_simulate_path_delay,
-            serial_simulate_path_delay,
-            self.name,
-            circuit,
-            tests,
-            faults,
-            drop_detected,
-            engine,
-            compiled,
-            word_bits,
-        )
+    serial_simulate = staticmethod(serial_simulate_path_delay)
+
+    def fault_sites(
+        self, circuit: LogicCircuit, compiled: CompiledCircuit, faults: Iterable[PathDelayFault]
+    ) -> list[FaultSite]:
+        # The sensitization word is the detection word: no net is clamped.
+        index = compiled.net_index
+        return [
+            FaultSite(
+                f.key, None, 0,
+                _path_delay_excite(tuple(index[n] for n in f.nets), int(f.direction == RISING)),
+            )
+            for f in faults
+        ]
 
     def generate_test(
         self,
@@ -287,7 +303,7 @@ class PathDelayModel(_StaticHooksMixin):
         )
 
 
-class ObdModel(_StaticHooksMixin):
+class ObdModel(_ModelBase):
     """The paper's oxide-breakdown model with input-specific excitation."""
 
     name = "obd"
@@ -308,29 +324,20 @@ class ObdModel(_StaticHooksMixin):
         representatives = {members[0].key for members in groups.values()}
         return faults.filtered(lambda f: f.key in representatives)
 
-    def simulate(
-        self,
-        circuit: LogicCircuit,
-        tests: Sequence,
-        faults: Iterable[ObdFault],
-        *,
-        drop_detected: bool = False,
-        engine: str = "packed",
-        compiled: CompiledCircuit | None = None,
-        word_bits: int | None = None,
-    ) -> DetectionReport:
-        return _dispatch(
-            packed_simulate_obd,
-            serial_simulate_obd,
-            self.name,
-            circuit,
-            tests,
-            faults,
-            drop_detected,
-            engine,
-            compiled,
-            word_bits,
-        )
+    serial_simulate = staticmethod(serial_simulate_obd)
+
+    def fault_sites(
+        self, circuit: LogicCircuit, compiled: CompiledCircuit, faults: Iterable[ObdFault]
+    ) -> list[FaultSite]:
+        # The slow gate holds its first-pattern output into pattern two, so
+        # every fault of one gate shares the forced row.
+        index = compiled.net_index
+        sites = []
+        for fault in faults:
+            gate = circuit.gate(fault.gate_name)
+            excite = _obd_excite(tuple(index[n] for n in gate.inputs), fault.local_sequences)
+            sites.append(FaultSite(fault.key, index[gate.output], HOLD, excite))
+        return sites
 
     def generate_test(
         self,

@@ -71,14 +71,14 @@ class CampaignSpec:
     ``"rdag:40,7"``) or a ``.bench`` file path -- see
     :func:`repro.campaign.circuits.resolve_circuit`.
 
-    ``engine`` picks the fault-simulation engine (``"packed"`` generated
-    code over big-int words, ``"numpy"`` generated code over uint64 ndarray
-    words with PPSFP fault batching, ``"interp"`` packed interpreter
-    baseline, ``"serial"`` reference), and ``word_bits`` overrides its block
-    width (None keeps the engine's default:
+    ``engine`` picks the fault-simulation engine (any name in
+    :data:`repro.atpg.fault_sim.ENGINES`: ``"packed"`` generated code over
+    big-int words, ``"numpy"`` generated code over uint64 ndarray words with
+    PPSFP fault batching, ``"serial"`` reference), and ``word_bits``
+    overrides its block width (None keeps the engine's default:
     :data:`~repro.logic.compiled.DEFAULT_WORD_BITS` for packed,
-    :data:`~repro.logic.compiled.DEFAULT_NUMPY_WORD_BITS` for numpy, 64 for
-    interp).  The circuit is compiled once per campaign and the same
+    :data:`~repro.logic.compiled.DEFAULT_NUMPY_WORD_BITS` for numpy).  The
+    circuit is compiled once per campaign and the same
     :class:`~repro.logic.compiled.CompiledCircuit` drives the pattern phase,
     the ATPG top-up re-simulation and everything downstream of them.
 
@@ -132,7 +132,7 @@ class CampaignSpec:
     #: ``retry_backoff * 2**n`` seconds before resubmitting.
     retry_backoff: float = 0.05
     #: After the retry budget is spent, fall back to the next slower engine
-    #: (numpy -> packed -> interp -> serial; all bit-identical) with a fresh
+    #: (numpy -> packed -> serial; all bit-identical) with a fresh
     #: attempt budget, recording the degradation in the result's provenance.
     #: Set False to fail instead of degrading.
     allow_degraded: bool = True
@@ -550,10 +550,6 @@ def resolve_campaign_circuit(
         raise CampaignError(str(exc)) from None
 
 
-# compile_for_engine is re-exported here for backwards compatibility: it now
-# lives beside the engine-backend registry in repro.atpg.parallel_sim.
-
-
 def collapse_universe(
     model: FaultModel, circuit: LogicCircuit, universe: FaultList, mode: bool | str
 ) -> FaultList:
@@ -789,9 +785,9 @@ class Campaign:
         lint = run_lint_gate(circuit) if spec.static_phase else None
 
         # One compile per campaign: every phase's fault simulation reuses the
-        # same CompiledCircuit (codegen over big-int or ndarray words for
-        # "packed"/"numpy", interpreter baseline at the legacy width for
-        # "interp"; the serial engine needs none).
+        # same CompiledCircuit (generated code over big-int words for
+        # "packed", over ndarray words for "numpy"; the serial engine needs
+        # none).
         compiled = compile_for_engine(circuit, spec.engine, spec.word_bits)
 
         universe = model.build_universe(circuit, **spec.universe_options)

@@ -54,7 +54,7 @@ from ..analysis_static.analysis import circuit_analysis
 from ..atpg.compaction import merge_fault_shards
 from ..atpg.coverage import coverage_from_report
 from ..atpg.fault_sim import DetectionReport
-from ..atpg.parallel_sim import packed_simulate_shard
+from ..atpg.parallel_sim import compile_for_engine
 from ..atpg.podem import PodemOptions
 from ..faults.base import Fault, FaultList
 from ..logic.netlist import LogicCircuit
@@ -74,7 +74,6 @@ from .runner import (
     assemble_result,
     build_atpg_phase,
     collapse_universe,
-    compile_for_engine,
     generate_atpg_outcomes,
     resolve_campaign_circuit,
     run_lint_gate,
@@ -117,7 +116,7 @@ def partition_faults(faults: Sequence[Fault] | FaultList, shards: int) -> list[l
 
 # --------------------------------------------------------------------------- #
 # Worker-side code.  Everything below runs inside pool processes; the
-# per-process compiled-circuit cache means each worker pays for codegen once
+# per-process compiled-circuit cache means each worker compiles the circuit once
 # per campaign regardless of how many shard tasks it executes.
 # --------------------------------------------------------------------------- #
 _TOKENS = itertools.count()
@@ -146,26 +145,6 @@ def _worker_compiled(token: str, circuit: LogicCircuit, engine: str, word_bits: 
             _WORKER_COMPILED.pop(next(iter(_WORKER_COMPILED)))
         _WORKER_COMPILED[key] = compiled
     return compiled
-
-
-def _simulate_shard(
-    model: FaultModel,
-    circuit: LogicCircuit,
-    tests: Sequence,
-    fault_shard: Sequence[Fault],
-    engine: str,
-    compiled,
-    drop_detected: bool,
-) -> DetectionReport:
-    """One shard's simulation through the engine the spec asked for."""
-    if engine == "serial":
-        return model.simulate(
-            circuit, tests, fault_shard, drop_detected=drop_detected, engine="serial"
-        )
-    return packed_simulate_shard(
-        model.name, circuit, tests, fault_shard,
-        compiled=compiled, drop_detected=drop_detected,
-    )
 
 
 def _shard_pattern_and_generate(
@@ -199,8 +178,9 @@ def _shard_pattern_and_generate(
     sim_seconds = 0.0
     if tests is not None:
         t0 = time.perf_counter()
-        report = _simulate_shard(
-            model, circuit, tests, fault_shard, engine, compiled, drop_detected
+        report = model.simulate(
+            circuit, tests, fault_shard, drop_detected=drop_detected,
+            engine=engine, compiled=compiled,
         )
         sim_seconds = time.perf_counter() - t0
         detected.update(report.detected_faults)
@@ -234,8 +214,9 @@ def _shard_resimulate(
     model = get_model(model_name)
     compiled = _worker_compiled(token, circuit, engine, word_bits)
     t0 = time.perf_counter()
-    report = _simulate_shard(
-        model, circuit, tests, fault_shard, engine, compiled, drop_detected
+    report = model.simulate(
+        circuit, tests, fault_shard, drop_detected=drop_detected,
+        engine=engine, compiled=compiled,
     )
     return report, time.perf_counter() - t0
 
@@ -247,8 +228,9 @@ def _shard_resimulate(
 #: executor may fall back one rung and try again.  Every engine is
 #: property-tested bit-identical to the others, so degradation can change
 #: only runtime, never the result.  The numpy backend falls back to the
-#: big-int backend of the same generated code.
-DEGRADE_FALLBACK = {"numpy": "packed", "packed": "interp", "interp": "serial"}
+#: big-int backend of the same generated code, and that to the serial
+#: reference, which needs no compiled circuit at all.
+DEGRADE_FALLBACK = {"numpy": "packed", "packed": "serial"}
 
 
 @dataclass

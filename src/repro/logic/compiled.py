@@ -1,48 +1,40 @@
 """Compiled bit-parallel circuit evaluation with per-circuit code generation.
 
 A :class:`CompiledCircuit` levelizes a :class:`~repro.logic.netlist.LogicCircuit`
-once into a flat, topologically ordered op list over dense integer net ids.
-Evaluation then runs over plain Python ints used as ``word_bits``-wide
-bit-vectors: bit *i* of every net word carries the value of that net under
-pattern *i* of the block, so one pass simulates up to ``word_bits`` patterns
-at once.  Python ints are arbitrary precision, so the block width is a free
-parameter: the default of :data:`DEFAULT_WORD_BITS` packs several hundred
-patterns per pass, amortizing the per-op overhead that dominates a pure-Python
-engine (:data:`WORD_BITS` remains the legacy 64-bit convention of the
-interpreter baseline).
+once into a flat, topologically ordered op list over dense integer net ids
+and turns it into the source of one straight-line Python function (one
+assignment per gate over local variables, no list indexing, no dispatch),
+``exec``-compiled once per circuit.  Evaluation then runs over packed words:
+bit *i* of every net word carries the value of that net under pattern *i* of
+the block, so one pass simulates up to ``word_bits`` patterns at once.
+Masking is fused only into the ops that need it: inputs are masked once on
+entry, AND/OR/XOR of already-masked words stay masked, and only inverting
+ops re-mask.  Forced re-simulation uses lazily compiled **per-cone kernels**
+(:meth:`CompiledCircuit.cone_kernel`) that read just the cone's side inputs
+and return the output-difference word directly, instead of copying the full
+O(num_nets) value list per fault per block.
 
 The packed *word type* is abstract: the generated code only ever applies
 ``& | ^ ~`` to already-masked operands, so the same straight-line source runs
 over two interchangeable **backends** (:data:`BACKENDS`):
 
-* ``backend="int"`` (default) -- arbitrary-precision Python ints, the
-  reference backend described above;
+* ``backend="int"`` (default) -- arbitrary-precision Python ints.  The block
+  width is a free parameter; the default of :data:`DEFAULT_WORD_BITS` packs
+  several hundred patterns per pass, amortizing the per-op overhead that
+  dominates a pure-Python engine;
 * ``backend="numpy"`` -- little-endian ``uint64`` NumPy arrays of
   ``ceil(word_bits / 64)`` elements, where every bitwise op is one
   vectorized ufunc call.  Per-op Python overhead is then amortized over the
   whole array instead of per big-int limb, which is what lets the numpy
   engine default to much wider blocks (:data:`DEFAULT_NUMPY_WORD_BITS`).
-  Cone kernels additionally accept a *stacked* ``(g, n_words)`` forced
-  array and broadcast the whole cone re-simulation across a fault group in
-  one pass (PPSFP batching -- see :mod:`repro.atpg.parallel_sim`).
+  :meth:`CompiledCircuit.batch_cone_detect` additionally re-simulates a
+  union cone over *stacked* ``(rows, n_words)`` arrays for a whole fault
+  group in one pass (PPSFP batching -- see :mod:`repro.atpg.parallel_sim`).
 
-Two evaluation strategies sit behind one API:
-
-* **codegen** (default) -- at compile time the op list is turned into the
-  source of one straight-line Python function (one assignment per gate over
-  local variables, no list indexing, no dispatch) and ``exec``-compiled.
-  Masking is fused only into the ops that need it: inputs are masked once on
-  entry, AND/OR/XOR of already-masked words stay masked, and only inverting
-  ops re-mask.  Forced re-simulation uses lazily compiled **per-cone
-  kernels** (:meth:`CompiledCircuit.cone_diff`) that read just the cone's
-  side inputs and return the output-difference word directly, instead of
-  copying the full O(num_nets) value list per fault per block.
-* **interpreter** (``codegen=False``) -- the original tuple-dispatch loop
-  (:func:`_run_ops`), kept as the in-process baseline the generated code is
-  benchmarked and tested against.
-
-Both strategies are bit-identical for every ``word_bits``; the serial engine
-in :mod:`repro.atpg.fault_sim` remains the external reference.
+Both backends are bit-identical for every ``word_bits``; the serial engine
+in :mod:`repro.atpg.fault_sim` remains the external reference, and
+:meth:`CompiledCircuit.evaluate_forced` is the in-module op-by-op reference
+the generated kernels are tested against.
 
 The helpers :func:`pack_pattern_blocks` / :func:`pack_pair_blocks` slice a
 pattern (pair) sequence into word-sized blocks, and :func:`iter_bits` walks
@@ -64,10 +56,6 @@ from .netlist import LogicCircuit, LogicCircuitError
 #: barely more than on 64.  512 is the measured sweet spot on the benchmark
 #: workloads; past ~1024 bits the limb work starts to dominate again.
 DEFAULT_WORD_BITS = 512
-
-#: The legacy fixed block width of the interpreter engine (what a C engine
-#: would use); kept as the baseline convention for benchmarks and tests.
-WORD_BITS = 64
 
 #: Default block width of the numpy backend.  Vectorized ufuncs have a fixed
 #: per-call cost but stream the array body at near memory bandwidth, so --
@@ -111,54 +99,12 @@ _OPCODES: dict[GateType, int] = {
 Op = tuple[int, int, tuple[int, ...]]
 
 
-def _run_ops(ops: Sequence[Op], values: list, mask) -> None:
-    """Interpreter baseline: evaluate *ops* in place over packed words.
-
-    Generic over the word backend: operands only ever see ``& | ^ ~``, so the
-    same loop runs over Python ints and numpy uint64 arrays.  The reductions
-    deliberately rebind (``word = word & ...``) instead of augmenting in
-    place, which would mutate a shared ndarray operand.
-    """
-    for code, out, ins in ops:
-        if code == _NAND:
-            word = values[ins[0]]
-            for index in ins[1:]:
-                word = word & values[index]
-            word = ~word & mask
-        elif code == _INV:
-            word = ~values[ins[0]] & mask
-        elif code == _AND:
-            word = values[ins[0]]
-            for index in ins[1:]:
-                word = word & values[index]
-        elif code == _OR:
-            word = values[ins[0]]
-            for index in ins[1:]:
-                word = word | values[index]
-        elif code == _NOR:
-            word = values[ins[0]]
-            for index in ins[1:]:
-                word = word | values[index]
-            word = ~word & mask
-        elif code == _XOR:
-            word = values[ins[0]] ^ values[ins[1]]
-        elif code == _XNOR:
-            word = ~(values[ins[0]] ^ values[ins[1]]) & mask
-        elif code == _AOI21:
-            word = ~((values[ins[0]] & values[ins[1]]) | values[ins[2]]) & mask
-        elif code == _OAI21:
-            word = ~((values[ins[0]] | values[ins[1]]) & values[ins[2]]) & mask
-        else:  # _BUF
-            word = values[ins[0]]
-        values[out] = word
-
-
 def _op_value(code: int, ins: tuple[int, ...], values: list, mask):
-    """One op's output word, same dispatch as :func:`_run_ops`.
+    """One op's output word over packed words of either backend.
 
-    Split out so :meth:`CompiledCircuit.batch_cone_detect` can interleave op
-    evaluation with per-row fault clamping; the interpreter loop keeps its
-    own inlined copy to avoid a per-gate call on its hot path.
+    Used where op evaluation is interleaved with other work: per-row fault
+    clamping in :meth:`CompiledCircuit.batch_cone_detect` and the reference
+    re-simulation of :meth:`CompiledCircuit.evaluate_forced`.
 
     Inverting gates complement via ``word ^ mask`` rather than
     ``~word & mask``: every operand keeps its pad bits zero (the packing
@@ -237,11 +183,10 @@ class CompiledCircuit:
     """A levelized, bit-parallel evaluator for one :class:`LogicCircuit`.
 
     ``word_bits`` sets the block width every evaluation of this instance
-    uses; ``codegen=False`` selects the interpreter baseline instead of the
-    generated straight-line code.  ``backend`` picks the packed word type
-    (:data:`BACKENDS`): the evaluator itself is backend-agnostic -- the same
-    compiled source runs over ints and uint64 arrays -- but drivers use the
-    declared backend to pick pack/decode helpers and mask representation, so
+    uses.  ``backend`` picks the packed word type (:data:`BACKENDS`): the
+    evaluator itself is backend-agnostic -- the same compiled source runs
+    over ints and uint64 arrays -- but the fault-simulation driver follows
+    the declared backend to pick pack/decode helpers and the detect step, so
     a compiled instance is only valid for engines of the same backend.
     """
 
@@ -249,14 +194,12 @@ class CompiledCircuit:
         self,
         circuit: LogicCircuit,
         word_bits: int = DEFAULT_WORD_BITS,
-        codegen: bool = True,
         backend: str = "int",
     ):
         _check_word_bits(word_bits)
         _check_backend(backend)
         self.circuit = circuit
         self.word_bits = word_bits
-        self.codegen = codegen
         self.backend = backend
         #: uint64 array length holding one full ``word_bits``-wide block
         #: (ragged final blocks use shorter arrays sized to the actual mask).
@@ -298,9 +241,7 @@ class CompiledCircuit:
         self._driver_position: dict[int, int] = {
             out: position for position, (_code, out, _ins) in enumerate(self.ops)
         }
-        self._eval_fn: Callable[[Sequence[int], int], list[int]] | None = (
-            self._compile_evaluate() if codegen else None
-        )
+        self._eval_fn = self._compile_evaluate()
         self._diff_kernels: dict[int, Callable[[Sequence[int], int, int], int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -359,13 +300,7 @@ class CompiledCircuit:
             raise LogicCircuitError(
                 f"expected {len(self.input_indices)} input words, got {len(input_words)}"
             )
-        if self._eval_fn is not None:
-            return self._eval_fn(input_words, mask)
-        values = [0] * self.num_nets
-        for index, word in zip(self.input_indices, input_words):
-            values[index] = word & mask
-        _run_ops(self.ops, values, mask)
-        return values
+        return self._eval_fn(input_words, mask)
 
     def cone_positions(self, net_index: int) -> tuple[int, ...]:
         """Op-list positions of a net's fan-out cone, in topological order.
@@ -457,35 +392,18 @@ class CompiledCircuit:
         Only the forced net's fan-out cone is re-evaluated; nets outside the
         cone keep their base values, so callers must restrict output
         comparisons to :meth:`cone`'s reachable outputs.  This is the
-        full-value-list compatibility path; the fault-simulation hot path is
-        :meth:`cone_diff`.
+        op-by-op reference the generated kernels are tested against; the
+        fault-simulation hot path is :meth:`cone_kernel`.
         """
         ops, _ = self.cone(net_index)
         values = list(base_values)
         values[net_index] = forced_word & mask
-        _run_ops(ops, values, mask)
+        for code, out, ins in ops:
+            values[out] = _op_value(code, ins, values, mask)
         return values
 
-    def _interp_cone_kernel(
-        self, net_index: int
-    ) -> Callable[[Sequence[int], int, int], int]:
-        """Interpreter-mode kernel with the same calling convention: copy the
-        value list, re-run the cone ops, XOR-compare the reachable outputs."""
-        ops, outputs = self.cone(net_index)
-
-        def _kernel(values: Sequence[int], forced: int, mask: int) -> int:
-            faulty = list(values)
-            faulty[net_index] = forced & mask
-            _run_ops(ops, faulty, mask)
-            diff = 0
-            for index in outputs:
-                diff |= faulty[index] ^ values[index]
-            return diff
-
-        return _kernel
-
     def cone_kernel(self, net_index: int) -> Callable[[Sequence[int], int, int], int]:
-        """The forced-resim kernel for one net, compiled (or built) lazily.
+        """The forced-resim kernel for one net, compiled lazily.
 
         ``kernel(base_values, forced_word, mask)`` returns the detection
         word: the OR of ``faulty ^ base`` over the cone's reachable primary
@@ -494,11 +412,7 @@ class CompiledCircuit:
         """
         kernel = self._diff_kernels.get(net_index)
         if kernel is None:
-            if self.codegen:
-                kernel = self._compile_cone_kernel(net_index)
-            else:
-                kernel = self._interp_cone_kernel(net_index)
-            self._diff_kernels[net_index] = kernel
+            kernel = self._diff_kernels[net_index] = self._compile_cone_kernel(net_index)
         return kernel
 
     def batch_cone_detect(self, base_values, sites, forced_rows, mask, rows=None):
@@ -596,8 +510,8 @@ class CompiledCircuit:
         the cone's reachable primary outputs.
 
         Equivalent to :meth:`evaluate_forced` followed by XOR-comparing the
-        reachable outputs, but via :meth:`cone_kernel` -- the codegen kernel
-        never copies the value list.
+        reachable outputs, but via :meth:`cone_kernel`, which never copies
+        the value list.
         """
         return self.cone_kernel(net_index)(base_values, forced_word, mask)
 
@@ -605,11 +519,10 @@ class CompiledCircuit:
 def compile_circuit(
     circuit: LogicCircuit,
     word_bits: int = DEFAULT_WORD_BITS,
-    codegen: bool = True,
     backend: str = "int",
 ) -> CompiledCircuit:
     """Levelize *circuit* into a :class:`CompiledCircuit`."""
-    return CompiledCircuit(circuit, word_bits=word_bits, codegen=codegen, backend=backend)
+    return CompiledCircuit(circuit, word_bits=word_bits, backend=backend)
 
 
 # --------------------------------------------------------------------------- #
@@ -840,24 +753,6 @@ def pack_pair_blocks_array(
             _pack_matrix(first, num_words),
             _pack_matrix(second, num_words),
         )
-
-
-def decode_words_into(out: list[int], words: "Any", base: int) -> None:
-    """Array counterpart of :func:`decode_into` for one detection word array.
-
-    Vectorized: view the little-endian uint64 words as a byte stream, unpack
-    to one bit per pattern lane, and read the set positions off in a single
-    C pass -- decode cost is what separates the array backend from the
-    big-int engine on dense detection words, where per-bit Python decoding
-    would dominate the whole simulation.
-    """
-    if not _np.any(words):
-        return
-    bits = _np.unpackbits(
-        _np.ascontiguousarray(words, dtype=WORD_DTYPE).view(_np.uint8),
-        bitorder="little",
-    )
-    out.extend((_np.flatnonzero(bits) + base).tolist())
 
 
 def first_set_bit(words: "Any") -> int:

@@ -112,7 +112,7 @@ def base_spec(
     shards: int = 2,
     pattern_count: int = 8,
     seed: int = 3,
-    engine: str = "interp",
+    engine: str = "packed",
 ) -> CampaignSpec:
     """The campaign every scenario runs (policy knobs applied per scenario).
 

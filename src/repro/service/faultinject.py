@@ -417,7 +417,7 @@ def seeded_matrix(seed: int = 0) -> list[InjectionPlan]:
     """The crash/hang/corrupt x checkpoint/cache/pool injection matrix.
 
     Nine seeded plans named ``<kind>-x-<target>`` (plus a tenth,
-    ``crash-x-engine``, exercising the packed->interp degradation path).
+    ``crash-x-engine``, exercising the packed->serial degradation path).
     :mod:`repro.service.chaos` runs each against a hardened campaign and
     asserts the bit-identity-or-structured-error invariant; the per-plan
     seeds are derived from *seed* so two runs of the same matrix corrupt

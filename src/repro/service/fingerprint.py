@@ -20,7 +20,7 @@ on:
 
 Bump :data:`SCHEMA_VERSION` whenever the campaign pipeline's observable
 output changes (report schema, detection semantics, compaction tie-breaks,
-engine codegen): the bump invalidates every cached result and checkpoint at
+generated engine code): the bump invalidates every cached result and checkpoint at
 once, so stale artifacts from older code are never replayed.
 """
 

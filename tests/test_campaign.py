@@ -63,8 +63,9 @@ class TestSpecValidation:
     def test_bad_engine_fails_fast(self):
         """A typoed engine is rejected at spec time, not after the ATPG run,
         and surfaces as CampaignError like every other bad field."""
-        with pytest.raises(CampaignError, match="unknown fault-simulation engine"):
-            CampaignSpec(engine="quantum")
+        for engine in ("quantum", "interp"):
+            with pytest.raises(CampaignError, match="unknown fault-simulation engine"):
+                CampaignSpec(engine=engine)
 
     def test_unknown_model_is_a_spec_error(self):
         with pytest.raises(CampaignError, match="unknown fault model"):
@@ -308,9 +309,9 @@ class TestPipelinePhases:
         assert all(len(pair) == 2 and pair[0] != pair[1] for pair in pairs)
 
     def test_all_engines_match(self, fa_sum):
-        """packed (codegen), interp (baseline) and serial campaigns agree."""
+        """packed, numpy and serial campaigns agree."""
         packed_detections = None
-        for engine in ("packed", "interp", "serial"):
+        for engine in ("packed", "numpy", "serial"):
             result = run_campaign(fa_sum, model="obd", pattern_source="sic",
                                   run_atpg=False, engine=engine, compact=False)
             if packed_detections is None:
@@ -378,5 +379,6 @@ class TestReporting:
         from repro.atpg import simulate_stuck_at
 
         faults = list(stuck_at_universe(fa_sum))
-        with pytest.raises(ValueError, match="unknown fault-simulation engine"):
-            simulate_stuck_at(fa_sum, [(0, 0, 0)], faults, engine="quantum")
+        for engine in ("quantum", "interp"):
+            with pytest.raises(ValueError, match="unknown fault-simulation engine"):
+                simulate_stuck_at(fa_sum, [(0, 0, 0)], faults, engine=engine)

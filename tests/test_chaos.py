@@ -237,15 +237,15 @@ class TestCollectRoundRetries:
         def submit(engine=None):
             calls.append(engine)
             return _err(RuntimeError("boom")) if engine is None else _ok(("rec",))
-        policy = RetryPolicy(max_retries=0, backoff=0.0, degrade_to="interp")
+        policy = RetryPolicy(max_retries=0, backoff=0.0, degrade_to="serial")
         stats = RoundStats()
         out = _collect_round([(0, submit)], None, None, policy=policy, stats=stats)
         assert out == [("rec",)]
-        assert calls == [None, "interp"]
-        assert stats.degraded == {0: "interp"}
+        assert calls == [None, "serial"]
+        assert stats.degraded == {0: "serial"}
 
     def test_failure_after_degradation_reports_degraded_category(self):
-        policy = RetryPolicy(max_retries=0, backoff=0.0, degrade_to="interp")
+        policy = RetryPolicy(max_retries=0, backoff=0.0, degrade_to="serial")
         with pytest.raises(ShardExecutionError) as excinfo:
             _collect_round(
                 [(0, lambda engine=None: _err(RuntimeError("boom")))],
@@ -327,7 +327,7 @@ class TestCheckpointRecordTrailer:
 def small_campaign():
     spec = CampaignSpec(
         model="stuck-at", circuit="c17", pattern_source="random",
-        pattern_count=4, seed=1, engine="interp",
+        pattern_count=4, seed=1, engine="packed",
     )
     return spec, Campaign(spec).run()
 

@@ -2,30 +2,27 @@
 
 The numpy backend runs the same generated code as the big-int packed engine
 over ``(n_words,)`` uint64 arrays with PPSFP fault batching; every test here
-pins the bit-identity contract between the two backends (and the interp and
-serial references) across fault models, word widths, fault dropping,
-sharding, and the campaign pipeline.
+pins the bit-identity contract between the two backends (and the serial
+reference) across fault models, word widths, fault dropping, sharding, and
+the campaign pipeline.
 """
 
 from __future__ import annotations
 
 import pytest
+from parity_cases import late_tests, one_gate_obd_faults, same_net_stuck_at
 
 from repro.atpg import (
     ENGINE_BACKENDS,
-    NUMPY_SIMULATORS,
-    PACKED_SIMULATORS,
-    SIMULATOR_BACKENDS,
     compile_for_engine,
     compiled_matches_engine,
-    packed_simulate_shard,
-    packed_simulate_stuck_at,
     serial_simulate_obd,
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
     serial_simulate_transition,
-    simulate_stuck_at,
 )
+from repro.atpg.fault_sim import ENGINES
+from repro.atpg.parallel_sim import simulate_sites
 from repro.atpg.random_tpg import random_pairs, random_patterns
 from repro.campaign import (
     Campaign,
@@ -110,30 +107,23 @@ class TestArrayPacking:
 # --------------------------------------------------------------------------- #
 class TestEngineRegistry:
     def test_backend_registry_shape(self):
-        assert set(SIMULATOR_BACKENDS) == {"int", "numpy"}
-        assert SIMULATOR_BACKENDS["int"] is PACKED_SIMULATORS
-        assert SIMULATOR_BACKENDS["numpy"] is NUMPY_SIMULATORS
-        assert set(NUMPY_SIMULATORS) == set(PACKED_SIMULATORS)
-        assert ENGINE_BACKENDS == {"packed": "int", "interp": "int", "numpy": "numpy"}
+        assert ENGINE_BACKENDS == {"packed": "int", "numpy": "numpy"}
 
     def test_compile_for_engine_flavors(self, c17_circuit):
         numpy_cc = compile_for_engine(c17_circuit, "numpy", None)
         assert numpy_cc.backend == "numpy"
-        assert numpy_cc.codegen and numpy_cc.word_bits == DEFAULT_NUMPY_WORD_BITS
-        interp_cc = compile_for_engine(c17_circuit, "interp", None)
-        assert interp_cc.backend == "int" and not interp_cc.codegen
+        assert numpy_cc.word_bits == DEFAULT_NUMPY_WORD_BITS
         assert compile_for_engine(c17_circuit, "serial", None) is None
-        with pytest.raises(ValueError, match="unknown fault-simulation engine"):
-            compile_for_engine(c17_circuit, "cuda", None)
+        for engine in ("cuda", "interp"):
+            with pytest.raises(ValueError, match="unknown fault-simulation engine"):
+                compile_for_engine(c17_circuit, engine, None)
 
     def test_compile_for_engine_honors_word_bits(self, c17_circuit):
-        # Regression: the campaign dispatcher once hard-coded
-        # word_bits=WORD_BITS, codegen=False regardless of the request.
+        # Regression: the campaign dispatcher once hard-coded a 64-bit width
+        # regardless of the request.
         for engine in ("packed", "numpy"):
             cc = compile_for_engine(c17_circuit, engine, 192)
             assert cc.word_bits == 192 and cc.num_words == 3
-            assert cc.codegen
-        assert not compile_for_engine(c17_circuit, "interp", 32).codegen
 
     def test_compiled_matches_engine(self, c17_circuit):
         cc = compile_circuit(c17_circuit, word_bits=128, backend="numpy")
@@ -144,54 +134,56 @@ class TestEngineRegistry:
         assert compiled_matches_engine(None, "serial")
         assert not compiled_matches_engine(None, "packed")
 
-    def test_shard_driver_infers_backend_from_compiled(self, c17_circuit):
+    def test_driver_infers_backend_from_compiled(self, c17_circuit):
+        # One block loop: the word backend follows the compiled circuit.
+        model = get_model("stuck-at")
         patterns = random_patterns(c17_circuit, 40, seed=5)
         faults = list(stuck_at_universe(c17_circuit))
-        via_int = packed_simulate_shard("stuck-at", c17_circuit, patterns, faults)
-        cc = compile_for_engine(c17_circuit, "numpy", 128)
-        via_numpy = packed_simulate_shard(
-            "stuck-at", c17_circuit, patterns, faults, compiled=cc
+        reports = []
+        for engine in ("packed", "numpy"):
+            cc = compile_for_engine(c17_circuit, engine, 128)
+            sites = model.fault_sites(c17_circuit, cc, faults)
+            reports.append(simulate_sites(cc, patterns, sites, two_pattern=False))
+        assert reports[0].detections == reports[1].detections
+        assert reports[0].detections == (
+            serial_simulate_stuck_at(c17_circuit, patterns, faults).detections
         )
-        assert via_numpy.detections == via_int.detections
-
-    def test_backend_mismatch_rejected(self, c17_circuit):
-        # The low-level drivers are strict: a numpy-flavored compiled circuit
-        # handed to the int driver is an error, never a silent reuse.  (The
-        # model dispatcher recompiles instead; see TestNumpyCampaign.)
-        patterns = random_patterns(c17_circuit, 8, seed=5)
-        faults = list(stuck_at_universe(c17_circuit))
-        cc = compile_for_engine(c17_circuit, "numpy", None)
-        with pytest.raises(LogicCircuitError, match="backend"):
-            packed_simulate_stuck_at(c17_circuit, patterns, faults, compiled=cc)
 
 
 # --------------------------------------------------------------------------- #
-# Cross-backend parity: numpy vs packed vs interp vs serial, all four models.
+# Cross-backend parity: numpy vs packed vs serial, all four models.
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("word_bits", [1, 63, 64, 1000])
-@pytest.mark.parametrize("drop", [False, True])
-def test_numpy_parity_all_models_across_widths(rdag, word_bits, drop):
-    circuit = rdag
+def _parity_inputs(circuit):
+    """(model, serial engine, tests, faults) rows of the parity matrix."""
     patterns = random_patterns(circuit, _PARITY_TESTS, seed=7)
     pairs = random_pairs(circuit, _PARITY_TESTS, seed=8)
-    numpy_cc = compile_for_engine(circuit, "numpy", word_bits)
-    packed_cc = compile_for_engine(circuit, "packed", word_bits)
-    interp_cc = compile_circuit(circuit, word_bits=word_bits, codegen=False)
-    models = [
-        ("stuck-at", serial_simulate_stuck_at,
-         patterns, list(stuck_at_universe(circuit))),
+    stuck_at = list(stuck_at_universe(circuit))
+    return [
+        ("stuck-at", serial_simulate_stuck_at, patterns, stuck_at),
+        ("stuck-at", serial_simulate_stuck_at, patterns, same_net_stuck_at(circuit)),
+        ("stuck-at", serial_simulate_stuck_at, late_tests(patterns), stuck_at),
         ("transition", serial_simulate_transition,
          pairs, list(transition_fault_universe(circuit))),
         ("path-delay", serial_simulate_path_delay,
          pairs, list(path_delay_universe(circuit, limit=60))),
+        ("obd", serial_simulate_obd, pairs, list(obd_fault_universe(circuit))),
+        ("obd", serial_simulate_obd, pairs, one_gate_obd_faults(circuit)),
         ("obd", serial_simulate_obd,
-         pairs, list(obd_fault_universe(circuit))),
+         late_tests(pairs), list(obd_fault_universe(circuit))),
     ]
-    for model, serial_fn, tests, faults in models:
+
+
+@pytest.mark.parametrize("word_bits", [1, 63, 64, 1000])
+@pytest.mark.parametrize("drop", [False, True])
+def test_numpy_parity_all_models_across_widths(rdag, word_bits, drop):
+    circuit = rdag
+    compiled = [compile_for_engine(circuit, e, word_bits) for e in ("numpy", "packed")]
+    for model, serial_fn, tests, faults in _parity_inputs(circuit):
         serial = serial_fn(circuit, tests, faults, drop_detected=drop)
-        for cc in (numpy_cc, packed_cc, interp_cc):
-            report = SIMULATOR_BACKENDS[cc.backend][model](
-                circuit, tests, faults, drop_detected=drop, compiled=cc
+        for cc in compiled:
+            engine = "numpy" if cc.backend == "numpy" else "packed"
+            report = get_model(model).simulate(
+                circuit, tests, faults, drop_detected=drop, engine=engine, compiled=cc
             )
             assert report.detections == serial.detections, (model, cc.backend)
             assert report.num_tests == serial.num_tests
@@ -293,9 +285,15 @@ class TestNumpyCampaign:
 # --------------------------------------------------------------------------- #
 class TestDegradeAndGating:
     def test_fallback_ladder(self):
-        assert DEGRADE_FALLBACK == {
-            "numpy": "packed", "packed": "interp", "interp": "serial",
-        }
+        # Exhaustiveness guard: every engine but serial degrades to exactly
+        # one known engine, and every chain ends at serial without a cycle.
+        assert set(DEGRADE_FALLBACK) == set(ENGINES) - {"serial"}
+        assert set(DEGRADE_FALLBACK.values()) <= set(ENGINES)
+        for engine in ENGINES:
+            seen = [engine]
+            while seen[-1] != "serial":
+                seen.append(DEGRADE_FALLBACK[seen[-1]])
+                assert len(seen) == len(set(seen)), f"degradation cycle {seen}"
 
     def test_retry_policy_degrades_numpy_to_packed(self):
         spec = CampaignSpec(engine="numpy", allow_degraded=True)

@@ -7,14 +7,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from parity_cases import late_tests, one_gate_obd_faults, same_net_stuck_at
 
 from repro.atpg import (
     exhaustive_pairs,
     exhaustive_patterns,
-    packed_simulate_obd,
-    packed_simulate_path_delay,
-    packed_simulate_stuck_at,
-    packed_simulate_transition,
     random_pairs,
     random_patterns,
     serial_simulate_obd,
@@ -22,7 +19,9 @@ from repro.atpg import (
     serial_simulate_stuck_at,
     serial_simulate_transition,
     simulate_obd,
+    simulate_path_delay,
     simulate_stuck_at,
+    simulate_transition,
 )
 from repro.faults import (
     obd_fault_universe,
@@ -32,7 +31,6 @@ from repro.faults import (
 )
 from repro.logic import (
     DEFAULT_WORD_BITS,
-    WORD_BITS,
     GateType,
     LogicCircuit,
     LogicCircuitError,
@@ -86,7 +84,7 @@ class TestCompiledCircuit:
         patterns = exhaustive_patterns(fa_sum)
         for base, mask, words in pack_pattern_blocks(patterns, len(fa_sum.primary_inputs)):
             values = cc.evaluate(words, mask)
-            for bit, pattern in enumerate(patterns[base : base + WORD_BITS]):
+            for bit, pattern in enumerate(patterns[base : base + DEFAULT_WORD_BITS]):
                 reference = simulate_pattern(fa_sum, pattern)
                 for net, index in cc.net_index.items():
                     assert (values[index] >> bit) & 1 == reference[net], net
@@ -119,11 +117,11 @@ class TestCompiledCircuit:
 
     def test_pack_blocks_round_trip(self):
         patterns = [(i & 1, (i >> 1) & 1) for i in range(70)]
-        blocks = list(pack_pattern_blocks(patterns, 2, WORD_BITS))
+        blocks = list(pack_pattern_blocks(patterns, 2, 64))
         assert [b[0] for b in blocks] == [0, 64]
         assert blocks[0][1] == (1 << 64) - 1 and blocks[1][1] == (1 << 6) - 1
         for base, _mask, words in blocks:
-            for bit, pattern in enumerate(patterns[base : base + WORD_BITS]):
+            for bit, pattern in enumerate(patterns[base : base + 64]):
                 assert tuple((w >> bit) & 1 for w in words) == pattern
 
     def test_pack_blocks_default_width_is_wide(self):
@@ -204,15 +202,15 @@ class TestPackedSerialIdentity:
         patterns = exhaustive_patterns(fa_sum)
         pairs = exhaustive_pairs(fa_sum)
         sa = list(stuck_at_universe(fa_sum))
-        packed = packed_simulate_stuck_at(fa_sum, patterns, sa, drop_detected=drop)
+        packed = simulate_stuck_at(fa_sum, patterns, sa, drop_detected=drop)
         serial = serial_simulate_stuck_at(fa_sum, patterns, sa, drop_detected=drop)
         assert packed.detections == serial.detections
         tr = list(transition_fault_universe(fa_sum))
-        packed = packed_simulate_transition(fa_sum, pairs, tr, drop_detected=drop)
+        packed = simulate_transition(fa_sum, pairs, tr, drop_detected=drop)
         serial = serial_simulate_transition(fa_sum, pairs, tr, drop_detected=drop)
         assert packed.detections == serial.detections
         obd = list(obd_fault_universe(fa_sum))
-        packed = packed_simulate_obd(fa_sum, pairs, obd, drop_detected=drop)
+        packed = simulate_obd(fa_sum, pairs, obd, drop_detected=drop)
         serial = serial_simulate_obd(fa_sum, pairs, obd, drop_detected=drop)
         assert packed.detections == serial.detections
 
@@ -221,17 +219,17 @@ class TestPackedSerialIdentity:
         pairs = random_pairs(c17_circuit, 100, seed=5)
         sa = list(stuck_at_universe(c17_circuit))
         assert (
-            packed_simulate_stuck_at(c17_circuit, patterns, sa).detections
+            simulate_stuck_at(c17_circuit, patterns, sa).detections
             == serial_simulate_stuck_at(c17_circuit, patterns, sa).detections
         )
         tr = list(transition_fault_universe(c17_circuit))
         assert (
-            packed_simulate_transition(c17_circuit, pairs, tr).detections
+            simulate_transition(c17_circuit, pairs, tr).detections
             == serial_simulate_transition(c17_circuit, pairs, tr).detections
         )
         obd = list(obd_fault_universe(c17_circuit))
         assert (
-            packed_simulate_obd(c17_circuit, pairs, obd).detections
+            simulate_obd(c17_circuit, pairs, obd).detections
             == serial_simulate_obd(c17_circuit, pairs, obd).detections
         )
 
@@ -254,76 +252,74 @@ class TestPackedSerialIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# Code generation: generated evaluator and cone kernels vs the interpreter.
+# Code generation: generated evaluator and cone kernels vs op-by-op references.
 # --------------------------------------------------------------------------- #
 class TestCodegen:
-    def test_generated_evaluate_matches_interpreter(self, c17_circuit):
-        codegen = compile_circuit(c17_circuit, word_bits=32)
-        interp = compile_circuit(c17_circuit, word_bits=32, codegen=False)
+    def test_generated_evaluate_matches_dict_simulation_across_blocks(self, c17_circuit):
+        cc = compile_circuit(c17_circuit, word_bits=5)
         patterns = exhaustive_patterns(c17_circuit)
-        for _base, mask, words in pack_pattern_blocks(patterns, 5, 32):
-            assert codegen.evaluate(words, mask) == interp.evaluate(words, mask)
+        for base, mask, words in pack_pattern_blocks(patterns, 5, 5):
+            values = cc.evaluate(words, mask)
+            for bit, pattern in enumerate(patterns[base : base + 5]):
+                reference = simulate_pattern(c17_circuit, pattern)
+                for net, index in cc.net_index.items():
+                    assert (values[index] >> bit) & 1 == reference[net], net
 
     def test_cone_diff_matches_evaluate_forced(self, c17_circuit):
-        for codegen in (True, False):
-            cc = compile_circuit(c17_circuit, word_bits=32, codegen=codegen)
-            patterns = exhaustive_patterns(c17_circuit)
-            _, mask, words = next(pack_pattern_blocks(patterns, 5, 32))
-            good = cc.evaluate(words, mask)
-            for net_index in range(cc.num_nets):
-                for forced in (0, mask, 0b1010):
-                    _, outputs = cc.cone(net_index)
-                    faulty = cc.evaluate_forced(good, net_index, forced, mask)
-                    expected = 0
-                    for out in outputs:
-                        expected |= faulty[out] ^ good[out]
-                    assert cc.cone_diff(good, net_index, forced, mask) == expected
+        cc = compile_circuit(c17_circuit, word_bits=32)
+        patterns = exhaustive_patterns(c17_circuit)
+        _, mask, words = next(pack_pattern_blocks(patterns, 5, 32))
+        good = cc.evaluate(words, mask)
+        for net_index in range(cc.num_nets):
+            for forced in (0, mask, 0b1010):
+                _, outputs = cc.cone(net_index)
+                faulty = cc.evaluate_forced(good, net_index, forced, mask)
+                expected = 0
+                for out in outputs:
+                    expected |= faulty[out] ^ good[out]
+                assert cc.cone_diff(good, net_index, forced, mask) == expected
 
     def test_cone_kernel_cached(self, c17_circuit):
         cc = compile_circuit(c17_circuit)
         index = cc.net_index["G11"]
         assert cc.cone_kernel(index) is cc.cone_kernel(index)
 
-    def test_codegen_flag_and_width_recorded(self, c17_circuit):
+    def test_width_and_backend_recorded(self, c17_circuit):
         cc = compile_circuit(c17_circuit)
-        assert cc.codegen and cc.word_bits == DEFAULT_WORD_BITS
-        baseline = compile_circuit(c17_circuit, word_bits=WORD_BITS, codegen=False)
-        assert not baseline.codegen and baseline.word_bits == WORD_BITS
-
-    def test_interp_engine_dispatch(self, c17_circuit):
-        """engine="interp" runs the packed interpreter baseline."""
-        patterns = exhaustive_patterns(c17_circuit)
-        faults = list(stuck_at_universe(c17_circuit))
-        packed = simulate_stuck_at(c17_circuit, patterns, faults)
-        interp = simulate_stuck_at(c17_circuit, patterns, faults, engine="interp")
-        assert packed.detections == interp.detections
+        assert cc.word_bits == DEFAULT_WORD_BITS and cc.backend == "int"
 
     def test_wrapper_reuses_prebuilt_compiled(self, c17_circuit):
         patterns = exhaustive_patterns(c17_circuit)
         faults = list(stuck_at_universe(c17_circuit))
         cc = compile_circuit(c17_circuit, word_bits=16)
         via_wrapper = simulate_stuck_at(c17_circuit, patterns, faults, compiled=cc)
-        direct = packed_simulate_stuck_at(c17_circuit, patterns, faults, compiled=cc)
-        assert via_wrapper.detections == direct.detections
+        fresh = simulate_stuck_at(c17_circuit, patterns, faults)
+        assert via_wrapper.detections == fresh.detections
+        # The prebuilt circuit ran the call: its kernel cache filled up.
+        assert cc._diff_kernels
 
-    def test_conflicting_compiled_and_word_bits_rejected(self, c17_circuit):
+    def test_conflicting_compiled_and_word_bits_recompiles(self, c17_circuit):
         patterns = exhaustive_patterns(c17_circuit)
         faults = list(stuck_at_universe(c17_circuit))
         cc = compile_circuit(c17_circuit, word_bits=16)
-        with pytest.raises(LogicCircuitError, match="conflicts"):
-            packed_simulate_stuck_at(
-                c17_circuit, patterns, faults, compiled=cc, word_bits=64
-            )
-        # Agreement is fine.
-        rep = packed_simulate_stuck_at(
+        rep = simulate_stuck_at(
+            c17_circuit, patterns, faults, compiled=cc, word_bits=64
+        )
+        # The width wins: the 16-bit circuit was not used.
+        assert not cc._diff_kernels
+        assert rep.detections == (
+            serial_simulate_stuck_at(c17_circuit, patterns, faults).detections
+        )
+        # Agreement reuses it.
+        rep = simulate_stuck_at(
             c17_circuit, patterns, faults, compiled=cc, word_bits=16
         )
-        assert rep.num_tests == len(patterns)
+        assert rep.num_tests == len(patterns) and cc._diff_kernels
 
 
 # --------------------------------------------------------------------------- #
-# Engine parity across word widths: generated code vs interpreter vs serial,
-# all four fault models, including ragged final blocks and fault dropping.
+# Engine parity across word widths: both word backends vs serial, all four
+# fault models, including ragged final blocks and fault dropping.
 # --------------------------------------------------------------------------- #
 #: 130 tests make ragged final blocks at 64 (2 full + 2 left) and 1000
 #: (one short block), and 130 single-pattern blocks at width 1.  Width 63
@@ -337,25 +333,32 @@ def test_engine_parity_all_models_across_widths(word_bits, drop):
     circuit = random_circuit(97, 5, 18)
     patterns = random_patterns(circuit, _PARITY_TESTS, seed=7)
     pairs = random_pairs(circuit, _PARITY_TESTS, seed=8)
-    engines = (
-        compile_circuit(circuit, word_bits=word_bits),
-        compile_circuit(circuit, word_bits=word_bits, codegen=False),
-    )
     models = [
-        (packed_simulate_stuck_at, serial_simulate_stuck_at,
+        (simulate_stuck_at, serial_simulate_stuck_at,
          patterns, list(stuck_at_universe(circuit))),
-        (packed_simulate_transition, serial_simulate_transition,
+        (simulate_stuck_at, serial_simulate_stuck_at,
+         patterns, same_net_stuck_at(circuit)),
+        (simulate_stuck_at, serial_simulate_stuck_at,
+         late_tests(patterns), list(stuck_at_universe(circuit))),
+        (simulate_transition, serial_simulate_transition,
          pairs, list(transition_fault_universe(circuit))),
-        (packed_simulate_path_delay, serial_simulate_path_delay,
+        (simulate_path_delay, serial_simulate_path_delay,
          pairs, list(path_delay_universe(circuit, limit=60))),
-        (packed_simulate_obd, serial_simulate_obd,
+        (simulate_obd, serial_simulate_obd,
          pairs, list(obd_fault_universe(circuit))),
+        (simulate_obd, serial_simulate_obd,
+         pairs, one_gate_obd_faults(circuit)),
+        (simulate_obd, serial_simulate_obd,
+         late_tests(pairs), list(obd_fault_universe(circuit))),
     ]
-    for packed_fn, serial_fn, tests, faults in models:
+    for simulate, serial_fn, tests, faults in models:
         serial = serial_fn(circuit, tests, faults, drop_detected=drop)
-        for cc in engines:
-            packed = packed_fn(circuit, tests, faults, drop_detected=drop, compiled=cc)
-            assert packed.detections == serial.detections
+        for engine in ("packed", "numpy"):
+            packed = simulate(
+                circuit, tests, faults, drop_detected=drop, engine=engine,
+                word_bits=word_bits,
+            )
+            assert packed.detections == serial.detections, (simulate.__name__, engine)
             assert packed.num_tests == serial.num_tests
 
 
@@ -375,7 +378,7 @@ def test_packed_equals_serial_stuck_at(params, pattern_seed, drop):
     circuit = random_circuit(*params)
     patterns = random_patterns(circuit, 70, seed=pattern_seed)
     faults = list(stuck_at_universe(circuit))
-    packed = packed_simulate_stuck_at(circuit, patterns, faults, drop_detected=drop)
+    packed = simulate_stuck_at(circuit, patterns, faults, drop_detected=drop)
     serial = serial_simulate_stuck_at(circuit, patterns, faults, drop_detected=drop)
     assert packed.detections == serial.detections
     assert packed.num_tests == serial.num_tests
@@ -387,7 +390,7 @@ def test_packed_equals_serial_transition(params, pattern_seed, drop):
     circuit = random_circuit(*params)
     pairs = random_pairs(circuit, 70, seed=pattern_seed)
     faults = list(transition_fault_universe(circuit))
-    packed = packed_simulate_transition(circuit, pairs, faults, drop_detected=drop)
+    packed = simulate_transition(circuit, pairs, faults, drop_detected=drop)
     serial = serial_simulate_transition(circuit, pairs, faults, drop_detected=drop)
     assert packed.detections == serial.detections
 
@@ -398,6 +401,6 @@ def test_packed_equals_serial_obd(params, pattern_seed, drop):
     circuit = random_circuit(*params)
     pairs = random_pairs(circuit, 70, seed=pattern_seed)
     faults = list(obd_fault_universe(circuit))
-    packed = packed_simulate_obd(circuit, pairs, faults, drop_detected=drop)
+    packed = simulate_obd(circuit, pairs, faults, drop_detected=drop)
     serial = serial_simulate_obd(circuit, pairs, faults, drop_detected=drop)
     assert packed.detections == serial.detections

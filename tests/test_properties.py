@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.atpg import (
     evaluate_gate_values,
     from_bit,
-    packed_simulate_obd,
-    packed_simulate_path_delay,
-    packed_simulate_stuck_at,
-    packed_simulate_transition,
     random_pairs,
     random_patterns,
     serial_simulate_obd,
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
     serial_simulate_transition,
+    simulate_obd,
+    simulate_path_delay,
+    simulate_stuck_at,
+    simulate_transition,
     simulate_with_forced_net,
 )
 from repro.atpg.structural import get_atpg_engine
@@ -169,10 +169,10 @@ def test_bench_round_trip_on_random_dags(seed):
 # on random DAGs, for every fault model, with and without fault dropping.
 # --------------------------------------------------------------------------- #
 _ENGINE_PAIRS = {
-    "stuck-at": (serial_simulate_stuck_at, packed_simulate_stuck_at),
-    "transition": (serial_simulate_transition, packed_simulate_transition),
-    "path-delay": (serial_simulate_path_delay, packed_simulate_path_delay),
-    "obd": (serial_simulate_obd, packed_simulate_obd),
+    "stuck-at": (serial_simulate_stuck_at, simulate_stuck_at),
+    "transition": (serial_simulate_transition, simulate_transition),
+    "path-delay": (serial_simulate_path_delay, simulate_path_delay),
+    "obd": (serial_simulate_obd, simulate_obd),
 }
 
 
@@ -246,7 +246,7 @@ def test_structural_atpg_vectors_detected_by_both_simulators(seed, engine_name):
     assert tested, "random DAG produced no testable faults"
     patterns = [pattern for _, pattern in tested]
     serial = serial_simulate_stuck_at(circuit, patterns, [f for f, _ in tested])
-    packed = packed_simulate_stuck_at(circuit, patterns, [f for f, _ in tested])
+    packed = simulate_stuck_at(circuit, patterns, [f for f, _ in tested])
     for index, (fault, _) in enumerate(tested):
         assert index in serial.detections[fault.key]
         assert index in packed.detections[fault.key]

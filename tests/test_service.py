@@ -137,7 +137,7 @@ class TestFingerprintInvalidation:
             {"pattern_count": 9},
             {"pattern_source": "exhaustive"},
             {"seed": 4},
-            {"engine": "interp"},
+            {"engine": "numpy"},
             {"engine": "serial"},
             {"word_bits": 16},
             {"shards": 2},
@@ -177,7 +177,7 @@ class TestResultCache:
         key, _ = cache.fetch(None, _spec())
         cache.put(key, Campaign(_spec()).run())
         assert cache.fetch(None, _spec())[1] is not None
-        for change in ({"seed": 99}, {"engine": "interp"}, {"word_bits": 16},
+        for change in ({"seed": 99}, {"engine": "numpy"}, {"word_bits": 16},
                        {"pattern_count": 7}, {"circuit": "c17"}):
             assert cache.fetch(None, _spec(**change))[1] is None, change
 
@@ -261,9 +261,9 @@ class CountingExecutor(InlineExecutor):
 
 RESUME_MATRIX = [
     ("stuck-at", "packed"),
-    ("stuck-at", "interp"),
+    ("stuck-at", "numpy"),
     ("transition", "packed"),
-    ("transition", "interp"),
+    ("transition", "numpy"),
 ]
 
 
@@ -563,7 +563,7 @@ class TestServiceRobustness:
         # Two injected crashes exhaust the shard's retry budget, forcing
         # the engine-degradation rung; the job succeeds bit-identically and
         # the provenance surfaces through job info and the service report.
-        spec = _spec(shards=2, engine="interp", max_retries=1)
+        spec = _spec(shards=2, engine="packed", max_retries=1)
         plan = InjectionPlan((
             Injection("worker.round1", "crash", shard=0, times=2),
         ))
@@ -574,7 +574,7 @@ class TestServiceRobustness:
                 report = service.report()
         payload = result.as_dict(include_runtime=False)
         assert payload.pop("degraded") == {
-            "engine": "interp", "fallbacks": {"0": "serial"},
+            "engine": "packed", "fallbacks": {"0": "serial"},
         }
         assert payload == baseline(spec)
         job = service.job(job_id)

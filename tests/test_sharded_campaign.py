@@ -11,7 +11,6 @@ from repro.atpg import (
     DetectionReport,
     concat_phase_reports,
     merge_fault_shards,
-    packed_simulate_shard,
 )
 from repro.campaign import (
     Campaign,
@@ -126,7 +125,7 @@ class TestShardedCampaign:
         assert first.as_dict(include_runtime=False) == expected
         assert second.as_dict(include_runtime=False) == expected
 
-    @pytest.mark.parametrize("engine", ["packed", "interp", "serial"])
+    @pytest.mark.parametrize("engine", ["packed", "numpy", "serial"])
     def test_all_engines_shard_identically(self, fa_sum, engine):
         spec = CampaignSpec(model="obd", pattern_source="sic", engine=engine)
         base = Campaign(spec).run(fa_sum)
@@ -175,10 +174,6 @@ class TestShardedCampaign:
     def test_inline_executor_runs_submissions_eagerly(self):
         future = InlineExecutor().submit(lambda x: x + 1, 41)
         assert future.done() and future.result() == 42
-
-    def test_packed_simulate_shard_rejects_unknown_model(self, fa_sum):
-        with pytest.raises(ValueError, match="unknown packed fault-simulation model"):
-            packed_simulate_shard("bridging", fa_sum, [], [])
 
 
 # --------------------------------------------------------------------------- #

@@ -500,7 +500,7 @@ class TestCollapsePreservesCoverage:
     uncollapsed campaign -- the classical collapse-preservation guarantee."""
 
     @pytest.mark.parametrize("seed", [5, 11])
-    @pytest.mark.parametrize("engine", ["packed", "interp", "serial"])
+    @pytest.mark.parametrize("engine", ["packed", "numpy", "serial"])
     @pytest.mark.parametrize("model", ["stuck-at", "transition"])
     @pytest.mark.parametrize("drop_detected", [False, True])
     def test_collapsed_tests_cover_full_universe(self, seed, engine, model, drop_detected):

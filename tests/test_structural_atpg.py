@@ -25,9 +25,9 @@ from repro.atpg import (
     StructuralResult,
     atpg_engine_names,
     get_atpg_engine,
-    packed_simulate_stuck_at,
     register_atpg_engine,
     serial_simulate_stuck_at,
+    simulate_stuck_at,
 )
 from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
 from repro.atpg.structural.logic5 import (
@@ -191,7 +191,7 @@ def test_engines_agree_and_vectors_detect(ref):
                 tuple(r.pattern[n] for n in circuit.primary_inputs) for _, r in tested
             ]
             for engine_report in (
-                packed_simulate_stuck_at(circuit, patterns, [f for f, _ in tested]),
+                simulate_stuck_at(circuit, patterns, [f for f, _ in tested]),
                 serial_simulate_stuck_at(circuit, patterns, [f for f, _ in tested]),
             ):
                 for index, (fault, _) in enumerate(tested):
