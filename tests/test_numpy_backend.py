@@ -28,6 +28,7 @@ from repro.campaign import (
     Campaign,
     CampaignSpec,
     get_model,
+    models,
     run_sharded_campaign,
 )
 from repro.campaign.sharded import DEGRADE_FALLBACK, RetryPolicy
@@ -146,6 +147,29 @@ class TestEngineRegistry:
             reports.append(simulate_sites(cc, patterns, sites, two_pattern=False))
         assert reports[0].detections == reports[1].detections
         assert reports[0].detections == (
+            serial_simulate_stuck_at(c17_circuit, patterns, faults).detections
+        )
+
+    def test_backend_mismatch_rejected(self, c17_circuit, monkeypatch):
+        # A numpy-flavored compiled circuit handed to engine="packed" is never
+        # silently reused: the dispatcher recompiles to the int backend.
+        ran_on = []
+
+        def spy(cc, *args, **kwargs):
+            ran_on.append(cc)
+            return simulate_sites(cc, *args, **kwargs)
+
+        monkeypatch.setattr(models, "simulate_sites", spy)
+        patterns = random_patterns(c17_circuit, 8, seed=5)
+        faults = list(stuck_at_universe(c17_circuit))
+        numpy_cc = compile_for_engine(c17_circuit, "numpy", None)
+        assert not compiled_matches_engine(numpy_cc, "packed")
+        report = get_model("stuck-at").simulate(
+            c17_circuit, patterns, faults, engine="packed", compiled=numpy_cc
+        )
+        assert len(ran_on) == 1
+        assert ran_on[0] is not numpy_cc and ran_on[0].backend == "int"
+        assert report.detections == (
             serial_simulate_stuck_at(c17_circuit, patterns, faults).detections
         )
 

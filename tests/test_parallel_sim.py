@@ -288,6 +288,15 @@ class TestCodegen:
         cc = compile_circuit(c17_circuit)
         assert cc.word_bits == DEFAULT_WORD_BITS and cc.backend == "int"
 
+    def test_interp_engine_rejected(self, c17_circuit):
+        """The removed interpreter engine is an unknown engine everywhere."""
+        patterns = exhaustive_patterns(c17_circuit)
+        faults = list(stuck_at_universe(c17_circuit))
+        with pytest.raises(ValueError, match="unknown fault-simulation engine 'interp'"):
+            simulate_stuck_at(c17_circuit, patterns, faults, engine="interp")
+        with pytest.raises(ValueError, match="unknown fault-simulation engine 'interp'"):
+            simulate_obd(c17_circuit, exhaustive_pairs(c17_circuit), [], engine="interp")
+
     def test_wrapper_reuses_prebuilt_compiled(self, c17_circuit):
         patterns = exhaustive_patterns(c17_circuit)
         faults = list(stuck_at_universe(c17_circuit))

@@ -24,6 +24,7 @@ from repro.campaign import (
     run_campaign_suite,
     run_sharded_campaign,
 )
+from repro.campaign.sharded import _new_token, _shard_resimulate
 from repro.faults import stuck_at_universe
 
 
@@ -174,6 +175,12 @@ class TestShardedCampaign:
     def test_inline_executor_runs_submissions_eagerly(self):
         future = InlineExecutor().submit(lambda x: x + 1, 41)
         assert future.done() and future.result() == 42
+
+    def test_packed_simulate_shard_rejects_unknown_model(self, fa_sum):
+        # The shard worker looks its model up by name; an unregistered one
+        # fails loudly instead of simulating some other model.
+        with pytest.raises(KeyError, match="unknown fault model 'bridging'"):
+            _shard_resimulate(_new_token(), fa_sum, "bridging", "packed", None, [], [], False)
 
 
 # --------------------------------------------------------------------------- #
