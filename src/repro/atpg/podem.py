@@ -64,6 +64,13 @@ class PodemOptions:
     #: Value used to fill unassigned primary inputs in the returned pattern.
     fill_value: int = 0
 
+    def __post_init__(self) -> None:
+        if self.fill_value not in (0, 1):
+            raise ValueError(f"fill_value must be 0 or 1, got {self.fill_value!r}")
+        budget = self.max_backtracks
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+            raise ValueError(f"max_backtracks must be an int >= 0, got {budget!r}")
+
 
 @dataclass
 class PodemResult:

@@ -104,6 +104,7 @@ class FaultModel(Protocol):
         fault: Fault,
         options: PodemOptions | None = None,
         atpg_engine: str | None = None,
+        searches: dict | None = None,
     ) -> AtpgOutcome:
         """Deterministic test generation for one fault.
 
@@ -111,7 +112,9 @@ class FaultModel(Protocol):
         :data:`repro.atpg.structural.ATPG_ENGINES` (``"d-alg"``,
         ``"podem"``, ``"legacy"``); None keeps the model's default.  Models
         whose search is not stuck-at-shaped (path-delay, OBD) accept and
-        ignore it.
+        ignore it.  *searches* is a dict owned by one ATPG loop in which a
+        model may memoize searches shared between faults (OBD does); the
+        other models accept and ignore it.
         """
 
     def collapse_dominance(self, circuit: LogicCircuit, faults: FaultList) -> FaultList:

@@ -182,6 +182,7 @@ class StuckAtModel(_ModelBase):
         fault: StuckAtFault,
         options: PodemOptions | None = None,
         atpg_engine: str | None = None,
+        searches: dict | None = None,
     ) -> AtpgOutcome:
         engine = get_atpg_engine(atpg_engine or self.default_atpg_engine)
         result = engine.generate(circuit, fault, options)
@@ -237,6 +238,7 @@ class TransitionModel(_ModelBase):
         fault: TransitionFault,
         options: PodemOptions | None = None,
         atpg_engine: str | None = None,
+        searches: dict | None = None,
     ) -> AtpgOutcome:
         result = generate_transition_test(
             circuit, fault, options=options,
@@ -288,6 +290,7 @@ class PathDelayModel(_ModelBase):
         fault: PathDelayFault,
         options: PodemOptions | None = None,
         atpg_engine: str | None = None,
+        searches: dict | None = None,
     ) -> AtpgOutcome:
         # atpg_engine is accepted for interface uniformity: the path-delay
         # search is objective-driven, not a stuck-at search to delegate.
@@ -345,11 +348,12 @@ class ObdModel(_ModelBase):
         fault: ObdFault,
         options: PodemOptions | None = None,
         atpg_engine: str | None = None,
+        searches: dict | None = None,
     ) -> AtpgOutcome:
         # atpg_engine is accepted for interface uniformity: OBD excitation
         # cubes pin the defective gate's inputs, a constrained search the
         # structural stuck-at engines do not model.
-        result = generate_obd_test(circuit, fault, options=options)
+        result = generate_obd_test(circuit, fault, options=options, searches=searches)
         tests = ((result.test.first, result.test.second),) if result.success else ()
         return AtpgOutcome(
             fault,

@@ -622,11 +622,13 @@ def generate_atpg_outcomes(
     default.  Returns (outcomes for the attempted faults, skipped fault
     keys, proven fault keys), all in universe order -- the invariant that
     makes fault-sharded generation merge back into exactly the
-    single-process test list.
+    single-process test list.  The loop owns one *searches* memo for the
+    model's ``generate_test``, so each shard of a sharded run has its own.
     """
     outcomes: list[AtpgOutcome] = []
     skipped: list[str] = []
     proven_skipped: list[str] = []
+    searches: dict = {}
     for fault in faults:
         if fault.key in proven:
             proven_skipped.append(fault.key)
@@ -635,7 +637,9 @@ def generate_atpg_outcomes(
             skipped.append(fault.key)
             continue
         outcomes.append(
-            model.generate_test(circuit, fault, options=options, atpg_engine=atpg_engine)
+            model.generate_test(
+                circuit, fault, options=options, atpg_engine=atpg_engine, searches=searches
+            )
         )
     return outcomes, skipped, proven_skipped
 
