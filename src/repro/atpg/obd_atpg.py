@@ -75,15 +75,12 @@ SearchMemo = dict[tuple, PodemResult]
 
 
 def _search(
-    searches: SearchMemo | None, key: tuple, run: Callable[..., PodemResult], *args, **kwargs
+    searches: SearchMemo, key: tuple, run: Callable[..., PodemResult], *args, **kwargs
 ) -> PodemResult:
     """``run(*args, **kwargs)``, or the stored result of an identical search."""
-    if searches is None:
-        return run(*args, **kwargs)
-    result = searches.get(key)
-    if result is None:
-        result = searches[key] = run(*args, **kwargs)
-    return result
+    if key not in searches:
+        searches[key] = run(*args, **kwargs)
+    return searches[key]
 
 
 def generate_obd_test(
@@ -96,9 +93,10 @@ def generate_obd_test(
 
     *searches* memoizes the capture and launch searches across the calls of
     one ATPG run over *circuit*; the stored results are shared, so callers
-    must not mutate them.
+    must not mutate them.  Without it the call uses a memo of its own.
     """
     options = options or PodemOptions()
+    searches = {} if searches is None else searches
     option_values = (options.max_backtracks, options.fill_value)
     gate = circuit.gate(fault.gate_name)
     total_backtracks = 0

@@ -82,7 +82,7 @@ class TestSearchCounts:
         assert (summary.total, summary.backtracks, summary.decisions) == (70, 1710, 930)
         assert search_calls == {"capture": 58, "justify": 9}
 
-    def test_direct_call_without_memo_searches_every_sequence(self, search_calls, fa_sum):
+    def test_separate_calls_without_a_memo_do_not_share_one(self, search_calls, fa_sum):
         fault = next(iter(obd_fault_universe(fa_sum)))
         generate_obd_test(fa_sum, fault)
         first = dict(search_calls)
