@@ -38,7 +38,8 @@ objects behind the ``simulate_*`` entry points:
   (:mod:`repro.logic.compiled`).  Patterns are packed hundreds per wide
   integer word, the good machine is evaluated once per pattern block by an
   ``exec``-compiled straight-line function and shared across all faults, and
-  each fault costs one call into a per-cone specialized kernel.  Use it
+  each fault costs one re-simulation of its fan-out cone per block, walked
+  op by op until a compiled per-cone kernel would pay for itself.  Use it
   everywhere; it is the engine that makes ISCAS-scale workloads practical.
 * **numpy** (``engine="numpy"``) -- the same block loop and generated code
   over little-endian ``uint64`` ndarray words (thousands of patterns per

@@ -4,7 +4,9 @@ Three engines sit behind one API.  The default is the **packed** bit-parallel
 engine (:mod:`repro.atpg.parallel_sim`): patterns are simulated hundreds at a
 time over wide bit-vectors by per-circuit generated straight-line code
 (:mod:`repro.logic.compiled`), the good machine is computed once per block
-and shared across all faults, and each fault costs one per-cone kernel call.
+and shared across all faults, and each fault costs one re-simulation of its
+fan-out cone per block: an op-by-op walk, or a compiled per-cone kernel once
+the site has run often enough to pay for compiling it.
 ``engine="numpy"`` runs the same block loop and generated code over
 ``uint64`` ndarray words (thousands of patterns per block) with PPSFP fault
 batching -- the fastest engine on large pattern sets.  The **serial** engine

@@ -4,8 +4,8 @@ This is the fast engine behind :mod:`repro.atpg.fault_sim`: patterns are
 packed into wide bit-vectors (:mod:`repro.logic.compiled`, ``word_bits``
 patterns per word), the good machine is evaluated **once per pattern block**
 by a per-circuit ``exec``-compiled straight-line function and shared across
-every fault, and each fault costs only one call into a per-cone specialized
-kernel that returns the detection word directly.
+every fault, and each fault costs one forced re-simulation of its fan-out
+cone per block, which returns the detection word directly.
 
 One block loop, :func:`simulate_sites`, serves all four fault models of the
 reproduction.  Each :class:`~repro.campaign.FaultModel` describes its faults
@@ -31,7 +31,11 @@ detect step depends on the packed word backend
 (:data:`~repro.logic.compiled.BACKENDS`), which the driver takes from the
 compiled circuit:
 
-* ``"int"`` -- one cone-kernel call per site over big-int words;
+* ``"int"`` -- one cone re-simulation per excited, activated site over
+  big-int words, as an op-by-op walk of the cone or a call into the cone's
+  compiled kernel, whichever :meth:`~repro.logic.compiled.CompiledCircuit.cone_detect`
+  picks from the site's calls so far and the blocks left in the call (a
+  site that drops on its first block never pays for a compile);
 * ``"numpy"`` -- little-endian ``uint64`` ndarray words
   (:data:`~repro.logic.compiled.DEFAULT_NUMPY_WORD_BITS` patterns per block
   by default) with **PPSFP** batching (parallel-pattern single-fault
@@ -140,17 +144,21 @@ def _record_rows(detections, remaining, hits, base, drop_detected) -> None:
             )
 
 
-def _detect_ints(cc: CompiledCircuit, sites, first, last, mask) -> list:
-    """Big-int detect step: one cone-kernel call per excited, activated site."""
+def _detect_ints(cc: CompiledCircuit, sites, first, last, mask, runs_left) -> list:
+    """Big-int detect step: one cone re-simulation per excited, activated site.
+
+    *runs_left* is the number of blocks left in the call, this one included;
+    with the site's walks so far it picks the walk or the compiled tier.
+    """
     words = (0, mask)
-    kernel_for = cc.cone_kernel
+    cone_detect = cc.cone_detect
     hits = []
     for key, net, force, excite in sites:
         detected = mask if excite is None else excite(first, last, words)
         if detected and net is not None:
             forced = first[net] if force == HOLD else words[force]
             if last[net] ^ forced:
-                detected &= kernel_for(net)(last, forced, mask)
+                detected &= cone_detect(last, net, forced, mask, runs_left)
             else:
                 detected = 0  # never activated in this block
         if detected:
@@ -236,8 +244,11 @@ def _batched_detect(cc, good, keys, sites, forced, mask):
         start = stop
 
 
-def _detect_arrays(cc: CompiledCircuit, sites, first, last, mask) -> list:
-    """NumPy detect step: excitation per site, propagation per shared row."""
+def _detect_arrays(cc: CompiledCircuit, sites, first, last, mask, runs_left) -> list:
+    """NumPy detect step: excitation per site, propagation per shared row.
+
+    *runs_left* is unused: the batched union-cone pass is already a walk.
+    """
     words = (_np.zeros_like(mask), mask)
     hits = []
     members = []  # (key, row id, excitation word or None)
@@ -296,9 +307,14 @@ def simulate_sites(
     *two_pattern* is set.  The word backend -- packers, detect step and
     detection decoding -- follows ``cc.backend``.  Pass the same *cc* for
     every fault sublist and nothing per-circuit is re-derived between
-    calls: the per-cone kernels accumulate lazily in the compiled circuit,
-    so simulating a fault universe in k slices costs the same kernel
-    compilations as simulating it whole.
+    calls: the big-int backend's per-site walk counts and cone kernels
+    accumulate in the compiled circuit, so a site that keeps being simulated
+    across calls compiles its kernel once its walks plus the blocks left
+    reach :data:`~repro.logic.compiled.KERNEL_BREAK_EVEN`.
+
+    A block's *runs_left* is the number of blocks left in the call, this one
+    included.  With *drop_detected* the first block counts as one, because
+    most faults drop on their first activated block.
     """
     detections: dict[str, list[int]] = {site.key: [] for site in sites}
     remaining = set(detections)
@@ -310,13 +326,16 @@ def simulate_sites(
         pack = pack_pair_blocks if two_pattern else pack_pattern_blocks
         detect, record = _detect_ints, _record_ints
     live = sites
-    for base, mask, *frames in pack(tests, len(cc.input_indices), cc.word_bits):
+    num_blocks = -(-len(tests) // cc.word_bits)
+    blocks = pack(tests, len(cc.input_indices), cc.word_bits)
+    for block, (base, mask, *frames) in enumerate(blocks):
         if drop_detected:
             if not remaining:
                 break
             live = [site for site in live if site.key in remaining]
         goods = [cc.evaluate(words, mask) for words in frames]
-        hits = detect(cc, live, goods[0], goods[-1], mask)
+        runs_left = 1 if drop_detected and block == 0 else num_blocks - block
+        hits = detect(cc, live, goods[0], goods[-1], mask, runs_left)
         record(detections, remaining, hits, base, drop_detected)
     return DetectionReport(detections=detections, num_tests=len(tests))
 

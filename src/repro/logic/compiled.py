@@ -9,10 +9,19 @@ bit *i* of every net word carries the value of that net under pattern *i* of
 the block, so one pass simulates up to ``word_bits`` patterns at once.
 Masking is fused only into the ops that need it: inputs are masked once on
 entry, AND/OR/XOR of already-masked words stay masked, and only inverting
-ops re-mask.  Forced re-simulation uses lazily compiled **per-cone kernels**
-(:meth:`CompiledCircuit.cone_kernel`) that read just the cone's side inputs
-and return the output-difference word directly, instead of copying the full
-O(num_nets) value list per fault per block.
+ops re-mask.  Forced re-simulation of one fault site has two tiers with the
+same result, the OR of ``faulty ^ good`` over the site's reachable outputs:
+
+* the **walk** (:meth:`CompiledCircuit.cone_diff`) evaluates the site's
+  fan-out cone op by op; it costs nothing up front;
+* the **kernel** (:meth:`CompiledCircuit.cone_kernel`) is straight-line code
+  generated for the cone, which reads just the cone's side inputs.  A call is
+  2-8x cheaper than a walk, but compiling it costs 25-60 walks.
+
+:meth:`CompiledCircuit.cone_detect` picks the tier per site from call counts
+alone (:func:`kernel_pays`, adaptive recompilation in the sense of Hölzle
+and Ungar, OOPSLA 1994): a site walks until its walks so far plus the calls
+still ahead of it reach :data:`KERNEL_BREAK_EVEN`, then compiles once.
 
 The packed *word type* is abstract: the generated code only ever applies
 ``& | ^ ~`` to already-masked operands, so the same straight-line source runs
@@ -32,9 +41,8 @@ over two interchangeable **backends** (:data:`BACKENDS`):
   group in one pass (PPSFP batching -- see :mod:`repro.atpg.parallel_sim`).
 
 Both backends are bit-identical for every ``word_bits``; the serial engine
-in :mod:`repro.atpg.fault_sim` remains the external reference, and
-:meth:`CompiledCircuit.evaluate_forced` is the in-module op-by-op reference
-the generated kernels are tested against.
+in :mod:`repro.atpg.fault_sim` is the reference both tiers are tested
+against.
 
 The helpers :func:`pack_pattern_blocks` / :func:`pack_pair_blocks` slice a
 pattern (pair) sequence into word-sized blocks, and :func:`iter_bits` walks
@@ -66,6 +74,26 @@ DEFAULT_NUMPY_WORD_BITS = 16384
 #: Registered packed word backends: ``"int"`` (arbitrary-precision Python
 #: ints, the reference) and ``"numpy"`` (uint64 ndarrays).
 BACKENDS = ("int", "numpy")
+
+#: Calls of one site's detector at which compiling its cone kernel is taken
+#: to pay for itself.  Over every net of rdag:200,4, rdag:300,4 and mult:6 on
+#: one 192-pattern block, compiling a kernel costs 25-60 walks of the same
+#: cone and a warm kernel call saves 1/2 to 7/8 of a walk.  End to end, cold
+#: no-drop stuck-at runs (two faults per net) of rdag:200,4 and mult:6 walk
+#: about as fast as they compile at 16 to 32 blocks of 512 patterns.  17 is
+#: the low end of that range, so in a no-drop run of 17 or more blocks every
+#: site activated in the first block compiles on first use.
+KERNEL_BREAK_EVEN = 17
+
+
+def kernel_pays(walks: int, runs_left: int) -> bool:
+    """The tier rule: does a site with no kernel yet compile one now?
+
+    *walks* counts the site's walks so far and *runs_left* the calls still
+    ahead of it in the current run, this one included.  Both are counts, so
+    the choice -- and every counter -- repeats from run to run.
+    """
+    return walks + runs_left >= KERNEL_BREAK_EVEN
 
 
 def _check_backend(backend: str) -> None:
@@ -103,8 +131,8 @@ def _op_value(code: int, ins: tuple[int, ...], values: list, mask):
     """One op's output word over packed words of either backend.
 
     Used where op evaluation is interleaved with other work: per-row fault
-    clamping in :meth:`CompiledCircuit.batch_cone_detect` and the reference
-    re-simulation of :meth:`CompiledCircuit.evaluate_forced`.
+    clamping in :meth:`CompiledCircuit.batch_cone_detect` and the walk tier
+    of forced re-simulation, :meth:`CompiledCircuit.cone_diff`.
 
     Inverting gates complement via ``word ^ mask`` rather than
     ``~word & mask``: every operand keeps its pad bits zero (the packing
@@ -243,6 +271,8 @@ class CompiledCircuit:
         }
         self._eval_fn = self._compile_evaluate()
         self._diff_kernels: dict[int, Callable[[Sequence[int], int, int], int]] = {}
+        #: Net id -> walks of its cone so far (:meth:`cone_diff` calls).
+        self._cone_walks: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Code generation.
@@ -380,35 +410,11 @@ class CompiledCircuit:
         outputs = tuple(i for i in self.output_indices if i in cone_nets)
         return ops, outputs
 
-    def evaluate_forced(
-        self,
-        base_values: Sequence[int],
-        net_index: int,
-        forced_word: int,
-        mask: int,
-    ) -> list[int]:
-        """Re-simulate *base_values* with one net clamped to *forced_word*.
-
-        Only the forced net's fan-out cone is re-evaluated; nets outside the
-        cone keep their base values, so callers must restrict output
-        comparisons to :meth:`cone`'s reachable outputs.  This is the
-        op-by-op reference the generated kernels are tested against; the
-        fault-simulation hot path is :meth:`cone_kernel`.
-        """
-        ops, _ = self.cone(net_index)
-        values = list(base_values)
-        values[net_index] = forced_word & mask
-        for code, out, ins in ops:
-            values[out] = _op_value(code, ins, values, mask)
-        return values
-
     def cone_kernel(self, net_index: int) -> Callable[[Sequence[int], int, int], int]:
-        """The forced-resim kernel for one net, compiled lazily.
+        """The compiled tier for one net, compiled on first use and cached.
 
-        ``kernel(base_values, forced_word, mask)`` returns the detection
-        word: the OR of ``faulty ^ base`` over the cone's reachable primary
-        outputs when the net is clamped to *forced_word*.  Fault-simulation
-        drivers fetch the kernel once per fault site and call it per block.
+        ``kernel(base_values, forced_word, mask)`` returns the same word as
+        ``cone_diff(base_values, net_index, forced_word, mask)``.
         """
         kernel = self._diff_kernels.get(net_index)
         if kernel is None:
@@ -506,14 +512,44 @@ class CompiledCircuit:
         forced_word: int,
         mask: int,
     ) -> int:
-        """Detection word of clamping one net: OR of ``faulty ^ base`` over
-        the cone's reachable primary outputs.
+        """The walk tier: detection word of clamping one net to *forced_word*.
 
-        Equivalent to :meth:`evaluate_forced` followed by XOR-comparing the
-        reachable outputs, but via :meth:`cone_kernel`, which never copies
-        the value list.
+        Re-evaluates the net's fan-out cone op by op over a copy of
+        *base_values* and returns the OR of ``faulty ^ base`` over the cone's
+        reachable primary outputs.  Counts one walk of the site.
         """
-        return self.cone_kernel(net_index)(base_values, forced_word, mask)
+        self._cone_walks[net_index] = self._cone_walks.get(net_index, 0) + 1
+        ops, outputs = self.cone(net_index)
+        values = list(base_values)
+        values[net_index] = forced_word & mask
+        for code, out, ins in ops:
+            values[out] = _op_value(code, ins, values, mask)
+        word = 0
+        for index in outputs:
+            word |= values[index] ^ base_values[index]
+        return word
+
+    def cone_detect(
+        self,
+        base_values: Sequence[int],
+        net_index: int,
+        forced_word: int,
+        mask: int,
+        runs_left: int,
+    ) -> int:
+        """Detection word of clamping one net, from the cheaper tier.
+
+        A site whose kernel exists uses it; otherwise it compiles one when
+        :func:`kernel_pays` says so for its walks so far and *runs_left*,
+        and walks (:meth:`cone_diff`) when not.  Both tiers return the same
+        word, so the choice never changes a result.
+        """
+        kernel = self._diff_kernels.get(net_index)
+        if kernel is None:
+            if not kernel_pays(self._cone_walks.get(net_index, 0), runs_left):
+                return self.cone_diff(base_values, net_index, forced_word, mask)
+            kernel = self.cone_kernel(net_index)
+        return kernel(base_values, forced_word, mask)
 
 
 def compile_circuit(

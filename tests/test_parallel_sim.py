@@ -3,6 +3,7 @@ tests asserting equivalence with the serial reference engine."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -22,7 +23,9 @@ from repro.atpg import (
     simulate_path_delay,
     simulate_stuck_at,
     simulate_transition,
+    simulate_with_forced_net,
 )
+from repro.campaign import Campaign, CampaignSpec
 from repro.faults import (
     obd_fault_universe,
     path_delay_universe,
@@ -40,7 +43,12 @@ from repro.logic import (
     pack_pattern_blocks,
     simulate_pattern,
 )
-from repro.logic.compiled import decode_into
+from repro.logic.compiled import (
+    KERNEL_BREAK_EVEN,
+    CompiledCircuit,
+    decode_into,
+    kernel_pays,
+)
 
 # Gate types every fault model (including OBD site enumeration) supports.
 _RANDOM_GATE_TYPES = [
@@ -75,6 +83,38 @@ def random_circuit(seed: int, num_inputs: int, num_gates: int) -> LogicCircuit:
     return c
 
 
+@pytest.fixture
+def cone_calls(monkeypatch):
+    """Net ids of every kernel compile and every cone walk, on any circuit."""
+    calls = {"compile": [], "walk": []}
+    compile_kernel, walk = CompiledCircuit._compile_cone_kernel, CompiledCircuit.cone_diff
+
+    def compile_spy(self, net_index):
+        calls["compile"].append(net_index)
+        return compile_kernel(self, net_index)
+
+    def walk_spy(self, base_values, net_index, forced_word, mask):
+        calls["walk"].append(net_index)
+        return walk(self, base_values, net_index, forced_word, mask)
+
+    monkeypatch.setattr(CompiledCircuit, "_compile_cone_kernel", compile_spy)
+    monkeypatch.setattr(CompiledCircuit, "cone_diff", walk_spy)
+    return calls
+
+
+def _serial_forced_diff(circuit, patterns, net, forced) -> int:
+    """Detection word of clamping *net* to the bits of *forced*, pattern by
+    pattern on the serial engine: bit *i* is set when some primary output
+    under pattern *i* differs from the good machine."""
+    word = 0
+    for bit, pattern in enumerate(patterns):
+        good = simulate_pattern(circuit, pattern)
+        faulty = simulate_with_forced_net(circuit, pattern, net, (forced >> bit) & 1)
+        if any(faulty[out] != good[out] for out in circuit.primary_outputs):
+            word |= 1 << bit
+    return word
+
+
 # --------------------------------------------------------------------------- #
 # Compiled-circuit unit tests.
 # --------------------------------------------------------------------------- #
@@ -89,21 +129,24 @@ class TestCompiledCircuit:
                 for net, index in cc.net_index.items():
                     assert (values[index] >> bit) & 1 == reference[net], net
 
-    def test_forced_matches_serial_forced(self, c17_circuit):
-        from repro.atpg import simulate_with_forced_net
-
-        cc = compile_circuit(c17_circuit)
+    @pytest.mark.parametrize("tier", ["walk", "kernel"])
+    def test_forced_matches_serial_forced(self, c17_circuit, tier):
+        """Each forced-resim tier against the serial engine, on every net."""
+        cc = compile_circuit(c17_circuit, word_bits=32)
         patterns = exhaustive_patterns(c17_circuit)
-        _, mask, words = next(pack_pattern_blocks(patterns, 5))
+        _, mask, words = next(pack_pattern_blocks(patterns, 5, 32))
         good = cc.evaluate(words, mask)
-        net = "G11"
-        index = cc.net_index[net]
-        faulty = cc.evaluate_forced(good, index, mask, mask)
-        _, reachable = cc.cone(index)
-        for bit, pattern in enumerate(patterns):
-            reference = simulate_with_forced_net(c17_circuit, pattern, net, 1)
-            for out in reachable:
-                assert (faulty[out] >> bit) & 1 == reference[cc.net_names[out]]
+        for net, index in cc.net_index.items():
+            for forced in (0, mask, 0b1010):
+                if tier == "walk":
+                    word = cc.cone_diff(good, index, forced, mask)
+                else:
+                    word = cc.cone_kernel(index)(good, forced, mask)
+                assert word == _serial_forced_diff(c17_circuit, patterns, net, forced), (
+                    net, forced,
+                )
+        assert bool(cc._cone_walks) == (tier == "walk")
+        assert bool(cc._diff_kernels) == (tier == "kernel")
 
     def test_cone_excludes_driver_and_reaches_outputs(self, c17_circuit):
         cc = compile_circuit(c17_circuit)
@@ -265,20 +308,6 @@ class TestCodegen:
                 for net, index in cc.net_index.items():
                     assert (values[index] >> bit) & 1 == reference[net], net
 
-    def test_cone_diff_matches_evaluate_forced(self, c17_circuit):
-        cc = compile_circuit(c17_circuit, word_bits=32)
-        patterns = exhaustive_patterns(c17_circuit)
-        _, mask, words = next(pack_pattern_blocks(patterns, 5, 32))
-        good = cc.evaluate(words, mask)
-        for net_index in range(cc.num_nets):
-            for forced in (0, mask, 0b1010):
-                _, outputs = cc.cone(net_index)
-                faulty = cc.evaluate_forced(good, net_index, forced, mask)
-                expected = 0
-                for out in outputs:
-                    expected |= faulty[out] ^ good[out]
-                assert cc.cone_diff(good, net_index, forced, mask) == expected
-
     def test_cone_kernel_cached(self, c17_circuit):
         cc = compile_circuit(c17_circuit)
         index = cc.net_index["G11"]
@@ -304,8 +333,8 @@ class TestCodegen:
         via_wrapper = simulate_stuck_at(c17_circuit, patterns, faults, compiled=cc)
         fresh = simulate_stuck_at(c17_circuit, patterns, faults)
         assert via_wrapper.detections == fresh.detections
-        # The prebuilt circuit ran the call: its kernel cache filled up.
-        assert cc._diff_kernels
+        # The prebuilt circuit ran the call: its sites walked their cones.
+        assert cc._cone_walks
 
     def test_conflicting_compiled_and_word_bits_recompiles(self, c17_circuit):
         patterns = exhaustive_patterns(c17_circuit)
@@ -315,7 +344,7 @@ class TestCodegen:
             c17_circuit, patterns, faults, compiled=cc, word_bits=64
         )
         # The width wins: the 16-bit circuit was not used.
-        assert not cc._diff_kernels
+        assert not cc._cone_walks and not cc._diff_kernels
         assert rep.detections == (
             serial_simulate_stuck_at(c17_circuit, patterns, faults).detections
         )
@@ -323,7 +352,7 @@ class TestCodegen:
         rep = simulate_stuck_at(
             c17_circuit, patterns, faults, compiled=cc, word_bits=16
         )
-        assert rep.num_tests == len(patterns) and cc._diff_kernels
+        assert rep.num_tests == len(patterns) and cc._cone_walks
 
 
 # --------------------------------------------------------------------------- #
@@ -336,9 +365,13 @@ class TestCodegen:
 _PARITY_TESTS = 130
 
 
-@pytest.mark.parametrize("word_bits", [1, 63, 64, 256, 1000])
-@pytest.mark.parametrize("drop", [False, True])
-def test_engine_parity_all_models_across_widths(word_bits, drop):
+@functools.cache
+def _parity_cases(drop):
+    """The circuit and ``(simulate, tests, faults, serial report)`` cases.
+
+    The serial reports do not depend on the width or the engine, so they are
+    computed once per *drop* for every parity test that shares them.
+    """
     circuit = random_circuit(97, 5, 18)
     patterns = random_patterns(circuit, _PARITY_TESTS, seed=7)
     pairs = random_pairs(circuit, _PARITY_TESTS, seed=8)
@@ -360,15 +393,145 @@ def test_engine_parity_all_models_across_widths(word_bits, drop):
         (simulate_obd, serial_simulate_obd,
          late_tests(pairs), list(obd_fault_universe(circuit))),
     ]
-    for simulate, serial_fn, tests, faults in models:
-        serial = serial_fn(circuit, tests, faults, drop_detected=drop)
-        for engine in ("packed", "numpy"):
+    return circuit, [
+        (simulate, tests, faults, serial_fn(circuit, tests, faults, drop_detected=drop))
+        for simulate, serial_fn, tests, faults in models
+    ]
+
+
+def _assert_engine_parity(word_bits, drop, engines):
+    circuit, cases = _parity_cases(drop)
+    for simulate, tests, faults, serial in cases:
+        for engine in engines:
             packed = simulate(
                 circuit, tests, faults, drop_detected=drop, engine=engine,
                 word_bits=word_bits,
             )
             assert packed.detections == serial.detections, (simulate.__name__, engine)
             assert packed.num_tests == serial.num_tests
+
+
+@pytest.mark.parametrize("word_bits", [1, 63, 64, 256, 1000])
+@pytest.mark.parametrize("drop", [False, True])
+def test_engine_parity_all_models_across_widths(word_bits, drop):
+    _assert_engine_parity(word_bits, drop, ("packed", "numpy"))
+
+
+@pytest.mark.parametrize("word_bits", [1, 63, 64, 256, 1000])
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize("break_even, tier", [(0, "compile"), (10**9, "walk")])
+def test_packed_parity_in_each_cone_tier(
+    monkeypatch, cone_calls, word_bits, drop, break_even, tier
+):
+    """The same parity cases with every site forced onto one tier."""
+    monkeypatch.setattr("repro.logic.compiled.KERNEL_BREAK_EVEN", break_even)
+    _assert_engine_parity(word_bits, drop, ("packed",))
+    other = "walk" if tier == "compile" else "compile"
+    assert cone_calls[tier] and not cone_calls[other]
+
+
+# --------------------------------------------------------------------------- #
+# Cone tiers: a site walks its cone until a compiled kernel would pay for
+# itself, judged from call counts alone.
+# --------------------------------------------------------------------------- #
+def _spec(model, circuit, count):
+    return CampaignSpec(
+        model=model, circuit=circuit, pattern_source="random",
+        pattern_count=count, seed=0, engine="packed",
+    )
+
+
+def _activated(cc, faults, goods):
+    """Net ids of the stuck-at-0 *faults* activated under some good frame."""
+    return {cc.net_index[fault.net] for fault in faults if any(good[fault.net] for good in goods)}
+
+
+class TestConeTiers:
+    def test_rule_is_walks_plus_runs_left_against_break_even(self):
+        assert KERNEL_BREAK_EVEN == 17
+        assert kernel_pays(0, 17) and kernel_pays(16, 1) and kernel_pays(5, 12)
+        assert not kernel_pays(0, 16) and not kernel_pays(15, 1) and not kernel_pays(0, 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [_spec("stuck-at", "rdag:200,4", 192), _spec("obd", "rdag:60,4", 256)],
+        ids=["sa-rdag", "obd-rdag"],
+    )
+    def test_benchmark_specs_compile_no_kernel(self, cone_calls, spec):
+        Campaign(spec).run()
+        assert cone_calls["compile"] == [] and cone_calls["walk"]
+
+    @pytest.mark.parametrize("blocks", [16, 17, 20])
+    def test_no_drop_run_compiles_on_first_use_from_break_even_blocks(
+        self, cone_calls, blocks
+    ):
+        circuit = random_circuit(97, 5, 18)
+        patterns = random_patterns(circuit, 8 * blocks, seed=3)
+        # One fault per net, so a net's detector runs at most once per block.
+        faults = [fault for fault in stuck_at_universe(circuit) if fault.value == 0]
+        cc = compile_circuit(circuit, word_bits=8)
+        first = simulate_stuck_at(circuit, patterns, faults, compiled=cc)
+        goods = [simulate_pattern(circuit, pattern) for pattern in patterns]
+        activated = _activated(cc, faults, goods)
+        # Every activated site is first activated in the first block.
+        assert activated and _activated(cc, faults, goods[:8]) == activated
+        if blocks < 17:
+            # walks + runs_left stays at the block count: never compiles.
+            assert cone_calls["compile"] == []
+            assert set(cone_calls["walk"]) == activated
+            return
+        assert cone_calls["walk"] == [] and not cc._cone_walks
+        assert sorted(cone_calls["compile"]) == sorted(activated)
+        # A second call on the same circuit reuses every kernel, even on a
+        # dropping run whose single first block would walk a fresh site.
+        again = simulate_stuck_at(circuit, patterns, faults, compiled=cc)
+        dropped = simulate_stuck_at(
+            circuit, patterns[:8], faults, compiled=cc, drop_detected=True
+        )
+        assert again.detections == first.detections
+        assert dropped.num_tests == 8
+        assert cone_calls["walk"] == [] and sorted(cone_calls["compile"]) == sorted(activated)
+
+    def test_repeated_calls_compile_once_walks_reach_break_even(self, cone_calls, c17_circuit):
+        patterns = exhaustive_patterns(c17_circuit)
+        fault = next(f for f in stuck_at_universe(c17_circuit) if f.net == "G11")
+        cc = compile_circuit(c17_circuit)
+        index = cc.net_index["G11"]
+        reference = serial_simulate_stuck_at(c17_circuit, patterns, [fault], drop_detected=True)
+        for call in range(1, 20):
+            report = simulate_stuck_at(
+                c17_circuit, patterns, [fault], compiled=cc, drop_detected=True
+            )
+            assert report.detections == reference.detections
+            walks = min(call, KERNEL_BREAK_EVEN - 1)
+            assert cc._cone_walks == {index: walks}
+            assert cone_calls["compile"] == ([index] if call >= KERNEL_BREAK_EVEN else [])
+
+    @pytest.mark.parametrize("blocks", [17, 20])
+    def test_dropping_run_walks_its_first_block(self, cone_calls, blocks):
+        """With fault dropping the first block counts as one block left."""
+        circuit = random_circuit(97, 5, 18)
+        patterns = random_patterns(circuit, 8 * blocks, seed=3)
+        faults = [fault for fault in stuck_at_universe(circuit) if fault.value == 0]
+        cc = compile_circuit(circuit, word_bits=8)
+        report = simulate_stuck_at(circuit, patterns, faults, compiled=cc, drop_detected=True)
+        assert report.detections == (
+            serial_simulate_stuck_at(circuit, patterns, faults, drop_detected=True).detections
+        )
+        goods = [simulate_pattern(circuit, pattern) for pattern in patterns]
+        first_block = _activated(cc, faults, goods[:8])
+        survivors = first_block - {
+            cc.net_index[fault.net]
+            for fault in faults
+            if report.detections[fault.key] and report.detections[fault.key][0] < 8
+        }
+        # Some sites outlive the first block and are activated again in the
+        # second, with walks 1 + blocks left 16 or more.
+        assert survivors and survivors <= _activated(cc, faults, goods[8:16])
+        # Each site activated in the first block walks there once, instead of
+        # compiling; the survivors compile on their second call.
+        assert sorted(cone_calls["walk"]) == sorted(first_block)
+        assert sorted(cone_calls["compile"]) == sorted(survivors)
 
 
 # --------------------------------------------------------------------------- #
