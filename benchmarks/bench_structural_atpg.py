@@ -1,7 +1,9 @@
 """Structural ATPG engine benchmarks: throughput, proof counts, coverage floor.
 
 One group, ``structural-atpg``: every registered engine (``d-alg``,
-``podem``, ``legacy``) runs pure test generation over the collapsed
+``podem``) and, as the baseline, the two-rail PODEM of
+:mod:`repro.atpg.podem` (reported as ``legacy``) run pure test generation
+over the collapsed
 stuck-at universe of the random-DAG and array-multiplier workloads at the
 SAME backtrack budget. Per engine and circuit the run records faults/sec
 plus the three-way outcome counts (tested / proven_redundant / aborted)
@@ -26,7 +28,8 @@ import time
 import pytest
 
 from repro.atpg import PodemOptions, get_atpg_engine, simulate_stuck_at
-from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
+from repro.atpg.podem import generate_stuck_at_test
+from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED, StructuralResult
 from repro.campaign import resolve_circuit
 from repro.faults.collapse import collapse_stuck_at_faults
 from repro.faults.stuck_at import stuck_at_universe
@@ -45,15 +48,31 @@ def _collapsed(circuit):
     return [f for f in stuck_at_universe(circuit) if f in keep]
 
 
+def _two_rail_generate(circuit, fault, options):
+    """The two-rail PODEM baseline as a structural result: success counts as
+    tested, aborted as aborted, anything else as proven."""
+    result = generate_stuck_at_test(circuit, fault, options=options)
+    if result.success:
+        status = TESTED
+    elif result.aborted:
+        status = ABORTED
+    else:
+        status = PROVEN_REDUNDANT
+    return StructuralResult(
+        status, result.pattern, backtracks=result.backtracks,
+        decisions=result.decisions, engine="legacy",
+    )
+
+
 def _run_engine(circuit, faults, name):
-    engine = get_atpg_engine(name)
+    generate = _two_rail_generate if name == "legacy" else get_atpg_engine(name).generate
     options = PodemOptions(max_backtracks=MAX_BACKTRACKS)
     counts = {TESTED: 0, PROVEN_REDUNDANT: 0, ABORTED: 0}
     effort = {"backtracks": 0, "decisions": 0, "implications": 0}
     vectors = []
     t0 = time.perf_counter()
     for fault in faults:
-        result = engine.generate(circuit, fault, options)
+        result = generate(circuit, fault, options)
         counts[result.status] += 1
         effort["backtracks"] += result.backtracks
         effort["decisions"] += result.decisions

@@ -28,13 +28,20 @@ def merge_fault_shards(
 
     Every shard must have simulated the same tests (``num_tests`` must
     agree) over a disjoint slice of the fault universe; the merged report
-    contains each fault's detection list unchanged.  *fault_order* restores
-    the original universe order of the detections dict (shards may have run
-    out of order), so downstream JSON reports are byte-identical to the
-    unsharded run; without it, shards are concatenated in the given order.
+    contains each fault's detection list unchanged.  It takes ownership of
+    the shard reports rather than copying them: the merged report holds the
+    same list objects (a single report already in order is returned as is),
+    so callers must not mutate or reuse the shard reports.  *fault_order*
+    restores the original universe order of the detections dict (shards may
+    have run out of order), so downstream JSON reports are byte-identical to
+    the unsharded run; without it, shards are concatenated in the given
+    order.
     """
     if not reports:
         return DetectionReport(detections={}, num_tests=0)
+    fault_order = None if fault_order is None else list(fault_order)
+    if len(reports) == 1 and fault_order in (None, list(reports[0].detections)):
+        return reports[0]
     num_tests = reports[0].num_tests
     merged: dict[str, list[int]] = {}
     for report in reports:
@@ -46,7 +53,7 @@ def merge_fault_shards(
         for key, indices in report.detections.items():
             if key in merged:
                 raise ValueError(f"fault {key!r} appears in more than one shard")
-            merged[key] = list(indices)
+            merged[key] = indices
     if fault_order is None:
         return DetectionReport(detections=merged, num_tests=num_tests)
     ordered: dict[str, list[int]] = {}

@@ -1,6 +1,6 @@
 """Frontier-based structural ATPG: D-algorithm and hardened PODEM.
 
-The package exposes one interface -- :class:`StructuralAtpg` -- with three
+The package exposes one interface -- :class:`StructuralAtpg` -- with two
 registered engines:
 
 ========== ==================================================================
@@ -9,8 +9,6 @@ registered engines:
            (:mod:`repro.atpg.structural.d_algorithm`).
 ``podem``  PODEM with SCOAP-guided backtrace, static excitation closures and
            sound exhaustion (:mod:`repro.atpg.structural.podem`).
-``legacy`` The pre-rewrite two-rail PODEM, adapted
-           (:mod:`repro.atpg.structural.legacy`).
 ========== ==================================================================
 
 Every engine resolves a stuck-at fault to ``tested`` (vector verified by
@@ -34,7 +32,6 @@ from .engine import (
     get_atpg_engine,
     register_atpg_engine,
 )
-from .legacy import LegacyPodem
 from .podem import StructuralPodem
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "STATUSES",
     "TESTED",
     "DAlgorithm",
-    "LegacyPodem",
     "StructuralAtpg",
     "StructuralAtpgError",
     "StructuralPodem",

@@ -109,8 +109,8 @@ class FaultModel(Protocol):
         """Deterministic test generation for one fault.
 
         *atpg_engine* names a structural engine from
-        :data:`repro.atpg.structural.ATPG_ENGINES` (``"d-alg"``,
-        ``"podem"``, ``"legacy"``); None keeps the model's default.  Models
+        :data:`repro.atpg.structural.ATPG_ENGINES` (``"d-alg"`` or
+        ``"podem"``); None keeps the model's default.  Models
         whose search is not stuck-at-shaped (path-delay, OBD) accept and
         ignore it.  *searches* is a dict owned by one ATPG loop in which a
         model may memoize searches shared between faults (OBD does); the

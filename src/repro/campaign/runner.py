@@ -8,6 +8,10 @@ already detected by the pattern phase are skipped, not re-run), greedily
 compact the combined test set, and report per-phase coverage -- and
 :class:`Campaign` executes it for any registered
 :class:`~repro.campaign.model.FaultModel`.
+
+:meth:`Campaign.run` holds the one phase sequence; it runs each round body
+(:func:`simulate_and_generate`, :func:`resimulate`) once, in this process,
+and :class:`~repro.campaign.sharded.ShardedCampaign` once per fault shard.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional, Sequence
@@ -22,7 +27,12 @@ from typing import Any, Iterable, Optional, Sequence
 from ..analysis_static.diagnostics import LintReport
 from ..analysis_static.lint import lint_circuit
 from ..analysis_static.untestable import StaticProof
-from ..atpg.compaction import CompactionResult, concat_phase_reports, greedy_compaction
+from ..atpg.compaction import (
+    CompactionResult,
+    concat_phase_reports,
+    greedy_compaction,
+    merge_fault_shards,
+)
 from ..atpg.coverage import CoverageReport, coverage_from_report
 from ..atpg.fault_sim import DetectionReport, _check_engine
 from ..atpg.parallel_sim import compile_for_engine
@@ -36,6 +46,7 @@ from ..atpg.random_tpg import (
 )
 from ..atpg.structural import ATPG_ENGINES
 from ..faults.base import FaultList
+from ..logic.compiled import CompiledCircuit
 from ..logic.netlist import CircuitStats, LogicCircuit, LogicCircuitError
 from .circuits import resolve_circuit
 from .errors import CampaignError
@@ -84,8 +95,9 @@ class CampaignSpec:
 
     ``shards`` is the default fault-universe partition count used by the
     multi-process executor (:class:`~repro.campaign.sharded.ShardedCampaign`);
-    the single-process :class:`Campaign` ignores it.  Sharded and unsharded
-    runs of the same spec produce bit-identical results.
+    the single-process :class:`Campaign` ignores it and runs the pipeline as
+    one in-process shard.  Sharded and unsharded runs of the same spec
+    produce bit-identical results.
 
     The spec validates itself on construction, so a bad field fails fast at
     the call site instead of mid-run.
@@ -104,8 +116,7 @@ class CampaignSpec:
     podem_options: Optional[PodemOptions] = None
     #: Structural ATPG engine for the top-up phase: any name registered in
     #: :data:`repro.atpg.structural.ATPG_ENGINES` (``"podem"`` -- the
-    #: frontier-based rewrite, the default -- ``"d-alg"``, or ``"legacy"``
-    #: for the pre-rewrite two-rail PODEM).
+    #: frontier-based PODEM, the default -- or ``"d-alg"``).
     atpg_engine: str = "podem"
     compact: bool = True
     drop_detected: bool = False
@@ -526,9 +537,9 @@ def _jsonable(value: Any) -> Any:
 # --------------------------------------------------------------------------- #
 # Pure pipeline pieces.
 #
-# These are module-level (hence picklable) and side-effect free so the
-# multi-process sharded executor (repro.campaign.sharded) can run them in
-# worker processes and still produce results bit-identical to Campaign.run.
+# These are module-level (hence picklable) and side-effect free, so the round
+# bodies run unchanged in this process (Campaign.run) and in the worker
+# processes of the sharded executor (repro.campaign.sharded).
 # --------------------------------------------------------------------------- #
 def resolve_campaign_circuit(
     circuit: LogicCircuit | str | os.PathLike | None,
@@ -589,17 +600,15 @@ def run_static_phase(
     model: FaultModel,
     circuit: LogicCircuit,
     faults: FaultList,
-    lint: Optional[LintReport] = None,
+    lint: LintReport,
 ) -> StaticPhaseResult:
-    """Collect the static phase: lint gate plus untestability proofs.
+    """Collect the static phase: lint report plus untestability proofs.
 
-    *lint* carries a report from an earlier :func:`run_lint_gate` call (the
-    runner lints before compiling); when None the gate runs here.  Models
-    without a ``prove_untestable`` hook simply contribute no proofs.
+    *lint* is the report of the :func:`run_lint_gate` call that opened the
+    campaign.  Models without a ``prove_untestable`` hook simply contribute
+    no proofs.
     """
     t0 = time.perf_counter()
-    if lint is None:
-        lint = run_lint_gate(circuit)
     prove = getattr(model, "prove_untestable", None)
     proofs: dict[str, StaticProof] = prove(circuit, faults) if prove is not None else {}
     return StaticPhaseResult(lint=lint, proofs=proofs, runtime=time.perf_counter() - t0)
@@ -618,12 +627,13 @@ def generate_atpg_outcomes(
 
     Keys in *proven* (statically proven untestable) are skipped without
     running the search.  *atpg_engine* names a structural engine
-    (``"d-alg"`` / ``"podem"`` / ``"legacy"``); None keeps the model's
-    default.  Returns (outcomes for the attempted faults, skipped fault
-    keys, proven fault keys), all in universe order -- the invariant that
-    makes fault-sharded generation merge back into exactly the
-    single-process test list.  The loop owns one *searches* memo for the
-    model's ``generate_test``, so each shard of a sharded run has its own.
+    (``"d-alg"`` / ``"podem"``); None keeps the model's default.  Returns
+    (outcomes for the attempted faults, skipped fault keys, proven fault
+    keys), all in universe order -- the invariant that makes the shards'
+    outcomes concatenate into exactly the one-shard test list.  Round 1
+    (:func:`simulate_and_generate`) calls it once per fault slice, and the
+    loop owns one *searches* memo for the model's ``generate_test``, so
+    each slice has its own.
     """
     outcomes: list[AtpgOutcome] = []
     skipped: list[str] = []
@@ -642,6 +652,74 @@ def generate_atpg_outcomes(
             )
         )
     return outcomes, skipped, proven_skipped
+
+
+def simulate_and_generate(
+    spec: CampaignSpec,
+    model: FaultModel,
+    circuit: LogicCircuit,
+    compiled: Optional[CompiledCircuit],
+    faults: Iterable,
+    tests: Optional[Sequence],
+    proven: frozenset[str],
+    engine: Optional[str] = None,
+) -> tuple[Optional[DetectionReport], list[AtpgOutcome], list[str], list[str], float, float]:
+    """Round 1 over one fault slice: pattern simulation plus ATPG generation.
+
+    *compiled* is the circuit compiled for *engine* (default: the spec's;
+    None for the serial engine).  *tests* is None when the spec has no
+    pattern phase; *proven* holds the static phase's proofs.  Returns the
+    round-1 record: the slice's pattern report (None without patterns), its
+    ATPG outcomes, skipped keys and proven keys (all in universe order), and
+    its simulation and generation seconds.
+    """
+    report: Optional[DetectionReport] = None
+    detected: set[str] = set()
+    outcomes, skipped, proven_skipped = [], [], []
+    sim_seconds = gen_seconds = 0.0
+    if tests is not None:
+        t0 = time.perf_counter()
+        report = model.simulate(
+            circuit, tests, faults, drop_detected=spec.drop_detected,
+            engine=engine or spec.engine, compiled=compiled,
+        )
+        sim_seconds = time.perf_counter() - t0
+        detected.update(report.detected_faults)
+    if spec.run_atpg:
+        t0 = time.perf_counter()
+        outcomes, skipped, proven_skipped = generate_atpg_outcomes(
+            model, circuit, faults, detected, spec.podem_options, proven=proven,
+            atpg_engine=spec.atpg_engine,
+        )
+        gen_seconds = time.perf_counter() - t0
+    return report, outcomes, skipped, proven_skipped, sim_seconds, gen_seconds
+
+
+def resimulate(
+    model: FaultModel,
+    circuit: LogicCircuit,
+    compiled: Optional[CompiledCircuit],
+    faults: Iterable,
+    tests: Sequence,
+    engine: str,
+    drop_detected: bool,
+) -> tuple[DetectionReport, float]:
+    """Round 2 over one fault slice: re-simulate the merged ATPG test list.
+
+    Returns the round-2 record: the slice's report and its seconds.
+    """
+    t0 = time.perf_counter()
+    report = model.simulate(
+        circuit, tests, faults, drop_detected=drop_detected, engine=engine, compiled=compiled
+    )
+    return report, time.perf_counter() - t0
+
+
+def _merge_round(reports: list, faults: FaultList, num_tests: int) -> DetectionReport:
+    """A round's slice reports merged in universe order (none: no slice ran)."""
+    if not reports:
+        return DetectionReport(detections={}, num_tests=num_tests)
+    return merge_fault_shards(reports, fault_order=faults.keys())
 
 
 def build_atpg_phase(
@@ -696,12 +774,13 @@ def assemble_result(
 ) -> CampaignResult:
     """Merge phases, compact, and build the final :class:`CampaignResult`.
 
-    Both the single-process and the sharded executor end here, so report
-    merging and compaction behave identically no matter how the phases were
-    computed.  A detection of a statically proven fault means an unsound
-    proof and raises :class:`CampaignError` -- by construction it cannot
-    happen, and silently reporting such a fault both detected and untestable
-    would corrupt every downstream count.
+    Every run of the pipeline ends here, whether its rounds ran in this
+    process or over shards, so report merging and compaction behave
+    identically no matter how the phases were computed.  A detection of a
+    statically proven fault means an unsound proof and raises
+    :class:`CampaignError` -- by construction it cannot happen, and silently
+    reporting such a fault both detected and untestable would corrupt every
+    downstream count.
     """
     merged_report = concat_phase_reports(
         faults.keys(), [p.report for p in (pattern_phase, atpg_phase) if p is not None]
@@ -778,6 +857,12 @@ class Campaign:
         *circuit* may be a :class:`LogicCircuit`, a circuit reference
         string (registered name, parametric ``family:args`` or ``.bench``
         path), or None to use the spec's ``circuit`` field.
+
+        This is the one phase sequence of every campaign; executors differ
+        only in how the two rounds run (:meth:`_rounds`).  :class:`Campaign`
+        runs each round body once, in this process, with no executor,
+        retry, checkpoint or fault-injection hook, so an exception
+        propagates as raised.
         """
         spec, model = self.spec, self.model
         circuit = resolve_campaign_circuit(circuit, spec)
@@ -787,74 +872,61 @@ class Campaign:
         # malformed circuit fails with rule-id diagnostics rather than a
         # compile or universe-builder traceback.
         lint = run_lint_gate(circuit) if spec.static_phase else None
-
-        # One compile per campaign: every phase's fault simulation reuses the
-        # same CompiledCircuit (generated code over big-int words for
-        # "packed", over ndarray words for "numpy"; the serial engine needs
-        # none).
-        compiled = compile_for_engine(circuit, spec.engine, spec.word_bits)
-
         universe = model.build_universe(circuit, **spec.universe_options)
         faults = collapse_universe(model, circuit, universe, spec.collapse)
-        detected: set[str] = set()
-
         static_phase: StaticPhaseResult | None = None
         proven: frozenset[str] = frozenset()
         if spec.static_phase:
             static_phase = run_static_phase(model, circuit, faults, lint=lint)
             proven = frozenset(static_phase.proofs)
+        tests = list(self.patterns_for(circuit)) if spec.pattern_source != "none" else None
 
         pattern_phase: PatternPhaseResult | None = None
-        if spec.pattern_source != "none":
-            t0 = time.perf_counter()
-            tests = self.patterns_for(circuit)
-            report = model.simulate(
-                circuit, tests, faults, drop_detected=spec.drop_detected,
-                engine=spec.engine, compiled=compiled, word_bits=spec.word_bits,
-            )
-            pattern_phase = PatternPhaseResult(
-                source=spec.pattern_source,
-                tests=list(tests),
-                report=report,
-                coverage=coverage_from_report(model.name, report),
-                runtime=time.perf_counter() - t0,
-            )
-            detected.update(report.detected_faults)
-
         atpg_phase: AtpgPhaseResult | None = None
-        if spec.run_atpg:
-            t0 = time.perf_counter()
-            outcomes, skipped, proven_skipped = generate_atpg_outcomes(
-                model, circuit, faults, detected, spec.podem_options, proven=proven,
-                atpg_engine=spec.atpg_engine,
-            )
-            generation_runtime = time.perf_counter() - t0
-            atpg_tests = [test for outcome in outcomes for test in outcome.tests]
-            # With dropping on, faults the pattern phase already detected are
-            # excluded here too, so each dropped fault keeps exactly one
-            # detection index across the whole campaign; without dropping the
-            # full universe is simulated so compaction sees every alternative.
-            if spec.drop_detected:
-                sim_faults = faults.filtered(lambda f: f.key not in detected)
-            else:
+        with self._rounds(circuit) as rounds:
+            results = rounds.round1(faults, tests, proven)
+            if tests is not None:
+                report = _merge_round([r[0] for r in results], faults, len(tests))
+                pattern_phase = PatternPhaseResult(
+                    source=spec.pattern_source,
+                    tests=tests,
+                    report=report,
+                    coverage=coverage_from_report(model.name, report),
+                    # Summed slice time: the sequential phase cost, not the
+                    # parallel wall time of a sharded run.
+                    runtime=sum(r[4] for r in results),
+                )
+            if spec.run_atpg:
+                # Slice-order concatenation is universe order (slices are
+                # contiguous), so outcomes, skipped and proven keys merge
+                # deterministically no matter the worker schedule.
+                outcomes = [o for r in results for o in r[1]]
+                skipped = [k for r in results for k in r[2]]
+                proven_skipped = [k for r in results for k in r[3]]
+                generation_runtime = sum(r[5] for r in results)
+                atpg_tests = [test for outcome in outcomes for test in outcome.tests]
+                # With dropping on, faults the pattern phase already detected
+                # are excluded here too, so each dropped fault keeps exactly
+                # one detection index across the whole campaign; without
+                # dropping the full universe is simulated so compaction sees
+                # every alternative.
                 sim_faults = faults
-            report = model.simulate(
-                circuit, atpg_tests, sim_faults, drop_detected=spec.drop_detected,
-                engine=spec.engine, compiled=compiled, word_bits=spec.word_bits,
-            )
-            atpg_phase = build_atpg_phase(
-                model.name,
-                len(faults),
-                outcomes,
-                skipped,
-                report,
-                runtime=time.perf_counter() - t0,
-                generation_runtime=generation_runtime,
-                proven=proven_skipped,
-            )
-            detected.update(report.detected_faults)
+                if spec.drop_detected and pattern_phase is not None:
+                    detected = set(pattern_phase.report.detected_faults)
+                    sim_faults = faults.filtered(lambda f: f.key not in detected)
+                resim = rounds.round2(sim_faults, atpg_tests)
+                atpg_phase = build_atpg_phase(
+                    model.name,
+                    len(faults),
+                    outcomes,
+                    skipped,
+                    _merge_round([r[0] for r in resim], sim_faults, len(atpg_tests)),
+                    runtime=generation_runtime + sum(r[1] for r in resim),
+                    generation_runtime=generation_runtime,
+                    proven=proven_skipped,
+                )
 
-        return assemble_result(
+        result = assemble_result(
             spec,
             model,
             circuit,
@@ -865,6 +937,39 @@ class Campaign:
             runtime=time.perf_counter() - start,
             static_phase=static_phase,
         )
+        result.degraded = rounds.degraded
+        return result
+
+    def _rounds(self, circuit: LogicCircuit) -> AbstractContextManager:
+        """How this executor runs the two rounds, opened once the patterns are drawn."""
+        return nullcontext(_InProcessRounds(self, circuit))
+
+
+class _InProcessRounds:
+    """Each round body once, in this process, over the whole collapsed
+    universe, on one circuit compiled for the spec's engine."""
+
+    #: An in-process run never falls back to another engine.
+    degraded = None
+
+    def __init__(self, campaign: Campaign, circuit: LogicCircuit):
+        self.spec, self.model, self.circuit = campaign.spec, campaign.model, circuit
+        self.compiled = compile_for_engine(circuit, self.spec.engine, self.spec.word_bits)
+
+    def round1(self, faults: FaultList, tests: Optional[list], proven: frozenset[str]) -> list:
+        return [
+            simulate_and_generate(
+                self.spec, self.model, self.circuit, self.compiled, faults, tests, proven
+            )
+        ]
+
+    def round2(self, faults: FaultList, tests: list) -> list:
+        return [
+            resimulate(
+                self.model, self.circuit, self.compiled, faults, tests,
+                self.spec.engine, self.spec.drop_detected,
+            )
+        ]
 
 
 def run_campaign(

@@ -3,9 +3,11 @@
 The campaign pipeline is embarrassingly parallel across the fault universe:
 every fault's pattern-phase detection list, ATPG attempt and re-simulation
 result depend only on that fault (and the shared test lists), never on other
-faults.  :class:`ShardedCampaign` exploits this by partitioning the
-(collapsed) universe into contiguous shards and running two worker rounds in
-a :class:`~concurrent.futures.ProcessPoolExecutor`:
+faults.  :class:`ShardedCampaign` runs the phase sequence of
+:meth:`Campaign.run <repro.campaign.runner.Campaign.run>` -- which is its
+one-shard, in-process case -- but partitions the (collapsed) universe into
+contiguous shards and runs each of the two round bodies once per shard in a
+:class:`~concurrent.futures.ProcessPoolExecutor`:
 
 1. **pattern + generate** -- each shard fault-simulates the shared pattern
    tests over its fault slice and runs deterministic ATPG for its still
@@ -47,15 +49,13 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..analysis_static.analysis import circuit_analysis
-from ..atpg.compaction import merge_fault_shards
-from ..atpg.coverage import coverage_from_report
 from ..atpg.fault_sim import DetectionReport
 from ..atpg.parallel_sim import compile_for_engine
-from ..atpg.podem import PodemOptions
 from ..faults.base import Fault, FaultList
 from ..logic.netlist import LogicCircuit
 
@@ -64,20 +64,13 @@ from ..logic.netlist import LogicCircuit
 # are no-ops unless an injection plan is installed.
 from ..service.faultinject import inject
 from .errors import CampaignError, ShardExecutionError
-from .model import AtpgOutcome, FaultModel, get_model
+from .model import AtpgOutcome, get_model
 from .runner import (
     Campaign,
     CampaignResult,
     CampaignSpec,
-    PatternPhaseResult,
-    StaticPhaseResult,
-    assemble_result,
-    build_atpg_phase,
-    collapse_universe,
-    generate_atpg_outcomes,
-    resolve_campaign_circuit,
-    run_lint_gate,
-    run_static_phase,
+    resimulate,
+    simulate_and_generate,
 )
 
 
@@ -126,7 +119,8 @@ _TOKENS = itertools.count()
 #: token because retry degradation can re-run a shard of the same campaign
 #: under a fallback engine -- the packed artifact must not be reused then.
 #: Bounded so long-lived shared pools (CampaignSuite) do not accumulate one
-#: compiled circuit per finished campaign.
+#: compiled circuit per finished campaign; a run also evicts its own entries
+#: from the calling process when it ends (inline executors compile there).
 _WORKER_COMPILED: dict[tuple[str, str, Optional[int]], object] = {}
 _WORKER_CACHE_LIMIT = 8
 
@@ -150,52 +144,18 @@ def _worker_compiled(token: str, circuit: LogicCircuit, engine: str, word_bits: 
 def _shard_pattern_and_generate(
     token: str,
     circuit: LogicCircuit,
-    model_name: str,
+    spec: CampaignSpec,
     engine: str,
-    word_bits: Optional[int],
     tests: Optional[Sequence],
     fault_shard: Sequence[Fault],
-    drop_detected: bool,
-    run_atpg: bool,
-    podem_options: Optional[PodemOptions],
-    proven: frozenset[str] = frozenset(),
-    atpg_engine: str | None = None,
+    proven: frozenset[str],
     shard_index: int = -1,
 ) -> tuple[Optional[DetectionReport], list[AtpgOutcome], list[str], list[str], float, float]:
-    """Round 1: pattern-phase simulation plus ATPG generation for one shard.
-
-    *tests* is None when the spec has no pattern phase; *proven* carries the
-    parent's static untestability proofs (computed once, never per shard).
-    Returns the shard's pattern report, its ATPG outcomes, skipped keys and
-    proven keys (all in universe order), and the shard's (simulation
-    seconds, generation seconds).
-    """
+    """Round 1 of one shard in a worker: the round body on this worker's compile."""
     inject("worker.round1", shard=shard_index)
-    model = get_model(model_name)
-    compiled = _worker_compiled(token, circuit, engine, word_bits)
-    report: Optional[DetectionReport] = None
-    detected: set[str] = set()
-    sim_seconds = 0.0
-    if tests is not None:
-        t0 = time.perf_counter()
-        report = model.simulate(
-            circuit, tests, fault_shard, drop_detected=drop_detected,
-            engine=engine, compiled=compiled,
-        )
-        sim_seconds = time.perf_counter() - t0
-        detected.update(report.detected_faults)
-    outcomes: list[AtpgOutcome] = []
-    skipped: list[str] = []
-    proven_skipped: list[str] = []
-    gen_seconds = 0.0
-    if run_atpg:
-        t0 = time.perf_counter()
-        outcomes, skipped, proven_skipped = generate_atpg_outcomes(
-            model, circuit, fault_shard, detected, podem_options, proven=proven,
-            atpg_engine=atpg_engine,
-        )
-        gen_seconds = time.perf_counter() - t0
-    return report, outcomes, skipped, proven_skipped, sim_seconds, gen_seconds
+    model = get_model(spec.model)
+    compiled = _worker_compiled(token, circuit, engine, spec.word_bits)
+    return simulate_and_generate(spec, model, circuit, compiled, fault_shard, tests, proven, engine)
 
 
 def _shard_resimulate(
@@ -209,16 +169,11 @@ def _shard_resimulate(
     drop_detected: bool,
     shard_index: int = -1,
 ) -> tuple[DetectionReport, float]:
-    """Round 2: re-simulate the merged ATPG test list over one fault shard."""
+    """Round 2 of one shard in a worker: the round body on this worker's compile."""
     inject("worker.round2", shard=shard_index)
     model = get_model(model_name)
     compiled = _worker_compiled(token, circuit, engine, word_bits)
-    t0 = time.perf_counter()
-    report = model.simulate(
-        circuit, tests, fault_shard, drop_detected=drop_detected,
-        engine=engine, compiled=compiled,
-    )
-    return report, time.perf_counter() - t0
+    return resimulate(model, circuit, compiled, fault_shard, tests, engine, drop_detected)
 
 
 # --------------------------------------------------------------------------- #
@@ -428,7 +383,7 @@ def _collect_round(
     return [results[index] for index in sorted(results)]
 
 
-class ShardedCampaign:
+class ShardedCampaign(Campaign):
     """Fault-sharded, multi-process form of :class:`~repro.campaign.Campaign`.
 
     ``shards`` defaults to the spec's ``shards`` field; ``max_workers``
@@ -460,9 +415,7 @@ class ShardedCampaign:
         checkpoint_dir: str | os.PathLike | None = None,
         resume: bool = True,
     ):
-        spec.validate()
-        self.spec = spec
-        self.model: FaultModel = get_model(spec.model)
+        super().__init__(spec)
         self.shards = spec.shards if shards is None else shards
         if self.shards < 1:
             raise CampaignError(f"shards must be >= 1, got {self.shards}")
@@ -478,224 +431,124 @@ class ShardedCampaign:
         #: rebuilds, degraded shards).  All zero on a clean run.
         self.fault_tolerance: Optional[dict] = None
 
-    def _executor(self, num_shards: int) -> tuple[Executor, bool, Optional[int]]:
-        """The executor, whether this run owns (must shut down/rebuild) it,
-        and the owned pool's worker count (None for external/inline)."""
-        if self.pool is not None:
-            return self.pool, False, None
-        workers = self.max_workers
-        if workers == 0:
-            return InlineExecutor(), False, None
-        if workers is None:
-            workers = max(1, min(num_shards, os.cpu_count() or 1))
-        return ProcessPoolExecutor(max_workers=workers), True, workers
+    def _rounds(self, circuit: LogicCircuit) -> "_ShardRounds":
+        return _ShardRounds(self, circuit)
 
-    def run(self, circuit: LogicCircuit | str | None = None) -> CampaignResult:
-        """Execute the sharded pipeline; the result matches ``Campaign.run``."""
-        spec, model = self.spec, self.model
-        circuit = resolve_campaign_circuit(circuit, spec)
-        start = time.perf_counter()
 
-        # Universe building, collapsing and the static phase stay in the
-        # parent: they are cheap relative to simulation/ATPG, the contiguous
-        # partition of the *collapsed* list fixes shard contents (and hence
-        # merge order) once and for all, and running lint + proofs exactly
-        # once keeps the proof set -- and the deterministic shard-order sum
-        # of per-shard proven counts -- identical to the single-process run.
-        lint = run_lint_gate(circuit) if spec.static_phase else None
-        universe = model.build_universe(circuit, **spec.universe_options)
-        faults = collapse_universe(model, circuit, universe, spec.collapse)
-        static_phase: Optional[StaticPhaseResult] = None
-        proven: frozenset[str] = frozenset()
-        if spec.static_phase:
-            static_phase = run_static_phase(model, circuit, faults, lint=lint)
-            proven = frozenset(static_phase.proofs)
+class _ShardRounds(AbstractContextManager):
+    """The rounds of :class:`ShardedCampaign`: one worker task per shard.
+
+    Opening builds the circuit analysis (it is pickled with the circuit, so
+    no shard task relearns it), prepares the checkpoint store and draws the
+    run token; round 1 picks the executor.  Closing records the checkpoint
+    summary and fault-tolerance counters on the campaign, shuts an owned
+    pool down, and evicts the run's compiled circuits from this process,
+    where inline executors compile them.
+    """
+
+    def __init__(self, campaign: ShardedCampaign, circuit: LogicCircuit):
+        spec = campaign.spec
+        self.campaign, self.circuit = campaign, circuit
+        self.store = None
+        #: Worker count of a pool this run owns (shuts down, rebuilds).
+        self.pool_workers: Optional[int] = None
+        self.policy = RetryPolicy.for_spec(spec)
+        self.stats = RoundStats()
+        #: Engine-degradation provenance, set on close when a shard fell back.
+        self.degraded: Optional[dict] = None
         if spec.run_atpg:
-            # The analysis is pickled with the circuit, so building it here
-            # spares every shard task its own static-learning pass.
             circuit_analysis(circuit).build()
-        shard_lists = [s for s in partition_faults(faults, self.shards) if s]
-
-        tests: Optional[list] = None
-        if spec.pattern_source != "none":
-            tests = list(Campaign(spec).patterns_for(circuit))
-
-        store = None
-        if self.checkpoint_dir is not None:
+        if campaign.checkpoint_dir is not None:
             # Imported lazily: the service layer sits on top of this package.
             from ..service.checkpoint import CheckpointStore
             from ..service.fingerprint import campaign_fingerprint
 
-            store = CheckpointStore(self.checkpoint_dir)
-            store.prepare(
-                campaign_fingerprint(circuit, spec), self.shards, resume=self.resume
+            self.store = CheckpointStore(campaign.checkpoint_dir)
+            self.store.prepare(
+                campaign_fingerprint(circuit, spec), campaign.shards, resume=campaign.resume
             )
+        self.token = _new_token()
 
-        token = _new_token()
-        executor, owns_pool, pool_workers = self._executor(max(1, len(shard_lists)))
-        policy = RetryPolicy.for_spec(spec)
-        stats = RoundStats()
-
-        def rebuild() -> None:
-            # Replace a broken owned pool; the submit thunks read `executor`
-            # late-bound from this scope, so retries land on the new pool.
-            # External/inline executors are left alone -- retries go back to
-            # the same (possibly chaos-wrapped) executor.
-            nonlocal executor
-            if not owns_pool or pool_workers is None:
-                return
-            broken = executor
-            executor = ProcessPoolExecutor(max_workers=pool_workers)
-            broken.shutdown(wait=False, cancel_futures=True)
-
-        try:
-            num_pattern_tests = len(tests) if tests is not None else None
-            results = _collect_round(
-                [
-                    (
-                        index,
-                        lambda engine=None, shard=shard, index=index: executor.submit(
-                            _shard_pattern_and_generate,
-                            token, circuit, model.name, engine or spec.engine,
-                            spec.word_bits, tests, shard, spec.drop_detected,
-                            spec.run_atpg, spec.podem_options, proven,
-                            spec.atpg_engine, index,
-                        ),
-                    )
-                    for index, shard in enumerate(shard_lists)
-                ],
-                load=(
-                    (
-                        lambda index: store.load_round1(
-                            index, shard_lists[index], model.pattern_kind,
-                            num_pattern_tests,
-                        )
-                    )
-                    if store
-                    else None
-                ),
-                save=(
-                    (lambda index, rec: store.store_round1(index, shard_lists[index], rec))
-                    if store
-                    else None
-                ),
-                policy=policy,
-                stats=stats,
-                rebuild=rebuild,
-            )
-
-            pattern_phase: Optional[PatternPhaseResult] = None
-            detected: set[str] = set()
-            if tests is not None:
-                if results:
-                    report = merge_fault_shards(
-                        [r[0] for r in results], fault_order=faults.keys()
-                    )
-                else:  # empty fault universe: nothing was sharded
-                    report = DetectionReport(detections={}, num_tests=len(tests))
-                pattern_phase = PatternPhaseResult(
-                    source=spec.pattern_source,
-                    tests=tests,
-                    report=report,
-                    coverage=coverage_from_report(model.name, report),
-                    # Aggregate worker time, comparable to the sequential
-                    # phase cost (not the parallel wall time).
-                    runtime=sum(r[4] for r in results),
-                )
-                detected.update(report.detected_faults)
-
-            atpg_phase = None
-            if spec.run_atpg:
-                outcomes = [o for r in results for o in r[1]]
-                skipped = [k for r in results for k in r[2]]
-                # Shard-order concatenation == universe order (contiguous
-                # shards), so the proven list and its count merge
-                # deterministically no matter the worker schedule.
-                proven_skipped = [k for r in results for k in r[3]]
-                generation_runtime = sum(r[5] for r in results)
-                atpg_tests = [test for outcome in outcomes for test in outcome.tests]
-                if spec.drop_detected:
-                    sim_faults = faults.filtered(lambda f: f.key not in detected)
-                else:
-                    sim_faults = faults
-                resim_shards = [s for s in partition_faults(sim_faults, self.shards) if s]
-                resim = _collect_round(
-                    [
-                        (
-                            index,
-                            lambda engine=None, shard=shard, index=index: executor.submit(
-                                _shard_resimulate,
-                                token, circuit, model.name, engine or spec.engine,
-                                spec.word_bits, atpg_tests, shard,
-                                spec.drop_detected, index,
-                            ),
-                        )
-                        for index, shard in enumerate(resim_shards)
-                    ],
-                    load=(
-                        (
-                            lambda index: store.load_round2(
-                                index, resim_shards[index], len(atpg_tests)
-                            )
-                        )
-                        if store
-                        else None
-                    ),
-                    save=(
-                        (
-                            lambda index, rec: store.store_round2(
-                                index, resim_shards[index], rec
-                            )
-                        )
-                        if store
-                        else None
-                    ),
-                    policy=policy,
-                    stats=stats,
-                    rebuild=rebuild,
-                )
-                if resim:
-                    report = merge_fault_shards(
-                        [r[0] for r in resim], fault_order=sim_faults.keys()
-                    )
-                else:  # every fault already detected (or the universe is empty)
-                    report = DetectionReport(detections={}, num_tests=len(atpg_tests))
-                atpg_phase = build_atpg_phase(
-                    model.name,
-                    len(faults),
-                    outcomes,
-                    skipped,
-                    report,
-                    runtime=generation_runtime + sum(r[1] for r in resim),
-                    generation_runtime=generation_runtime,
-                    proven=proven_skipped,
-                )
-        finally:
-            if store is not None:
-                self.checkpoint_summary = store.summary()
-            self.fault_tolerance = stats.as_dict()
-            if owns_pool:
-                executor.shutdown()
-
-        result = assemble_result(
-            spec,
-            model,
-            circuit,
-            universe,
-            faults,
-            pattern_phase,
-            atpg_phase,
-            runtime=time.perf_counter() - start,
-            static_phase=static_phase,
-        )
-        if stats.degraded:
+    def __exit__(self, *exc_info) -> None:
+        if self.store is not None:
+            self.campaign.checkpoint_summary = self.store.summary()
+        self.campaign.fault_tolerance = self.stats.as_dict()
+        if self.pool_workers is not None:
+            self.executor.shutdown()
+        for key in [key for key in _WORKER_COMPILED if key[0] == self.token]:
+            del _WORKER_COMPILED[key]
+        if self.stats.degraded:
             # Operational provenance only: the fallback engines are
             # bit-identical, so the result payload itself is unchanged.
-            result.degraded = {
-                "engine": spec.engine,
-                "fallbacks": {str(i): eng for i, eng in sorted(stats.degraded.items())},
+            self.degraded = {
+                "engine": self.campaign.spec.engine,
+                "fallbacks": {str(i): eng for i, eng in sorted(self.stats.degraded.items())},
             }
-        return result
+
+    def _rebuild(self) -> None:
+        # Replace a broken owned pool.  External/inline executors are left
+        # alone -- retries go back to the same (possibly chaos-wrapped)
+        # executor.
+        if self.pool_workers is None:
+            return
+        broken = self.executor
+        self.executor = ProcessPoolExecutor(max_workers=self.pool_workers)
+        broken.shutdown(wait=False, cancel_futures=True)
+
+    def _collect(self, submits: list, load: Callable, save: Callable) -> list:
+        """One round of per-shard *submits* through :func:`_collect_round`."""
+        if self.store is None:
+            load = save = None
+        return _collect_round(
+            list(enumerate(submits)), load, save,
+            policy=self.policy, stats=self.stats, rebuild=self._rebuild,
+        )
+
+    # The submit thunks read self.executor late, so retries after a rebuild
+    # land on the replacement pool; their *engine* is a degradation fallback.
+    def round1(self, faults: FaultList, tests: Optional[list], proven: frozenset[str]) -> list:
+        campaign, spec, store = self.campaign, self.campaign.spec, self.store
+        shards = [s for s in partition_faults(faults, campaign.shards) if s]
+        # An external pool, an inline executor, or a process pool of our own.
+        if campaign.pool is not None:
+            self.executor = campaign.pool
+        elif campaign.max_workers == 0:
+            self.executor = InlineExecutor()
+        else:
+            self.pool_workers = campaign.max_workers or max(
+                1, min(len(shards), os.cpu_count() or 1)
+            )
+            self.executor = ProcessPoolExecutor(max_workers=self.pool_workers)
+        num_tests = len(tests) if tests is not None else None
+        return self._collect(
+            [
+                lambda engine=None, shard=shard, index=index: self.executor.submit(
+                    _shard_pattern_and_generate, self.token, self.circuit, spec,
+                    engine or spec.engine, tests, shard, proven, index,
+                )
+                for index, shard in enumerate(shards)
+            ],
+            load=lambda index: store.load_round1(
+                index, shards[index], campaign.model.pattern_kind, num_tests
+            ),
+            save=lambda index, record: store.store_round1(index, shards[index], record),
+        )
+
+    def round2(self, faults: FaultList, tests: list) -> list:
+        campaign, spec, store = self.campaign, self.campaign.spec, self.store
+        shards = [s for s in partition_faults(faults, campaign.shards) if s]
+        return self._collect(
+            [
+                lambda engine=None, shard=shard, index=index: self.executor.submit(
+                    _shard_resimulate, self.token, self.circuit, campaign.model.name,
+                    engine or spec.engine, spec.word_bits, tests, shard,
+                    spec.drop_detected, index,
+                )
+                for index, shard in enumerate(shards)
+            ],
+            load=lambda index: store.load_round2(index, shards[index], len(tests)),
+            save=lambda index, record: store.store_round2(index, shards[index], record),
+        )
 
 
 def run_sharded_campaign(

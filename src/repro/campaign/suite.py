@@ -6,8 +6,8 @@ CampaignSpec`\\ s (each naming its circuit) concurrently in a shared
 task, so a battery of small campaigns saturates the pool while every
 individual result stays bit-identical to a standalone
 :meth:`Campaign.run <repro.campaign.runner.Campaign.run>`.  Specs with
-``shards > 1`` run their shard pipeline inline inside the worker (nested
-process pools are never created).
+``shards > 1`` run the same pipeline's shards inline inside the worker
+(nested process pools are never created).
 
 :meth:`CampaignSuite.cross` builds the usual benchmark battery as the cross
 product of circuits x models x engines, and :class:`SuiteResult` emits the

@@ -229,7 +229,7 @@ def test_serial_packed_equivalence_obd(seed, drop_detected):
 # --------------------------------------------------------------------------- #
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from(("d-alg", "podem", "legacy")),
+    st.sampled_from(("d-alg", "podem")),
 )
 @settings(max_examples=10, deadline=None)
 def test_structural_atpg_vectors_detected_by_both_simulators(seed, engine_name):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -24,8 +25,12 @@ from repro.campaign import (
     run_campaign_suite,
     run_sharded_campaign,
 )
+import repro.campaign.sharded as sharded_module
+from repro.campaign.errors import ShardExecutionError
+from repro.campaign.model import get_model
 from repro.campaign.sharded import _new_token, _shard_resimulate
 from repro.faults import stuck_at_universe
+from repro.service.faultinject import Injection, InjectionPlan, install
 
 
 # --------------------------------------------------------------------------- #
@@ -100,6 +105,86 @@ class TestMergeFaultShards:
         merged = concat_phase_reports(["f1", "f2"], [first, second])
         assert merged.detections == {"f1": [0], "f2": [4]}
         assert merged.num_tests == 5
+
+
+def test_merge_takes_ownership_of_shard_lists():
+    a = DetectionReport(detections={"f1": [0, 2]}, num_tests=3)
+    b = DetectionReport(detections={"f2": [1]}, num_tests=3)
+    merged = merge_fault_shards([a, b], fault_order=["f1", "f2"])
+    assert merged.detections["f1"] is a.detections["f1"]
+    assert merged.detections["f2"] is b.detections["f2"]
+    # One shard already in fault order is its own union.
+    assert merge_fault_shards([a], fault_order=["f1"]) is a
+
+
+# --------------------------------------------------------------------------- #
+# Campaign.run: the one-shard, in-process case of the shard pipeline.  It
+# uses no executor, retry, degradation or fault-injection hook.
+# --------------------------------------------------------------------------- #
+C17_SPEC = dict(model="stuck-at", circuit="c17", pattern_source="random",
+                pattern_count=8, seed=2)
+
+
+class TestInProcessCampaign:
+    def test_engine_error_propagates_as_raised(self, monkeypatch):
+        model = get_model("stuck-at")
+        simulate = model.simulate
+
+        def packed_down(*args, engine="packed", **kwargs):
+            if engine == "packed":
+                raise RuntimeError("packed engine down")
+            return simulate(*args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(model, "simulate", packed_down)
+        # A sharded run would retry the shard on the serial engine and
+        # return a degraded result; the in-process run raises instead.
+        with pytest.raises(RuntimeError, match="packed engine down") as info:
+            Campaign(CampaignSpec(**C17_SPEC)).run()
+        assert type(info.value) is RuntimeError
+
+    def test_builds_no_process_pool(self, monkeypatch):
+        built = []
+
+        def spy_pool(max_workers=None):
+            built.append(max_workers)
+            return InlineExecutor()
+
+        monkeypatch.setattr(sharded_module, "ProcessPoolExecutor", spy_pool)
+        spec = CampaignSpec(**C17_SPEC, shards=4)
+        Campaign(spec).run()
+        assert built == []
+        # Control: the sharded executor does build its pool by this name.
+        ShardedCampaign(spec).run()
+        assert len(built) == 1
+
+    def test_worker_injection_hooks_do_not_fire(self):
+        plan = InjectionPlan((
+            Injection("worker.round1", "crash"),
+            Injection("worker.round2", "crash"),
+        ))
+        spec = CampaignSpec(**C17_SPEC)
+        with install(plan) as injector:
+            Campaign(spec).run()
+        assert injector.fired == []
+        with install(plan) as injector:
+            ShardedCampaign(spec, max_workers=0).run()
+        assert [f.site for f in injector.fired] == ["worker.round1", "worker.round2"]
+
+
+class TestCompiledCircuitEviction:
+    def test_inline_runs_leave_no_compiled_circuit(self):
+        spec = CampaignSpec(**C17_SPEC)
+        before = set(sharded_module._WORKER_COMPILED)
+        for _ in range(3):
+            ShardedCampaign(spec, shards=2, max_workers=0).run()
+        ShardedCampaign(spec, shards=2, pool=InlineExecutor()).run()
+        CampaignSuite([dataclasses.replace(spec, shards=2)], max_workers=0).run()
+        # A run that fails after round 1 compiled evicts its circuits too.
+        plan = InjectionPlan((Injection("worker.round2", "crash", times=4),))
+        failing = dataclasses.replace(spec, allow_degraded=False)
+        with install(plan), pytest.raises(ShardExecutionError):
+            ShardedCampaign(failing, shards=2, max_workers=0).run()
+        assert set(sharded_module._WORKER_COMPILED) <= before
 
 
 # --------------------------------------------------------------------------- #

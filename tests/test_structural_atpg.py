@@ -68,7 +68,7 @@ FAMILY_REFS = [
 ]
 
 STRUCTURAL = ("d-alg", "podem")
-ALL_ENGINES = ("d-alg", "podem", "legacy")
+ALL_ENGINES = ("d-alg", "podem")
 
 
 def collapsed_faults(circuit):
@@ -153,7 +153,7 @@ def test_justification_and_propagation_cubes_are_sound_and_complete():
 # Registry.
 # --------------------------------------------------------------------------- #
 def test_registry_mirrors_packed_simulators_shape():
-    assert atpg_engine_names() == ("d-alg", "legacy", "podem")
+    assert atpg_engine_names() == ("d-alg", "podem")
     for name in atpg_engine_names():
         engine = get_atpg_engine(name)
         assert isinstance(engine, StructuralAtpg)
@@ -302,24 +302,13 @@ def test_legacy_give_up_reports_aborted_not_untestable():
     assert hits > 0, "budget of 1 backtrack never aborted on mult:4"
 
 
-def test_legacy_structural_adapter_matches_raw_podem():
-    circuit = resolve_circuit("parity:5")
-    raw_engine = get_atpg_engine("legacy")
-    from repro.atpg.podem import generate_stuck_at_test
-
-    for fault in collapsed_faults(circuit):
-        adapted = raw_engine.generate(circuit, fault, GENEROUS)
-        raw = generate_stuck_at_test(circuit, fault, options=GENEROUS)
-        assert adapted.success == raw.success
-        assert adapted.aborted == raw.aborted
-
-
 # --------------------------------------------------------------------------- #
 # Campaign threading: spec field, JSON payload, sharded bit-identity.
 # --------------------------------------------------------------------------- #
 def test_campaign_spec_rejects_unknown_engine():
-    with pytest.raises(CampaignError):
-        CampaignSpec(model="stuck-at", circuit="c17", atpg_engine="bogus")
+    for name in ("bogus", "legacy"):
+        with pytest.raises(CampaignError):
+            CampaignSpec(model="stuck-at", circuit="c17", atpg_engine=name)
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)
@@ -478,9 +467,19 @@ def test_static_and_structural_proofs_agree_on_redundant_netlists():
                     assert result.status == PROVEN_REDUNDANT, (name, fault.key)
 
 
+def legacy_status(circuit, fault, options):
+    """The two-rail PODEM's verdict on *fault*, in structural-engine terms."""
+    from repro.atpg.podem import generate_stuck_at_test
+
+    result = generate_stuck_at_test(circuit, fault, options=options)
+    if result.success:
+        return TESTED
+    return ABORTED if result.aborted else PROVEN_REDUNDANT
+
+
 def test_structural_engines_beat_or_match_legacy_resolution():
     """At the same budget, the rewritten engines leave no more faults
-    unresolved (aborted) than the legacy PODEM."""
+    unresolved (aborted) than the legacy two-rail PODEM."""
     circuit = resolve_circuit("rdag:150,29")
     faults = collapsed_faults(circuit)
     budget = PodemOptions(max_backtracks=5_000)
@@ -490,5 +489,8 @@ def test_structural_engines_beat_or_match_legacy_resolution():
         aborted[name] = sum(
             1 for f in faults if engine.generate(circuit, f, budget).status == ABORTED
         )
+    aborted["legacy"] = sum(
+        1 for f in faults if legacy_status(circuit, f, budget) == ABORTED
+    )
     assert aborted["podem"] <= aborted["legacy"]
     assert aborted["d-alg"] <= aborted["legacy"]
