@@ -4,6 +4,9 @@ Used to reproduce the Section-4.3 statistic that a small subset of the
 possible input transitions (the paper quotes 18) suffices to detect every
 testable OBD fault of the full-adder example.
 
+Everything here works on the reports' per-fault int bitsets
+(:attr:`~repro.atpg.fault_sim.DetectionReport.words`).
+
 The two merge helpers are the determinism backbone of the sharded campaign
 executor (:mod:`repro.campaign.sharded`): per-shard
 :class:`~repro.atpg.fault_sim.DetectionReport`\\ s are recombined into the
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as _np
+
 from .fault_sim import DetectionReport
 
 
@@ -28,35 +33,32 @@ def merge_fault_shards(
 
     Every shard must have simulated the same tests (``num_tests`` must
     agree) over a disjoint slice of the fault universe; the merged report
-    contains each fault's detection list unchanged.  It takes ownership of
-    the shard reports rather than copying them: the merged report holds the
-    same list objects (a single report already in order is returned as is),
-    so callers must not mutate or reuse the shard reports.  *fault_order*
-    restores the original universe order of the detections dict (shards may
-    have run out of order), so downstream JSON reports are byte-identical to
-    the unsharded run; without it, shards are concatenated in the given
-    order.
+    holds each fault's detection bitset unchanged, and a single report
+    already in order is returned as is.  *fault_order* restores the
+    original universe order of the faults (shards may have run out of
+    order), so downstream JSON reports are byte-identical to the unsharded
+    run; without it, shards are concatenated in the given order.
     """
     if not reports:
-        return DetectionReport(detections={}, num_tests=0)
+        return DetectionReport(words={}, num_tests=0)
     fault_order = None if fault_order is None else list(fault_order)
-    if len(reports) == 1 and fault_order in (None, list(reports[0].detections)):
+    if len(reports) == 1 and fault_order in (None, list(reports[0].words)):
         return reports[0]
     num_tests = reports[0].num_tests
-    merged: dict[str, list[int]] = {}
+    merged: dict[str, int] = {}
     for report in reports:
         if report.num_tests != num_tests:
             raise ValueError(
                 f"fault shards disagree on the test list: {report.num_tests} "
                 f"tests vs {num_tests}; shard merging needs one shared test list"
             )
-        for key, indices in report.detections.items():
+        for key in report.words:
             if key in merged:
                 raise ValueError(f"fault {key!r} appears in more than one shard")
-            merged[key] = indices
+        merged |= report.words
     if fault_order is None:
-        return DetectionReport(detections=merged, num_tests=num_tests)
-    ordered: dict[str, list[int]] = {}
+        return DetectionReport(words=merged, num_tests=num_tests)
+    ordered: dict[str, int] = {}
     for key in fault_order:
         try:
             ordered[key] = merged.pop(key)
@@ -65,7 +67,7 @@ def merge_fault_shards(
     if merged:
         extra = next(iter(merged))
         raise ValueError(f"fault {extra!r} not in the requested fault order")
-    return DetectionReport(detections=ordered, num_tests=num_tests)
+    return DetectionReport(words=ordered, num_tests=num_tests)
 
 
 def concat_phase_reports(
@@ -77,17 +79,18 @@ def concat_phase_reports(
     Each report covers a (subset of the) same fault universe but a
     *different* test list; test indices of later reports are offset by the
     number of tests in earlier ones (pattern-phase tests first, then ATPG
-    tests -- the convention of :class:`~repro.campaign.CampaignResult`).
-    Faults absent from a report (e.g. dropped before the ATPG re-simulation)
-    simply contribute no indices from it.
+    tests -- the convention of :class:`~repro.campaign.CampaignResult`), so
+    each fault's bitset is shifted by that offset and ORed in.  Faults
+    absent from a report (e.g. dropped before the ATPG re-simulation)
+    simply contribute no bits from it.
     """
-    detections: dict[str, list[int]] = {key: [] for key in fault_keys}
+    words = {key: 0 for key in fault_keys}
     offset = 0
     for report in reports:
-        for key, indices in report.detections.items():
-            detections[key].extend(offset + index for index in indices)
+        for key, word in report.words.items():
+            words[key] |= word << offset
         offset += report.num_tests
-    return DetectionReport(detections=detections, num_tests=offset)
+    return DetectionReport(words=words, num_tests=offset)
 
 
 @dataclass(frozen=True)
@@ -108,38 +111,34 @@ def greedy_compaction(report: DetectionReport) -> CompactionResult:
 
     Repeatedly picks the test detecting the largest number of still-uncovered
     faults; ties on gain break deterministically toward the **lowest** test
-    index, independent of the order faults appear in the report.  Faults
-    never detected by any test are reported as uncovered.
+    index, independent of the order faults appear in the report.  Every
+    detectable fault ends covered; faults never detected by any test are
+    reported as uncovered.
+
+    Gains are column sums of a detectable-fault x test 0/1 matrix (one byte
+    per cell), and ``argmax`` returns the first maximum: the lowest index.
     """
-    detectable = {key for key, tests in report.detections.items() if tests}
-    fault_sets: dict[int, set[str]] = {}
-    for key, tests in report.detections.items():
-        for index in tests:
-            fault_sets.setdefault(index, set()).add(key)
-    candidate_order = sorted(fault_sets)
-
-    uncovered = set(detectable)
+    detectable = [key for key, word in report.words.items() if word]
     selected: list[int] = []
-    chosen: set[int] = set()
-    while uncovered:
-        best_index, best_gain = None, 0
-        for index in candidate_order:
-            if index in chosen:
-                continue
-            gain = len(fault_sets[index] & uncovered)
-            if gain > best_gain:
-                best_index, best_gain = index, gain
-        if best_index is None:
-            break
-        selected.append(best_index)
-        chosen.add(best_index)
-        uncovered -= fault_sets[best_index]
-
-    never_detected = tuple(sorted(set(report.detections) - detectable))
+    if detectable:
+        words = [report.words[key] for key in detectable]
+        width = (max(word.bit_length() for word in words) + 7) >> 3
+        packed = _np.frombuffer(
+            b"".join(word.to_bytes(width, "little") for word in words), dtype=_np.uint8
+        ).reshape(len(words), width)
+        matrix = _np.unpackbits(packed, axis=1, bitorder="little").view(_np.bool_)
+        gains = matrix.sum(axis=0, dtype=_np.int64)
+        uncovered = _np.ones(len(words), dtype=_np.bool_)
+        while uncovered.any():
+            best = int(gains.argmax())
+            selected.append(best)
+            newly = uncovered & matrix[:, best]
+            uncovered ^= newly
+            gains -= matrix[newly].sum(axis=0, dtype=_np.int64)
     return CompactionResult(
         selected_indices=tuple(selected),
-        covered_faults=tuple(sorted(detectable - uncovered)),
-        uncovered_faults=tuple(sorted(uncovered | set(never_detected))),
+        covered_faults=tuple(sorted(detectable)),
+        uncovered_faults=tuple(sorted(key for key, word in report.words.items() if not word)),
     )
 
 

@@ -56,7 +56,7 @@ def coverage_from_report(model: str, report: DetectionReport, untestable: int = 
     """Build a :class:`CoverageReport` from a fault-simulation detection report."""
     return CoverageReport(
         model=model,
-        total_faults=len(report.detections),
+        total_faults=len(report.words),
         detected=len(report.detected_faults),
         untestable=untestable,
         aborted=aborted,

@@ -29,6 +29,7 @@ difference from transition-fault simulation that Section 4.1 is about.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..core.excitation import Sequence2
@@ -36,7 +37,7 @@ from ..faults.obd import ObdFault
 from ..faults.path_delay import RISING, PathDelayFault
 from ..faults.stuck_at import StuckAtFault
 from ..faults.transition import TransitionFault
-from ..logic.compiled import CompiledCircuit
+from ..logic.compiled import CompiledCircuit, iter_bits
 from ..logic.netlist import LogicCircuit
 from ..logic.simulator import simulate_pattern
 
@@ -83,24 +84,33 @@ def _outputs(circuit: LogicCircuit, values: dict[str, int]) -> tuple[int, ...]:
 # --------------------------------------------------------------------------- #
 @dataclass
 class DetectionReport:
-    """Which tests detect which faults."""
+    """Which tests detect which faults.
 
-    detections: dict[str, list[int]]
+    ``words[key]`` is one int bitset per fault: bit *i* is set when test *i*
+    detects it.  Reports are never mutated once built; :attr:`detections`
+    decodes them to ascending index lists for the JSON boundary.
+    """
+
+    words: dict[str, int]
     num_tests: int
+
+    @cached_property
+    def detections(self) -> dict[str, list[int]]:
+        return {key: list(iter_bits(word)) for key, word in self.words.items()}
 
     @property
     def detected_faults(self) -> list[str]:
-        return [key for key, tests in self.detections.items() if tests]
+        return [key for key, word in self.words.items() if word]
 
     @property
     def undetected_faults(self) -> list[str]:
-        return [key for key, tests in self.detections.items() if not tests]
+        return [key for key, word in self.words.items() if not word]
 
     @property
     def coverage(self) -> float:
-        if not self.detections:
+        if not self.words:
             return 1.0
-        return len(self.detected_faults) / len(self.detections)
+        return len(self.detected_faults) / len(self.words)
 
     def detecting_tests(self, fault_key: str) -> list[int]:
         return self.detections[fault_key]
@@ -139,21 +149,19 @@ def serial_simulate_stuck_at(
 ) -> DetectionReport:
     """Serial reference engine: one forced re-simulation per (fault, pattern)."""
     fault_list = list(faults)
-    detections: dict[str, list[int]] = {f.key: [] for f in fault_list}
-    remaining = set(detections)
+    words = {f.key: 0 for f in fault_list}
     for index, pattern in enumerate(patterns):
         good = simulate_pattern(circuit, pattern)
         good_outputs = _outputs(circuit, good)
         for fault in fault_list:
-            if drop_detected and fault.key not in remaining:
+            if drop_detected and words[fault.key]:
                 continue
             if good[fault.net] == fault.value:
                 continue  # not activated by this pattern
             faulty = simulate_with_forced_net(circuit, pattern, fault.net, fault.value)
             if _outputs(circuit, faulty) != good_outputs:
-                detections[fault.key].append(index)
-                remaining.discard(fault.key)
-    return DetectionReport(detections=detections, num_tests=len(patterns))
+                words[fault.key] |= 1 << index
+    return DetectionReport(words=words, num_tests=len(patterns))
 
 
 # --------------------------------------------------------------------------- #
@@ -218,21 +226,19 @@ def serial_simulate_transition(
 ) -> DetectionReport:
     """Serial reference engine; good machine computed once per pair."""
     fault_list = list(faults)
-    detections: dict[str, list[int]] = {f.key: [] for f in fault_list}
-    remaining = set(detections)
+    words = {f.key: 0 for f in fault_list}
     for index, (first, second) in enumerate(pairs):
         values1 = simulate_pattern(circuit, first)
         values2 = simulate_pattern(circuit, second)
         good_outputs = _outputs(circuit, values2)
         for fault in fault_list:
-            if drop_detected and fault.key not in remaining:
+            if drop_detected and words[fault.key]:
                 continue
             if _transition_detected_with_values(
                 circuit, fault, second, values1, values2, good_outputs
             ):
-                detections[fault.key].append(index)
-                remaining.discard(fault.key)
-    return DetectionReport(detections=detections, num_tests=len(pairs))
+                words[fault.key] |= 1 << index
+    return DetectionReport(words=words, num_tests=len(pairs))
 
 
 # --------------------------------------------------------------------------- #
@@ -302,18 +308,16 @@ def serial_simulate_path_delay(
 ) -> DetectionReport:
     """Serial reference engine; good machine computed once per pair."""
     fault_list = list(faults)
-    detections: dict[str, list[int]] = {f.key: [] for f in fault_list}
-    remaining = set(detections)
+    words = {f.key: 0 for f in fault_list}
     for index, (first, second) in enumerate(pairs):
         values1 = simulate_pattern(circuit, first)
         values2 = simulate_pattern(circuit, second)
         for fault in fault_list:
-            if drop_detected and fault.key not in remaining:
+            if drop_detected and words[fault.key]:
                 continue
             if _path_delay_sensitized_with_values(fault, values1, values2):
-                detections[fault.key].append(index)
-                remaining.discard(fault.key)
-    return DetectionReport(detections=detections, num_tests=len(pairs))
+                words[fault.key] |= 1 << index
+    return DetectionReport(words=words, num_tests=len(pairs))
 
 
 # --------------------------------------------------------------------------- #
@@ -389,18 +393,16 @@ def serial_simulate_obd(
 ) -> DetectionReport:
     """Serial reference engine; good machine computed once per pair."""
     fault_list = list(faults)
-    detections: dict[str, list[int]] = {f.key: [] for f in fault_list}
-    remaining = set(detections)
+    words = {f.key: 0 for f in fault_list}
     for index, (first, second) in enumerate(pairs):
         values1 = simulate_pattern(circuit, first)
         values2 = simulate_pattern(circuit, second)
         good_outputs = _outputs(circuit, values2)
         for fault in fault_list:
-            if drop_detected and fault.key not in remaining:
+            if drop_detected and words[fault.key]:
                 continue
             if _obd_detected_with_values(
                 circuit, fault, second, values1, values2, good_outputs
             ):
-                detections[fault.key].append(index)
-                remaining.discard(fault.key)
-    return DetectionReport(detections=detections, num_tests=len(pairs))
+                words[fault.key] |= 1 << index
+    return DetectionReport(words=words, num_tests=len(pairs))

@@ -47,11 +47,13 @@ compiled circuit:
 Every backend is bit-identical; :func:`compile_for_engine` maps an engine
 name to the right :class:`~repro.logic.compiled.CompiledCircuit` flavor.
 
-With ``drop_detected`` a fault stops being simulated after its first
-detection; the recorded index is the lowest set bit of the first non-zero
-detection word, which is exactly the pattern the serial engine would have
-stopped at.  Detection indices are independent of ``word_bits`` and of the
-backend: blocks run in ascending pattern order at every width.
+Both detect steps hand back int detection words, which the block loop ORs
+into each fault's report bitset at the block's base.  With
+``drop_detected`` a fault stops being simulated after its first detection;
+the report keeps only the lowest set bit of the first non-zero detection
+word, which is exactly the pattern the serial engine would have stopped at.
+Reports are independent of ``word_bits`` and of the backend: blocks run in
+ascending pattern order at every width.
 """
 
 from __future__ import annotations
@@ -65,12 +67,11 @@ from ..logic.compiled import (
     DEFAULT_WORD_BITS,
     CompiledCircuit,
     compile_circuit,
-    decode_into,
-    first_set_bit,
     pack_pair_blocks,
     pack_pair_blocks_array,
     pack_pattern_blocks,
     pack_pattern_blocks_array,
+    words_to_int,
 )
 from ..logic.netlist import LogicCircuit
 from .fault_sim import DetectionReport
@@ -99,49 +100,12 @@ class FaultSite(NamedTuple):
     excite: Optional[Callable]
 
 
-def _record_ints(detections, remaining, hits, base, drop_detected) -> None:
-    """Record one block's ``(key, detection_word)`` big-int hits."""
+def _record(words, hits, base, drop_detected) -> None:
+    """OR one block's ``(key, detection_word)`` hits into the report at *base*."""
     for key, word in hits:
         if drop_detected:
-            detections[key].append(base + (word & -word).bit_length() - 1)
-            remaining.discard(key)
-        else:
-            decode_into(detections[key], word, base)
-
-
-def _record_rows(detections, remaining, hits, base, drop_detected) -> None:
-    """Record one block's ``(key, detection_row)`` array hits.
-
-    Fault dropping records only the first set bit per fault, so it decodes
-    row by row; the dense no-drop path stacks every detected row and decodes
-    the whole block in **one** ``unpackbits`` + ``flatnonzero`` pass --
-    per-row decode calls would otherwise dominate dense workloads.
-    """
-    if not hits:
-        return
-    if drop_detected:
-        for key, row in hits:
-            detections[key].append(base + first_set_bit(row))
-            remaining.discard(key)
-        return
-    stacked = _np.stack([row for _key, row in hits])
-    row_bits = stacked.shape[1] << 6
-    bits = _np.unpackbits(stacked.view(_np.uint8), bitorder="little")
-    # flatnonzero on a bool view hits numpy's fast path (~7x over uint8).
-    positions = _np.flatnonzero(bits.view(_np.bool_))
-    boundaries = _np.searchsorted(
-        positions, _np.arange(1, len(hits)) * row_bits
-    )
-    # Detection indices repeat heavily across faults, so gather shared int
-    # objects from a per-block pool instead of materializing a fresh PyLong
-    # per index (``.tolist()`` on the raw positions) -- the lists still
-    # compare equal, they just alias the pool's objects.
-    pool = _np.fromiter(range(base, base + row_bits), dtype=object, count=row_bits)
-    for offset, chunk in enumerate(_np.split(positions, boundaries)):
-        if chunk.size:
-            detections[hits[offset][0]].extend(
-                pool[chunk - offset * row_bits].tolist()
-            )
+            word &= -word  # first detection only
+        words[key] |= word << base
 
 
 def _detect_ints(cc: CompiledCircuit, sites, first, last, mask, runs_left) -> list:
@@ -260,7 +224,7 @@ def _detect_arrays(cc: CompiledCircuit, sites, first, last, mask, runs_left) -> 
         if excited is not None and not excited.any():
             continue
         if net is None:
-            hits.append((key, excited))
+            hits.append((key, words_to_int(excited)))
             continue
         row = row_ids.get((net, force))
         if row is None:
@@ -289,7 +253,7 @@ def _detect_arrays(cc: CompiledCircuit, sites, first, last, mask, runs_left) -> 
             [mask if excited is None else excited for _key, _row, excited in gated]
         )
         for offset in _np.flatnonzero(detected.any(axis=1)):
-            hits.append((gated[offset][0], detected[offset]))
+            hits.append((gated[offset][0], words_to_int(detected[offset])))
     return hits
 
 
@@ -304,40 +268,39 @@ def simulate_sites(
     """The block loop: fault-simulate *tests* over per-fault *sites*.
 
     *tests* are single patterns, or ``(first, second)`` pairs when
-    *two_pattern* is set.  The word backend -- packers, detect step and
-    detection decoding -- follows ``cc.backend``.  Pass the same *cc* for
-    every fault sublist and nothing per-circuit is re-derived between
-    calls: the big-int backend's per-site walk counts and cone kernels
-    accumulate in the compiled circuit, so a site that keeps being simulated
-    across calls compiles its kernel once its walks plus the blocks left
-    reach :data:`~repro.logic.compiled.KERNEL_BREAK_EVEN`.
+    *two_pattern* is set.  The word backend -- packers and detect step --
+    follows ``cc.backend``.  Pass the same *cc* for every fault sublist and
+    nothing per-circuit is re-derived between calls: the big-int backend's
+    per-site walk counts and cone kernels accumulate in the compiled
+    circuit, so a site that keeps being simulated across calls compiles its
+    kernel once its walks plus the blocks left reach
+    :data:`~repro.logic.compiled.KERNEL_BREAK_EVEN`.
 
     A block's *runs_left* is the number of blocks left in the call, this one
     included.  With *drop_detected* the first block counts as one, because
     most faults drop on their first activated block.
     """
-    detections: dict[str, list[int]] = {site.key: [] for site in sites}
-    remaining = set(detections)
+    words = {site.key: 0 for site in sites}
     if cc.backend == "numpy":
         pack = pack_pair_blocks_array if two_pattern else pack_pattern_blocks_array
-        detect, record = _detect_arrays, _record_rows
+        detect = _detect_arrays
         sites = sorted(sites, key=lambda site: _cone_order(cc, site.net))
     else:
         pack = pack_pair_blocks if two_pattern else pack_pattern_blocks
-        detect, record = _detect_ints, _record_ints
+        detect = _detect_ints
     live = sites
     num_blocks = -(-len(tests) // cc.word_bits)
     blocks = pack(tests, len(cc.input_indices), cc.word_bits)
     for block, (base, mask, *frames) in enumerate(blocks):
         if drop_detected:
-            if not remaining:
+            live = [site for site in live if not words[site.key]]
+            if not live:
                 break
-            live = [site for site in live if site.key in remaining]
-        goods = [cc.evaluate(words, mask) for words in frames]
+        goods = [cc.evaluate(inputs, mask) for inputs in frames]
         runs_left = 1 if drop_detected and block == 0 else num_blocks - block
         hits = detect(cc, live, goods[0], goods[-1], mask, runs_left)
-        record(detections, remaining, hits, base, drop_detected)
-    return DetectionReport(detections=detections, num_tests=len(tests))
+        _record(words, hits, base, drop_detected)
+    return DetectionReport(words=words, num_tests=len(tests))
 
 
 #: Compiled-engine name -> packed word backend (``"serial"`` has neither a

@@ -73,8 +73,8 @@ class CampaignSpec:
     ``drop_detected=True`` stops simulating each fault after its first
     detection -- the right mode for large coverage-only campaigns, but it
     leaves the compactor only one candidate test per fault, so the greedy
-    cover can come out larger than the true minimum.  The default keeps full
-    detection lists so compaction quality is exact.
+    cover can come out larger than the true minimum.  The default keeps every
+    detection of every fault so compaction quality is exact.
 
     ``circuit`` optionally names the workload instead of passing a
     :class:`LogicCircuit` to :meth:`Campaign.run`: a registered circuit
@@ -718,7 +718,7 @@ def resimulate(
 def _merge_round(reports: list, faults: FaultList, num_tests: int) -> DetectionReport:
     """A round's slice reports merged in universe order (none: no slice ran)."""
     if not reports:
-        return DetectionReport(detections={}, num_tests=num_tests)
+        return DetectionReport(words={}, num_tests=num_tests)
     return merge_fault_shards(reports, fault_order=faults.keys())
 
 

@@ -1,7 +1,7 @@
 """Multi-process sharded campaign execution.
 
 The campaign pipeline is embarrassingly parallel across the fault universe:
-every fault's pattern-phase detection list, ATPG attempt and re-simulation
+every fault's pattern-phase detection bitset, ATPG attempt and re-simulation
 result depend only on that fault (and the shared test lists), never on other
 faults.  :class:`ShardedCampaign` runs the phase sequence of
 :meth:`Campaign.run <repro.campaign.runner.Campaign.run>` -- which is its

@@ -45,8 +45,10 @@ in :mod:`repro.atpg.fault_sim` is the reference both tiers are tested
 against.
 
 The helpers :func:`pack_pattern_blocks` / :func:`pack_pair_blocks` slice a
-pattern (pair) sequence into word-sized blocks, and :func:`iter_bits` walks
-the set bits of a detection word back to pattern indices.
+pattern (pair) sequence into word-sized blocks.  Detection words leave the
+engines as ints on both backends (:func:`words_to_int` for arrays), and
+:func:`iter_bits` is the one decoder from a detection word back to pattern
+indices.
 """
 
 from __future__ import annotations
@@ -627,34 +629,24 @@ def pack_pair_blocks(
         yield base, (1 << len(block)) - 1, words1, words2
 
 
-def iter_bits(word: int) -> Iterator[int]:
-    """Indices of the set bits of *word*, in ascending order."""
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
-
-
 #: Per-byte set-bit offsets, for decoding detection words a byte at a time.
 _BYTE_BITS: tuple[tuple[int, ...], ...] = tuple(
     tuple(bit for bit in range(8) if (value >> bit) & 1) for value in range(256)
 )
 
 
-def decode_into(out: list[int], word: int, base: int) -> None:
-    """Append ``base + i`` to *out* for every set bit *i* of *word*, ascending.
+def iter_bits(word: int) -> Iterator[int]:
+    """Indices of the set bits of *word*, in ascending order.
 
-    Equivalent to ``out.extend(base + b for b in iter_bits(word))`` but walks
-    the word a byte at a time through a lookup table -- decoding detection
-    words back to pattern indices is hot enough in wide-word fault simulation
-    to matter.
+    Walks the word a byte at a time through a lookup table, so the cost is
+    linear in the word's length rather than its length times its set bits --
+    a dense detection word over thousands of tests decodes in one pass.
     """
-    append = out.append
     for position, byte in enumerate(word.to_bytes((word.bit_length() + 7) >> 3, "little")):
         if byte:
-            offset = base + (position << 3)
+            offset = position << 3
             for bit in _BYTE_BITS[byte]:
-                append(offset + bit)
+                yield offset + bit
 
 
 # --------------------------------------------------------------------------- #
@@ -789,10 +781,3 @@ def pack_pair_blocks_array(
             _pack_matrix(first, num_words),
             _pack_matrix(second, num_words),
         )
-
-
-def first_set_bit(words: "Any") -> int:
-    """Bit index of the lowest set bit of a nonzero word array."""
-    position = int(_np.flatnonzero(words)[0])
-    word = int(words[position])
-    return (position << 6) + (word & -word).bit_length() - 1

@@ -41,8 +41,11 @@ from .fingerprint import SCHEMA_VERSION
 #: Checkpoint file-format version (independent of the campaign
 #: SCHEMA_VERSION, which governs *result* compatibility).  Version 3 adds
 #: the per-record checksum/length trailer; v2 records fail trailer
-#: validation and are quarantined + recomputed on first resume.
-CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/3"
+#: validation and are quarantined + recomputed on first resume.  Version 4
+#: stores a report as one hex detection bitset per fault (``"words"``)
+#: instead of index lists; a v3 manifest is refused on resume, and
+#: ``resume=False`` clears it.
+CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/4"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -95,7 +98,7 @@ def _encode_report(report: Optional[DetectionReport]) -> Optional[dict[str, Any]
     if report is None:
         return None
     return {
-        "detections": {key: list(indices) for key, indices in report.detections.items()},
+        "words": {key: format(word, "x") for key, word in report.words.items()},
         "num_tests": report.num_tests,
     }
 
@@ -104,7 +107,7 @@ def _decode_report(payload: Optional[dict[str, Any]]) -> Optional[DetectionRepor
     if payload is None:
         return None
     return DetectionReport(
-        detections={key: list(indices) for key, indices in payload["detections"].items()},
+        words={key: int(word, 16) for key, word in payload["words"].items()},
         num_tests=payload["num_tests"],
     )
 

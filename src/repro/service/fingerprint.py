@@ -40,7 +40,10 @@ from ..logic.netlist import LogicCircuit
 #: v2: structural ATPG rewrite -- ``CampaignSpec.atpg_engine`` joined the
 #: spec, and the ``atpg_phase`` payload grew ``atpg_engine`` /
 #: ``implications`` / ``proven_structural`` / per-fault ``outcomes``.
-SCHEMA_VERSION = 2
+#: v3: ``DetectionReport`` holds one int bitset per fault (``words``) instead
+#: of index lists, so results pickled by the result cache under v2 no longer
+#: load as working objects; the bump turns them into plain misses.
+SCHEMA_VERSION = 3
 
 
 def _digest(payload: Any) -> str:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
+from report_helpers import report_from_lists
 
 from repro.atpg import (
     CoverageReport,
-    DetectionReport,
     PodemOptions,
     coverage_from_report,
     exhaustive_pairs,
@@ -337,6 +338,32 @@ class TestPathDelay:
                 assert dropped.detections[key] == detecting[:1], (key, engine)
 
 
+def _reference_cover(detections):
+    """The set-based eager greedy cover over index lists, kept as a reference."""
+    detectable = {key for key, tests in detections.items() if tests}
+    fault_sets: dict[int, set[str]] = {}
+    for key, tests in detections.items():
+        for index in tests:
+            fault_sets.setdefault(index, set()).add(key)
+    uncovered, selected = set(detectable), []
+    while uncovered:
+        best_index, best_gain = None, 0
+        for index in sorted(fault_sets):
+            gain = len(fault_sets[index] & uncovered)
+            if gain > best_gain:
+                best_index, best_gain = index, gain
+        if best_index is None:
+            break
+        selected.append(best_index)
+        uncovered -= fault_sets[best_index]
+    never_detected = set(detections) - detectable
+    return (
+        tuple(selected),
+        tuple(sorted(detectable - uncovered)),
+        tuple(sorted(uncovered | never_detected)),
+    )
+
+
 class TestFaultSimulation:
     def test_forced_net_simulation(self, c17_circuit):
         values = simulate_with_forced_net(c17_circuit, (1, 1, 1, 1, 1), "G11", 1)
@@ -380,23 +407,41 @@ class TestFaultSimulation:
         """Regression: ties on gain pick the lowest test index, independent of
         the order faults (and hence candidate tests) appear in the report."""
         detections = {"f1": [5, 2], "f2": [2], "f3": [5], "f4": [7]}
-        result = greedy_compaction(DetectionReport(detections=detections, num_tests=8))
+        result = greedy_compaction(report_from_lists(detections, 8))
         # Tests 2 and 5 both cover two faults; 2 wins the tie, then 5 and 7.
         assert result.selected_indices == (2, 5, 7)
 
         shuffled = {"f4": [7], "f3": [5], "f1": [2, 5], "f2": [2]}
-        permuted = greedy_compaction(DetectionReport(detections=shuffled, num_tests=8))
+        permuted = greedy_compaction(report_from_lists(shuffled, 8))
         assert permuted.selected_indices == result.selected_indices
 
     def test_compaction_reports_never_detected_faults(self):
-        report = DetectionReport(detections={"a": [0], "b": []}, num_tests=1)
+        report = report_from_lists({"a": [0], "b": []}, 1)
         result = greedy_compaction(report)
         assert result.selected_indices == (0,)
         assert result.covered_faults == ("a",)
         assert result.uncovered_faults == ("b",)
 
+    def test_compaction_matches_set_cover_reference(self):
+        """The matrix cover picks exactly what the set-based eager cover did."""
+        rng = random.Random(11)
+        cases = [({}, 0), ({"a": [], "b": []}, 0), ({"a": [], "b": [3]}, 4)]
+        for _ in range(60):
+            num_tests = rng.randrange(1, 24)
+            density = rng.random()
+            detections = {
+                f"f{n}": [i for i in range(num_tests) if rng.random() < density / 4]
+                for n in range(rng.randrange(0, 40))
+            }
+            cases.append((detections, num_tests))
+        for detections, num_tests in cases:
+            result = greedy_compaction(report_from_lists(detections, num_tests))
+            assert (
+                result.selected_indices, result.covered_faults, result.uncovered_faults
+            ) == _reference_cover(detections), (detections, num_tests)
+
     def test_coverage_report_zero_fault_universe(self):
-        cov = coverage_from_report("sa", DetectionReport(detections={}, num_tests=5))
+        cov = coverage_from_report("sa", report_from_lists({}, 5))
         assert cov.total_faults == 0
         assert cov.coverage == 1.0
         assert cov.test_efficiency == 1.0

@@ -46,7 +46,6 @@ from repro.logic import (
 from repro.logic.compiled import (
     KERNEL_BREAK_EVEN,
     CompiledCircuit,
-    decode_into,
     kernel_pays,
 )
 
@@ -212,17 +211,15 @@ class TestCompiledCircuit:
     def test_iter_bits(self):
         assert list(iter_bits(0)) == []
         assert list(iter_bits(0b1011001)) == [0, 3, 4, 6]
-
-    def test_decode_into_matches_iter_bits(self):
-        import random as _random
-
-        rng = _random.Random(9)
+        rng = random.Random(9)
         for _ in range(50):
             word = rng.getrandbits(rng.randrange(1, 1200))
-            base = rng.randrange(0, 10_000)
-            out = [123]
-            decode_into(out, word, base)
-            assert out == [123] + [base + bit for bit in iter_bits(word)]
+            expected, rest = [], word
+            while rest:
+                low = rest & -rest
+                expected.append(low.bit_length() - 1)
+                rest ^= low
+            assert list(iter_bits(word)) == expected
 
     def test_non_binary_pattern_rejected_like_serial(self, c17_circuit):
         """Both engines reject non-0/1 pattern bits (engine parity)."""

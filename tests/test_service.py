@@ -28,7 +28,7 @@ from repro.campaign import (
     ShardedCampaign,
 )
 from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
-from repro.service.checkpoint import _encode_record
+from repro.service.checkpoint import CHECKPOINT_SCHEMA, _encode_record
 from repro.logic import GateType, LogicCircuit, full_adder_sum
 from repro.service import (
     SCHEMA_VERSION,
@@ -366,6 +366,39 @@ class TestKillAndResume:
         resumed = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt)
         assert resumed.run().as_dict(include_runtime=False) == baseline(spec)
         assert resumed.checkpoint_summary["round1_stored"] == 1
+
+
+    def test_previous_checkpoint_schema_is_refused_then_restarted(self, tmp_path):
+        """A directory left by the v3 (index-list) format: resume refuses it,
+        naming both schemas; ``resume=False`` starts over bit-identically."""
+        old_schema = "repro/campaign-checkpoint/3"
+        ckpt = tmp_path / "ckpt"
+        spec = CampaignSpec(model="stuck-at", circuit="c17",
+                            pattern_source="random", pattern_count=8, seed=2, shards=3)
+        ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        store = CheckpointStore(ckpt)
+        manifest = store.read_manifest()
+        atomic_write_json(ckpt / "manifest.json", {**manifest, "schema": old_schema})
+        for path in store.shard_files(1) + store.shard_files(2):
+            payload = json.loads(path.read_text().split("\n", 1)[0])
+            words = payload["report"].pop("words")
+            payload["report"]["detections"] = {
+                key: [i for i in range(payload["report"]["num_tests"]) if int(word, 16) >> i & 1]
+                for key, word in words.items()
+            }
+            path.write_text(_encode_record({**payload, "schema": old_schema}))
+
+        with pytest.raises(CampaignError) as refused:
+            CheckpointStore(ckpt).prepare(manifest["fingerprint"], manifest["shards"])
+        assert old_schema in str(refused.value)
+        assert CHECKPOINT_SCHEMA in str(refused.value)
+        with pytest.raises(CampaignError, match="uses schema"):
+            ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+
+        fresh = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt, resume=False)
+        assert fresh.run().as_dict(include_runtime=False) == baseline(spec)
+        assert fresh.checkpoint_summary["round1_loaded"] == 0
+        assert CheckpointStore(ckpt).read_manifest()["schema"] == CHECKPOINT_SCHEMA
 
 
 # --------------------------------------------------------------------------- #

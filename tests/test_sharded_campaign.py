@@ -7,12 +7,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from report_helpers import report_from_lists
 
-from repro.atpg import (
-    DetectionReport,
-    concat_phase_reports,
-    merge_fault_shards,
-)
+from repro.atpg import concat_phase_reports, merge_fault_shards
 from repro.campaign import (
     Campaign,
     CampaignError,
@@ -66,32 +63,32 @@ class TestPartitioning:
 # --------------------------------------------------------------------------- #
 class TestMergeFaultShards:
     def test_union_preserves_lists_and_orders_faults(self):
-        a = DetectionReport(detections={"f2": [1, 3]}, num_tests=4)
-        b = DetectionReport(detections={"f1": [0]}, num_tests=4)
+        a = report_from_lists({"f2": [1, 3]}, 4)
+        b = report_from_lists({"f1": [0]}, 4)
         merged = merge_fault_shards([a, b], fault_order=["f1", "f2"])
         assert list(merged.detections) == ["f1", "f2"]
         assert merged.detections == {"f1": [0], "f2": [1, 3]}
         assert merged.num_tests == 4
 
     def test_mismatched_num_tests_rejected(self):
-        a = DetectionReport(detections={"f1": []}, num_tests=4)
-        b = DetectionReport(detections={"f2": []}, num_tests=5)
+        a = report_from_lists({"f1": []}, 4)
+        b = report_from_lists({"f2": []}, 5)
         with pytest.raises(ValueError, match="disagree on the test list"):
             merge_fault_shards([a, b])
 
     def test_overlapping_shards_rejected(self):
-        a = DetectionReport(detections={"f1": [0]}, num_tests=2)
-        b = DetectionReport(detections={"f1": [1]}, num_tests=2)
+        a = report_from_lists({"f1": [0]}, 2)
+        b = report_from_lists({"f1": [1]}, 2)
         with pytest.raises(ValueError, match="more than one shard"):
             merge_fault_shards([a, b])
 
     def test_missing_fault_rejected(self):
-        a = DetectionReport(detections={"f1": [0]}, num_tests=2)
+        a = report_from_lists({"f1": [0]}, 2)
         with pytest.raises(ValueError, match="missing from every shard"):
             merge_fault_shards([a], fault_order=["f1", "f2"])
 
     def test_extra_fault_rejected(self):
-        a = DetectionReport(detections={"f1": [0], "f2": [1]}, num_tests=2)
+        a = report_from_lists({"f1": [0], "f2": [1]}, 2)
         with pytest.raises(ValueError, match="not in the requested fault order"):
             merge_fault_shards([a], fault_order=["f1"])
 
@@ -100,19 +97,15 @@ class TestMergeFaultShards:
         assert merged.detections == {} and merged.num_tests == 0
 
     def test_concat_phase_reports_offsets_indices(self):
-        first = DetectionReport(detections={"f1": [0], "f2": []}, num_tests=3)
-        second = DetectionReport(detections={"f2": [1]}, num_tests=2)
+        first = report_from_lists({"f1": [0], "f2": []}, 3)
+        second = report_from_lists({"f2": [1]}, 2)
         merged = concat_phase_reports(["f1", "f2"], [first, second])
         assert merged.detections == {"f1": [0], "f2": [4]}
         assert merged.num_tests == 5
 
 
 def test_merge_takes_ownership_of_shard_lists():
-    a = DetectionReport(detections={"f1": [0, 2]}, num_tests=3)
-    b = DetectionReport(detections={"f2": [1]}, num_tests=3)
-    merged = merge_fault_shards([a, b], fault_order=["f1", "f2"])
-    assert merged.detections["f1"] is a.detections["f1"]
-    assert merged.detections["f2"] is b.detections["f2"]
+    a = report_from_lists({"f1": [0, 2]}, 3)
     # One shard already in fault order is its own union.
     assert merge_fault_shards([a], fault_order=["f1"]) is a
 
