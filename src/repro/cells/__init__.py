@@ -12,8 +12,10 @@ from .builder import (
 from .characterize import (
     HarnessCharacterization,
     characterize_harness,
+    characterize_harnesses,
     measure_harness,
     simulate_harness,
+    simulate_harnesses,
 )
 from .complex_gates import add_aoi21, add_oai21
 from .fixtures import (
@@ -52,6 +54,8 @@ __all__ = [
     "validate_sequence",
     "HarnessCharacterization",
     "simulate_harness",
+    "simulate_harnesses",
     "measure_harness",
     "characterize_harness",
+    "characterize_harnesses",
 ]

@@ -11,10 +11,10 @@ circuit before simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..analysis.delay import TransitionMeasurement, measure_transition
-from ..spice.analysis.transient import TransientOptions, TransientResult, transient
+from ..spice.analysis.transient import TransientOptions, TransientResult, transient_sweep
 from .fixtures import GateHarness
 
 #: Callback applied to a harness before simulation (e.g. defect injection).
@@ -39,28 +39,50 @@ class HarnessCharacterization:
         return self.measurement.classification
 
 
+def _recorded_nodes(harness: GateHarness, extra_nodes: Iterable[str]) -> tuple[str, ...]:
+    """The DUT inputs and output, the load nodes and any *extra_nodes*, sorted."""
+    record = set(harness.input_nodes.values())
+    record.add(harness.output_node)
+    record.update(harness.load_nodes)
+    record.update(extra_nodes)
+    return tuple(sorted(record))
+
+
+def simulate_harnesses(
+    harnesses: Sequence[GateHarness],
+    dt: float = 2e-12,
+    extra_nodes: Iterable[str] = (),
+    options: TransientOptions | None = None,
+) -> list[TransientResult]:
+    """Run the transient simulation of every harness, in input order.
+
+    Records the DUT inputs, the DUT output, the load nodes and any extra
+    nodes the caller asks for (e.g. the internal breakdown node).  Harnesses
+    with the same stop time and recorded nodes share one
+    :func:`~repro.spice.analysis.transient.transient_sweep`.
+    """
+    extra_nodes = tuple(extra_nodes)
+    sweeps: dict[tuple, list[int]] = {}
+    for index, harness in enumerate(harnesses):
+        key = (harness.t_stop, _recorded_nodes(harness, extra_nodes))
+        sweeps.setdefault(key, []).append(index)
+    results: list[Optional[TransientResult]] = [None] * len(harnesses)
+    for (t_stop, record), members in sweeps.items():
+        circuits = [harnesses[i].circuit for i in members]
+        runs = transient_sweep(circuits, t_stop=t_stop, dt=dt, options=options, record_nodes=record)
+        for index, result in zip(members, runs):
+            results[index] = result
+    return results
+
+
 def simulate_harness(
     harness: GateHarness,
     dt: float = 2e-12,
     extra_nodes: Iterable[str] = (),
     options: TransientOptions | None = None,
 ) -> TransientResult:
-    """Run the transient simulation of a harness.
-
-    Records the DUT inputs, the DUT output, the load nodes and any extra
-    nodes the caller asks for (e.g. the internal breakdown node).
-    """
-    record = set(harness.input_nodes.values())
-    record.add(harness.output_node)
-    record.update(harness.load_nodes)
-    record.update(extra_nodes)
-    return transient(
-        harness.circuit,
-        t_stop=harness.t_stop,
-        dt=dt,
-        options=options,
-        record_nodes=sorted(record),
-    )
+    """:func:`simulate_harnesses` of one harness."""
+    return simulate_harnesses([harness], dt=dt, extra_nodes=extra_nodes, options=options)[0]
 
 
 def measure_harness(
@@ -99,6 +121,21 @@ def measure_harness(
     )
 
 
+def characterize_harnesses(
+    harnesses: Sequence[GateHarness],
+    dt: float = 2e-12,
+    capture_window: Optional[float] = None,
+    extra_nodes: Iterable[str] = (),
+    options: TransientOptions | None = None,
+) -> list[HarnessCharacterization]:
+    """Simulate and measure every (already prepared) harness, in input order."""
+    results = simulate_harnesses(harnesses, dt=dt, extra_nodes=extra_nodes, options=options)
+    return [
+        _characterization(harness, result, capture_window)
+        for harness, result in zip(harnesses, results)
+    ]
+
+
 def characterize_harness(
     harness: GateHarness,
     prepare: HarnessPreparer | None = None,
@@ -110,7 +147,15 @@ def characterize_harness(
     """Prepare (optionally inject a defect), simulate and measure a harness."""
     if prepare is not None:
         prepare(harness)
-    result = simulate_harness(harness, dt=dt, extra_nodes=extra_nodes, options=options)
+    return characterize_harnesses(
+        [harness], dt=dt, capture_window=capture_window, extra_nodes=extra_nodes,
+        options=options,
+    )[0]
+
+
+def _characterization(
+    harness: GateHarness, result: TransientResult, capture_window: Optional[float]
+) -> HarnessCharacterization:
     pins = harness.switching_pins
     switching_pin = pins[0] if pins else None
     measurement = (

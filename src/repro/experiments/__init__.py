@@ -7,7 +7,7 @@ these modules and prints their report rows.
 
 from .adder_stats import AdderStatsResult, run_adder_stats
 from .atpg_complexity import AtpgComplexityResult, run_atpg_complexity
-from .common import GateDelayEntry, measure_gate_obd_delay
+from .common import GateDelayEntry, measure_gate_obd_delay, measure_gate_obd_delays
 from .em_comparison import EmComparisonResult, run_em_comparison
 from .fig4_vtc import FIGURE4_STAGES, Fig4Result, run_fig4
 from .fig6_nmos_nand import Fig6Result, run_fig6
@@ -28,6 +28,7 @@ from .upstream_stress import UpstreamStressResult, run_upstream_stress
 __all__ = [
     "GateDelayEntry",
     "measure_gate_obd_delay",
+    "measure_gate_obd_delays",
     "Table1Result",
     "run_table1",
     "NMOS_SEQUENCES",

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..analysis.delay import TransitionMeasurement
-from ..cells.characterize import characterize_harness
+from ..cells.characterize import characterize_harnesses
 from ..cells.fixtures import build_nand_harness
 from ..cells.technology import Technology, default_technology
 from ..core.breakdown import TABLE1_NMOS_STAGES, BreakdownStage
 from ..core.defect import OBDDefect
-from ..core.injection import harness_preparer
+from ..core.injection import inject_into_harness
 from ..spice.waveform import Waveform
 from .common import DEFAULT_CAPTURE_WINDOW, DEFAULT_DT
 
@@ -69,24 +69,23 @@ def run_fig6(
 ) -> Fig6Result:
     """Simulate the NAND harness for each stage and collect output waveforms."""
     tech = tech or default_technology()
-    waveforms: dict[BreakdownStage, Waveform] = {}
-    measurements: dict[BreakdownStage, TransitionMeasurement] = {}
-    input_waveform: Waveform | None = None
-
+    harnesses = []
     for stage in stages:
         harness = build_nand_harness(tech, sequence)
-        defect = None if stage == BreakdownStage.FAULT_FREE else OBDDefect(site=site, stage=stage)
-        run = characterize_harness(
-            harness,
-            prepare=harness_preparer(defect),
-            dt=dt,
-            capture_window=capture_window,
-        )
-        waveforms[stage] = run.result.waveform(harness.output_node)
+        if stage != BreakdownStage.FAULT_FREE:
+            inject_into_harness(harness, OBDDefect(site=site, stage=stage))
+        harnesses.append(harness)
+    runs = characterize_harnesses(harnesses, dt=dt, capture_window=capture_window)
+
+    waveforms: dict[BreakdownStage, Waveform] = {}
+    measurements: dict[BreakdownStage, TransitionMeasurement] = {}
+    for stage, run in zip(stages, runs):
+        waveforms[stage] = run.result.waveform(run.harness.output_node)
         measurements[stage] = run.measurement
-        if input_waveform is None:
-            switching_pin = harness.switching_pins[0]
-            input_waveform = run.result.waveform(harness.input_nodes[switching_pin])
+    input_waveform = None
+    if runs:
+        first = runs[0].harness
+        input_waveform = runs[0].result.waveform(first.input_nodes[first.switching_pins[0]])
 
     return Fig6Result(
         tech_name=tech.name,

@@ -16,7 +16,7 @@ from ..analysis.delay import TransitionMeasurement
 from ..cells.technology import Technology, default_technology
 from ..core.breakdown import BreakdownStage
 from ..core.excitation import format_sequence
-from .common import DEFAULT_CAPTURE_WINDOW, DEFAULT_DT, measure_gate_obd_delay
+from .common import DEFAULT_CAPTURE_WINDOW, DEFAULT_DT, measure_gate_obd_delays
 
 #: (11,01): input A falls while B stays 1 -> PA is the sole charger.
 SEQUENCE_A_SWITCHES = ((1, 1), (0, 1))
@@ -91,20 +91,13 @@ def run_fig7(
     """Measure the 2x2 (site x sequence) PMOS OBD delay matrix."""
     tech = tech or default_technology()
     sequences = (SEQUENCE_A_SWITCHES, SEQUENCE_B_SWITCHES)
-
-    fault_free = {}
-    for seq in sequences:
-        entry = measure_gate_obd_delay("NAND2", seq, None, None, tech=tech, dt=dt,
-                                       capture_window=capture_window)
-        fault_free[format_sequence(seq)] = entry.measurement
-
-    matrix: dict[str, dict[str, TransitionMeasurement]] = {}
-    for site in ("PA", "PB"):
-        per_seq = {}
-        for seq in sequences:
-            entry = measure_gate_obd_delay("NAND2", seq, site, stage, tech=tech, dt=dt,
-                                           capture_window=capture_window)
-            per_seq[format_sequence(seq)] = entry.measurement
-        matrix[site] = per_seq
-
-    return Fig7Result(tech_name=tech.name, stage=stage, fault_free=fault_free, matrix=matrix)
+    sites = (None, "PA", "PB")
+    requests = [(seq, site, stage if site else None) for site in sites for seq in sequences]
+    entries = measure_gate_obd_delays(
+        "NAND2", requests, tech=tech, dt=dt, capture_window=capture_window
+    )
+    measured: dict[Optional[str], dict[str, TransitionMeasurement]] = {}
+    for (seq, site, _), entry in zip(requests, entries):
+        measured.setdefault(site, {})[format_sequence(seq)] = entry.measurement
+    fault_free = measured.pop(None)
+    return Fig7Result(tech_name=tech.name, stage=stage, fault_free=fault_free, matrix=measured)

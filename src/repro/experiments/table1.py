@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from ..cells.technology import Technology, default_technology
 from ..core.breakdown import TABLE1_NMOS_STAGES, TABLE1_PMOS_STAGES, BreakdownStage
 from ..core.excitation import format_sequence
-from .common import DEFAULT_CAPTURE_WINDOW, DEFAULT_DT, GateDelayEntry, measure_gate_obd_delay
+from .common import DEFAULT_CAPTURE_WINDOW, DEFAULT_DT, GateDelayEntry, measure_gate_obd_delays
 
 #: The falling-output (NMOS) sequences of Table 1: (01,11) and (10,11).
 NMOS_SEQUENCES = (((0, 1), (1, 1)), ((1, 0), (1, 1)))
@@ -59,8 +59,6 @@ class Table1Result:
     #: entries[stage][sequence string][site] -> GateDelayEntry
     nmos: dict[BreakdownStage, dict[str, dict[str, GateDelayEntry]]]
     pmos: dict[BreakdownStage, dict[str, dict[str, GateDelayEntry]]]
-    fault_free_falling: Optional[GateDelayEntry] = None
-    fault_free_rising: Optional[GateDelayEntry] = None
 
     def rows(self) -> list[str]:
         """Table rows formatted in the paper's layout."""
@@ -112,37 +110,33 @@ def run_table1(
     dt: float = DEFAULT_DT,
     capture_window: float = DEFAULT_CAPTURE_WINDOW,
 ) -> Table1Result:
-    """Run the Table-1 characterization (optionally on a reduced stage set)."""
+    """Run the Table-1 characterization (optionally on a reduced stage set).
+
+    Every entry's harness is simulated in one
+    :func:`~repro.experiments.common.measure_gate_obd_delays` call.
+    """
     tech = tech or default_technology()
-
-    nmos: dict[BreakdownStage, dict[str, dict[str, GateDelayEntry]]] = {}
-    for stage in nmos_stages:
-        per_seq: dict[str, dict[str, GateDelayEntry]] = {}
-        for seq in NMOS_SEQUENCES:
-            per_site: dict[str, GateDelayEntry] = {}
-            for site in nmos_sites:
-                effective_site = None if stage == BreakdownStage.FAULT_FREE else site
-                entry = measure_gate_obd_delay(
-                    "NAND2", seq, effective_site, stage if effective_site else None,
-                    tech=tech, dt=dt, capture_window=capture_window,
-                )
-                per_site[site] = entry
-            per_seq[format_sequence(seq)] = per_site
-        nmos[stage] = per_seq
-
-    pmos: dict[BreakdownStage, dict[str, dict[str, GateDelayEntry]]] = {}
-    for stage in pmos_stages:
-        per_seq = {}
-        for seq in PMOS_SEQUENCES:
-            per_site = {}
-            for site in pmos_sites:
-                effective_site = None if stage == BreakdownStage.FAULT_FREE else site
-                entry = measure_gate_obd_delay(
-                    "NAND2", seq, effective_site, stage if effective_site else None,
-                    tech=tech, dt=dt, capture_window=capture_window,
-                )
-                per_site[site] = entry
-            per_seq[format_sequence(seq)] = per_site
-        pmos[stage] = per_seq
-
-    return Table1Result(tech_name=tech.name, nmos=nmos, pmos=pmos)
+    layout = [
+        (table, stage, seq, site)
+        for table, stages, sequences, sites in (
+            ("nmos", nmos_stages, NMOS_SEQUENCES, nmos_sites),
+            ("pmos", pmos_stages, PMOS_SEQUENCES, pmos_sites),
+        )
+        for stage in stages
+        for seq in sequences
+        for site in sites
+    ]
+    requests = [
+        (seq, None, None) if stage == BreakdownStage.FAULT_FREE else (seq, site, stage)
+        for _, stage, seq, site in layout
+    ]
+    entries = measure_gate_obd_delays(
+        "NAND2", requests, tech=tech, dt=dt, capture_window=capture_window
+    )
+    tables: dict[str, dict[BreakdownStage, dict[str, dict[str, GateDelayEntry]]]] = {
+        "nmos": {}, "pmos": {}
+    }
+    for (table, stage, seq, site), entry in zip(layout, entries):
+        per_seq = tables[table].setdefault(stage, {})
+        per_seq.setdefault(format_sequence(seq), {})[site] = entry
+    return Table1Result(tech_name=tech.name, nmos=tables["nmos"], pmos=tables["pmos"])

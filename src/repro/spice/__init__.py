@@ -11,6 +11,8 @@ Public entry points
 * :func:`operating_point` -- DC solution.
 * :func:`dc_sweep` -- DC transfer curves (e.g. inverter VTC, Figure 4).
 * :func:`transient` -- time-domain simulation (Table 1, Figures 6, 7, 9).
+* :func:`transient_sweep` -- :func:`transient` of several circuits, equal-shape
+  ones advanced in lockstep.
 * :class:`Waveform` / :func:`propagation_delay` -- measurement primitives.
 """
 
@@ -24,6 +26,7 @@ from .analysis import (
     dc_sweep,
     operating_point,
     transient,
+    transient_sweep,
 )
 from .elements import (
     Capacitor,
@@ -66,6 +69,7 @@ __all__ = [
     "dc_sweep",
     "DcSweepResult",
     "transient",
+    "transient_sweep",
     "TransientOptions",
     "TransientResult",
     "Waveform",

@@ -4,7 +4,7 @@ from .dc_sweep import DcSweepResult, dc_sweep
 from .mna import MnaSystem
 from .op import OperatingPoint, operating_point
 from .solver import SolveResult, SolverOptions, newton_solve, robust_solve
-from .transient import TransientOptions, TransientResult, transient
+from .transient import TransientOptions, TransientResult, transient, transient_sweep
 
 __all__ = [
     "MnaSystem",
@@ -19,4 +19,5 @@ __all__ = [
     "TransientOptions",
     "TransientResult",
     "transient",
+    "transient_sweep",
 ]

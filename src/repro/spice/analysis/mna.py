@@ -1,4 +1,4 @@
-"""Modified nodal analysis: row assignment and the compiled stamp plan.
+"""Modified nodal analysis: row assignment and the compiled stamp plans.
 
 :class:`MnaSystem` assigns matrix rows to a circuit's nodes and source
 branches, and compiles the circuit once into a :class:`StampPlan`, from
@@ -12,20 +12,31 @@ they change:
   ``ctx.source_scale``, capacitor companion conductances (cached per
   ``(dt, method)``), the capacitor history currents computed from
   ``ctx.x_prev`` in one array expression, and ``gmin`` on the node diagonal;
-* **per Newton iteration** -- MOSFETs and diodes, evaluated one device at a
-  time by their own ``evaluate`` methods and scattered into the matrix and
-  right-hand side with one ``np.bincount`` each.
+* **per Newton iteration** -- MOSFETs and diodes, which a single plan
+  evaluates one device at a time by their own ``evaluate`` methods, and
+  scatters into the matrix and right-hand side with one ``np.bincount`` each.
 
-The plan's matrices carry ground as an extra row and column (index
+A :class:`StackedPlan` holds the plans of several circuits of equal
+:attr:`StampPlan.shape` as one batch for
+:func:`~repro.spice.analysis.solver.lockstep_newton_solve`.  It keeps the
+same tiers, but each is one array expression over every member: the devices
+of all members are evaluated together by the array models
+(:class:`~repro.spice.elements.MosfetBank`,
+:class:`~repro.spice.elements.DiodeBank`) and scattered with one
+``np.bincount`` into a flat ``(members * dim**2)`` matrix.  Each member's
+contributions keep the order of its own plan, so its matrix and right-hand
+side equal the plan's bit for bit.
+
+The plans' matrices carry ground as an extra row and column (index
 ``size``), so no stamp branches on ground; the solve uses the leading
 ``size x size`` block.  :meth:`Element.stamp <repro.spice.elements.Element.stamp>`
 into a :class:`~repro.spice.elements.Stamper` remains the scalar reference
-the plan is tested against.
+the plans are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +44,10 @@ from ..elements import (
     Capacitor,
     CurrentSource,
     Diode,
+    DiodeBank,
     Element,
     Mosfet,
+    MosfetBank,
     Resistor,
     StampContext,
     VoltageSource,
@@ -45,9 +58,40 @@ from ..netlist import Circuit
 
 #: Signs of the four cells ``(a,a), (b,b), (a,b), (b,a)`` of a conductance stamp.
 _CONDUCTANCE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+#: A MOSFET's eight stamp values ``(gds, total, -total, -gds, gm, -gm, gmb, -gmb)``
+#: as columns of ``(gds, total, gm, gmb)`` times signs.
+_MOSFET_COLUMNS = np.array([0, 1, 1, 0, 2, 2, 3, 3])
+_MOSFET_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+#: Signs of the two entries ``(-ieq, ieq)`` of a device's current stamp.
+_CURRENT_SIGNS = np.array([-1.0, 1.0])
 
 
-class StampPlan:
+class _CompanionCache:
+    """Capacitor companion terms, cached per ``(dt, method)``.
+
+    Subclasses set ``_linear`` (the flat padded matrix of the linear stamps),
+    ``_capacitance`` (capacitances, last axis per capacitor) and ``_cap_cells``
+    (the capacitors' conductance cells grouped by stamp position).
+    """
+
+    _companion_key: Optional[tuple[float, str]] = None
+    _companion: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def _companion_terms(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
+        """Companion conductances and the linear matrix with them stamped in."""
+        key = (dt, method)
+        if self._companion_key != key:
+            factor = 2.0 if method == "trapezoidal" else 1.0
+            geq = factor * self._capacitance / dt
+            values = (_CONDUCTANCE_SIGNS[:, None] * geq[..., None, :]).ravel()
+            matrix = self._linear + np.bincount(
+                self._cap_cells, values, minlength=self._linear.size
+            )
+            self._companion_key, self._companion = key, (geq.ravel(), matrix)
+        return self._companion
+
+
+class StampPlan(_CompanionCache):
     """The MNA stamps of one circuit, compiled by :class:`MnaSystem`.
 
     Matrix cells are addressed by flat index ``row * (size + 1) + column``
@@ -56,6 +100,7 @@ class StampPlan:
 
     def __init__(self, elements: Iterable[Element], size: int, num_nodes: int):
         self.size = size
+        self.num_nodes = num_nodes
         dim = self._dim = size + 1
         linear = np.zeros(dim * dim)
         self._voltage_sources: list[tuple[VoltageSource, int]] = []
@@ -112,8 +157,13 @@ class StampPlan:
         self._cap_cells = np.array(cap_cells, dtype=np.intp).reshape(-1, 4).T.ravel()
         self._capacitance = np.array([c.capacitance for c in self.capacitors])
         self._initial_voltage = np.array([c.initial_voltage or 0.0 for c in self.capacitors])
-        self._companion_key: Optional[tuple[float, str]] = None
-        self._companion: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def shape(self) -> tuple[int, int, int, int, int]:
+        """``(size, num_nodes, mosfets, diodes, capacitors)``; plans of equal
+        shape can be stacked into one :class:`StackedPlan`."""
+        return (self.size, self.num_nodes, len(self._mosfets), len(self._diodes),
+                len(self.capacitors))
 
     # ------------------------------------------------------------------ #
     def _conductance_cells(self, a: int, b: int) -> tuple[int, int, int, int]:
@@ -128,19 +178,6 @@ class StampPlan:
 
     def _companions_active(self, ctx: StampContext) -> bool:
         return ctx.mode == "tran" and ctx.dt > 0.0 and bool(self.capacitors)
-
-    def _companion_terms(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
-        """Companion conductances and the linear matrix with them stamped in."""
-        key = (dt, method)
-        if self._companion_key != key:
-            factor = 2.0 if method == "trapezoidal" else 1.0
-            geq = factor * self._capacitance / dt
-            values = (_CONDUCTANCE_SIGNS[:, None] * geq).ravel()
-            matrix = self._linear + np.bincount(
-                self._cap_cells, values, minlength=self._linear.size
-            )
-            self._companion_key, self._companion = key, (geq, matrix)
-        return self._companion
 
     def _capacitor_voltages(self, x: Optional[np.ndarray]) -> np.ndarray:
         """``v(a) - v(b)`` of every capacitor (initial voltages when *x* is None)."""
@@ -228,6 +265,136 @@ class StampPlan:
         if ctx.capacitor_currents is not None:
             currents -= ctx.capacitor_currents
         ctx.capacitor_currents = currents
+
+
+class StackedPlan(_CompanionCache):
+    """The plans of several equal-shape circuits, assembled as one batch.
+
+    Member ``m``'s padded matrix and RHS occupy the flat cells
+    ``m * dim**2 + cell`` and rows ``m * dim + row`` (``dim = size + 1``), so
+    one ``np.bincount`` scatters every member's stamps.  Within a member the
+    contributions arrive in the order of its :class:`StampPlan`, so each
+    member's matrix and RHS equal the plan's own bit for bit.
+    """
+
+    def __init__(self, plans: Sequence[StampPlan]):
+        shapes = {plan.shape for plan in plans}
+        if len(shapes) != 1:
+            raise CircuitError(f"cannot stack plans of different shapes {sorted(shapes)}")
+        self.plans = list(plans)
+        first = self.plans[0]
+        self.size, self.num_nodes = first.size, first.num_nodes
+        dim = self._dim = first._dim
+        members = len(self.plans)
+        rows = np.arange(members)[:, None] * dim
+        cells = rows * dim
+
+        def by_member(values, offset, width):
+            """Per-device index tuples of all members, offset into the batch."""
+            array = np.array(values, dtype=np.intp).reshape(members, -1 if values else 0, width)
+            return (array + offset[:, :, None]).reshape(-1, width)
+
+        mosfets = [entry for plan in self.plans for entry in plan._mosfets]
+        self._mosfets = MosfetBank([device for device, *_ in mosfets])
+        self._mosfet_pins = by_member([pins for *_, pins, _, _ in mosfets], rows, 4).T
+        self._forward_cells = by_member([fwd[0] for *_, fwd, _ in mosfets], cells, 8)
+        self._reverse_cells = by_member([rev[0] for *_, rev in mosfets], cells, 8)
+        self._forward_ends = by_member([fwd[1] for *_, fwd, _ in mosfets], rows, 2)
+        self._reverse_ends = by_member([rev[1] for *_, rev in mosfets], rows, 2)
+
+        diodes = [entry for plan in self.plans for entry in plan._diodes]
+        self._diodes = DiodeBank([device for device, *_ in diodes])
+        ends = by_member([(a, c) for _, a, c, _ in diodes], rows, 2)
+        self._diode_anodes, self._diode_cathodes = ends.T
+        self._diode_rows = ends.ravel()
+        self._diode_cells = by_member([dc for *_, dc in diodes], cells, 4).ravel()
+
+        self._cap_a = (np.stack([plan._cap_a for plan in self.plans]) + rows).ravel()
+        self._cap_b = (np.stack([plan._cap_b for plan in self.plans]) + rows).ravel()
+        self._cap_rows = np.concatenate([self._cap_a, self._cap_b])
+        self._cap_cells = (np.stack([plan._cap_cells for plan in self.plans]) + cells).ravel()
+        self._capacitance = np.stack([plan._capacitance for plan in self.plans])
+        self._linear = np.concatenate([plan._linear for plan in self.plans])
+        self._node_diagonal = (np.stack([plan._node_diagonal for plan in self.plans]) + cells).ravel()
+
+    def linear(
+        self, ctxs: Sequence[StampContext], gmin: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`StampPlan.linear` of every member, flat and concatenated.
+
+        Each member is solved in its own context (``ctx.x_prev`` in
+        particular); the contexts share the mode, time step and method.
+        """
+        dim = self._dim
+        rhs = np.zeros(len(self.plans) * dim)
+        for offset, plan, ctx in zip(range(0, rhs.size, dim), self.plans, ctxs):
+            scale = ctx.source_scale
+            for source, row in plan._voltage_sources:
+                rhs[offset + row] += source.value(ctx.time) * scale
+            for source, p, n in plan._current_sources:
+                value = source.value(ctx.time) * scale
+                rhs[offset + p] -= value
+                rhs[offset + n] += value
+        ctx = ctxs[0]
+        matrix = self._linear
+        if self.plans[0]._companions_active(ctx):
+            geq, matrix = self._companion_terms(ctx.dt, ctx.method)
+            padded = np.zeros((len(self.plans), dim))
+            padded[:, :-1] = [c.x_prev for c in ctxs]
+            padded = padded.ravel()
+            history = geq * (padded[self._cap_a] - padded[self._cap_b])
+            if ctx.method == "trapezoidal" and ctx.capacitor_currents is not None:
+                history += np.concatenate([c.capacitor_currents for c in ctxs])
+            rhs += np.bincount(
+                self._cap_rows, np.concatenate([history, -history]), minlength=rhs.size
+            )
+        matrix = matrix.copy()
+        matrix[self._node_diagonal] += gmin
+        return matrix, rhs
+
+    def assemble(
+        self, linear: tuple[np.ndarray, np.ndarray], x: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Add every member's devices, linearized at its row of *x*, to *linear*.
+
+        Returns the ``(members, size, size)`` matrices and ``(members, size)``
+        right-hand sides of the systems to solve.
+        """
+        members, dim, size = len(self.plans), self._dim, self.size
+        padded = np.zeros((members, dim))
+        padded[:, :-1] = x
+        v = padded.ravel()
+
+        ids, gm, gds, gmb, vgs, vds, vbs, reversed_ = self._mosfets.evaluate(
+            *v[self._mosfet_pins]
+        )
+        total = gds + gm + gmb
+        ieq = self._mosfets.sign * (ids - gm * vgs - gds * vds - gmb * vbs)
+        mosfet_values = np.stack([gds, total, gm, gmb], axis=1)[:, _MOSFET_COLUMNS] * _MOSFET_SIGNS
+        swapped = reversed_[:, None]
+        mosfet_cells = np.where(swapped, self._reverse_cells, self._forward_cells)
+        mosfet_rows = np.where(swapped, self._reverse_ends, self._forward_ends)
+
+        vd = v[self._diode_anodes] - v[self._diode_cathodes]
+        current, g = self._diodes.evaluate(vd)
+        diode_ieq = current - g * vd
+        diode_values = g[:, None] * _CONDUCTANCE_SIGNS
+
+        base_matrix, base_rhs = linear
+        matrix = base_matrix + np.bincount(
+            np.concatenate([mosfet_cells.ravel(), self._diode_cells]),
+            np.concatenate([mosfet_values.ravel(), diode_values.ravel()]),
+            minlength=base_matrix.size,
+        )
+        rhs = base_rhs + np.bincount(
+            np.concatenate([mosfet_rows.ravel(), self._diode_rows]),
+            (np.concatenate([ieq, diode_ieq])[:, None] * _CURRENT_SIGNS).ravel(),
+            minlength=base_rhs.size,
+        )
+        return (
+            matrix.reshape(members, dim, dim)[:, :size, :size],
+            rhs.reshape(members, dim)[:, :size],
+        )
 
 
 class MnaSystem:

@@ -1,4 +1,4 @@
-"""Damped Newton-Raphson solver for the nonlinear MNA system.
+"""Damped Newton-Raphson solvers for the nonlinear MNA system.
 
 :func:`newton_solve` assembles each iterate's linearized system from the
 system's compiled :class:`~repro.spice.analysis.mna.StampPlan`: the stamps
@@ -6,17 +6,25 @@ fixed within one solve (linear elements, sources, capacitor companions and
 ``gmin``) once per call, and the MOSFETs and diodes once per iteration.
 :meth:`Element.stamp <repro.spice.elements.Element.stamp>` is the scalar
 reference for the same matrix and right-hand side.
+
+:func:`lockstep_newton_solve` runs the same iteration for every member of a
+:class:`~repro.spice.analysis.mna.StackedPlan` at once, with one batched
+``np.linalg.solve`` per iteration.  Damping, clipping and the convergence
+test are applied row by row, so each member's iterates equal its own
+:func:`newton_solve`'s bit for bit.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..elements import StampContext
-from ..errors import ConvergenceError
-from .mna import MnaSystem
+from ..errors import AnalysisError, ConvergenceError
+from .mna import MnaSystem, StackedPlan
 
 
 @dataclass
@@ -32,10 +40,13 @@ class SolverOptions:
         the solve converges when every solution entry changes by less than
         ``vntol + reltol * |x|``.
     max_step:
-        Largest allowed per-iteration change of any node voltage (damping).
-        Branch currents are not damped.
+        Largest allowed per-iteration change of any node voltage (damping);
+        0 turns damping off.  Branch currents are not damped.
     gmin:
         Conductance tied from every node to ground.
+
+    ``max_iterations`` must be an int >= 1 and the other fields >= 0;
+    anything else raises :class:`~repro.spice.errors.AnalysisError`.
     """
 
     max_iterations: int = 200
@@ -43,6 +54,14 @@ class SolverOptions:
     vntol: float = 1e-6
     max_step: float = 0.5
     gmin: float = 1e-12
+
+    def __post_init__(self):
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise AnalysisError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
+        for name in ("reltol", "vntol", "max_step", "gmin"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise AnalysisError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass
@@ -78,10 +97,7 @@ def newton_solve(
     for iteration in range(1, options.max_iterations + 1):
         ctx.x = x
         matrix, rhs = plan.assemble(linear, x)
-        try:
-            x_new = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            x_new, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+        x_new = _solve_linear(matrix, rhs)
         if not np.all(np.isfinite(x_new)):
             return SolveResult(x=x, converged=False, iterations=iteration, max_delta=np.inf)
 
@@ -105,6 +121,64 @@ def newton_solve(
     return SolveResult(
         x=x, converged=False, iterations=options.max_iterations, max_delta=max_delta
     )
+
+
+def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One Newton update; least squares when the matrix is singular."""
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+
+
+def lockstep_newton_solve(
+    stack: StackedPlan,
+    ctxs: Sequence[StampContext],
+    x0: np.ndarray,
+    options: SolverOptions,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`newton_solve` for every member of *stack* at once.
+
+    Row ``m`` of *x0* starts member ``m``, solved in ``ctxs[m]``.  Each
+    iteration assembles all members and solves them as one batch; a member
+    that converges is frozen.  Every member's iterates equal those of its own
+    :func:`newton_solve` bit for bit.
+
+    Returns the final iterates and the iteration at which each member
+    converged, 0 for a member whose solve went non-finite or ran out of
+    iterations (its row then holds no solution).
+    """
+    x = np.array(x0, dtype=float)
+    num_nodes = stack.num_nodes
+    linear = stack.linear(ctxs, max(options.gmin, ctxs[0].gmin))
+    active = np.ones(len(x), dtype=bool)
+    converged_at = np.zeros(len(x), dtype=int)
+
+    for iteration in range(1, options.max_iterations + 1):
+        matrix, rhs = stack.assemble(linear, x)
+        try:
+            x_new = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            x_new = np.zeros_like(x)
+            for m in np.flatnonzero(active):
+                x_new[m] = _solve_linear(matrix[m], rhs[m])
+        with np.errstate(invalid="ignore"):
+            active &= np.isfinite(x_new).all(axis=1)
+            delta = x_new - x
+            limited = delta.copy()
+            if num_nodes and options.max_step > 0.0:
+                np.clip(
+                    limited[:, :num_nodes], -options.max_step, options.max_step,
+                    out=limited[:, :num_nodes],
+                )
+            x[active] = (x + limited)[active]
+            done = active & np.all(np.abs(delta) <= options.vntol + options.reltol * np.abs(x_new),
+                                   axis=1)
+        converged_at[done] = iteration
+        active &= ~done
+        if not active.any():
+            break
+    return x, converged_at
 
 
 def solve_with_gmin_stepping(

@@ -2,8 +2,8 @@
 
 from .base import GROUND_NAMES, Element, StampContext, Stamper, is_ground
 from .capacitor import Capacitor
-from .diode import THERMAL_VOLTAGE, Diode, DiodeModel
-from .mosfet import Mosfet, MosfetModel, MosfetOperatingPoint
+from .diode import THERMAL_VOLTAGE, Diode, DiodeBank, DiodeModel
+from .mosfet import Mosfet, MosfetBank, MosfetModel, MosfetOperatingPoint
 from .resistor import Resistor
 from .sources import (
     CurrentSource,
@@ -24,9 +24,11 @@ __all__ = [
     "Capacitor",
     "Diode",
     "DiodeModel",
+    "DiodeBank",
     "THERMAL_VOLTAGE",
     "Mosfet",
     "MosfetModel",
+    "MosfetBank",
     "MosfetOperatingPoint",
     "VoltageSource",
     "CurrentSource",

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .base import Element, StampContext, Stamper
 
@@ -107,3 +110,36 @@ class Diode(Element):
     def current(self, va: float, vc: float) -> float:
         """Diode current (anode to cathode) at the given terminal voltages."""
         return self.evaluate(va - vc)[0]
+
+
+class DiodeBank:
+    """The Shockley parameters of many diodes as arrays.
+
+    :meth:`evaluate` is the array form of :meth:`Diode.evaluate` and equals it
+    bit for bit.  The exponential is taken with :func:`math.exp`, element by
+    element: ``np.exp`` may round differently in the last place.
+    """
+
+    def __init__(self, devices: Sequence[Diode]):
+        models = [device.model for device in devices]
+        self.isat = np.array([model.saturation_current for model in models])
+        self.nvt = np.array([model.thermal_voltage for model in models])
+        self.vcrit = np.array([model.critical_voltage for model in models])
+        self._reverse_conductance = self.isat / self.nvt * math.exp(-5.0)
+
+    def evaluate(self, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(current, conductance)`` of every diode at junction voltages *vd*."""
+        isat, nvt, vcrit = self.isat, self.nvt, self.vcrit
+        # Above vcrit the scalar model linearizes around exp(vcrit / nvt), so
+        # clamping the argument gives both branches their exponential.
+        e = np.array([math.exp(arg) for arg in (np.minimum(vd, vcrit) / nvt).tolist()])
+        current = isat * (e - 1.0)
+        conductance = isat * e / nvt
+        above = vd > vcrit
+        reverse = vd < -5.0 * nvt
+        with np.errstate(invalid="ignore"):
+            current = np.where(
+                above, current + conductance * (vd - vcrit), np.where(reverse, -isat, current)
+            )
+        conductance = np.where(reverse, self._reverse_conductance, conductance)
+        return current, np.maximum(conductance, 1e-18)

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .base import Element, StampContext, Stamper
 
@@ -247,3 +250,70 @@ class Mosfet(Element):
         if op.reversed:
             ids = -ids
         return sign * ids
+
+
+class MosfetBank:
+    """The Level-1 parameters of many MOSFETs as arrays.
+
+    :meth:`evaluate` is the array form of :meth:`Mosfet.evaluate`: it repeats
+    the scalar operations in the same order, so each device's results equal
+    the scalar ones bit for bit.
+    """
+
+    def __init__(self, devices: Sequence[Mosfet]):
+        models = [device.model for device in devices]
+        self.sign = np.array([model.sign for model in models])
+        self.vto = np.array([model.sign * model.vto for model in models])
+        self.gamma = np.array([model.gamma for model in models])
+        self.phi = np.array([model.phi for model in models])
+        self.lam = np.array([model.lambda_ for model in models])
+        self.beta = np.array([device.beta for device in devices])
+        self._body = self.gamma > 0.0
+        self._sqrt_phi = np.sqrt(self.phi)
+
+    def evaluate(self, vd, vg, vs, vb) -> tuple[np.ndarray, ...]:
+        """``(ids, gm, gds, gmb, vgs, vds, vbs, reversed)`` of every device.
+
+        The fields are those of :class:`MosfetOperatingPoint`, one array entry
+        per device.
+        """
+        sign = self.sign
+        vds = sign * (vd - vs)
+        vgs = sign * (vg - vs)
+        vbs = sign * (vb - vs)
+        swapped = vds < 0.0
+        vds = np.where(swapped, -vds, vds)
+        vgs = np.where(swapped, sign * (vg - vd), vgs)
+        vbs = np.where(swapped, sign * (vb - vd), vbs)
+
+        with np.errstate(all="ignore"):
+            if self._body.any():
+                root = np.sqrt(np.maximum(self.phi - vbs, 1e-6))
+                vth = np.where(self._body, self.vto + self.gamma * (root - self._sqrt_phi), self.vto)
+                dvth_dvbs = np.where(self._body, -self.gamma / (2.0 * root), 0.0)
+            else:
+                vth = self.vto
+                dvth_dvbs = np.zeros_like(vds)
+            beta, lam = self.beta, self.lam
+            vov = vgs - vth
+            clm = 1.0 + lam * vds
+            linear_core = vov * vds - 0.5 * vds * vds
+            half_square = 0.5 * beta * vov * vov
+            cutoff = vov <= 0.0
+            linear = vds < vov
+            ids = np.where(
+                cutoff, 0.0, np.where(linear, beta * linear_core * clm, half_square * clm)
+            )
+            gm = np.where(cutoff, 0.0, np.where(linear, beta * vds, beta * vov) * clm)
+            gds = np.where(
+                cutoff,
+                Mosfet.GDS_MIN,
+                np.where(
+                    linear,
+                    beta * (vov - vds) * clm + beta * linear_core * lam,
+                    half_square * lam,
+                ),
+            )
+            gmb = np.where(cutoff, 0.0, gm * -dvth_dvbs)
+        gds = np.maximum(gds, Mosfet.GDS_MIN)
+        return ids, gm, gds, gmb, vgs, vds, vbs, swapped

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.cells import build_gate_harness
 from repro.core import BreakdownStage, OBDDefect, inject_into_harness
+from repro.experiments.table1 import NMOS_SEQUENCES, PMOS_SEQUENCES
 from repro.spice import (
     AnalysisError,
     Circuit,
@@ -21,10 +23,15 @@ from repro.spice import (
     operating_point,
     propagation_delay,
     transient,
+    transient_sweep,
 )
-from repro.spice.analysis.mna import MnaSystem
+from repro.spice.analysis.mna import MnaSystem, StackedPlan
+from repro.spice.analysis.solver import lockstep_newton_solve, newton_solve
 from repro.spice.elements import Capacitor, Diode, Mosfet, StampContext, Stamper
 from repro.spice.errors import CircuitError
+
+#: The module, not the function the package exports under the same name.
+transient_module = importlib.import_module("repro.spice.analysis.transient")
 
 
 def _divider() -> Circuit:
@@ -146,6 +153,43 @@ class TestStampPlanParity:
         assert reversed_seen == {False, True}
         if diodes:
             assert regions_seen == {"linearized", "exponential", "reverse"}
+
+    @pytest.mark.parametrize("gate_type,sequence,defect_site", CELL_FIXTURES)
+    def test_stacked_plan_matches_member_plans(self, tech, gate_type, sequence, defect_site):
+        """Each member's stacked matrix and RHS equal its own plan's exactly."""
+        systems = [
+            MnaSystem(_cell_fixture(tech, gate_type, sequence, defect_site)) for _ in range(3)
+        ]
+        plans = [system.plan for system in systems]
+        stack = StackedPlan(plans)
+        size = systems[0].size
+        rng = np.random.default_rng(3)
+        modes = (("dc", "backward_euler"), ("tran", "backward_euler"), ("tran", "trapezoidal"))
+        for trial in range(4):
+            x = rng.uniform(-1.5, tech.vdd + 2.5, (len(plans), size))
+            x_prev = rng.uniform(-0.5, tech.vdd + 0.5, (len(plans), size))
+            currents = rng.normal(scale=1e-4, size=(len(plans), len(plans[0].capacitors)))
+            for (mode, method), gmin in itertools.product(modes, (1e-12, 1e-3)):
+                ctxs = [
+                    StampContext(
+                        mode=mode, x=x[m], time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
+                        x_prev=x_prev[m], method=method, gmin=gmin,
+                        capacitor_currents=currents[m],
+                    )
+                    for m in range(len(plans))
+                ]
+                matrices, rhs = stack.assemble(stack.linear(ctxs, gmin), x)
+                for m, (plan, ctx) in enumerate(zip(plans, ctxs)):
+                    want_matrix, want_rhs = plan.assemble(plan.linear(ctx, gmin), x[m])
+                    np.testing.assert_array_equal(matrices[m], want_matrix)
+                    np.testing.assert_array_equal(rhs[m], want_rhs)
+
+    def test_stacked_plan_rejects_mixed_shapes(self, tech):
+        clean = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), None)).plan
+        defective = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), "NA")).plan
+        assert clean.shape != defective.shape
+        with pytest.raises(CircuitError):
+            StackedPlan([clean, defective])
 
     def test_trapezoidal_commit_stores_capacitor_currents(self):
         c = Circuit("rc")
@@ -361,6 +405,84 @@ class TestTransient:
         assert len(sparse.time) < len(dense.time)
 
 
+#: Table-1 entries of the end-to-end benchmark: NMOS MBD3 at NA and NB, PMOS
+#: MBD1 at PB, both input sequences each.
+TABLE1_ENTRIES = (
+    [(seq, site, BreakdownStage.MBD3) for seq in NMOS_SEQUENCES for site in ("NA", "NB")]
+    + [(seq, "PB", BreakdownStage.MBD1) for seq in PMOS_SEQUENCES]
+)
+
+
+def _table1_circuits(tech, entries=TABLE1_ENTRIES):
+    """Figure-5 NAND harnesses, fault-free where the site is None."""
+    circuits = []
+    for sequence, site, stage in entries:
+        harness = build_gate_harness(tech, "NAND2", sequence)
+        if site is not None:
+            inject_into_harness(harness, OBDDefect(site=site, stage=stage))
+        circuits.append(harness.circuit)
+    return circuits, harness.t_stop
+
+
+class TestLockstepTransient:
+    """``transient_sweep`` reproduces each circuit's own ``transient`` exactly."""
+
+    @staticmethod
+    def _assert_matches_solo(circuits, t_stop, options=None, swept=None):
+        dt = 6e-12
+        if swept is None:
+            swept = transient_sweep(circuits, t_stop, dt, options=options)
+        assert len(swept) == len(circuits)
+        for circuit, got in zip(circuits, swept):
+            want = transient(circuit, t_stop, dt, options=options)
+            np.testing.assert_array_equal(got.time, want.time)
+            assert got.voltages.keys() == want.voltages.keys()
+            for node, values in want.voltages.items():
+                assert got.voltages[node].tobytes() == values.tobytes(), node
+            assert got.newton_iterations == want.newton_iterations > 0
+
+    def test_table1_harnesses(self, tech):
+        circuits, t_stop = _table1_circuits(tech)
+        assert len({MnaSystem(c).plan.shape for c in circuits}) == 1
+        self._assert_matches_solo(circuits, t_stop)
+
+    def test_fault_free_and_defective_mixed(self, tech):
+        entries = [
+            (NMOS_SEQUENCES[0], None, None), *TABLE1_ENTRIES[:2],
+            (PMOS_SEQUENCES[1], None, None), *TABLE1_ENTRIES[4:],
+        ]
+        circuits, t_stop = _table1_circuits(tech, entries)
+        shapes = [MnaSystem(c).plan.shape for c in circuits]
+        assert len(set(shapes)) == 2 and shapes[0] != shapes[1]
+        self._assert_matches_solo(circuits, t_stop)
+
+    def test_trapezoidal(self, tech):
+        circuits, t_stop = _table1_circuits(tech)
+        self._assert_matches_solo(circuits, t_stop, TransientOptions(method="trapezoidal"))
+
+    def test_failed_members_refine_inside_a_live_group(self, tech, monkeypatch):
+        """A 4-iteration limit makes some members halve steps mid-sweep."""
+        circuits, t_stop = _table1_circuits(tech)
+        failed = []
+        solve = transient_module.newton_solve
+
+        def counting_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            failed.append(not result.converged)
+            return result
+
+        monkeypatch.setattr(transient_module, "newton_solve", counting_solve)
+        options = TransientOptions(solver=SolverOptions(max_iterations=4))
+        swept = transient_sweep(circuits, t_stop, 6e-12, options=options)
+        # Only a member that failed its lockstep solve runs the scalar solver.
+        assert any(failed)
+        monkeypatch.undo()
+        self._assert_matches_solo(circuits, t_stop, options, swept)
+
+    def test_empty_sweep(self):
+        assert transient_sweep([], 1e-9, 1e-11) == []
+
+
 class TestWaveform:
     def test_crossing_detection(self):
         w = Waveform(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0, 1.0]))
@@ -419,6 +541,51 @@ class TestSolverRobustness:
         c.add_resistor("obd_rsub", "x", "0", 10e6)
         op = operating_point(c)
         assert 0.0 <= op.voltage("x") <= tech.vdd + 0.1
+
+    def test_lockstep_newton_solves_singular_members_one_by_one(self):
+        """A singular batch falls back to each member's own solve/lstsq rule."""
+
+        def floating(volts):
+            c = Circuit("floating")
+            c.add_voltage_source("v1", "a", "0", dc=volts)
+            c.add_resistor("r1", "a", "b", 1e3)
+            c.add_diode("d1", "b", "0", DiodeModel())
+            c.add_resistor("r2", "f", "g", 1e3)  # no path to ground: singular
+            return c
+
+        options = SolverOptions(gmin=0.0)
+        systems = [MnaSystem(floating(volts)) for volts in (0.7, 1.2, 3.0)]
+        x0 = np.zeros((len(systems), systems[0].size))
+        plan = systems[0].plan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(*plan.assemble(plan.linear(StampContext(gmin=0.0), 0.0), x0[0]))
+        x, converged_at = lockstep_newton_solve(
+            StackedPlan([system.plan for system in systems]),
+            [StampContext(mode="dc", gmin=0.0) for _ in systems], x0, options,
+        )
+        for m, system in enumerate(systems):
+            alone = newton_solve(system, StampContext(mode="dc", gmin=0.0), x0[m], options)
+            assert alone.converged and converged_at[m] == alone.iterations
+            assert x[m].tobytes() == alone.x.tobytes()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_iterations", 0), ("max_iterations", -3), ("max_iterations", 2.5),
+         ("reltol", -1e-3), ("vntol", -1e-6), ("max_step", -0.5), ("gmin", -1e-12),
+         ("reltol", float("nan"))],
+    )
+    def test_solver_options_reject_unusable_values(self, field, value):
+        with pytest.raises(AnalysisError, match=field):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1, 1.5])
+    def test_transient_options_reject_bad_refinement_count(self, value):
+        with pytest.raises(AnalysisError, match="max_step_refinements"):
+            TransientOptions(max_step_refinements=value)
+
+    def test_zero_values_are_accepted(self):
+        SolverOptions(reltol=0.0, vntol=0.0, max_step=0.0, gmin=0.0)
+        TransientOptions(max_step_refinements=0)
 
     def test_solver_options_respected(self):
         op = operating_point(_divider(), options=SolverOptions(max_iterations=5))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.spice import Circuit, CircuitError
@@ -11,8 +13,10 @@ from repro.spice.elements import (
     THERMAL_VOLTAGE,
     Capacitor,
     Diode,
+    DiodeBank,
     DiodeModel,
     Mosfet,
+    MosfetBank,
     MosfetModel,
     PiecewiseLinearWaveform,
     PulseWaveform,
@@ -209,6 +213,60 @@ class TestMosfet:
     def test_invalid_polarity_rejected(self):
         with pytest.raises(ValueError):
             MosfetModel(polarity="x")
+
+
+def _bits(values) -> np.ndarray:
+    """IEEE bit patterns, so 0.0 and -0.0 differ and NaN equals itself."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestDeviceBanks:
+    """The array device models equal the scalar ``evaluate`` bit for bit."""
+
+    def test_mosfet_bank_matches_scalar_evaluate(self):
+        devices = []
+        for polarity, gamma in itertools.product("np", (0.0, 0.45)):
+            model = MosfetModel(
+                polarity=polarity, vto=0.6 if polarity == "n" else -0.7, gamma=gamma,
+                lambda_=0.05 if polarity == "n" else 0.08,
+            )
+            for width in (0.9e-6, 2.7e-6):
+                devices.append(Mosfet(f"m{len(devices)}", "d", "g", "s", "b", model, width, 0.35e-6))
+        rng = np.random.default_rng(11)
+        picks = rng.integers(0, len(devices), 4000)
+        bias = rng.uniform(-1.5, 4.5, size=(4, picks.size))
+        got = MosfetBank([devices[i] for i in picks]).evaluate(*bias)
+
+        fields = ("ids", "gm", "gds", "gmb", "vgs", "vds", "vbs")
+        ops = [devices[i].evaluate(*bias[:, k].tolist()) for k, i in enumerate(picks)]
+        for name, values in zip(fields, got):
+            np.testing.assert_array_equal(
+                _bits([getattr(op, name) for op in ops]), _bits(values), err_msg=name
+            )
+        assert [op.reversed for op in ops] == got[-1].tolist()
+        covered = {(op.region, op.reversed, devices[i].model.polarity, devices[i].model.gamma > 0)
+                   for op, i in zip(ops, picks)}
+        assert len(covered) == 3 * 2 * 2 * 2
+
+    def test_diode_bank_matches_scalar_evaluate(self):
+        devices = [
+            Diode(f"d{k}", "a", "c", DiodeModel(saturation_current=isat, ideality=n))
+            for k, (isat, n) in enumerate([(1e-14, 1.0), (2e-24, 1.3), (1e-30, 1.0)])
+        ]
+        rng = np.random.default_rng(5)
+        picks = rng.integers(0, len(devices), 3000)
+        vd = rng.uniform(-2.0, 3.0, picks.size)
+        current, conductance = DiodeBank([devices[i] for i in picks]).evaluate(vd)
+
+        expected = [devices[i].evaluate(v) for i, v in zip(picks, vd.tolist())]
+        np.testing.assert_array_equal(_bits([i for i, _ in expected]), _bits(current))
+        np.testing.assert_array_equal(_bits([g for _, g in expected]), _bits(conductance))
+        regions = set()
+        for i, v in zip(picks, vd):
+            model = devices[i].model
+            regions.add("linearized" if v > model.critical_voltage
+                        else "reverse" if v < -5.0 * model.thermal_voltage else "exponential")
+        assert regions == {"linearized", "exponential", "reverse"}
 
 
 class TestSources:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BreakdownStage, ProgressionModel
+from repro.core.excitation import format_sequence
 from repro.experiments import (
+    measure_gate_obd_delay,
     run_adder_stats,
     run_atpg_complexity,
     run_em_comparison,
@@ -16,6 +18,7 @@ from repro.experiments import (
     run_table1,
     run_upstream_stress,
 )
+from repro.experiments.table1 import NMOS_SEQUENCES, PMOS_SEQUENCES
 from repro.logic import c17
 from repro.testing import (
     CaptureModel,
@@ -210,3 +213,30 @@ class TestTable1Pin:
         assert measured.keys() == TABLE1_DELAYS.keys()
         for key, want in TABLE1_DELAYS.items():
             assert measured[key] == pytest.approx(want, rel=1e-9, abs=0.0), key
+
+
+#: The stage set of ``benchmarks/bench_table1.py``: fault-free and defective
+#: harnesses, so the sweep holds groups of different plan shapes.
+BENCH_NMOS_STAGES = (
+    BreakdownStage.FAULT_FREE, BreakdownStage.MBD1, BreakdownStage.MBD3, BreakdownStage.HBD,
+)
+BENCH_PMOS_STAGES = (BreakdownStage.FAULT_FREE, BreakdownStage.MBD1, BreakdownStage.MBD3)
+
+
+class TestTable1Lockstep:
+    @pytest.mark.slow
+    def test_run_table1_matches_per_entry_measurements(self):
+        """The one-sweep ``run_table1`` equals measuring entry by entry."""
+        dt = 6e-12
+        result = run_table1(nmos_stages=BENCH_NMOS_STAGES, pmos_stages=BENCH_PMOS_STAGES, dt=dt)
+        for table, sequences in ((result.nmos, NMOS_SEQUENCES), (result.pmos, PMOS_SEQUENCES)):
+            for stage, per_seq in table.items():
+                for sequence in sequences:
+                    for site, entry in per_seq[format_sequence(sequence)].items():
+                        fault_free = stage == BreakdownStage.FAULT_FREE
+                        alone = measure_gate_obd_delay(
+                            "NAND2", sequence, None if fault_free else site,
+                            None if fault_free else stage, dt=dt,
+                        )
+                        assert entry.measurement.delay == alone.measurement.delay, entry.label
+                        assert entry.table_entry == alone.table_entry, entry.label
