@@ -1,6 +1,6 @@
 """Static netlist analysis: lint/DRC, SCOAP testability, untestability proofs.
 
-This package is the *pre-simulation* half of the ATPG story: everything in
+This package is the *simulation-free* half of the ATPG story: everything in
 here reasons about a :class:`~repro.logic.netlist.LogicCircuit` (or its
 ``.bench`` source) structurally, without ever applying a test pattern.
 

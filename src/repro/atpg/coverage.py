@@ -17,9 +17,9 @@ class CoverageReport:
     untestable: int = 0
     aborted: int = 0
     num_tests: int = 0
-    #: How many of ``untestable`` were proven by the pre-simulation static
-    #: phase (implication / observability analysis) rather than by an
-    #: exhausted ATPG search.  Always ``<= untestable``.
+    #: How many of ``untestable`` were proven by the static phase
+    #: (implication / observability analysis) rather than by an exhausted
+    #: ATPG search.  Always ``<= untestable``.
     proven_static: int = 0
 
     @property

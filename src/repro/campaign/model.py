@@ -120,13 +120,15 @@ class FaultModel(Protocol):
     def collapse_dominance(self, circuit: LogicCircuit, faults: FaultList) -> FaultList:
         """Equivalence *plus* dominance collapsing (identity if unsupported)."""
 
-    def prove_untestable(self, circuit: LogicCircuit, faults: FaultList) -> dict:
-        """Statically proven untestable faults, keyed by fault key.
+    def prove_untestable(self, circuit: LogicCircuit, faults: Iterable[Fault]) -> dict:
+        """Statically proven untestable faults among *faults*, keyed by fault key.
 
-        Values are :class:`~repro.analysis_static.untestable.StaticProof`
-        instances; models without a static prover return ``{}``.  The
-        campaign runner looks these hooks up with ``getattr`` so third-party
-        models registered before this protocol grew them keep working.
+        The campaign passes the faults its pattern phase left undetected, in
+        universe order; a proof must depend on its fault alone.  Values are
+        :class:`~repro.analysis_static.untestable.StaticProof` instances;
+        models without a static prover return ``{}``.  The campaign runner
+        looks these hooks up with ``getattr`` so third-party models
+        registered before this protocol grew them keep working.
         """
 
 

@@ -137,7 +137,7 @@ class _ModelBase:
         return self.collapse(circuit, faults)
 
     def prove_untestable(
-        self, circuit: LogicCircuit, faults: FaultList
+        self, circuit: LogicCircuit, faults: Iterable[Fault]
     ) -> dict[str, StaticProof]:
         return {}
 
@@ -161,7 +161,7 @@ class StuckAtModel(_ModelBase):
         return faults.filtered(lambda f: f in collapsed)
 
     def prove_untestable(
-        self, circuit: LogicCircuit, faults: FaultList
+        self, circuit: LogicCircuit, faults: Iterable[Fault]
     ) -> dict[str, StaticProof]:
         return prove_stuck_at_untestable(circuit, faults)
 
@@ -225,7 +225,7 @@ class TransitionModel(_ModelBase):
         return sites
 
     def prove_untestable(
-        self, circuit: LogicCircuit, faults: FaultList
+        self, circuit: LogicCircuit, faults: Iterable[Fault]
     ) -> dict[str, StaticProof]:
         return prove_transition_untestable(circuit, faults)
 

@@ -22,7 +22,7 @@ import time
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from ..analysis_static.diagnostics import LintReport
 from ..analysis_static.lint import lint_circuit
@@ -58,6 +58,17 @@ PATTERN_SOURCES = ("none", "random", "exhaustive", "sic")
 #: Accepted ``CampaignSpec.collapse`` values (booleans are also accepted:
 #: False = no collapsing, True = "equivalence").
 COLLAPSE_MODES = ("equivalence", "dominance")
+
+
+def check_count(name: str, value: Any, minimum: int) -> None:
+    """Raise :class:`CampaignError` unless *value* is an ``int`` >= *minimum*.
+
+    ``bool`` is refused although it subclasses ``int``: ``True`` is no count.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CampaignError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise CampaignError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass
@@ -123,9 +134,9 @@ class CampaignSpec:
     engine: str = "packed"
     word_bits: Optional[int] = None
     shards: int = 1
-    #: Pre-simulation static phase: lint the circuit (errors abort the
-    #: campaign) and record statically proven untestable faults, which are
-    #: then skipped by ATPG.  On by default; set False to opt out.
+    #: Static phase: lint the circuit (errors abort the campaign) and prove
+    #: untestable the faults the pattern phase leaves undetected, which ATPG
+    #: then skips.  On by default; set False to opt out.
     static_phase: bool = True
     # -- Robustness knobs (sharded/service execution only). ------------- #
     # None of these can change a campaign's *result* -- retried, resumed
@@ -152,8 +163,11 @@ class CampaignSpec:
         self.validate()
 
     def validate(self) -> None:
-        if self.max_retries < 0:
-            raise CampaignError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_count("pattern_count", self.pattern_count, 0)
+        check_count("shards", self.shards, 1)
+        check_count("max_retries", self.max_retries, 0)
+        if self.word_bits is not None:
+            check_count("word_bits", self.word_bits, 1)
         if self.shard_timeout is not None and self.shard_timeout <= 0:
             raise CampaignError(
                 f"shard_timeout must be positive or None, got {self.shard_timeout}"
@@ -169,14 +183,8 @@ class CampaignSpec:
             raise CampaignError(
                 f"unknown pattern source {self.pattern_source!r}; expected one of {PATTERN_SOURCES}"
             )
-        if self.pattern_count < 0:
-            raise CampaignError("pattern_count must be non-negative")
         if self.pattern_source == "none" and not self.run_atpg:
             raise CampaignError("campaign has no test phase: set pattern_source or run_atpg")
-        if self.word_bits is not None and self.word_bits < 1:
-            raise CampaignError(f"word_bits must be >= 1, got {self.word_bits}")
-        if self.shards < 1:
-            raise CampaignError(f"shards must be >= 1, got {self.shards}")
         try:
             _check_engine(self.engine)
         except ValueError as exc:
@@ -199,15 +207,19 @@ class CampaignSpec:
 
 @dataclass
 class StaticPhaseResult:
-    """Outcome of the pre-simulation static phase.
+    """Outcome of the static phase: the lint report plus the proofs.
 
     ``proofs`` maps each statically proven untestable fault key to its
-    :class:`~repro.analysis_static.untestable.StaticProof`; those faults are
-    skipped by ATPG and reported as untestable with ``proven_static``
-    provenance.  They deliberately *stay* in the fault-simulation universe:
-    a sound proof means no test can detect them, so keeping them changes no
-    detection result -- and a detection of a proven fault trips the
-    soundness alarm in :func:`assemble_result`.
+    :class:`~repro.analysis_static.untestable.StaticProof`, in universe
+    order.  The prover runs in round 1 on the faults the pattern phase left
+    undetected (every fault without a pattern phase); a sound proof never
+    holds for a detected fault, so these are exactly the proofs over the
+    whole universe.  Proven faults are skipped by ATPG and reported as
+    untestable with ``proven_static`` provenance.  They deliberately *stay*
+    in the round-2 simulation universe: keeping them changes no detection
+    result -- and an ATPG test detecting one trips the soundness alarm in
+    :func:`assemble_result`.  ``runtime`` is the summed prove time of the
+    fault slices.
     """
 
     lint: LintReport
@@ -596,24 +608,6 @@ def run_lint_gate(circuit: LogicCircuit) -> LintReport:
     return lint
 
 
-def run_static_phase(
-    model: FaultModel,
-    circuit: LogicCircuit,
-    faults: FaultList,
-    lint: LintReport,
-) -> StaticPhaseResult:
-    """Collect the static phase: lint report plus untestability proofs.
-
-    *lint* is the report of the :func:`run_lint_gate` call that opened the
-    campaign.  Models without a ``prove_untestable`` hook simply contribute
-    no proofs.
-    """
-    t0 = time.perf_counter()
-    prove = getattr(model, "prove_untestable", None)
-    proofs: dict[str, StaticProof] = prove(circuit, faults) if prove is not None else {}
-    return StaticPhaseResult(lint=lint, proofs=proofs, runtime=time.perf_counter() - t0)
-
-
 def generate_atpg_outcomes(
     model: FaultModel,
     circuit: LogicCircuit,
@@ -654,6 +648,23 @@ def generate_atpg_outcomes(
     return outcomes, skipped, proven_skipped
 
 
+class Round1Record(NamedTuple):
+    """What round 1 returns for one fault slice.
+
+    Key lists and *proofs* are in universe order; *report* is None without
+    a pattern phase.  A tuple, so it pickles across the worker boundary.
+    """
+
+    report: Optional[DetectionReport]
+    outcomes: list[AtpgOutcome]
+    skipped: list[str]
+    proven: list[str]
+    proofs: dict[str, StaticProof]
+    sim_seconds: float
+    prove_seconds: float
+    gen_seconds: float
+
+
 def simulate_and_generate(
     spec: CampaignSpec,
     model: FaultModel,
@@ -661,22 +672,22 @@ def simulate_and_generate(
     compiled: Optional[CompiledCircuit],
     faults: Iterable,
     tests: Optional[Sequence],
-    proven: frozenset[str],
     engine: Optional[str] = None,
-) -> tuple[Optional[DetectionReport], list[AtpgOutcome], list[str], list[str], float, float]:
-    """Round 1 over one fault slice: pattern simulation plus ATPG generation.
+) -> Round1Record:
+    """Round 1 over one fault slice: simulate, prove the survivors, generate.
 
     *compiled* is the circuit compiled for *engine* (default: the spec's;
     None for the serial engine).  *tests* is None when the spec has no
-    pattern phase; *proven* holds the static phase's proofs.  Returns the
-    round-1 record: the slice's pattern report (None without patterns), its
-    ATPG outcomes, skipped keys and proven keys (all in universe order), and
-    its simulation and generation seconds.
+    pattern phase.  With the static phase on, the model's
+    ``prove_untestable`` hook runs on the faults the patterns left
+    undetected (every fault without patterns) and ATPG skips what it
+    proves; models without the hook prove nothing.
     """
     report: Optional[DetectionReport] = None
     detected: set[str] = set()
     outcomes, skipped, proven_skipped = [], [], []
-    sim_seconds = gen_seconds = 0.0
+    proofs: dict[str, StaticProof] = {}
+    sim_seconds = prove_seconds = gen_seconds = 0.0
     if tests is not None:
         t0 = time.perf_counter()
         report = model.simulate(
@@ -685,14 +696,22 @@ def simulate_and_generate(
         )
         sim_seconds = time.perf_counter() - t0
         detected.update(report.detected_faults)
+    prove = getattr(model, "prove_untestable", None) if spec.static_phase else None
+    if prove is not None:
+        t0 = time.perf_counter()
+        proofs = prove(circuit, [fault for fault in faults if fault.key not in detected])
+        prove_seconds = time.perf_counter() - t0
     if spec.run_atpg:
         t0 = time.perf_counter()
         outcomes, skipped, proven_skipped = generate_atpg_outcomes(
-            model, circuit, faults, detected, spec.podem_options, proven=proven,
+            model, circuit, faults, detected, spec.podem_options, proven=frozenset(proofs),
             atpg_engine=spec.atpg_engine,
         )
         gen_seconds = time.perf_counter() - t0
-    return report, outcomes, skipped, proven_skipped, sim_seconds, gen_seconds
+    return Round1Record(
+        report, outcomes, skipped, proven_skipped, proofs,
+        sim_seconds, prove_seconds, gen_seconds,
+    )
 
 
 def resimulate(
@@ -874,19 +893,24 @@ class Campaign:
         lint = run_lint_gate(circuit) if spec.static_phase else None
         universe = model.build_universe(circuit, **spec.universe_options)
         faults = collapse_universe(model, circuit, universe, spec.collapse)
-        static_phase: StaticPhaseResult | None = None
-        proven: frozenset[str] = frozenset()
-        if spec.static_phase:
-            static_phase = run_static_phase(model, circuit, faults, lint=lint)
-            proven = frozenset(static_phase.proofs)
         tests = list(self.patterns_for(circuit)) if spec.pattern_source != "none" else None
 
+        static_phase: StaticPhaseResult | None = None
         pattern_phase: PatternPhaseResult | None = None
         atpg_phase: AtpgPhaseResult | None = None
         with self._rounds(circuit) as rounds:
-            results = rounds.round1(faults, tests, proven)
+            results = rounds.round1(faults, tests)
+            if spec.static_phase:
+                # Slice-order concatenation is universe order (slices are
+                # contiguous), so proofs, outcomes, skipped and proven keys
+                # merge deterministically no matter the worker schedule.
+                static_phase = StaticPhaseResult(
+                    lint=lint,
+                    proofs={key: proof for r in results for key, proof in r.proofs.items()},
+                    runtime=sum(r.prove_seconds for r in results),
+                )
             if tests is not None:
-                report = _merge_round([r[0] for r in results], faults, len(tests))
+                report = _merge_round([r.report for r in results], faults, len(tests))
                 pattern_phase = PatternPhaseResult(
                     source=spec.pattern_source,
                     tests=tests,
@@ -894,16 +918,13 @@ class Campaign:
                     coverage=coverage_from_report(model.name, report),
                     # Summed slice time: the sequential phase cost, not the
                     # parallel wall time of a sharded run.
-                    runtime=sum(r[4] for r in results),
+                    runtime=sum(r.sim_seconds for r in results),
                 )
             if spec.run_atpg:
-                # Slice-order concatenation is universe order (slices are
-                # contiguous), so outcomes, skipped and proven keys merge
-                # deterministically no matter the worker schedule.
-                outcomes = [o for r in results for o in r[1]]
-                skipped = [k for r in results for k in r[2]]
-                proven_skipped = [k for r in results for k in r[3]]
-                generation_runtime = sum(r[5] for r in results)
+                outcomes = [o for r in results for o in r.outcomes]
+                skipped = [k for r in results for k in r.skipped]
+                proven_skipped = [k for r in results for k in r.proven]
+                generation_runtime = sum(r.gen_seconds for r in results)
                 atpg_tests = [test for outcome in outcomes for test in outcome.tests]
                 # With dropping on, faults the pattern phase already detected
                 # are excluded here too, so each dropped fault keeps exactly
@@ -956,11 +977,9 @@ class _InProcessRounds:
         self.spec, self.model, self.circuit = campaign.spec, campaign.model, circuit
         self.compiled = compile_for_engine(circuit, self.spec.engine, self.spec.word_bits)
 
-    def round1(self, faults: FaultList, tests: Optional[list], proven: frozenset[str]) -> list:
+    def round1(self, faults: FaultList, tests: Optional[list]) -> list[Round1Record]:
         return [
-            simulate_and_generate(
-                self.spec, self.model, self.circuit, self.compiled, faults, tests, proven
-            )
+            simulate_and_generate(self.spec, self.model, self.circuit, self.compiled, faults, tests)
         ]
 
     def round2(self, faults: FaultList, tests: list) -> list:

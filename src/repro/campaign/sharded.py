@@ -9,9 +9,10 @@ one-shard, in-process case -- but partitions the (collapsed) universe into
 contiguous shards and runs each of the two round bodies once per shard in a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
-1. **pattern + generate** -- each shard fault-simulates the shared pattern
-   tests over its fault slice and runs deterministic ATPG for its still
-   undetected faults;
+1. **simulate + prove + generate** -- each shard fault-simulates the shared
+   pattern tests over its fault slice, proves untestable (static phase) the
+   faults the patterns left undetected, and runs deterministic ATPG for the
+   rest;
 2. **re-simulate** -- the per-shard ATPG tests are concatenated in shard
    order (identical to the single-process test list, because shards are
    contiguous in universe order) and every shard re-simulates the full
@@ -64,11 +65,13 @@ from ..logic.netlist import LogicCircuit
 # are no-ops unless an injection plan is installed.
 from ..service.faultinject import inject
 from .errors import CampaignError, ShardExecutionError
-from .model import AtpgOutcome, get_model
+from .model import get_model
 from .runner import (
     Campaign,
     CampaignResult,
     CampaignSpec,
+    Round1Record,
+    check_count,
     resimulate,
     simulate_and_generate,
 )
@@ -148,14 +151,13 @@ def _shard_pattern_and_generate(
     engine: str,
     tests: Optional[Sequence],
     fault_shard: Sequence[Fault],
-    proven: frozenset[str],
     shard_index: int = -1,
-) -> tuple[Optional[DetectionReport], list[AtpgOutcome], list[str], list[str], float, float]:
+) -> Round1Record:
     """Round 1 of one shard in a worker: the round body on this worker's compile."""
     inject("worker.round1", shard=shard_index)
     model = get_model(spec.model)
     compiled = _worker_compiled(token, circuit, engine, spec.word_bits)
-    return simulate_and_generate(spec, model, circuit, compiled, fault_shard, tests, proven, engine)
+    return simulate_and_generate(spec, model, circuit, compiled, fault_shard, tests, engine)
 
 
 def _shard_resimulate(
@@ -417,8 +419,7 @@ class ShardedCampaign(Campaign):
     ):
         super().__init__(spec)
         self.shards = spec.shards if shards is None else shards
-        if self.shards < 1:
-            raise CampaignError(f"shards must be >= 1, got {self.shards}")
+        check_count("shards", self.shards, 1)
         self.max_workers = max_workers
         self.pool = pool
         self.checkpoint_dir = checkpoint_dir
@@ -438,12 +439,13 @@ class ShardedCampaign(Campaign):
 class _ShardRounds(AbstractContextManager):
     """The rounds of :class:`ShardedCampaign`: one worker task per shard.
 
-    Opening builds the circuit analysis (it is pickled with the circuit, so
-    no shard task relearns it), prepares the checkpoint store and draws the
-    run token; round 1 picks the executor.  Closing records the checkpoint
-    summary and fault-tolerance counters on the campaign, shuts an owned
-    pool down, and evicts the run's compiled circuits from this process,
-    where inline executors compile them.
+    Opening builds the circuit analysis when ATPG or the prover may use it
+    (it is pickled with the circuit, so no shard task relearns it), prepares
+    the checkpoint store and draws the run token; round 1 picks the
+    executor.  Closing records the checkpoint summary and fault-tolerance
+    counters on the campaign, shuts an owned pool down, and evicts the
+    run's compiled circuits from this process, where inline executors
+    compile them.
     """
 
     def __init__(self, campaign: ShardedCampaign, circuit: LogicCircuit):
@@ -456,7 +458,7 @@ class _ShardRounds(AbstractContextManager):
         self.stats = RoundStats()
         #: Engine-degradation provenance, set on close when a shard fell back.
         self.degraded: Optional[dict] = None
-        if spec.run_atpg:
+        if spec.run_atpg or spec.static_phase:
             circuit_analysis(circuit).build()
         if campaign.checkpoint_dir is not None:
             # Imported lazily: the service layer sits on top of this package.
@@ -506,7 +508,7 @@ class _ShardRounds(AbstractContextManager):
 
     # The submit thunks read self.executor late, so retries after a rebuild
     # land on the replacement pool; their *engine* is a degradation fallback.
-    def round1(self, faults: FaultList, tests: Optional[list], proven: frozenset[str]) -> list:
+    def round1(self, faults: FaultList, tests: Optional[list]) -> list[Round1Record]:
         campaign, spec, store = self.campaign, self.campaign.spec, self.store
         shards = [s for s in partition_faults(faults, campaign.shards) if s]
         # An external pool, an inline executor, or a process pool of our own.
@@ -524,7 +526,7 @@ class _ShardRounds(AbstractContextManager):
             [
                 lambda engine=None, shard=shard, index=index: self.executor.submit(
                     _shard_pattern_and_generate, self.token, self.circuit, spec,
-                    engine or spec.engine, tests, shard, proven, index,
+                    engine or spec.engine, tests, shard, index,
                 )
                 for index, shard in enumerate(shards)
             ],

@@ -3,8 +3,8 @@
 :class:`CheckpointStore` gives :class:`~repro.campaign.sharded.
 ShardedCampaign` a per-campaign directory where every completed shard task
 is persisted the moment its result arrives in the parent -- round-1
-(pattern simulation + ATPG generation) and round-2 (merged-test
-re-simulation) records alike.  All writes are atomic
+(pattern simulation, survivor proofs, ATPG generation) and round-2
+(merged-test re-simulation) records alike.  All writes are atomic
 (:mod:`repro.ioutil`), so a campaign killed mid-run -- SIGKILL included --
 leaves only complete shard files, and a resumed run loads them instead of
 recomputing, recomputes only the missing shards, and merges in universe
@@ -30,9 +30,11 @@ import os
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from ..analysis_static.untestable import StaticProof
 from ..atpg.fault_sim import DetectionReport
 from ..campaign.errors import CampaignError, CorruptArtifactError
 from ..campaign.model import SINGLE_PATTERN, AtpgOutcome
+from ..campaign.runner import Round1Record
 from ..faults.base import Fault
 from ..ioutil import atomic_write_json, atomic_write_text
 from .faultinject import inject
@@ -44,8 +46,10 @@ from .fingerprint import SCHEMA_VERSION
 #: validation and are quarantined + recomputed on first resume.  Version 4
 #: stores a report as one hex detection bitset per fault (``"words"``)
 #: instead of index lists; a v3 manifest is refused on resume, and
-#: ``resume=False`` clears it.
-CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/4"
+#: ``resume=False`` clears it.  Version 5 adds each shard's static proofs
+#: (key, reason, detail) and prove seconds to round-1 records, because the
+#: prover now runs inside round 1; a v4 manifest is refused the same way.
+CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/5"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -131,7 +135,7 @@ class CheckpointStore:
     Layout::
 
         <directory>/manifest.json     campaign fingerprint + shard count
-        <directory>/round1-0003.json  pattern report + ATPG outcomes, shard 3
+        <directory>/round1-0003.json  pattern report, proofs, ATPG outcomes, shard 3
         <directory>/round2-0003.json  re-simulation report, shard 3
 
     ``loaded``/``stored`` counters (per round) let callers report how much
@@ -264,7 +268,7 @@ class CheckpointStore:
         }
 
     # ------------------------------------------------------------------ #
-    # Round 1: pattern report + ATPG outcomes.
+    # Round 1: pattern report, static proofs, ATPG outcomes.
     # ------------------------------------------------------------------ #
     def _shard_path(self, round_no: int, index: int) -> Path:
         return self.directory / f"round{round_no}-{index:04d}.json"
@@ -314,10 +318,9 @@ class CheckpointStore:
         self,
         index: int,
         shard: Sequence[Fault],
-        record: tuple,
+        record: Round1Record,
     ) -> None:
         """Persist one shard's ``_shard_pattern_and_generate`` result."""
-        report, outcomes, skipped, proven, sim_seconds, gen_seconds = record
         self._store_payload(
             1,
             index,
@@ -325,7 +328,7 @@ class CheckpointStore:
                 "schema": CHECKPOINT_SCHEMA,
                 "shard": index,
                 "faults_digest": _fault_keys_digest(shard),
-                "report": _encode_report(report),
+                "report": _encode_report(record.report),
                 "outcomes": [
                     {
                         "fault": o.fault.key,
@@ -337,12 +340,14 @@ class CheckpointStore:
                         "decisions": o.decisions,
                         "implications": o.implications,
                     }
-                    for o in outcomes
+                    for o in record.outcomes
                 ],
-                "skipped": list(skipped),
-                "proven": list(proven),
-                "sim_seconds": sim_seconds,
-                "gen_seconds": gen_seconds,
+                "skipped": list(record.skipped),
+                "proven": list(record.proven),
+                "proofs": [[p.fault_key, p.reason, p.detail] for p in record.proofs.values()],
+                "sim_seconds": record.sim_seconds,
+                "prove_seconds": record.prove_seconds,
+                "gen_seconds": record.gen_seconds,
             },
         )
 
@@ -352,7 +357,7 @@ class CheckpointStore:
         shard: Sequence[Fault],
         pattern_kind: str,
         num_tests: Optional[int],
-    ) -> Optional[tuple]:
+    ) -> Optional[Round1Record]:
         """Load one shard's round-1 record, or None when absent/invalid.
 
         *num_tests* is the current pattern-phase test count (None when the
@@ -383,14 +388,21 @@ class CheckpointStore:
             ]
         except KeyError:
             return None
+        proofs = {
+            key: StaticProof(key, reason, detail) for key, reason, detail in payload["proofs"]
+        }
+        if not proofs.keys() <= by_key.keys():
+            return None
         self.loaded[1] += 1
-        return (
-            report,
-            outcomes,
-            list(payload["skipped"]),
-            list(payload["proven"]),
-            payload["sim_seconds"],
-            payload["gen_seconds"],
+        return Round1Record(
+            report=report,
+            outcomes=outcomes,
+            skipped=list(payload["skipped"]),
+            proven=list(payload["proven"]),
+            proofs=proofs,
+            sim_seconds=payload["sim_seconds"],
+            prove_seconds=payload["prove_seconds"],
+            gen_seconds=payload["gen_seconds"],
         )
 
     # ------------------------------------------------------------------ #

@@ -13,6 +13,7 @@ from repro.campaign import (
     Campaign,
     CampaignError,
     CampaignSpec,
+    ShardedCampaign,
     get_model,
     register_model,
     registered_models,
@@ -87,6 +88,28 @@ class TestSpecValidation:
             with pytest.raises(CampaignError, match=f"shards must be >= 1, got {bad}"):
                 CampaignSpec(shards=bad)
         assert CampaignSpec(shards=7).shards == 7
+
+    @pytest.mark.parametrize(
+        "field_name,bad",
+        [
+            ("pattern_count", 2.5),
+            ("pattern_count", True),
+            ("shards", 2.5),
+            ("shards", True),
+            ("max_retries", 1.5),
+            ("word_bits", 8.5),
+            ("word_bits", "64"),
+        ],
+    )
+    def test_counts_must_be_integers(self, field_name, bad):
+        """A float, bool or string count is refused at construction, naming
+        the field, instead of raising a raw TypeError mid-run."""
+        with pytest.raises(CampaignError, match=f"{field_name} must be an integer"):
+            CampaignSpec(circuit="c17", pattern_source="random", **{field_name: bad})
+
+    def test_sharded_shard_override_must_be_an_integer(self):
+        with pytest.raises(CampaignError, match="shards must be an integer"):
+            ShardedCampaign(CampaignSpec(circuit="c17"), shards=2.5)
 
     def test_validation_fires_at_construction_not_mid_run(self):
         """A bad field never survives to run(): construction itself raises."""

@@ -400,6 +400,55 @@ class TestKillAndResume:
         assert fresh.checkpoint_summary["round1_loaded"] == 0
         assert CheckpointStore(ckpt).read_manifest()["schema"] == CHECKPOINT_SCHEMA
 
+    def test_v4_checkpoint_without_proofs_is_refused(self, tmp_path):
+        """A directory left by v4, whose round-1 records carry no proofs:
+        resume refuses it with the schema message; ``resume=False`` restarts."""
+        old_schema = "repro/campaign-checkpoint/4"
+        ckpt = tmp_path / "ckpt"
+        spec = CampaignSpec(model="stuck-at", circuit="rdag:60,5",
+                            pattern_source="random", pattern_count=16, seed=7, shards=3)
+        ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        store = CheckpointStore(ckpt)
+        manifest = store.read_manifest()
+        atomic_write_json(ckpt / "manifest.json", {**manifest, "schema": old_schema})
+        for path in store.shard_files(1):
+            payload = json.loads(path.read_text().split("\n", 1)[0])
+            del payload["proofs"], payload["prove_seconds"]
+            path.write_text(_encode_record({**payload, "schema": old_schema}))
+
+        with pytest.raises(CampaignError, match="uses schema") as refused:
+            ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        assert old_schema in str(refused.value)
+        assert CHECKPOINT_SCHEMA in str(refused.value)
+
+        fresh = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt, resume=False)
+        assert fresh.run().as_dict(include_runtime=False) == baseline(spec)
+        assert fresh.checkpoint_summary["round1_loaded"] == 0
+
+    def test_resumed_round1_shards_restore_their_proofs(self, tmp_path):
+        """Round-1 records carry each shard's proofs (key, reason, detail):
+        a run killed after two round-1 shards resumes to the uninterrupted
+        result, static proofs included."""
+        spec = CampaignSpec(model="stuck-at", circuit="rdag:60,5",
+                            pattern_source="random", pattern_count=16, seed=7, shards=3)
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            ShardedCampaign(spec, pool=CrashAfter(2), checkpoint_dir=ckpt).run()
+        stored = [
+            json.loads(path.read_text().split("\n", 1)[0])
+            for path in CheckpointStore(ckpt).shard_files(1)
+        ]
+        assert len(stored) == 2
+        assert all(payload["proofs"] for payload in stored)
+
+        expected = Campaign(spec).run()
+        resumed = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt)
+        result = resumed.run()
+        assert resumed.checkpoint_summary["round1_loaded"] == 2
+        assert result.as_dict(include_runtime=False) == expected.as_dict(include_runtime=False)
+        assert result.static_phase.proofs == expected.static_phase.proofs
+        assert list(result.static_phase.proofs) == list(expected.static_phase.proofs)
+
 
 # --------------------------------------------------------------------------- #
 # The async job service (inline workers: deterministic, process-free).

@@ -11,6 +11,7 @@ collapsing.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -34,6 +35,7 @@ from repro.analysis_static.untestable import (
     LAUNCH_IMPOSSIBLE,
     UNEXCITABLE,
     UNOBSERVABLE,
+    StaticProof,
 )
 from repro.atpg import (
     generate_stuck_at_test,
@@ -44,6 +46,7 @@ from repro.atpg import (
 from repro.campaign import (
     CampaignError,
     CampaignSpec,
+    get_model,
     resolve_circuit,
     run_campaign,
     run_sharded_campaign,
@@ -476,6 +479,165 @@ class TestCampaignStaticPhase:
         assert len(dom.faults) <= len(equiv.faults) < len(full.faults)
         with pytest.raises(CampaignError, match="unknown collapse mode"):
             CampaignSpec(collapse="bogus")
+
+
+#: The eager reference: the free provers over a whole collapsed universe.
+EAGER_PROVERS = {
+    "stuck-at": prove_stuck_at_untestable,
+    "transition": prove_transition_untestable,
+}
+
+#: The spec of the end-to-end benchmark's ``sa-rdag`` workload.
+SA_RDAG = CampaignSpec(
+    model="stuck-at", circuit="rdag:200,4", pattern_source="random",
+    pattern_count=192, seed=0, engine="packed",
+)
+
+_RDAG_60 = dict(circuit="rdag:60,5", pattern_source="random", pattern_count=16, seed=7)
+
+LAZY_SPECS = {
+    "sa-rdag": SA_RDAG,
+    "transition-keep": CampaignSpec(model="transition", **_RDAG_60),
+    "transition-drop": CampaignSpec(model="transition", drop_detected=True, **_RDAG_60),
+    "no-patterns": CampaignSpec(**{**_RDAG_60, "pattern_source": "none"}),
+    "exhaustive": CampaignSpec(**{**_RDAG_60, "pattern_source": "exhaustive"}),
+    "no-atpg": CampaignSpec(run_atpg=False, **_RDAG_60),
+}
+
+
+def _golden_runs():
+    """(circuit, spec) of every golden campaign, static phase switched on."""
+    from test_golden_campaign import CASES, GOLDEN_DIR
+
+    for name in sorted(CASES):
+        bench, spec = CASES[name]
+        yield name, resolve_circuit(GOLDEN_DIR / bench), replace(spec, static_phase=True)
+
+
+def _eager_proofs(result, circuit) -> dict:
+    prove = EAGER_PROVERS.get(result.spec.model)
+    return prove(circuit, result.faults) if prove is not None else {}
+
+
+def _assert_lazy_equals_eager(result, circuit) -> None:
+    eager = _eager_proofs(result, circuit)
+    lazy = result.static_phase.proofs
+    assert lazy == eager  # same keys, reasons and detail strings
+    assert list(lazy) == list(eager)  # in universe order
+    assert result.static_phase.num_proven == result.coverage.proven_static
+
+
+class TestLazyProofs:
+    """Round 1 proves only the faults the patterns leave undetected.
+
+    The prover is sound, so no pattern-detected fault is provable and the
+    proofs over the survivors equal the eager proofs over the whole
+    collapsed universe.
+    """
+
+    @pytest.mark.parametrize("name", sorted(LAZY_SPECS))
+    def test_lazy_proofs_equal_eager_proofs(self, name):
+        spec = LAZY_SPECS[name]
+        circuit = resolve_circuit(spec.circuit)
+        _assert_lazy_equals_eager(run_campaign(circuit, spec), circuit)
+
+    def test_lazy_proofs_equal_eager_proofs_on_golden_specs(self):
+        for _, circuit, spec in _golden_runs():
+            _assert_lazy_equals_eager(run_campaign(circuit, spec), circuit)
+
+    @pytest.mark.parametrize("shards", [1, 3, 7])
+    def test_sharded_proofs_equal_eager_proofs(self, shards):
+        for spec in (SA_RDAG, LAZY_SPECS["transition-drop"], LAZY_SPECS["no-patterns"]):
+            circuit = resolve_circuit(spec.circuit)
+            result = run_sharded_campaign(circuit, spec, shards=shards, max_workers=0)
+            _assert_lazy_equals_eager(result, circuit)
+            assert result.as_dict(include_runtime=False) == run_campaign(
+                circuit, spec
+            ).as_dict(include_runtime=False)
+
+    @pytest.mark.parametrize("name", ["sa-rdag", "transition-keep", "transition-drop"])
+    def test_prover_sees_only_the_pattern_survivors(self, name, monkeypatch):
+        spec = LAZY_SPECS[name]
+        model = get_model(spec.model)
+        seen: list = []
+        original = model.prove_untestable
+
+        def spy(circuit, faults):
+            seen.extend(fault.key for fault in faults)
+            return original(circuit, faults)
+
+        monkeypatch.setattr(model, "prove_untestable", spy)
+        result = run_campaign(spec=spec)
+        words = result.pattern_phase.report.words
+        survivors = [key for key in result.faults.keys() if not words.get(key)]
+        assert seen == survivors
+        assert 0 < len(seen) < len(result.faults)
+
+    def test_no_eager_proven_fault_has_a_detection_bit(self):
+        """The soundness premise, checked directly on the pattern reports."""
+        runs = [(resolve_circuit(s.circuit), s) for s in LAZY_SPECS.values()]
+        runs += [(circuit, spec) for _, circuit, spec in _golden_runs()]
+        for circuit, spec in runs:
+            result = run_campaign(circuit, spec)
+            eager = _eager_proofs(result, circuit)
+            for phase in (result.pattern_phase, result.atpg_phase):
+                if phase is not None:
+                    assert not [key for key in eager if phase.report.words.get(key)]
+
+    def test_sa_rdag_search_is_pinned(self):
+        """The end-to-end benchmark's stuck-at campaign makes the same search
+        decisions and proofs with the prover after the patterns."""
+        result = run_campaign(spec=SA_RDAG)
+        atpg = result.atpg_phase
+        assert (atpg.attempted, atpg.backtracks, atpg.decisions, atpg.implications) == (
+            22, 298, 149, 1884,
+        )
+        assert result.static_phase.num_proven == 76
+        assert len(atpg.proven) == 76
+
+
+class TestSoundnessAlarm:
+    """An ATPG (round-2) detection of a "proven" fault aborts the campaign."""
+
+    SPEC = CampaignSpec(circuit="c17", pattern_source="none", collapse=True)
+
+    @staticmethod
+    def _victim(spec) -> str:
+        """A fault that the test generated for another fault also detects."""
+        result = run_campaign(spec=spec)
+        start = 0
+        for outcome in result.atpg_phase.outcomes:
+            own = range(start, start + len(outcome.tests))
+            start += len(outcome.tests)
+            if any(index not in own for index in result.detections.get(outcome.fault.key, ())):
+                return outcome.fault.key
+        raise AssertionError("no fault is detected by another fault's test")
+
+    @pytest.fixture
+    def unsound(self, monkeypatch):
+        """The stuck-at prover, made to also "prove" one detectable fault."""
+        victim = self._victim(self.SPEC)
+        model = get_model("stuck-at")
+        original = model.prove_untestable
+
+        def prove(circuit, faults):
+            proofs = original(circuit, faults)
+            if any(fault.key == victim for fault in faults):
+                proofs[victim] = StaticProof(victim, UNEXCITABLE, "injected")
+            return proofs
+
+        monkeypatch.setattr(model, "prove_untestable", prove)
+        return victim
+
+    def test_in_process_run_raises(self, unsound):
+        with pytest.raises(CampaignError, match="unsound") as err:
+            run_campaign(spec=self.SPEC)
+        assert repr(unsound) in str(err.value)
+
+    def test_inline_sharded_run_raises(self, unsound):
+        with pytest.raises(CampaignError, match="unsound") as err:
+            run_sharded_campaign(spec=self.SPEC, shards=3, max_workers=0)
+        assert repr(unsound) in str(err.value)
 
 
 class TestLintCli:
