@@ -616,26 +616,24 @@ def generate_atpg_outcomes(
     options: Optional[PodemOptions] = None,
     proven: frozenset[str] = frozenset(),
     atpg_engine: str | None = None,
-) -> tuple[list[AtpgOutcome], list[str], list[str]]:
+) -> tuple[list[AtpgOutcome], list[str]]:
     """Deterministic ATPG over *faults*, skipping already-*detected* keys.
 
     Keys in *proven* (statically proven untestable) are skipped without
     running the search.  *atpg_engine* names a structural engine
     (``"d-alg"`` / ``"podem"``); None keeps the model's default.  Returns
-    (outcomes for the attempted faults, skipped fault keys, proven fault
-    keys), all in universe order -- the invariant that makes the shards'
-    outcomes concatenate into exactly the one-shard test list.  Round 1
+    (outcomes for the attempted faults, skipped fault keys), both in
+    universe order -- the invariant that makes the shards' outcomes
+    concatenate into exactly the one-shard test list.  Round 1
     (:func:`simulate_and_generate`) calls it once per fault slice, and the
     loop owns one *searches* memo for the model's ``generate_test``, so
     each slice has its own.
     """
     outcomes: list[AtpgOutcome] = []
     skipped: list[str] = []
-    proven_skipped: list[str] = []
     searches: dict = {}
     for fault in faults:
         if fault.key in proven:
-            proven_skipped.append(fault.key)
             continue
         if fault.key in detected:
             skipped.append(fault.key)
@@ -645,20 +643,21 @@ def generate_atpg_outcomes(
                 circuit, fault, options=options, atpg_engine=atpg_engine, searches=searches
             )
         )
-    return outcomes, skipped, proven_skipped
+    return outcomes, skipped
 
 
 class Round1Record(NamedTuple):
     """What round 1 returns for one fault slice.
 
-    Key lists and *proofs* are in universe order; *report* is None without
-    a pattern phase.  A tuple, so it pickles across the worker boundary.
+    *skipped* and *proofs* are in universe order; *report* is None without
+    a pattern phase.  The prover sees only the faults the patterns left
+    undetected, so with ATPG on the faults it skipped as proven are exactly
+    the *proofs* keys.  A tuple, so it pickles across the worker boundary.
     """
 
     report: Optional[DetectionReport]
     outcomes: list[AtpgOutcome]
     skipped: list[str]
-    proven: list[str]
     proofs: dict[str, StaticProof]
     sim_seconds: float
     prove_seconds: float
@@ -685,7 +684,7 @@ def simulate_and_generate(
     """
     report: Optional[DetectionReport] = None
     detected: set[str] = set()
-    outcomes, skipped, proven_skipped = [], [], []
+    outcomes, skipped = [], []
     proofs: dict[str, StaticProof] = {}
     sim_seconds = prove_seconds = gen_seconds = 0.0
     if tests is not None:
@@ -703,14 +702,13 @@ def simulate_and_generate(
         prove_seconds = time.perf_counter() - t0
     if spec.run_atpg:
         t0 = time.perf_counter()
-        outcomes, skipped, proven_skipped = generate_atpg_outcomes(
+        outcomes, skipped = generate_atpg_outcomes(
             model, circuit, faults, detected, spec.podem_options, proven=frozenset(proofs),
             atpg_engine=spec.atpg_engine,
         )
         gen_seconds = time.perf_counter() - t0
     return Round1Record(
-        report, outcomes, skipped, proven_skipped, proofs,
-        sim_seconds, prove_seconds, gen_seconds,
+        report, outcomes, skipped, proofs, sim_seconds, prove_seconds, gen_seconds
     )
 
 
@@ -902,8 +900,8 @@ class Campaign:
             results = rounds.round1(faults, tests)
             if spec.static_phase:
                 # Slice-order concatenation is universe order (slices are
-                # contiguous), so proofs, outcomes, skipped and proven keys
-                # merge deterministically no matter the worker schedule.
+                # contiguous), so proofs, outcomes and skipped keys merge
+                # deterministically no matter the worker schedule.
                 static_phase = StaticPhaseResult(
                     lint=lint,
                     proofs={key: proof for r in results for key, proof in r.proofs.items()},
@@ -923,7 +921,6 @@ class Campaign:
             if spec.run_atpg:
                 outcomes = [o for r in results for o in r.outcomes]
                 skipped = [k for r in results for k in r.skipped]
-                proven_skipped = [k for r in results for k in r.proven]
                 generation_runtime = sum(r.gen_seconds for r in results)
                 atpg_tests = [test for outcome in outcomes for test in outcome.tests]
                 # With dropping on, faults the pattern phase already detected
@@ -944,7 +941,7 @@ class Campaign:
                     _merge_round([r[0] for r in resim], sim_faults, len(atpg_tests)),
                     runtime=generation_runtime + sum(r[1] for r in resim),
                     generation_runtime=generation_runtime,
-                    proven=proven_skipped,
+                    proven=[key for r in results for key in r.proofs],
                 )
 
         result = assemble_result(

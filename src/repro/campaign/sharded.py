@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -121,11 +122,32 @@ _TOKENS = itertools.count()
 #: circuit (or None for the serial engine).  Keyed by engine as well as
 #: token because retry degradation can re-run a shard of the same campaign
 #: under a fallback engine -- the packed artifact must not be reused then.
-#: Bounded so long-lived shared pools (CampaignSuite) do not accumulate one
+#: Bounded so a long-lived pool (the campaign service's) does not hold one
 #: compiled circuit per finished campaign; a run also evicts its own entries
 #: from the calling process when it ends (inline executors compile there).
 _WORKER_COMPILED: dict[tuple[str, str, Optional[int]], object] = {}
 _WORKER_CACHE_LIMIT = 8
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent pid changes.
+
+    A SIGKILLed parent never shuts its pool down; without this its orphaned
+    workers would wait on their task queue forever.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def worker_pool(max_workers: int) -> Executor:
+    """A process pool whose workers exit when the process that made it dies."""
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=_exit_with_parent)
 
 
 def _new_token() -> str:
@@ -391,9 +413,9 @@ class ShardedCampaign(Campaign):
     ``shards`` defaults to the spec's ``shards`` field; ``max_workers``
     defaults to ``min(shards, cpu_count)``, and ``max_workers=0`` selects
     :class:`InlineExecutor` (no processes -- same pipeline, deterministic,
-    handy for tests and one-CPU machines).  Pass *pool* to reuse an external
-    executor across campaigns (e.g. the shared pool of a
-    :class:`~repro.campaign.suite.CampaignSuite`); it is not shut down here.
+    handy for tests and one-CPU machines).  Pass *pool* to run the shards on
+    an external executor (an inline or fault-injecting one, or a pool shared
+    across campaigns); it is not shut down here.
 
     ``checkpoint_dir`` enables crash-safe shard checkpointing through a
     :class:`~repro.service.checkpoint.CheckpointStore`: every completed
@@ -494,7 +516,7 @@ class _ShardRounds(AbstractContextManager):
         if self.pool_workers is None:
             return
         broken = self.executor
-        self.executor = ProcessPoolExecutor(max_workers=self.pool_workers)
+        self.executor = worker_pool(self.pool_workers)
         broken.shutdown(wait=False, cancel_futures=True)
 
     def _collect(self, submits: list, load: Callable, save: Callable) -> list:
@@ -517,10 +539,9 @@ class _ShardRounds(AbstractContextManager):
         elif campaign.max_workers == 0:
             self.executor = InlineExecutor()
         else:
-            self.pool_workers = campaign.max_workers or max(
-                1, min(len(shards), os.cpu_count() or 1)
-            )
-            self.executor = ProcessPoolExecutor(max_workers=self.pool_workers)
+            workers = campaign.max_workers or max(1, min(len(shards), os.cpu_count() or 1))
+            self.executor = worker_pool(workers)
+            self.pool_workers = workers
         num_tests = len(tests) if tests is not None else None
         return self._collect(
             [
@@ -530,9 +551,7 @@ class _ShardRounds(AbstractContextManager):
                 )
                 for index, shard in enumerate(shards)
             ],
-            load=lambda index: store.load_round1(
-                index, shards[index], campaign.model.pattern_kind, num_tests
-            ),
+            load=lambda index: store.load_round1(index, shards[index], num_tests),
             save=lambda index, record: store.store_round1(index, shards[index], record),
         )
 

@@ -1,9 +1,9 @@
 """Campaign batteries: many specs, one worker pool, one consolidated report.
 
-:class:`CampaignSuite` executes a list of :class:`~repro.campaign.runner.
-CampaignSpec`\\ s (each naming its circuit) concurrently in a shared
-:class:`~concurrent.futures.ProcessPoolExecutor` -- one campaign per worker
-task, so a battery of small campaigns saturates the pool while every
+:class:`CampaignSuite` submits a list of :class:`~repro.campaign.runner.
+CampaignSpec`\\ s (each naming its circuit) to a
+:class:`~repro.service.jobs.CampaignService` -- one job per campaign, so a
+battery of small campaigns saturates the service's worker pool while every
 individual result stays bit-identical to a standalone
 :meth:`Campaign.run <repro.campaign.runner.Campaign.run>`.  Specs with
 ``shards > 1`` run the same pipeline's shards inline inside the worker
@@ -29,56 +29,13 @@ import io
 import json
 import os
 import time
-import traceback as traceback_module
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 from ..ioutil import atomic_write_text
 from .errors import CampaignError
-from .runner import Campaign, CampaignResult, CampaignSpec
-from .sharded import InlineExecutor, ShardedCampaign
-
-
-def _run_suite_entry(
-    index: int, spec: CampaignSpec, cache_dir: Optional[str] = None
-) -> tuple[int, Optional[CampaignResult], Optional[str], float, bool, Optional[str]]:
-    """Worker task: run one campaign, trapping per-entry failures.
-
-    A failing entry (unknown circuit, degenerate builder size, ...) is
-    reported in the consolidated result -- message plus full traceback for
-    post-mortem debugging -- instead of poisoning the battery.  With
-    *cache_dir* the result cache is consulted first and fed afterwards;
-    the returned flag records whether the entry was a cache hit.
-    """
-    start = time.perf_counter()
-    try:
-        cache = key = None
-        if cache_dir is not None:
-            # Imported lazily: the service layer sits on top of this package.
-            from ..service.cache import ResultCache
-
-            cache = ResultCache(cache_dir)
-            key, cached = cache.fetch(None, spec)
-            if cached is not None:
-                return index, cached, None, time.perf_counter() - start, True, None
-        if spec.shards > 1:
-            result = ShardedCampaign(spec, pool=InlineExecutor()).run()
-        else:
-            result = Campaign(spec).run()
-        if cache is not None:
-            cache.put(key, result)
-        return index, result, None, time.perf_counter() - start, False, None
-    except Exception as exc:
-        return (
-            index,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - start,
-            False,
-            traceback_module.format_exc(),
-        )
+from .runner import CampaignResult, CampaignSpec
 
 
 @dataclass
@@ -165,9 +122,6 @@ class SuiteResult:
     def failed(self) -> list[SuiteEntry]:
         return [e for e in self.entries if not e.ok]
 
-    def results(self) -> list[CampaignResult]:
-        return [e.result for e in self.entries if e.result is not None]
-
     def rows(self) -> list[dict[str, Any]]:
         return [entry.row() for entry in self.entries]
 
@@ -239,17 +193,16 @@ class SuiteResult:
 
 
 class CampaignSuite:
-    """A battery of campaigns over one shared worker pool.
+    """A battery of campaigns over one campaign service's worker pool.
 
     Every spec must name its circuit (``CampaignSpec.circuit``) since
     workers cannot receive live :class:`~repro.logic.netlist.LogicCircuit`
-    arguments positionally through the battery API.  ``max_workers=0``
-    runs the battery inline (no processes); *pool* reuses an external
-    executor and leaves its lifetime to the caller.  ``cache_dir`` points
-    every worker at a shared content-addressed result cache (see
-    :mod:`repro.service.cache`): entries already cached are returned
-    without any simulation work and fresh results are stored for the next
-    battery.
+    arguments positionally through the battery API.  ``max_workers``
+    defaults to ``min(len(specs), cpu_count)``; ``max_workers=0`` runs the
+    battery inline (no processes).  ``cache_dir`` points every job at a
+    shared content-addressed result cache (see :mod:`repro.service.cache`):
+    entries already cached are returned without any simulation work and
+    fresh results are stored for the next battery.
     """
 
     def __init__(
@@ -257,7 +210,6 @@ class CampaignSuite:
         specs: Iterable[CampaignSpec],
         *,
         max_workers: Optional[int] = None,
-        pool: Optional[Executor] = None,
         cache_dir: str | os.PathLike | None = None,
     ):
         self.specs = list(specs)
@@ -272,7 +224,6 @@ class CampaignSuite:
                     f"family:args reference or .bench path"
                 )
         self.max_workers = max_workers
-        self.pool = pool
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
 
     @classmethod
@@ -284,7 +235,6 @@ class CampaignSuite:
         *,
         base: Optional[CampaignSpec] = None,
         max_workers: Optional[int] = None,
-        pool: Optional[Executor] = None,
         cache_dir: str | os.PathLike | None = None,
         **spec_kwargs: Any,
     ) -> "CampaignSuite":
@@ -311,37 +261,37 @@ class CampaignSuite:
             for model in models
             for engine in engines
         ]
-        return cls(specs, max_workers=max_workers, pool=pool, cache_dir=cache_dir)
+        return cls(specs, max_workers=max_workers, cache_dir=cache_dir)
 
     def run(self) -> SuiteResult:
-        """Execute the battery; entry order in the result matches the specs."""
+        """Execute the battery; entry order in the result matches the specs.
+
+        A failing entry (unknown circuit, degenerate builder size, ...) is
+        reported in the consolidated result -- message plus full traceback
+        for post-mortem debugging -- instead of poisoning the battery.
+        """
+        # Imported lazily: the service layer sits on top of this package.
+        from ..service.jobs import CampaignService
+
         start = time.perf_counter()
-        own_pool = False
-        executor = self.pool
-        if executor is None:
-            if self.max_workers == 0:
-                executor = InlineExecutor()
-            else:
-                workers = self.max_workers or max(
-                    1, min(len(self.specs), os.cpu_count() or 1)
-                )
-                executor = ProcessPoolExecutor(max_workers=workers)
-                own_pool = True
-        try:
-            futures = [
-                executor.submit(_run_suite_entry, index, spec, self.cache_dir)
-                for index, spec in enumerate(self.specs)
-            ]
-            outcomes = [f.result() for f in futures]
-        finally:
-            if own_pool:
-                executor.shutdown()
+        workers = self.max_workers
+        if workers is None:
+            workers = max(1, min(len(self.specs), os.cpu_count() or 1))
+        with CampaignService(max_workers=workers, cache_dir=self.cache_dir) as service:
+            job_ids = [service.submit(spec) for spec in self.specs]
+            service.wait_all()
+            jobs = [service.job(job_id) for job_id in job_ids]
         entries = [
             SuiteEntry(
-                index=i, spec=self.specs[i], result=result, error=error,
-                runtime=rt, cache_hit=hit, traceback=tb,
+                index=index,
+                spec=spec,
+                result=job.result,
+                error=str(job.error) if job.error else None,
+                runtime=job.runtime,
+                cache_hit=job.cache_hit,
+                traceback=job.error.traceback if job.error else None,
             )
-            for i, result, error, rt, hit, tb in sorted(outcomes)
+            for index, (spec, job) in enumerate(zip(self.specs, jobs))
         ]
         return SuiteResult(entries=entries, runtime=time.perf_counter() - start)
 

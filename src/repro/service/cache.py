@@ -4,38 +4,34 @@ Campaign results are pure functions of (circuit structure + name, spec,
 code schema version) -- see :mod:`repro.service.fingerprint` -- so a
 repeated request can be answered from disk without touching an engine.
 :class:`ResultCache` stores each :class:`~repro.campaign.runner.
-CampaignResult` pickled under its campaign fingerprint, with a JSON
-sidecar carrying the human-readable metadata the cache report lists.
+CampaignResult` as one record (:mod:`repro.service.records`) named by its
+campaign fingerprint, with the key, the schema versions and the inventory
+fields in the record header.
 
-Writes are atomic (:mod:`repro.ioutil`) and reads validate the embedded
-key and schema version, so a cache directory can be shared by many worker
-processes (the suite and service layers do exactly that): the worst
-concurrent-access outcome is a redundant recompute, never a corrupt or
-wrong result.  Hit/miss/store counters are per-instance; cross-process
-layers aggregate their workers' reported flags instead.
+Writes are atomic (:mod:`repro.ioutil`) and reads validate the checksum,
+the embedded key and the schema versions, so a cache directory can be
+shared by many worker processes: the worst concurrent-access outcome is a
+redundant recompute, never a corrupt or wrong result, and never code run
+from the shared directory.  Hit/miss/store counters are per-instance.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 from ..campaign.runner import CampaignResult, CampaignSpec, resolve_campaign_circuit
-from ..ioutil import atomic_write_bytes, atomic_write_json
+from ..ioutil import atomic_write_text
 from ..logic.netlist import LogicCircuit
 from .faultinject import inject
 from .fingerprint import SCHEMA_VERSION, campaign_fingerprint
+from .records import decode, encode, encode_record, parse_record, quarantine
 
-#: Cache entry file-format version.
-CACHE_SCHEMA = "repro/campaign-cache/1"
-
-#: Subdirectory damaged entries are moved into (kept for forensics, excluded
-#: from ``entries()``/``clear()`` accounting).
-QUARANTINE_DIR = "quarantine"
+#: Cache entry file-format version.  Version 2 replaces the pickle and its
+#: JSON sidecar with one checksummed record per entry.
+CACHE_SCHEMA = "repro/campaign-cache/2"
 
 
 @dataclass
@@ -46,8 +42,8 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     invalidations: int = 0
-    #: Damaged entries (truncated/corrupt pickle, mismatched or corrupt
-    #: sidecar) moved aside on read; each also counts as a miss.
+    #: Damaged entries (torn or corrupt record, mismatched key, a type off
+    #: the records allow-list) moved aside on read; each also counts as a miss.
     quarantined: int = 0
     #: Transient I/O failures tolerated (read -> miss, write -> dropped).
     io_errors: int = 0
@@ -61,20 +57,12 @@ class CacheStats:
         return self.hits / self.requests if self.requests else 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "quarantined": self.quarantined,
-            "io_errors": self.io_errors,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 @dataclass
 class ResultCache:
-    """Pickled campaign results keyed by campaign fingerprint.
+    """Campaign result records keyed by campaign fingerprint.
 
     ``schema_version`` defaults to the code's
     :data:`~repro.service.fingerprint.SCHEMA_VERSION`; entries written
@@ -103,44 +91,19 @@ class ResultCache:
         return campaign_fingerprint(resolved, spec, schema_version=self.schema_version)
 
     def _entry_path(self, key: str) -> Path:
-        return Path(self.directory) / f"{key}.pkl"
-
-    def _meta_path(self, key: str) -> Path:
         return Path(self.directory) / f"{key}.json"
 
     # ------------------------------------------------------------------ #
     # Read / write.
     # ------------------------------------------------------------------ #
-    def _quarantine(self, key: str) -> None:
-        """Move a damaged entry (pickle + sidecar) into ``quarantine/``."""
-        qdir = Path(self.directory) / QUARANTINE_DIR
-        moved = False
-        for path in (self._entry_path(key), self._meta_path(key)):
-            if not path.exists():
-                continue
-            try:
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / path.name
-                suffix = 0
-                while target.exists():
-                    suffix += 1
-                    target = qdir / f"{path.name}.{suffix}"
-                os.replace(path, target)
-                moved = True
-            except OSError:
-                self.stats.io_errors += 1
-        if moved:
-            self.stats.quarantined += 1
-
     def get(self, key: str) -> Optional[CampaignResult]:
         """The cached result for *key*, or None (counted as hit/miss).
 
-        Never raises for a bad entry: a transient read failure is a miss, a
-        truncated/corrupt pickle, foreign payload or mismatched sidecar is
-        quarantined (moved aside for forensics) and reported as a miss --
-        the campaign recomputes and overwrites.  Entries from a different
-        ``schema_version`` are a plain miss and stay on disk (they are
-        valid for the code version that wrote them, not damaged).
+        Never raises for a bad entry: a transient read failure is a miss; a
+        torn record, a mismatched key or a body that does not decode to a
+        :class:`CampaignResult` is quarantined and a miss.  Entries of
+        another cache schema or ``schema_version`` are a plain miss and stay
+        on disk: they are valid for the code that wrote them.
         """
         path = self._entry_path(key)
         try:
@@ -154,36 +117,24 @@ class ResultCache:
             self.stats.misses += 1
             return None
         try:
-            payload = pickle.loads(data)
-            if not isinstance(payload, dict):
-                raise ValueError("cache payload is not a dict")
-        except Exception:
-            self._quarantine(key)
+            record = parse_record(data.decode("utf-8"))
+            if (
+                record.get("schema") != CACHE_SCHEMA
+                or record.get("schema_version") != self.schema_version
+            ):
+                self.stats.misses += 1
+                return None
+            result = decode(record["result"]) if record.get("key") == key else None
+        except Exception:  # a torn record or a body that does not decode is damage
+            result = None
+        if not isinstance(result, CampaignResult):
+            try:
+                quarantine(path)
+                self.stats.quarantined += 1
+            except OSError:
+                self.stats.io_errors += 1
             self.stats.misses += 1
             return None
-        if (
-            payload.get("schema") != CACHE_SCHEMA
-            or payload.get("schema_version") != self.schema_version
-        ):
-            self.stats.misses += 1
-            return None
-        result = payload.get("result")
-        if payload.get("key") != key or not isinstance(result, CampaignResult):
-            self._quarantine(key)
-            self.stats.misses += 1
-            return None
-        try:
-            meta = json.loads(self._meta_path(key).read_text(encoding="utf-8"))
-            if not isinstance(meta, dict) or meta.get("key") != key:
-                raise ValueError("sidecar key mismatch")
-        except FileNotFoundError:
-            pass  # sidecar is report metadata only; the entry is intact
-        except ValueError:  # includes json.JSONDecodeError
-            self._quarantine(key)
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.io_errors += 1
         self.stats.hits += 1
         return result
 
@@ -202,43 +153,26 @@ class ResultCache:
         produced the (already complete) result.
         """
         path = self._entry_path(key)
+        header = {
+            "schema": CACHE_SCHEMA,
+            "schema_version": self.schema_version,
+            "key": key,
+            "model": result.model_name,
+            "circuit": result.circuit_name,
+            "spec_circuit": result.spec.circuit,
+            "engine": result.spec.engine,
+            "seed": result.spec.seed,
+            "faults": len(result.faults),
+            "num_tests": result.merged_report.num_tests,
+        }
         try:
-            self._write_entry(key, result, path)
+            atomic_write_text(path, encode_record({**header, "result": encode(result)}))
+            inject("cache.write", path=path)
         except OSError:
             self.stats.io_errors += 1
             return path
         self.stats.stores += 1
         return path
-
-    def _write_entry(self, key: str, result: CampaignResult, path: Path) -> None:
-        atomic_write_bytes(
-            path,
-            pickle.dumps(
-                {
-                    "schema": CACHE_SCHEMA,
-                    "schema_version": self.schema_version,
-                    "key": key,
-                    "result": result,
-                }
-            ),
-        )
-        atomic_write_json(
-            self._meta_path(key),
-            {
-                "schema": CACHE_SCHEMA,
-                "schema_version": self.schema_version,
-                "key": key,
-                "model": result.model_name,
-                "circuit": result.circuit_name,
-                "spec_circuit": result.spec.circuit,
-                "engine": result.spec.engine,
-                "seed": result.spec.seed,
-                "faults": len(result.faults),
-                "num_tests": result.merged_report.num_tests,
-                "bytes": path.stat().st_size,
-            },
-        )
-        inject("cache.write", path=path)
 
     # ------------------------------------------------------------------ #
     # Invalidation and reporting.
@@ -247,36 +181,32 @@ class ResultCache:
         """Drop one entry; True when it existed."""
         existed = self._entry_path(key).exists()
         self._entry_path(key).unlink(missing_ok=True)
-        self._meta_path(key).unlink(missing_ok=True)
         if existed:
             self.stats.invalidations += 1
         return existed
 
+    def _entry_files(self) -> list[Path]:
+        directory = Path(self.directory)
+        return sorted(directory.glob("*.json")) if directory.is_dir() else []
+
     def clear(self) -> int:
         """Drop every entry; returns how many results were removed."""
-        removed = 0
-        directory = Path(self.directory)
-        if not directory.is_dir():
-            return 0
-        for path in directory.glob("*.pkl"):
+        paths = self._entry_files()
+        for path in paths:
             path.unlink(missing_ok=True)
-            path.with_suffix(".json").unlink(missing_ok=True)
-            removed += 1
-        self.stats.invalidations += removed
-        return removed
+        self.stats.invalidations += len(paths)
+        return len(paths)
 
     def entries(self) -> list[dict[str, Any]]:
-        """Metadata of every stored entry (from the JSON sidecars)."""
-        directory = Path(self.directory)
-        if not directory.is_dir():
-            return []
+        """Header fields plus file size of every stored entry."""
         found = []
-        for path in sorted(directory.glob("*.pkl")):
-            meta_path = path.with_suffix(".json")
+        for path in self._entry_files():
             try:
-                found.append(json.loads(meta_path.read_text(encoding="utf-8")))
-            except (OSError, json.JSONDecodeError):
-                found.append({"key": path.stem, "bytes": path.stat().st_size})
+                record = parse_record(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                record = {"key": path.stem}
+            record.pop("result", None)
+            found.append({**record, "bytes": path.stat().st_size})
         return found
 
     def report(self) -> dict[str, Any]:

@@ -28,105 +28,29 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
-from ..analysis_static.untestable import StaticProof
-from ..atpg.fault_sim import DetectionReport
 from ..campaign.errors import CampaignError, CorruptArtifactError
-from ..campaign.model import SINGLE_PATTERN, AtpgOutcome
 from ..campaign.runner import Round1Record
 from ..faults.base import Fault
 from ..ioutil import atomic_write_json, atomic_write_text
 from .faultinject import inject
 from .fingerprint import SCHEMA_VERSION
+from .records import decode, encode, encode_record, parse_record, quarantine
 
 #: Checkpoint file-format version (independent of the campaign
-#: SCHEMA_VERSION, which governs *result* compatibility).  Version 3 adds
-#: the per-record checksum/length trailer; v2 records fail trailer
-#: validation and are quarantined + recomputed on first resume.  Version 4
-#: stores a report as one hex detection bitset per fault (``"words"``)
-#: instead of index lists; a v3 manifest is refused on resume, and
-#: ``resume=False`` clears it.  Version 5 adds each shard's static proofs
-#: (key, reason, detail) and prove seconds to round-1 records, because the
-#: prover now runs inside round 1; a v4 manifest is refused the same way.
-CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/5"
+#: SCHEMA_VERSION, which governs *result* compatibility).  A manifest of any
+#: other version is refused on resume, and ``resume=False`` clears it.
+#: Version 6 stores every record field through the codec of
+#: :mod:`repro.service.records` and drops v5's round-1 ``"proven"`` key.
+CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/6"
 
 MANIFEST_NAME = "manifest.json"
-
-#: Subdirectory damaged artifacts are moved into (never deleted: they are
-#: the forensic record of what the store refused to trust).
-QUARANTINE_DIR = "quarantine"
-
-_TRAILER_PREFIX = "sha256:"
 
 
 def _fault_keys_digest(faults: Sequence[Fault]) -> str:
     joined = "\n".join(f.key for f in faults)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-
-def _encode_record(payload: dict[str, Any]) -> str:
-    """One shard record: a single JSON line plus a checksum/length trailer.
-
-    Atomic writes already rule out torn records under POSIX rename
-    semantics; the trailer is the defence for everything rename cannot
-    promise -- non-POSIX filesystems, partial network-volume flushes,
-    post-crash block corruption -- and for the fault-injection suite, which
-    tears and scribbles records on purpose.
-    """
-    body = json.dumps(payload, indent=None)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f"{body}\n{_TRAILER_PREFIX}{digest}:{len(body.encode('utf-8'))}\n"
-
-
-def _parse_record(text: str) -> dict[str, Any]:
-    """Validate and decode one record; raises ``ValueError`` when damaged."""
-    lines = text.split("\n")
-    if len(lines) != 3 or lines[2] != "":
-        raise ValueError("torn record: expected body + trailer lines")
-    body, trailer = lines[0], lines[1]
-    if not trailer.startswith(_TRAILER_PREFIX):
-        raise ValueError("missing checksum trailer")
-    digest, length = trailer[len(_TRAILER_PREFIX):].split(":")
-    if int(length) != len(body.encode("utf-8")):
-        raise ValueError("record length mismatch")
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != digest:
-        raise ValueError("record checksum mismatch")
-    payload = json.loads(body)
-    if not isinstance(payload, dict):
-        raise ValueError("record body is not an object")
-    return payload
-
-
-def _encode_report(report: Optional[DetectionReport]) -> Optional[dict[str, Any]]:
-    if report is None:
-        return None
-    return {
-        "words": {key: format(word, "x") for key, word in report.words.items()},
-        "num_tests": report.num_tests,
-    }
-
-
-def _decode_report(payload: Optional[dict[str, Any]]) -> Optional[DetectionReport]:
-    if payload is None:
-        return None
-    return DetectionReport(
-        words={key: int(word, 16) for key, word in payload["words"].items()},
-        num_tests=payload["num_tests"],
-    )
-
-
-def _decode_test(payload: list, pattern_kind: str) -> tuple:
-    """Restore one test to the model's native tuple shape.
-
-    JSON flattens tuples to lists; single-pattern tests come back as an int
-    tuple, two-pattern tests as a ``(first, second)`` pair of int tuples --
-    exactly what the simulators and report comparisons expect.
-    """
-    if pattern_kind == SINGLE_PATTERN:
-        return tuple(int(bit) for bit in payload)
-    first, second = payload
-    return (tuple(int(b) for b in first), tuple(int(b) for b in second))
 
 
 class CheckpointStore:
@@ -163,14 +87,7 @@ class CheckpointStore:
     def _quarantine(self, path: Path) -> None:
         """Move a damaged artifact into ``quarantine/`` (never delete it)."""
         try:
-            qdir = self.directory / QUARANTINE_DIR
-            qdir.mkdir(parents=True, exist_ok=True)
-            target = qdir / path.name
-            suffix = 0
-            while target.exists():
-                suffix += 1
-                target = qdir / f"{path.name}.{suffix}"
-            os.replace(path, target)
+            quarantine(path)
             self.quarantined += 1
         except OSError:
             # Cannot even move it aside; count it and leave the loader to
@@ -268,14 +185,15 @@ class CheckpointStore:
         }
 
     # ------------------------------------------------------------------ #
-    # Round 1: pattern report, static proofs, ATPG outcomes.
+    # Shard records: a header plus the record's fields, codec-encoded.
     # ------------------------------------------------------------------ #
     def _shard_path(self, round_no: int, index: int) -> Path:
         return self.directory / f"round{round_no}-{index:04d}.json"
 
-    def _load_payload(
-        self, round_no: int, index: int, shard: Sequence[Fault]
-    ) -> Optional[dict[str, Any]]:
+    def _load(
+        self, round_no: int, index: int, shard: Sequence[Fault], names: Iterable[str]
+    ) -> Optional[list]:
+        """The decoded *names* fields of one shard record, or None when absent/invalid."""
         path = self._shard_path(round_no, index)
         try:
             inject("checkpoint.read", shard=index, path=path)
@@ -288,25 +206,34 @@ class CheckpointStore:
             self.read_errors += 1
             return None
         try:
-            payload = _parse_record(data.decode("utf-8"))
-        except ValueError:  # includes UnicodeDecodeError from scribbled bytes
-            # Torn or corrupt record: only this record is discarded --
-            # moved to quarantine, recomputed -- never the whole resume.
+            payload = parse_record(data.decode("utf-8"))
+            if (
+                payload.get("schema") != CHECKPOINT_SCHEMA
+                or payload.get("faults_digest") != _fault_keys_digest(shard)
+            ):
+                # Stale (foreign-campaign) record: recompute without
+                # quarantine -- the file is intact, it describes other faults.
+                return None
+            return [decode(payload[name]) for name in names]
+        except Exception:  # torn, scribbled or undecodable record
+            # Only this record is discarded -- moved to quarantine,
+            # recomputed -- never the whole resume.
             self._quarantine(path)
             return None
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
-            return None
-        if payload.get("faults_digest") != _fault_keys_digest(shard):
-            # Stale (foreign-campaign) record: recompute without quarantine
-            # -- the file is intact, it just describes different faults.
-            return None
-        return payload
 
-    def _store_payload(self, round_no: int, index: int, payload: dict[str, Any]) -> bool:
+    def _store(
+        self, round_no: int, index: int, shard: Sequence[Fault], fields: dict[str, Any]
+    ) -> bool:
         """Best-effort persist: a failed write never fails the campaign."""
         path = self._shard_path(round_no, index)
+        header = {
+            "schema": CHECKPOINT_SCHEMA,
+            "shard": index,
+            "faults_digest": _fault_keys_digest(shard),
+        }
+        body = {**header, **{name: encode(value) for name, value in fields.items()}}
         try:
-            atomic_write_text(path, _encode_record(payload))
+            atomic_write_text(path, encode_record(body))
             inject("checkpoint.write", shard=index, path=path)
         except OSError:
             self.write_errors += 1
@@ -314,96 +241,37 @@ class CheckpointStore:
         self.stored[round_no] += 1
         return True
 
-    def store_round1(
-        self,
-        index: int,
-        shard: Sequence[Fault],
-        record: Round1Record,
-    ) -> None:
+    # ------------------------------------------------------------------ #
+    # Round 1: pattern report, static proofs, ATPG outcomes.
+    # ------------------------------------------------------------------ #
+    def store_round1(self, index: int, shard: Sequence[Fault], record: Round1Record) -> None:
         """Persist one shard's ``_shard_pattern_and_generate`` result."""
-        self._store_payload(
-            1,
-            index,
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "shard": index,
-                "faults_digest": _fault_keys_digest(shard),
-                "report": _encode_report(record.report),
-                "outcomes": [
-                    {
-                        "fault": o.fault.key,
-                        "success": o.success,
-                        "tests": [list(map(list, t)) if isinstance(t[0], tuple) else list(t)
-                                  for t in o.tests],
-                        "backtracks": o.backtracks,
-                        "aborted": o.aborted,
-                        "decisions": o.decisions,
-                        "implications": o.implications,
-                    }
-                    for o in record.outcomes
-                ],
-                "skipped": list(record.skipped),
-                "proven": list(record.proven),
-                "proofs": [[p.fault_key, p.reason, p.detail] for p in record.proofs.values()],
-                "sim_seconds": record.sim_seconds,
-                "prove_seconds": record.prove_seconds,
-                "gen_seconds": record.gen_seconds,
-            },
-        )
+        self._store(1, index, shard, record._asdict())
 
     def load_round1(
-        self,
-        index: int,
-        shard: Sequence[Fault],
-        pattern_kind: str,
-        num_tests: Optional[int],
+        self, index: int, shard: Sequence[Fault], num_tests: Optional[int]
     ) -> Optional[Round1Record]:
         """Load one shard's round-1 record, or None when absent/invalid.
 
         *num_tests* is the current pattern-phase test count (None when the
         spec has no pattern phase); a stored report simulated against a
-        different test list is rejected.
+        different test list, or outcomes and proofs naming a fault outside
+        the shard, are rejected.
         """
-        payload = self._load_payload(1, index, shard)
-        if payload is None:
+        fields = self._load(1, index, shard, Round1Record._fields)
+        if fields is None:
             return None
-        report = _decode_report(payload["report"])
+        record = Round1Record(*fields)
+        report = record.report
         if (report is None) != (num_tests is None):
             return None
         if report is not None and report.num_tests != num_tests:
             return None
-        by_key = {fault.key: fault for fault in shard}
-        try:
-            outcomes = [
-                AtpgOutcome(
-                    fault=by_key[o["fault"]],
-                    success=o["success"],
-                    tests=tuple(_decode_test(t, pattern_kind) for t in o["tests"]),
-                    backtracks=o["backtracks"],
-                    aborted=o["aborted"],
-                    decisions=o["decisions"],
-                    implications=o["implications"],
-                )
-                for o in payload["outcomes"]
-            ]
-        except KeyError:
-            return None
-        proofs = {
-            key: StaticProof(key, reason, detail) for key, reason, detail in payload["proofs"]
-        }
-        if not proofs.keys() <= by_key.keys():
+        named = {o.fault.key for o in record.outcomes} | record.proofs.keys()
+        if not named <= {fault.key for fault in shard}:
             return None
         self.loaded[1] += 1
-        return Round1Record(
-            report=report,
-            outcomes=outcomes,
-            skipped=list(payload["skipped"]),
-            proven=list(payload["proven"]),
-            proofs=proofs,
-            sim_seconds=payload["sim_seconds"],
-            prove_seconds=payload["prove_seconds"],
-            gen_seconds=payload["gen_seconds"],
-        )
+        return record
 
     # ------------------------------------------------------------------ #
     # Round 2: merged-ATPG-test re-simulation.
@@ -411,27 +279,14 @@ class CheckpointStore:
     def store_round2(self, index: int, shard: Sequence[Fault], record: tuple) -> None:
         """Persist one shard's ``_shard_resimulate`` result."""
         report, seconds = record
-        self._store_payload(
-            2,
-            index,
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "shard": index,
-                "faults_digest": _fault_keys_digest(shard),
-                "report": _encode_report(report),
-                "seconds": seconds,
-            },
-        )
+        self._store(2, index, shard, {"report": report, "seconds": seconds})
 
     def load_round2(
         self, index: int, shard: Sequence[Fault], num_tests: int
     ) -> Optional[tuple]:
         """Load one shard's round-2 record, or None when absent/invalid."""
-        payload = self._load_payload(2, index, shard)
-        if payload is None:
-            return None
-        report = _decode_report(payload["report"])
-        if report is None or report.num_tests != num_tests:
+        fields = self._load(2, index, shard, ("report", "seconds"))
+        if fields is None or fields[0].num_tests != num_tests:
             return None
         self.loaded[2] += 1
-        return report, payload["seconds"]
+        return tuple(fields)

@@ -41,8 +41,9 @@ from ..logic.netlist import LogicCircuit
 #: spec, and the ``atpg_phase`` payload grew ``atpg_engine`` /
 #: ``implications`` / ``proven_structural`` / per-fault ``outcomes``.
 #: v3: ``DetectionReport`` holds one int bitset per fault (``words``) instead
-#: of index lists, so results pickled by the result cache under v2 no longer
-#: load as working objects; the bump turns them into plain misses.
+#: of index lists, so results the result cache stored under v2 no longer
+#: load as working objects; the bump turns them into plain misses.  (The
+#: cache's file format has its own version, ``CACHE_SCHEMA``.)
 SCHEMA_VERSION = 3
 
 

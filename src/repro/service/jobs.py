@@ -12,7 +12,8 @@ pipeline so many clients can share one worker pool:
   killer, segfault) fails only its job, and the service transparently
   rebuilds the broken pool for the jobs behind it.
 * **Result cache** -- with ``cache_dir`` every job consults the
-  content-addressed :class:`~repro.service.cache.ResultCache` before doing
+  content-addressed :class:`~repro.service.cache.ResultCache` (checksummed
+  records, decoded through an allow-list -- never pickles) before doing
   any engine work, so repeated identical requests are served from disk.
 * **Checkpoints** -- with ``checkpoint_root`` each job shard-checkpoints
   under a directory derived from its campaign fingerprint, so resubmitting
@@ -21,7 +22,8 @@ pipeline so many clients can share one worker pool:
 The synchronous entry points (:meth:`~CampaignService.result`,
 :meth:`~CampaignService.wait_all`) block on per-job events; everything
 else returns immediately.  ``python -m repro.service.cli`` drives a
-service from a directory of JSON job specs.
+service from a directory of JSON job specs;
+:class:`~repro.campaign.suite.CampaignSuite` runs its batteries on one.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import threading
 import time
 import traceback
 from collections import Counter, deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, Future
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Optional
@@ -64,10 +66,6 @@ class JobStatus(str, Enum):
     FAILED = "failed"
     CANCELLED = "cancelled"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED)
-
 
 #: JobError categories that a retry can plausibly fix: infrastructure
 #: failures (dead worker, broken pool) and deadline overruns.  Everything
@@ -95,12 +93,7 @@ class JobError:
     category: str = "error"
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "type": self.type,
-            "message": self.message,
-            "traceback": self.traceback,
-            "category": self.category,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         return f"{self.type}: {self.message}"
@@ -140,6 +133,9 @@ class Job:
     started_at: Optional[float] = None
     #: Engine-degradation provenance copied from the result (None normally).
     degraded: Optional[dict[str, Any]] = None
+    #: Seconds the latest attempt spent in the job body (0.0 when its
+    #: worker died before reporting).
+    runtime: float = 0.0
     _event: threading.Event = field(default_factory=threading.Event, repr=False)
 
     def info(self) -> dict[str, Any]:
@@ -166,46 +162,40 @@ def _execute_job(
     """Worker-side job body: cache lookup, run, cache store -- all trapped.
 
     Runs inside a pool process; returns a plain dict so every outcome
-    (including the failure path) pickles back to the parent.  Sharded specs
-    run their shard pipeline inline -- nested process pools are never
-    created -- and the checkpoint directory is derived from the campaign
-    fingerprint, so a resubmitted job resumes the shards a crashed
-    predecessor completed.
+    (including the failure path) pickles back to the parent, with the
+    seconds the body took.  Sharded specs run their shard pipeline inline
+    -- nested process pools are never created -- and the checkpoint
+    directory is derived from the campaign fingerprint, so a resubmitted
+    job resumes the shards a crashed predecessor completed.
     """
     from ..campaign.sharded import InlineExecutor, ShardedCampaign
 
+    start = time.perf_counter()
     try:
         # Tagged by circuit reference, not call count: the hook stays
         # deterministic across pool rebuilds and worker process reuse.
         inject("job.run", tag=spec.circuit)
         cache = ResultCache(cache_dir, schema_version=schema_version) if cache_dir else None
-        key: Optional[str] = None
-        if cache is not None:
-            key, cached = cache.fetch(None, spec)
-            if cached is not None:
-                return {"ok": True, "result": cached, "cache_hit": True}
-        checkpoint_dir = None
-        if checkpoint_root is not None:
-            circuit = resolve_campaign_circuit(None, spec)
-            fingerprint = campaign_fingerprint(circuit, spec, schema_version=schema_version)
-            checkpoint_dir = str(Path(checkpoint_root) / fingerprint[:24])
-        if checkpoint_dir is not None or spec.shards > 1:
-            sharded = ShardedCampaign(
-                spec, pool=InlineExecutor(), checkpoint_dir=checkpoint_dir
-            )
-            result = sharded.run()
-        else:
-            result = Campaign(spec).run()
-        if cache is not None and key is not None:
-            cache.put(key, result)
-        return {
-            "ok": True,
-            "result": result,
-            "cache_hit": False,
-            "degraded": getattr(result, "degraded", None),
-        }
+        key, result = cache.fetch(None, spec) if cache is not None else (None, None)
+        payload = {"ok": True, "result": result, "cache_hit": result is not None}
+        if result is None:
+            checkpoint_dir = None
+            if checkpoint_root is not None:
+                circuit = resolve_campaign_circuit(None, spec)
+                fingerprint = campaign_fingerprint(circuit, spec, schema_version=schema_version)
+                checkpoint_dir = str(Path(checkpoint_root) / fingerprint[:24])
+            if checkpoint_dir is not None or spec.shards > 1:
+                sharded = ShardedCampaign(
+                    spec, pool=InlineExecutor(), checkpoint_dir=checkpoint_dir
+                )
+                result = sharded.run()
+            else:
+                result = Campaign(spec).run()
+            if cache is not None:
+                cache.put(key, result)
+            payload.update(result=result, degraded=result.degraded)
     except Exception as exc:
-        return {
+        payload = {
             "ok": False,
             "error": {
                 "type": type(exc).__name__,
@@ -214,6 +204,8 @@ def _execute_job(
                 "category": str(getattr(exc, "category", "error")),
             },
         }
+    payload["seconds"] = time.perf_counter() - start
+    return payload
 
 
 class CampaignService:
@@ -250,7 +242,7 @@ class CampaignService:
         job_timeout: Optional[float] = None,
         max_job_retries: int = 0,
     ):
-        from ..campaign.sharded import InlineExecutor
+        from ..campaign.sharded import InlineExecutor, worker_pool
 
         if job_timeout is not None and job_timeout <= 0:
             raise CampaignError(f"job_timeout must be positive or None, got {job_timeout}")
@@ -264,7 +256,7 @@ class CampaignService:
         self._inline = max_workers == 0
         self._slots = 1 if self._inline else (max_workers or os.cpu_count() or 1)
         self._executor: Executor = (
-            InlineExecutor() if self._inline else ProcessPoolExecutor(self._slots)
+            InlineExecutor() if self._inline else worker_pool(self._slots)
         )
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -463,8 +455,10 @@ class CampaignService:
                 attempt = job.attempts
                 self._in_flight.add(job_id)
                 if self._pool_broken:
+                    from ..campaign.sharded import worker_pool
+
                     old = self._executor
-                    self._executor = ProcessPoolExecutor(self._slots)
+                    self._executor = worker_pool(self._slots)
                     self._pool_broken = False
                     self._rebuilds += 1
                     # Reap the broken pool without blocking dispatch; any
@@ -538,6 +532,7 @@ class CampaignService:
                 # A watchdog-superseded attempt finishing late: its requeued
                 # successor (or terminal ruling) already owns the job.
                 return
+            job.runtime = payload["seconds"]
             if payload["ok"]:
                 self._in_flight.discard(job_id)
                 job.status = JobStatus.DONE
@@ -547,14 +542,7 @@ class CampaignService:
                 job.started_at = None
                 job._event.set()
             else:
-                err = payload["error"]
-                self._requeue_or_fail(
-                    job,
-                    JobError(
-                        err["type"], err["message"], err["traceback"],
-                        err.get("category", "error"),
-                    ),
-                )
+                self._requeue_or_fail(job, JobError(**payload["error"]))
             self._wake.notify_all()
 
     def _watchdog_loop(self) -> None:

@@ -16,7 +16,6 @@ Three layers, mirroring the production stack:
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
@@ -35,7 +34,8 @@ from repro.service import (
     seeded_matrix,
 )
 from repro.service.chaos import EXPECTED, run_matrix
-from repro.service.checkpoint import CHECKPOINT_SCHEMA, _encode_record, _parse_record
+from repro.service.checkpoint import CHECKPOINT_SCHEMA
+from repro.service.records import encode_record, parse_record
 from repro.service.faultinject import PLAN_ENV, active_injector
 
 
@@ -298,26 +298,26 @@ class TestCollectRoundRetries:
 class TestCheckpointRecordTrailer:
     def test_round_trip(self):
         payload = {"schema": CHECKPOINT_SCHEMA, "round": 1, "data": [1, 2, 3]}
-        assert _parse_record(_encode_record(payload)) == payload
+        assert parse_record(encode_record(payload)) == payload
 
     def test_torn_record_rejected(self):
-        text = _encode_record({"schema": CHECKPOINT_SCHEMA, "data": list(range(50))})
+        text = encode_record({"schema": CHECKPOINT_SCHEMA, "data": list(range(50))})
         for cut in (1, len(text) // 2, len(text) - 2):
             with pytest.raises(ValueError):
-                _parse_record(text[:cut])
+                parse_record(text[:cut])
 
     def test_flipped_byte_rejected(self):
-        text = _encode_record({"schema": CHECKPOINT_SCHEMA, "value": 123456})
+        text = encode_record({"schema": CHECKPOINT_SCHEMA, "value": 123456})
         mangled = text.replace("123456", "123457")
         with pytest.raises(ValueError):
-            _parse_record(mangled)
+            parse_record(mangled)
 
     def test_wrong_length_rejected(self):
-        text = _encode_record({"a": 1})
+        text = encode_record({"a": 1})
         body, trailer, _ = text.split("\n")
         prefix, digest, _length = trailer.split(":")
         with pytest.raises(ValueError):
-            _parse_record(f"{body}\n{prefix}:{digest}:9999\n")
+            parse_record(f"{body}\n{prefix}:{digest}:9999\n")
 
 
 # --------------------------------------------------------------------------- #
@@ -340,7 +340,7 @@ class TestCacheQuarantine:
         cache = ResultCache(tmp_path)
         key = cache.key_for(None, spec)
         path = cache.put(key, result)
-        path.write_bytes(b"\x80\x04 definitely not a pickle")
+        path.write_text(path.read_text().replace('"c17"', '"c18"', 1))  # checksum breaks
         assert cache.get(key) is None
         assert cache.stats.quarantined == 1 and cache.stats.misses == 1
         moved = list((tmp_path / "quarantine").iterdir())
@@ -349,15 +349,16 @@ class TestCacheQuarantine:
         assert cache.get(key) is not None
         assert cache.stats.as_dict()["hits"] == 1
 
-    def test_mismatched_sidecar_is_quarantined(self, tmp_path, small_campaign):
+    def test_mismatched_record_key_is_quarantined(self, tmp_path, small_campaign):
         spec, result = small_campaign
         cache = ResultCache(tmp_path)
         key = cache.key_for(None, spec)
-        cache.put(key, result)
-        sidecar = tmp_path / f"{key}.json"
-        sidecar.write_text(json.dumps({"key": "someone-else"}))
+        path = cache.put(key, result)
+        record = parse_record(path.read_text())
+        path.write_text(encode_record({**record, "key": "someone-else"}))
         assert cache.get(key) is None
         assert cache.stats.quarantined == 1
+        assert not path.exists()
 
     def test_foreign_schema_version_is_plain_miss_not_damage(
         self, tmp_path, small_campaign

@@ -12,7 +12,6 @@ tests use.
 from __future__ import annotations
 
 import json
-import pickle
 import time
 from concurrent.futures import Future
 from dataclasses import replace
@@ -28,7 +27,9 @@ from repro.campaign import (
     ShardedCampaign,
 )
 from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
-from repro.service.checkpoint import CHECKPOINT_SCHEMA, _encode_record
+from repro.service.cache import CACHE_SCHEMA
+from repro.service.checkpoint import CHECKPOINT_SCHEMA
+from repro.service.records import decode, encode_record
 from repro.logic import GateType, LogicCircuit, full_adder_sum
 from repro.service import (
     SCHEMA_VERSION,
@@ -196,16 +197,16 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key, _ = cache.fetch(None, spec)
         cache.put(key, Campaign(spec).run())
-        (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
+        (tmp_path / f"{key}.json").write_bytes(b"not a record")
         assert cache.get(key) is None
 
     def test_foreign_payload_with_wrong_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for(None, _spec())
-        (tmp_path / f"{key}.pkl").write_bytes(
-            pickle.dumps({"schema": "repro/campaign-cache/1",
-                          "schema_version": SCHEMA_VERSION,
-                          "key": "someone-else", "result": None})
+        (tmp_path / f"{key}.json").write_text(
+            encode_record({"schema": CACHE_SCHEMA,
+                           "schema_version": SCHEMA_VERSION,
+                           "key": "someone-else", "result": None})
         )
         assert cache.get(key) is None
 
@@ -362,7 +363,7 @@ class TestKillAndResume:
         path = CheckpointStore(ckpt).shard_files(1)[0]
         payload = json.loads(path.read_text().split("\n", 1)[0])
         payload["faults_digest"] = "0" * 64
-        path.write_text(_encode_record(payload))
+        path.write_text(encode_record(payload))
         resumed = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt)
         assert resumed.run().as_dict(include_runtime=False) == baseline(spec)
         assert resumed.checkpoint_summary["round1_stored"] == 1
@@ -383,10 +384,10 @@ class TestKillAndResume:
             payload = json.loads(path.read_text().split("\n", 1)[0])
             words = payload["report"].pop("words")
             payload["report"]["detections"] = {
-                key: [i for i in range(payload["report"]["num_tests"]) if int(word, 16) >> i & 1]
+                key: [i for i in range(payload["report"]["num_tests"]) if decode(word) >> i & 1]
                 for key, word in words.items()
             }
-            path.write_text(_encode_record({**payload, "schema": old_schema}))
+            path.write_text(encode_record({**payload, "schema": old_schema}))
 
         with pytest.raises(CampaignError) as refused:
             CheckpointStore(ckpt).prepare(manifest["fingerprint"], manifest["shards"])
@@ -414,7 +415,33 @@ class TestKillAndResume:
         for path in store.shard_files(1):
             payload = json.loads(path.read_text().split("\n", 1)[0])
             del payload["proofs"], payload["prove_seconds"]
-            path.write_text(_encode_record({**payload, "schema": old_schema}))
+            path.write_text(encode_record({**payload, "schema": old_schema}))
+
+        with pytest.raises(CampaignError, match="uses schema") as refused:
+            ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        assert old_schema in str(refused.value)
+        assert CHECKPOINT_SCHEMA in str(refused.value)
+
+        fresh = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt, resume=False)
+        assert fresh.run().as_dict(include_runtime=False) == baseline(spec)
+        assert fresh.checkpoint_summary["round1_loaded"] == 0
+
+    def test_v5_checkpoint_is_refused(self, tmp_path):
+        """A directory left by v5, whose round-1 records also list the proven
+        keys: resume refuses it with the schema message; ``resume=False``
+        restarts."""
+        old_schema = "repro/campaign-checkpoint/5"
+        ckpt = tmp_path / "ckpt"
+        spec = CampaignSpec(model="stuck-at", circuit="rdag:60,5",
+                            pattern_source="random", pattern_count=16, seed=7, shards=3)
+        ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        store = CheckpointStore(ckpt)
+        manifest = store.read_manifest()
+        atomic_write_json(ckpt / "manifest.json", {**manifest, "schema": old_schema})
+        for path in store.shard_files(1):
+            payload = json.loads(path.read_text().split("\n", 1)[0])
+            payload["proven"] = list(payload["proofs"])
+            path.write_text(encode_record({**payload, "schema": old_schema}))
 
         with pytest.raises(CampaignError, match="uses schema") as refused:
             ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()

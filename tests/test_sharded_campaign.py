@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from report_helpers import report_from_lists
@@ -138,7 +145,7 @@ class TestInProcessCampaign:
     def test_builds_no_process_pool(self, monkeypatch):
         built = []
 
-        def spy_pool(max_workers=None):
+        def spy_pool(max_workers=None, **options):
             built.append(max_workers)
             return InlineExecutor()
 
@@ -259,6 +266,56 @@ class TestShardedCampaign:
         # fails loudly instead of simulating some other model.
         with pytest.raises(KeyError, match="unknown fault model 'bridging'"):
             _shard_resimulate(_new_token(), fa_sum, "bridging", "packed", None, [], [], False)
+
+
+# --------------------------------------------------------------------------- #
+# Worker pools die with their parent.
+# --------------------------------------------------------------------------- #
+_HOLD_POOL = textwrap.dedent("""
+    import json, time
+    from repro.campaign.sharded import worker_pool
+
+    pool = worker_pool(2)
+    for future in [pool.submit(time.sleep, 0.3) for _ in range(2)]:
+        future.result()
+    print(json.dumps(sorted(pool._processes)), flush=True)
+    time.sleep(120)
+""")
+
+
+def _gone(pid: int) -> bool:
+    """True once *pid* has exited; a zombie awaiting its reaper counts."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
+def test_pool_workers_exit_when_their_parent_is_killed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_POOL], stdout=subprocess.PIPE, text=True, env=env
+    )
+    pids: list[int] = []
+    try:
+        pids = json.loads(parent.stdout.readline())
+        assert len(pids) == 2
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(10)
+        deadline = time.monotonic() + 5.0
+        while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [pid for pid in pids if not _gone(pid)] == []
+    finally:
+        parent.kill()
+        parent.wait(10)
+        parent.stdout.close()
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # --------------------------------------------------------------------------- #
