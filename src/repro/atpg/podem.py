@@ -9,11 +9,15 @@ The engine serves three callers:
   good-machine values in addition to detecting the fault -- this is how the
   OBD ATPG pins the defective gate's inputs to the excitation cube.
 
-Implication is table-driven: each net carries its (good, faulty) value as
-one small int, and each gate type has a lookup table over those codes,
-built once on first use from the scalar reference
-:func:`repro.atpg.values.evaluate_gate_values`.  An implication pass is one
-tuple-keyed lookup per gate.
+Implication is compiled: each net carries its (good, faulty) value as one
+of nine *pair codes*, and each gate type has a truth table over those codes,
+built once from the scalar reference
+:func:`repro.atpg.values.evaluate_gate_values` (:func:`_table`).  The
+circuit's :class:`~repro.analysis_static.analysis.CircuitAnalysis` turns
+the tables into one straight-line kernel over integer net ids, compiled on
+the first search and shared by every later one; an implication pass is one
+kernel call, one flat-tuple lookup per gate.  The search state (input
+assignments, net values, constraints) is held in lists indexed by net id.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Mapping, Optional
 from ..analysis_static.analysis import circuit_analysis
 from ..faults.stuck_at import StuckAtFault
 from ..logic.gates import GateType
-from ..logic.netlist import Gate, LogicCircuit
+from ..logic.netlist import LogicCircuit
 from .values import LogicValue, evaluate_gate_values, from_bit, noncontrolling_value
 
 #: The nine (good, faulty) pairs over 0/1/unknown.  The search carries each
@@ -37,16 +41,17 @@ _GOOD = tuple(value.good for value in _PAIRS)
 _KNOWN = tuple(value.is_known for value in _PAIRS)
 _ERROR = tuple(value.is_error for value in _PAIRS)
 _FROM_BIT = {bit: _PAIRS.index(from_bit(bit)) for bit in (0, 1, None)}
+_X = _FROM_BIT[None]
 
 
 @lru_cache(maxsize=64)
 def _table(gate_type: GateType, stuck: Optional[int] = None) -> dict[tuple[int, ...], int]:
     """Two-rail truth table of one gate type over pair codes.
 
-    Built once per gate type from :func:`evaluate_gate_values`, so
-    evaluation during search is one tuple-keyed lookup.  With *stuck* set,
-    the faulty rail of the output is forced to it: the table of a gate whose
-    output carries the stuck-at fault.
+    Built once per gate type from :func:`evaluate_gate_values`; the
+    implication kernel flattens it into one tuple indexed by the input codes.
+    With *stuck* set, the faulty rail of the output is forced to it: the
+    table of a gate whose output carries the stuck-at fault.
     """
     if stuck is not None:
         return {key: code // 3 * 3 + stuck for key, code in _table(gate_type).items()}
@@ -94,6 +99,14 @@ class PodemResult:
         return not self.success and not self.aborted
 
 
+#: Pair-code predicates for the D-frontier and the X-path walk.
+_UNKNOWN = tuple(not known for known in _KNOWN)
+_PASSABLE = tuple(not known or error for known, error in zip(_KNOWN, _ERROR))
+#: Pair code at a stuck-at-*s* site given its fault-free code: the faulty
+#: rail is forced to *s*.
+_INJECT = tuple(tuple(code // 3 * 3 + stuck for code in range(len(_PAIRS))) for stuck in (0, 1))
+
+
 class _PodemEngine:
     """One PODEM search over a circuit with an optional fault and constraints."""
 
@@ -104,15 +117,20 @@ class _PodemEngine:
         constraints: Mapping[str, int],
         options: PodemOptions,
     ):
-        self.circuit = circuit
         self.fault = fault
-        self.constraints = dict(constraints)
         self.options = options
         self.analysis = circuit_analysis(circuit)
-        self.order = self.analysis.order
-        self.assignments: dict[str, int] = {}
-        #: Pair code of every net (see :data:`_PAIRS`).
-        self.values: dict[str, int] = {}
+        self.index = index = self.analysis.net_index
+        self._validate(constraints)
+        self.kernel = self.analysis.kernel(len(_PAIRS), _table)
+        #: Fault-site id (-1 without a fault) and its injection tuple.
+        self.site = index.ids[fault.net] if fault is not None else -1
+        self.inject = _INJECT[fault.value] if fault is not None else _INJECT[0]
+        self.constraints = [(index.ids[net], value) for net, value in constraints.items()]
+        #: Pair code of every primary input: X until assigned.
+        self.inputs = [_X] * index.n_inputs
+        #: Pair code of every net (see :data:`_PAIRS`), by net id.
+        self.values: list[int] = []
         self.backtracks = 0
         self.decisions = 0
         #: Set when a branch is abandoned without exploring it (backtrace
@@ -120,43 +138,22 @@ class _PodemEngine:
         #: the stack no longer proves untestability: the result is reported
         #: as aborted, never as "no test exists".
         self.gave_up = False
-        self._pi_set = frozenset(circuit.primary_inputs)
-        self._validate()
-        #: One ``(table, inputs, output)`` step per gate in topological
-        #: order; the faulty gate's table injects the stuck value.
-        self._plan = [
-            (
-                _table(gate.gate_type,
-                       fault.value if fault is not None and gate.output == fault.net else None),
-                gate.inputs,
-                gate.output,
-            )
-            for gate in self.order
-        ]
 
-    def _validate(self) -> None:
-        nets = self.analysis.loads
+    def _validate(self, constraints: Mapping[str, int]) -> None:
+        nets = self.index.ids
         if self.fault is not None and self.fault.net not in nets:
             raise ValueError(f"fault net {self.fault.net!r} is not in the circuit")
-        for net, value in self.constraints.items():
+        for net, value in constraints.items():
             if net not in nets:
                 raise ValueError(f"constraint net {net!r} is not in the circuit")
             if value not in (0, 1):
                 raise ValueError(f"constraint value for {net!r} must be 0/1")
 
     # ------------------------------------------------------------------ #
-    # Implication (two-rail forward simulation over pair codes).
+    # Implication: the circuit's compiled two-rail kernel.
     # ------------------------------------------------------------------ #
     def imply(self) -> None:
-        assignments = self.assignments
-        values = {net: _FROM_BIT[assignments.get(net)] for net in self.circuit.primary_inputs}
-        fault = self.fault
-        if fault is not None and fault.net in values:
-            values[fault.net] = values[fault.net] // 3 * 3 + fault.value
-        code = values.__getitem__
-        for table, inputs, output in self._plan:
-            values[output] = table[tuple(map(code, inputs))]
-        self.values = values
+        self.values = self.kernel(self.inputs, self.site, self.inject)
 
     # ------------------------------------------------------------------ #
     # Status predicates.
@@ -164,14 +161,17 @@ class _PodemEngine:
     def fault_detected(self) -> bool:
         if self.fault is None:
             return False
-        return any(_ERROR[self.values[net]] for net in self.circuit.primary_outputs)
+        values = self.values
+        return any(_ERROR[values[net]] for net in self.index.outputs)
 
     def constraints_satisfied(self) -> bool:
-        return all(_GOOD[self.values[net]] == value for net, value in self.constraints.items())
+        values = self.values
+        return all(_GOOD[values[net]] == value for net, value in self.constraints)
 
     def constraints_violated(self) -> bool:
-        for net, value in self.constraints.items():
-            good = _GOOD[self.values[net]]
+        values = self.values
+        for net, value in self.constraints:
+            good = _GOOD[values[net]]
             if good is not None and good != value:
                 return True
         return False
@@ -180,24 +180,18 @@ class _PodemEngine:
         """Fault site already settled to the stuck value in the good machine."""
         if self.fault is None:
             return False
-        good = _GOOD[self.values[self.fault.net]]
+        good = _GOOD[self.values[self.site]]
         return good is not None and good == self.fault.value
 
-    def d_frontier(self) -> list[Gate]:
-        frontier = []
-        values = self.values
-        for gate in self.order:
-            if _KNOWN[values[gate.output]]:
-                continue
-            if any(_ERROR[values[n]] for n in gate.inputs):
-                frontier.append(gate)
-        return frontier
+    def d_frontier(self) -> list[int]:
+        """Output ids of the D-frontier gates, in topological order."""
+        return self.index.d_frontier(self.values, _ERROR, _UNKNOWN)
 
     def fault_activated(self) -> bool:
         """The fault site carries an error value (D or D-bar)."""
         if self.fault is None:
             return False
-        return _ERROR[self.values[self.fault.net]]
+        return _ERROR[self.values[self.site]]
 
     def x_path_exists(self) -> bool:
         """Is there a path of unknown-valued nets from the D-frontier to a PO?"""
@@ -207,21 +201,7 @@ class _PodemEngine:
         if not frontier:
             # Either already detected, or nothing left to propagate.
             return self.fault_detected()
-        targets = set(self.circuit.primary_outputs)
-        for gate in frontier:
-            stack = [gate.output]
-            seen: set[str] = set()
-            while stack:
-                net = stack.pop()
-                if net in seen:
-                    continue
-                seen.add(net)
-                if _KNOWN[self.values[net]] and not _ERROR[self.values[net]]:
-                    continue
-                if net in targets:
-                    return True
-                stack.extend(self.analysis.fanout_nets(net))
-        return False
+        return self.index.x_path(self.values, frontier, _PASSABLE)
 
     def done(self) -> bool:
         if not self.constraints_satisfied():
@@ -248,40 +228,40 @@ class _PodemEngine:
     # ------------------------------------------------------------------ #
     # Objective selection and backtrace.
     # ------------------------------------------------------------------ #
-    def objective(self) -> Optional[tuple[str, int]]:
+    def objective(self) -> Optional[tuple[int, int]]:
+        values = self.values
         # 1. Unsatisfied constraints.
-        for net, value in self.constraints.items():
-            if _GOOD[self.values[net]] is None:
+        for net, value in self.constraints:
+            if _GOOD[values[net]] is None:
                 return net, value
         # 2. Fault activation.
         if self.fault is not None:
-            good = _GOOD[self.values[self.fault.net]]
+            good = _GOOD[values[self.site]]
             if good is None:
-                return self.fault.net, 1 - self.fault.value
+                return self.site, 1 - self.fault.value
             # 3. Fault propagation through the D-frontier.
             frontier = self.d_frontier()
             if frontier:
-                gate = frontier[0]
-                for net in gate.inputs:
-                    if _GOOD[self.values[net]] is None:
-                        value = noncontrolling_value(gate.gate_type)
+                gate = frontier[0] - self.index.n_inputs
+                for net in self.index.gate_inputs[gate]:
+                    if _GOOD[values[net]] is None:
+                        value = noncontrolling_value(self.analysis.order[gate].gate_type)
                         return net, value if value is not None else 1
         return None
 
-    def backtrace(self, net: str, value: int) -> tuple[str, int]:
-        """Walk backwards from an objective to an unassigned primary input."""
+    def backtrace(self, net: int, value: int) -> tuple[int, int]:
+        """Walk backwards from an objective to a primary input."""
+        index, order, values = self.index, self.analysis.order, self.values
         current, target = net, value
-        for _ in range(10 * (len(self.circuit) + len(self.circuit.primary_inputs)) + 10):
-            driver = self.circuit.driver_of(current)
-            if driver is None:
+        for _ in range(10 * len(index.names) + 10):
+            if current < index.n_inputs:
                 return current, target
-            inputs_x = [n for n in driver.inputs if _GOOD[self.values[n]] is None]
-            if not inputs_x:
-                # Everything justified below; fall back to the first input.
-                inputs_x = [driver.inputs[0]]
-            chosen = inputs_x[0]
-            target = self._backtrace_value(driver.gate_type, target)
-            current = chosen
+            gate = current - index.n_inputs
+            inputs = index.gate_inputs[gate]
+            # The first good-unknown input; with everything justified below,
+            # fall back to the first input.
+            current = next((n for n in inputs if _GOOD[values[n]] is None), inputs[0])
+            target = self._backtrace_value(order[gate].gate_type, target)
         return current, target  # pragma: no cover - safety net
 
     @staticmethod
@@ -297,7 +277,7 @@ class _PodemEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> PodemResult:
         self.imply()
-        stack: list[tuple[str, int, bool]] = []  # (pi, value, alternative tried)
+        stack: list[tuple[int, int, bool]] = []  # (pi, value, alternative tried)
         while True:
             if self.done():
                 return self._success()
@@ -308,9 +288,8 @@ class _PodemEngine:
             if self.backtracks > self.options.max_backtracks:
                 return PodemResult(False, None, self.backtracks, aborted=True,
                                    decisions=self.decisions)
-            net, value = objective
-            pi, pi_value = self.backtrace(net, value)
-            if pi in self.assignments or pi not in self._pi_set:
+            pi, pi_value = self.backtrace(*objective)
+            if pi >= self.index.n_inputs or self.inputs[pi] != _X:
                 # Backtrace landed on an assigned (or non-input) net: the
                 # branch is abandoned *heuristically*, not refuted, so a
                 # later stack exhaustion must be reported as aborted rather
@@ -319,7 +298,7 @@ class _PodemEngine:
                 if not self._backtrack(stack):
                     return self._exhausted()
                 continue
-            self.assignments[pi] = pi_value
+            self.inputs[pi] = _FROM_BIT[pi_value]
             self.decisions += 1
             stack.append((pi, pi_value, False))
             self.imply()
@@ -329,24 +308,25 @@ class _PodemEngine:
         return PodemResult(False, None, self.backtracks, aborted=self.gave_up,
                            decisions=self.decisions)
 
-    def _backtrack(self, stack: list[tuple[str, int, bool]]) -> bool:
+    def _backtrack(self, stack: list[tuple[int, int, bool]]) -> bool:
+        """Flip the deepest untried decision; False once the stack is exhausted."""
         while stack:
             pi, value, tried_alternative = stack.pop()
-            del self.assignments[pi]
+            self.inputs[pi] = _X
             self.backtracks += 1
             if not tried_alternative:
                 alternative = 1 - value
-                self.assignments[pi] = alternative
+                self.inputs[pi] = _FROM_BIT[alternative]
                 stack.append((pi, alternative, True))
                 self.imply()
                 return True
-        self.imply()
         return False
 
     def _success(self) -> PodemResult:
+        fill = self.options.fill_value
         pattern = {
-            net: self.assignments.get(net, self.options.fill_value)
-            for net in self.circuit.primary_inputs
+            net: _GOOD[code] if _KNOWN[code] else fill
+            for net, code in zip(self.index.names, self.inputs)
         }
         return PodemResult(True, pattern, self.backtracks, decisions=self.decisions)
 

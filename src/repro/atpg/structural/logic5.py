@@ -22,8 +22,11 @@ set is ``VX``).  That recovers every classical identity -- ``AND(D, D') = 0``,
 ``XOR(D, D) = 0``, ``NAND(D, 1) = D'`` -- for *all* gate types, complex
 AOI/OAI cells included, from one generic construction.
 
-The per-gate-type tables are built once and cached, so evaluation during
-search is a single tuple-indexed dict lookup.
+The per-gate-type tables are built once and cached.  The D-algorithm
+looks gates up in them directly; PODEM runs them through the circuit's
+compiled implication kernel
+(:meth:`repro.analysis_static.analysis.CircuitAnalysis.kernel`), which
+flattens each table into one tuple indexed by ``a*25 + b*5 + c``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,14 @@ implication step -- hardened in four ways over the legacy engine in
 * **Loud invariants.**  The legacy engine silently "flipped the search"
   when backtrace landed on an assigned input; here that would be an
   internal-consistency error and raises.
+
+Forward simulation is one call of the circuit's compiled five-valued
+kernel (:meth:`~repro.analysis_static.analysis.CircuitAnalysis.kernel`):
+straight-line code over integer net ids, one flat-tuple lookup per gate,
+with the fault injected at its site.  The kernel is compiled on the
+circuit's first search and shared by every later one; the search state
+(input assignments, net values, closure literals) is held in lists indexed
+by net id.
 """
 
 from __future__ import annotations
@@ -42,17 +50,7 @@ from .engine import (
     StructuralResult,
     register_atpg_engine,
 )
-from .logic5 import (
-    ERRORS,
-    V0,
-    V1,
-    VD,
-    VDB,
-    VX,
-    from_good_bit,
-    gate_table,
-    good_bit,
-)
+from .logic5 import FIVE_VALUES, V0, V1, VD, VDB, VX, gate_table, good_bit, is_error
 
 
 class StructuralPodem(StructuralAtpg):
@@ -71,6 +69,21 @@ class StructuralPodem(StructuralAtpg):
         return _PodemSearch(analysis, fault, closure, options).run()
 
 
+#: Five-valued predicates, indexed by value code.
+_ERROR = tuple(is_error(v) for v in FIVE_VALUES)
+_UNKNOWN = tuple(v == VX for v in FIVE_VALUES)
+#: Nets an X-path may cross: every value but a settled 0 or 1.
+_PASSABLE = tuple(v not in (V0, V1) for v in FIVE_VALUES)
+_GOOD = tuple(good_bit(v) for v in FIVE_VALUES)
+#: Value at a stuck-at-*s* site given its fault-free value: X stays X, a
+#: good value equal to *s* is unexcited, the other one becomes the error.
+_INJECT = tuple(
+    tuple(v if _GOOD[v] in (None, stuck) else (VD if stuck == 0 else VDB)
+          for v in FIVE_VALUES)
+    for stuck in (0, 1)
+)
+
+
 class _PodemSearch:
     def __init__(
         self,
@@ -80,116 +93,85 @@ class _PodemSearch:
         options: PodemOptions,
     ):
         self.analysis = analysis
-        self.circuit = analysis.circuit
+        self.index = index = analysis.net_index
+        self.kernel = analysis.kernel(5, gate_table)
         self.fault = fault
-        self.closure = closure
+        self.site = index.ids[fault.net]
+        self.inject = _INJECT[fault.value]
+        self.closure = [(index.ids[net], value) for net, value in closure.items()]
         self.options = options
-        self.site_value = VD if fault.value == 0 else VDB
-        self.pi_set = set(self.circuit.primary_inputs)
         # Closure literals on primary inputs hold in every test: assign them
         # up front, outside the decision stack, so they are never flipped.
-        self.assignments: dict[str, int] = {
-            net: value for net, value in closure.items() if net in self.pi_set
-        }
-        self.values: dict[str, int] = {}
+        self.inputs = [VX] * index.n_inputs
+        for net, value in self.closure:
+            if net < index.n_inputs:
+                self.inputs[net] = value
+        self.values: list[int] = []
+        self._frontier: list[int] | None = None
         self.backtracks = 0
         self.decisions = 0
         self.implications = len(closure)
 
     # ------------------------------------------------------------------ #
-    # Implication: five-valued forward simulation with fault injection.
+    # Implication: the circuit's compiled five-valued kernel.
     # ------------------------------------------------------------------ #
     def simulate(self) -> None:
-        values: dict[str, int] = {}
-        fault = self.fault
-        for net in self.circuit.primary_inputs:
-            value = from_good_bit(self.assignments.get(net))
-            if net == fault.net:
-                value = self._inject(value)
-            values[net] = value
-        for gate in self.analysis.order:
-            value = gate_table(gate.gate_type)[tuple(values[n] for n in gate.inputs)]
-            if gate.output == fault.net:
-                value = self._inject(value)
-            values[gate.output] = value
-        self.values = values
+        self.values = self.kernel(self.inputs, self.site, self.inject)
+        self._frontier = None
         self.implications += 1
-
-    def _inject(self, value: int) -> int:
-        """Five-valued value at the fault site given its fault-free value."""
-        good = good_bit(value)
-        if good is None:
-            return VX
-        if good == self.fault.value:
-            return value  # not excited: both machines agree
-        return self.site_value
 
     # ------------------------------------------------------------------ #
     # Status predicates (all prunes are sound under monotone simulation).
     # ------------------------------------------------------------------ #
     def detected(self) -> bool:
-        return any(self.values[po] in ERRORS for po in self.circuit.primary_outputs)
+        values = self.values
+        return any(_ERROR[values[po]] for po in self.index.outputs)
 
     def failed(self) -> bool:
-        for net, needed in self.closure.items():
-            good = good_bit(self.values[net])
+        values = self.values
+        for net, needed in self.closure:
+            good = _GOOD[values[net]]
             if good is not None and good != needed:
                 return True  # a necessary excitation condition is violated
-        site = self.values[self.fault.net]
+        site = values[self.site]
         if site in (V0, V1):
             return True  # fault site settled to the stuck value: blocked
         if site == VX:
             return False  # activation still open
         return not self._x_path()
 
-    def _d_frontier(self) -> list:
-        frontier = []
-        values = self.values
-        for gate in self.analysis.order:
-            if values[gate.output] != VX:
-                continue
-            if any(values[n] in ERRORS for n in gate.inputs):
-                frontier.append(gate)
-        co = self.analysis.scoap.co
-        frontier.sort(key=lambda g: co[g.output])
-        return frontier
+    def _d_frontier(self) -> list[int]:
+        """Output ids of the D-frontier gates, topological, then by CO."""
+        if self._frontier is None:
+            names, co = self.index.names, self.analysis.scoap.co
+            frontier = self.index.d_frontier(self.values, _ERROR, _UNKNOWN)
+            frontier.sort(key=lambda out: co[names[out]])
+            self._frontier = frontier
+        return self._frontier
 
     def _x_path(self) -> bool:
         """Unknown-valued path from some D-frontier gate to a primary output."""
         frontier = self._d_frontier()
         if not frontier:
             return self.detected()
-        targets = set(self.circuit.primary_outputs)
-        values = self.values
-        for gate in frontier:
-            stack = [gate.output]
-            seen: set[str] = set()
-            while stack:
-                net = stack.pop()
-                if net in seen:
-                    continue
-                seen.add(net)
-                if values[net] in (V0, V1):
-                    continue
-                if net in targets:
-                    return True
-                stack.extend(self.analysis.fanout_nets(net))
-        return False
+        return self.index.x_path(self.values, frontier, _PASSABLE)
 
     # ------------------------------------------------------------------ #
     # Objective and SCOAP-guided backtrace.
     # ------------------------------------------------------------------ #
-    def objective(self) -> tuple[str, int] | None:
-        if self.values[self.fault.net] == VX:
-            return self.fault.net, 1 - self.fault.value
-        for gate in self._d_frontier():
-            for net in gate.inputs:
-                if good_bit(self.values[net]) is None:
-                    control = controlling_value(gate.gate_type)
+    def objective(self) -> tuple[int, int] | None:
+        values = self.values
+        if values[self.site] == VX:
+            return self.site, 1 - self.fault.value
+        index, order = self.index, self.analysis.order
+        for out in self._d_frontier():
+            for net in index.gate_inputs[out - index.n_inputs]:
+                if _GOOD[values[net]] is None:
+                    control = controlling_value(order[out - index.n_inputs].gate_type)
                     return net, 1 - control if control is not None else 1
         return None
 
-    def backtrace(self, net: str, value: int) -> tuple[str, int]:
+    def backtrace(self, net: int, value: int) -> tuple[int, int]:
         """SCOAP-guided walk from an objective to an unassigned primary input.
 
         A net whose good value is unknown always has a good-unknown fan-in
@@ -197,19 +179,22 @@ class _PodemSearch:
         so the walk terminates at an unassigned input by construction.
         """
         scoap = self.analysis.scoap
+        index, order, values = self.index, self.analysis.order, self.values
+        names = index.names
         current, target = net, value
-        bound = 2 * (len(self.circuit) + len(self.circuit.primary_inputs)) + 4
+        bound = 2 * len(names) + 4
         for _ in range(bound):
-            driver = self.circuit.driver_of(current)
-            if driver is None:
-                if current in self.assignments:
+            if current < index.n_inputs:
+                if self.inputs[current] != VX:
                     raise StructuralAtpgError(
-                        f"backtrace reached assigned input {current!r} "
-                        f"(objective {net}={value})"
+                        f"backtrace reached assigned input {names[current]!r} "
+                        f"(objective {names[net]}={value})"
                     )
                 return current, target
+            driver = order[current - index.n_inputs]
             unknown = [
-                n for n in driver.inputs if good_bit(self.values[n]) is None
+                n for n in index.gate_inputs[current - index.n_inputs]
+                if _GOOD[values[n]] is None
             ]
             if not unknown:
                 raise StructuralAtpgError(
@@ -221,13 +206,13 @@ class _PodemSearch:
                 # Every input must hold the non-controlling value: take the
                 # hardest obligation first so conflicts surface early.
                 current = max(
-                    unknown, key=lambda n: scoap.controllability(n, target)
+                    unknown, key=lambda n: scoap.controllability(names[n], target)
                 )
             else:
                 # One input suffices (or no controlling structure): take the
                 # cheapest.
                 current = min(
-                    unknown, key=lambda n: scoap.controllability(n, target)
+                    unknown, key=lambda n: scoap.controllability(names[n], target)
                 )
         raise StructuralAtpgError("backtrace exceeded its structural bound")
 
@@ -236,7 +221,7 @@ class _PodemSearch:
     # ------------------------------------------------------------------ #
     def run(self) -> StructuralResult:
         self.simulate()
-        stack: list[tuple[str, int, bool]] = []
+        stack: list[tuple[int, int, bool]] = []
         while True:
             if self.detected():
                 return self._result(TESTED, self._pattern())
@@ -247,19 +232,19 @@ class _PodemSearch:
             if self.backtracks >= self.options.max_backtracks:
                 return self._result(ABORTED, None)
             pi, pi_value = self.backtrace(*objective)
-            self.assignments[pi] = pi_value
+            self.inputs[pi] = pi_value
             self.decisions += 1
             stack.append((pi, pi_value, False))
             self.simulate()
 
-    def _backtrack(self, stack: list[tuple[str, int, bool]]) -> bool:
+    def _backtrack(self, stack: list[tuple[int, int, bool]]) -> bool:
         while stack:
             pi, value, tried_alternative = stack.pop()
-            del self.assignments[pi]
+            self.inputs[pi] = VX
             self.backtracks += 1
             if not tried_alternative:
                 alternative = 1 - value
-                self.assignments[pi] = alternative
+                self.inputs[pi] = alternative
                 stack.append((pi, alternative, True))
                 self.simulate()
                 return True
@@ -268,8 +253,8 @@ class _PodemSearch:
     def _pattern(self) -> dict[str, int]:
         fill = self.options.fill_value
         return {
-            net: self.assignments.get(net, fill)
-            for net in self.circuit.primary_inputs
+            net: fill if value == VX else value
+            for net, value in zip(self.index.names, self.inputs)
         }
 
     def _result(self, status: str, pattern: dict[str, int] | None) -> StructuralResult:

@@ -30,8 +30,10 @@ from .fingerprint import SCHEMA_VERSION, campaign_fingerprint
 from .records import decode, encode, encode_record, parse_record, quarantine
 
 #: Cache entry file-format version.  Version 2 replaces the pickle and its
-#: JSON sidecar with one checksummed record per entry.
-CACHE_SCHEMA = "repro/campaign-cache/2"
+#: JSON sidecar with one checksummed record per entry; version 3 stores test
+#: patterns under the codec's compact ``"bits"`` tag.  An entry of any other
+#: version is a plain miss.
+CACHE_SCHEMA = "repro/campaign-cache/3"
 
 
 @dataclass

@@ -42,8 +42,9 @@ from .records import decode, encode, encode_record, parse_record, quarantine
 #: SCHEMA_VERSION, which governs *result* compatibility).  A manifest of any
 #: other version is refused on resume, and ``resume=False`` clears it.
 #: Version 6 stores every record field through the codec of
-#: :mod:`repro.service.records` and drops v5's round-1 ``"proven"`` key.
-CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/6"
+#: :mod:`repro.service.records` and drops v5's round-1 ``"proven"`` key;
+#: version 7 stores test patterns under the codec's ``"bits"`` tag.
+CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/7"
 
 MANIFEST_NAME = "manifest.json"
 

@@ -5,6 +5,9 @@ JSON object on one line plus a ``sha256:<digest>:<length>`` trailer line.
 Campaign objects in a record body go through :func:`encode` /
 :func:`decode`, which rebuild only the types on :data:`ALLOWED`, so reading
 a record from a directory other processes write never runs their code.
+A non-empty tuple of exact ``int`` 0/1 items (a test pattern) is stored as
+one ``"0101..."`` string under the ``"bits"`` tag; every other tuple,
+bools included, keeps the ``"tuple"`` tag.
 Damaged records are moved aside by :func:`quarantine`, never deleted.
 """
 
@@ -74,6 +77,8 @@ def encode(value: Any) -> Any:
             return {key: encode(item) for key, item in value.items()}
         return {"#": "dict", "items": [[encode(k), encode(v)] for k, v in value.items()]}
     if type(value) is tuple:
+        if value and all(type(item) is int and item in (0, 1) for item in value):
+            return {"#": "bits", "bits": "".join(map(str, value))}
         return {"#": "tuple", "items": [encode(item) for item in value]}
     tag = _tag(value)
     if isinstance(value, FaultList):
@@ -100,6 +105,8 @@ def decode(data: Any) -> Any:
         return {key: decode(item) for key, item in data.items()}
     if tag == "int":
         return int(data["hex"], 16)
+    if tag == "bits":
+        return tuple(map(int, data["bits"]))
     if tag == "tuple":
         return tuple(decode(item) for item in data["items"])
     if tag == "dict":

@@ -91,6 +91,35 @@ def test_codec_keeps_enums_big_ints_and_key_types():
     assert type(back["pair"]) is tuple and type(back["pair"][0]) is tuple
 
 
+def test_bit_tuples_are_stored_as_one_string():
+    pattern = (0, 1, 1, 0)
+    assert encode(pattern) == {"#": "bits", "bits": "0110"}
+    assert _round_trip(pattern) == pattern
+    assert type(_round_trip(pattern)[0]) is int
+
+
+@pytest.mark.parametrize("value", [(True, False), (0, 2), (1, None), ((0, 1),)])
+def test_other_tuples_keep_the_tuple_tag(value):
+    assert encode(value)["#"] == "tuple"
+    back = _round_trip(value)
+    assert back == value and [type(item) for item in back] == [type(item) for item in value]
+
+
+def test_empty_tuple_round_trips():
+    assert encode(()) == {"#": "tuple", "items": []}
+    assert _round_trip(()) == ()
+
+
+def test_nodrop_mult_result_round_trips():
+    """The largest benchmark result: 8,192 twelve-bit tests in two lists."""
+    spec = CampaignSpec(model="stuck-at", circuit="mult:6", pattern_source="random",
+                        pattern_count=8192, seed=0, engine="numpy")
+    result = Campaign(spec).run()
+    encoded = encode(result)
+    assert encoded["pattern_phase"]["tests"][0]["#"] == "bits"
+    _assert_same_result(result, decode(json.loads(json.dumps(encoded))))
+
+
 def test_types_off_the_allow_list_are_refused():
     with pytest.raises(TypeError, match="allow-list"):
         encode(Path("x"))

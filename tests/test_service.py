@@ -452,6 +452,45 @@ class TestKillAndResume:
         assert fresh.run().as_dict(include_runtime=False) == baseline(spec)
         assert fresh.checkpoint_summary["round1_loaded"] == 0
 
+    def test_v6_checkpoint_is_refused(self, tmp_path):
+        """A directory left by v6, whose records store each test pattern as a
+        list of tagged items: resume refuses it with the schema message;
+        ``resume=False`` restarts."""
+        old_schema = "repro/campaign-checkpoint/6"
+
+        def untag(data):
+            if isinstance(data, list):
+                return [untag(item) for item in data]
+            if not isinstance(data, dict):
+                return data
+            if data.get("#") == "bits":
+                return {"#": "tuple", "items": [int(bit) for bit in data["bits"]]}
+            return {key: untag(item) for key, item in data.items()}
+
+        ckpt = tmp_path / "ckpt"
+        spec = CampaignSpec(model="stuck-at", circuit="rdag:60,5",
+                            pattern_source="random", pattern_count=16, seed=7, shards=3)
+        ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        store = CheckpointStore(ckpt)
+        manifest = store.read_manifest()
+        atomic_write_json(ckpt / "manifest.json", {**manifest, "schema": old_schema})
+        rewritten = 0
+        for path in store.shard_files(1):
+            text = path.read_text().split("\n", 1)[0]
+            rewritten += '"#": "bits"' in text
+            payload = untag(json.loads(text))
+            path.write_text(encode_record({**payload, "schema": old_schema}))
+        assert rewritten  # the rewrite really changed the pattern encoding
+
+        with pytest.raises(CampaignError, match="uses schema") as refused:
+            ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt).run()
+        assert old_schema in str(refused.value)
+        assert CHECKPOINT_SCHEMA in str(refused.value)
+
+        fresh = ShardedCampaign(spec, pool=InlineExecutor(), checkpoint_dir=ckpt, resume=False)
+        assert fresh.run().as_dict(include_runtime=False) == baseline(spec)
+        assert fresh.checkpoint_summary["round1_loaded"] == 0
+
     def test_resumed_round1_shards_restore_their_proofs(self, tmp_path):
         """Round-1 records carry each shard's proofs (key, reason, detail):
         a run killed after two round-1 shards resumes to the uninterrupted
