@@ -88,7 +88,7 @@ def scoap_measures(circuit: "LogicCircuit") -> ScoapMeasures:
     for net in circuit.primary_inputs:
         cc0[net] = cc1[net] = 1.0
 
-    order = circuit.topological_order()
+    order = circuit.index.order
     for gate in order:
         nets, pattern = _tie_pattern(gate.inputs, gate.output)
         in_nets = nets[:-1]

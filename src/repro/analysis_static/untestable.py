@@ -70,7 +70,7 @@ class StaticUntestabilityProver:
         self.circuit = circuit
         analysis = circuit_analysis(circuit)
         self.engine = analysis.implication_engine
-        self.order = analysis.order
+        self.order = circuit.index.order
         self.outputs = set(circuit.primary_outputs)
         #: Nets from which at least one primary output is reachable.
         self.observable = analysis.observable

@@ -290,7 +290,7 @@ def simulate_sites(
         detect = _detect_ints
     live = sites
     num_blocks = -(-len(tests) // cc.word_bits)
-    blocks = pack(tests, len(cc.input_indices), cc.word_bits)
+    blocks = pack(tests, cc.index.n_inputs, cc.word_bits)
     for block, (base, mask, *frames) in enumerate(blocks):
         if drop_detected:
             live = [site for site in live if not words[site.key]]

@@ -11,9 +11,9 @@ The engine serves three callers:
 
 Implication is compiled: each net carries its (good, faulty) value as one
 of nine *pair codes*, and each gate type has a truth table over those codes,
-built once from the scalar reference
-:func:`repro.atpg.values.evaluate_gate_values` (:func:`_table`).  The
-circuit's :class:`~repro.analysis_static.analysis.CircuitAnalysis` turns
+read rail by rail off :func:`repro.logic.gates.ternary_table`
+(:func:`_table`).  The circuit's
+:class:`~repro.analysis_static.analysis.CircuitAnalysis` turns
 the tables into one straight-line kernel over integer net ids, compiled on
 the first search and shared by every later one; an implication pass is one
 kernel call, one flat-tuple lookup per gate.  The search state (input
@@ -29,9 +29,9 @@ from typing import Mapping, Optional
 
 from ..analysis_static.analysis import circuit_analysis
 from ..faults.stuck_at import StuckAtFault
-from ..logic.gates import GateType
+from ..logic.gates import GateType, ternary_table
 from ..logic.netlist import LogicCircuit
-from .values import LogicValue, evaluate_gate_values, from_bit, noncontrolling_value
+from .values import LogicValue, from_bit, noncontrolling_value
 
 #: The nine (good, faulty) pairs over 0/1/unknown.  The search carries each
 #: net's value as its index here, its *pair code* ``good * 3 + faulty`` with
@@ -48,15 +48,17 @@ _X = _FROM_BIT[None]
 def _table(gate_type: GateType, stuck: Optional[int] = None) -> dict[tuple[int, ...], int]:
     """Two-rail truth table of one gate type over pair codes.
 
-    Built once per gate type from :func:`evaluate_gate_values`; the
-    implication kernel flattens it into one tuple indexed by the input codes.
-    With *stuck* set, the faulty rail of the output is forced to it: the
-    table of a gate whose output carries the stuck-at fault.
+    Built once per gate type from the exact three-valued table, one rail per
+    quotient and remainder of the codes by 3; the implication kernel
+    flattens it into one tuple indexed by the input codes.  With *stuck*
+    set, the faulty rail of the output is forced to it: the table of a gate
+    whose output carries the stuck-at fault.
     """
     if stuck is not None:
         return {key: code // 3 * 3 + stuck for key, code in _table(gate_type).items()}
+    ternary = ternary_table(gate_type)
     return {
-        codes: _PAIRS.index(evaluate_gate_values(gate_type, [_PAIRS[c] for c in codes]))
+        codes: ternary[tuple(c // 3 for c in codes)] * 3 + ternary[tuple(c % 3 for c in codes)]
         for codes in product(range(len(_PAIRS)), repeat=GateType(gate_type).num_inputs)
     }
 
@@ -120,7 +122,7 @@ class _PodemEngine:
         self.fault = fault
         self.options = options
         self.analysis = circuit_analysis(circuit)
-        self.index = index = self.analysis.net_index
+        self.index = index = circuit.index
         self._validate(constraints)
         self.kernel = self.analysis.kernel(len(_PAIRS), _table)
         #: Fault-site id (-1 without a fault) and its injection tuple.
@@ -245,13 +247,13 @@ class _PodemEngine:
                 gate = frontier[0] - self.index.n_inputs
                 for net in self.index.gate_inputs[gate]:
                     if _GOOD[values[net]] is None:
-                        value = noncontrolling_value(self.analysis.order[gate].gate_type)
+                        value = noncontrolling_value(self.index.order[gate].gate_type)
                         return net, value if value is not None else 1
         return None
 
     def backtrace(self, net: int, value: int) -> tuple[int, int]:
         """Walk backwards from an objective to a primary input."""
-        index, order, values = self.index, self.analysis.order, self.values
+        index, values = self.index, self.values
         current, target = net, value
         for _ in range(10 * len(index.names) + 10):
             if current < index.n_inputs:
@@ -261,16 +263,10 @@ class _PodemEngine:
             # The first good-unknown input; with everything justified below,
             # fall back to the first input.
             current = next((n for n in inputs if _GOOD[values[n]] is None), inputs[0])
-            target = self._backtrace_value(order[gate].gate_type, target)
+            # The input value most likely to produce *target* at the output.
+            if index.order[gate].gate_type.is_inverting:
+                target = 1 - target
         return current, target  # pragma: no cover - safety net
-
-    @staticmethod
-    def _backtrace_value(gate_type: GateType, target: int) -> int:
-        """Input value most likely to produce *target* at the gate output."""
-        if gate_type in (GateType.INV, GateType.NAND2, GateType.NAND3, GateType.NOR2,
-                         GateType.NOR3, GateType.XNOR2, GateType.AOI21, GateType.OAI21):
-            return 1 - target
-        return target
 
     # ------------------------------------------------------------------ #
     # Main search loop.

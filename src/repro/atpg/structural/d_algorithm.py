@@ -45,6 +45,7 @@ from .engine import (
 )
 from .logic5 import (
     ERRORS,
+    FIVE_VALUES,
     V0,
     V1,
     VD,
@@ -60,6 +61,8 @@ from .logic5 import (
 #: Justification domains: Boolean outside the fault cone, full inside.
 _BOOL = (V0, V1)
 _FULL = (V0, V1, VD, VDB)
+#: Nets an X-path may cross, by value code: every value but a settled 0 or 1.
+_PASSABLE = tuple(v not in _BOOL for v in FIVE_VALUES)
 
 
 class DAlgorithm(StructuralAtpg):
@@ -94,7 +97,8 @@ class _DAlgSearch:
         self.circuit = analysis.circuit
         self.fault = fault
         self.options = options
-        self.cone = analysis.fanout_cone(fault.net)
+        self.index = analysis.circuit.index
+        self.cone = analysis.circuit.fanout_cone(fault.net)
         self.fault_driver = analysis.circuit.driver_of(fault.net)
         self.site_value = VD if fault.value == 0 else VDB
         self.values: dict[str, int] = {}
@@ -155,7 +159,7 @@ class _DAlgSearch:
         changed = True
         while changed and not self.conflict:
             changed = False
-            for gate in self.analysis.order:
+            for gate in self.index.order:
                 table = gate_table(gate.gate_type)
                 computed = table[tuple(self.values.get(n, VX) for n in gate.inputs)]
                 if gate is self.fault_driver:
@@ -199,7 +203,7 @@ class _DAlgSearch:
     # ------------------------------------------------------------------ #
     def _d_frontier(self) -> list:
         frontier = []
-        for gate in self.analysis.order:
+        for gate in self.index.order:
             if self.values.get(gate.output) is not None:
                 continue
             if any(self.values.get(n, VX) in ERRORS for n in gate.inputs):
@@ -210,7 +214,7 @@ class _DAlgSearch:
 
     def _j_frontier(self) -> list:
         frontier = []
-        for gate in self.analysis.order:
+        for gate in self.index.order:
             if gate is not self.fault_driver and self.values.get(gate.output) is None:
                 continue
             computed = gate_table(gate.gate_type)[
@@ -218,8 +222,8 @@ class _DAlgSearch:
             ]
             if computed == VX:
                 frontier.append(gate)
-        levels = self.analysis.levels
-        frontier.sort(key=lambda g: -levels[g.output])
+        ids, levels = self.index.ids, self.index.levels
+        frontier.sort(key=lambda g: -levels[ids[g.output]])
         return frontier
 
     def _error_at_output(self) -> bool:
@@ -234,21 +238,10 @@ class _DAlgSearch:
         frontier = self._d_frontier()
         if not frontier:
             return True  # the site error is masked on every path
-        targets = set(self.circuit.primary_outputs)
-        for gate in frontier:
-            stack = [gate.output]
-            seen: set[str] = set()
-            while stack:
-                net = stack.pop()
-                if net in seen:
-                    continue
-                seen.add(net)
-                if self.values.get(net, VX) in (V0, V1):
-                    continue
-                if net in targets:
-                    return False
-                stack.extend(self.analysis.fanout_nets(net))
-        return True
+        index = self.index
+        values = [self.values.get(net, VX) for net in index.names]
+        starts = [index.ids[gate.output] for gate in frontier]
+        return not index.x_path(values, starts, _PASSABLE)
 
     # ------------------------------------------------------------------ #
     # Decisions.

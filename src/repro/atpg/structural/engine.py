@@ -13,14 +13,15 @@ of three outcomes:
 Engines register themselves in :data:`ATPG_ENGINES` and campaigns select one
 via ``CampaignSpec.atpg_engine``.
 
-Every search reads its per-circuit facts from the circuit's shared
-:class:`~repro.analysis_static.analysis.CircuitAnalysis`: topological order,
-levels, fan-out, observability, SCOAP numbers (guiding PODEM's backtrace and
-the D-algorithm's frontier ordering) and the static-learning implication
-engine, whose excitation closures both prune the search and prove
-``unexcitable`` faults outright.  The same analysis serves lint and the
-static untestability prover, so a campaign learns once, not once per fault
-or per consumer.
+Every search reads its per-circuit facts from the netlist's structural
+index (:attr:`~repro.logic.netlist.LogicCircuit.index`: topological order,
+net ids, levels, fan-out and cones) and the circuit's shared
+:class:`~repro.analysis_static.analysis.CircuitAnalysis`: observability,
+SCOAP numbers (guiding PODEM's backtrace and the D-algorithm's frontier
+ordering) and the static-learning implication engine, whose excitation
+closures both prune the search and prove ``unexcitable`` faults outright.
+The same analysis serves lint and the static untestability prover, so a
+campaign learns once, not once per fault or per consumer.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class StructuralAtpg:
         """Resolve *fault* to tested / proven_redundant / aborted."""
         options = options or PodemOptions()
         analysis = circuit_analysis(circuit)
-        if fault.net not in analysis.loads:
+        if fault.net not in circuit.index.ids:
             raise ValueError(f"fault net {fault.net!r} is not in the circuit")
         if fault.net not in analysis.observable:
             return StructuralResult(

@@ -20,7 +20,10 @@ function on every concrete (good, faulty) pair combination the inputs
 admit, and map the result set back to a five-valued symbol (a non-singleton
 set is ``VX``).  That recovers every classical identity -- ``AND(D, D') = 0``,
 ``XOR(D, D) = 0``, ``NAND(D, 1) = D'`` -- for *all* gate types, complex
-AOI/OAI cells included, from one generic construction.
+AOI/OAI cells included, from one generic construction.  Every symbol's pair
+set is a product of a good set and a faulty set, so the image is the product
+of the two rails' images: the tables are read off the exact three-valued
+table :func:`repro.logic.gates.ternary_table`, one rail at a time.
 
 The per-gate-type tables are built once and cached.  The D-algorithm
 looks gates up in them directly; PODEM runs them through the circuit's
@@ -35,45 +38,28 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from ...logic.gates import GateType, evaluate_gate
+from ...logic.gates import UNKNOWN, GateType, ternary_table
 
 #: The five values.  Small ints so they pack into tuples cheaply.
 V0, V1, VX, VD, VDB = 0, 1, 2, 3, 4
 
 FIVE_VALUES = (V0, V1, VX, VD, VDB)
 
-#: Display names, indexed by value.
-NAMES = ("0", "1", "X", "D", "D'")
+#: The good and the faulty rail of each symbolic value as ternary codes
+#: (the pair sets of the module table: ``VX`` leaves both rails unknown).
+_GOOD_RAIL = (0, 1, UNKNOWN, 1, 0)
+_FAULTY_RAIL = (0, 1, UNKNOWN, 0, 1)
 
-#: Concrete (good, faulty) bit pairs each symbolic value stands for.
-PAIRS: tuple[tuple[tuple[int, int], ...], ...] = (
-    ((0, 0),),
-    ((1, 1),),
-    ((0, 0), (1, 1), (1, 0), (0, 1)),
-    ((1, 0),),
-    ((0, 1),),
-)
-
-#: Map a concrete (good, faulty) pair back to its symbolic value.
+#: Map a known (good, faulty) pair back to its symbolic value.
 _PAIR_TO_VALUE = {(0, 0): V0, (1, 1): V1, (1, 0): VD, (0, 1): VDB}
 
 #: Error values: good and faulty machines disagree.
 ERRORS = (VD, VDB)
 
 
-def name_of(value: int) -> str:
-    """Human-readable name of a five-valued symbol."""
-    return NAMES[value]
-
-
 def is_error(value: int) -> bool:
     """True for D and D'."""
     return value == VD or value == VDB
-
-
-def is_known(value: int) -> bool:
-    """True for every value except X."""
-    return value != VX
 
 
 def good_bit(value: int) -> Optional[int]:
@@ -83,13 +69,6 @@ def good_bit(value: int) -> Optional[int]:
     return 1 if value in (V1, VD) else 0
 
 
-def faulty_bit(value: int) -> Optional[int]:
-    """The faulty-machine bit (None for X)."""
-    if value == VX:
-        return None
-    return 1 if value in (V1, VDB) else 0
-
-
 def from_good_bit(bit: Optional[int]) -> int:
     """Lift a fault-free 0/1/None bit into the five-valued domain."""
     if bit is None:
@@ -97,31 +76,23 @@ def from_good_bit(bit: Optional[int]) -> int:
     return V1 if bit else V0
 
 
-def invert(value: int) -> int:
-    """Five-valued inversion (D and D' swap)."""
-    return {V0: V1, V1: V0, VX: VX, VD: VDB, VDB: VD}[value]
-
-
 @lru_cache(maxsize=64)
 def gate_table(gate_type: GateType) -> dict[tuple[int, ...], int]:
     """The full five-valued truth table of one gate type.
 
     Keys are input-value tuples over :data:`FIVE_VALUES`; the value is the
-    exact five-valued output (set semantics over the concrete pairs).
+    exact five-valued output (set semantics over the concrete pairs): a
+    known symbol when both rails of the ternary table are known, else ``VX``.
     """
-    gate_type = GateType(gate_type)
-    arity = gate_type.num_inputs
-    table: dict[tuple[int, ...], int] = {}
-    for values in product(FIVE_VALUES, repeat=arity):
-        outputs = set()
-        for pairs in product(*(PAIRS[v] for v in values)):
-            good = evaluate_gate(gate_type, [p[0] for p in pairs])
-            faulty = evaluate_gate(gate_type, [p[1] for p in pairs])
-            outputs.add((good, faulty))
-            if len(outputs) > 1:
-                break
-        table[values] = _PAIR_TO_VALUE[outputs.pop()] if len(outputs) == 1 else VX
-    return table
+    ternary = ternary_table(gate_type)
+    return {
+        values: _PAIR_TO_VALUE.get(
+            (ternary[tuple(_GOOD_RAIL[v] for v in values)],
+             ternary[tuple(_FAULTY_RAIL[v] for v in values)]),
+            VX,
+        )
+        for values in product(FIVE_VALUES, repeat=GateType(gate_type).num_inputs)
+    }
 
 
 def evaluate5(gate_type: GateType, inputs: Sequence[int]) -> int:

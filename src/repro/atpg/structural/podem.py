@@ -93,7 +93,7 @@ class _PodemSearch:
         options: PodemOptions,
     ):
         self.analysis = analysis
-        self.index = index = analysis.net_index
+        self.index = index = analysis.circuit.index
         self.kernel = analysis.kernel(5, gate_table)
         self.fault = fault
         self.site = index.ids[fault.net]
@@ -163,11 +163,11 @@ class _PodemSearch:
         values = self.values
         if values[self.site] == VX:
             return self.site, 1 - self.fault.value
-        index, order = self.index, self.analysis.order
+        index = self.index
         for out in self._d_frontier():
             for net in index.gate_inputs[out - index.n_inputs]:
                 if _GOOD[values[net]] is None:
-                    control = controlling_value(order[out - index.n_inputs].gate_type)
+                    control = controlling_value(index.order[out - index.n_inputs].gate_type)
                     return net, 1 - control if control is not None else 1
         return None
 
@@ -179,8 +179,8 @@ class _PodemSearch:
         so the walk terminates at an unassigned input by construction.
         """
         scoap = self.analysis.scoap
-        index, order, values = self.index, self.analysis.order, self.values
-        names = index.names
+        index, values = self.index, self.values
+        order, names = index.order, index.names
         current, target = net, value
         bound = 2 * len(names) + 4
         for _ in range(bound):

@@ -6,7 +6,9 @@ a fault is observable when a primary output carries ``D`` or ``D-bar``.
 
 :func:`evaluate_gate_values` is the reference definition of two-rail gate
 evaluation; the PODEM engine in :mod:`repro.atpg.podem` does not call it
-during search but builds its per-gate-type lookup tables from it.
+but reads its per-gate-type lookup tables off
+:func:`repro.logic.gates.ternary_table`, and parity tests hold the two
+equal.
 """
 
 from __future__ import annotations
@@ -131,7 +133,3 @@ def noncontrolling_value(gate_type: GateType | str) -> Bit:
     # Complex / XOR gates: no single non-controlling value.
     return None
 
-
-def gate_inverts(gate_type: GateType | str) -> bool:
-    """True when the gate's output polarity is inverted w.r.t. its inputs."""
-    return GateType(gate_type).is_inverting

@@ -126,9 +126,7 @@ class FaultModel(Protocol):
         The campaign passes the faults its pattern phase left undetected, in
         universe order; a proof must depend on its fault alone.  Values are
         :class:`~repro.analysis_static.untestable.StaticProof` instances;
-        models without a static prover return ``{}``.  The campaign runner
-        looks these hooks up with ``getattr`` so third-party models
-        registered before this protocol grew them keep working.
+        models without a static prover return ``{}``.
         """
 
 

@@ -170,7 +170,7 @@ class StuckAtModel(_ModelBase):
     def fault_sites(
         self, circuit: LogicCircuit, compiled: CompiledCircuit, faults: Iterable[StuckAtFault]
     ) -> list[FaultSite]:
-        index = compiled.net_index
+        index = compiled.index.ids
         return [FaultSite(f.key, index[f.net], f.value, None) for f in faults]
 
     #: Structural engine used when a caller does not pick one explicitly.
@@ -219,7 +219,7 @@ class TransitionModel(_ModelBase):
         # The slow net holds its launch value into pattern two.
         sites = []
         for fault in faults:
-            net, launch = compiled.net_index[fault.net], fault.launch_value
+            net, launch = compiled.index.ids[fault.net], fault.launch_value
             excite = _transition_excite(net, launch, fault.final_value)
             sites.append(FaultSite(fault.key, net, launch, excite))
         return sites
@@ -275,7 +275,7 @@ class PathDelayModel(_ModelBase):
         self, circuit: LogicCircuit, compiled: CompiledCircuit, faults: Iterable[PathDelayFault]
     ) -> list[FaultSite]:
         # The sensitization word is the detection word: no net is clamped.
-        index = compiled.net_index
+        index = compiled.index.ids
         return [
             FaultSite(
                 f.key, None, 0,
@@ -334,7 +334,7 @@ class ObdModel(_ModelBase):
     ) -> list[FaultSite]:
         # The slow gate holds its first-pattern output into pattern two, so
         # every fault of one gate shares the forced row.
-        index = compiled.net_index
+        index = compiled.index.ids
         sites = []
         for fault in faults:
             gate = circuit.gate(fault.gate_name)

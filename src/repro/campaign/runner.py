@@ -424,29 +424,10 @@ class CampaignResult:
         sharded and an unsharded execution, or a run against a golden file --
         compare byte-identical.
         """
-        spec = self.spec
         payload: dict[str, Any] = {
             "model": self.model_name,
             "circuit": self.circuit_name,
-            "spec": _jsonable(
-                {
-                    "model": spec.model,
-                    "circuit": spec.circuit,
-                    "universe_options": spec.universe_options,
-                    "collapse": spec.collapse,
-                    "pattern_source": spec.pattern_source,
-                    "pattern_count": spec.pattern_count,
-                    "seed": spec.seed,
-                    "run_atpg": spec.run_atpg,
-                    "compact": spec.compact,
-                    "drop_detected": spec.drop_detected,
-                    "engine": spec.engine,
-                    "atpg_engine": spec.atpg_engine,
-                    "word_bits": spec.word_bits,
-                    "shards": spec.shards,
-                    "static_phase": spec.static_phase,
-                }
-            ),
+            "spec": _jsonable(spec_result_fields(self.spec)),
             "circuit_stats": {
                 "inputs": self.circuit_stats.num_inputs,
                 "outputs": self.circuit_stats.num_outputs,
@@ -488,7 +469,7 @@ class CampaignResult:
         if self.atpg_phase is not None:
             a = self.atpg_phase
             payload["atpg_phase"] = {
-                "atpg_engine": spec.atpg_engine,
+                "atpg_engine": self.spec.atpg_engine,
                 "attempted": a.attempted,
                 "skipped": len(a.skipped),
                 "proven_static": len(a.proven),
@@ -535,6 +516,21 @@ def _coverage_dict(report: CoverageReport) -> dict[str, Any]:
     }
 
 
+#: The spec fields a result embeds, in report order.  The result cache's
+#: fingerprint (:func:`repro.service.fingerprint.spec_canonical_form`) keys on
+#: them too, plus ``podem_options``.
+_RESULT_SPEC_FIELDS = (
+    "model", "circuit", "universe_options", "collapse", "pattern_source",
+    "pattern_count", "seed", "run_atpg", "compact", "drop_detected", "engine",
+    "atpg_engine", "word_bits", "shards", "static_phase",
+)
+
+
+def spec_result_fields(spec: CampaignSpec) -> dict[str, Any]:
+    """The :data:`_RESULT_SPEC_FIELDS` of *spec*, in report order."""
+    return {name: getattr(spec, name) for name in _RESULT_SPEC_FIELDS}
+
+
 def _jsonable(value: Any) -> Any:
     """Recursively convert enums/tuples so ``json.dumps`` accepts the value."""
     if isinstance(value, Enum):
@@ -576,17 +572,11 @@ def resolve_campaign_circuit(
 def collapse_universe(
     model: FaultModel, circuit: LogicCircuit, universe: FaultList, mode: bool | str
 ) -> FaultList:
-    """Apply the spec's collapse mode (False / True / "equivalence" / "dominance").
-
-    ``"dominance"`` falls back to plain equivalence for models that predate
-    the ``collapse_dominance`` hook.
-    """
+    """Apply the spec's collapse mode (False / True / "equivalence" / "dominance")."""
     if not mode:
         return universe
     if mode == "dominance":
-        dominance = getattr(model, "collapse_dominance", None)
-        if dominance is not None:
-            return dominance(circuit, universe)
+        return model.collapse_dominance(circuit, universe)
     return model.collapse(circuit, universe)
 
 
@@ -680,7 +670,7 @@ def simulate_and_generate(
     pattern phase.  With the static phase on, the model's
     ``prove_untestable`` hook runs on the faults the patterns left
     undetected (every fault without patterns) and ATPG skips what it
-    proves; models without the hook prove nothing.
+    proves.
     """
     report: Optional[DetectionReport] = None
     detected: set[str] = set()
@@ -695,10 +685,11 @@ def simulate_and_generate(
         )
         sim_seconds = time.perf_counter() - t0
         detected.update(report.detected_faults)
-    prove = getattr(model, "prove_untestable", None) if spec.static_phase else None
-    if prove is not None:
+    if spec.static_phase:
         t0 = time.perf_counter()
-        proofs = prove(circuit, [fault for fault in faults if fault.key not in detected])
+        proofs = model.prove_untestable(
+            circuit, [fault for fault in faults if fault.key not in detected]
+        )
         prove_seconds = time.perf_counter() - t0
     if spec.run_atpg:
         t0 = time.perf_counter()

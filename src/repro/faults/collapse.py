@@ -86,10 +86,7 @@ def collapse_stuck_at_dominance(circuit: LogicCircuit) -> FaultList[StuckAtFault
     campaigns on the generator families.
     """
     base = collapse_stuck_at_faults(circuit)
-    loads: dict[str, set[str]] = defaultdict(set)
-    for gate in circuit:
-        for net in gate.inputs:
-            loads[net].add(gate.name)
+    ids, fanouts = circuit.index.ids, circuit.index.fanouts
     outputs = set(circuit.primary_outputs)
 
     removed: set[str] = set()
@@ -102,7 +99,8 @@ def collapse_stuck_at_dominance(circuit: LogicCircuit) -> FaultList[StuckAtFault
             continue
         if any(net in outputs for net in distinct):
             continue
-        if any(loads[net] != {gate.name} for net in distinct):
+        only_load = (ids[gate.output],)
+        if any(fanouts[ids[net]] != only_load for net in distinct):
             continue
         response = evaluate_gate(gate.gate_type, [1 - ctrl] * len(gate.inputs))
         removed.add(StuckAtFault(gate.output, response).key)

@@ -1,8 +1,10 @@
 """Compiled bit-parallel circuit evaluation with per-circuit code generation.
 
-A :class:`CompiledCircuit` levelizes a :class:`~repro.logic.netlist.LogicCircuit`
-once into a flat, topologically ordered op list over dense integer net ids
-and turns it into the source of one straight-line Python function (one
+A :class:`CompiledCircuit` reads the structural index of a
+:class:`~repro.logic.netlist.LogicCircuit` (its
+:class:`~repro.logic.netlist.NetIndex`: dense net ids, per-gate input ids,
+fan-out cones) as a flat, topologically ordered op list and turns it into
+the source of one straight-line Python function (one
 assignment per gate over local variables, no list indexing, no dispatch),
 ``exec``-compiled once per circuit.  Evaluation then runs over packed words:
 bit *i* of every net word carries the value of that net under pattern *i* of
@@ -234,43 +236,20 @@ class CompiledCircuit:
         #: uint64 array length holding one full ``word_bits``-wide block
         #: (ragged final blocks use shorter arrays sized to the actual mask).
         self.num_words = (word_bits + 63) >> 6
-        order = circuit.topological_order()
-
-        #: Net name -> dense id; primary inputs first, then gate outputs in
-        #: topological order, so evaluating ops in id order is always legal.
-        self.net_index: dict[str, int] = {}
-        for net in circuit.primary_inputs:
-            self.net_index[net] = len(self.net_index)
-        self.input_indices: tuple[int, ...] = tuple(range(len(self.net_index)))
-        for gate in order:
-            self.net_index[gate.output] = len(self.net_index)
-        self.num_nets = len(self.net_index)
-        self.net_names: tuple[str, ...] = tuple(self.net_index)
-
+        #: The circuit's :class:`~repro.logic.netlist.NetIndex`: primary
+        #: inputs first, then gate outputs in topological order, so evaluating
+        #: ops in id order is always legal.  Op *p* drives net
+        #: ``index.n_inputs + p``.
+        self.index = index = circuit.index
         self.ops: tuple[Op, ...] = tuple(
-            (
-                _OPCODES[gate.gate_type],
-                self.net_index[gate.output],
-                tuple(self.net_index[n] for n in gate.inputs),
+            (_OPCODES[gate.gate_type], out, inputs)
+            for out, (gate, inputs) in enumerate(
+                zip(index.order, index.gate_inputs), start=index.n_inputs
             )
-            for gate in order
         )
-        self.output_indices: tuple[int, ...] = tuple(
-            self.net_index[n] for n in circuit.primary_outputs
-        )
-
-        # Loads adjacency over op list positions, for cone extraction.
-        self._loads: dict[int, list[int]] = {}
-        for position, (_code, _out, ins) in enumerate(self.ops):
-            for index in set(ins):
-                self._loads.setdefault(index, []).append(position)
         self._cones: dict[int, tuple[tuple[Op, ...], tuple[int, ...]]] = {}
         self._cone_positions: dict[int, tuple[int, ...]] = {}
         self._cone_masks: dict[int, int] = {}
-        #: Net id -> op-list position of its driver (absent for primary inputs).
-        self._driver_position: dict[int, int] = {
-            out: position for position, (_code, out, _ins) in enumerate(self.ops)
-        }
         self._eval_fn = self._compile_evaluate()
         self._diff_kernels: dict[int, Callable[[Sequence[int], int, int], int]] = {}
         #: Net id -> walks of its cone so far (:meth:`cone_diff` calls).
@@ -288,11 +267,10 @@ class CompiledCircuit:
     def _compile_evaluate(self) -> Callable[[Sequence[int], int], list[int]]:
         """Straight-line full-circuit evaluator: one assignment per gate."""
         lines = ["def _evaluate(inputs, mask):"]
-        for position, index in enumerate(self.input_indices):
-            lines.append(f"    v{index} = inputs[{position}] & mask")
+        lines += [f"    v{i} = inputs[{i}] & mask" for i in range(self.index.n_inputs)]
         for code, out, ins in self.ops:
             lines.append(f"    v{out} = {_op_expression(code, [f'v{i}' for i in ins])}")
-        body = ", ".join(f"v{i}" for i in range(self.num_nets))
+        body = ", ".join(f"v{i}" for i in range(len(self.index.names)))
         lines.append(f"    return [{body}]")
         return self._exec(lines, "_evaluate")
 
@@ -328,9 +306,9 @@ class CompiledCircuit:
         ``input_words[i]`` holds the packed values of primary input *i*;
         returns the packed value of every net, indexed by net id.
         """
-        if len(input_words) != len(self.input_indices):
+        if len(input_words) != self.index.n_inputs:
             raise LogicCircuitError(
-                f"expected {len(self.input_indices)} input words, got {len(input_words)}"
+                f"expected {self.index.n_inputs} input words, got {len(input_words)}"
             )
         return self._eval_fn(input_words, mask)
 
@@ -342,19 +320,12 @@ class CompiledCircuit:
         these position tuples to batch faults on different nets.
         """
         cached = self._cone_positions.get(net_index)
-        if cached is not None:
-            return cached
-        positions: set[int] = set()
-        stack = list(self._loads.get(net_index, ()))
-        while stack:
-            position = stack.pop()
-            if position in positions:
-                continue
-            positions.add(position)
-            stack.extend(self._loads.get(self.ops[position][1], ()))
-        result = tuple(sorted(positions))
-        self._cone_positions[net_index] = result
-        return result
+        if cached is None:
+            start = self.index.n_inputs
+            cached = self._cone_positions[net_index] = tuple(
+                out - start for out in self.index.fanout_cone(net_index)
+            )
+        return cached
 
     def cone_mask(self, net_index: int) -> int:
         """Interference bitmask of a fault site, for PPSFP row packing.
@@ -371,8 +342,8 @@ class CompiledCircuit:
             cached = 1 << (len(self.ops) + net_index)
             for position in self.cone_positions(net_index):
                 cached |= 1 << position
-            driver = self._driver_position.get(net_index)
-            if driver is not None:
+            driver = net_index - self.index.n_inputs
+            if driver >= 0:
                 cached |= 1 << driver
             self._cone_masks[net_index] = cached
         return cached
@@ -385,14 +356,9 @@ class CompiledCircuit:
         output ids include the net when it is itself a primary output.
         """
         cached = self._cones.get(net_index)
-        if cached is not None:
-            return cached
-        ops = tuple(self.ops[p] for p in self.cone_positions(net_index))
-        cone_nets = {net_index} | {op[1] for op in ops}
-        outputs = tuple(i for i in self.output_indices if i in cone_nets)
-        result = (ops, outputs)
-        self._cones[net_index] = result
-        return result
+        if cached is None:
+            cached = self._cones[net_index] = self.union_cone((net_index,))
+        return cached
 
     def union_cone(
         self, net_indices: Iterable[int]
@@ -409,7 +375,7 @@ class CompiledCircuit:
             positions.update(self.cone_positions(index))
         ops = tuple(self.ops[p] for p in sorted(positions))
         cone_nets = sites | {op[1] for op in ops}
-        outputs = tuple(i for i in self.output_indices if i in cone_nets)
+        outputs = tuple(i for i in self.index.outputs if i in cone_nets)
         return ops, outputs
 
     def cone_kernel(self, net_index: int) -> Callable[[Sequence[int], int, int], int]:
@@ -559,7 +525,7 @@ def compile_circuit(
     word_bits: int = DEFAULT_WORD_BITS,
     backend: str = "int",
 ) -> CompiledCircuit:
-    """Levelize *circuit* into a :class:`CompiledCircuit`."""
+    """Compile *circuit* into a :class:`CompiledCircuit`."""
     return CompiledCircuit(circuit, word_bits=word_bits, backend=backend)
 
 

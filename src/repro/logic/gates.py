@@ -8,6 +8,8 @@ fault/ATPG machinery: a single place that knows what each gate computes.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 
@@ -118,6 +120,30 @@ def truth_table(gate_type: GateType | str) -> dict[tuple[int, ...], int]:
     for value in range(2**n):
         bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
         table[bits] = evaluate_gate(gate_type, bits)
+    return table
+
+
+#: The unknown value of :func:`ternary_table`.
+UNKNOWN = 2
+
+
+@lru_cache(maxsize=None)
+def ternary_table(gate_type: GateType | str) -> dict[tuple[int, ...], int]:
+    """Exact three-valued truth table of a gate, from :func:`evaluate_gate`.
+
+    Keys are input tuples over 0, 1 and :data:`UNKNOWN`; the value is the
+    output every 0/1 completion of the unknown inputs agrees on, else
+    :data:`UNKNOWN`.  The two-rail and five-valued ATPG tables are read off
+    it one rail at a time.
+    """
+    binary = truth_table(gate_type)
+    table: dict[tuple[int, ...], int] = {}
+    for values in product((0, 1, UNKNOWN), repeat=GateType(gate_type).num_inputs):
+        outputs = {
+            binary[bits]
+            for bits in product(*((0, 1) if v == UNKNOWN else (v,) for v in values))
+        }
+        table[values] = outputs.pop() if len(outputs) == 1 else UNKNOWN
     return table
 
 

@@ -2,14 +2,18 @@
 
 A :class:`LogicCircuit` is the structural substrate for fault modeling and
 ATPG: named nets, primary inputs/outputs, and gates from
-:class:`~repro.logic.gates.GateType`.  It also knows how to levelize itself
-(the logic depth the paper quotes for the full-adder example) and how to
-expand into a transistor-level circuit for SPICE experiments.
+:class:`~repro.logic.gates.GateType`.  Its :class:`NetIndex`
+(:attr:`LogicCircuit.index`) is the one structural index every consumer
+reads -- topological order, dense net ids, fan-in and fan-out ids, levels
+(the logic depth the paper quotes for the full-adder example) and fan-out
+cones: the simulators and the compiled fault-simulation engine, both PODEM
+searches and their implication kernels, the D-algorithm, SCOAP and the
+untestability prover.  It is built by one Kahn sort on first use, dropped
+by every construction call and pickled with the circuit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -70,6 +74,116 @@ class Gate:
         return evaluate_gate(self.gate_type, [values[n] for n in self.inputs])
 
 
+class NetIndex:
+    """The structural index of one closed, acyclic circuit.
+
+    Primary inputs take ids ``0 .. n_inputs - 1`` in declaration order; the
+    output of the *k*-th gate of :attr:`order` takes id ``n_inputs + k``, so
+    ids are topological and a net's driver is ``order[id - n_inputs]``.
+    Read it through :attr:`LogicCircuit.index`, which builds it once.
+    """
+
+    def __init__(self, circuit: "LogicCircuit"):
+        #: Gates in topological order (see :meth:`LogicCircuit.topological_order`).
+        self.order = order = _kahn_order(circuit)
+        self.n_inputs = n_inputs = len(circuit.primary_inputs)
+        #: Net name of every id.
+        self.names = (*circuit.primary_inputs, *(gate.output for gate in order))
+        #: Net name -> id.
+        self.ids = ids = {net: i for i, net in enumerate(self.names)}
+        #: Input ids of each gate, in :attr:`order`.
+        self.gate_inputs = tuple(tuple(ids[net] for net in gate.inputs) for gate in order)
+        fanouts: list[list[int]] = [[] for _ in self.names]
+        levels = [0] * n_inputs
+        for out, inputs in enumerate(self.gate_inputs, start=n_inputs):
+            for net in dict.fromkeys(inputs):
+                fanouts[net].append(out)
+            levels.append(1 + max(levels[net] for net in inputs))
+        #: Output ids of the gates reading each net, ascending, each gate once.
+        self.fanouts = tuple(map(tuple, fanouts))
+        #: Topological level of every id (primary inputs are level 0).
+        self.levels = tuple(levels)
+        #: Primary-output ids, in declaration order.
+        self.outputs = tuple(ids[net] for net in circuit.primary_outputs)
+
+    def fanout_cone(self, net: int) -> tuple[int, ...]:
+        """Ids of the transitive fan-out of *net*, ascending, *net* excluded."""
+        cone: set[int] = set()
+        stack = list(self.fanouts[net])
+        while stack:
+            current = stack.pop()
+            if current not in cone:
+                cone.add(current)
+                stack.extend(self.fanouts[current])
+        return tuple(sorted(cone))
+
+    def d_frontier(
+        self, values: Sequence[int], error: Sequence[bool], unknown: Sequence[bool]
+    ) -> list[int]:
+        """Output ids, ascending, of the gates with an *unknown* output and an
+        *error* input (both predicates are indexed by value code)."""
+        gates = {
+            out
+            for net, value in enumerate(values) if error[value]
+            for out in self.fanouts[net] if unknown[values[out]]
+        }
+        return sorted(gates)
+
+    def x_path(
+        self, values: Sequence[int], starts: Sequence[int], passable: Sequence[bool]
+    ) -> bool:
+        """Is a primary output reachable from *starts* through *passable* nets?"""
+        targets = set(self.outputs)
+        seen: set[int] = set()
+        stack = list(starts)
+        while stack:
+            net = stack.pop()
+            if net in seen:
+                continue
+            seen.add(net)
+            if not passable[values[net]]:
+                continue
+            if net in targets:
+                return True
+            stack.extend(self.fanouts[net])
+        return False
+
+
+def _kahn_order(circuit: "LogicCircuit") -> tuple[Gate, ...]:
+    """Gates in topological order, by Kahn's algorithm over pin counts.
+
+    O(gates + pins) even on deep chain-shaped circuits, and deterministic
+    (declaration order breaks ties), so derived artifacts like ``.bench``
+    output are stable.  Raises :class:`LogicCircuitError` on combinational
+    loops and undriven nets.
+    """
+    gates = circuit._gates
+    placed = set(circuit.primary_inputs)
+    pending: dict[str, int] = {}
+    readers: dict[str, list[Gate]] = {}
+    order: list[Gate] = []
+    for gate in gates.values():
+        unplaced = [net for net in gate.inputs if net not in placed]
+        pending[gate.name] = len(unplaced)
+        for net in unplaced:
+            readers.setdefault(net, []).append(gate)
+        if not unplaced:
+            order.append(gate)
+    # *order* is also the FIFO queue: each gate is appended once ready.
+    for gate in order:
+        for reader in readers.get(gate.output, ()):
+            pending[reader.name] -= 1
+            if pending[reader.name] == 0:
+                order.append(reader)
+    if len(order) != len(gates):
+        emitted = {gate.name for gate in order}
+        remaining = sorted(name for name in gates if name not in emitted)
+        raise LogicCircuitError(
+            f"combinational loop or undriven nets involving gates: {remaining[:5]}"
+        )
+    return tuple(order)
+
+
 class LogicCircuit:
     """A combinational gate-level netlist."""
 
@@ -79,6 +193,9 @@ class LogicCircuit:
         self._outputs: list[str] = []
         self._gates: dict[str, Gate] = {}
         self._driver: dict[str, str] = {}
+        #: The circuit's :class:`NetIndex`, built by :attr:`index` and dropped
+        #: by every construction call below.
+        self._index: Optional[NetIndex] = None
         #: The circuit's :class:`~repro.analysis_static.analysis.CircuitAnalysis`,
         #: owned by :func:`~repro.analysis_static.analysis.circuit_analysis`
         #: and dropped by every construction call below.
@@ -94,7 +211,7 @@ class LogicCircuit:
         if net in self._driver:
             raise LogicCircuitError(f"net {net!r} is already driven by gate {self._driver[net]!r}")
         self._inputs.append(net)
-        self._analysis = None
+        self._index = self._analysis = None
         return net
 
     def add_inputs(self, nets: Iterable[str]) -> list[str]:
@@ -105,7 +222,7 @@ class LogicCircuit:
         if net in self._outputs:
             raise LogicCircuitError(f"primary output {net!r} already declared")
         self._outputs.append(net)
-        self._analysis = None
+        self._index = self._analysis = None
         return net
 
     def add_gate(
@@ -133,7 +250,7 @@ class LogicCircuit:
         gate = Gate(name=name, gate_type=gate_type, inputs=tuple(inputs), output=output)
         self._gates[name] = gate
         self._driver[output] = name
-        self._analysis = None
+        self._index = self._analysis = None
         return gate
 
     # ------------------------------------------------------------------ #
@@ -208,57 +325,37 @@ class LogicCircuit:
         for net in self._outputs:
             if net not in driven:
                 raise LogicCircuitError(f"primary output {net!r} is not driven")
-        # Topological order raises on combinational loops.
-        self.topological_order()
+        # Building the index raises on combinational loops.
+        _ = self.index
+
+    @property
+    def index(self) -> NetIndex:
+        """The circuit's :class:`NetIndex`, built on first use.
+
+        A circuit that is not closed and acyclic raises
+        :class:`LogicCircuitError` and caches nothing.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = NetIndex(self)
+        return index
 
     def topological_order(self) -> list[Gate]:
-        """Gates in topological (input-to-output) order.
-
-        Kahn's algorithm over pin counts: O(gates + pins) even on deep
-        chain-shaped circuits, and deterministic (declaration order breaks
-        ties), so derived artifacts like ``.bench`` output are stable.
-        """
-        placed = set(self._inputs)
-        pending: dict[str, int] = {}
-        readers: dict[str, list[str]] = {}
-        ready: deque[str] = deque()
-        for name, gate in self._gates.items():
-            unplaced = [net for net in gate.inputs if net not in placed]
-            pending[name] = len(unplaced)
-            for net in unplaced:
-                readers.setdefault(net, []).append(name)
-            if not unplaced:
-                ready.append(name)
-        order: list[Gate] = []
-        while ready:
-            gate = self._gates[ready.popleft()]
-            order.append(gate)
-            for reader in readers.get(gate.output, ()):
-                pending[reader] -= 1
-                if pending[reader] == 0:
-                    ready.append(reader)
-        if len(order) != len(self._gates):
-            emitted = {gate.name for gate in order}
-            remaining = sorted(name for name in self._gates if name not in emitted)
-            raise LogicCircuitError(
-                f"combinational loop or undriven nets involving gates: {remaining[:5]}"
-            )
-        return order
+        """Gates in topological (input-to-output) order (see :func:`_kahn_order`)."""
+        return list(self.index.order)
 
     def levelize(self) -> dict[str, int]:
         """Topological level of every net (primary inputs are level 0)."""
-        levels = {net: 0 for net in self._inputs}
-        for gate in self.topological_order():
-            levels[gate.output] = 1 + max(levels[n] for n in gate.inputs)
-        return levels
+        index = self.index
+        return dict(zip(index.names, index.levels))
 
     @property
     def depth(self) -> int:
         """Logic depth: the largest primary-output level."""
-        levels = self.levelize()
+        index = self.index
         if not self._outputs:
-            return max(levels.values(), default=0)
-        return max(levels[n] for n in self._outputs)
+            return max(index.levels, default=0)
+        return max(index.levels[net] for net in index.outputs)
 
     # ------------------------------------------------------------------ #
     # Cones.
@@ -280,19 +377,17 @@ class LogicCircuit:
     def fanout_cone(self, net: str) -> set[str]:
         """All nets in the transitive fan-out of *net* (including itself).
 
-        Read from the circuit's shared analysis, so the circuit must be
-        closed and acyclic (see :meth:`validate`).
+        Read from :attr:`index`, so the circuit must be closed and acyclic
+        (see :meth:`validate`).
         """
-        # Function-level import: analysis_static sits on top of logic.
-        from ..analysis_static.analysis import circuit_analysis
-
-        return circuit_analysis(self).fanout_cone(net)
+        index = self.index
+        return {net, *(index.names[out] for out in index.fanout_cone(index.ids[net]))}
 
     def stats(self, include_scoap: bool = False) -> CircuitStats:
         """Structural profile: gate counts by type, depth, fan-out histogram.
 
-        One pass over the gates counts loads and types; the depth adds one
-        levelization, so the whole profile is linear in gates + pins.
+        One pass over the gates counts loads and types; the depth reads
+        :attr:`index`, so the whole profile is linear in gates + pins.
         ``include_scoap=True`` additionally attaches the SCOAP testability
         roll-up of the circuit's analysis as :attr:`CircuitStats.scoap`.
         """

@@ -31,7 +31,7 @@ import json
 from dataclasses import asdict
 from typing import Any
 
-from ..campaign.runner import CampaignSpec, _jsonable
+from ..campaign.runner import CampaignSpec, _jsonable, spec_result_fields
 from ..logic.netlist import LogicCircuit
 
 #: Version of the campaign result/checkpoint schema.  Part of every cache
@@ -83,22 +83,8 @@ def spec_canonical_form(spec: CampaignSpec) -> dict[str, Any]:
     """
     return _jsonable(
         {
-            "model": spec.model,
-            "circuit": spec.circuit,
-            "universe_options": spec.universe_options,
-            "collapse": spec.collapse,
-            "pattern_source": spec.pattern_source,
-            "pattern_count": spec.pattern_count,
-            "seed": spec.seed,
-            "run_atpg": spec.run_atpg,
+            **spec_result_fields(spec),
             "podem_options": asdict(spec.podem_options) if spec.podem_options else None,
-            "atpg_engine": spec.atpg_engine,
-            "compact": spec.compact,
-            "drop_detected": spec.drop_detected,
-            "engine": spec.engine,
-            "word_bits": spec.word_bits,
-            "shards": spec.shards,
-            "static_phase": spec.static_phase,
         }
     )
 

@@ -1,4 +1,5 @@
-"""The shared per-circuit analysis: one learning pass, never stale, never leaked."""
+"""The shared per-circuit analysis and structural index: each built once,
+never stale, never leaked."""
 
 from __future__ import annotations
 
@@ -6,15 +7,17 @@ import gc
 import pickle
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
+import repro.logic.netlist as netlist_module
 from repro.analysis_static import circuit_analysis, implication
 from repro.atpg.structural import TESTED, get_atpg_engine
 from repro.campaign import Campaign, CampaignSpec, InlineExecutor, ShardedCampaign
 from repro.campaign.circuits import resolve_circuit
 from repro.faults.stuck_at import StuckAtFault
-from repro.logic import LogicCircuit
+from repro.logic import LogicCircuit, LogicCircuitError
 
 
 @pytest.fixture
@@ -70,10 +73,36 @@ class TestLifetime:
             lambda: circuit.add_output("d"),
         ):
             first = circuit_analysis(circuit)
+            index = circuit.index
             assert circuit_analysis(circuit) is first
+            assert circuit.index is index
             mutate()
             assert circuit_analysis(circuit) is not first
+            assert circuit.index is not index
         assert "d" in circuit_analysis(circuit).observable
+        assert circuit.index.names[-1] == "d"
+        assert circuit.index.outputs == (circuit.index.ids["y"], circuit.index.ids["d"])
+
+    def test_a_loop_raises_and_caches_no_index(self):
+        circuit = LogicCircuit("loop")
+        circuit.add_input("a")
+        circuit.add_gate("g1", "NAND2", ["a", "z"], "y")
+        circuit.add_gate("g2", "INV", ["y"], "z")
+        circuit.add_output("z")
+        for _ in range(2):
+            with pytest.raises(LogicCircuitError, match="combinational loop"):
+                _ = circuit.index
+            assert circuit._index is None
+
+    def test_index_pickles_with_its_circuit(self):
+        circuit = resolve_circuit("rdag:40,4")
+        index = circuit.index
+        copy = pickle.loads(pickle.dumps(circuit))
+        assert copy._index is not None
+        for part in ("names", "ids", "gate_inputs", "fanouts", "levels", "outputs"):
+            assert getattr(copy.index, part) == getattr(index, part)
+        assert [g.name for g in copy.index.order] == [g.name for g in index.order]
+        assert copy.index.order[0] is copy.gate(index.order[0].name)
 
     def test_analysis_is_freed_with_its_circuit(self):
         def run_atpg() -> weakref.ref:
@@ -118,3 +147,30 @@ class TestOneLearningPass:
         assert len(learn_calls) == 1
         single = Campaign(spec).run()
         assert sharded.as_dict(include_runtime=False) == single.as_dict(include_runtime=False)
+
+
+class TestOneSort:
+    """Every consumer reads the circuit's one structural index."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CampaignSpec(model="stuck-at", circuit="rdag:200,4", pattern_source="random",
+                         pattern_count=192, seed=0, engine="packed"),
+            CampaignSpec(model="obd", circuit="rdag:60,4", pattern_source="random",
+                         pattern_count=256, seed=0, engine="packed"),
+        ],
+        ids=["sa-rdag", "obd-rdag"],
+    )
+    def test_one_topological_sort_per_campaign(self, spec, monkeypatch):
+        sorts: Counter = Counter()
+        original = netlist_module._kahn_order
+
+        def spy(circuit):
+            sorts[id(circuit)] += 1
+            return original(circuit)
+
+        monkeypatch.setattr(netlist_module, "_kahn_order", spy)
+        result = Campaign(spec).run()
+        assert result.atpg_phase.attempted > 1
+        assert list(sorts.values()) == [1]

@@ -125,7 +125,7 @@ class TestCompiledCircuit:
             values = cc.evaluate(words, mask)
             for bit, pattern in enumerate(patterns[base : base + DEFAULT_WORD_BITS]):
                 reference = simulate_pattern(fa_sum, pattern)
-                for net, index in cc.net_index.items():
+                for net, index in cc.index.ids.items():
                     assert (values[index] >> bit) & 1 == reference[net], net
 
     @pytest.mark.parametrize("tier", ["walk", "kernel"])
@@ -135,7 +135,7 @@ class TestCompiledCircuit:
         patterns = exhaustive_patterns(c17_circuit)
         _, mask, words = next(pack_pattern_blocks(patterns, 5, 32))
         good = cc.evaluate(words, mask)
-        for net, index in cc.net_index.items():
+        for net, index in cc.index.ids.items():
             for forced in (0, mask, 0b1010):
                 if tier == "walk":
                     word = cc.cone_diff(good, index, forced, mask)
@@ -149,13 +149,13 @@ class TestCompiledCircuit:
 
     def test_cone_excludes_driver_and_reaches_outputs(self, c17_circuit):
         cc = compile_circuit(c17_circuit)
-        index = cc.net_index["G11"]
+        index = cc.index.ids["G11"]
         ops, outputs = cc.cone(index)
         assert all(out != index for _code, out, _ins in ops)
-        assert set(outputs) == {cc.net_index["G22"], cc.net_index["G23"]}
+        assert set(outputs) == {cc.index.ids["G22"], cc.index.ids["G23"]}
         # G10 only reaches G22.
-        _, g10_outs = cc.cone(cc.net_index["G10"])
-        assert set(g10_outs) == {cc.net_index["G22"]}
+        _, g10_outs = cc.cone(cc.index.ids["G10"])
+        assert set(g10_outs) == {cc.index.ids["G22"]}
 
     def test_pack_blocks_round_trip(self):
         patterns = [(i & 1, (i >> 1) & 1) for i in range(70)]
@@ -302,12 +302,12 @@ class TestCodegen:
             values = cc.evaluate(words, mask)
             for bit, pattern in enumerate(patterns[base : base + 5]):
                 reference = simulate_pattern(c17_circuit, pattern)
-                for net, index in cc.net_index.items():
+                for net, index in cc.index.ids.items():
                     assert (values[index] >> bit) & 1 == reference[net], net
 
     def test_cone_kernel_cached(self, c17_circuit):
         cc = compile_circuit(c17_circuit)
-        index = cc.net_index["G11"]
+        index = cc.index.ids["G11"]
         assert cc.cone_kernel(index) is cc.cone_kernel(index)
 
     def test_width_and_backend_recorded(self, c17_circuit):
@@ -440,7 +440,7 @@ def _spec(model, circuit, count):
 
 def _activated(cc, faults, goods):
     """Net ids of the stuck-at-0 *faults* activated under some good frame."""
-    return {cc.net_index[fault.net] for fault in faults if any(good[fault.net] for good in goods)}
+    return {cc.index.ids[fault.net] for fault in faults if any(good[fault.net] for good in goods)}
 
 
 class TestConeTiers:
@@ -493,7 +493,7 @@ class TestConeTiers:
         patterns = exhaustive_patterns(c17_circuit)
         fault = next(f for f in stuck_at_universe(c17_circuit) if f.net == "G11")
         cc = compile_circuit(c17_circuit)
-        index = cc.net_index["G11"]
+        index = cc.index.ids["G11"]
         reference = serial_simulate_stuck_at(c17_circuit, patterns, [fault], drop_detected=True)
         for call in range(1, 20):
             report = simulate_stuck_at(
@@ -518,7 +518,7 @@ class TestConeTiers:
         goods = [simulate_pattern(circuit, pattern) for pattern in patterns]
         first_block = _activated(cc, faults, goods[:8])
         survivors = first_block - {
-            cc.net_index[fault.net]
+            cc.index.ids[fault.net]
             for fault in faults
             if report.detections[fault.key] and report.detections[fault.key][0] < 8
         }

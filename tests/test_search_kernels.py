@@ -53,7 +53,7 @@ def _reference5(circuit, bits, site, stuck):
     for net in circuit.primary_inputs:
         value = VX if bits[net] is None else bits[net]
         values[net] = inject(value) if net == site else value
-    for gate in circuit_analysis(circuit).order:
+    for gate in circuit.index.order:
         value = gate_table(gate.gate_type)[tuple(values[n] for n in gate.inputs)]
         values[gate.output] = inject(value) if gate.output == site else value
     return values
@@ -64,7 +64,7 @@ def _reference9(circuit, bits, site, stuck):
     values = {net: _FROM_BIT[bits[net]] for net in circuit.primary_inputs}
     if site in values:
         values[site] = values[site] // 3 * 3 + stuck
-    for gate in circuit_analysis(circuit).order:
+    for gate in circuit.index.order:
         table = _table(gate.gate_type, stuck if gate.output == site else None)
         values[gate.output] = table[tuple(values[n] for n in gate.inputs)]
     return values
@@ -79,7 +79,7 @@ def _run(kernel, index, codes, site, inject):
 def test_five_valued_kernel_matches_the_table_loop(name):
     circuit = CIRCUITS[name]()
     analysis = circuit_analysis(circuit)
-    index = analysis.net_index
+    index = circuit.index
     kernel = analysis.kernel(5, gate_table)
     for bits in _draws(circuit, seed=5):
         codes = [VX if bits[net] is None else bits[net] for net in circuit.primary_inputs]
@@ -94,7 +94,7 @@ def test_five_valued_kernel_matches_the_table_loop(name):
 def test_two_rail_kernel_matches_the_table_loop(name):
     circuit = CIRCUITS[name]()
     analysis = circuit_analysis(circuit)
-    index = analysis.net_index
+    index = circuit.index
     kernel = analysis.kernel(9, _table)
     for bits in _draws(circuit, seed=9):
         codes = [_FROM_BIT[bits[net]] for net in circuit.primary_inputs]
@@ -111,16 +111,15 @@ def test_two_rail_kernel_matches_the_table_loop(name):
 
 def test_net_index_is_inputs_then_topological():
     circuit = resolve_circuit("rdag:60,4")
-    analysis = circuit_analysis(circuit)
-    index = analysis.net_index
+    index = circuit.index
     n = index.n_inputs
     assert index.names[:n] == tuple(circuit.primary_inputs)
-    assert index.names[n:] == tuple(gate.output for gate in analysis.order)
+    assert index.names[n:] == tuple(gate.output for gate in index.order)
     assert all(max(inputs) < n + k for k, inputs in enumerate(index.gate_inputs))
     for net, outs in enumerate(index.fanouts):
-        assert list(outs) == [
-            index.ids[out] for out in analysis.fanout_nets(index.names[net])
-        ]
+        assert list(outs) == sorted(
+            {index.ids[gate.output] for gate, _ in circuit.loads_of(index.names[net])}
+        )
     assert [index.names[po] for po in index.outputs] == circuit.primary_outputs
 
 
@@ -136,7 +135,7 @@ def test_pickled_analysis_drops_and_rebuilds_its_kernels():
     for radix, kernel in built.items():
         assert rebuilt[radix].__code__.co_code == kernel.__code__.co_code
         assert rebuilt[radix].__defaults__ == kernel.__defaults__
-    codes = [VX] * restored.net_index.n_inputs
+    codes = [VX] * clone.index.n_inputs
     assert rebuilt[5](codes, 7, _INJECT5[1]) == built[5](codes, 7, _INJECT5[1])
 
 
