@@ -29,7 +29,7 @@ import pytest
 
 from repro.atpg import PodemOptions, get_atpg_engine, simulate_stuck_at
 from repro.atpg.podem import generate_stuck_at_test
-from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED, StructuralResult
+from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
 from repro.campaign import resolve_circuit
 from repro.faults.collapse import collapse_stuck_at_faults
 from repro.faults.stuck_at import stuck_at_universe
@@ -49,19 +49,8 @@ def _collapsed(circuit):
 
 
 def _two_rail_generate(circuit, fault, options):
-    """The two-rail PODEM baseline as a structural result: success counts as
-    tested, aborted as aborted, anything else as proven."""
-    result = generate_stuck_at_test(circuit, fault, options=options)
-    if result.success:
-        status = TESTED
-    elif result.aborted:
-        status = ABORTED
-    else:
-        status = PROVEN_REDUNDANT
-    return StructuralResult(
-        status, result.pattern, backtracks=result.backtracks,
-        decisions=result.decisions, engine="legacy",
-    )
+    """The two-rail PODEM baseline; it returns a structural result too."""
+    return generate_stuck_at_test(circuit, fault, options=options)
 
 
 def _run_engine(circuit, faults, name):

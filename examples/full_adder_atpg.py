@@ -47,11 +47,11 @@ from __future__ import annotations
 from repro.atpg import (
     greedy_compaction,
     random_pairs,
-    run_obd_atpg,
     simulate_obd,
     single_input_change_pairs,
 )
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignSpec, get_model, run_campaign
+from repro.campaign.runner import generate_atpg_outcomes
 from repro.core import format_sequence
 from repro.faults import obd_fault_universe
 from repro.logic import GateType, full_adder_sum
@@ -64,11 +64,16 @@ def main() -> None:
     faults = obd_fault_universe(circuit, gate_types=[GateType.NAND2])
     print(f"OBD defect sites in the NAND gates: {len(faults)}")
 
-    # OBD-aware ATPG.
-    summary = run_obd_atpg(circuit, faults)
-    print(summary.describe())
+    # OBD-aware ATPG: the campaign's ATPG loop, with nothing detected yet.
+    outcomes, _ = generate_atpg_outcomes(get_model("obd"), circuit, faults, detected=set())
+    untestable = [o.fault.key for o in outcomes if o.untestable]
+    print(
+        f"OBD ATPG: {len(outcomes)} faults, {sum(o.success for o in outcomes)} testable, "
+        f"{len(untestable)} untestable, {sum(o.aborted for o in outcomes)} aborted, "
+        f"{sum(o.backtracks for o in outcomes)} backtracks"
+    )
 
-    pairs = [(t.first, t.second) for t in summary.tests]
+    pairs = [pair for outcome in outcomes for pair in outcome.tests]
     report = simulate_obd(circuit, pairs, faults)
     compacted = greedy_compaction(report)
     print(
@@ -90,7 +95,7 @@ def main() -> None:
     print(f"  20 random pattern pairs:       {len(random_report.detected_faults):>3} / {len(faults)}")
     print(
         "\nFaults the ATPG proved untestable (circuit redundancy): "
-        + ", ".join(sorted(r.fault.key for r in summary.untestable))
+        + ", ".join(sorted(untestable))
     )
 
     # The same flow as one declarative campaign call.

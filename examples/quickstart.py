@@ -9,8 +9,9 @@ report all happen behind one call::
 
     result = run_campaign(full_adder_sum(), CampaignSpec(model="obd", ...))
 
-The legacy per-model functions (``simulate_obd``, ``run_obd_atpg``, ...)
-still exist as thin wrappers over the same registry.
+The per-model fault simulators (``simulate_obd``, ...) are thin wrappers
+over the same registry, and every model's test generator returns the same
+per-fault ``AtpgOutcome`` the campaign collects.
 
 Part 2 shows the benchmark-circuit subsystem: parametric generator
 families, ISCAS-85 ``.bench`` netlist round-trips, and campaigns that name

@@ -18,14 +18,20 @@ greedy compaction and a unified :class:`~repro.campaign.CampaignResult`::
     result = run_campaign(full_adder_sum(), CampaignSpec(model="obd"))
     print(result.describe())
 
-Compatibility wrappers
+Per-model entry points
 ----------------------
 
-The per-model free functions exported here (``simulate_stuck_at`` /
-``simulate_transition`` / ``simulate_path_delay`` / ``simulate_obd``, the
-per-model ``generate_*_test`` routines and ``run_obd_atpg``) predate the
-registry and are kept as thin wrappers over it; existing callers keep
-working unchanged.
+The per-model fault simulators exported here (``simulate_stuck_at`` /
+``simulate_transition`` / ``simulate_path_delay`` / ``simulate_obd``) are
+thin wrappers over the registry.  The test generators are the models' own
+routines and return the same two records as the campaign: one
+:class:`~repro.atpg.podem.StructuralResult` per search
+(``generate_stuck_at_test``, ``justify`` and the structural engines) and one
+:class:`~repro.atpg.two_pattern.AtpgOutcome` per fault
+(``generate_transition_test``, ``generate_path_delay_test`` and
+``generate_obd_test``).  The ATPG loop over a fault list is the campaign's
+(``CampaignSpec(run_atpg=True)`` or
+:func:`~repro.campaign.runner.generate_atpg_outcomes`).
 
 Fault-simulation engines
 ------------------------
@@ -82,14 +88,14 @@ from .fault_sim import (
     simulate_with_forced_net,
     transition_fault_detected,
 )
-from .obd_atpg import ObdAtpgSummary, ObdTestResult, generate_obd_test, run_obd_atpg
+from .obd_atpg import generate_obd_test
 from .parallel_sim import (
     ENGINE_BACKENDS,
     compile_for_engine,
     compiled_matches_engine,
 )
-from .path_delay_atpg import PathDelayTestResult, generate_path_delay_test
-from .podem import PodemOptions, PodemResult, generate_stuck_at_test, justify
+from .path_delay_atpg import generate_path_delay_test
+from .podem import PodemOptions, generate_stuck_at_test, justify
 from .random_tpg import (
     exhaustive_pairs,
     exhaustive_patterns,
@@ -106,7 +112,7 @@ from .structural import (
     get_atpg_engine,
     register_atpg_engine,
 )
-from .two_pattern import TwoPatternResult, TwoPatternTest, generate_transition_test
+from .two_pattern import AtpgOutcome, generate_transition_test
 from .values import D, DBAR, ONE, X, ZERO, LogicValue, evaluate_gate_values, from_bit
 
 __all__ = [
@@ -119,7 +125,6 @@ __all__ = [
     "from_bit",
     "evaluate_gate_values",
     "PodemOptions",
-    "PodemResult",
     "generate_stuck_at_test",
     "justify",
     "ATPG_ENGINES",
@@ -129,14 +134,9 @@ __all__ = [
     "atpg_engine_names",
     "get_atpg_engine",
     "register_atpg_engine",
-    "TwoPatternTest",
-    "TwoPatternResult",
+    "AtpgOutcome",
     "generate_transition_test",
-    "ObdTestResult",
-    "ObdAtpgSummary",
     "generate_obd_test",
-    "run_obd_atpg",
-    "PathDelayTestResult",
     "generate_path_delay_test",
     "DetectionReport",
     "simulate_stuck_at",

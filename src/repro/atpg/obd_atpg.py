@@ -18,46 +18,33 @@ Both are solved with the constrained PODEM engine; a fault is reported
 untestable only after every alternative excitation sequence has been
 exhausted without an abort.
 
+The result is one :class:`~repro.atpg.two_pattern.AtpgOutcome` per fault,
+as for every other model; the gate inputs under its pattern pair are the
+excitation sequence it satisfied.
+
 The NA/NB/PA/PB faults of one gate share its output and often share
-excitation cubes, so the same searches recur across faults.  An ATPG run
-(``run_obd_atpg``, or one campaign ATPG loop) passes a *searches* dict that
-memoizes each capture search and launch justification by (kind, fault net,
-stuck value, cube in gate-input order, option values).  A hit returns the
-stored :class:`PodemResult`, with its own backtracks and decisions, so the
-summed counters are unchanged.  On ``rdag:60,4`` with 256 random pairs this
-runs 58 of 242 capture searches and 9 of 21 justifications, and on a 2-CPU
-x86-64 host with Python 3.11 the campaign takes 0.023 s instead of 0.040 s.
+excitation cubes, so the same searches recur across faults.  The ATPG loop
+(:func:`~repro.campaign.runner.generate_atpg_outcomes`, run by a campaign or
+one shard) passes a *searches* dict that memoizes each capture search and
+launch justification by (kind, fault net, stuck value, cube in gate-input
+order, option values).  A hit returns the stored
+:class:`~repro.atpg.podem.StructuralResult`, with its own backtracks and
+decisions, so the summed counters are unchanged.  On ``rdag:60,4`` with
+256 random pairs this runs 58 of 242 capture searches and 9 of 21
+justifications, and on a 2-CPU x86-64 host with Python 3.11 the campaign
+takes 0.023 s instead of 0.040 s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
-from ..core.excitation import Sequence2
 from ..faults.obd import ObdFault
 from ..faults.stuck_at import StuckAtFault
 from ..logic.gates import evaluate_gate
 from ..logic.netlist import LogicCircuit
-from .podem import PodemOptions, PodemResult, generate_stuck_at_test, justify
-from .two_pattern import TwoPatternTest, pattern_tuple
-
-
-@dataclass
-class ObdTestResult:
-    """Outcome of OBD test generation for one fault."""
-
-    fault: ObdFault
-    success: bool
-    test: Optional[TwoPatternTest]
-    local_sequence: Optional[Sequence2]
-    backtracks: int
-    aborted: bool = False
-    decisions: int = 0
-
-    @property
-    def untestable(self) -> bool:
-        return not self.success and not self.aborted
+from .podem import PodemOptions, StructuralResult, generate_stuck_at_test, justify
+from .two_pattern import AtpgOutcome, pair_outcome
 
 
 def _consistent_constraints(nets, bits) -> dict[str, int] | None:
@@ -71,12 +58,12 @@ def _consistent_constraints(nets, bits) -> dict[str, int] | None:
 
 
 #: Memo of one ATPG run's searches; see the module docstring for the key.
-SearchMemo = dict[tuple, PodemResult]
+SearchMemo = dict[tuple, StructuralResult]
 
 
 def _search(
-    searches: SearchMemo, key: tuple, run: Callable[..., PodemResult], *args, **kwargs
-) -> PodemResult:
+    searches: SearchMemo, key: tuple, run: Callable[..., StructuralResult], *args, **kwargs
+) -> StructuralResult:
     """``run(*args, **kwargs)``, or the stored result of an identical search."""
     if key not in searches:
         searches[key] = run(*args, **kwargs)
@@ -88,7 +75,7 @@ def generate_obd_test(
     fault: ObdFault,
     options: PodemOptions | None = None,
     searches: SearchMemo | None = None,
-) -> ObdTestResult:
+) -> AtpgOutcome:
     """Generate a two-pattern test for an OBD fault in a gate-level netlist.
 
     *searches* memoizes the capture and launch searches across the calls of
@@ -99,9 +86,7 @@ def generate_obd_test(
     searches = {} if searches is None else searches
     option_values = (options.max_backtracks, options.fill_value)
     gate = circuit.gate(fault.gate_name)
-    total_backtracks = 0
-    total_decisions = 0
-    aborted_any = False
+    run: list[StructuralResult] = []
 
     for v1, v2 in fault.local_sequences:
         o1 = evaluate_gate(gate.gate_type, v1)
@@ -126,9 +111,7 @@ def generate_obd_test(
             constraints=capture_constraints,
             options=options,
         )
-        total_backtracks += capture.backtracks
-        total_decisions += capture.decisions
-        aborted_any |= capture.aborted
+        run.append(capture)
         if not capture.success:
             continue
 
@@ -140,107 +123,8 @@ def generate_obd_test(
             launch_cube,
             options=options,
         )
-        total_backtracks += launch.backtracks
-        total_decisions += launch.decisions
-        aborted_any |= launch.aborted
-        if not launch.success:
-            continue
+        run.append(launch)
+        if launch.success:
+            return pair_outcome(circuit, fault, run, found=True)
 
-        test = TwoPatternTest(
-            first=pattern_tuple(circuit, launch.pattern),
-            second=pattern_tuple(circuit, capture.pattern),
-        )
-        return ObdTestResult(
-            fault=fault,
-            success=True,
-            test=test,
-            local_sequence=(v1, v2),
-            backtracks=total_backtracks,
-            decisions=total_decisions,
-        )
-
-    return ObdTestResult(
-        fault=fault,
-        success=False,
-        test=None,
-        local_sequence=None,
-        backtracks=total_backtracks,
-        aborted=aborted_any,
-        decisions=total_decisions,
-    )
-
-
-@dataclass
-class ObdAtpgSummary:
-    """Aggregate result of running OBD ATPG over a fault universe.
-
-    ``skipped`` lists the faults that were never handed to the PODEM engine
-    because an earlier pattern phase had already detected them (cross-phase
-    fault dropping); ``results`` covers only the attempted faults.
-    """
-
-    results: list[ObdTestResult]
-    skipped: list[ObdFault] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.results)
-
-    @property
-    def testable(self) -> list[ObdTestResult]:
-        return [r for r in self.results if r.success]
-
-    @property
-    def untestable(self) -> list[ObdTestResult]:
-        return [r for r in self.results if r.untestable]
-
-    @property
-    def aborted(self) -> list[ObdTestResult]:
-        return [r for r in self.results if not r.success and r.aborted]
-
-    @property
-    def tests(self) -> list[TwoPatternTest]:
-        return [r.test for r in self.results if r.test is not None]
-
-    @property
-    def backtracks(self) -> int:
-        return sum(r.backtracks for r in self.results)
-
-    @property
-    def decisions(self) -> int:
-        return sum(r.decisions for r in self.results)
-
-    def describe(self) -> str:
-        line = (
-            f"OBD ATPG: {self.total} faults, {len(self.testable)} testable, "
-            f"{len(self.untestable)} untestable, {len(self.aborted)} aborted, "
-            f"{self.backtracks} backtracks"
-        )
-        if self.skipped:
-            line += f", {len(self.skipped)} skipped (already detected)"
-        return line
-
-
-def run_obd_atpg(
-    circuit: LogicCircuit,
-    faults,
-    options: PodemOptions | None = None,
-    already_detected: Iterable[str] | None = None,
-) -> ObdAtpgSummary:
-    """Run :func:`generate_obd_test` over an iterable of OBD faults.
-
-    Faults whose keys appear in *already_detected* (typically the detected
-    set of an earlier pattern-phase fault simulation) are skipped instead of
-    re-running PODEM for them; they are reported in the summary's
-    ``skipped`` list.
-    """
-    skip = frozenset(already_detected or ())
-    results: list[ObdTestResult] = []
-    skipped: list[ObdFault] = []
-    searches: SearchMemo = {}
-    for fault in faults:
-        if fault.key in skip:
-            skipped.append(fault)
-            continue
-        results.append(generate_obd_test(circuit, fault, options=options, searches=searches))
-    return ObdAtpgSummary(results=results, skipped=skipped)
+    return pair_outcome(circuit, fault, run)

@@ -20,34 +20,15 @@ after every branch has been exhausted without an abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from ..faults.path_delay import RISING, PathDelayFault
 from ..logic.netlist import LogicCircuit
 from .podem import PodemOptions, justify
-from .two_pattern import TwoPatternTest, pattern_tuple
+from .two_pattern import AtpgOutcome, pair_outcome
 
 #: Cap on the number of interior value assignments explored per fault.
 DEFAULT_MAX_BRANCHES = 256
-
-
-@dataclass
-class PathDelayTestResult:
-    """Outcome of path-delay test generation for one fault."""
-
-    fault: PathDelayFault
-    success: bool
-    test: Optional[TwoPatternTest]
-    backtracks: int
-    aborted: bool = False
-    branches: int = 0
-    decisions: int = 0
-
-    @property
-    def untestable(self) -> bool:
-        return not self.success and not self.aborted
 
 
 def _preferred_values(circuit: LogicCircuit, nets, launch_value: int) -> list[int]:
@@ -86,54 +67,25 @@ def generate_path_delay_test(
     fault: PathDelayFault,
     options: PodemOptions | None = None,
     max_branches: int = DEFAULT_MAX_BRANCHES,
-) -> PathDelayTestResult:
+) -> AtpgOutcome:
     """Generate a two-pattern (non-robust) test for a path-delay fault."""
     options = options or PodemOptions()
     launch_value = 1 if fault.direction == RISING else 0
-    total_backtracks = 0
-    total_decisions = 0
-    aborted_any = False
-    branches = 0
+    run = []
     truncated = 2 ** (len(fault.nets) - 1) > max_branches
 
     for second_values in _value_candidates(circuit, fault.nets, launch_value, max_branches):
-        branches += 1
         capture_cube = dict(zip(fault.nets, second_values))
         launch_cube = {net: 1 - value for net, value in capture_cube.items()}
 
         capture = justify(circuit, capture_cube, options=options)
-        total_backtracks += capture.backtracks
-        total_decisions += capture.decisions
-        aborted_any |= capture.aborted
+        run.append(capture)
         if not capture.success:
             continue
 
         launch = justify(circuit, launch_cube, options=options)
-        total_backtracks += launch.backtracks
-        total_decisions += launch.decisions
-        aborted_any |= launch.aborted
-        if not launch.success:
-            continue
+        run.append(launch)
+        if launch.success:
+            return pair_outcome(circuit, fault, run, found=True)
 
-        test = TwoPatternTest(
-            first=pattern_tuple(circuit, launch.pattern),
-            second=pattern_tuple(circuit, capture.pattern),
-        )
-        return PathDelayTestResult(
-            fault=fault,
-            success=True,
-            test=test,
-            backtracks=total_backtracks,
-            branches=branches,
-            decisions=total_decisions,
-        )
-
-    return PathDelayTestResult(
-        fault=fault,
-        success=False,
-        test=None,
-        backtracks=total_backtracks,
-        aborted=aborted_any or truncated,
-        branches=branches,
-        decisions=total_decisions,
-    )
+    return pair_outcome(circuit, fault, run, truncated=truncated)

@@ -18,6 +18,9 @@ the tables into one straight-line kernel over integer net ids, compiled on
 the first search and shared by every later one; an implication pass is one
 kernel call, one flat-tuple lookup per gate.  The search state (input
 assignments, net values, constraints) is held in lists indexed by net id.
+
+Every search here and in :mod:`repro.atpg.structural` returns one
+:class:`StructuralResult`; the two-rail search reports no implication count.
 """
 
 from __future__ import annotations
@@ -79,26 +82,52 @@ class PodemOptions:
             raise ValueError(f"max_backtracks must be an int >= 0, got {budget!r}")
 
 
-@dataclass
-class PodemResult:
-    """Outcome of one test-generation attempt."""
+#: The three outcomes of one search.
+TESTED = "tested"
+PROVEN_REDUNDANT = "proven_redundant"
+ABORTED = "aborted"
 
-    success: bool
+STATUSES = (TESTED, PROVEN_REDUNDANT, ABORTED)
+
+
+@dataclass(frozen=True)
+class StructuralResult:
+    """Outcome of one search: the result every search engine returns.
+
+    ``status`` is ``tested`` (with the primary-input ``pattern``),
+    ``proven_redundant`` (a complete search exhausted: no test exists) or
+    ``aborted`` (the backtrack budget ran out, or the engine gave up
+    heuristically, so exhaustion proves nothing).
+    """
+
+    status: str
     pattern: Optional[dict[str, int]]
-    backtracks: int
-    aborted: bool = False
+    backtracks: int = 0
     decisions: int = 0
+    #: Net values derived by implication (forward five-valued propagation,
+    #: backward unique justification, learned-closure assignments); the
+    #: two-rail search does not count them and reports 0.
+    implications: int = 0
+    engine: str = ""
+
+    @property
+    def success(self) -> bool:
+        return self.status == TESTED
+
+    @property
+    def aborted(self) -> bool:
+        return self.status == ABORTED
 
     @property
     def untestable(self) -> bool:
-        """Search exhausted without aborting: the fault is proven untestable.
+        """The fault is proven redundant (complete search exhausted)."""
+        return self.status == PROVEN_REDUNDANT
 
-        ``aborted`` covers both the backtrack budget running out and the
-        engine abandoning a branch heuristically (backtrace landing on an
-        already-assigned input); either way the search was incomplete, so
-        exhaustion does *not* prove anything and this property stays False.
-        """
-        return not self.success and not self.aborted
+    def describe(self) -> str:
+        return (
+            f"[{self.engine}] {self.status}: {self.backtracks} backtracks, "
+            f"{self.decisions} decisions, {self.implications} implications"
+        )
 
 
 #: Pair-code predicates for the D-frontier and the X-path walk.
@@ -271,7 +300,7 @@ class _PodemEngine:
     # ------------------------------------------------------------------ #
     # Main search loop.
     # ------------------------------------------------------------------ #
-    def run(self) -> PodemResult:
+    def run(self) -> StructuralResult:
         self.imply()
         stack: list[tuple[int, int, bool]] = []  # (pi, value, alternative tried)
         while True:
@@ -282,8 +311,7 @@ class _PodemEngine:
                     return self._exhausted()
                 continue
             if self.backtracks > self.options.max_backtracks:
-                return PodemResult(False, None, self.backtracks, aborted=True,
-                                   decisions=self.decisions)
+                return self._result(ABORTED)
             pi, pi_value = self.backtrace(*objective)
             if pi >= self.index.n_inputs or self.inputs[pi] != _X:
                 # Backtrace landed on an assigned (or non-input) net: the
@@ -299,10 +327,9 @@ class _PodemEngine:
             stack.append((pi, pi_value, False))
             self.imply()
 
-    def _exhausted(self) -> PodemResult:
+    def _exhausted(self) -> StructuralResult:
         """Decision stack exhausted: a proof only if no branch was abandoned."""
-        return PodemResult(False, None, self.backtracks, aborted=self.gave_up,
-                           decisions=self.decisions)
+        return self._result(ABORTED if self.gave_up else PROVEN_REDUNDANT)
 
     def _backtrack(self, stack: list[tuple[int, int, bool]]) -> bool:
         """Flip the deepest untried decision; False once the stack is exhausted."""
@@ -318,13 +345,16 @@ class _PodemEngine:
                 return True
         return False
 
-    def _success(self) -> PodemResult:
+    def _success(self) -> StructuralResult:
         fill = self.options.fill_value
         pattern = {
             net: _GOOD[code] if _KNOWN[code] else fill
             for net, code in zip(self.index.names, self.inputs)
         }
-        return PodemResult(True, pattern, self.backtracks, decisions=self.decisions)
+        return self._result(TESTED, pattern)
+
+    def _result(self, status: str, pattern: dict[str, int] | None = None) -> StructuralResult:
+        return StructuralResult(status, pattern, self.backtracks, self.decisions, engine="two-rail")
 
 
 # --------------------------------------------------------------------------- #
@@ -335,7 +365,7 @@ def generate_stuck_at_test(
     fault: StuckAtFault,
     constraints: Mapping[str, int] | None = None,
     options: PodemOptions | None = None,
-) -> PodemResult:
+) -> StructuralResult:
     """Generate a single test pattern detecting *fault* (or prove it untestable)."""
     engine = _PodemEngine(circuit, fault, constraints or {}, options or PodemOptions())
     return engine.run()
@@ -345,7 +375,7 @@ def justify(
     circuit: LogicCircuit,
     objectives: Mapping[str, int],
     options: PodemOptions | None = None,
-) -> PodemResult:
+) -> StructuralResult:
     """Find a primary-input pattern that sets every objective net to its value."""
     engine = _PodemEngine(circuit, None, objectives, options or PodemOptions())
     return engine.run()

@@ -11,23 +11,20 @@ registered engines:
            sound exhaustion (:mod:`repro.atpg.structural.podem`).
 ========== ==================================================================
 
-Every engine resolves a stuck-at fault to ``tested`` (vector verified by
-forced-net re-simulation before it is returned), ``proven_redundant``
-(complete search exhausted -- a proof) or ``aborted`` (budget ran out), with
-backtrack / decision / implication counters.  Campaigns select an engine via
-``CampaignSpec.atpg_engine``.
+Every engine resolves a stuck-at fault to a
+:class:`~repro.atpg.podem.StructuralResult` (re-exported here): ``tested``
+(vector verified by forced-net re-simulation before it is returned),
+``proven_redundant`` (complete search exhausted -- a proof) or ``aborted``
+(budget ran out), with backtrack / decision / implication counters.
+Campaigns select an engine via ``CampaignSpec.atpg_engine``.
 """
 
+from ..podem import ABORTED, PROVEN_REDUNDANT, STATUSES, TESTED, StructuralResult
 from .d_algorithm import DAlgorithm
 from .engine import (
-    ABORTED,
     ATPG_ENGINES,
-    PROVEN_REDUNDANT,
-    STATUSES,
-    TESTED,
     StructuralAtpg,
     StructuralAtpgError,
-    StructuralResult,
     atpg_engine_names,
     get_atpg_engine,
     register_atpg_engine,

@@ -34,15 +34,8 @@ from typing import Optional
 
 from ...analysis_static.analysis import CircuitAnalysis
 from ...faults.stuck_at import StuckAtFault
-from ..podem import PodemOptions
-from .engine import (
-    ABORTED,
-    PROVEN_REDUNDANT,
-    TESTED,
-    StructuralAtpg,
-    StructuralResult,
-    register_atpg_engine,
-)
+from ..podem import ABORTED, PROVEN_REDUNDANT, TESTED, PodemOptions, StructuralResult
+from .engine import StructuralAtpg, register_atpg_engine
 from .logic5 import (
     ERRORS,
     FIVE_VALUES,

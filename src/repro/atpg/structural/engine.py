@@ -1,7 +1,8 @@
 """The :class:`StructuralAtpg` interface and engine registry.
 
-Every structural test generator resolves one stuck-at fault to exactly one
-of three outcomes:
+Every structural test generator resolves one stuck-at fault to a
+:class:`~repro.atpg.podem.StructuralResult` (defined beside the two-rail
+PODEM, whose searches return it too) with exactly one of three statuses:
 
 * ``tested`` -- a primary-input pattern was found (and is verified against
   the forced-net reference simulation before being returned);
@@ -26,55 +27,11 @@ campaign learns once, not once per fault or per consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ...analysis_static.analysis import CircuitAnalysis, circuit_analysis
 from ...faults.stuck_at import StuckAtFault
 from ...logic.netlist import LogicCircuit
 from ..fault_sim import simulate_with_forced_net
-from ..podem import PodemOptions
-
-#: The three structural ATPG outcomes.
-TESTED = "tested"
-PROVEN_REDUNDANT = "proven_redundant"
-ABORTED = "aborted"
-
-STATUSES = (TESTED, PROVEN_REDUNDANT, ABORTED)
-
-
-@dataclass(frozen=True)
-class StructuralResult:
-    """Outcome of one structural test-generation attempt."""
-
-    status: str
-    pattern: Optional[dict[str, int]]
-    backtracks: int = 0
-    decisions: int = 0
-    #: Net values derived by implication (forward five-valued propagation,
-    #: backward unique justification, learned-closure assignments).
-    implications: int = 0
-    engine: str = ""
-
-    # Compatibility with the PodemResult vocabulary used by campaign code.
-    @property
-    def success(self) -> bool:
-        return self.status == TESTED
-
-    @property
-    def aborted(self) -> bool:
-        return self.status == ABORTED
-
-    @property
-    def untestable(self) -> bool:
-        """The fault is proven redundant (complete search exhausted)."""
-        return self.status == PROVEN_REDUNDANT
-
-    def describe(self) -> str:
-        return (
-            f"[{self.engine}] {self.status}: {self.backtracks} backtracks, "
-            f"{self.decisions} decisions, {self.implications} implications"
-        )
+from ..podem import PROVEN_REDUNDANT, TESTED, PodemOptions, StructuralResult
 
 
 class StructuralAtpgError(Exception):

@@ -40,16 +40,8 @@ from __future__ import annotations
 from ...analysis_static.analysis import CircuitAnalysis
 from ...faults.stuck_at import StuckAtFault
 from ...logic.gates import controlling_value
-from ..podem import PodemOptions
-from .engine import (
-    ABORTED,
-    PROVEN_REDUNDANT,
-    TESTED,
-    StructuralAtpg,
-    StructuralAtpgError,
-    StructuralResult,
-    register_atpg_engine,
-)
+from ..podem import ABORTED, PROVEN_REDUNDANT, TESTED, PodemOptions, StructuralResult
+from .engine import StructuralAtpg, StructuralAtpgError, register_atpg_engine
 from .logic5 import FIVE_VALUES, V0, V1, VD, VDB, VX, gate_table, good_bit, is_error
 
 

@@ -27,9 +27,12 @@ this package exposes that flow as one declarative API:
   campaigns (e.g. the circuits x models x engines cross product) over one
   shared worker pool, with a consolidated JSON / CSV report.
 
-The per-model free functions in :mod:`repro.atpg` (``simulate_stuck_at``,
-``run_obd_atpg``, ...) remain as thin compatibility wrappers over this
-registry.
+The per-model fault simulators in :mod:`repro.atpg` (``simulate_stuck_at``,
+``simulate_obd``, ...) are thin wrappers over this registry.  Deterministic
+ATPG has one loop, the campaign's: every model's ``generate_test`` returns
+one :class:`~repro.atpg.AtpgOutcome` per fault, and
+:func:`~repro.campaign.runner.generate_atpg_outcomes` runs it over a fault
+list, skipping the faults an earlier phase detected.
 
 >>> from repro.campaign import CampaignSpec, run_campaign
 >>> from repro.logic import full_adder_sum

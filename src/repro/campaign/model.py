@@ -7,16 +7,18 @@ fault simulation (packed and serial engines) and deterministic ATPG -- behind
 one uniform interface.  The four models of the reproduction (stuck-at,
 transition, path-delay, OBD) register themselves in
 :mod:`repro.campaign.models`; downstream code looks them up by name via
-:func:`get_model` and never hard-codes per-model entry points.
+:func:`get_model` and never hard-codes per-model entry points.  Each
+model's ``generate_test`` returns one
+:class:`~repro.atpg.two_pattern.AtpgOutcome` per fault (re-exported here).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from ..atpg.fault_sim import DetectionReport
 from ..atpg.podem import PodemOptions
+from ..atpg.two_pattern import AtpgOutcome
 from ..faults.base import Fault, FaultList
 from ..logic.compiled import CompiledCircuit
 from ..logic.netlist import LogicCircuit
@@ -24,40 +26,6 @@ from ..logic.netlist import LogicCircuit
 #: Pattern-source kinds: one pattern per test, or launch/capture pairs.
 SINGLE_PATTERN = "single"
 TWO_PATTERN = "pair"
-
-
-@dataclass(frozen=True)
-class AtpgOutcome:
-    """Uniform per-fault result of deterministic test generation.
-
-    ``tests`` holds zero or more tests in the model's native shape (a pattern
-    tuple for single-pattern models, a ``(first, second)`` pair for
-    two-pattern models).
-    """
-
-    fault: Fault
-    success: bool
-    tests: tuple = ()
-    backtracks: int = 0
-    aborted: bool = False
-    #: PODEM decision count (assignments tried), the second half of the
-    #: classical search-effort pair alongside ``backtracks``.
-    decisions: int = 0
-    #: Net values derived by implication (structural engines only; the
-    #: legacy two-rail PODEM reports 0 here).
-    implications: int = 0
-
-    @property
-    def untestable(self) -> bool:
-        """Search exhausted without aborting: the fault is proven untestable."""
-        return not self.success and not self.aborted
-
-    @property
-    def status(self) -> str:
-        """Three-way outcome: ``tested`` / ``proven_redundant`` / ``aborted``."""
-        if self.success:
-            return "tested"
-        return "aborted" if self.aborted else "proven_redundant"
 
 
 @runtime_checkable

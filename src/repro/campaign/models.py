@@ -5,9 +5,12 @@ fault-simulation hooks and deterministic ATPG behind the
 :class:`~repro.campaign.model.FaultModel` protocol.  For fault simulation a
 model supplies only its serial reference and its per-fault
 :class:`~repro.atpg.parallel_sim.FaultSite` descriptors; the shared
-``simulate`` method runs both word backends through one block loop.  The
-legacy free functions (``simulate_stuck_at``, ``run_obd_atpg``, ...) remain
-available as thin wrappers over these adapters.
+``simulate`` method runs both word backends through one block loop.  For
+ATPG the two-pattern models return their generator's
+:class:`~repro.atpg.two_pattern.AtpgOutcome` as it comes; stuck-at turns
+its structural engine's search result into one.  The free
+``simulate_*`` functions of :mod:`repro.atpg` are thin wrappers over these
+adapters.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from ..atpg.parallel_sim import (
 from ..atpg.path_delay_atpg import generate_path_delay_test
 from ..atpg.podem import PodemOptions
 from ..atpg.structural import get_atpg_engine
-from ..atpg.two_pattern import generate_transition_test, pattern_tuple
+from ..atpg.two_pattern import AtpgOutcome, generate_transition_test, pattern_tuple
 from ..faults.base import Fault, FaultList
 from ..faults.collapse import (
     collapse_stuck_at_dominance,
@@ -51,7 +54,7 @@ from ..faults.stuck_at import StuckAtFault, stuck_at_universe
 from ..faults.transition import TransitionFault, transition_fault_universe
 from ..logic.compiled import CompiledCircuit
 from ..logic.netlist import LogicCircuit
-from .model import SINGLE_PATTERN, TWO_PATTERN, AtpgOutcome, register_model
+from .model import SINGLE_PATTERN, TWO_PATTERN, register_model
 
 
 def _transition_excite(net: int, launch: int, final: int):
@@ -240,19 +243,9 @@ class TransitionModel(_ModelBase):
         atpg_engine: str | None = None,
         searches: dict | None = None,
     ) -> AtpgOutcome:
-        result = generate_transition_test(
+        return generate_transition_test(
             circuit, fault, options=options,
             atpg_engine=atpg_engine or self.default_atpg_engine,
-        )
-        tests = ((result.test.first, result.test.second),) if result.success else ()
-        return AtpgOutcome(
-            fault,
-            result.success,
-            tests,
-            result.backtracks,
-            result.aborted,
-            decisions=result.decisions,
-            implications=result.implications,
         )
 
 
@@ -294,16 +287,7 @@ class PathDelayModel(_ModelBase):
     ) -> AtpgOutcome:
         # atpg_engine is accepted for interface uniformity: the path-delay
         # search is objective-driven, not a stuck-at search to delegate.
-        result = generate_path_delay_test(circuit, fault, options=options)
-        tests = ((result.test.first, result.test.second),) if result.success else ()
-        return AtpgOutcome(
-            fault,
-            result.success,
-            tests,
-            result.backtracks,
-            result.aborted,
-            decisions=result.decisions,
-        )
+        return generate_path_delay_test(circuit, fault, options=options)
 
 
 class ObdModel(_ModelBase):
@@ -353,16 +337,7 @@ class ObdModel(_ModelBase):
         # atpg_engine is accepted for interface uniformity: OBD excitation
         # cubes pin the defective gate's inputs, a constrained search the
         # structural stuck-at engines do not model.
-        result = generate_obd_test(circuit, fault, options=options, searches=searches)
-        tests = ((result.test.first, result.test.second),) if result.success else ()
-        return AtpgOutcome(
-            fault,
-            result.success,
-            tests,
-            result.backtracks,
-            result.aborted,
-            decisions=result.decisions,
-        )
+        return generate_obd_test(circuit, fault, options=options, searches=searches)
 
 
 STUCK_AT = register_model(StuckAtModel())

@@ -142,7 +142,7 @@ def run_fig9(
         atpg = generate_obd_test(logic, fault)
         if not atpg.success:
             continue
-        sequence = (atpg.test.first, atpg.test.second)
+        (sequence,) = atpg.tests
         waveforms = two_pattern_input_waveforms(
             logic, tech, sequence[0], sequence[1], launch_time, t_stop=t_stop
         )

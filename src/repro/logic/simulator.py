@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Mapping, Sequence
 
-from .netlist import LogicCircuit, LogicCircuitError
+from .netlist import Gate, LogicCircuit, LogicCircuitError
 
 
 def _check_assignment(circuit: LogicCircuit, assignment: Mapping[str, int]) -> dict[str, int]:
@@ -28,14 +31,19 @@ def simulate(circuit: LogicCircuit, assignment: Mapping[str, int]) -> dict[str, 
     return values
 
 
-def simulate_pattern(circuit: LogicCircuit, pattern: Sequence[int]) -> dict[str, int]:
-    """Zero-delay simulation from a positional pattern over the primary inputs."""
+def _pattern_assignment(circuit: LogicCircuit, pattern: Sequence[int]) -> dict[str, int]:
+    """A positional pattern as an assignment to the primary inputs."""
     inputs = circuit.primary_inputs
     if len(pattern) != len(inputs):
         raise LogicCircuitError(
             f"pattern has {len(pattern)} bits but the circuit has {len(inputs)} inputs"
         )
-    return simulate(circuit, dict(zip(inputs, pattern)))
+    return dict(zip(inputs, pattern))
+
+
+def simulate_pattern(circuit: LogicCircuit, pattern: Sequence[int]) -> dict[str, int]:
+    """Zero-delay simulation from a positional pattern over the primary inputs."""
+    return simulate(circuit, _pattern_assignment(circuit, pattern))
 
 
 def output_values(circuit: LogicCircuit, pattern: Sequence[int]) -> tuple[int, ...]:
@@ -138,45 +146,67 @@ class EventDrivenSimulator:
 
         Returns the full value history of every net.  The initial state is
         the zero-delay steady state of the first pattern; input changes are
-        applied at *launch_time* and propagated with per-gate delays.
+        applied at *launch_time* and propagated with per-gate delays.  Both
+        patterns must have one 0/1 bit per primary input
+        (:class:`LogicCircuitError` otherwise).  Each event costs one heap
+        operation and one evaluation per gate input it drives.
         """
         circuit = self.circuit
         steady = simulate_pattern(circuit, initial_pattern)
+        final = _check_assignment(circuit, _pattern_assignment(circuit, final_pattern))
         histories: dict[str, list[tuple[float, int]]] = {
             net: [(0.0, steady[net])] for net in circuit.nets()
         }
         current = dict(steady)
+        # The gates reading each net, one entry per pin, in declaration order.
+        loads: dict[str, list[Gate]] = {net: [] for net in histories}
+        for gate in circuit:
+            for net in gate.inputs:
+                loads[net].append(gate)
+
+        # Events pop by (time, insertion order).  Each net's pending events,
+        # oldest first, carry increasing times: a new event cancels those at
+        # or after its own time and becomes the latest.  A cancelled event
+        # stays in the heap and is skipped when it pops.
+        heap: list[tuple[float, int, TimingEvent]] = []
+        pending: dict[str, deque[tuple[int, TimingEvent]]] = {net: deque() for net in histories}
+        cancelled: set[int] = set()
+        sequence = count()
+
+        def schedule(event: TimingEvent) -> None:
+            entry = (event.time, next(sequence), event)
+            heapq.heappush(heap, entry)
+            pending[event.net].append(entry[1:])
 
         # Seed events with the primary-input changes.
-        events: list[TimingEvent] = []
-        for net, bit in zip(circuit.primary_inputs, final_pattern):
-            if int(bit) != current[net]:
-                events.append(TimingEvent(launch_time, net, int(bit)))
+        for net, bit in final.items():
+            if bit != current[net]:
+                schedule(TimingEvent(launch_time, net, bit))
 
-        while events:
-            events.sort(key=lambda e: e.time)
-            event = events.pop(0)
+        while heap:
+            _, seq, event = heapq.heappop(heap)
+            if seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            pending[event.net].popleft()
             if current[event.net] == event.value:
                 continue
             current[event.net] = event.value
             histories[event.net].append((event.time, event.value))
-            for gate, _pin in circuit.loads_of(event.net):
+            for gate in loads[event.net]:
                 new_value = gate.evaluate(current)
                 scheduled_time = event.time + self.delay_model(gate)
                 # Compare against the value the output is already headed for
                 # (last pending event), not its present value: a pending
                 # transition launched by another fanin must survive a
                 # re-evaluation that agrees with the current output.
-                pending = [e for e in events if e.net == gate.output]
-                projected = max(pending, key=lambda e: e.time).value if pending else current[gate.output]
+                queue = pending[gate.output]
+                projected = queue[-1][1].value if queue else current[gate.output]
                 if new_value != projected:
                     # Only when scheduling a replacement do we cancel pending
                     # events, and only those at or after the new event's time
                     # (now stale); earlier-scheduled events stay intact.
-                    events = [
-                        e
-                        for e in events
-                        if e.net != gate.output or e.time < scheduled_time
-                    ]
-                    events.append(TimingEvent(scheduled_time, gate.output, new_value))
+                    while queue and queue[-1][1].time >= scheduled_time:
+                        cancelled.add(queue.pop()[0])
+                    schedule(TimingEvent(scheduled_time, gate.output, new_value))
         return TimingSimulationResult(histories=histories)

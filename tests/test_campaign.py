@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.atpg import greedy_compaction, run_obd_atpg, simulate_obd
+from repro.atpg import generate_obd_test, greedy_compaction, simulate_obd
 from repro.campaign import (
     SINGLE_PATTERN,
     TWO_PATTERN,
@@ -210,10 +210,11 @@ class TestSection43Parity:
     @pytest.fixture(scope="class")
     def hand_wired(self, fa_sum):
         faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
-        summary = run_obd_atpg(fa_sum, faults)
-        pairs = [(t.first, t.second) for t in summary.tests]
+        searches: dict = {}
+        outcomes = [generate_obd_test(fa_sum, fault, searches=searches) for fault in faults]
+        pairs = [pair for outcome in outcomes for pair in outcome.tests]
         report = simulate_obd(fa_sum, pairs, faults)
-        return summary, pairs, report, greedy_compaction(report)
+        return outcomes, pairs, report, greedy_compaction(report)
 
     def test_same_tests(self, obd_campaign, hand_wired):
         _, pairs, _, _ = hand_wired
@@ -230,9 +231,9 @@ class TestSection43Parity:
         assert obd_campaign.compaction.size == compaction.size
 
     def test_same_untestable_accounting(self, obd_campaign, hand_wired):
-        summary, _, _, _ = hand_wired
+        outcomes, _, _, _ = hand_wired
         untested = {o.fault.key for o in obd_campaign.atpg_phase.untestable}
-        assert untested == {r.fault.key for r in summary.untestable}
+        assert untested == {o.fault.key for o in outcomes if o.untestable}
 
     def test_all_four_models_complete_the_pipeline(self, fa_sum):
         """ATPG-only campaigns agree with exhaustive fault simulation for

@@ -24,7 +24,6 @@ from repro.atpg import (
     path_delay_fault_detected,
     random_pairs,
     random_patterns,
-    run_obd_atpg,
     simulate_obd,
     simulate_path_delay,
     simulate_stuck_at,
@@ -35,6 +34,8 @@ from repro.atpg import (
 )
 from repro.atpg.podem import _PAIRS, _table
 from repro.atpg.values import D, DBAR, ONE, X, ZERO, LogicValue, evaluate_gate_values, from_bit
+from repro.campaign import Campaign, CampaignSpec, get_model
+from repro.campaign.runner import generate_atpg_outcomes
 from repro.core.excitation import (
     all_sequences,
     excitation_conditions,
@@ -234,31 +235,37 @@ class TestPodem:
         assert result.success or result.aborted
 
 
+OBD = get_model("obd")
+NAND2_ONLY = {"gate_types": [GateType.NAND2]}
+
+
 class TestTwoPatternAndObdAtpg:
     def test_transition_test_detects(self, fa_sum):
         fault = TransitionFault("z1", "slow-to-rise")
         result = generate_transition_test(fa_sum, fault)
         assert result.success
-        assert transition_fault_detected(fa_sum, fault, (result.test.first, result.test.second))
+        (pair,) = result.tests
+        assert transition_fault_detected(fa_sum, fault, pair)
 
     def test_obd_test_respects_excitation(self, fa_sum):
         fault = ObdFault("nand_m4", GateType.NAND2, "PA")
         result = generate_obd_test(fa_sum, fault)
         assert result.success
-        v1, v2 = result.local_sequence
+        (pair,) = result.tests
         gate = fa_sum.gate("nand_m4")
-        values1 = simulate_pattern(fa_sum, result.test.first)
-        values2 = simulate_pattern(fa_sum, result.test.second)
-        assert tuple(values1[n] for n in gate.inputs) == v1
-        assert tuple(values2[n] for n in gate.inputs) == v2
-        assert obd_fault_detected(fa_sum, fault, (result.test.first, result.test.second))
+        # The gate's inputs under the pair are the local sequence it excites.
+        local_sequence = tuple(
+            tuple(simulate_pattern(fa_sum, pattern)[n] for n in gate.inputs) for pattern in pair
+        )
+        assert local_sequence in fault.local_sequences
+        assert obd_fault_detected(fa_sum, fault, pair)
 
     def test_obd_atpg_matches_exhaustive_simulation(self, fa_sum):
-        faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
-        summary = run_obd_atpg(fa_sum, faults)
+        faults = obd_fault_universe(fa_sum, **NAND2_ONLY)
+        outcomes, _ = generate_atpg_outcomes(OBD, fa_sum, faults, set())
         report = simulate_obd(fa_sum, exhaustive_pairs(fa_sum), faults)
-        assert {r.fault.key for r in summary.testable} == set(report.detected_faults)
-        assert len(summary.aborted) == 0
+        assert {o.fault.key for o in outcomes if o.success} == set(report.detected_faults)
+        assert not [o for o in outcomes if o.aborted]
 
     def test_self_coupled_nand_pb_untestable(self, fa_sum):
         """A NAND used as an inverter cannot have its PB defect excited."""
@@ -267,26 +274,30 @@ class TestTwoPatternAndObdAtpg:
         assert result.untestable
 
     def test_obd_summary_describe(self, fa_sum):
-        faults = list(obd_fault_universe(fa_sum, gate_types=[GateType.NAND2]))[:4]
-        summary = run_obd_atpg(fa_sum, faults)
-        assert "4 faults" in summary.describe()
+        result = Campaign(CampaignSpec(model="obd", universe_options=NAND2_ONLY)).run(fa_sum)
+        assert f"atpg: {len(result.faults)} attempted" in result.describe()
 
     def test_obd_atpg_skips_already_detected(self, fa_sum):
         """Cross-phase fault dropping: detected faults never reach PODEM."""
-        faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
+        faults = obd_fault_universe(fa_sum, **NAND2_ONLY)
         report = simulate_obd(fa_sum, single_input_change_pairs(fa_sum), faults)
-        summary = run_obd_atpg(fa_sum, faults, already_detected=report.detected_faults)
-        assert {f.key for f in summary.skipped} == set(report.detected_faults)
-        assert summary.total == len(faults) - len(summary.skipped)
-        attempted = {r.fault.key for r in summary.results}
+        outcomes, skipped = generate_atpg_outcomes(
+            OBD, fa_sum, faults, set(report.detected_faults)
+        )
+        assert set(skipped) == set(report.detected_faults)
+        assert len(outcomes) == len(faults) - len(skipped)
+        attempted = {o.fault.key for o in outcomes}
         assert not attempted & set(report.detected_faults)
-        assert f"{len(summary.skipped)} skipped" in summary.describe()
+        spec = CampaignSpec(model="obd", universe_options=NAND2_ONLY, pattern_source="sic")
+        result = Campaign(spec).run(fa_sum)
+        assert result.atpg_phase.skipped == tuple(skipped)
+        assert f"{len(skipped)} skipped" in result.describe()
 
     def test_obd_atpg_no_skip_by_default(self, fa_sum):
-        faults = list(obd_fault_universe(fa_sum, gate_types=[GateType.NAND2]))[:4]
-        summary = run_obd_atpg(fa_sum, faults)
-        assert summary.skipped == []
-        assert summary.total == 4
+        faults = list(obd_fault_universe(fa_sum, **NAND2_ONLY))[:4]
+        outcomes, skipped = generate_atpg_outcomes(OBD, fa_sum, faults, set())
+        assert skipped == []
+        assert len(outcomes) == 4
 
 
 class TestPathDelay:
@@ -315,7 +326,8 @@ class TestPathDelay:
         for fault in path_delay_universe(fa_sum):
             result = generate_path_delay_test(fa_sum, fault)
             assert result.success, fault.key
-            assert is_sensitized(fa_sum, fault, result.test.first, result.test.second)
+            ((first, second),) = result.tests
+            assert is_sensitized(fa_sum, fault, first, second)
 
     def test_atpg_matches_exhaustive_simulation(self, fa_full):
         """ATPG testability agrees with exhaustive two-pattern simulation on

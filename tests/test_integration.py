@@ -108,7 +108,13 @@ class TestGateLevelToTransistorLevel:
         result = generate_obd_test(fa_sum, fault)
         assert result.success
         gate = fa_sum.gate("nand_m4")
-        for pattern, local in zip((result.test.first, result.test.second), result.local_sequence):
+        (pair,) = result.tests
+        # The gate's inputs under the pair are the local sequence it excites.
+        local_sequence = tuple(
+            tuple(simulate_pattern(fa_sum, pattern)[n] for n in gate.inputs) for pattern in pair
+        )
+        assert local_sequence in fault.local_sequences
+        for pattern, local in zip(pair, local_sequence):
             expanded = expand_to_transistors(
                 fa_sum, tech, input_levels=dict(zip(fa_sum.primary_inputs, pattern))
             )

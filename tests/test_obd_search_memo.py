@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from repro.atpg import PodemOptions, generate_obd_test, podem, run_obd_atpg
-from repro.campaign import Campaign, CampaignSpec, ShardedCampaign
+from repro.atpg import PodemOptions, generate_obd_test, podem
+from repro.campaign import Campaign, CampaignSpec, ShardedCampaign, get_model
 from repro.campaign.circuits import resolve_circuit
+from repro.campaign.runner import generate_atpg_outcomes
 from repro.faults import obd_fault_universe
 from repro.logic import LogicCircuit
 
@@ -78,8 +79,12 @@ class TestSearchCounts:
 
         search_calls.update(capture=0, justify=0)
         circuit = resolve_circuit(BENCHMARK_SPEC.circuit)
-        summary = run_obd_atpg(circuit, [outcome.fault for outcome in atpg.outcomes])
-        assert (summary.total, summary.backtracks, summary.decisions) == (70, 1710, 930)
+        faults = [outcome.fault for outcome in atpg.outcomes]
+        outcomes, skipped = generate_atpg_outcomes(get_model("obd"), circuit, faults, set())
+        assert skipped == []
+        effort = (sum(o.backtracks for o in outcomes), sum(o.decisions for o in outcomes))
+        assert (len(outcomes), *effort) == (70, 1710, 930)
+        assert outcomes == atpg.outcomes
         assert search_calls == {"capture": 58, "justify": 9}
 
     def test_separate_calls_without_a_memo_do_not_share_one(self, search_calls, fa_sum):
@@ -89,17 +94,6 @@ class TestSearchCounts:
         generate_obd_test(fa_sum, fault)
         assert search_calls == {kind: 2 * count for kind, count in first.items()}
         assert first["capture"] >= 1
-
-
-def _fields(result):
-    return (
-        result.success,
-        result.test,
-        result.local_sequence,
-        result.backtracks,
-        result.decisions,
-        result.aborted,
-    )
 
 
 @pytest.mark.parametrize("circuit_name", ["fa_sum", "c17", "rdag:60,5"])
@@ -112,8 +106,8 @@ def test_shared_memo_matches_fresh_memo_per_fault(circuit_name, max_backtracks):
     for fault in obd_fault_universe(circuit):
         fresh = generate_obd_test(circuit, fault, options=options, searches={})
         memoized = generate_obd_test(circuit, fault, options=options, searches=shared)
-        assert _fields(memoized) == _fields(fresh), fault.key
-        assert _fields(generate_obd_test(circuit, fault, options=options)) == _fields(fresh)
+        assert memoized == fresh, fault.key
+        assert generate_obd_test(circuit, fault, options=options) == fresh
         aborted += fresh.aborted
     if circuit_name == "rdag:60,5" and max_backtracks == 2:
         # The tight budget must really exercise aborted results from the memo.
@@ -134,7 +128,7 @@ def test_memo_keeps_option_budgets_apart():
         for fault in obd_fault_universe(circuit):
             fresh = generate_obd_test(circuit, fault, options=options, searches={})
             memoized = generate_obd_test(circuit, fault, options=options, searches=shared)
-            assert _fields(memoized) == _fields(fresh), (max_backtracks, fault.key)
+            assert memoized == fresh, (max_backtracks, fault.key)
 
 
 def test_cube_order_is_part_of_the_key():
@@ -159,7 +153,7 @@ def test_cube_order_is_part_of_the_key():
     for fault in obd_fault_universe(circuit):
         fresh = generate_obd_test(circuit, fault, searches={})
         memoized = generate_obd_test(circuit, fault, searches=shared)
-        assert _fields(memoized) == _fields(fresh), fault.key
+        assert memoized == fresh, fault.key
         if fresh.success:
-            launches[fault.key] = fresh.test.first
+            launches[fault.key] = fresh.tests[0][0]
     assert launches["g1/NA"] != launches["g2/NA"]

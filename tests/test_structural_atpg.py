@@ -470,10 +470,7 @@ def legacy_status(circuit, fault, options):
     """The two-rail PODEM's verdict on *fault*, in structural-engine terms."""
     from repro.atpg.podem import generate_stuck_at_test
 
-    result = generate_stuck_at_test(circuit, fault, options=options)
-    if result.success:
-        return TESTED
-    return ABORTED if result.aborted else PROVEN_REDUNDANT
+    return generate_stuck_at_test(circuit, fault, options=options).status
 
 
 def test_structural_engines_beat_or_match_legacy_resolution():
