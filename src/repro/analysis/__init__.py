@@ -1,20 +1,11 @@
 """Measurement helpers shared by the experiments: delays and VTC metrics."""
 
-from .delay import (
-    TransitionMeasurement,
-    delay_degradation,
-    measure_from_result,
-    measure_transition,
-)
-from .vtc import VtcMetrics, analyze_vtc, voh_shift, vol_shift
+from .delay import TransitionMeasurement, measure_transition
+from .vtc import VtcMetrics, analyze_vtc
 
 __all__ = [
     "TransitionMeasurement",
     "measure_transition",
-    "measure_from_result",
-    "delay_degradation",
     "VtcMetrics",
     "analyze_vtc",
-    "vol_shift",
-    "voh_shift",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..spice.analysis.transient import TransientResult
 from ..spice.waveform import Waveform
 
 
@@ -50,19 +49,10 @@ class TransitionMeasurement:
     def is_stuck(self) -> bool:
         return self.classification in ("sa-0", "sa-1")
 
-    @property
-    def delay_ps(self) -> Optional[float]:
-        """Delay in picoseconds (convenience for report tables)."""
-        if self.delay is None:
-            return None
-        return self.delay * 1e12
-
     def table_entry(self) -> str:
         """Format the measurement the way Table 1 of the paper does."""
         if self.classification == "transition" and self.delay is not None:
             return f"{self.delay * 1e12:.0f}ps"
-        if self.is_stuck:
-            return self.classification
         return self.classification
 
 
@@ -148,32 +138,3 @@ def measure_transition(
         output_start=output_start,
         output_final=output_final,
     )
-
-
-def measure_from_result(
-    result: TransientResult,
-    input_node: str,
-    output_node: str,
-    input_edge: str,
-    output_edge: Optional[str],
-    threshold: float,
-    launch_after: float = 0.0,
-    capture_window: Optional[float] = None,
-) -> TransitionMeasurement:
-    """Convenience wrapper extracting the waveforms from a transient result."""
-    return measure_transition(
-        result.waveform(input_node),
-        result.waveform(output_node),
-        input_edge,
-        output_edge,
-        threshold,
-        launch_after=launch_after,
-        capture_window=capture_window,
-    )
-
-
-def delay_degradation(nominal: TransitionMeasurement, faulty: TransitionMeasurement) -> Optional[float]:
-    """Ratio of faulty to nominal delay (None when either is not a transition)."""
-    if nominal.delay is None or faulty.delay is None or nominal.delay <= 0.0:
-        return None
-    return faulty.delay / nominal.delay

@@ -99,13 +99,3 @@ def _first_gain_crossing(vin: np.ndarray, gain: np.ndarray, direction: str) -> f
         if below[i - 1] and not below[i]:
             return float(vin[i])
     return None
-
-
-def vol_shift(nominal: VtcMetrics, degraded: VtcMetrics) -> float:
-    """Upward shift of VOL caused by a defect (positive = degradation)."""
-    return degraded.vol - nominal.vol
-
-
-def voh_shift(nominal: VtcMetrics, degraded: VtcMetrics) -> float:
-    """Downward shift of VOH caused by a defect (positive = degradation)."""
-    return nominal.voh - degraded.voh

@@ -251,10 +251,6 @@ class StaticLearning:
     implications: dict[Literal, tuple[Literal, ...]] = field(default_factory=dict)
     constants: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def num_implications(self) -> int:
-        return sum(len(v) for v in self.implications.values())
-
 
 def learn_implications(
     circuit: "LogicCircuit", engine: ImplicationEngine | None = None

@@ -76,10 +76,6 @@ class ScoapMeasures:
     def controllability(self, net: str, value: int) -> float:
         return self.cc1[net] if value else self.cc0[net]
 
-    def sequential_depth(self, net: str) -> float:
-        """Combined detect cost of the harder stuck-at fault on *net*."""
-        return max(self.cc0[net], self.cc1[net]) + self.co[net]
-
 
 def scoap_measures(circuit: "LogicCircuit") -> ScoapMeasures:
     """Compute CC0/CC1/CO for every net in two topological passes."""

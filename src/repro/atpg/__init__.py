@@ -67,7 +67,6 @@ every engine with identical first-detection indices, at any ``word_bits``.
 
 from .compaction import (
     CompactionResult,
-    compact_tests,
     concat_phase_reports,
     greedy_compaction,
     merge_fault_shards,
@@ -75,8 +74,6 @@ from .compaction import (
 from .coverage import CoverageReport, coverage_from_report
 from .fault_sim import (
     DetectionReport,
-    obd_fault_detected,
-    path_delay_fault_detected,
     serial_simulate_obd,
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
@@ -86,7 +83,6 @@ from .fault_sim import (
     simulate_stuck_at,
     simulate_transition,
     simulate_with_forced_net,
-    transition_fault_detected,
 )
 from .obd_atpg import generate_obd_test
 from .parallel_sim import (
@@ -151,16 +147,12 @@ __all__ = [
     "compile_for_engine",
     "compiled_matches_engine",
     "simulate_with_forced_net",
-    "transition_fault_detected",
-    "path_delay_fault_detected",
-    "obd_fault_detected",
     "exhaustive_patterns",
     "exhaustive_pairs",
     "random_patterns",
     "random_pairs",
     "single_input_change_pairs",
     "greedy_compaction",
-    "compact_tests",
     "merge_fault_shards",
     "concat_phase_reports",
     "CompactionResult",

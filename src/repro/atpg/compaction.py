@@ -140,9 +140,3 @@ def greedy_compaction(report: DetectionReport) -> CompactionResult:
         covered_faults=tuple(sorted(detectable)),
         uncovered_faults=tuple(sorted(key for key, word in report.words.items() if not word)),
     )
-
-
-def compact_tests(report: DetectionReport, tests: Sequence) -> tuple[list, CompactionResult]:
-    """Return the compacted subset of *tests* plus the compaction record."""
-    result = greedy_compaction(report)
-    return [tests[i] for i in result.selected_indices], result

@@ -112,9 +112,6 @@ class DetectionReport:
             return 1.0
         return len(self.detected_faults) / len(self.words)
 
-    def detecting_tests(self, fault_key: str) -> list[int]:
-        return self.detections[fault_key]
-
 
 # --------------------------------------------------------------------------- #
 # Stuck-at faults.
@@ -182,20 +179,6 @@ def _transition_detected_with_values(
     return _outputs(circuit, faulty) != good_outputs
 
 
-def transition_fault_detected(
-    circuit: LogicCircuit,
-    fault: TransitionFault,
-    pair: PatternPair,
-) -> bool:
-    """Does the two-pattern *pair* detect the transition fault?"""
-    first, second = pair
-    values1 = simulate_pattern(circuit, first)
-    values2 = simulate_pattern(circuit, second)
-    return _transition_detected_with_values(
-        circuit, fault, second, values1, values2, _outputs(circuit, values2)
-    )
-
-
 def simulate_transition(
     circuit: LogicCircuit,
     pairs: Sequence[PatternPair],
@@ -258,24 +241,6 @@ def _path_delay_sensitized_with_values(
     if values2[fault.launch_net] != expected:
         return False
     return all(values1[net] != values2[net] for net in fault.nets)
-
-
-def path_delay_fault_detected(
-    circuit: LogicCircuit,
-    fault: PathDelayFault,
-    pair: PatternPair,
-) -> bool:
-    """Does the two-pattern *pair* detect (sensitize) the path-delay fault?
-
-    A path-delay fault is detected by any pair that functionally sensitizes
-    the path: the slow edge launched at the path input then arrives late at
-    the capture net, which for paths from :func:`~repro.faults.path_delay.
-    path_delay_universe` is a primary output.
-    """
-    first, second = pair
-    values1 = simulate_pattern(circuit, first)
-    values2 = simulate_pattern(circuit, second)
-    return _path_delay_sensitized_with_values(fault, values1, values2)
 
 
 def simulate_path_delay(
@@ -341,26 +306,6 @@ def _obd_detected_with_values(
         return False
     faulty = simulate_with_forced_net(circuit, second, gate.output, values1[gate.output])
     return _outputs(circuit, faulty) != good_outputs
-
-
-def obd_fault_detected(
-    circuit: LogicCircuit,
-    fault: ObdFault,
-    pair: PatternPair,
-) -> bool:
-    """Does the two-pattern *pair* detect the OBD fault?
-
-    Detection requires (a) the gate-local input sequence to be one of the
-    fault's excitation sequences and (b) the delayed output value (the gate's
-    first-pattern output held into the second pattern) to reach a primary
-    output.
-    """
-    first, second = pair
-    values1 = simulate_pattern(circuit, first)
-    values2 = simulate_pattern(circuit, second)
-    return _obd_detected_with_values(
-        circuit, fault, second, values1, values2, _outputs(circuit, values2)
-    )
 
 
 def simulate_obd(

@@ -23,9 +23,9 @@ this package exposes that flow as one declarative API:
   shards, pattern simulation and ATPG run per shard in a process pool, and
   per-shard reports merge back into a result bit-identical to
   :meth:`Campaign.run`.
-* :class:`CampaignSuite` / :func:`run_campaign_suite` -- batteries of
-  campaigns (e.g. the circuits x models x engines cross product) over one
-  shared worker pool, with a consolidated JSON / CSV report.
+* :class:`CampaignSuite` -- batteries of campaigns (e.g. the circuits x
+  models x engines cross product) over one shared worker pool, with a
+  consolidated JSON / CSV report.
 
 The per-model fault simulators in :mod:`repro.atpg` (``simulate_stuck_at``,
 ``simulate_obd``, ...) are thin wrappers over this registry.  Deterministic
@@ -75,7 +75,6 @@ from .suite import (
     CampaignSuite,
     SuiteEntry,
     SuiteResult,
-    run_campaign_suite,
 )
 
 __all__ = [
@@ -108,5 +107,4 @@ __all__ = [
     "CampaignSuite",
     "SuiteEntry",
     "SuiteResult",
-    "run_campaign_suite",
 ]

@@ -17,6 +17,8 @@ and :class:`~repro.campaign.sharded.ShardedCampaign` once per fault shard.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
 from contextlib import AbstractContextManager, nullcontext
@@ -69,6 +71,19 @@ def check_count(name: str, value: Any, minimum: int) -> None:
         raise CampaignError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise CampaignError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_seconds(name: str, value: Any, allow_zero: bool) -> None:
+    """Raise :class:`CampaignError` unless *value* is a finite number of
+    seconds, ``> 0`` (or ``>= 0`` with *allow_zero*).
+
+    ``bool`` is refused like in :func:`check_count`, and so are NaN and the
+    infinities: ``nan <= 0`` is False, so a plain comparison lets NaN through.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise CampaignError(f"{name} must be a finite number of seconds, got {value!r}")
+    if value < 0 or (value == 0 and not allow_zero):
+        raise CampaignError(f"{name} must be {'>=' if allow_zero else '>'} 0, got {value}")
 
 
 @dataclass
@@ -168,12 +183,9 @@ class CampaignSpec:
         check_count("max_retries", self.max_retries, 0)
         if self.word_bits is not None:
             check_count("word_bits", self.word_bits, 1)
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise CampaignError(
-                f"shard_timeout must be positive or None, got {self.shard_timeout}"
-            )
-        if self.retry_backoff < 0:
-            raise CampaignError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
+        if self.shard_timeout is not None:
+            check_seconds("shard_timeout", self.shard_timeout, allow_zero=False)
+        check_seconds("retry_backoff", self.retry_backoff, allow_zero=True)
         if isinstance(self.collapse, str) and self.collapse not in COLLAPSE_MODES:
             raise CampaignError(
                 f"unknown collapse mode {self.collapse!r}; expected a boolean "
@@ -363,11 +375,6 @@ class CampaignResult:
             num_tests=self.merged_report.num_tests,
             proven_static=proven,
         )
-
-    @property
-    def phase_coverages(self) -> list[CoverageReport]:
-        phases = (self.pattern_phase, self.atpg_phase)
-        return [phase.coverage for phase in phases if phase is not None]
 
     # ------------------------------------------------------------------ #
     # Reporting.

@@ -294,19 +294,3 @@ class CampaignSuite:
             for index, (spec, job) in enumerate(zip(self.specs, jobs))
         ]
         return SuiteResult(entries=entries, runtime=time.perf_counter() - start)
-
-
-def run_campaign_suite(
-    circuits: Sequence[str],
-    models: Sequence[str] = ("stuck-at", "transition", "path-delay", "obd"),
-    engines: Sequence[str] = ("packed",),
-    *,
-    max_workers: Optional[int] = None,
-    cache_dir: str | os.PathLike | None = None,
-    **spec_kwargs: Any,
-) -> SuiteResult:
-    """One-call cross-product battery (see :meth:`CampaignSuite.cross`)."""
-    return CampaignSuite.cross(
-        circuits, models, engines, max_workers=max_workers, cache_dir=cache_dir,
-        **spec_kwargs,
-    ).run()

@@ -14,7 +14,6 @@ from .characterize import (
     characterize_harness,
     characterize_harnesses,
     measure_harness,
-    simulate_harness,
     simulate_harnesses,
 )
 from .complex_gates import add_aoi21, add_oai21
@@ -53,7 +52,6 @@ __all__ = [
     "build_inverter_dc_circuit",
     "validate_sequence",
     "HarnessCharacterization",
-    "simulate_harness",
     "simulate_harnesses",
     "measure_harness",
     "characterize_harness",

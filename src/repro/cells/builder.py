@@ -65,11 +65,6 @@ class CellInstance:
     transistors: list[TransistorSite] = field(default_factory=list)
     internal_nodes: list[str] = field(default_factory=list)
 
-    @property
-    def input_pins(self) -> list[str]:
-        """Logical input pin names in declaration order."""
-        return list(self.inputs)
-
     def site(self, label: str) -> TransistorSite:
         """Look up a transistor by its paper-style site label (e.g. ``"NA"``)."""
         for t in self.transistors:

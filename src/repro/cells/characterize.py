@@ -75,16 +75,6 @@ def simulate_harnesses(
     return results
 
 
-def simulate_harness(
-    harness: GateHarness,
-    dt: float = 2e-12,
-    extra_nodes: Iterable[str] = (),
-    options: TransientOptions | None = None,
-) -> TransientResult:
-    """:func:`simulate_harnesses` of one harness."""
-    return simulate_harnesses([harness], dt=dt, extra_nodes=extra_nodes, options=options)[0]
-
-
 def measure_harness(
     harness: GateHarness,
     result: TransientResult,

@@ -22,13 +22,12 @@ from .breakdown import (
     stage_ladder,
     stage_parameters,
 )
-from .defect import OBDDefect, defect_sites_for_gate
+from .defect import OBDDefect
 from .detection import (
     EmObdComparison,
     GateTestSet,
     analyze_gate,
     compare_em_and_obd,
-    paper_nand_em_test_set,
     paper_nand_test_set,
     paper_nor_test_set,
 )
@@ -44,7 +43,6 @@ from .excitation import (
     is_excited_obd,
     is_exercised_em,
     output_switches,
-    parse_sequence,
 )
 from .injection import (
     InjectedDefect,
@@ -52,7 +50,6 @@ from .injection import (
     inject_at_site,
     inject_into_cell,
     inject_into_harness,
-    remove_injection,
 )
 from .progression import DEFAULT_SBD_TO_HBD_SECONDS, ProgressionModel
 
@@ -66,12 +63,10 @@ __all__ = [
     "stage_parameters",
     "stage_ladder",
     "OBDDefect",
-    "defect_sites_for_gate",
     "InjectedDefect",
     "inject_at_site",
     "inject_into_cell",
     "inject_into_harness",
-    "remove_injection",
     "harness_preparer",
     "ProgressionModel",
     "DEFAULT_SBD_TO_HBD_SECONDS",
@@ -86,12 +81,10 @@ __all__ = [
     "excitation_conditions",
     "excited_sites",
     "format_sequence",
-    "parse_sequence",
     "GateTestSet",
     "analyze_gate",
     "EmObdComparison",
     "compare_em_and_obd",
     "paper_nand_test_set",
     "paper_nor_test_set",
-    "paper_nand_em_test_set",
 ]

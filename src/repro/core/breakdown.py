@@ -46,11 +46,6 @@ class BreakdownStage(Enum):
         """All stages from fault-free to hard breakdown, in order."""
         return sorted(cls, key=lambda s: s.order)
 
-    @classmethod
-    def medium_stages(cls) -> list["BreakdownStage"]:
-        """The detectable window: the three medium-breakdown stages."""
-        return [cls.MBD1, cls.MBD2, cls.MBD3]
-
 
 _STAGE_ORDER = {
     BreakdownStage.FAULT_FREE: 0,

@@ -82,17 +82,3 @@ class OBDDefect:
 
     def __str__(self) -> str:
         return self.key
-
-
-def defect_sites_for_gate(num_inputs: int) -> list[str]:
-    """All site labels of a simple CMOS gate with *num_inputs* inputs.
-
-    A static CMOS NAND/NOR has one NMOS and one PMOS per input, hence
-    ``2 * num_inputs`` distinct OBD defect sites -- the "4 OBD defects" of a
-    2-input gate and the ``56 distinct locations for OBD defects in the 14
-    NAND gates`` of the paper's full-adder example.
-    """
-    from ..cells.builder import pin_names
-
-    pins = pin_names(num_inputs)
-    return [f"N{p}" for p in pins] + [f"P{p}" for p in pins]

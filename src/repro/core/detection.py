@@ -189,15 +189,6 @@ def paper_nor_test_set() -> list[Sequence2]:
     ]
 
 
-def paper_nand_em_test_set() -> list[Sequence2]:
-    """The EM test set the paper quotes for the NAND (Section 5)."""
-    return [
-        NAND2_PAPER_PA_SEQUENCE,
-        NAND2_PAPER_PB_SEQUENCE,
-        NAND2_PAPER_FALLING_ALTERNATIVES[2],
-    ]
-
-
 @dataclass(frozen=True)
 class EmObdComparison:
     """Comparison of EM-oriented and OBD-oriented test requirements."""

@@ -278,16 +278,3 @@ def format_sequence(sequence: Sequence2) -> str:
     """Render a sequence the way the paper writes it, e.g. ``(01,11)``."""
     v1, v2 = sequence
     return "({},{})".format("".join(str(b) for b in v1), "".join(str(b) for b in v2))
-
-
-def parse_sequence(text: str) -> Sequence2:
-    """Parse the paper's ``(01,11)`` notation into a sequence tuple."""
-    body = text.strip().strip("()")
-    first, second = (part.strip() for part in body.split(","))
-    if len(first) != len(second):
-        raise ValueError(f"pattern widths differ in {text!r}")
-    v1 = tuple(int(ch) for ch in first)
-    v2 = tuple(int(ch) for ch in second)
-    if any(b not in (0, 1) for b in v1 + v2):
-        raise ValueError(f"patterns must be binary in {text!r}")
-    return v1, v2

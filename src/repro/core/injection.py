@@ -125,13 +125,6 @@ def inject_into_harness(harness: GateHarness, defect: OBDDefect) -> InjectedDefe
     return inject_into_cell(harness.circuit, harness.dut, defect)
 
 
-def remove_injection(circuit: Circuit, injected: InjectedDefect) -> None:
-    """Remove a previously injected breakdown network from *circuit*."""
-    for name in injected.element_names:
-        if name in circuit:
-            circuit.remove(name)
-
-
 def harness_preparer(defect: OBDDefect | None) -> Callable[[GateHarness], None]:
     """A ``prepare`` callback for :func:`repro.cells.characterize.characterize_harness`.
 

@@ -83,16 +83,6 @@ class ProgressionModel:
         fraction = min((time - self.onset_time) / self.time_to_hbd, 1.0)
         return self._log_interp(r_start, r_stop, fraction)
 
-    def parameters_at(self, time: float) -> BreakdownParameters:
-        """Continuous-model breakdown parameters at absolute *time*."""
-        base = self.ladder[BreakdownStage.FAULT_FREE]
-        return BreakdownParameters(
-            saturation_current=self.saturation_current_at(time),
-            resistance=self.resistance_at(time),
-            substrate_resistance=base.substrate_resistance,
-            ideality=base.ideality,
-        )
-
     # ------------------------------------------------------------------ #
     def stage_at(self, time: float) -> BreakdownStage:
         """Discrete Table-1 stage reached by absolute *time*.

@@ -9,7 +9,7 @@ and the extracted delays (the quantitative series).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..analysis.delay import TransitionMeasurement
 from ..cells.characterize import characterize_harnesses
@@ -35,12 +35,6 @@ class Fig6Result:
     output_waveforms: dict[BreakdownStage, Waveform]
     input_waveform: Waveform
     measurements: dict[BreakdownStage, TransitionMeasurement]
-
-    def delays_ps(self) -> dict[BreakdownStage, Optional[float]]:
-        return {
-            stage: (m.delay * 1e12 if m.delay is not None else None)
-            for stage, m in self.measurements.items()
-        }
 
     def rows(self) -> list[str]:
         lines = [f"=== Figure 6 reproduction: NMOS OBD progression ({self.site}) ==="]

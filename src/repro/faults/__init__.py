@@ -2,7 +2,6 @@
 
 from .base import Fault, FaultList
 from .collapse import (
-    collapse_ratio,
     collapse_stuck_at_dominance,
     collapse_stuck_at_faults,
     obd_equivalence_groups,
@@ -35,6 +34,5 @@ __all__ = [
     "obd_fault_universe",
     "collapse_stuck_at_faults",
     "collapse_stuck_at_dominance",
-    "collapse_ratio",
     "obd_equivalence_groups",
 ]

@@ -108,13 +108,6 @@ def collapse_stuck_at_dominance(circuit: LogicCircuit) -> FaultList[StuckAtFault
     return FaultList([f for f in base if f.key not in removed])
 
 
-def collapse_ratio(circuit: LogicCircuit) -> float:
-    """Collapsed / uncollapsed stuck-at fault count ratio."""
-    total = len(stuck_at_universe(circuit))
-    collapsed = len(collapse_stuck_at_faults(circuit))
-    return collapsed / total if total else 1.0
-
-
 def obd_equivalence_groups(faults: FaultList[ObdFault]) -> dict[str, list[ObdFault]]:
     """Group OBD faults of each gate by identical excitation-condition sets.
 

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from ..logic.netlist import LogicCircuit
 from ..logic.simulator import simulate_pattern
-from ..logic.timing import enumerate_paths
 from .base import Fault, FaultList
 
 RISING = "rising"
@@ -45,9 +44,30 @@ class PathDelayFault(Fault):
     def launch_net(self) -> str:
         return self.nets[0]
 
-    @property
-    def capture_net(self) -> str:
-        return self.nets[-1]
+
+def _structural_paths(
+    circuit: LogicCircuit, output: str | None, limit: int
+) -> list[tuple[str, ...]]:
+    """Input-to-output net paths, walked back depth first from each output.
+
+    The walk stops once *limit* paths are found, which guards against the
+    exponential path count of larger netlists.
+    """
+    paths: list[tuple[str, ...]] = []
+
+    def walk(net: str, suffix: tuple[str, ...]) -> None:
+        if len(paths) >= limit:
+            return
+        driver = circuit.driver_of(net)
+        if driver is None:
+            paths.append((net,) + suffix)
+            return
+        for source in driver.inputs:
+            walk(source, (net,) + suffix)
+
+    for out in [output] if output is not None else circuit.primary_outputs:
+        walk(out, ())
+    return paths
 
 
 def path_delay_universe(
@@ -55,9 +75,9 @@ def path_delay_universe(
 ) -> FaultList[PathDelayFault]:
     """Rising and falling path-delay faults along every structural path."""
     faults: list[PathDelayFault] = []
-    for path in enumerate_paths(circuit, output=output, limit=limit):
-        faults.append(PathDelayFault(path.nets, RISING))
-        faults.append(PathDelayFault(path.nets, FALLING))
+    for nets in _structural_paths(circuit, output, limit):
+        faults.append(PathDelayFault(nets, RISING))
+        faults.append(PathDelayFault(nets, FALLING))
     return FaultList(faults)
 
 

@@ -12,7 +12,7 @@ gates** (hence 14 x 4 = 56 OBD defect sites in NAND gates) and **logic depth
 from __future__ import annotations
 
 from .gates import GateType
-from .netlist import LogicCircuit
+from .netlist import LogicCircuit, LogicCircuitError
 
 
 def full_adder_sum(name: str = "fa_sum") -> LogicCircuit:
@@ -113,7 +113,7 @@ def ripple_carry_adder(bits: int, name: str | None = None) -> LogicCircuit:
     fault-simulation benchmarks.
     """
     if bits < 1:
-        raise ValueError("bits must be >= 1")
+        raise LogicCircuitError(f"ripple-carry adder needs bits >= 1, got {bits}")
     c = LogicCircuit(name or f"rca{bits}")
     a_bits = c.add_inputs([f"A{i}" for i in range(bits)])
     b_bits = c.add_inputs([f"B{i}" for i in range(bits)])
@@ -169,7 +169,7 @@ def nand_chain(length: int, name: str | None = None) -> LogicCircuit:
     Simple deep circuit used for path-depth and propagation tests.
     """
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise LogicCircuitError(f"NAND chain needs length >= 1, got {length}")
     c = LogicCircuit(name or f"nand_chain{length}")
     data = c.add_input("D")
     enable = c.add_input("EN")

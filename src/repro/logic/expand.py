@@ -99,10 +99,6 @@ class ExpandedCircuit:
     def cell(self, gate_name: str) -> "CellInstance":
         return self.cells[gate_name]
 
-    def net_node(self, net: str) -> str:
-        """Circuit node corresponding to a logic net (identical names)."""
-        return net
-
 
 def expand_to_transistors(
     logic: LogicCircuit,

@@ -167,17 +167,3 @@ def all_input_patterns(num_inputs: int) -> list[tuple[int, ...]]:
         tuple((value >> (num_inputs - 1 - i)) & 1 for i in range(num_inputs))
         for value in range(2**num_inputs)
     ]
-
-
-def all_input_transitions(num_inputs: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered two-pattern sequences (v1, v2) with v1 != v2.
-
-    For a 3-input circuit this yields 8 * 7 = 56 ordered pairs.  Repeated
-    patterns (v1 == v2) are excluded because they cannot launch a transition.
-    The paper quotes "72 possible input transitions" for its 3-input
-    full-adder example without defining the count; see
-    ``repro.experiments.adder_stats`` for how the reproduction reports both
-    numbers.
-    """
-    patterns = all_input_patterns(num_inputs)
-    return [(v1, v2) for v1 in patterns for v2 in patterns if v1 != v2]

@@ -280,9 +280,6 @@ class LogicCircuit:
         except KeyError:
             raise LogicCircuitError(f"no gate named {name!r}") from None
 
-    def has_gate(self, name: str) -> bool:
-        return name in self._gates
-
     def nets(self) -> list[str]:
         """All nets: primary inputs plus every gate output."""
         nets = list(self._inputs)

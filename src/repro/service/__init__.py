@@ -38,9 +38,7 @@ from .fingerprint import (
     SCHEMA_VERSION,
     campaign_fingerprint,
     circuit_canonical_form,
-    circuit_fingerprint,
     spec_canonical_form,
-    spec_fingerprint,
 )
 from .jobs import (
     CampaignService,
@@ -63,9 +61,7 @@ __all__ = [
     "CACHE_SCHEMA",
     "CHECKPOINT_SCHEMA",
     "circuit_canonical_form",
-    "circuit_fingerprint",
     "spec_canonical_form",
-    "spec_fingerprint",
     "campaign_fingerprint",
     "CheckpointStore",
     "ResultCache",

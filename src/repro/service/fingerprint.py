@@ -6,16 +6,16 @@ compaction are deterministic, and sharded execution merges in universe
 order.  That purity is what the result cache and the checkpoint store key
 on:
 
-* :func:`circuit_fingerprint` hashes the circuit's *structural* canonical
-  form -- primary input/output order plus every driven net's (gate type,
-  input nets) -- exactly the information
-  :func:`repro.logic.bench.structurally_equal` compares, so two circuits
-  that are structurally equal always share a fingerprint regardless of how
-  they were built (generator, ``.bench`` file, hand construction).
-* :func:`spec_fingerprint` hashes every :class:`~repro.campaign.runner.
+* :func:`circuit_canonical_form` is the circuit's *structural* identity --
+  primary input/output order plus every driven net's (gate type, input
+  nets) -- exactly the information :func:`repro.logic.bench.structurally_equal`
+  compares, so two circuits that are structurally equal always share it
+  regardless of how they were built (generator, ``.bench`` file, hand
+  construction).
+* :func:`spec_canonical_form` holds every :class:`~repro.campaign.runner.
   CampaignSpec` field that can influence the result, including
   ``universe_options`` and ``podem_options``.
-* :func:`campaign_fingerprint` combines the two with the circuit name (it
+* :func:`campaign_fingerprint` hashes the two with the circuit name (it
   appears verbatim in reports) and :data:`SCHEMA_VERSION`.
 
 Bump :data:`SCHEMA_VERSION` whenever the campaign pipeline's observable
@@ -69,11 +69,6 @@ def circuit_canonical_form(circuit: LogicCircuit) -> dict[str, Any]:
     }
 
 
-def circuit_fingerprint(circuit: LogicCircuit) -> str:
-    """Hex digest of the circuit's structural canonical form."""
-    return _digest(circuit_canonical_form(circuit))
-
-
 def spec_canonical_form(spec: CampaignSpec) -> dict[str, Any]:
     """Every result-influencing spec field as a JSON-able dict.
 
@@ -87,11 +82,6 @@ def spec_canonical_form(spec: CampaignSpec) -> dict[str, Any]:
             "podem_options": asdict(spec.podem_options) if spec.podem_options else None,
         }
     )
-
-
-def spec_fingerprint(spec: CampaignSpec) -> str:
-    """Hex digest of the spec's canonical form."""
-    return _digest(spec_canonical_form(spec))
 
 
 def campaign_fingerprint(

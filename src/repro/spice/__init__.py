@@ -13,7 +13,7 @@ Public entry points
 * :func:`transient` -- time-domain simulation (Table 1, Figures 6, 7, 9).
 * :func:`transient_sweep` -- :func:`transient` of several circuits, equal-shape
   ones advanced in lockstep.
-* :class:`Waveform` / :func:`propagation_delay` -- measurement primitives.
+* :class:`Waveform` -- the measurement primitive.
 """
 
 from .analysis import (
@@ -31,21 +31,18 @@ from .analysis import (
 from .elements import (
     Capacitor,
     CurrentSource,
-    DCWaveform,
     Diode,
     DiodeModel,
     Element,
     Mosfet,
     MosfetModel,
     PiecewiseLinearWaveform,
-    PulseWaveform,
     Resistor,
     VoltageSource,
-    two_pattern_waveform,
 )
 from .errors import AnalysisError, CircuitError, ConvergenceError, SpiceError
 from .netlist import Circuit
-from .waveform import Waveform, propagation_delay
+from .waveform import Waveform
 
 __all__ = [
     "Circuit",
@@ -58,10 +55,7 @@ __all__ = [
     "MosfetModel",
     "VoltageSource",
     "CurrentSource",
-    "DCWaveform",
     "PiecewiseLinearWaveform",
-    "PulseWaveform",
-    "two_pattern_waveform",
     "MnaSystem",
     "SolverOptions",
     "operating_point",
@@ -73,7 +67,6 @@ __all__ = [
     "TransientOptions",
     "TransientResult",
     "Waveform",
-    "propagation_delay",
     "SpiceError",
     "CircuitError",
     "ConvergenceError",

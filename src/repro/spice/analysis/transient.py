@@ -44,12 +44,6 @@ class TransientResult:
             raise AnalysisError(f"node {node!r} was not recorded")
         return Waveform(self.time, self.voltages[node], name=node)
 
-    def current_waveform(self, source_name: str) -> Waveform:
-        """Waveform of a voltage-source branch current."""
-        if source_name not in self.branch_currents:
-            raise AnalysisError(f"source {source_name!r} current was not recorded")
-        return Waveform(self.time, self.branch_currents[source_name], name=source_name)
-
     @property
     def nodes(self) -> list[str]:
         return sorted(self.voltages)

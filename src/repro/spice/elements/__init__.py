@@ -7,11 +7,8 @@ from .mosfet import Mosfet, MosfetBank, MosfetModel, MosfetOperatingPoint
 from .resistor import Resistor
 from .sources import (
     CurrentSource,
-    DCWaveform,
     PiecewiseLinearWaveform,
-    PulseWaveform,
     VoltageSource,
-    two_pattern_waveform,
 )
 
 __all__ = [
@@ -32,8 +29,5 @@ __all__ = [
     "MosfetOperatingPoint",
     "VoltageSource",
     "CurrentSource",
-    "DCWaveform",
     "PiecewiseLinearWaveform",
-    "PulseWaveform",
-    "two_pattern_waveform",
 ]

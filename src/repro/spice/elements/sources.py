@@ -1,24 +1,18 @@
-"""Independent voltage and current sources with time-dependent waveforms."""
+"""Independent voltage and current sources.
+
+A source holds a constant value or follows any callable of time; the
+two-pattern input sequences of the experiments use the piecewise-linear
+waveform below.
+"""
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .base import Element, StampContext, Stamper
 
 WaveformFunction = Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class DCWaveform:
-    """Constant value waveform."""
-
-    value: float = 0.0
-
-    def __call__(self, time: float) -> float:
-        return self.value
 
 
 class PiecewiseLinearWaveform:
@@ -51,76 +45,6 @@ class PiecewiseLinearWaveform:
             return v1
         frac = (time - t0) / (t1 - t0)
         return v0 + frac * (v1 - v0)
-
-
-class PulseWaveform:
-    """SPICE-style PULSE waveform.
-
-    Parameters mirror the SPICE ``PULSE`` source: initial value, pulsed value,
-    delay, rise time, fall time, pulse width and period.
-    """
-
-    def __init__(
-        self,
-        initial: float,
-        pulsed: float,
-        delay: float = 0.0,
-        rise: float = 1e-12,
-        fall: float = 1e-12,
-        width: float = 1e-9,
-        period: float = 2e-9,
-    ):
-        if rise <= 0.0 or fall <= 0.0:
-            raise ValueError("pulse rise and fall times must be > 0")
-        if period <= 0.0:
-            raise ValueError("pulse period must be > 0")
-        self.initial = float(initial)
-        self.pulsed = float(pulsed)
-        self.delay = float(delay)
-        self.rise = float(rise)
-        self.fall = float(fall)
-        self.width = float(width)
-        self.period = float(period)
-
-    def __call__(self, time: float) -> float:
-        if time < self.delay:
-            return self.initial
-        t = (time - self.delay) % self.period
-        if t < self.rise:
-            frac = t / self.rise
-            return self.initial + frac * (self.pulsed - self.initial)
-        t -= self.rise
-        if t < self.width:
-            return self.pulsed
-        t -= self.width
-        if t < self.fall:
-            frac = t / self.fall
-            return self.pulsed + frac * (self.initial - self.pulsed)
-        return self.initial
-
-
-def two_pattern_waveform(
-    first: float,
-    second: float,
-    switch_time: float,
-    transition_time: float = 20e-12,
-) -> PiecewiseLinearWaveform:
-    """Waveform applying *first* until *switch_time*, then ramping to *second*.
-
-    This is the building block for the two-pattern (launch/capture) input
-    sequences used throughout the paper's experiments.
-    """
-    if switch_time <= 0.0:
-        raise ValueError("switch_time must be > 0")
-    if transition_time <= 0.0:
-        raise ValueError("transition_time must be > 0")
-    return PiecewiseLinearWaveform(
-        [
-            (0.0, first),
-            (switch_time, first),
-            (switch_time + transition_time, second),
-        ]
-    )
 
 
 class VoltageSource(Element):

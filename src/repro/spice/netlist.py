@@ -63,16 +63,6 @@ class Circuit:
         names = {n for el in self._elements.values() for n in el.nodes if not is_ground(n)}
         return sorted(names)
 
-    def elements_at(self, node: str) -> list[Element]:
-        """All elements with a terminal connected to *node*."""
-        return [el for el in self._elements.values() if node in el.nodes]
-
-    def has_node(self, node: str) -> bool:
-        """True if any element connects to *node* (or *node* is ground)."""
-        if is_ground(node):
-            return True
-        return any(node in el.nodes for el in self._elements.values())
-
     # ------------------------------------------------------------------ #
     # Mutation.
     # ------------------------------------------------------------------ #
@@ -172,10 +162,6 @@ class Circuit:
     # ------------------------------------------------------------------ #
     # Queries used by higher layers.
     # ------------------------------------------------------------------ #
-    def voltage_sources(self) -> list[VoltageSource]:
-        """All voltage sources in the circuit."""
-        return [el for el in self._elements.values() if isinstance(el, VoltageSource)]
-
     def mosfets(self) -> list[Mosfet]:
         """All MOSFET devices in the circuit."""
         return [el for el in self._elements.values() if isinstance(el, Mosfet)]

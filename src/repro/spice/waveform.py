@@ -146,39 +146,9 @@ class Waveform:
             return None
         return t_lo - t_hi
 
-    def settled_value(self, window: float = 0.0) -> float:
-        """Mean value over the last *window* seconds (final value if 0)."""
-        if window <= 0.0 or len(self) < 2:
-            return self.final_value()
-        mask = self.time >= (self.t_stop - window)
-        return float(np.mean(self.values[mask]))
-
     def shifted(self, dt: float) -> "Waveform":
         """Copy with the time axis shifted by *dt*."""
         return Waveform(self.time + dt, self.values.copy(), name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Waveform {self.name!r} n={len(self)} [{self.t_start:g},{self.t_stop:g}]s>"
-
-
-def propagation_delay(
-    input_waveform: Waveform,
-    output_waveform: Waveform,
-    threshold: float,
-    input_edge: str,
-    output_edge: str,
-    after: float = 0.0,
-) -> Optional[float]:
-    """50 %-to-50 % propagation delay between an input and an output edge.
-
-    Returns None when either waveform never crosses *threshold* in the
-    requested direction after *after* -- the situation reported as a stuck
-    output ("sa-0" / "sa-1") in Table 1 of the paper.
-    """
-    t_in = input_waveform.first_crossing(threshold, input_edge, after)
-    if t_in is None:
-        return None
-    t_out = output_waveform.first_crossing(threshold, output_edge, t_in)
-    if t_out is None:
-        return None
-    return t_out - t_in

@@ -1,13 +1,6 @@
-"""Concurrent-testing support: capture models, windows, schedules."""
+"""Concurrent-testing support: detection windows and test schedules."""
 
-from .capture import CaptureModel
-from .scheduler import (
-    TestSchedule,
-    attempts_with_period,
-    maximum_test_period,
-    required_periods,
-    schedule_for_window,
-)
+from .scheduler import TestSchedule, maximum_test_period, schedule_for_window
 from .window import (
     DetectionWindow,
     StageDelay,
@@ -24,10 +17,7 @@ __all__ = [
     "first_detectable_stage",
     "detection_window",
     "window_versus_slack",
-    "CaptureModel",
     "TestSchedule",
     "maximum_test_period",
     "schedule_for_window",
-    "attempts_with_period",
-    "required_periods",
 ]

@@ -10,9 +10,7 @@ inside its window with the required number of opportunities?
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .window import DetectionWindow
 
@@ -67,24 +65,3 @@ def schedule_for_window(
         raise ValueError("safety_factor must be >= 1")
     period = maximum_test_period(window, attempts) / safety_factor
     return TestSchedule(period=period, test_duration=test_duration, detection_attempts=attempts)
-
-
-def attempts_with_period(window: DetectionWindow, period: float) -> int:
-    """Number of guaranteed test opportunities inside the window for a period."""
-    if period <= 0.0:
-        raise ValueError("period must be > 0")
-    if not window.exists:
-        return 0
-    return int(math.floor(window.duration / period))
-
-
-def required_periods(windows: Sequence[DetectionWindow], attempts: int = 1) -> float:
-    """Largest test period valid for *every* window in a collection.
-
-    Use over all defect sites / slack corners of a design: the tightest
-    window dictates the schedule.
-    """
-    periods = [maximum_test_period(w, attempts) for w in windows if w.exists]
-    if not periods:
-        return 0.0
-    return min(periods)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -107,6 +108,36 @@ class TestSpecValidation:
         with pytest.raises(CampaignError, match=f"{field_name} must be an integer"):
             CampaignSpec(circuit="c17", pattern_source="random", **{field_name: bad})
 
+    @pytest.mark.parametrize(
+        "field_name,bad",
+        [
+            ("shard_timeout", float("nan")),
+            ("shard_timeout", float("inf")),
+            ("shard_timeout", True),
+            ("shard_timeout", "5"),
+            ("shard_timeout", 0.0),
+            ("shard_timeout", -1),
+            ("retry_backoff", float("nan")),
+            ("retry_backoff", float("-inf")),
+            ("retry_backoff", False),
+            ("retry_backoff", "0.1"),
+            ("retry_backoff", None),
+            ("retry_backoff", -0.5),
+        ],
+    )
+    def test_seconds_must_be_finite_numbers(self, field_name, bad):
+        """A NaN deadline never expires and a NaN backoff crashes the retry
+        sleep, so both are refused at construction, naming the field."""
+        with pytest.raises(CampaignError, match=f"{field_name} must be "):
+            CampaignSpec(circuit="c17", **{field_name: bad})
+
+    @pytest.mark.parametrize(
+        "fields", [{"shard_timeout": None}, {"shard_timeout": 2}, {"retry_backoff": 0}]
+    )
+    def test_seconds_accept_finite_numbers(self, fields):
+        spec = CampaignSpec(circuit="c17", **fields)
+        assert all(getattr(spec, name) == value for name, value in fields.items())
+
     def test_sharded_shard_override_must_be_an_integer(self):
         with pytest.raises(CampaignError, match="shards must be an integer"):
             ShardedCampaign(CampaignSpec(circuit="c17"), shards=2.5)
@@ -133,12 +164,41 @@ class TestResolveCircuitErrors:
         with pytest.raises(CampaignError, match="needs arguments, e.g. 'rdag:4'"):
             resolve_circuit("rdag:")
 
-    def test_degenerate_builder_size_keeps_builder_error(self):
+    #: A degenerate size of every parametric family, with the builder's
+    #: message for it.
+    DEGENERATE_SIZES = {
+        "alu": ("alu:0", "ALU slice needs bits >= 1, got 0"),
+        "cla": ("cla:0", "carry-lookahead adder needs bits >= 1, got 0"),
+        "cmp": ("cmp:0", "magnitude comparator needs bits >= 1, got 0"),
+        "mult": ("mult:0", "array multiplier needs bits >= 1, got 0"),
+        "nand_chain": ("nand_chain:0", "NAND chain needs length >= 1, got 0"),
+        "parity": ("parity:1", "parity tree needs width >= 2, got 1"),
+        "rca": ("rca:0", "ripple-carry adder needs bits >= 1, got 0"),
+        "rdag": ("rdag:0", "random DAG needs num_gates >= 1, got 0"),
+    }
+
+    def test_degenerate_sizes_cover_every_family(self):
+        from repro.campaign import circuit_names, resolve_circuit
+
+        families = []
+        for name in circuit_names():
+            try:
+                resolve_circuit(name)
+            except CampaignError as exc:
+                assert "needs arguments" in str(exc)
+                families.append(name)
+        assert sorted(self.DEGENERATE_SIZES) == sorted(families)
+
+    @pytest.mark.parametrize("family", sorted(DEGENERATE_SIZES))
+    def test_degenerate_builder_size_keeps_builder_error(self, family):
+        """A degenerate size surfaces the builder's own LogicCircuitError,
+        naming the value, never a bare ValueError."""
         from repro.campaign import resolve_circuit
         from repro.logic import LogicCircuitError
 
-        with pytest.raises(LogicCircuitError, match="bits >= 1"):
-            resolve_circuit("mult:0")
+        ref, message = self.DEGENERATE_SIZES[family]
+        with pytest.raises(LogicCircuitError, match=re.escape(message)):
+            resolve_circuit(ref)
 
     def test_nonexistent_bench_path_is_campaign_error(self, tmp_path):
         from repro.campaign import resolve_circuit

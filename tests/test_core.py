@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cells import build_nand_harness
+from repro.cells import build_gate_harness, build_nand_harness
 from repro.core import (
     NMOS_STAGE_PARAMETERS,
     PMOS_STAGE_PARAMETERS,
@@ -16,19 +16,17 @@ from repro.core import (
     all_sequences,
     analyze_gate,
     compare_em_and_obd,
-    defect_sites_for_gate,
     excitation_conditions,
     excited_sites,
     format_sequence,
     gate_structure,
+    harness_preparer,
     inject_into_harness,
     is_excited_obd,
     is_exercised_em,
     output_switches,
     paper_nand_test_set,
     paper_nor_test_set,
-    parse_sequence,
-    remove_injection,
     stage_parameters,
 )
 from repro.spice import operating_point
@@ -101,9 +99,14 @@ class TestDefect:
         with pytest.raises(ValueError):
             OBDDefect("XA")
 
-    def test_defect_sites_for_gate(self):
-        assert sorted(defect_sites_for_gate(2)) == ["NA", "NB", "PA", "PB"]
-        assert len(defect_sites_for_gate(3)) == 6
+    def test_defect_sites_for_gate(self, tech):
+        """A harness DUT exposes one OBD site per transistor, each a valid defect site."""
+        nand2 = build_nand_harness(tech, ((0, 1), (1, 1))).dut.sites()
+        nand3 = build_gate_harness(tech, "NAND3", ((0, 1, 1), (1, 1, 1))).dut.sites()
+        assert sorted(nand2) == ["NA", "NB", "PA", "PB"]
+        assert sorted(nand3) == ["NA", "NB", "NC", "PA", "PB", "PC"]
+        for site in nand2 + nand3:
+            assert OBDDefect(site).site == site
 
 
 class TestInjection:
@@ -115,12 +118,17 @@ class TestInjection:
         assert injected.breakdown_node in harness.circuit.nodes()
         assert all(name in harness.circuit for name in injected.element_names)
 
-    def test_removal_restores_circuit(self, tech):
+    def test_injection_adds_only_its_elements(self, tech):
+        """Injection adds exactly the defect's elements; the fault-free
+        preparer leaves the harness untouched."""
         harness = build_nand_harness(tech, ((0, 1), (1, 1)))
-        before = len(harness.circuit)
+        before = {element.name for element in harness.circuit}
+        harness_preparer(None)(harness)
+        assert {element.name for element in harness.circuit} == before
         injected = inject_into_harness(harness, OBDDefect("PB", BreakdownStage.MBD1))
-        remove_injection(harness.circuit, injected)
-        assert len(harness.circuit) == before
+        after = {element.name for element in harness.circuit}
+        assert after - before == set(injected.element_names)
+        assert before <= after
 
     def test_nmos_injection_degrades_static_input(self, tech):
         """With the defective NMOS gate held high, its input level droops."""
@@ -232,12 +240,8 @@ class TestExcitation:
         assert excited_sites("NAND2", ((0, 1), (1, 1))) == {"NA", "NB"}
         assert excited_sites("NAND2", ((1, 1), (0, 1))) == {"PA"}
 
-    def test_sequence_formatting_roundtrip(self):
-        seq = ((1, 1), (0, 1))
-        assert format_sequence(seq) == "(11,01)"
-        assert parse_sequence("(11,01)") == seq
-        with pytest.raises(ValueError):
-            parse_sequence("(11,0)")
+    def test_sequence_formatting(self):
+        assert format_sequence(((1, 1), (0, 1))) == "(11,01)"
 
     def test_unsupported_gate_type(self):
         with pytest.raises(ValueError):

@@ -20,17 +20,17 @@ from repro.atpg import (
     generate_transition_test,
     greedy_compaction,
     justify,
-    obd_fault_detected,
-    path_delay_fault_detected,
     random_pairs,
     random_patterns,
+    serial_simulate_obd,
+    serial_simulate_path_delay,
+    serial_simulate_transition,
     simulate_obd,
     simulate_path_delay,
     simulate_stuck_at,
     simulate_transition,
     simulate_with_forced_net,
     single_input_change_pairs,
-    transition_fault_detected,
 )
 from repro.atpg.podem import _PAIRS, _table
 from repro.atpg.values import D, DBAR, ONE, X, ZERO, LogicValue, evaluate_gate_values, from_bit
@@ -48,7 +48,6 @@ from repro.faults import (
     PathDelayFault,
     StuckAtFault,
     TransitionFault,
-    collapse_ratio,
     collapse_stuck_at_faults,
     is_sensitized,
     obd_equivalence_groups,
@@ -103,8 +102,7 @@ class TestFaultModels:
 
     def test_stuck_at_collapsing_reduces_count(self, c17_circuit):
         collapsed = collapse_stuck_at_faults(c17_circuit)
-        assert len(collapsed) < len(stuck_at_universe(c17_circuit))
-        assert 0.0 < collapse_ratio(c17_circuit) < 1.0
+        assert 0 < len(collapsed) < len(stuck_at_universe(c17_circuit))
 
     def test_obd_equivalence_groups(self, fa_sum):
         faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
@@ -239,13 +237,18 @@ OBD = get_model("obd")
 NAND2_ONLY = {"gate_types": [GateType.NAND2]}
 
 
+def _detects(serial_simulate, circuit, fault, pair) -> bool:
+    """Does the one-pair serial reference simulation detect *fault*?"""
+    return bool(serial_simulate(circuit, [pair], [fault]).words[fault.key])
+
+
 class TestTwoPatternAndObdAtpg:
     def test_transition_test_detects(self, fa_sum):
         fault = TransitionFault("z1", "slow-to-rise")
         result = generate_transition_test(fa_sum, fault)
         assert result.success
         (pair,) = result.tests
-        assert transition_fault_detected(fa_sum, fault, pair)
+        assert _detects(serial_simulate_transition, fa_sum, fault, pair)
 
     def test_obd_test_respects_excitation(self, fa_sum):
         fault = ObdFault("nand_m4", GateType.NAND2, "PA")
@@ -258,7 +261,7 @@ class TestTwoPatternAndObdAtpg:
             tuple(simulate_pattern(fa_sum, pattern)[n] for n in gate.inputs) for pattern in pair
         )
         assert local_sequence in fault.local_sequences
-        assert obd_fault_detected(fa_sum, fault, pair)
+        assert _detects(serial_simulate_obd, fa_sum, fault, pair)
 
     def test_obd_atpg_matches_exhaustive_simulation(self, fa_sum):
         faults = obd_fault_universe(fa_sum, **NAND2_ONLY)
@@ -300,8 +303,77 @@ class TestTwoPatternAndObdAtpg:
         assert len(outcomes) == 4
 
 
+#: The structural paths of each circuit, in the universe's walk order: depth
+#: first back from each primary output, driver inputs in pin order.
+STRUCTURAL_PATHS = {
+    "c17": [
+        "G1->G10->G22",
+        "G3->G10->G22",
+        "G2->G16->G22",
+        "G3->G11->G16->G22",
+        "G6->G11->G16->G22",
+        "G2->G16->G23",
+        "G3->G11->G16->G23",
+        "G6->G11->G16->G23",
+        "G3->G11->G19->G23",
+        "G6->G11->G19->G23",
+        "G7->G19->G23",
+    ],
+    "fa_sum": [
+        "A->a_n->m1_ab_n->m1_ab->m1_n->m1->or12_xn->z1->or_final_xn->SUM",
+        "B->b_n->m1_ab_n->m1_ab->m1_n->m1->or12_xn->z1->or_final_xn->SUM",
+        "C->m1_n->m1->or12_xn->z1->or_final_xn->SUM",
+        "A->a_n->m2_ab_n->m2_ab->m2_n->m2->or12_yn->z1->or_final_xn->SUM",
+        "B->m2_ab_n->m2_ab->m2_n->m2->or12_yn->z1->or_final_xn->SUM",
+        "C->c_n->m2_n->m2->or12_yn->z1->or_final_xn->SUM",
+        "A->m3_ab_n->m3_ab->m3_n->m3->or34_xn->z2->or_final_yn->SUM",
+        "B->b_n->m3_ab_n->m3_ab->m3_n->m3->or34_xn->z2->or_final_yn->SUM",
+        "C->c_n->m3_n->m3->or34_xn->z2->or_final_yn->SUM",
+        "A->m4_ab_n->m4_ab->m4_n->m4->or34_yn->z2->or_final_yn->SUM",
+        "B->m4_ab_n->m4_ab->m4_n->m4->or34_yn->z2->or_final_yn->SUM",
+        "C->m4_n->m4->or34_yn->z2->or_final_yn->SUM",
+    ],
+}
+
+
 class TestPathDelay:
     """The path-delay model's simulate + ATPG path (satellite of ISSUE 2)."""
+
+    @pytest.mark.parametrize(
+        "fixture,limit,distinct",
+        [
+            ("c17_circuit", None, 11),  # the default limit
+            ("c17_circuit", 5, 5),
+            ("fa_sum", None, 12),
+            ("fa_sum", 5, 5),
+            # The limit counts walked paths, duplicates included: fa_sum's
+            # 7th to 9th walked paths repeat its 4th to 6th (a NAND used as
+            # an inverter reads one net twice), and the universe keeps the
+            # first copy of each.
+            ("fa_sum", 9, 6),
+            ("fa_sum", 10, 7),
+        ],
+    )
+    def test_universe_walk_order_and_limit(self, fixture, limit, distinct, request):
+        circuit = request.getfixturevalue(fixture)
+        options = {} if limit is None else {"limit": limit}
+        paths = STRUCTURAL_PATHS[circuit.name][:distinct]
+        assert path_delay_universe(circuit, **options).keys() == [
+            f"{path}/{direction}" for path in paths for direction in ("rising", "falling")
+        ]
+
+    @pytest.mark.parametrize("fixture", ["c17_circuit", "fa_sum"])
+    def test_paths_follow_gates_and_span_the_depth(self, fixture, request):
+        """Every path runs from a primary input through driver gates to a
+        primary output, and the longest one is as long as the circuit is deep."""
+        circuit = request.getfixturevalue(fixture)
+        faults = list(path_delay_universe(circuit))
+        for fault in faults:
+            assert fault.launch_net in circuit.primary_inputs
+            assert fault.nets[-1] in circuit.primary_outputs
+            for source, sink in zip(fault.nets, fault.nets[1:]):
+                assert source in circuit.driver_of(sink).inputs
+        assert max(len(fault.nets) - 1 for fault in faults) == circuit.depth
 
     def test_simulate_engines_agree(self, fa_sum):
         faults = list(path_delay_universe(fa_sum))
@@ -319,7 +391,7 @@ class TestPathDelay:
             for index, pair in enumerate(pairs):
                 expected = is_sensitized(fa_sum, fault, pair[0], pair[1])
                 assert (index in report.detections[fault.key]) == expected
-                assert path_delay_fault_detected(fa_sum, fault, pair) == expected
+                assert _detects(serial_simulate_path_delay, fa_sum, fault, pair) == expected
 
     def test_atpg_generates_sensitizing_pairs(self, fa_sum):
         """Full-adder circuit: every generated test sensitizes its path."""
@@ -384,14 +456,15 @@ class TestFaultSimulation:
     def test_transition_needs_both_patterns(self, fa_sum):
         fault = TransitionFault("m4", "slow-to-rise")
         # Second pattern does not set m4=1 -> no detection.
-        assert not transition_fault_detected(fa_sum, fault, ((0, 0, 0), (0, 1, 0)))
+        assert not _detects(serial_simulate_transition, fa_sum, fault, ((0, 0, 0), (0, 1, 0)))
 
     def test_obd_detection_is_input_specific(self, fa_sum):
         """The same output transition through a different input does not count."""
         fault = ObdFault("nand_m4_ab", GateType.NAND2, "PA")
         gate = fa_sum.gate("nand_m4_ab")
         detected_pairs = [
-            pair for pair in exhaustive_pairs(fa_sum) if obd_fault_detected(fa_sum, fault, pair)
+            pair for pair in exhaustive_pairs(fa_sum)
+            if _detects(serial_simulate_obd, fa_sum, fault, pair)
         ]
         for pair in detected_pairs:
             values1 = simulate_pattern(fa_sum, pair[0])

@@ -1,5 +1,5 @@
-"""Tests for the gate-level substrate: gates, netlists, simulation, circuits,
-timing and transistor-level expansion."""
+"""Tests for the gate-level substrate: gates, netlists, simulation, circuits
+and transistor-level expansion."""
 
 from __future__ import annotations
 
@@ -8,30 +8,19 @@ from itertools import product
 import pytest
 
 from repro.logic import (
-    EventDrivenSimulator,
     GateType,
     LogicCircuit,
     LogicCircuitError,
     all_input_patterns,
-    all_input_transitions,
-    arrival_times,
     controlling_value,
-    critical_path_delay,
     enumerate_obd_sites,
-    enumerate_paths,
     evaluate_gate,
     expand_to_transistors,
-    longest_path,
-    nand_chain,
-    output_values,
-    per_type_delay_model,
     simulate,
     simulate_pattern,
-    slack,
-    transitions_between,
     truth_table,
+    two_pattern_input_waveforms,
     two_to_one_mux,
-    unit_delay_model,
 )
 from repro.spice import operating_point
 
@@ -79,8 +68,6 @@ class TestGateEvaluation:
 
     def test_pattern_helpers(self):
         assert len(all_input_patterns(3)) == 8
-        assert len(all_input_transitions(3)) == 56
-        assert all(v1 != v2 for v1, v2 in all_input_transitions(2))
 
 
 class TestLogicCircuit:
@@ -111,6 +98,13 @@ class TestLogicCircuit:
         assert levels["A"] == 0
         assert fa_sum.depth == 9
 
+    def test_levels_grow_along_every_gate(self, c17_circuit, fa_sum):
+        """A gate's output sits exactly one level above its deepest input."""
+        for circuit in (c17_circuit, fa_sum):
+            levels = circuit.levelize()
+            for gate in circuit.gates:
+                assert levels[gate.output] == 1 + max(levels[net] for net in gate.inputs)
+
     def test_driver_and_loads(self, c17_circuit):
         gate = c17_circuit.driver_of("G22")
         assert gate is not None and gate.name == "g22"
@@ -130,18 +124,20 @@ class TestLogicSimulation:
     def test_full_adder_sum_function(self, fa_sum):
         for bits in product((0, 1), repeat=3):
             expected = bits[0] ^ bits[1] ^ bits[2]
-            assert output_values(fa_sum, bits) == (expected,)
+            assert simulate_pattern(fa_sum, bits)["SUM"] == expected
 
     def test_full_adder_complete(self, fa_full):
         for bits in product((0, 1), repeat=3):
-            s, cout = output_values(fa_full, bits)
+            values = simulate_pattern(fa_full, bits)
+            s, cout = (values[net] for net in fa_full.primary_outputs)
             assert s == bits[0] ^ bits[1] ^ bits[2]
             assert cout == int(sum(bits) >= 2)
 
     def test_ripple_carry_adder_arithmetic(self, rca4):
         for a, b, ci in [(3, 5, 0), (15, 15, 1), (9, 6, 1), (0, 0, 0)]:
             pattern = [(a >> i) & 1 for i in range(4)] + [(b >> i) & 1 for i in range(4)] + [ci]
-            outs = output_values(rca4, pattern)
+            values = simulate_pattern(rca4, pattern)
+            outs = [values[net] for net in rca4.primary_outputs]
             total = sum(bit << i for i, bit in enumerate(outs[:4])) + (outs[4] << 4)
             assert total == a + b + ci
 
@@ -157,88 +153,12 @@ class TestLogicSimulation:
         with pytest.raises(LogicCircuitError):
             simulate_pattern(c17_circuit, (1, 0))
 
-    def test_transitions_between(self, fa_sum):
-        changed = transitions_between(fa_sum, (0, 1, 1), (1, 1, 1))
-        assert changed["A"] == (0, 1)
-        assert "SUM" in changed  # 011 -> sum 0, 111 -> sum 1
-
     def test_mux_function(self):
         mux = two_to_one_mux()
         for d0, d1, s in product((0, 1), repeat=3):
             expected = d1 if s else d0
-            assert output_values(mux, (d0, d1, s)) == (expected,)
-
-    def test_event_driven_final_values_match_zero_delay(self, fa_sum):
-        sim = EventDrivenSimulator(fa_sum)
-        for first, second in [((0, 0, 0), (1, 0, 0)), ((1, 1, 0), (1, 1, 1))]:
-            result = sim.run(first, second)
-            steady = simulate_pattern(fa_sum, second)
-            assert result.final_value("SUM") == steady["SUM"]
-
-    def test_event_driven_arrival_reflects_depth(self):
-        chain = nand_chain(5)
-        sim = EventDrivenSimulator(chain)
-        result = sim.run((0, 1), (1, 1))
-        assert result.arrival_time("OUT") == pytest.approx(5.0)
-
-    def test_event_driven_keeps_in_flight_transition(self):
-        """Regression: a pending output event launched by one fanin must not
-        be cancelled when a later change on another fanin re-evaluates to the
-        *current* output value (the old scheduler dropped the whole glitch)."""
-        c = LogicCircuit("glitch")
-        c.add_inputs(["A", "B"])
-        c.add_output("OUT")
-        c.add_gate("g_buf", GateType.BUF, ["B"], "bb")
-        c.add_gate("g_or", GateType.OR2, ["A", "bb"], "OUT")
-        c.validate()
-        delays = {"g_buf": 0.3, "g_or": 1.0}
-        sim = EventDrivenSimulator(c, delay_model=lambda gate: delays[gate.name])
-        # A falls at t=0, bb rises at t=0.3: transport-delay OR output must
-        # fall at t=1.0 and rise back at t=1.3 (a real 0.3-wide glitch).
-        result = sim.run((1, 0), (0, 1))
-        assert result.toggles("OUT") == 2
-        assert result.value_at("OUT", 1.1) == 0
-        assert result.final_value("OUT") == 1
-
-    def test_event_driven_cancels_stale_later_events(self):
-        """A replacement event still supersedes pending events at or after
-        its own time instead of leaving stale values in the queue."""
-        chain = nand_chain(3)
-        sim = EventDrivenSimulator(chain)
-        result = sim.run((0, 1), (1, 1))
-        for net in ("n0", "n1", "OUT"):
-            times = [t for t, _v in result.histories[net]]
-            assert times == sorted(times)
-            # Each internal net switches exactly once for a single launch.
-            assert result.toggles(net) == 1
-
-
-class TestTiming:
-    def test_unit_delay_critical_path(self, fa_sum):
-        assert critical_path_delay(fa_sum, unit_delay_model()) == pytest.approx(9.0)
-
-    def test_per_type_delays(self, fa_sum):
-        model = per_type_delay_model({GateType.NAND2: 2.0, GateType.INV: 1.0})
-        assert critical_path_delay(fa_sum, model) > critical_path_delay(fa_sum, unit_delay_model())
-
-    def test_arrival_times_monotone_with_level(self, fa_sum):
-        arrivals = arrival_times(fa_sum, unit_delay_model())
-        levels = fa_sum.levelize()
-        for net, level in levels.items():
-            assert arrivals[net] >= level * 0.0
-
-    def test_slack_positive_for_long_clock(self, fa_sum):
-        margins = slack(fa_sum, unit_delay_model(), clock_period=20.0)
-        assert margins["SUM"] == pytest.approx(11.0)
-
-    def test_longest_path_depth(self, fa_sum):
-        path = longest_path(fa_sum, unit_delay_model())
-        assert path.depth == 9
-        assert path.nets[-1] == "SUM"
-
-    def test_enumerate_paths_limit(self, fa_sum):
-        paths = enumerate_paths(fa_sum, limit=5)
-        assert len(paths) == 5
+            values = simulate_pattern(mux, (d0, d1, s))
+            assert [values[net] for net in mux.primary_outputs] == [expected]
 
 
 class TestExpansion:
@@ -264,6 +184,24 @@ class TestExpansion:
             voltage = op.voltage(net)
             expected = steady[net]
             assert (voltage > 0.8 * tech.vdd) == bool(expected), net
+
+    def test_two_pattern_input_waveforms(self, fa_sum, tech):
+        """Each input holds its first level until launch and its second after
+        the edge, and only the inputs that change move."""
+        first, second = (0, 1, 1), (1, 1, 0)
+        waveforms = two_pattern_input_waveforms(
+            fa_sum, tech, first, second, launch_time=2e-9, transition_time=0.1e-9
+        )
+        assert list(waveforms) == fa_sum.primary_inputs
+        for net, bit1, bit2 in zip(fa_sum.primary_inputs, first, second):
+            wf = waveforms[net]
+            assert wf(1e-9) == pytest.approx(tech.logic_level(bit1))
+            assert wf(2.05e-9) == pytest.approx(
+                (tech.logic_level(bit1) + tech.logic_level(bit2)) / 2
+            )
+            assert wf(3e-9) == pytest.approx(tech.logic_level(bit2))
+        with pytest.raises(ValueError):
+            two_pattern_input_waveforms(fa_sum, tech, (0, 1), (1, 1), launch_time=2e-9)
 
     def test_expand_counts_cells(self, fa_sum, tech):
         expanded = expand_to_transistors(fa_sum, tech)

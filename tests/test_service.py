@@ -41,7 +41,7 @@ from repro.service import (
     JobStatus,
     ResultCache,
     campaign_fingerprint,
-    circuit_fingerprint,
+    circuit_canonical_form,
     install,
 )
 from repro.service.faultinject import PLAN_ENV
@@ -108,7 +108,7 @@ class TestFingerprintInvalidation:
             c.add_output("y")
             return c
 
-        assert circuit_fingerprint(build("g")) == circuit_fingerprint(build("h"))
+        assert circuit_canonical_form(build("g")) == circuit_canonical_form(build("h"))
 
     def test_structural_change_misses(self):
         def build(gate_type):

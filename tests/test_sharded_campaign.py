@@ -26,7 +26,6 @@ from repro.campaign import (
     ShardedCampaign,
     SuiteResult,
     partition_faults,
-    run_campaign_suite,
     run_sharded_campaign,
 )
 import repro.campaign.sharded as sharded_module
@@ -324,14 +323,14 @@ def test_pool_workers_exit_when_their_parent_is_killed():
 class TestCampaignSuite:
     @pytest.fixture(scope="class")
     def suite_result(self) -> SuiteResult:
-        return run_campaign_suite(
+        return CampaignSuite.cross(
             ["fa_sum", "c17"],
             models=("stuck-at", "obd"),
             pattern_source="random",
             pattern_count=6,
             seed=4,
             max_workers=2,
-        )
+        ).run()
 
     def test_cross_product_shape_and_order(self, suite_result):
         combos = [(e.spec.circuit, e.spec.model) for e in suite_result.entries]

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.analysis import measure_transition
 from repro.cells import build_gate_harness
 from repro.core import BreakdownStage, OBDDefect, inject_into_harness
 from repro.experiments.table1 import NMOS_SEQUENCES, PMOS_SEQUENCES
@@ -21,7 +22,6 @@ from repro.spice import (
     Waveform,
     dc_sweep,
     operating_point,
-    propagation_delay,
     transient,
     transient_sweep,
 )
@@ -355,8 +355,11 @@ class TestTransient:
         out = result.waveform("out")
         assert out.initial_value() == pytest.approx(tech.vdd, abs=0.05)
         assert out.final_value() == pytest.approx(0.0, abs=0.05)
-        delay = propagation_delay(result.waveform("in"), out, tech.vdd / 2, "rising", "falling")
-        assert delay is not None and 1e-12 < delay < 300e-12
+        measurement = measure_transition(
+            result.waveform("in"), out, "rising", "falling", tech.vdd / 2
+        )
+        assert measurement.classification == "transition"
+        assert measurement.delay is not None and 1e-12 < measurement.delay < 300e-12
 
     @pytest.mark.parametrize(
         "dt,times", [(0.3e-9, [0.0, 0.3e-9, 0.6e-9, 0.9e-9, 1e-9]),
@@ -511,11 +514,14 @@ class TestWaveform:
         falling = Waveform(t, 1.0 - t)
         assert falling.fall_time(0.9, 0.1) == pytest.approx(0.8, rel=1e-3)
 
-    def test_propagation_delay_none_when_stuck(self):
+    def test_transition_delay_none_when_stuck(self):
         t = np.linspace(0.0, 1.0, 11)
         inp = Waveform(t, t)
         flat = Waveform(t, np.zeros_like(t))
-        assert propagation_delay(inp, flat, 0.5, "rising", "rising") is None
+        measurement = measure_transition(inp, flat, "rising", "rising", 0.5)
+        assert measurement.delay is None
+        assert measurement.classification == "sa-0"
+        assert measurement.is_stuck
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):

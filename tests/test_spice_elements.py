@@ -19,13 +19,11 @@ from repro.spice.elements import (
     MosfetBank,
     MosfetModel,
     PiecewiseLinearWaveform,
-    PulseWaveform,
     Resistor,
     StampContext,
     Stamper,
     VoltageSource,
     is_ground,
-    two_pattern_waveform,
 )
 
 
@@ -284,20 +282,6 @@ class TestSources:
     def test_pwl_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             PiecewiseLinearWaveform([(1e-9, 0.0), (0.5e-9, 1.0)])
-
-    def test_pulse_waveform_shape(self):
-        wf = PulseWaveform(0.0, 3.3, delay=1e-9, rise=0.1e-9, fall=0.1e-9, width=1e-9, period=4e-9)
-        assert wf(0.0) == 0.0
-        assert wf(1.05e-9) == pytest.approx(1.65, rel=0.1)
-        assert wf(1.5e-9) == pytest.approx(3.3)
-        assert wf(2.5e-9) == pytest.approx(0.0)
-        # Periodic repetition.
-        assert wf(5.5e-9) == pytest.approx(3.3)
-
-    def test_two_pattern_waveform(self):
-        wf = two_pattern_waveform(0.0, 3.3, switch_time=2e-9, transition_time=0.1e-9)
-        assert wf(1e-9) == 0.0
-        assert wf(3e-9) == pytest.approx(3.3)
 
     def test_waveform_overrides_dc(self):
         wf = PiecewiseLinearWaveform([(0, 1.0)])

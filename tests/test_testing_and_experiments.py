@@ -21,14 +21,11 @@ from repro.experiments import (
 from repro.experiments.table1 import NMOS_SEQUENCES, PMOS_SEQUENCES
 from repro.logic import c17
 from repro.testing import (
-    CaptureModel,
     StageDelay,
-    attempts_with_period,
     detectability_threshold,
     detection_window,
     first_detectable_stage,
     maximum_test_period,
-    required_periods,
     schedule_for_window,
     window_versus_slack,
 )
@@ -97,37 +94,25 @@ class TestScheduler:
         assert 0.0 < schedule.overhead < 1.0
         assert "test every" in schedule.describe()
 
-    def test_attempts_with_period(self):
+    def test_schedule_safety_factor_and_validation(self):
         window = self._window()
-        assert attempts_with_period(window, window.duration / 3.5) == 3
+        base = schedule_for_window(window, test_duration=1e-3, attempts=2)
+        safe = schedule_for_window(window, test_duration=1e-3, attempts=2, safety_factor=2.0)
+        assert base.period == pytest.approx(window.duration / 2)
+        assert safe.period == pytest.approx(base.period / 2)
+        assert safe.overhead == pytest.approx(2 * base.overhead)
         with pytest.raises(ValueError):
-            attempts_with_period(window, 0.0)
-
-    def test_required_periods_takes_minimum(self):
-        window = self._window()
-        assert required_periods([window, window], attempts=2) == pytest.approx(window.duration / 2)
-
-
-class TestCaptureModel:
-    def test_validation(self):
+            schedule_for_window(window, test_duration=-1.0)
         with pytest.raises(ValueError):
-            CaptureModel(clock_period=0.0)
-        with pytest.raises(ValueError):
-            CaptureModel(clock_period=1e-9, capture_fraction=1.5)
+            schedule_for_window(window, test_duration=1e-3, safety_factor=0.5)
 
-    def test_early_capture_sees_earlier_stage(self):
-        late = CaptureModel(clock_period=1e-9, capture_fraction=1.0)
-        early = CaptureModel(clock_period=1e-9, capture_fraction=0.2)
-        late_stage = late.first_observable_stage(STAGE_DELAYS, 70e-12)
-        early_stage = early.first_observable_stage(STAGE_DELAYS, 70e-12)
-        assert early_stage is not None
-        assert late_stage is None or early_stage.order <= late_stage.order
-
-    def test_observes(self):
-        capture = CaptureModel(clock_period=1e-9, capture_fraction=0.5)
-        assert capture.observes(400e-12, 200e-12)
-        assert not capture.observes(100e-12, 100e-12)
-        assert capture.slack_for_path(400e-12) == pytest.approx(100e-12)
+    def test_empty_window_schedules_continuous_testing(self):
+        model = ProgressionModel("n")
+        window = detection_window(model, (StageDelay(BreakdownStage.MBD1, 71e-12),), 70e-12, 10.0)
+        schedule = schedule_for_window(window, test_duration=1e-3)
+        assert maximum_test_period(window, attempts=3) == 0.0
+        assert schedule.period == 0.0
+        assert schedule.overhead == 1.0
 
 
 class TestExperimentsFast:
