@@ -16,6 +16,12 @@ is the reference: for each gate shape -- gate type plus pin-tie pattern,
 never net names -- it is evaluated once, on first use, over every ternary
 state of the shape's nets, and a worklist visit is one lookup.
 
+The worklist runs on the dense net ids of the circuit's structural index,
+over one value list that holds the baseline constants.  A closure records
+each assignment on an undo trail (the standard SAT-solver structure; Eén
+and Sörensson, SAT 2003) and, when it returns, resets only the trailed ids
+instead of copying the value list per call.
+
 Because only forced values are ever derived, the engine is *sound but
 incomplete*: ``imply`` returning a value map means every complete consistent
 assignment extends it, and ``imply`` returning None means the seed
@@ -23,10 +29,12 @@ assignment is unsatisfiable -- but satisfiable seeds may still come back
 with few derived values.
 
 :func:`learn_implications` adds the classical pairwise static-learning pass:
-assert each single net value, record what it forces elsewhere, and keep the
-contrapositives.  The learned pairs feed back into
+assert each single net value, see what it forces elsewhere, and keep the
+contrapositives that plain implication cannot derive (SOCRATES; Schulz,
+Trischler and Sarfert, IEEE TCAD 1988).  The learned pairs feed back into
 :class:`ImplicationEngine` to strengthen later ``imply`` calls (used by the
-untestability prover in :mod:`repro.analysis_static.untestable`).
+untestability prover in :mod:`repro.analysis_static.untestable` and the
+excitation closures of the structural ATPG engines).
 """
 
 from __future__ import annotations
@@ -135,16 +143,22 @@ def _closure_table(
 
 
 class ImplicationEngine:
-    """Worklist constant propagation over one circuit.
+    """Worklist constant propagation over one circuit, on its net ids.
 
-    ``learned`` maps a literal to the literals it is known to force (from
+    Nets are the ids of the circuit's :attr:`~repro.logic.netlist.LogicCircuit.index`,
+    and the literal ``net = value`` is the code ``2*id + value``.  ``learned``
+    maps a literal to the literals it is known to force (from
     :func:`learn_implications`); ``constants`` seeds extra net values proven
     elsewhere (e.g. learning-discovered constants).  Both strengthen every
     subsequent :meth:`imply` call.
 
     The engine computes its :attr:`baseline` -- the closure of the empty
     assignment, i.e. all structurally forced constants -- once on
-    construction, and every ``imply`` starts from that baseline.
+    construction and keeps it in one value list (2 = unknown).  A closure
+    assigns on top of the baseline, records every assignment on an undo
+    trail, and resets only the trailed ids when it returns.  The value list
+    and the worklist flags are scratch state shared by every call, so the
+    engine is not reentrant: one closure must return before the next starts.
     """
 
     def __init__(
@@ -154,25 +168,33 @@ class ImplicationEngine:
         constants: Mapping[str, int] | None = None,
     ):
         self.circuit = circuit
-        self.learned: dict[Literal, tuple[Literal, ...]] = {
-            key: tuple(value) for key, value in (learned or {}).items()
-        }
-        self._gates = list(circuit)
-        #: Per gate: its distinct nets and its shape's closure table.
+        index = circuit.index
+        self._ids = ids = index.ids
+        self._names = index.names
+        #: Per gate, in declaration order: its distinct net ids and its
+        #: shape's closure table.
         self._relations = []
-        for gate in self._gates:
+        touch: list[list[int]] = [[] for _ in self._names]
+        for k, gate in enumerate(circuit):
             nets, pattern = _tie_pattern(gate.inputs, gate.output)
-            self._relations.append((nets, _closure_table(gate.gate_type, pattern)))
-        self._nets = set(circuit.nets())
-        touch: dict[str, list[int]] = {}
-        for index, gate in enumerate(self._gates):
-            for net in {gate.output, *gate.inputs}:
-                touch.setdefault(net, []).append(index)
-        self._touch = touch
-        baseline = self._closure(constants or {}, {}, seed_all=True)
-        if baseline is None:
+            net_ids = tuple(ids[net] for net in nets)
+            self._relations.append((net_ids, _closure_table(gate.gate_type, pattern)))
+            for i in net_ids:
+                touch[i].append(k)
+        #: Gates reading or driving each id, in declaration order.
+        self._touch = tuple(map(tuple, touch))
+        #: Literal codes each literal code forces, indexed ``2*id + value``.
+        self.learned: list[tuple[int, ...]] = [()] * (2 * len(self._names))
+        for (net, value), targets in (learned or {}).items():
+            self.learned[2 * ids[net] + value] = tuple(2 * ids[t] + w for t, w in targets)
+        self._values = [2] * len(self._names)
+        self._in_work = [True] * len(self._relations)
+        trail = self._closure(self._codes(constants or {}), deque(range(len(self._relations))))
+        if trail is None:
             raise ValueError("contradictory seed constants for implication engine")
-        self.baseline: dict[str, int] = baseline
+        for code in trail:
+            self._values[code >> 1] = code & 1
+        self.baseline: dict[str, int] = self._as_dict(trail)
 
     # ------------------------------------------------------------------ #
     # Core propagation.
@@ -184,58 +206,78 @@ class ImplicationEngine:
         complete consistent assignment extending *assignments*; None means
         no complete consistent assignment exists at all.
         """
+        trail = self._closure(self._codes(assignments))
+        if trail is None:
+            return None
+        return {**self.baseline, **self._as_dict(trail)}
+
+    def _codes(self, assignments: Mapping[str, int]) -> list[int]:
+        """The literal codes of *assignments*; a foreign net or a value other
+        than 0/1 raises ``ValueError`` naming the net."""
+        codes = []
         for net, value in assignments.items():
-            if net not in self._nets:
+            net_id = self._ids.get(net)
+            if net_id is None:
                 raise ValueError(f"net {net!r} is not in the circuit")
             if value not in (0, 1):
                 raise ValueError(f"value for {net!r} must be 0/1")
-        return self._closure(assignments, self.baseline, seed_all=False)
+            codes.append(2 * net_id + int(value))
+        return codes
 
-    def _closure(
-        self,
-        assignments: Mapping[str, int],
-        baseline: Mapping[str, int],
-        seed_all: bool,
-    ) -> Optional[dict[str, int]]:
-        values = dict(baseline)
-        work: deque[int] = deque()
-        in_work = [False] * len(self._gates)
-        todo: list[Literal] = [(net, int(value)) for net, value in assignments.items()]
-        if seed_all:
-            work.extend(range(len(self._gates)))
-            in_work = [True] * len(self._gates)
+    def _as_dict(self, trail: list[int]) -> dict[str, int]:
+        names = self._names
+        return {names[code >> 1]: code & 1 for code in trail}
 
-        def enqueue(net: str) -> None:
-            for index in self._touch.get(net, ()):
-                if not in_work[index]:
-                    in_work[index] = True
-                    work.append(index)
+    def _closure(self, todo: list[int], work: deque[int] | None = None) -> Optional[list[int]]:
+        """Assign the literal codes *todo* (last first) and all they force.
 
-        while todo or work:
-            while todo:
-                net, value = todo.pop()
-                current = values.get(net)
-                if current is not None:
-                    if current != value:
-                        return None
-                    continue
-                values[net] = value
-                todo.extend(self.learned.get((net, value), ()))
-                enqueue(net)
-            if not work:
-                break
-            index = work.popleft()
-            in_work[index] = False
-            nets, table = self._relations[index]
-            state = 0
-            for net in nets:
-                state = state * 3 + values.get(net, 2)
-            forced = table[state]
-            if forced is None:
-                return None
-            for position, value in forced:
-                todo.append((nets[position], value))
-        return values
+        Returns the trail -- the code of every newly assigned literal, in
+        assignment order -- or None on conflict.  *work* holds gates already
+        queued (their flags set).  Either way the value list is back at the
+        baseline and every worklist flag is clear when this returns.
+        """
+        values = self._values
+        learned = self.learned
+        touch = self._touch
+        relations = self._relations
+        in_work = self._in_work
+        work = deque() if work is None else work
+        trail: list[int] = []
+        try:
+            while True:
+                while todo:
+                    code = todo.pop()
+                    net = code >> 1
+                    current = values[net]
+                    if current != 2:
+                        if current != code & 1:
+                            return None
+                        continue
+                    values[net] = code & 1
+                    trail.append(code)
+                    todo.extend(learned[code])
+                    for k in touch[net]:
+                        if not in_work[k]:
+                            in_work[k] = True
+                            work.append(k)
+                if not work:
+                    return trail
+                k = work.popleft()
+                in_work[k] = False
+                nets, table = relations[k]
+                state = 0
+                for net in nets:
+                    state = state * 3 + values[net]
+                forced = table[state]
+                if forced is None:
+                    return None
+                for position, value in forced:
+                    todo.append(2 * nets[position] + value)
+        finally:
+            for code in trail:
+                values[code >> 1] = 2
+            for k in work:
+                in_work[k] = False
 
 
 @dataclass(frozen=True)
@@ -243,7 +285,8 @@ class StaticLearning:
     """Result of the pairwise static-learning pass.
 
     ``implications`` maps each literal to the tuple of literals it forces
-    (contrapositives included); ``constants`` collects every net proven to
+    that plain implication cannot derive from it (see
+    :func:`learn_implications`); ``constants`` collects every net proven to
     hold a fixed value -- structurally forced baseline constants plus nets
     whose opposite assignment was contradictory during learning.
     """
@@ -252,40 +295,46 @@ class StaticLearning:
     constants: dict[str, int] = field(default_factory=dict)
 
 
-def learn_implications(
-    circuit: "LogicCircuit", engine: ImplicationEngine | None = None
-) -> StaticLearning:
-    """Pairwise static learning: assert each net value once, record what it forces.
+def learn_implications(circuit: "LogicCircuit") -> StaticLearning:
+    """Pairwise static learning: assert each net value once, keep what is new.
 
-    For every non-constant net ``n`` and value ``v``, run ``imply({n: v})``:
-
-    * a conflict proves ``n`` is constant at ``1 - v``;
-    * every newly derived value ``m = w`` yields the learned implication
-      ``(n, v) => (m, w)`` *and* its contrapositive ``(m, 1-w) => (n, 1-v)``
-      (modus tollens), which is how backward-unreachable conclusions become
-      usable by later forward passes.
+    For every non-constant net ``n`` and value ``v``, take the plain closure
+    of ``{n: v}``; a conflict proves ``n`` is constant at ``1 - v``.  Every
+    derived value ``m = w`` gives the contrapositive ``(m, 1-w) => (n, 1-v)``
+    (modus tollens), which is how backward-unreachable conclusions become
+    usable by later forward passes.  Following SOCRATES, only what direct
+    implication cannot derive is kept: a contrapositive whose conclusion is
+    already in the plain closure of ``m = 1-w`` is dropped, and so is every
+    forward pair ``(n, v) => (m, w)`` (closure is monotone, so every
+    closure holding ``n = v`` derives ``m = w`` anyway).  Pairs are kept in
+    literal order (nets as declared, 0 before 1), then trail order.
     """
-    engine = engine or ImplicationEngine(circuit)
+    engine = ImplicationEngine(circuit)
+    ids = engine._ids
     constants = dict(engine.baseline)
-    pairs: dict[Literal, dict[Literal, None]] = {}
-
-    def record(source: Literal, target: Literal) -> None:
-        pairs.setdefault(source, {})[target] = None
-
+    closures: dict[int, Optional[list[int]]] = {}
     for net in circuit.nets():
         if net in constants:
             continue
         for value in (0, 1):
-            result = engine.imply({net: value})
-            if result is None:
+            code = 2 * ids[net] + value
+            closures[code] = engine._closure([code])
+            if closures[code] is None:
                 constants[net] = 1 - value
-                continue
-            for other, forced in result.items():
-                if other == net or other in engine.baseline:
-                    continue
-                record((net, value), (other, forced))
-                record((other, 1 - forced), (net, 1 - value))
+    derived = {code: set(trail) for code, trail in closures.items() if trail is not None}
+    pairs: dict[int, list[int]] = {}
+    for code, trail in closures.items():
+        if trail is None:
+            continue
+        # trail[0] is the seed itself; the rest is what it forces.
+        for forced in trail[1:]:
+            source = forced ^ 1
+            plain = derived.get(source)
+            if plain is not None and code ^ 1 not in plain:
+                pairs.setdefault(source, []).append(code ^ 1)
+    literals = [(net, value) for net in engine._names for value in (0, 1)]
     implications = {
-        source: tuple(targets) for source, targets in pairs.items()
+        literals[source]: tuple(literals[target] for target in targets)
+        for source, targets in pairs.items()
     }
     return StaticLearning(implications=implications, constants=constants)

@@ -137,6 +137,21 @@ class TestOneLearningPass:
             get_atpg_engine("podem").generate(copy, StuckAtFault(net, 1))
         assert len(learn_calls) == 1
 
+    def test_pickled_engine_has_clean_scratch_and_equal_closures(self):
+        circuit = resolve_circuit("rdag:40,4")
+        engine = circuit_analysis(circuit).build().implication_engine
+        literals = [{net: value} for net in circuit.nets() for value in (0, 1)]
+        closures = [engine.imply(seed) for seed in literals]
+        assert None in closures  # conflicts, too, leave the scratch state clean
+        copy = circuit_analysis(pickle.loads(pickle.dumps(circuit))).implication_engine
+        ids = circuit.index.ids
+        baseline = [2] * len(ids)
+        for net, value in engine.baseline.items():
+            baseline[ids[net]] = value
+        assert copy._values == baseline
+        assert not any(copy._in_work)
+        assert [copy.imply(seed) for seed in literals] == closures
+
     @pytest.mark.parametrize("static_phase", [True, False])
     def test_sharded_workers_do_not_relearn(self, learn_calls, static_phase):
         spec = CampaignSpec(

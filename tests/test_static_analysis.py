@@ -278,10 +278,14 @@ class TestImplication:
         assert learning.constants.get("y") == 0
 
     def test_static_learning_on_reconvergence(self):
-        learning = learn_implications(reconvergent_buffer_circuit())
+        circuit = reconvergent_buffer_circuit()
+        learning = learn_implications(circuit)
+        engine = ImplicationEngine(
+            circuit, learned=learning.implications, constants=learning.constants
+        )
         # b tracks x, so x=0 must force y=0 (and the contrapositive y=1 -> x=1).
-        forced = dict(learning.implications).get(("x", 0), ())
-        assert ("y", 0) in forced or ("b", 0) in forced
+        assert engine.imply({"x": 0})["y"] == 0
+        assert engine.imply({"y": 1})["x"] == 1
 
 
 def _tie_patterns(arity: int):
@@ -346,6 +350,15 @@ class TestClosureTables:
         # The closure tables index known values as 0/1 and unknown as 2.
         with pytest.raises(ValueError, match="must be 0/1"):
             ImplicationEngine(and2_circuit()).imply({"a": 2})
+
+    def test_foreign_seed_constant_is_rejected(self):
+        with pytest.raises(ValueError, match="'nope' is not in the circuit"):
+            ImplicationEngine(resolve_circuit("c17"), constants={"nope": 1})
+
+    def test_non_binary_seed_constant_is_rejected(self):
+        # 2 is the engine's code for unknown, so it cannot seed a constant.
+        with pytest.raises(ValueError, match="'G1' must be 0/1"):
+            ImplicationEngine(resolve_circuit("c17"), constants={"G1": 2})
 
 
 # --------------------------------------------------------------------- #
