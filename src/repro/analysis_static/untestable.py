@@ -70,7 +70,7 @@ class StaticUntestabilityProver:
         self.circuit = circuit
         analysis = circuit_analysis(circuit)
         self.engine = analysis.implication_engine
-        self.order = circuit.index.order
+        self.index = circuit.index
         self.outputs = set(circuit.primary_outputs)
         #: Nets from which at least one primary output is reachable.
         self.observable = analysis.observable
@@ -98,16 +98,18 @@ class StaticUntestabilityProver:
     def _propagation_blocked(self, net: str, implied: dict[str, int]) -> bool:
         """Can the good/faulty difference at *net* reach a primary output?
 
-        Forward sweep in topological order over the over-approximate set of
-        difference-carrying nets; True means every path is provably blocked
-        under the (necessary) excitation implications *implied*.
+        Forward sweep over the over-approximate set of difference-carrying
+        nets, through the gates of *net*'s fan-out cone in ascending id
+        (topological) order; no other gate can read a carrying net.  True
+        means every path is provably blocked under the (necessary)
+        excitation implications *implied*.
         """
         if net in self.outputs:
             return False
+        index = self.index
         carrying = {net}
-        for gate in self.order:
-            if gate.output in carrying:
-                continue
+        for out in index.fanout_cone(index.ids[net]):
+            gate = index.order[out - index.n_inputs]
             if not any(inp in carrying for inp in gate.inputs):
                 continue
             if self._gate_passes_difference(gate, carrying, implied):

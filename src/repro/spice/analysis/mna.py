@@ -9,9 +9,11 @@ they change:
 * **per system** -- resistor conductances and the voltage-source incidence,
   held in one dense matrix;
 * **per** ``newton_solve`` **call** -- source values at ``ctx.time`` scaled by
-  ``ctx.source_scale``, capacitor companion conductances (cached per
-  ``(dt, method)``), the capacitor history currents computed from
-  ``ctx.x_prev`` in one array expression, and ``gmin`` on the node diagonal;
+  ``ctx.source_scale`` (read from the sources at each call, so a DC sweep
+  may change them), capacitor companion conductances (cached per
+  ``(dt, method)``, one entry per step size seen), the capacitor history
+  currents computed from ``ctx.x_prev`` in one array expression, and
+  ``gmin`` on the node diagonal;
 * **per Newton iteration** -- MOSFETs and diodes, which a single plan
   evaluates one device at a time by their own ``evaluate`` methods, and
   scatters into the matrix and right-hand side with one ``np.bincount`` each.
@@ -19,13 +21,23 @@ they change:
 A :class:`StackedPlan` holds the plans of several circuits of equal
 :attr:`StampPlan.shape` as one batch for
 :func:`~repro.spice.analysis.solver.lockstep_newton_solve`.  It keeps the
-same tiers, but each is one array expression over every member: the devices
-of all members are evaluated together by the array models
-(:class:`~repro.spice.elements.MosfetBank`,
-:class:`~repro.spice.elements.DiodeBank`) and scattered with one
-``np.bincount`` into a flat ``(members * dim**2)`` matrix.  Each member's
-contributions keep the order of its own plan, so its matrix and right-hand
-side equal the plan's bit for bit.
+same tiers, but each is one array expression over every member:
+
+* **per time grid** -- every member's sources, one
+  :class:`~repro.spice.elements.SourceTable` snapshot taken when the plan is
+  built, evaluated at all the grid's times at once by
+  :meth:`StackedPlan.source_terms`;
+* **per solve** -- that time's source terms scattered with one
+  ``np.bincount``, and the companion terms and history of all members, from
+  the previous time points as one array;
+* **per Newton iteration** -- the devices of all members, evaluated together
+  by the array models (:class:`~repro.spice.elements.MosfetBank`,
+  :class:`~repro.spice.elements.DiodeBank`) into buffers owned by the plan,
+  and scattered with one ``np.bincount`` into a flat ``(members * dim**2)``
+  matrix along indices cached per pattern of reversed MOSFETs.
+
+Each member's contributions keep the order of its own plan, so its matrix and
+right-hand side equal the plan's bit for bit.
 
 The plans' matrices carry ground as an extra row and column (index
 ``size``), so no stamp branches on ground; the solve uses the leading
@@ -49,6 +61,7 @@ from ..elements import (
     Mosfet,
     MosfetBank,
     Resistor,
+    SourceTable,
     StampContext,
     VoltageSource,
     is_ground,
@@ -58,37 +71,42 @@ from ..netlist import Circuit
 
 #: Signs of the four cells ``(a,a), (b,b), (a,b), (b,a)`` of a conductance stamp.
 _CONDUCTANCE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-#: A MOSFET's eight stamp values ``(gds, total, -total, -gds, gm, -gm, gmb, -gmb)``
-#: as columns of ``(gds, total, gm, gmb)`` times signs.
-_MOSFET_COLUMNS = np.array([0, 1, 1, 0, 2, 2, 3, 3])
-_MOSFET_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-#: Signs of the two entries ``(-ieq, ieq)`` of a device's current stamp.
-_CURRENT_SIGNS = np.array([-1.0, 1.0])
 
 
 class _CompanionCache:
     """Capacitor companion terms, cached per ``(dt, method)``.
+
+    A fixed-step grid still takes a handful of step sizes that differ in the
+    last place (``t_to - t_from`` rounds differently along the grid), and
+    step halving adds more, so one entry is kept per size seen, up to
+    :attr:`COMPANION_ENTRIES`, dropping the oldest beyond that.
 
     Subclasses set ``_linear`` (the flat padded matrix of the linear stamps),
     ``_capacitance`` (capacitances, last axis per capacitor) and ``_cap_cells``
     (the capacitors' conductance cells grouped by stamp position).
     """
 
-    _companion_key: Optional[tuple[float, str]] = None
-    _companion: Optional[tuple[np.ndarray, np.ndarray]] = None
+    COMPANION_ENTRIES = 32
+
+    def __init__(self):
+        self._companions: dict[tuple[float, str], tuple[np.ndarray, np.ndarray]] = {}
 
     def _companion_terms(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
         """Companion conductances and the linear matrix with them stamped in."""
         key = (dt, method)
-        if self._companion_key != key:
-            factor = 2.0 if method == "trapezoidal" else 1.0
-            geq = factor * self._capacitance / dt
-            values = (_CONDUCTANCE_SIGNS[:, None] * geq[..., None, :]).ravel()
-            matrix = self._linear + np.bincount(
-                self._cap_cells, values, minlength=self._linear.size
-            )
-            self._companion_key, self._companion = key, (geq.ravel(), matrix)
-        return self._companion
+        terms = self._companions.get(key)
+        if terms is None:
+            if len(self._companions) >= self.COMPANION_ENTRIES:
+                del self._companions[next(iter(self._companions))]
+            terms = self._companions[key] = self._build_companion(dt, method)
+        return terms
+
+    def _build_companion(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
+        factor = 2.0 if method == "trapezoidal" else 1.0
+        geq = factor * self._capacitance / dt
+        values = (_CONDUCTANCE_SIGNS[:, None] * geq[..., None, :]).ravel()
+        matrix = self._linear + np.bincount(self._cap_cells, values, minlength=self._linear.size)
+        return geq.ravel(), matrix
 
 
 class StampPlan(_CompanionCache):
@@ -99,6 +117,7 @@ class StampPlan(_CompanionCache):
     """
 
     def __init__(self, elements: Iterable[Element], size: int, num_nodes: int):
+        super().__init__()
         self.size = size
         self.num_nodes = num_nodes
         dim = self._dim = size + 1
@@ -275,9 +294,18 @@ class StackedPlan(_CompanionCache):
     one ``np.bincount`` scatters every member's stamps.  Within a member the
     contributions arrive in the order of its :class:`StampPlan`, so each
     member's matrix and RHS equal the plan's own bit for bit.
+
+    The members' sources are one :class:`~repro.spice.elements.SourceTable`,
+    a snapshot taken here.  The assembly writes into buffers owned by the
+    plan, so one plan serves one solve at a time.
     """
 
+    #: Scatter-index entries kept by :meth:`_scatter_indices`, one per pattern
+    #: of reversed MOSFETs.
+    SCATTER_PATTERNS = 64
+
     def __init__(self, plans: Sequence[StampPlan]):
+        super().__init__()
         shapes = {plan.shape for plan in plans}
         if len(shapes) != 1:
             raise CircuitError(f"cannot stack plans of different shapes {sorted(shapes)}")
@@ -297,60 +325,127 @@ class StackedPlan(_CompanionCache):
         mosfets = [entry for plan in self.plans for entry in plan._mosfets]
         self._mosfets = MosfetBank([device for device, *_ in mosfets])
         self._mosfet_pins = by_member([pins for *_, pins, _, _ in mosfets], rows, 4).T
-        self._forward_cells = by_member([fwd[0] for *_, fwd, _ in mosfets], cells, 8)
-        self._reverse_cells = by_member([rev[0] for *_, rev in mosfets], cells, 8)
-        self._forward_ends = by_member([fwd[1] for *_, fwd, _ in mosfets], rows, 2)
-        self._reverse_ends = by_member([rev[1] for *_, rev in mosfets], rows, 2)
+        # Forward and reverse stamp positions, indexed by the reversed flag.
+        self._mosfet_cells = np.stack([
+            by_member([fwd[0] for *_, fwd, _ in mosfets], cells, 8),
+            by_member([rev[0] for *_, rev in mosfets], cells, 8),
+        ])
+        self._mosfet_ends = np.stack([
+            by_member([fwd[1] for *_, fwd, _ in mosfets], rows, 2),
+            by_member([rev[1] for *_, rev in mosfets], rows, 2),
+        ])
+        self._scatter: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
         diodes = [entry for plan in self.plans for entry in plan._diodes]
         self._diodes = DiodeBank([device for device, *_ in diodes])
         ends = by_member([(a, c) for _, a, c, _ in diodes], rows, 2)
-        self._diode_anodes, self._diode_cathodes = ends.T
+        self._diode_pins = ends.T
         self._diode_rows = ends.ravel()
         self._diode_cells = by_member([dc for *_, dc in diodes], cells, 4).ravel()
 
-        self._cap_a = (np.stack([plan._cap_a for plan in self.plans]) + rows).ravel()
-        self._cap_b = (np.stack([plan._cap_b for plan in self.plans]) + rows).ravel()
-        self._cap_rows = np.concatenate([self._cap_a, self._cap_b])
+        # Assembly buffers: padded node voltages (the ground column stays 0),
+        # the stamp values of every device in scatter order, and each
+        # device's ``(-ieq, ieq)`` current pair.
+        n, d = len(mosfets), len(diodes)
+        self._voltages = np.zeros((members, dim))
+        self._stamps = np.empty(8 * n + 4 * d)
+        self._mosfet_stamps = self._stamps[: 8 * n].reshape(n, 8)
+        self._diode_stamps = self._stamps[8 * n:].reshape(d, 4)
+        self._currents = np.empty((n + d, 2))
+        self._previous = np.zeros((members, dim))
+
+        self._cap_pins = np.stack([
+            (np.stack([plan._cap_a for plan in self.plans]) + rows).ravel(),
+            (np.stack([plan._cap_b for plan in self.plans]) + rows).ravel(),
+        ])
+        self._cap_rows = self._cap_pins.ravel()
         self._cap_cells = (np.stack([plan._cap_cells for plan in self.plans]) + cells).ravel()
         self._capacitance = np.stack([plan._capacitance for plan in self.plans])
         self._linear = np.concatenate([plan._linear for plan in self.plans])
         self._node_diagonal = (np.stack([plan._node_diagonal for plan in self.plans]) + cells).ravel()
 
+        # Each source adds +value to a voltage source's branch row, or -value
+        # and +value to a current source's two rows, in the plans' order; the
+        # RHS accumulates them from zero, as StampPlan.linear does.
+        sources, picks, signs, targets = [], [], [], []
+        for offset, plan in zip(range(0, members * dim, dim), self.plans):
+            for source, row in plan._voltage_sources:
+                picks.append(len(sources))
+                signs.append(1.0)
+                targets.append(offset + row)
+                sources.append(source)
+            for source, p, q in plan._current_sources:
+                picks += [len(sources)] * 2
+                signs += [-1.0, 1.0]
+                targets += [offset + p, offset + q]
+                sources.append(source)
+        self._sources = SourceTable(sources)
+        self._source_picks = np.array(picks, dtype=np.intp)
+        self._source_signs = np.array(signs)
+        self._source_rows = np.array(targets, dtype=np.intp)
+
+    def source_terms(self, times: Sequence[float], scale: float = 1.0) -> np.ndarray:
+        """The sources' RHS contributions at each of *times*.
+
+        Row ``i`` holds, in the members' plan order, each voltage source's
+        ``value * scale`` and each current source's ``-value * scale`` and
+        ``value * scale``; :meth:`linear` scatters one row into the RHS.
+        """
+        values = self._sources.values(times)
+        values *= scale
+        terms = values[:, self._source_picks]
+        terms *= self._source_signs
+        return terms
+
     def linear(
-        self, ctxs: Sequence[StampContext], gmin: float
+        self,
+        ctxs: Sequence[StampContext],
+        gmin: float,
+        x_prev: Optional[np.ndarray] = None,
+        sources: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`StampPlan.linear` of every member, flat and concatenated.
 
-        Each member is solved in its own context (``ctx.x_prev`` in
-        particular); the contexts share the mode, time step and method.
+        The contexts share the mode, time, source scale, time step and
+        method; each member has its own ``ctx.x_prev`` and
+        ``ctx.capacitor_currents``.  *x_prev* passes the ``x_prev`` rows as
+        one array and *sources* this time's row of :meth:`source_terms`, when
+        the caller holds them.
         """
-        dim = self._dim
-        rhs = np.zeros(len(self.plans) * dim)
-        for offset, plan, ctx in zip(range(0, rhs.size, dim), self.plans, ctxs):
-            scale = ctx.source_scale
-            for source, row in plan._voltage_sources:
-                rhs[offset + row] += source.value(ctx.time) * scale
-            for source, p, n in plan._current_sources:
-                value = source.value(ctx.time) * scale
-                rhs[offset + p] -= value
-                rhs[offset + n] += value
         ctx = ctxs[0]
+        if sources is None:
+            sources = self.source_terms([ctx.time], ctx.source_scale)[0]
+        rhs = np.bincount(self._source_rows, sources, minlength=len(self.plans) * self._dim)
         matrix = self._linear
         if self.plans[0]._companions_active(ctx):
             geq, matrix = self._companion_terms(ctx.dt, ctx.method)
-            padded = np.zeros((len(self.plans), dim))
-            padded[:, :-1] = [c.x_prev for c in ctxs]
-            padded = padded.ravel()
-            history = geq * (padded[self._cap_a] - padded[self._cap_b])
+            previous = self._previous
+            previous[:, :-1] = [c.x_prev for c in ctxs] if x_prev is None else x_prev
+            history = geq * np.subtract(*previous.ravel()[self._cap_pins])
             if ctx.method == "trapezoidal" and ctx.capacitor_currents is not None:
                 history += np.concatenate([c.capacitor_currents for c in ctxs])
-            rhs += np.bincount(
+            rhs = rhs + np.bincount(
                 self._cap_rows, np.concatenate([history, -history]), minlength=rhs.size
             )
         matrix = matrix.copy()
         matrix[self._node_diagonal] += gmin
         return matrix, rhs
+
+    def _scatter_indices(self, reversed_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix cells and RHS rows of every stamp, for this pattern of
+        reversed MOSFETs (it rarely changes between Newton iterations)."""
+        key = reversed_.tobytes()
+        indices = self._scatter.get(key)
+        if indices is None:
+            if len(self._scatter) >= self.SCATTER_PATTERNS:
+                self._scatter.clear()
+            pick = reversed_.astype(np.intp)
+            count = np.arange(len(pick))
+            indices = self._scatter[key] = (
+                np.concatenate([self._mosfet_cells[pick, count].ravel(), self._diode_cells]),
+                np.concatenate([self._mosfet_ends[pick, count].ravel(), self._diode_rows]),
+            )
+        return indices
 
     def assemble(
         self, linear: tuple[np.ndarray, np.ndarray], x: np.ndarray
@@ -361,36 +456,38 @@ class StackedPlan(_CompanionCache):
         right-hand sides of the systems to solve.
         """
         members, dim, size = len(self.plans), self._dim, self.size
-        padded = np.zeros((members, dim))
-        padded[:, :-1] = x
-        v = padded.ravel()
-
+        self._voltages[:, :-1] = x
+        v = self._voltages.ravel()
         ids, gm, gds, gmb, vgs, vds, vbs, reversed_ = self._mosfets.evaluate(
             *v[self._mosfet_pins]
         )
-        total = gds + gm + gmb
-        ieq = self._mosfets.sign * (ids - gm * vgs - gds * vds - gmb * vbs)
-        mosfet_values = np.stack([gds, total, gm, gmb], axis=1)[:, _MOSFET_COLUMNS] * _MOSFET_SIGNS
-        swapped = reversed_[:, None]
-        mosfet_cells = np.where(swapped, self._reverse_cells, self._forward_cells)
-        mosfet_rows = np.where(swapped, self._reverse_ends, self._forward_ends)
+        cells, rows = self._scatter_indices(reversed_)
 
-        vd = v[self._diode_anodes] - v[self._diode_cathodes]
+        # The columns (gds, total, -total, -gds, gm, -gm, gmb, -gmb) of the
+        # linearization of Mosfet.stamp: gds between the effective drain and
+        # source, gm and gmb controlled by gate and bulk.
+        stamps = self._mosfet_stamps
+        stamps[:, 0] = gds
+        np.add(gds, gm, out=stamps[:, 1])
+        stamps[:, 1] += gmb
+        np.negative(stamps[:, 1::-1], out=stamps[:, 2:4])
+        stamps[:, 4] = gm
+        stamps[:, 6] = gmb
+        np.negative(stamps[:, 4::2], out=stamps[:, 5::2])
+        currents = self._currents
+        n = len(ids)
+        np.multiply(self._mosfets.sign, ids - gm * vgs - gds * vds - gmb * vbs,
+                    out=currents[:n, 1])
+
+        vd = np.subtract(*v[self._diode_pins])
         current, g = self._diodes.evaluate(vd)
-        diode_ieq = current - g * vd
-        diode_values = g[:, None] * _CONDUCTANCE_SIGNS
+        np.subtract(current, g * vd, out=currents[n:, 1])
+        np.multiply(g[:, None], _CONDUCTANCE_SIGNS, out=self._diode_stamps)
+        np.negative(currents[:, 1], out=currents[:, 0])
 
         base_matrix, base_rhs = linear
-        matrix = base_matrix + np.bincount(
-            np.concatenate([mosfet_cells.ravel(), self._diode_cells]),
-            np.concatenate([mosfet_values.ravel(), diode_values.ravel()]),
-            minlength=base_matrix.size,
-        )
-        rhs = base_rhs + np.bincount(
-            np.concatenate([mosfet_rows.ravel(), self._diode_rows]),
-            (np.concatenate([ieq, diode_ieq])[:, None] * _CURRENT_SIGNS).ravel(),
-            minlength=base_rhs.size,
-        )
+        matrix = base_matrix + np.bincount(cells, self._stamps, minlength=base_matrix.size)
+        rhs = base_rhs + np.bincount(rows, currents.ravel(), minlength=base_rhs.size)
         return (
             matrix.reshape(members, dim, dim)[:, :size, :size],
             rhs.reshape(members, dim)[:, :size],

@@ -10,15 +10,16 @@ reference for the same matrix and right-hand side.
 :func:`lockstep_newton_solve` runs the same iteration for every member of a
 :class:`~repro.spice.analysis.mna.StackedPlan` at once, with one batched
 ``np.linalg.solve`` per iteration.  Damping, clipping and the convergence
-test are applied row by row, so each member's iterates equal its own
-:func:`newton_solve`'s bit for bit.
+test are applied row by row, each as one array operation over all members
+(the update written in place for the members still iterating), so each
+member's iterates equal its own :func:`newton_solve`'s bit for bit.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -136,48 +137,53 @@ def lockstep_newton_solve(
     ctxs: Sequence[StampContext],
     x0: np.ndarray,
     options: SolverOptions,
+    sources: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`newton_solve` for every member of *stack* at once.
 
-    Row ``m`` of *x0* starts member ``m``, solved in ``ctxs[m]``.  Each
-    iteration assembles all members and solves them as one batch; a member
-    that converges is frozen.  Every member's iterates equal those of its own
-    :func:`newton_solve` bit for bit.
+    Row ``m`` of *x0* starts member ``m``, solved in ``ctxs[m]``; in
+    transient mode it is also that member's previous time point
+    (``ctx.x_prev``), as in every time step.  *sources* is this time's row of
+    :meth:`StackedPlan.source_terms <repro.spice.analysis.mna.StackedPlan.source_terms>`
+    when the caller has it.  Each iteration assembles all members and solves
+    them as one batch; a member that converges is frozen.  Every member's
+    iterates equal those of its own :func:`newton_solve` bit for bit.
 
     Returns the final iterates and the iteration at which each member
     converged, 0 for a member whose solve went non-finite or ran out of
     iterations (its row then holds no solution).
     """
     x = np.array(x0, dtype=float)
-    num_nodes = stack.num_nodes
-    linear = stack.linear(ctxs, max(options.gmin, ctxs[0].gmin))
-    active = np.ones(len(x), dtype=bool)
-    converged_at = np.zeros(len(x), dtype=int)
+    members, size = x.shape
+    linear = stack.linear(ctxs, max(options.gmin, ctxs[0].gmin), x_prev=x0, sources=sources)
+    active = np.ones(members, dtype=bool)
+    converged_at = np.zeros(members, dtype=int)
+    # Node-voltage updates are clipped to max_step; an infinite bound leaves
+    # branch currents (and everything, without damping) unchanged.
+    bound = np.full(size, np.inf)
+    if options.max_step > 0.0:
+        bound[: stack.num_nodes] = options.max_step
 
-    for iteration in range(1, options.max_iterations + 1):
-        matrix, rhs = stack.assemble(linear, x)
-        try:
-            x_new = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            x_new = np.zeros_like(x)
-            for m in np.flatnonzero(active):
-                x_new[m] = _solve_linear(matrix[m], rhs[m])
-        with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
+        for iteration in range(1, options.max_iterations + 1):
+            matrix, rhs = stack.assemble(linear, x)
+            try:
+                x_new = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                x_new = np.zeros_like(x)
+                for m in np.flatnonzero(active):
+                    x_new[m] = _solve_linear(matrix[m], rhs[m])
             active &= np.isfinite(x_new).all(axis=1)
             delta = x_new - x
-            limited = delta.copy()
-            if num_nodes and options.max_step > 0.0:
-                np.clip(
-                    limited[:, :num_nodes], -options.max_step, options.max_step,
-                    out=limited[:, :num_nodes],
-                )
-            x[active] = (x + limited)[active]
-            done = active & np.all(np.abs(delta) <= options.vntol + options.reltol * np.abs(x_new),
-                                   axis=1)
-        converged_at[done] = iteration
-        active &= ~done
-        if not active.any():
-            break
+            np.add(x, np.minimum(np.maximum(delta, -bound), bound), out=x, where=active[:, None])
+            tolerance = np.abs(x_new)
+            tolerance *= options.reltol
+            tolerance += options.vntol
+            done = active & (np.abs(delta) <= tolerance).all(axis=1)
+            converged_at[done] = iteration
+            active &= ~done
+            if not active.any():
+                break
     return x, converged_at
 
 

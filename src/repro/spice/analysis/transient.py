@@ -1,7 +1,8 @@
 """Fixed-step transient analysis with local step refinement on Newton failure.
 
 :func:`transient_sweep` simulates several circuits over one time grid.
-Circuits whose compiled plans have the same shape advance in lockstep: each
+Circuits whose compiled plans have the same shape advance in lockstep: the
+group's source values are computed for the whole time grid up front, each
 time step is one :func:`~repro.spice.analysis.solver.lockstep_newton_solve`
 over the whole group, and a member whose solve fails there redoes that step
 alone, with the scalar solver and step halving, exactly as a run of its own
@@ -164,21 +165,24 @@ def _integrate(
         )
         for op in ops
     ]
-    stack = StackedPlan([system.plan for system in systems]) if len(ops) > 1 else None
     xs = [op.x for op in ops]
     iterations = [0] * len(ops)
     times = [0.0]
     states = [list(xs)]
     t = 0.0
     num_steps = _step_count(t_stop, dt)
+    grid = [step * dt for step in range(1, num_steps)] + [t_stop]
+    stack = StackedPlan([system.plan for system in systems]) if len(ops) > 1 else None
+    sources = None if stack is None else stack.source_terms(grid)
 
-    for step in range(1, num_steps + 1):
-        t_target = t_stop if step == num_steps else step * dt
+    for step, t_target in enumerate(grid, start=1):
         if stack is None:
             xs[0], count = _advance(systems[0], ctxs[0], xs[0], t, t_target, options)
             iterations[0] += count
         else:
-            _advance_lockstep(stack, systems, ctxs, xs, iterations, t, t_target, options)
+            _advance_lockstep(
+                stack, systems, ctxs, xs, iterations, t, t_target, sources[step - 1], options
+            )
         t = t_target
         if step % options.decimation == 0 or t >= t_stop:
             times.append(t)
@@ -233,17 +237,22 @@ def _advance(system, ctx, x_prev, t_from, t_to, options) -> tuple[np.ndarray, in
     return x, iterations
 
 
-def _advance_lockstep(stack, systems, ctxs, xs, iterations, t_from, t_to, options) -> None:
+def _advance_lockstep(
+    stack, systems, ctxs, xs, iterations, t_from, t_to, sources, options
+) -> None:
     """Advance every member of *stack* from *t_from* to *t_to* in place.
 
-    A member whose lockstep solve fails takes this step alone through
-    :func:`_advance`, which repeats that solve and then halves the step.
+    *sources* holds the members' source terms at *t_to*.  A member whose lockstep
+    solve fails takes this step alone through :func:`_advance`, which repeats
+    that solve and then halves the step.
     """
     for ctx, x in zip(ctxs, xs):
         ctx.time = t_to
         ctx.dt = t_to - t_from
         ctx.x_prev = x
-    solved, converged_at = lockstep_newton_solve(stack, ctxs, np.array(xs), options.solver)
+    solved, converged_at = lockstep_newton_solve(
+        stack, ctxs, np.array(xs), options.solver, sources
+    )
     for m, (system, ctx) in enumerate(zip(systems, ctxs)):
         if converged_at[m]:
             ctx.x = xs[m] = solved[m]

@@ -8,6 +8,7 @@ from .resistor import Resistor
 from .sources import (
     CurrentSource,
     PiecewiseLinearWaveform,
+    SourceTable,
     VoltageSource,
 )
 
@@ -30,4 +31,5 @@ __all__ = [
     "VoltageSource",
     "CurrentSource",
     "PiecewiseLinearWaveform",
+    "SourceTable",
 ]

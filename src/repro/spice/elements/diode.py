@@ -125,21 +125,26 @@ class DiodeBank:
         self.isat = np.array([model.saturation_current for model in models])
         self.nvt = np.array([model.thermal_voltage for model in models])
         self.vcrit = np.array([model.critical_voltage for model in models])
+        self._reverse_limit = -5.0 * self.nvt
+        self._reverse_current = -self.isat
         self._reverse_conductance = self.isat / self.nvt * math.exp(-5.0)
 
     def evaluate(self, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(current, conductance)`` of every diode at junction voltages *vd*."""
+        """``(current, conductance)`` of every diode at junction voltages *vd*.
+
+        Non-finite voltages give non-finite results; the caller decides
+        whether numpy warns about them.
+        """
         isat, nvt, vcrit = self.isat, self.nvt, self.vcrit
         # Above vcrit the scalar model linearizes around exp(vcrit / nvt), so
         # clamping the argument gives both branches their exponential.
-        e = np.array([math.exp(arg) for arg in (np.minimum(vd, vcrit) / nvt).tolist()])
+        args = (np.minimum(vd, vcrit) / nvt).tolist()
+        e = np.fromiter(map(math.exp, args), float, len(args))
         current = isat * (e - 1.0)
         conductance = isat * e / nvt
-        above = vd > vcrit
-        reverse = vd < -5.0 * nvt
-        with np.errstate(invalid="ignore"):
-            current = np.where(
-                above, current + conductance * (vd - vcrit), np.where(reverse, -isat, current)
-            )
-        conductance = np.where(reverse, self._reverse_conductance, conductance)
-        return current, np.maximum(conductance, 1e-18)
+        np.add(current, conductance * (vd - vcrit), out=current, where=vd > vcrit)
+        reverse = vd < self._reverse_limit
+        np.copyto(current, self._reverse_current, where=reverse)
+        np.copyto(conductance, self._reverse_conductance, where=reverse)
+        np.maximum(conductance, 1e-18, out=conductance)
+        return current, conductance

@@ -260,6 +260,9 @@ class MosfetBank:
     the scalar ones bit for bit.
     """
 
+    #: ``(ids, gm, gds, gmb)`` of a device in cutoff, as a column.
+    _CUTOFF = np.array([[0.0], [0.0], [Mosfet.GDS_MIN], [0.0]])
+
     def __init__(self, devices: Sequence[Mosfet]):
         models = [device.model for device in devices]
         self.sign = np.array([model.sign for model in models])
@@ -268,52 +271,48 @@ class MosfetBank:
         self.phi = np.array([model.phi for model in models])
         self.lam = np.array([model.lambda_ for model in models])
         self.beta = np.array([device.beta for device in devices])
+        self._half_beta = 0.5 * self.beta
         self._body = self.gamma > 0.0
+        self._any_body = bool(self._body.any())
         self._sqrt_phi = np.sqrt(self.phi)
 
     def evaluate(self, vd, vg, vs, vb) -> tuple[np.ndarray, ...]:
         """``(ids, gm, gds, gmb, vgs, vds, vbs, reversed)`` of every device.
 
         The fields are those of :class:`MosfetOperatingPoint`, one array entry
-        per device.
+        per device.  Non-finite voltages give non-finite results; the caller
+        decides whether numpy warns about them.
         """
         sign = self.sign
-        vds = sign * (vd - vs)
-        vgs = sign * (vg - vs)
-        vbs = sign * (vb - vs)
-        swapped = vds < 0.0
-        vds = np.where(swapped, -vds, vds)
-        vgs = np.where(swapped, sign * (vg - vd), vgs)
-        vbs = np.where(swapped, sign * (vb - vd), vbs)
+        swapped = sign * (vd - vs) < 0.0
+        # Exchanging the terminals negates vd - vs exactly, so taking vds from
+        # the effective drain and source equals the scalar -vds.
+        drain = np.where(swapped, vs, vd)
+        source = np.where(swapped, vd, vs)
+        vds = sign * (drain - source)
+        vgs = sign * (vg - source)
+        vbs = sign * (vb - source)
 
-        with np.errstate(all="ignore"):
-            if self._body.any():
-                root = np.sqrt(np.maximum(self.phi - vbs, 1e-6))
-                vth = np.where(self._body, self.vto + self.gamma * (root - self._sqrt_phi), self.vto)
-                dvth_dvbs = np.where(self._body, -self.gamma / (2.0 * root), 0.0)
-            else:
-                vth = self.vto
-                dvth_dvbs = np.zeros_like(vds)
-            beta, lam = self.beta, self.lam
-            vov = vgs - vth
-            clm = 1.0 + lam * vds
-            linear_core = vov * vds - 0.5 * vds * vds
-            half_square = 0.5 * beta * vov * vov
-            cutoff = vov <= 0.0
-            linear = vds < vov
-            ids = np.where(
-                cutoff, 0.0, np.where(linear, beta * linear_core * clm, half_square * clm)
-            )
-            gm = np.where(cutoff, 0.0, np.where(linear, beta * vds, beta * vov) * clm)
-            gds = np.where(
-                cutoff,
-                Mosfet.GDS_MIN,
-                np.where(
-                    linear,
-                    beta * (vov - vds) * clm + beta * linear_core * lam,
-                    half_square * lam,
-                ),
-            )
-            gmb = np.where(cutoff, 0.0, gm * -dvth_dvbs)
-        gds = np.maximum(gds, Mosfet.GDS_MIN)
+        if self._any_body:
+            root = np.sqrt(np.maximum(self.phi - vbs, 1e-6))
+            vth = np.where(self._body, self.vto + self.gamma * (root - self._sqrt_phi), self.vto)
+            # -dvth/dvbs; the scalar model's 0.0 slope negates to -0.0.
+            slope = np.where(self._body, self.gamma / (2.0 * root), -0.0)
+        else:
+            vth, slope = self.vto, -0.0
+        beta, lam = self.beta, self.lam
+        vov = vgs - vth
+        clm = 1.0 + lam * vds
+        linear = vds < vov
+        scaled_core = beta * (vov * vds - 0.5 * vds * vds)
+        half_square = self._half_beta * vov * vov
+
+        currents = np.empty((4, len(sign)))
+        ids, gm, gds, gmb = currents
+        np.multiply(np.where(linear, scaled_core, half_square), clm, out=ids)
+        np.multiply(beta * np.where(linear, vds, vov), clm, out=gm)
+        gds[:] = np.where(linear, beta * (vov - vds) * clm + scaled_core * lam, half_square * lam)
+        np.multiply(gm, slope, out=gmb)
+        np.copyto(currents, self._CUTOFF, where=vov <= 0.0)
+        np.maximum(gds, Mosfet.GDS_MIN, out=gds)
         return ids, gm, gds, gmb, vgs, vds, vbs, swapped

@@ -32,6 +32,7 @@ from repro.spice.errors import CircuitError
 
 #: The module, not the function the package exports under the same name.
 transient_module = importlib.import_module("repro.spice.analysis.transient")
+mna_module = importlib.import_module("repro.spice.analysis.mna")
 
 
 def _divider() -> Circuit:
@@ -484,6 +485,40 @@ class TestLockstepTransient:
 
     def test_empty_sweep(self):
         assert transient_sweep([], 1e-9, 1e-11) == []
+
+    def test_dc_current_and_callable_sources(self, tech):
+        """Members driven by a DC supply, a current source and a plain lambda
+        (a waveform the group source table cannot look into)."""
+
+        def driven(delay, current):
+            c = _inverter(tech)
+            c["vin"].waveform = lambda t: tech.vdd * min(max((t - delay) / 60e-12, 0.0), 1.0)
+            c.add_current_source("iload", "out", "0", dc=current)
+            c.add_capacitor("cload", "out", "0", 4e-15)
+            return c
+
+        circuits = [driven(0.1e-9, 2e-6), driven(0.15e-9, 0.0), driven(0.2e-9, -5e-6)]
+        assert len({MnaSystem(c).plan.shape for c in circuits}) == 1
+        self._assert_matches_solo(circuits, 0.6e-9)
+
+    def test_companion_terms_built_once_per_step_size(self, tech, monkeypatch):
+        """The step t_to - t_from takes a few last-place values along the grid;
+        each (step, method) pair builds its companion terms once."""
+        builds = []
+        build = mna_module._CompanionCache._build_companion
+
+        def counting_build(cache, dt, method):
+            builds.append((type(cache).__name__, dt, method))
+            return build(cache, dt, method)
+
+        monkeypatch.setattr(mna_module._CompanionCache, "_build_companion", counting_build)
+        circuits, t_stop = _table1_circuits(tech)
+        (result, *_) = transient_sweep(circuits, t_stop, 6e-12)
+        steps = set(np.diff(result.time).tolist())
+        assert 1 < len(steps) <= mna_module._CompanionCache.COMPANION_ENTRIES
+        assert sorted(builds) == sorted(
+            ("StackedPlan", step, "backward_euler") for step in steps
+        )
 
 
 class TestWaveform:

@@ -12,6 +12,7 @@ from repro.spice import Circuit, CircuitError
 from repro.spice.elements import (
     THERMAL_VOLTAGE,
     Capacitor,
+    CurrentSource,
     Diode,
     DiodeBank,
     DiodeModel,
@@ -20,6 +21,7 @@ from repro.spice.elements import (
     MosfetModel,
     PiecewiseLinearWaveform,
     Resistor,
+    SourceTable,
     StampContext,
     Stamper,
     VoltageSource,
@@ -246,6 +248,31 @@ class TestDeviceBanks:
                    for op, i in zip(ops, picks)}
         assert len(covered) == 3 * 2 * 2 * 2
 
+    def test_mosfet_bank_mixed_body_and_equal_drain_source(self):
+        """One bank of body-effect and body-less devices, biased with vd == vs
+        (where the scalar model keeps signed zeros), among other biases."""
+        models = [
+            MosfetModel(polarity=polarity, vto=vto, gamma=gamma)
+            for polarity, vto in (("n", 0.6), ("p", -0.7)) for gamma in (0.0, 0.45)
+        ]
+        devices = [Mosfet(f"m{k}", "d", "g", "s", "b", model, 1.8e-6, 0.35e-6)
+                   for k, model in enumerate(models)]
+        levels = (-0.0, 0.0, 0.4, 1.2, 3.3)
+        biases = [(vd, vg, vd, vb) for vd, vg, vb in itertools.product(levels, repeat=3)]
+        biases += [(vd, vg, vs, 0.0) for vd, vg, vs in itertools.product(levels, repeat=3)]
+        picks = [k % len(devices) for k in range(len(biases))]
+        got = MosfetBank([devices[i] for i in picks]).evaluate(*np.array(biases).T)
+
+        ops = [devices[i].evaluate(*bias) for i, bias in zip(picks, biases)]
+        for name, values in zip(("ids", "gm", "gds", "gmb", "vgs", "vds", "vbs"), got):
+            np.testing.assert_array_equal(
+                _bits([getattr(op, name) for op in ops]), _bits(values), err_msg=name
+            )
+        assert [op.reversed for op in ops] == got[-1].tolist()
+        assert {math.copysign(1.0, op.vds) for op, (vd, _, vs, _) in zip(ops, biases)
+                if vd == vs} == {1.0, -1.0}
+        assert {op.region for op in ops} == {"cutoff", "linear", "saturation"}
+
     def test_diode_bank_matches_scalar_evaluate(self):
         devices = [
             Diode(f"d{k}", "a", "c", DiodeModel(saturation_current=isat, ideality=n))
@@ -282,6 +309,33 @@ class TestSources:
     def test_pwl_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             PiecewiseLinearWaveform([(1e-9, 0.0), (0.5e-9, 1.0)])
+
+    def test_source_table_matches_pwl_bit_for_bit(self):
+        """The group source table repeats PiecewiseLinearWaveform's float
+        operations, at breakpoints, outside them and over a step grid."""
+        waveforms = [
+            [(0.1e-9, 0.0), (0.2e-9, 3.3), (0.5e-9, 3.3), (0.6e-9, -0.0)],
+            [(0.2e-9, -0.0), (0.3e-9, -0.0), (0.3e-9, 1.2), (0.3e-9, 0.7), (0.45e-9, -1.0)],
+            [(0.25e-9, -0.0)],
+            [(0.0, 1.0), (0.0, 2.0), (0.7e-9, 0.0), (0.7e-9, 5.0)],
+            [(0.05e-9, 1.7), (0.35e-9, 0.2)],
+        ]
+        sources = [VoltageSource(f"v{k}", "a", "0", waveform=PiecewiseLinearWaveform(points))
+                   for k, points in enumerate(waveforms)]
+        sources.append(VoltageSource("vdc", "a", "0", dc=-0.0))
+        sources.append(CurrentSource("iramp", "a", "0", waveform=lambda t: 2e-3 * t / 1e-9))
+        breakpoints = sorted({t for points in waveforms for t, _ in points})
+        times = (
+            [-1e-9, 0.0, 1e-9]
+            + breakpoints
+            + [math.nextafter(t, -math.inf) for t in breakpoints]
+            + [math.nextafter(t, math.inf) for t in breakpoints]
+            + [step * 6e-12 for step in range(1, 150)] + [0.9e-9]
+        )
+        got = SourceTable(sources).values(times)
+        want = [[source.value(t) for source in sources] for t in times]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert np.signbit(got).any()
 
     def test_waveform_overrides_dc(self):
         wf = PiecewiseLinearWaveform([(0, 1.0)])
