@@ -23,18 +23,17 @@ A :class:`StackedPlan` holds the plans of several circuits of equal
 :func:`~repro.spice.analysis.solver.lockstep_newton_solve`.  It keeps the
 same tiers, but each is one array expression over every member:
 
-* **per time grid** -- every member's sources, one
-  :class:`~repro.spice.elements.SourceTable` snapshot taken when the plan is
-  built, evaluated at all the grid's times at once by
-  :meth:`StackedPlan.source_terms`;
+* **per time grid** -- every member's sources at all the grid's times,
+  evaluated by :meth:`StackedPlan.source_terms` (a piecewise-linear waveform
+  by :meth:`~repro.spice.elements.PiecewiseLinearWaveform.sample`, any other
+  callable at each time);
 * **per solve** -- that time's source terms scattered with one
-  ``np.bincount``, and the companion terms and history of all members, from
-  the previous time points as one array;
+  ``np.bincount``, and the companion terms and history of all members;
 * **per Newton iteration** -- the devices of all members, evaluated together
   by the array models (:class:`~repro.spice.elements.MosfetBank`,
   :class:`~repro.spice.elements.DiodeBank`) into buffers owned by the plan,
   and scattered with one ``np.bincount`` into a flat ``(members * dim**2)``
-  matrix along indices cached per pattern of reversed MOSFETs.
+  matrix, each MOSFET at its forward or reverse positions.
 
 Each member's contributions keep the order of its own plan, so its matrix and
 right-hand side equal the plan's bit for bit.
@@ -60,8 +59,8 @@ from ..elements import (
     Element,
     Mosfet,
     MosfetBank,
+    PiecewiseLinearWaveform,
     Resistor,
-    SourceTable,
     StampContext,
     VoltageSource,
     is_ground,
@@ -295,14 +294,9 @@ class StackedPlan(_CompanionCache):
     contributions arrive in the order of its :class:`StampPlan`, so each
     member's matrix and RHS equal the plan's own bit for bit.
 
-    The members' sources are one :class:`~repro.spice.elements.SourceTable`,
-    a snapshot taken here.  The assembly writes into buffers owned by the
-    plan, so one plan serves one solve at a time.
+    The assembly writes into buffers owned by the plan, so one plan serves
+    one solve at a time.
     """
-
-    #: Scatter-index entries kept by :meth:`_scatter_indices`, one per pattern
-    #: of reversed MOSFETs.
-    SCATTER_PATTERNS = 64
 
     def __init__(self, plans: Sequence[StampPlan]):
         super().__init__()
@@ -334,24 +328,28 @@ class StackedPlan(_CompanionCache):
             by_member([fwd[1] for *_, fwd, _ in mosfets], rows, 2),
             by_member([rev[1] for *_, rev in mosfets], rows, 2),
         ])
-        self._scatter: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
         diodes = [entry for plan in self.plans for entry in plan._diodes]
         self._diodes = DiodeBank([device for device, *_ in diodes])
         ends = by_member([(a, c) for _, a, c, _ in diodes], rows, 2)
         self._diode_pins = ends.T
-        self._diode_rows = ends.ravel()
-        self._diode_cells = by_member([dc for *_, dc in diodes], cells, 4).ravel()
 
         # Assembly buffers: padded node voltages (the ground column stays 0),
-        # the stamp values of every device in scatter order, and each
-        # device's ``(-ieq, ieq)`` current pair.
+        # the stamp values of every device in scatter order with their matrix
+        # cells, and each device's ``(-ieq, ieq)`` current pair with its RHS
+        # rows.  The MOSFETs' cells and rows are picked at each assembly.
         n, d = len(mosfets), len(diodes)
         self._voltages = np.zeros((members, dim))
         self._stamps = np.empty(8 * n + 4 * d)
         self._mosfet_stamps = self._stamps[: 8 * n].reshape(n, 8)
         self._diode_stamps = self._stamps[8 * n:].reshape(d, 4)
         self._currents = np.empty((n + d, 2))
+        self._cells = np.concatenate([
+            self._mosfet_cells[0].ravel(), by_member([dc for *_, dc in diodes], cells, 4).ravel()
+        ])
+        self._rows = np.concatenate([self._mosfet_ends[0].ravel(), ends.ravel()])
+        self._mosfet_cell_picks = self._cells[: 8 * n].reshape(n, 8)
+        self._mosfet_end_picks = self._rows[: 2 * n].reshape(n, 2)
         self._previous = np.zeros((members, dim))
 
         self._cap_pins = np.stack([
@@ -379,7 +377,7 @@ class StackedPlan(_CompanionCache):
                 signs += [-1.0, 1.0]
                 targets += [offset + p, offset + q]
                 sources.append(source)
-        self._sources = SourceTable(sources)
+        self._sources = sources
         self._source_picks = np.array(picks, dtype=np.intp)
         self._source_signs = np.array(signs)
         self._source_rows = np.array(targets, dtype=np.intp)
@@ -391,36 +389,37 @@ class StackedPlan(_CompanionCache):
         ``value * scale`` and each current source's ``-value * scale`` and
         ``value * scale``; :meth:`linear` scatters one row into the RHS.
         """
-        values = self._sources.values(times)
+        grid = np.asarray(times, dtype=float)
+        values = np.empty((grid.size, len(self._sources)))
+        for column, source in enumerate(self._sources):
+            waveform = source.waveform
+            if waveform is None:
+                values[:, column] = source.dc
+            elif isinstance(waveform, PiecewiseLinearWaveform):
+                values[:, column] = waveform.sample(grid)
+            else:
+                values[:, column] = [float(waveform(time)) for time in grid.tolist()]
         values *= scale
         terms = values[:, self._source_picks]
         terms *= self._source_signs
         return terms
 
     def linear(
-        self,
-        ctxs: Sequence[StampContext],
-        gmin: float,
-        x_prev: Optional[np.ndarray] = None,
-        sources: Optional[np.ndarray] = None,
+        self, ctxs: Sequence[StampContext], gmin: float, sources: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`StampPlan.linear` of every member, flat and concatenated.
 
-        The contexts share the mode, time, source scale, time step and
-        method; each member has its own ``ctx.x_prev`` and
-        ``ctx.capacitor_currents``.  *x_prev* passes the ``x_prev`` rows as
-        one array and *sources* this time's row of :meth:`source_terms`, when
-        the caller holds them.
+        The contexts share the mode, time step and method; each member has
+        its own ``ctx.x_prev`` and ``ctx.capacitor_currents``.  *sources* is
+        the row of :meth:`source_terms` at the contexts' time and source scale.
         """
         ctx = ctxs[0]
-        if sources is None:
-            sources = self.source_terms([ctx.time], ctx.source_scale)[0]
         rhs = np.bincount(self._source_rows, sources, minlength=len(self.plans) * self._dim)
         matrix = self._linear
         if self.plans[0]._companions_active(ctx):
             geq, matrix = self._companion_terms(ctx.dt, ctx.method)
             previous = self._previous
-            previous[:, :-1] = [c.x_prev for c in ctxs] if x_prev is None else x_prev
+            previous[:, :-1] = [c.x_prev for c in ctxs]
             history = geq * np.subtract(*previous.ravel()[self._cap_pins])
             if ctx.method == "trapezoidal" and ctx.capacitor_currents is not None:
                 history += np.concatenate([c.capacitor_currents for c in ctxs])
@@ -430,22 +429,6 @@ class StackedPlan(_CompanionCache):
         matrix = matrix.copy()
         matrix[self._node_diagonal] += gmin
         return matrix, rhs
-
-    def _scatter_indices(self, reversed_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix cells and RHS rows of every stamp, for this pattern of
-        reversed MOSFETs (it rarely changes between Newton iterations)."""
-        key = reversed_.tobytes()
-        indices = self._scatter.get(key)
-        if indices is None:
-            if len(self._scatter) >= self.SCATTER_PATTERNS:
-                self._scatter.clear()
-            pick = reversed_.astype(np.intp)
-            count = np.arange(len(pick))
-            indices = self._scatter[key] = (
-                np.concatenate([self._mosfet_cells[pick, count].ravel(), self._diode_cells]),
-                np.concatenate([self._mosfet_ends[pick, count].ravel(), self._diode_rows]),
-            )
-        return indices
 
     def assemble(
         self, linear: tuple[np.ndarray, np.ndarray], x: np.ndarray
@@ -461,7 +444,12 @@ class StackedPlan(_CompanionCache):
         ids, gm, gds, gmb, vgs, vds, vbs, reversed_ = self._mosfets.evaluate(
             *v[self._mosfet_pins]
         )
-        cells, rows = self._scatter_indices(reversed_)
+        # A reversed MOSFET stamps at its reverse positions.
+        flipped = reversed_[:, None]
+        np.copyto(self._mosfet_cell_picks, self._mosfet_cells[0])
+        np.copyto(self._mosfet_cell_picks, self._mosfet_cells[1], where=flipped)
+        np.copyto(self._mosfet_end_picks, self._mosfet_ends[0])
+        np.copyto(self._mosfet_end_picks, self._mosfet_ends[1], where=flipped)
 
         # The columns (gds, total, -total, -gds, gm, -gm, gmb, -gmb) of the
         # linearization of Mosfet.stamp: gds between the effective drain and
@@ -486,8 +474,8 @@ class StackedPlan(_CompanionCache):
         np.negative(currents[:, 1], out=currents[:, 0])
 
         base_matrix, base_rhs = linear
-        matrix = base_matrix + np.bincount(cells, self._stamps, minlength=base_matrix.size)
-        rhs = base_rhs + np.bincount(rows, currents.ravel(), minlength=base_rhs.size)
+        matrix = base_matrix + np.bincount(self._cells, self._stamps, minlength=base_matrix.size)
+        rhs = base_rhs + np.bincount(self._rows, currents.ravel(), minlength=base_rhs.size)
         return (
             matrix.reshape(members, dim, dim)[:, :size, :size],
             rhs.reshape(members, dim)[:, :size],

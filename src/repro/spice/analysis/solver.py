@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,15 +137,14 @@ def lockstep_newton_solve(
     ctxs: Sequence[StampContext],
     x0: np.ndarray,
     options: SolverOptions,
-    sources: Optional[np.ndarray] = None,
+    sources: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`newton_solve` for every member of *stack* at once.
 
-    Row ``m`` of *x0* starts member ``m``, solved in ``ctxs[m]``; in
-    transient mode it is also that member's previous time point
-    (``ctx.x_prev``), as in every time step.  *sources* is this time's row of
+    Row ``m`` of *x0* starts member ``m``, solved in ``ctxs[m]``.  *sources*
+    is the row of
     :meth:`StackedPlan.source_terms <repro.spice.analysis.mna.StackedPlan.source_terms>`
-    when the caller has it.  Each iteration assembles all members and solves
+    at the contexts' time.  Each iteration assembles all members and solves
     them as one batch; a member that converges is frozen.  Every member's
     iterates equal those of its own :func:`newton_solve` bit for bit.
 
@@ -155,7 +154,7 @@ def lockstep_newton_solve(
     """
     x = np.array(x0, dtype=float)
     members, size = x.shape
-    linear = stack.linear(ctxs, max(options.gmin, ctxs[0].gmin), x_prev=x0, sources=sources)
+    linear = stack.linear(ctxs, max(options.gmin, ctxs[0].gmin), sources)
     active = np.ones(members, dtype=bool)
     converged_at = np.zeros(members, dtype=int)
     # Node-voltage updates are clipped to max_step; an infinite bound leaves
@@ -164,15 +163,15 @@ def lockstep_newton_solve(
     if options.max_step > 0.0:
         bound[: stack.num_nodes] = options.max_step
 
-    with np.errstate(all="ignore"):
-        for iteration in range(1, options.max_iterations + 1):
-            matrix, rhs = stack.assemble(linear, x)
-            try:
-                x_new = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                x_new = np.zeros_like(x)
-                for m in np.flatnonzero(active):
-                    x_new[m] = _solve_linear(matrix[m], rhs[m])
+    for iteration in range(1, options.max_iterations + 1):
+        matrix, rhs = stack.assemble(linear, x)
+        try:
+            x_new = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            x_new = np.zeros_like(x)
+            for m in np.flatnonzero(active):
+                x_new[m] = _solve_linear(matrix[m], rhs[m])
+        with np.errstate(invalid="ignore"):
             active &= np.isfinite(x_new).all(axis=1)
             delta = x_new - x
             np.add(x, np.minimum(np.maximum(delta, -bound), bound), out=x, where=active[:, None])
@@ -180,10 +179,10 @@ def lockstep_newton_solve(
             tolerance *= options.reltol
             tolerance += options.vntol
             done = active & (np.abs(delta) <= tolerance).all(axis=1)
-            converged_at[done] = iteration
-            active &= ~done
-            if not active.any():
-                break
+        converged_at[done] = iteration
+        active &= ~done
+        if not active.any():
+            break
     return x, converged_at
 
 

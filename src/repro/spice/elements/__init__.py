@@ -8,7 +8,6 @@ from .resistor import Resistor
 from .sources import (
     CurrentSource,
     PiecewiseLinearWaveform,
-    SourceTable,
     VoltageSource,
 )
 
@@ -31,5 +30,4 @@ __all__ = [
     "VoltageSource",
     "CurrentSource",
     "PiecewiseLinearWaveform",
-    "SourceTable",
 ]

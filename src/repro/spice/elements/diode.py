@@ -130,11 +130,7 @@ class DiodeBank:
         self._reverse_conductance = self.isat / self.nvt * math.exp(-5.0)
 
     def evaluate(self, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(current, conductance)`` of every diode at junction voltages *vd*.
-
-        Non-finite voltages give non-finite results; the caller decides
-        whether numpy warns about them.
-        """
+        """``(current, conductance)`` of every diode at junction voltages *vd*."""
         isat, nvt, vcrit = self.isat, self.nvt, self.vcrit
         # Above vcrit the scalar model linearizes around exp(vcrit / nvt), so
         # clamping the argument gives both branches their exponential.
@@ -142,7 +138,8 @@ class DiodeBank:
         e = np.fromiter(map(math.exp, args), float, len(args))
         current = isat * (e - 1.0)
         conductance = isat * e / nvt
-        np.add(current, conductance * (vd - vcrit), out=current, where=vd > vcrit)
+        with np.errstate(invalid="ignore"):
+            np.add(current, conductance * (vd - vcrit), out=current, where=vd > vcrit)
         reverse = vd < self._reverse_limit
         np.copyto(current, self._reverse_current, where=reverse)
         np.copyto(conductance, self._reverse_conductance, where=reverse)

@@ -280,8 +280,7 @@ class MosfetBank:
         """``(ids, gm, gds, gmb, vgs, vds, vbs, reversed)`` of every device.
 
         The fields are those of :class:`MosfetOperatingPoint`, one array entry
-        per device.  Non-finite voltages give non-finite results; the caller
-        decides whether numpy warns about them.
+        per device.
         """
         sign = self.sign
         swapped = sign * (vd - vs) < 0.0
@@ -293,26 +292,31 @@ class MosfetBank:
         vgs = sign * (vg - source)
         vbs = sign * (vb - source)
 
-        if self._any_body:
-            root = np.sqrt(np.maximum(self.phi - vbs, 1e-6))
-            vth = np.where(self._body, self.vto + self.gamma * (root - self._sqrt_phi), self.vto)
-            # -dvth/dvbs; the scalar model's 0.0 slope negates to -0.0.
-            slope = np.where(self._body, self.gamma / (2.0 * root), -0.0)
-        else:
-            vth, slope = self.vto, -0.0
-        beta, lam = self.beta, self.lam
-        vov = vgs - vth
-        clm = 1.0 + lam * vds
-        linear = vds < vov
-        scaled_core = beta * (vov * vds - 0.5 * vds * vds)
-        half_square = self._half_beta * vov * vov
+        with np.errstate(all="ignore"):
+            if self._any_body:
+                root = np.sqrt(np.maximum(self.phi - vbs, 1e-6))
+                vth = np.where(
+                    self._body, self.vto + self.gamma * (root - self._sqrt_phi), self.vto
+                )
+                # -dvth/dvbs; the scalar model's 0.0 slope negates to -0.0.
+                slope = np.where(self._body, self.gamma / (2.0 * root), -0.0)
+            else:
+                vth, slope = self.vto, -0.0
+            beta, lam = self.beta, self.lam
+            vov = vgs - vth
+            clm = 1.0 + lam * vds
+            linear = vds < vov
+            scaled_core = beta * (vov * vds - 0.5 * vds * vds)
+            half_square = self._half_beta * vov * vov
 
-        currents = np.empty((4, len(sign)))
-        ids, gm, gds, gmb = currents
-        np.multiply(np.where(linear, scaled_core, half_square), clm, out=ids)
-        np.multiply(beta * np.where(linear, vds, vov), clm, out=gm)
-        gds[:] = np.where(linear, beta * (vov - vds) * clm + scaled_core * lam, half_square * lam)
-        np.multiply(gm, slope, out=gmb)
-        np.copyto(currents, self._CUTOFF, where=vov <= 0.0)
+            currents = np.empty((4, len(sign)))
+            ids, gm, gds, gmb = currents
+            np.multiply(np.where(linear, scaled_core, half_square), clm, out=ids)
+            np.multiply(beta * np.where(linear, vds, vov), clm, out=gm)
+            gds[:] = np.where(
+                linear, beta * (vov - vds) * clm + scaled_core * lam, half_square * lam
+            )
+            np.multiply(gm, slope, out=gmb)
+            np.copyto(currents, self._CUTOFF, where=vov <= 0.0)
         np.maximum(gds, Mosfet.GDS_MIN, out=gds)
         return ids, gm, gds, gmb, vgs, vds, vbs, swapped

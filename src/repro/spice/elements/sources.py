@@ -2,8 +2,7 @@
 
 A source holds a constant value or follows any callable of time; the
 two-pattern input sequences of the experiments use the piecewise-linear
-waveform below.  :class:`SourceTable` evaluates many sources over a grid of
-times at once.
+waveform below.
 """
 
 from __future__ import annotations
@@ -48,6 +47,33 @@ class PiecewiseLinearWaveform:
             return v1
         frac = (time - t0) / (t1 - t0)
         return v0 + frac * (v1 - v0)
+
+    def sample(self, times: Sequence[float]) -> np.ndarray:
+        """The waveform at each of *times*, equal to :meth:`__call__` bit for bit.
+
+        ``np.searchsorted`` with ``side="right"`` is :func:`bisect.bisect_right`,
+        and the interpolation repeats the same float operations.
+        """
+        grid = np.asarray(times, dtype=float)
+        breakpoints, levels = self.times, self.values
+        if len(breakpoints) == 1:
+            # Repeated, so that every time has a segment to index.
+            breakpoints, levels = breakpoints * 2, levels * 2
+        breakpoints, levels = np.array(breakpoints), np.array(levels)
+        # The interpolation is kept only strictly between the first and the
+        # last breakpoint, where 1 <= hi < len(breakpoints) and t0 < t1;
+        # clipping keeps the other times' indices inside the waveform.
+        hi = np.searchsorted(breakpoints, grid, side="right")
+        np.clip(hi, 1, len(breakpoints) - 1, out=hi)
+        t0, t1 = breakpoints[hi - 1], breakpoints[hi]
+        v0, v1 = levels[hi - 1], levels[hi]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            interpolated = v0 + (grid - t0) / (t1 - t0) * (v1 - v0)
+        return np.where(
+            grid <= breakpoints[0],
+            levels[0],
+            np.where(grid >= breakpoints[-1], levels[-1], interpolated),
+        )
 
 
 class VoltageSource(Element):
@@ -108,56 +134,3 @@ class CurrentSource(Element):
     def stamp(self, stamper: Stamper, ctx: StampContext) -> None:
         p, n = self._indices
         stamper.current(p, n, self.value(ctx.time) * ctx.source_scale)
-
-
-class SourceTable:
-    """Many independent sources evaluated over a grid of times as one array.
-
-    Each source is one row of breakpoints: a :class:`PiecewiseLinearWaveform`
-    its own, a constant source one point at its ``dc``.  Any other waveform
-    is a callable the table cannot look into; its column is filled by calling
-    it at each time.  :meth:`values` repeats the float operations of
-    :meth:`PiecewiseLinearWaveform.__call__` (``np.searchsorted`` with
-    ``side="right"`` is :func:`bisect.bisect_right`) over the whole grid, so
-    every entry equals the source's own ``value`` bit for bit.  The table is
-    a snapshot of the sources at construction.
-    """
-
-    def __init__(self, sources: Sequence[VoltageSource | CurrentSource]):
-        self._rows: list[tuple[np.ndarray, np.ndarray]] = []
-        self._callables: list[tuple[int, WaveformFunction]] = []
-        for column, source in enumerate(sources):
-            waveform = source.waveform
-            if type(waveform) is PiecewiseLinearWaveform:
-                times, values = waveform.times, waveform.values
-            else:
-                times, values = [0.0], [source.dc]
-                if waveform is not None:
-                    self._callables.append((column, waveform))
-            if len(times) == 1:
-                # Repeated, so that every row has a segment to index.
-                times, values = times * 2, values * 2
-            self._rows.append((np.array(times), np.array(values)))
-
-    def values(self, times: Sequence[float]) -> np.ndarray:
-        """Every source at every time: entry ``[i, k]`` is source *k* at ``times[i]``."""
-        grid = np.asarray(times, dtype=float)
-        out = np.empty((grid.size, len(self._rows)))
-        for column, (breakpoints, levels) in enumerate(self._rows):
-            # The interpolation is kept only strictly between the first and
-            # the last breakpoint, where 1 <= hi < len(breakpoints); clipping
-            # keeps the other times' indices inside the row.
-            hi = np.searchsorted(breakpoints, grid, side="right")
-            np.clip(hi, 1, len(breakpoints) - 1, out=hi)
-            t0, t1 = breakpoints[hi - 1], breakpoints[hi]
-            v0, v1 = levels[hi - 1], levels[hi]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                interpolated = v0 + (grid - t0) / (t1 - t0) * (v1 - v0)
-            out[:, column] = np.where(
-                grid <= breakpoints[0],
-                levels[0],
-                np.where(grid >= breakpoints[-1], levels[-1], interpolated),
-            )
-        for column, waveform in self._callables:
-            out[:, column] = [float(waveform(time)) for time in grid.tolist()]
-        return out

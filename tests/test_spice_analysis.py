@@ -179,7 +179,8 @@ class TestStampPlanParity:
                     )
                     for m in range(len(plans))
                 ]
-                matrices, rhs = stack.assemble(stack.linear(ctxs, gmin), x)
+                sources = stack.source_terms([ctxs[0].time])[0]
+                matrices, rhs = stack.assemble(stack.linear(ctxs, gmin, sources), x)
                 for m, (plan, ctx) in enumerate(zip(plans, ctxs)):
                     want_matrix, want_rhs = plan.assemble(plan.linear(ctx, gmin), x[m])
                     np.testing.assert_array_equal(matrices[m], want_matrix)
@@ -600,9 +601,10 @@ class TestSolverRobustness:
         plan = systems[0].plan
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(*plan.assemble(plan.linear(StampContext(gmin=0.0), 0.0), x0[0]))
+        stack = StackedPlan([system.plan for system in systems])
         x, converged_at = lockstep_newton_solve(
-            StackedPlan([system.plan for system in systems]),
-            [StampContext(mode="dc", gmin=0.0) for _ in systems], x0, options,
+            stack, [StampContext(mode="dc", gmin=0.0) for _ in systems], x0, options,
+            stack.source_terms([0.0])[0],
         )
         for m, system in enumerate(systems):
             alone = newton_solve(system, StampContext(mode="dc", gmin=0.0), x0[m], options)

@@ -12,7 +12,6 @@ from repro.spice import Circuit, CircuitError
 from repro.spice.elements import (
     THERMAL_VOLTAGE,
     Capacitor,
-    CurrentSource,
     Diode,
     DiodeBank,
     DiodeModel,
@@ -21,7 +20,6 @@ from repro.spice.elements import (
     MosfetModel,
     PiecewiseLinearWaveform,
     Resistor,
-    SourceTable,
     StampContext,
     Stamper,
     VoltageSource,
@@ -310,9 +308,9 @@ class TestSources:
         with pytest.raises(ValueError):
             PiecewiseLinearWaveform([(1e-9, 0.0), (0.5e-9, 1.0)])
 
-    def test_source_table_matches_pwl_bit_for_bit(self):
-        """The group source table repeats PiecewiseLinearWaveform's float
-        operations, at breakpoints, outside them and over a step grid."""
+    def test_pwl_sample_matches_call_bit_for_bit(self):
+        """``sample`` repeats the float operations of ``__call__``, at
+        breakpoints, outside them and over a step grid."""
         waveforms = [
             [(0.1e-9, 0.0), (0.2e-9, 3.3), (0.5e-9, 3.3), (0.6e-9, -0.0)],
             [(0.2e-9, -0.0), (0.3e-9, -0.0), (0.3e-9, 1.2), (0.3e-9, 0.7), (0.45e-9, -1.0)],
@@ -320,10 +318,7 @@ class TestSources:
             [(0.0, 1.0), (0.0, 2.0), (0.7e-9, 0.0), (0.7e-9, 5.0)],
             [(0.05e-9, 1.7), (0.35e-9, 0.2)],
         ]
-        sources = [VoltageSource(f"v{k}", "a", "0", waveform=PiecewiseLinearWaveform(points))
-                   for k, points in enumerate(waveforms)]
-        sources.append(VoltageSource("vdc", "a", "0", dc=-0.0))
-        sources.append(CurrentSource("iramp", "a", "0", waveform=lambda t: 2e-3 * t / 1e-9))
+        pwls = [PiecewiseLinearWaveform(points) for points in waveforms]
         breakpoints = sorted({t for points in waveforms for t, _ in points})
         times = (
             [-1e-9, 0.0, 1e-9]
@@ -332,10 +327,10 @@ class TestSources:
             + [math.nextafter(t, math.inf) for t in breakpoints]
             + [step * 6e-12 for step in range(1, 150)] + [0.9e-9]
         )
-        got = SourceTable(sources).values(times)
-        want = [[source.value(t) for source in sources] for t in times]
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-        assert np.signbit(got).any()
+        for pwl in pwls:
+            got = pwl.sample(times)
+            np.testing.assert_array_equal(_bits(got), _bits([pwl(t) for t in times]))
+        assert np.signbit(pwls[2].sample(times)).all()
 
     def test_waveform_overrides_dc(self):
         wf = PiecewiseLinearWaveform([(0, 1.0)])
