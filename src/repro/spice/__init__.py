@@ -11,8 +11,9 @@ Public entry points
 * :func:`operating_point` -- DC solution.
 * :func:`dc_sweep` -- DC transfer curves (e.g. inverter VTC, Figure 4).
 * :func:`transient` -- time-domain simulation (Table 1, Figures 6, 7, 9).
-* :func:`transient_sweep` -- :func:`transient` of several circuits, equal-shape
-  ones advanced in lockstep.
+* :func:`transient_sweep` -- :func:`transient` of several circuits; equal-shape
+  ones share one stamp plan and one lockstep Newton loop, of which a lone
+  circuit is the group of one.
 * :class:`Waveform` -- the measurement primitive.
 """
 

@@ -1,4 +1,5 @@
-"""Analyses: operating point, DC sweep and transient simulation."""
+"""Analyses: operating point, DC sweep and transient simulation, all on one
+MNA stamp plan and one Newton loop."""
 
 from .dc_sweep import DcSweepResult, dc_sweep
 from .mna import MnaSystem

@@ -17,7 +17,7 @@ from ..errors import AnalysisError
 from ..netlist import Circuit
 from ..waveform import Waveform
 from .mna import MnaSystem
-from .solver import SolverOptions, newton_solve, robust_solve
+from .solver import SolverOptions, robust_solve
 
 
 @dataclass
@@ -75,10 +75,7 @@ def dc_sweep(
         for i, value in enumerate(values):
             source.dc = float(value)
             ctx = StampContext(mode="dc", time=0.0, gmin=options.gmin)
-            result = newton_solve(system, ctx, x, options)
-            if not result.converged:
-                result = robust_solve(system, ctx, x, options)
-            x = result.x
+            x = robust_solve(system, ctx, x, options).x
             for node in nodes:
                 recorded[node][i] = system.voltage(x, node)
     finally:

@@ -1,52 +1,45 @@
-"""Modified nodal analysis: row assignment and the compiled stamp plans.
+"""Modified nodal analysis: row assignment and the stamp plan.
 
 :class:`MnaSystem` assigns matrix rows to a circuit's nodes and source
-branches, and compiles the circuit once into a :class:`StampPlan`, from
-which :func:`~repro.spice.analysis.solver.newton_solve` assembles the
-linearized system ``G @ x = b``.  The plan splits the stamps by how often
-they change:
+branches and compiles the circuit once into :class:`CircuitStamps`, the
+index tuples of its stamps.  A :class:`StampPlan` assembles the linearized
+systems ``G @ x = b`` of one or more circuits whose stamps have the same
+:attr:`CircuitStamps.shape`, as one batch for
+:func:`~repro.spice.analysis.solver.lockstep_newton_solve`, the one Newton
+loop.  A lone circuit is a plan of one member, :attr:`MnaSystem.plan`;
+:func:`~repro.spice.analysis.transient.transient_sweep` builds one plan per
+group of equal-shape circuits.  The plan splits the stamps by how often they
+change, each tier one array expression over every member:
 
-* **per system** -- resistor conductances and the voltage-source incidence,
-  held in one dense matrix;
-* **per** ``newton_solve`` **call** -- source values at ``ctx.time`` scaled by
-  ``ctx.source_scale`` (read from the sources at each call, so a DC sweep
-  may change them), capacitor companion conductances (cached per
-  ``(dt, method)``, one entry per step size seen), the capacitor history
-  currents computed from ``ctx.x_prev`` in one array expression, and
-  ``gmin`` on the node diagonal;
-* **per Newton iteration** -- MOSFETs and diodes, which a single plan
-  evaluates one device at a time by their own ``evaluate`` methods, and
-  scatters into the matrix and right-hand side with one ``np.bincount`` each.
-
-A :class:`StackedPlan` holds the plans of several circuits of equal
-:attr:`StampPlan.shape` as one batch for
-:func:`~repro.spice.analysis.solver.lockstep_newton_solve`.  It keeps the
-same tiers, but each is one array expression over every member:
-
+* **per plan** -- resistor conductances and the voltage-source incidence,
+  held in one dense matrix per member;
 * **per time grid** -- every member's sources at all the grid's times,
-  evaluated by :meth:`StackedPlan.source_terms` (a piecewise-linear waveform
-  by :meth:`~repro.spice.elements.PiecewiseLinearWaveform.sample`, any other
+  evaluated by :meth:`StampPlan.source_terms` (a piecewise-linear waveform by
+  :meth:`~repro.spice.elements.PiecewiseLinearWaveform.sample`, any other
   callable at each time);
-* **per solve** -- that time's source terms scattered with one
-  ``np.bincount``, and the companion terms and history of all members;
+* **per solve** -- one time's source terms scattered with one
+  ``np.bincount``, the capacitor companion conductances (cached per
+  ``(dt, method)``, one entry per step size seen), the capacitor history
+  currents computed from ``ctx.x_prev``, and ``gmin`` on the node diagonal;
 * **per Newton iteration** -- the devices of all members, evaluated together
   by the array models (:class:`~repro.spice.elements.MosfetBank`,
   :class:`~repro.spice.elements.DiodeBank`) into buffers owned by the plan,
   and scattered with one ``np.bincount`` into a flat ``(members * dim**2)``
   matrix, each MOSFET at its forward or reverse positions.
 
-Each member's contributions keep the order of its own plan, so its matrix and
-right-hand side equal the plan's bit for bit.
+Each member's contributions keep the order of its own stamps, so its matrix
+and right-hand side equal those of its own one-member plan bit for bit.
 
-The plans' matrices carry ground as an extra row and column (index
-``size``), so no stamp branches on ground; the solve uses the leading
-``size x size`` block.  :meth:`Element.stamp <repro.spice.elements.Element.stamp>`
-into a :class:`~repro.spice.elements.Stamper` remains the scalar reference
-the plans are tested against.
+The matrices carry ground as an extra row and column (index ``size``), so no
+stamp branches on ground; the solve uses the leading ``size x size`` block.
+:meth:`Element.stamp <repro.spice.elements.Element.stamp>` into a
+:class:`~repro.spice.elements.Stamper` remains the scalar reference the plan
+is tested against.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -72,253 +65,124 @@ from ..netlist import Circuit
 _CONDUCTANCE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-class _CompanionCache:
-    """Capacitor companion terms, cached per ``(dt, method)``.
-
-    A fixed-step grid still takes a handful of step sizes that differ in the
-    last place (``t_to - t_from`` rounds differently along the grid), and
-    step halving adds more, so one entry is kept per size seen, up to
-    :attr:`COMPANION_ENTRIES`, dropping the oldest beyond that.
-
-    Subclasses set ``_linear`` (the flat padded matrix of the linear stamps),
-    ``_capacitance`` (capacitances, last axis per capacitor) and ``_cap_cells``
-    (the capacitors' conductance cells grouped by stamp position).
-    """
-
-    COMPANION_ENTRIES = 32
-
-    def __init__(self):
-        self._companions: dict[tuple[float, str], tuple[np.ndarray, np.ndarray]] = {}
-
-    def _companion_terms(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
-        """Companion conductances and the linear matrix with them stamped in."""
-        key = (dt, method)
-        terms = self._companions.get(key)
-        if terms is None:
-            if len(self._companions) >= self.COMPANION_ENTRIES:
-                del self._companions[next(iter(self._companions))]
-            terms = self._companions[key] = self._build_companion(dt, method)
-        return terms
-
-    def _build_companion(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
-        factor = 2.0 if method == "trapezoidal" else 1.0
-        geq = factor * self._capacitance / dt
-        values = (_CONDUCTANCE_SIGNS[:, None] * geq[..., None, :]).ravel()
-        matrix = self._linear + np.bincount(self._cap_cells, values, minlength=self._linear.size)
-        return geq.ravel(), matrix
-
-
-class StampPlan(_CompanionCache):
-    """The MNA stamps of one circuit, compiled by :class:`MnaSystem`.
+class CircuitStamps:
+    """The stamps of one circuit as index tuples, compiled by :class:`MnaSystem`.
 
     Matrix cells are addressed by flat index ``row * (size + 1) + column``
     into the ground-padded matrix.
     """
 
     def __init__(self, elements: Iterable[Element], size: int, num_nodes: int):
-        super().__init__()
         self.size = size
         self.num_nodes = num_nodes
-        dim = self._dim = size + 1
-        linear = np.zeros(dim * dim)
-        self._voltage_sources: list[tuple[VoltageSource, int]] = []
-        self._current_sources: list[tuple[CurrentSource, int, int]] = []
-        self._mosfets: list[tuple] = []
-        self._diodes: list[tuple] = []
+        dim = self.dim = size + 1
+        #: The flat padded matrix of the resistors and voltage sources.
+        self.linear = np.zeros(dim * dim)
+        self.voltage_sources: list[tuple[VoltageSource, int]] = []
+        self.current_sources: list[tuple[CurrentSource, int, int]] = []
+        #: ``(device, pins, forward, reverse)``; each direction is the cells of
+        #: the gds, gm and gmb stamps and the rows of the current.
+        self.mosfets: list[tuple] = []
+        #: ``(device, (anode, cathode), cells)``.
+        self.diodes: list[tuple] = []
         #: Capacitors with a nonzero capacitance, in the order of
         #: ``StampContext.capacitor_currents``.
         self.capacitors: list[Capacitor] = []
-        cap_pins: list[tuple[int, int]] = []
-        cap_cells: list[tuple[int, int, int, int]] = []
+        self.capacitor_pins: list[tuple[int, int]] = []
+        self.capacitor_cells: list[tuple[int, int, int, int]] = []
 
         for element in elements:
             pins = tuple(size if i < 0 else i for i in element.indices)
             if isinstance(element, Resistor):
                 np.add.at(
-                    linear, list(self._conductance_cells(*pins)),
+                    self.linear, list(self._conductance_cells(*pins)),
                     element.conductance * _CONDUCTANCE_SIGNS,
                 )
             elif isinstance(element, VoltageSource):
                 p, n = pins
                 row = element.branch_index
                 np.add.at(
-                    linear, [p * dim + row, n * dim + row, row * dim + p, row * dim + n],
+                    self.linear, [p * dim + row, n * dim + row, row * dim + p, row * dim + n],
                     [1.0, -1.0, 1.0, -1.0],
                 )
-                self._voltage_sources.append((element, row))
+                self.voltage_sources.append((element, row))
             elif isinstance(element, CurrentSource):
-                self._current_sources.append((element, *pins))
+                self.current_sources.append((element, *pins))
             elif isinstance(element, Capacitor):
                 if element.capacitance != 0.0:
                     self.capacitors.append(element)
-                    cap_pins.append(pins)
-                    cap_cells.append(self._conductance_cells(*pins))
+                    self.capacitor_pins.append(pins)
+                    self.capacitor_cells.append(self._conductance_cells(*pins))
             elif isinstance(element, Mosfet):
                 d, g, s, b = pins
                 forward = (self._mosfet_cells(d, g, s, b), (d, s))
                 reverse = (self._mosfet_cells(s, g, d, b), (s, d))
-                self._mosfets.append((element, element.model.sign, pins, forward, reverse))
+                self.mosfets.append((element, pins, forward, reverse))
             elif isinstance(element, Diode):
                 a, c = pins
-                self._diodes.append((element, a, c, self._conductance_cells(a, c)))
+                self.diodes.append((element, (a, c), self._conductance_cells(a, c)))
             else:
                 raise CircuitError(
                     f"element {element.name!r}: no compiled stamp for {type(element).__name__}"
                 )
 
-        self._linear = linear
-        self._node_diagonal = np.arange(num_nodes) * (dim + 1)
-        # Capacitor index arrays are grouped by stamp position (all first
-        # terminals, then all second ones), matching the value arrays below.
-        self._cap_rows = np.array(cap_pins, dtype=np.intp).reshape(-1, 2).T.ravel()
-        self._cap_a, self._cap_b = self._cap_rows.reshape(2, -1)
-        self._cap_cells = np.array(cap_cells, dtype=np.intp).reshape(-1, 4).T.ravel()
-        self._capacitance = np.array([c.capacitance for c in self.capacitors])
-        self._initial_voltage = np.array([c.initial_voltage or 0.0 for c in self.capacitors])
-
     @property
     def shape(self) -> tuple[int, int, int, int, int]:
-        """``(size, num_nodes, mosfets, diodes, capacitors)``; plans of equal
-        shape can be stacked into one :class:`StackedPlan`."""
-        return (self.size, self.num_nodes, len(self._mosfets), len(self._diodes),
+        """``(size, num_nodes, mosfets, diodes, capacitors)``; circuits of equal
+        shape share one :class:`StampPlan`."""
+        return (self.size, self.num_nodes, len(self.mosfets), len(self.diodes),
                 len(self.capacitors))
 
-    # ------------------------------------------------------------------ #
     def _conductance_cells(self, a: int, b: int) -> tuple[int, int, int, int]:
-        dim = self._dim
+        dim = self.dim
         return (a * dim + a, b * dim + b, a * dim + b, b * dim + a)
 
     def _mosfet_cells(self, d: int, g: int, s: int, b: int) -> tuple[int, ...]:
         """Cells of the gds, gm and gmb stamps with effective drain *d*."""
-        dim = self._dim
+        dim = self.dim
         return (d * dim + d, s * dim + s, d * dim + s, s * dim + d,
                 d * dim + g, s * dim + g, d * dim + b, s * dim + b)
 
-    def _companions_active(self, ctx: StampContext) -> bool:
-        return ctx.mode == "tran" and ctx.dt > 0.0 and bool(self.capacitors)
 
-    def _capacitor_voltages(self, x: Optional[np.ndarray]) -> np.ndarray:
-        """``v(a) - v(b)`` of every capacitor (initial voltages when *x* is None)."""
-        if x is None:
-            return self._initial_voltage
-        padded = np.append(x, 0.0)
-        return padded[self._cap_a] - padded[self._cap_b]
-
-    # ------------------------------------------------------------------ #
-    def linear(self, ctx: StampContext, gmin: float) -> tuple[np.ndarray, np.ndarray]:
-        """Flat padded matrix and RHS of every stamp fixed within one solve."""
-        rhs = np.zeros(self._dim)
-        scale = ctx.source_scale
-        for source, row in self._voltage_sources:
-            rhs[row] += source.value(ctx.time) * scale
-        for source, p, n in self._current_sources:
-            value = source.value(ctx.time) * scale
-            rhs[p] -= value
-            rhs[n] += value
-        matrix = self._linear
-        if self._companions_active(ctx):
-            geq, matrix = self._companion_terms(ctx.dt, ctx.method)
-            history = geq * self._capacitor_voltages(ctx.x_prev)
-            if ctx.method == "trapezoidal" and ctx.capacitor_currents is not None:
-                history += ctx.capacitor_currents
-            rhs += np.bincount(
-                self._cap_rows, np.concatenate([history, -history]), minlength=self._dim
-            )
-        matrix = matrix.copy()
-        matrix[self._node_diagonal] += gmin
-        return matrix, rhs
-
-    def assemble(
-        self, linear: tuple[np.ndarray, np.ndarray], x: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Add the devices linearized at *x* to :meth:`linear`'s stamps.
-
-        Returns the ``size x size`` matrix and the RHS of the system to solve.
-        """
-        v = x.tolist()
-        v.append(0.0)
-        cells: list[int] = []
-        values: list[float] = []
-        rows: list[int] = []
-        currents: list[float] = []
-        for device, sign, (d, g, s, b), forward, reverse in self._mosfets:
-            op = device.evaluate(v[d], v[g], v[s], v[b])
-            device_cells, ends = reverse if op.reversed else forward
-            gds, gm, gmb = op.gds, op.gm, op.gmb
-            total = gds + gm + gmb
-            # The linearization of Mosfet.stamp: gds between the effective
-            # drain and source, gm and gmb controlled by gate and bulk.
-            ieq = sign * (op.ids - gm * op.vgs - gds * op.vds - gmb * op.vbs)
-            cells += device_cells
-            values += (gds, total, -total, -gds, gm, -gm, gmb, -gmb)
-            rows += ends
-            currents += (-ieq, ieq)
-        for device, a, c, device_cells in self._diodes:
-            vd = v[a] - v[c]
-            current, g = device.evaluate(vd)
-            ieq = current - g * vd
-            cells += device_cells
-            values += (g, g, -g, -g)
-            rows += (a, c)
-            currents += (-ieq, ieq)
-
-        base_matrix, base_rhs = linear
-        dim, size = self._dim, self.size
-        matrix = base_matrix + np.bincount(
-            np.array(cells, dtype=np.intp), values, minlength=base_matrix.size
-        )
-        rhs = base_rhs + np.bincount(np.array(rows, dtype=np.intp), currents, minlength=dim)
-        return matrix.reshape(dim, dim)[:size, :size], rhs[:size]
-
-    def commit(self, ctx: StampContext) -> None:
-        """Record the state of the accepted transient step ``ctx.x``.
-
-        Only the trapezoidal rule has state: the capacitor currents, which the
-        next step's history term reads.  Backward Euler stores nothing.
-        """
-        if ctx.method != "trapezoidal" or not self._companions_active(ctx):
-            return
-        geq, _ = self._companion_terms(ctx.dt, ctx.method)
-        currents = geq * (self._capacitor_voltages(ctx.x) - self._capacitor_voltages(ctx.x_prev))
-        if ctx.capacitor_currents is not None:
-            currents -= ctx.capacitor_currents
-        ctx.capacitor_currents = currents
-
-
-class StackedPlan(_CompanionCache):
-    """The plans of several equal-shape circuits, assembled as one batch.
+class StampPlan:
+    """The stamps of one or more equal-shape circuits, assembled as one batch.
 
     Member ``m``'s padded matrix and RHS occupy the flat cells
     ``m * dim**2 + cell`` and rows ``m * dim + row`` (``dim = size + 1``), so
-    one ``np.bincount`` scatters every member's stamps.  Within a member the
-    contributions arrive in the order of its :class:`StampPlan`, so each
-    member's matrix and RHS equal the plan's own bit for bit.
+    one ``np.bincount`` scatters every member's stamps.  Solutions, previous
+    solutions and Newton iterates are ``(members, size)`` arrays; a lone
+    circuit's ``(size,)`` vector stands for its one row.
 
     The assembly writes into buffers owned by the plan, so one plan serves
     one solve at a time.
     """
 
-    def __init__(self, plans: Sequence[StampPlan]):
-        super().__init__()
-        shapes = {plan.shape for plan in plans}
+    #: Companion entries kept per plan.  A fixed-step grid still takes a
+    #: handful of step sizes that differ in the last place (``t_to - t_from``
+    #: rounds differently along the grid), and step halving adds more; the
+    #: oldest entry is dropped beyond this.
+    COMPANION_ENTRIES = 32
+
+    def __init__(self, circuits: Sequence[CircuitStamps]):
+        shapes = {circuit.shape for circuit in circuits}
         if len(shapes) != 1:
-            raise CircuitError(f"cannot stack plans of different shapes {sorted(shapes)}")
-        self.plans = list(plans)
-        first = self.plans[0]
+            raise CircuitError(f"cannot stack circuits of different shapes {sorted(shapes)}")
+        first = circuits[0]
         self.size, self.num_nodes = first.size, first.num_nodes
-        dim = self._dim = first._dim
-        members = len(self.plans)
+        dim = self._dim = first.dim
+        members = self.members = len(circuits)
         rows = np.arange(members)[:, None] * dim
         cells = rows * dim
+        self._companions: dict[tuple[float, str], tuple[np.ndarray, np.ndarray]] = {}
 
         def by_member(values, offset, width):
             """Per-device index tuples of all members, offset into the batch."""
             array = np.array(values, dtype=np.intp).reshape(members, -1 if values else 0, width)
             return (array + offset[:, :, None]).reshape(-1, width)
 
-        mosfets = [entry for plan in self.plans for entry in plan._mosfets]
+        mosfets = [entry for circuit in circuits for entry in circuit.mosfets]
         self._mosfets = MosfetBank([device for device, *_ in mosfets])
-        self._mosfet_pins = by_member([pins for *_, pins, _, _ in mosfets], rows, 4).T
+        self._mosfet_pins = by_member([pins for _, pins, _, _ in mosfets], rows, 4).T
         # Forward and reverse stamp positions, indexed by the reversed flag.
         self._mosfet_cells = np.stack([
             by_member([fwd[0] for *_, fwd, _ in mosfets], cells, 8),
@@ -329,9 +193,9 @@ class StackedPlan(_CompanionCache):
             by_member([rev[1] for *_, rev in mosfets], rows, 2),
         ])
 
-        diodes = [entry for plan in self.plans for entry in plan._diodes]
+        diodes = [entry for circuit in circuits for entry in circuit.diodes]
         self._diodes = DiodeBank([device for device, *_ in diodes])
-        ends = by_member([(a, c) for _, a, c, _ in diodes], rows, 2)
+        ends = by_member([pins for _, pins, _ in diodes], rows, 2)
         self._diode_pins = ends.T
 
         # Assembly buffers: padded node voltages (the ground column stays 0),
@@ -350,29 +214,38 @@ class StackedPlan(_CompanionCache):
         self._rows = np.concatenate([self._mosfet_ends[0].ravel(), ends.ravel()])
         self._mosfet_cell_picks = self._cells[: 8 * n].reshape(n, 8)
         self._mosfet_end_picks = self._rows[: 2 * n].reshape(n, 2)
-        self._previous = np.zeros((members, dim))
+        self._capacitor_nodes = np.zeros((members, dim))
 
-        self._cap_pins = np.stack([
-            (np.stack([plan._cap_a for plan in self.plans]) + rows).ravel(),
-            (np.stack([plan._cap_b for plan in self.plans]) + rows).ravel(),
-        ])
+        # Capacitor indices are grouped by stamp position: all first terminals,
+        # then all second ones, and the four conductance cells likewise.
+        self._cap_pins = (
+            by_member([pins for circuit in circuits for pins in circuit.capacitor_pins], rows, 2)
+            .reshape(members, -1, 2).transpose(2, 0, 1).reshape(2, -1)
+        )
         self._cap_rows = self._cap_pins.ravel()
-        self._cap_cells = (np.stack([plan._cap_cells for plan in self.plans]) + cells).ravel()
-        self._capacitance = np.stack([plan._capacitance for plan in self.plans])
-        self._linear = np.concatenate([plan._linear for plan in self.plans])
-        self._node_diagonal = (np.stack([plan._node_diagonal for plan in self.plans]) + cells).ravel()
+        self._cap_cells = (
+            by_member([c for circuit in circuits for c in circuit.capacitor_cells], cells, 4)
+            .reshape(members, -1, 4).transpose(0, 2, 1).ravel()
+        )
+        capacitors = [c for circuit in circuits for c in circuit.capacitors]
+        self._capacitance = np.array([c.capacitance for c in capacitors]).reshape(
+            members, len(first.capacitors)
+        )
+        self._initial_voltage = np.array([c.initial_voltage or 0.0 for c in capacitors])
+        self._linear = np.concatenate([circuit.linear for circuit in circuits])
+        self._node_diagonal = (np.arange(first.num_nodes) * (dim + 1) + cells).ravel()
 
         # Each source adds +value to a voltage source's branch row, or -value
-        # and +value to a current source's two rows, in the plans' order; the
-        # RHS accumulates them from zero, as StampPlan.linear does.
+        # and +value to a current source's two rows, in the circuits' order;
+        # the RHS accumulates them from zero.
         sources, picks, signs, targets = [], [], [], []
-        for offset, plan in zip(range(0, members * dim, dim), self.plans):
-            for source, row in plan._voltage_sources:
+        for offset, circuit in zip(range(0, members * dim, dim), circuits):
+            for source, row in circuit.voltage_sources:
                 picks.append(len(sources))
                 signs.append(1.0)
                 targets.append(offset + row)
                 sources.append(source)
-            for source, p, q in plan._current_sources:
+            for source, p, q in circuit.current_sources:
                 picks += [len(sources)] * 2
                 signs += [-1.0, 1.0]
                 targets += [offset + p, offset + q]
@@ -382,10 +255,40 @@ class StackedPlan(_CompanionCache):
         self._source_signs = np.array(signs)
         self._source_rows = np.array(targets, dtype=np.intp)
 
+    # ------------------------------------------------------------------ #
+    def _companions_active(self, ctx: StampContext) -> bool:
+        return ctx.mode == "tran" and ctx.dt > 0.0 and self._capacitance.size > 0
+
+    def _companion_terms(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
+        """Companion conductances and the linear matrix with them stamped in."""
+        key = (dt, method)
+        terms = self._companions.get(key)
+        if terms is None:
+            if len(self._companions) >= self.COMPANION_ENTRIES:
+                del self._companions[next(iter(self._companions))]
+            terms = self._companions[key] = self._build_companion(dt, method)
+        return terms
+
+    def _build_companion(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
+        factor = 2.0 if method == "trapezoidal" else 1.0
+        geq = factor * self._capacitance / dt
+        values = (_CONDUCTANCE_SIGNS[:, None] * geq[..., None, :]).ravel()
+        matrix = self._linear + np.bincount(self._cap_cells, values, minlength=self._linear.size)
+        return geq.ravel(), matrix
+
+    def _capacitor_voltages(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """``v(a) - v(b)`` of every capacitor (initial voltages when *x* is None)."""
+        if x is None:
+            return self._initial_voltage
+        padded = self._capacitor_nodes
+        padded[:, :-1] = x
+        return np.subtract(*padded.ravel()[self._cap_pins])
+
+    # ------------------------------------------------------------------ #
     def source_terms(self, times: Sequence[float], scale: float = 1.0) -> np.ndarray:
         """The sources' RHS contributions at each of *times*.
 
-        Row ``i`` holds, in the members' plan order, each voltage source's
+        Row ``i`` holds, in the members' order, each voltage source's
         ``value * scale`` and each current source's ``-value * scale`` and
         ``value * scale``; :meth:`linear` scatters one row into the RHS.
         """
@@ -405,24 +308,22 @@ class StackedPlan(_CompanionCache):
         return terms
 
     def linear(
-        self, ctxs: Sequence[StampContext], gmin: float, sources: np.ndarray
+        self, ctx: StampContext, gmin: float, sources: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`StampPlan.linear` of every member, flat and concatenated.
+        """Flat padded matrices and RHS of every stamp fixed within one solve.
 
-        The contexts share the mode, time step and method; each member has
-        its own ``ctx.x_prev`` and ``ctx.capacitor_currents``.  *sources* is
-        the row of :meth:`source_terms` at the contexts' time and source scale.
+        *ctx* is shared by the members; its ``x_prev`` holds their previous
+        solutions and its ``capacitor_currents`` their trapezoidal currents.
+        *sources* is the row of :meth:`source_terms` at the context's time
+        and source scale.
         """
-        ctx = ctxs[0]
-        rhs = np.bincount(self._source_rows, sources, minlength=len(self.plans) * self._dim)
+        rhs = np.bincount(self._source_rows, sources, minlength=self.members * self._dim)
         matrix = self._linear
-        if self.plans[0]._companions_active(ctx):
+        if self._companions_active(ctx):
             geq, matrix = self._companion_terms(ctx.dt, ctx.method)
-            previous = self._previous
-            previous[:, :-1] = [c.x_prev for c in ctxs]
-            history = geq * np.subtract(*previous.ravel()[self._cap_pins])
+            history = geq * self._capacitor_voltages(ctx.x_prev)
             if ctx.method == "trapezoidal" and ctx.capacitor_currents is not None:
-                history += np.concatenate([c.capacitor_currents for c in ctxs])
+                history += ctx.capacitor_currents
             rhs = rhs + np.bincount(
                 self._cap_rows, np.concatenate([history, -history]), minlength=rhs.size
             )
@@ -438,7 +339,7 @@ class StackedPlan(_CompanionCache):
         Returns the ``(members, size, size)`` matrices and ``(members, size)``
         right-hand sides of the systems to solve.
         """
-        members, dim, size = len(self.plans), self._dim, self.size
+        members, dim, size = self.members, self._dim, self.size
         self._voltages[:, :-1] = x
         v = self._voltages.ravel()
         ids, gm, gds, gmb, vgs, vds, vbs, reversed_ = self._mosfets.evaluate(
@@ -481,13 +382,29 @@ class StackedPlan(_CompanionCache):
             rhs.reshape(members, dim)[:, :size],
         )
 
+    def commit(self, ctx: StampContext) -> None:
+        """Record the state of the accepted transient step ``ctx.x``.
+
+        Only the trapezoidal rule has state: every member's capacitor
+        currents, which the next step's history term reads.  Backward Euler
+        stores nothing.
+        """
+        if ctx.method != "trapezoidal" or not self._companions_active(ctx):
+            return
+        geq, _ = self._companion_terms(ctx.dt, ctx.method)
+        currents = geq * (self._capacitor_voltages(ctx.x) - self._capacitor_voltages(ctx.x_prev))
+        if ctx.capacitor_currents is not None:
+            currents -= ctx.capacitor_currents
+        ctx.capacitor_currents = currents
+
 
 class MnaSystem:
     """Assigns MNA matrix rows to a circuit's nodes and source branches.
 
     Row layout: all non-ground nodes (in sorted order) followed by one row per
-    branch-current unknown, in element insertion order.  :attr:`plan` is the
-    circuit's compiled :class:`StampPlan`.
+    branch-current unknown, in element insertion order.  :attr:`stamps` is the
+    circuit compiled into index tuples and :attr:`plan` its own
+    one-member :class:`StampPlan`.
     """
 
     def __init__(self, circuit: Circuit):
@@ -513,7 +430,12 @@ class MnaSystem:
                 element.assign_indices(indices, -1)
         self.num_branches = branch - self.num_nodes
         self.size = branch
-        self.plan = StampPlan(circuit, self.size, self.num_nodes)
+        self.stamps = CircuitStamps(circuit, self.size, self.num_nodes)
+
+    @cached_property
+    def plan(self) -> StampPlan:
+        """The circuit's own plan, a stack of one."""
+        return StampPlan([self.stamps])
 
     # ------------------------------------------------------------------ #
     def node_index(self, name: str) -> int:

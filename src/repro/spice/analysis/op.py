@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..elements import StampContext
 from ..netlist import Circuit
-from .mna import MnaSystem
-from .solver import SolverOptions, robust_solve
+from .mna import MnaSystem, StampPlan
+from .solver import (
+    SolveResult,
+    SolverOptions,
+    lockstep_newton_solve,
+    robust_solve,
+    stepping_solve,
+)
 
 
 @dataclass
@@ -59,3 +65,25 @@ def operating_point(
         x=result.x,
         system=system,
     )
+
+
+def lockstep_operating_points(
+    systems: Sequence[MnaSystem], plan: StampPlan, options: SolverOptions
+) -> list[SolveResult]:
+    """DC operating points at t=0 of *systems*, whose stamps make up *plan*.
+
+    One lockstep plain-Newton solve from zero takes every member; a member it
+    leaves unconverged goes on alone to gmin and source stepping, as
+    :func:`~repro.spice.analysis.solver.robust_solve` does.  Each result
+    equals the member's own :func:`operating_point` (``x`` and
+    ``iterations``) bit for bit.
+    """
+    ctx = StampContext(mode="dc", gmin=options.gmin)
+    x0 = np.zeros((len(systems), plan.size))
+    result = lockstep_newton_solve(plan, ctx, x0, options, plan.source_terms([0.0])[0])
+    return [
+        result.member(m) if result.converged[m] else stepping_solve(
+            system, StampContext(mode="dc", gmin=options.gmin), x0[m], options
+        )
+        for m, system in enumerate(systems)
+    ]

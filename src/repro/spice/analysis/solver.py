@@ -1,31 +1,34 @@
 """Damped Newton-Raphson solvers for the nonlinear MNA system.
 
-:func:`newton_solve` assembles each iterate's linearized system from the
-system's compiled :class:`~repro.spice.analysis.mna.StampPlan`: the stamps
-fixed within one solve (linear elements, sources, capacitor companions and
-``gmin``) once per call, and the MOSFETs and diodes once per iteration.
-:meth:`Element.stamp <repro.spice.elements.Element.stamp>` is the scalar
-reference for the same matrix and right-hand side.
+:func:`lockstep_newton_solve` is the one Newton loop.  It solves every member
+of a :class:`~repro.spice.analysis.mna.StampPlan` at once: each iteration
+assembles all members' linearized systems from the plan and solves them with
+one batched ``np.linalg.solve``.  Damping, clipping and the convergence test
+are applied row by row, each as one array operation over all members (the
+update written in place for the members still iterating).  A member stops
+when it converges or its update goes non-finite, and no member's iterates
+depend on another's, so a member of a stack and the same circuit solved
+alone agree bit for bit.
 
-:func:`lockstep_newton_solve` runs the same iteration for every member of a
-:class:`~repro.spice.analysis.mna.StackedPlan` at once, with one batched
-``np.linalg.solve`` per iteration.  Damping, clipping and the convergence
-test are applied row by row, each as one array operation over all members
-(the update written in place for the members still iterating), so each
-member's iterates equal its own :func:`newton_solve`'s bit for bit.
+:func:`newton_solve` is that loop on a circuit's own one-member plan
+(:attr:`~repro.spice.analysis.mna.MnaSystem.plan`), with the sources read at
+each call, so a DC sweep that edits them and source stepping that scales
+them are seen.  Gmin and source stepping, and :func:`robust_solve`, which
+tries them after plain Newton, are built on it.
+:meth:`Element.stamp <repro.spice.elements.Element.stamp>` is the scalar
+reference for the assembled matrix and right-hand side.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..elements import StampContext
 from ..errors import AnalysisError, ConvergenceError
-from .mna import MnaSystem, StackedPlan
+from .mna import MnaSystem, StampPlan
 
 
 @dataclass
@@ -67,12 +70,27 @@ class SolverOptions:
 
 @dataclass
 class SolveResult:
-    """Outcome of one Newton solve."""
+    """Outcome of a Newton solve.
+
+    :func:`lockstep_newton_solve` fills each field with one entry per member
+    (``x`` with one row per member); :meth:`member` picks one member's
+    outcome, the form :func:`newton_solve` returns.
+    """
 
     x: np.ndarray
     converged: bool
+    #: The iteration that converged or went non-finite, else the limit.
     iterations: int
+    #: Largest node-voltage change of the last iteration (inf when the update
+    #: went non-finite).
     max_delta: float = 0.0
+
+    def member(self, m: int) -> "SolveResult":
+        """Member *m*'s outcome of a lockstep solve."""
+        return SolveResult(
+            x=self.x[m], converged=bool(self.converged[m]),
+            iterations=int(self.iterations[m]), max_delta=float(self.max_delta[m]),
+        )
 
 
 def newton_solve(
@@ -83,45 +101,18 @@ def newton_solve(
 ) -> SolveResult:
     """Solve the MNA system by damped Newton iteration.
 
-    The context's ``x`` field is updated in place with each iterate; the
-    caller decides what to do with non-convergence (the function returns the
-    best iterate rather than raising, so homotopy strategies can chain
-    solves).
+    The sources are read at ``ctx.time`` and scaled by ``ctx.source_scale``;
+    ``ctx.x`` is left at the returned iterate.  The caller decides what to do
+    with non-convergence (the function returns the best iterate rather than
+    raising, so homotopy strategies can chain solves).
     """
-    options = options or SolverOptions()
     plan = system.plan
-    x = np.array(x0, dtype=float, copy=True)
-    num_nodes = system.num_nodes
-    max_delta = np.inf
-    linear = plan.linear(ctx, max(options.gmin, ctx.gmin))
-
-    for iteration in range(1, options.max_iterations + 1):
-        ctx.x = x
-        matrix, rhs = plan.assemble(linear, x)
-        x_new = _solve_linear(matrix, rhs)
-        if not np.all(np.isfinite(x_new)):
-            return SolveResult(x=x, converged=False, iterations=iteration, max_delta=np.inf)
-
-        delta = x_new - x
-        max_delta = float(np.max(np.abs(delta[:num_nodes]))) if num_nodes else 0.0
-
-        # Damp node-voltage updates only.
-        limited = delta.copy()
-        if num_nodes and options.max_step > 0.0:
-            np.clip(
-                limited[:num_nodes], -options.max_step, options.max_step, out=limited[:num_nodes]
-            )
-        x = x + limited
-
-        tolerance = options.vntol + options.reltol * np.abs(x_new)
-        if np.all(np.abs(delta) <= tolerance):
-            ctx.x = x
-            return SolveResult(x=x, converged=True, iterations=iteration, max_delta=max_delta)
-
-    ctx.x = x
-    return SolveResult(
-        x=x, converged=False, iterations=options.max_iterations, max_delta=max_delta
-    )
+    result = lockstep_newton_solve(
+        plan, ctx, np.reshape(x0, (1, -1)), options or SolverOptions(),
+        plan.source_terms([ctx.time], ctx.source_scale)[0],
+    ).member(0)
+    ctx.x = result.x
+    return result
 
 
 def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,38 +124,42 @@ def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def lockstep_newton_solve(
-    stack: StackedPlan,
-    ctxs: Sequence[StampContext],
+    plan: StampPlan,
+    ctx: StampContext,
     x0: np.ndarray,
     options: SolverOptions,
     sources: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`newton_solve` for every member of *stack* at once.
+) -> SolveResult:
+    """Damped Newton iteration for every member of *plan* at once.
 
-    Row ``m`` of *x0* starts member ``m``, solved in ``ctxs[m]``.  *sources*
-    is the row of
-    :meth:`StackedPlan.source_terms <repro.spice.analysis.mna.StackedPlan.source_terms>`
-    at the contexts' time.  Each iteration assembles all members and solves
-    them as one batch; a member that converges is frozen.  Every member's
-    iterates equal those of its own :func:`newton_solve` bit for bit.
+    Row ``m`` of *x0* starts member ``m``.  *ctx* is shared by the members:
+    its ``x_prev`` and ``capacitor_currents`` hold one row per member, and
+    ``ctx.x`` is left at the final iterates.  *sources* is the row of
+    :meth:`StampPlan.source_terms <repro.spice.analysis.mna.StampPlan.source_terms>`
+    at the context's time and source scale.  Each iteration assembles all
+    members and solves them as one batch; a member is frozen once it
+    converges or its update goes non-finite (its row then keeps the last
+    finite iterate).
 
-    Returns the final iterates and the iteration at which each member
-    converged, 0 for a member whose solve went non-finite or ran out of
-    iterations (its row then holds no solution).
+    Returns a :class:`SolveResult` with one entry per member in each field.
     """
     x = np.array(x0, dtype=float)
     members, size = x.shape
-    linear = stack.linear(ctxs, max(options.gmin, ctxs[0].gmin), sources)
+    num_nodes = plan.num_nodes
+    linear = plan.linear(ctx, max(options.gmin, ctx.gmin), sources)
     active = np.ones(members, dtype=bool)
-    converged_at = np.zeros(members, dtype=int)
+    converged = np.zeros(members, dtype=bool)
+    iterations = np.full(members, options.max_iterations)
+    max_delta = np.full(members, np.inf)
     # Node-voltage updates are clipped to max_step; an infinite bound leaves
     # branch currents (and everything, without damping) unchanged.
     bound = np.full(size, np.inf)
     if options.max_step > 0.0:
-        bound[: stack.num_nodes] = options.max_step
+        bound[:num_nodes] = options.max_step
 
     for iteration in range(1, options.max_iterations + 1):
-        matrix, rhs = stack.assemble(linear, x)
+        iterations[active] = iteration
+        matrix, rhs = plan.assemble(linear, x)
         try:
             x_new = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -178,12 +173,20 @@ def lockstep_newton_solve(
             tolerance = np.abs(x_new)
             tolerance *= options.reltol
             tolerance += options.vntol
-            done = active & (np.abs(delta) <= tolerance).all(axis=1)
-        converged_at[done] = iteration
-        active &= ~done
+            np.abs(delta, out=delta)
+            done = active & (delta <= tolerance).all(axis=1)
+        if done.any():
+            converged |= done
+            max_delta[done] = delta[done, :num_nodes].max(axis=1)
+            active &= ~done
         if not active.any():
             break
-    return x, converged_at
+    else:
+        # The members still active ran out of iterations; delta holds their
+        # last change.
+        max_delta[active] = delta[active, :num_nodes].max(axis=1)
+    ctx.x = x
+    return SolveResult(x=x, converged=converged, iterations=iterations, max_delta=max_delta)
 
 
 def solve_with_gmin_stepping(
@@ -251,17 +254,27 @@ def robust_solve(
     result = newton_solve(system, ctx, x0, options)
     if result.converged:
         return result
+    return stepping_solve(system, ctx, x0, options, raise_on_failure)
+
+
+def stepping_solve(
+    system: MnaSystem,
+    ctx: StampContext,
+    x0: np.ndarray,
+    options: SolverOptions,
+    raise_on_failure: bool = True,
+) -> SolveResult:
+    """Gmin stepping, then source stepping: :func:`robust_solve` once plain
+    Newton from *x0* has failed."""
     result = solve_with_gmin_stepping(system, ctx, x0, options)
     if result.converged:
         return result
     result = solve_with_source_stepping(system, ctx, x0, options)
-    if result.converged:
+    if result.converged or not raise_on_failure:
         return result
-    if raise_on_failure:
-        raise ConvergenceError(
-            f"Newton iteration failed to converge for circuit {system.circuit.title!r} "
-            f"(max node-voltage change {result.max_delta:.3e} V)",
-            iterations=result.iterations,
-            residual=result.max_delta,
-        )
-    return result
+    raise ConvergenceError(
+        f"Newton iteration failed to converge for circuit {system.circuit.title!r} "
+        f"(max node-voltage change {result.max_delta:.3e} V)",
+        iterations=result.iterations,
+        residual=result.max_delta,
+    )

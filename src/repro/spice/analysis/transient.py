@@ -1,13 +1,16 @@
 """Fixed-step transient analysis with local step refinement on Newton failure.
 
 :func:`transient_sweep` simulates several circuits over one time grid.
-Circuits whose compiled plans have the same shape advance in lockstep: the
-group's source values are computed for the whole time grid up front, each
-time step is one :func:`~repro.spice.analysis.solver.lockstep_newton_solve`
-over the whole group, and a member whose solve fails there redoes that step
-alone, with the scalar solver and step halving, exactly as a run of its own
-would.  A group of one uses the scalar solver throughout.  Every circuit's
-waveforms equal those of its own :func:`transient` bit for bit.
+Circuits whose stamps have the same shape form a group with one
+:class:`~repro.spice.analysis.mna.StampPlan`; :func:`transient` is a sweep of
+one circuit, a group of one.  A group's DC operating points are one lockstep
+solve, its source values are computed for the whole time grid up front, its
+solutions are one ``(members, size)`` array, and each time step is one
+:func:`~repro.spice.analysis.solver.lockstep_newton_solve` over the whole
+group.  A member whose step fails there halves that step alone, on its own
+one-member plan; the failed solve is the one its own run makes first, so
+only its iterations are counted.  Every circuit's waveforms and Newton
+counts equal those of its own :func:`transient` bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from ..elements import StampContext
 from ..errors import AnalysisError, ConvergenceError
 from ..netlist import Circuit
 from ..waveform import Waveform
-from .mna import StackedPlan
-from .op import OperatingPoint, operating_point
-from .solver import SolverOptions, lockstep_newton_solve, newton_solve
+from .mna import MnaSystem, StampPlan
+from .op import lockstep_operating_points
+from .solver import SolveResult, SolverOptions, lockstep_newton_solve, newton_solve
 
 
 @dataclass
@@ -102,10 +105,11 @@ def transient_sweep(
 ) -> list[TransientResult]:
     """:func:`transient` of every circuit, with one shared set of arguments.
 
-    Circuits whose plans have equal :attr:`~repro.spice.analysis.mna.StampPlan.shape`
-    advance in lockstep.  Results come back in input order, each equal to the
-    circuit's own :func:`transient`.  A circuit whose own :func:`transient`
-    raises :class:`~repro.spice.errors.ConvergenceError` makes the sweep raise.
+    Circuits whose stamps have equal
+    :attr:`~repro.spice.analysis.mna.CircuitStamps.shape` advance in lockstep.
+    Results come back in input order, each equal to the circuit's own
+    :func:`transient`.  A circuit whose own :func:`transient` raises
+    :class:`~repro.spice.errors.ConvergenceError` makes the sweep raise.
     """
     if t_stop <= 0.0:
         raise AnalysisError("t_stop must be > 0")
@@ -115,27 +119,28 @@ def transient_sweep(
     nodes = None if record_nodes is None else list(record_nodes)
     currents = [] if record_currents is None else list(record_currents)
 
-    # Initial conditions: DC operating points at t = 0.
-    ops = [operating_point(circuit, time=0.0, options=options.solver) for circuit in circuits]
-    probes = [_probe_rows(op.system, nodes, currents) for op in ops]
+    systems = [MnaSystem(circuit) for circuit in circuits]
+    probes = [_probe_rows(system, nodes, currents) for system in systems]
     groups: dict[tuple, list[int]] = {}
-    for index, op in enumerate(ops):
-        groups.setdefault(op.system.plan.shape, []).append(index)
+    for index, system in enumerate(systems):
+        groups.setdefault(system.stamps.shape, []).append(index)
 
-    results: list[Optional[TransientResult]] = [None] * len(ops)
+    results: list[Optional[TransientResult]] = [None] * len(systems)
     for members in groups.values():
-        times, states, iterations = _integrate([ops[i] for i in members], t_stop, dt, options)
+        times, trajectory, iterations = _integrate(
+            [systems[i] for i in members], t_stop, dt, options
+        )
         for m, index in enumerate(members):
-            columns = np.array([state[m] for state in states]).T
+            columns = trajectory[:, m]
             node_rows, branch_rows = probes[index]
             results[index] = TransientResult(
                 time=np.array(times),
                 voltages={
-                    n: columns[row].copy() if row >= 0 else np.zeros(len(times))
+                    n: columns[:, row].copy() if row >= 0 else np.zeros(len(times))
                     for n, row in node_rows.items()
                 },
-                branch_currents={s: columns[row].copy() for s, row in branch_rows.items()},
-                newton_iterations=iterations[m],
+                branch_currents={s: columns[:, row].copy() for s, row in branch_rows.items()},
+                newton_iterations=int(iterations[m]),
             )
     return results
 
@@ -150,44 +155,35 @@ def _probe_rows(system, nodes, currents) -> tuple[dict[str, int], dict[str, int]
 
 
 def _integrate(
-    ops: Sequence[OperatingPoint], t_stop: float, dt: float, options: TransientOptions
-) -> tuple[list[float], list[list[np.ndarray]], list[int]]:
-    """Step one group from its operating points to *t_stop*.
+    systems: Sequence[MnaSystem], t_stop: float, dt: float, options: TransientOptions
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Step one group of equal-shape systems from their operating points to *t_stop*.
 
-    Returns the recorded times, every member's solution at each of them and
-    each member's total Newton iterations.
+    Returns the recorded times, the members' solutions at each of them as one
+    ``(times, members, size)`` array and each member's total Newton iterations.
     """
-    systems = [op.system for op in ops]
-    ctxs = [
-        StampContext(
-            mode="tran", time=0.0, dt=dt, x_prev=op.x, method=options.method,
-            gmin=options.solver.gmin,
-        )
-        for op in ops
-    ]
-    xs = [op.x for op in ops]
-    iterations = [0] * len(ops)
+    plan = StampPlan([system.stamps for system in systems])
+    # Initial conditions: DC operating points at t = 0.
+    x = np.array([op.x for op in lockstep_operating_points(systems, plan, options.solver)])
+    ctx = StampContext(
+        mode="tran", time=0.0, dt=dt, x_prev=x, method=options.method,
+        gmin=options.solver.gmin,
+    )
+    iterations = np.zeros(len(systems), dtype=int)
     times = [0.0]
-    states = [list(xs)]
+    states = [x]
     t = 0.0
     num_steps = _step_count(t_stop, dt)
     grid = [step * dt for step in range(1, num_steps)] + [t_stop]
-    stack = StackedPlan([system.plan for system in systems]) if len(ops) > 1 else None
-    sources = None if stack is None else stack.source_terms(grid)
+    sources = plan.source_terms(grid)
 
     for step, t_target in enumerate(grid, start=1):
-        if stack is None:
-            xs[0], count = _advance(systems[0], ctxs[0], xs[0], t, t_target, options)
-            iterations[0] += count
-        else:
-            _advance_lockstep(
-                stack, systems, ctxs, xs, iterations, t, t_target, sources[step - 1], options
-            )
+        x = _advance(plan, systems, ctx, iterations, t, t_target, sources[step - 1], options)
         t = t_target
         if step % options.decimation == 0 or t >= t_stop:
             times.append(t)
-            states.append(list(xs))
-    return times, states, iterations
+            states.append(x)
+    return times, np.stack(states), iterations
 
 
 def _step_count(t_stop: float, dt: float) -> int:
@@ -203,61 +199,69 @@ def _step_count(t_stop: float, dt: float) -> int:
     return math.ceil(ratio)
 
 
-def _advance(system, ctx, x_prev, t_from, t_to, options) -> tuple[np.ndarray, int]:
-    """Advance the solution from *t_from* to *t_to*, refining on failure.
+def _advance(plan, systems, ctx, iterations, t_from, t_to, sources, options) -> np.ndarray:
+    """Advance every member of *plan* from *t_from* to *t_to*.
 
-    Returns the solution at *t_to* and the Newton iterations spent.
+    *ctx* holds the members' state at *t_from* and is left at *t_to*;
+    *sources* holds their source terms at *t_to*, and *iterations* gains the
+    Newton iterations each member spends.  Returns the solutions at *t_to*.
     """
-    stack = [(t_from, t_to, 0)]
-    x = x_prev
-    iterations = 0
-    while stack:
-        start, target, depth = stack.pop()
-        h = target - start
-        ctx.time = target
-        ctx.dt = h
-        ctx.x_prev = x
-        result = newton_solve(system, ctx, x, options.solver)
-        iterations += result.iterations
+    ctx.time = t_to
+    ctx.dt = t_to - t_from
+    result = lockstep_newton_solve(plan, ctx, ctx.x_prev, options.solver, sources)
+    iterations += result.iterations
+    previous = ctx.capacitor_currents
+    plan.commit(ctx)
+    for m in np.flatnonzero(~result.converged):
+        own = StampContext(
+            mode="tran", x_prev=ctx.x_prev[m], method=ctx.method, gmin=ctx.gmin,
+            capacitor_currents=_member_row(previous, m, plan),
+        )
+        result.x[m], count = _refine(systems[m], own, result.member(m), t_from, t_to, options)
+        iterations[m] += count
+        if own.capacitor_currents is not None:
+            _member_row(ctx.capacitor_currents, m, plan)[:] = own.capacitor_currents
+    ctx.x_prev = result.x
+    return result.x
+
+
+def _member_row(values: Optional[np.ndarray], m: int, plan: StampPlan) -> Optional[np.ndarray]:
+    """Member *m*'s slice of a flat per-capacitor array (None stays None)."""
+    return None if values is None else values.reshape(plan.members, -1)[m]
+
+
+def _refine(system, ctx, failed: SolveResult, t_from, t_to, options) -> tuple[np.ndarray, int]:
+    """Take one member's failed step alone, halving it until every piece converges.
+
+    *failed* is the member's failed solve of the whole step, already counted;
+    *ctx* is the member's own context at *t_from*, left at *t_to*.  Returns
+    the solution at *t_to* and the Newton iterations of the pieces.
+    """
+    x = ctx.x_prev
+    spent = 0
+    pending: list[tuple[float, float, int]] = []
+    start, target, depth, result = t_from, t_to, 0, failed
+    while True:
         if result.converged:
             system.plan.commit(ctx)
             x = result.x
-            continue
-        if depth >= options.max_step_refinements:
+        elif depth >= options.max_step_refinements:
             raise ConvergenceError(
                 f"transient step at t={target:.4e}s failed after "
                 f"{options.max_step_refinements} refinements",
                 iterations=result.iterations,
                 residual=result.max_delta,
             )
-        midpoint = start + h / 2.0
-        # Solve the two halves in order (stack is LIFO, push second half first).
-        stack.append((midpoint, target, depth + 1))
-        stack.append((start, midpoint, depth + 1))
-    return x, iterations
-
-
-def _advance_lockstep(
-    stack, systems, ctxs, xs, iterations, t_from, t_to, sources, options
-) -> None:
-    """Advance every member of *stack* from *t_from* to *t_to* in place.
-
-    *sources* holds the members' source terms at *t_to*.  A member whose lockstep
-    solve fails takes this step alone through :func:`_advance`, which repeats
-    that solve and then halves the step.
-    """
-    for ctx, x in zip(ctxs, xs):
-        ctx.time = t_to
-        ctx.dt = t_to - t_from
-        ctx.x_prev = x
-    solved, converged_at = lockstep_newton_solve(
-        stack, ctxs, np.array(xs), options.solver, sources
-    )
-    for m, (system, ctx) in enumerate(zip(systems, ctxs)):
-        if converged_at[m]:
-            ctx.x = xs[m] = solved[m]
-            system.plan.commit(ctx)
-            iterations[m] += int(converged_at[m])
         else:
-            xs[m], count = _advance(system, ctx, xs[m], t_from, t_to, options)
-            iterations[m] += count
+            midpoint = start + (target - start) / 2.0
+            # Solve the two halves in order (pending is LIFO, push the second half first).
+            pending.append((midpoint, target, depth + 1))
+            pending.append((start, midpoint, depth + 1))
+        if not pending:
+            return x, spent
+        start, target, depth = pending.pop()
+        ctx.time = target
+        ctx.dt = target - start
+        ctx.x_prev = x
+        result = newton_solve(system, ctx, x, options.solver)
+        spent += result.iterations

@@ -40,13 +40,15 @@ class StampContext:
         ``"dc"`` for operating-point / DC-sweep analyses (capacitors open),
         ``"tran"`` for transient analysis (capacitors use companion models).
     x:
-        Current Newton iterate of the full MNA solution vector.
+        Current Newton iterate of the full MNA solution vector (one row per
+        member, like ``x_prev``).
     time:
         Simulation time of the step being solved (seconds).
     dt:
         Time-step size (seconds); only meaningful in transient mode.
     x_prev:
-        Accepted solution of the previous time point (transient only).
+        Accepted solution of the previous time point (transient only); one
+        row per member when a stamp plan solves several circuits at once.
     method:
         Integration method, ``"backward_euler"`` or ``"trapezoidal"``.
     source_scale:
@@ -59,9 +61,9 @@ class StampContext:
         trapezoidal rule), keyed by element name, as read by
         :meth:`Element.stamp`.  Owned by the analysis.
     capacitor_currents:
-        The same trapezoidal capacitor currents as one array, in the order of
-        the stamp plan's ``capacitors``; written and read by the compiled
-        plan (:class:`repro.spice.analysis.mna.StampPlan`).
+        The same trapezoidal capacitor currents as one flat array, member by
+        member in the order of each circuit's compiled ``capacitors``; written
+        and read by the stamp plan (:class:`repro.spice.analysis.mna.StampPlan`).
     """
 
     mode: str = "dc"

@@ -25,14 +25,16 @@ from repro.spice import (
     transient,
     transient_sweep,
 )
-from repro.spice.analysis.mna import MnaSystem, StackedPlan
+from repro.spice.analysis.mna import MnaSystem, StampPlan
 from repro.spice.analysis.solver import lockstep_newton_solve, newton_solve
 from repro.spice.elements import Capacitor, Diode, Mosfet, StampContext, Stamper
 from repro.spice.errors import CircuitError
 
 #: The module, not the function the package exports under the same name.
 transient_module = importlib.import_module("repro.spice.analysis.transient")
-mna_module = importlib.import_module("repro.spice.analysis.mna")
+op_module = importlib.import_module("repro.spice.analysis.op")
+solver_module = importlib.import_module("repro.spice.analysis.solver")
+dc_sweep_module = importlib.import_module("repro.spice.analysis.dc_sweep")
 
 
 def _divider() -> Circuit:
@@ -41,6 +43,24 @@ def _divider() -> Circuit:
     c.add_resistor("r1", "a", "b", 1000.0)
     c.add_resistor("r2", "b", "0", 2000.0)
     return c
+
+
+def _diode_load(volts: float) -> Circuit:
+    """A diode fed through a resistor; damped Newton needs about
+    ``volts / max_step`` iterations to lift the supply node from zero."""
+    c = Circuit("diode-load")
+    c.add_voltage_source("v1", "a", "0", dc=volts)
+    c.add_resistor("r1", "a", "b", 1e3)
+    c.add_diode("d1", "b", "0", DiodeModel())
+    return c
+
+
+def _assert_same_outcome(got, want):
+    """Two solve results agree bit for bit."""
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.converged, got.iterations, got.max_delta) == (
+        want.converged, want.iterations, want.max_delta
+    )
 
 
 def _inverter(tech) -> Circuit:
@@ -113,39 +133,50 @@ CELL_FIXTURES = [
 ]
 
 
+def _assemble(plan, ctx, gmin, x):
+    """One assembly of *plan* at the rows of *x*, with the sources at the
+    context's time and source scale."""
+    sources = plan.source_terms([ctx.time], ctx.source_scale)[0]
+    return plan.assemble(plan.linear(ctx, gmin, sources), x)
+
+
+PLAN_MODES = (("dc", "backward_euler"), ("tran", "backward_euler"), ("tran", "trapezoidal"))
+
+
 class TestStampPlanParity:
-    """The compiled stamp plan assembles exactly the reference system."""
+    """The stamp plan assembles exactly the reference system, for a lone
+    circuit and for every member of a stack."""
 
     @pytest.mark.parametrize("gate_type,sequence,defect_site", CELL_FIXTURES)
     def test_plan_matches_element_stamps(self, tech, gate_type, sequence, defect_site):
         circuit = _cell_fixture(tech, gate_type, sequence, defect_site)
         system = MnaSystem(circuit)
         plan = system.plan
+        capacitors = system.stamps.capacitors
         rng = np.random.default_rng(7)
         mosfets = [el for el in circuit if isinstance(el, Mosfet)]
         diodes = [el for el in circuit if isinstance(el, Diode)]
-        capacitors = [el for el in circuit if isinstance(el, Capacitor)]
-        assert any(c.capacitance == 0.0 for c in capacitors)
-        assert [c.capacitance != 0.0 for c in capacitors].count(True) == len(plan.capacitors)
+        all_capacitors = [el for el in circuit if isinstance(el, Capacitor)]
+        assert any(c.capacitance == 0.0 for c in all_capacitors)
+        assert [c.capacitance != 0.0 for c in all_capacitors].count(True) == len(capacitors)
         reversed_seen, regions_seen = set(), set()
-        modes = (("dc", "backward_euler"), ("tran", "backward_euler"), ("tran", "trapezoidal"))
         for trial in range(6):
             x = rng.uniform(-1.5, tech.vdd + 2.5, system.size)
             x_prev = rng.uniform(-0.5, tech.vdd + 0.5, system.size)
-            currents = rng.normal(scale=1e-4, size=len(plan.capacitors))
-            state = {c.name: {"current": i} for c, i in zip(plan.capacitors, currents)}
+            currents = rng.normal(scale=1e-4, size=len(capacitors))
+            state = {c.name: {"current": i} for c, i in zip(capacitors, currents)}
             for (mode, method), gmin, scale, previous in itertools.product(
-                modes, (0.0, 1e-12, 1e-3), (1.0, 0.35), (x_prev, None)
+                PLAN_MODES, (0.0, 1e-12, 1e-3), (1.0, 0.35), (x_prev, None)
             ):
                 ctx = StampContext(
                     mode=mode, x=x, time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
                     x_prev=previous, method=method, source_scale=scale, gmin=gmin,
                     state=state, capacitor_currents=currents,
                 )
-                matrix, rhs = plan.assemble(plan.linear(ctx, gmin), x)
+                matrices, rhs = _assemble(plan, ctx, gmin, x[None])
                 ref_matrix, ref_rhs = _reference_system(system, ctx, gmin)
-                np.testing.assert_allclose(matrix, ref_matrix, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(matrices[0], ref_matrix, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(rhs[0], ref_rhs, rtol=1e-12, atol=0)
             for m in mosfets:
                 reversed_seen.add(m.evaluate(*(system.voltage(x, n) for n in m.nodes)).reversed)
             for d in diodes:
@@ -157,41 +188,51 @@ class TestStampPlanParity:
 
     @pytest.mark.parametrize("gate_type,sequence,defect_site", CELL_FIXTURES)
     def test_stacked_plan_matches_member_plans(self, tech, gate_type, sequence, defect_site):
-        """Each member's stacked matrix and RHS equal its own plan's exactly."""
-        systems = [
-            MnaSystem(_cell_fixture(tech, gate_type, sequence, defect_site)) for _ in range(3)
-        ]
-        plans = [system.plan for system in systems]
-        stack = StackedPlan(plans)
-        size = systems[0].size
+        """Row m of a stack's matrices, RHS and trapezoidal commit equals
+        member m's own one-member plan exactly, scaled sources included."""
+        systems = []
+        for m in range(3):
+            circuit = _cell_fixture(tech, gate_type, sequence, defect_site)
+            circuit["iprobe"].dc = 1e-6 * (m - 1.3)
+            systems.append(MnaSystem(circuit))
+        members, size = len(systems), systems[0].size
+        plan = StampPlan([system.stamps for system in systems])
+        caps = len(systems[0].stamps.capacitors)
         rng = np.random.default_rng(3)
-        modes = (("dc", "backward_euler"), ("tran", "backward_euler"), ("tran", "trapezoidal"))
         for trial in range(4):
-            x = rng.uniform(-1.5, tech.vdd + 2.5, (len(plans), size))
-            x_prev = rng.uniform(-0.5, tech.vdd + 0.5, (len(plans), size))
-            currents = rng.normal(scale=1e-4, size=(len(plans), len(plans[0].capacitors)))
-            for (mode, method), gmin in itertools.product(modes, (1e-12, 1e-3)):
-                ctxs = [
-                    StampContext(
-                        mode=mode, x=x[m], time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
-                        x_prev=x_prev[m], method=method, gmin=gmin,
-                        capacitor_currents=currents[m],
+            x = rng.uniform(-1.5, tech.vdd + 2.5, (members, size))
+            x_prev = rng.uniform(-0.5, tech.vdd + 0.5, (members, size))
+            currents = rng.normal(scale=1e-4, size=(members, caps))
+            for (mode, method), gmin, scale, previous in itertools.product(
+                PLAN_MODES, (1e-12, 1e-3), (1.0, 0.35), (x_prev, None)
+            ):
+                fields = dict(
+                    mode=mode, time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
+                    method=method, source_scale=scale, gmin=gmin,
+                )
+                ctx = StampContext(
+                    x=x, x_prev=previous, capacitor_currents=currents.ravel(), **fields
+                )
+                matrices, rhs = _assemble(plan, ctx, gmin, x)
+                plan.commit(ctx)
+                committed = ctx.capacitor_currents.reshape(members, caps)
+                for m, system in enumerate(systems):
+                    own = StampContext(
+                        x=x[m], x_prev=None if previous is None else previous[m],
+                        capacitor_currents=currents[m], **fields,
                     )
-                    for m in range(len(plans))
-                ]
-                sources = stack.source_terms([ctxs[0].time])[0]
-                matrices, rhs = stack.assemble(stack.linear(ctxs, gmin, sources), x)
-                for m, (plan, ctx) in enumerate(zip(plans, ctxs)):
-                    want_matrix, want_rhs = plan.assemble(plan.linear(ctx, gmin), x[m])
-                    np.testing.assert_array_equal(matrices[m], want_matrix)
-                    np.testing.assert_array_equal(rhs[m], want_rhs)
+                    want_matrix, want_rhs = _assemble(system.plan, own, gmin, x[m][None])
+                    np.testing.assert_array_equal(matrices[m], want_matrix[0])
+                    np.testing.assert_array_equal(rhs[m], want_rhs[0])
+                    system.plan.commit(own)
+                    assert committed[m].tobytes() == own.capacitor_currents.tobytes()
 
     def test_stacked_plan_rejects_mixed_shapes(self, tech):
-        clean = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), None)).plan
-        defective = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), "NA")).plan
+        clean = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), None)).stamps
+        defective = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), "NA")).stamps
         assert clean.shape != defective.shape
         with pytest.raises(CircuitError):
-            StackedPlan([clean, defective])
+            StampPlan([clean, defective])
 
     def test_trapezoidal_commit_stores_capacitor_currents(self):
         c = Circuit("rc")
@@ -264,8 +305,6 @@ class TestOperatingPoint:
     def test_gmin_stepping_discards_non_finite_rung(self, monkeypatch):
         """Regression: a rung that diverges to NaN must not poison the next
         rung's starting point (and the dead converged-branch is gone)."""
-        from repro.spice.analysis import solver as solver_module
-
         system = MnaSystem(_divider())
         ctx = StampContext(mode="dc", gmin=1e-12)
         real_newton = solver_module.newton_solve
@@ -289,8 +328,51 @@ class TestOperatingPoint:
         # The rung after the poisoned one restarted from finite values.
         assert all(np.all(np.isfinite(x0)) for x0 in starts[2:])
 
+    def test_lockstep_operating_points_equal_each_circuit_own(self, monkeypatch):
+        """The group's plain solve leaves the 12 V member unconverged; it alone
+        goes on to gmin stepping, and every member matches its own solve."""
+        options = SolverOptions(max_iterations=10)
+        circuits = [_diode_load(volts) for volts in (0.7, 3.0, 12.0, 1.5)]
+        systems = [MnaSystem(circuit) for circuit in circuits]
+        plan = StampPlan([system.stamps for system in systems])
+        stepped = []
+        stepping = op_module.stepping_solve
+
+        def spying_stepping(system, *args):
+            stepped.append(system)
+            return stepping(system, *args)
+
+        monkeypatch.setattr(op_module, "stepping_solve", spying_stepping)
+        got = op_module.lockstep_operating_points(systems, plan, options)
+        assert stepped == [systems[2]]
+        monkeypatch.undo()
+        for circuit, result in zip(circuits, got):
+            want = operating_point(circuit, options=options)
+            assert result.converged
+            assert result.x.tobytes() == want.x.tobytes()
+            assert result.iterations == want.iterations
+
 
 class TestDcSweep:
+    def test_failed_point_solves_plain_newton_once(self, monkeypatch):
+        """robust_solve starts with the plain solve; the sweep does not run it
+        a second time before that."""
+        options = SolverOptions(max_iterations=10)
+        solve = solver_module.newton_solve
+        plain = []
+
+        def spying_solve(system, ctx, x0, solver_options=None):
+            result = solve(system, ctx, x0, solver_options)
+            if ctx.gmin == options.gmin and ctx.source_scale == 1.0 and not np.any(x0):
+                plain.append(result.converged)
+            return result
+
+        monkeypatch.setattr(solver_module, "newton_solve", spying_solve)
+        monkeypatch.setattr(dc_sweep_module, "newton_solve", spying_solve, raising=False)
+        result = dc_sweep(_diode_load(0.0), "v1", [12.0], options=options)
+        assert plain == [False]
+        assert result.voltages["b"][0] == pytest.approx(0.717, abs=1e-3)
+
     def test_inverter_vtc_monotone_decreasing(self, tech):
         c = _inverter(tech)
         result = dc_sweep(c, "vin", np.linspace(0.0, tech.vdd, 23), record_nodes=["out"])
@@ -429,6 +511,34 @@ def _table1_circuits(tech, entries=TABLE1_ENTRIES):
     return circuits, harness.t_stop
 
 
+def _stepped_reference(circuit, t_stop, dt, options):
+    """Every solution of *circuit* and its Newton count, stepped one
+    ``newton_solve`` at a time on its own plan and halving a failed step: the
+    per-circuit loop that a lockstep group must reproduce member by member."""
+    op = operating_point(circuit, options=options.solver)
+    system = op.system
+    ctx = StampContext(mode="tran", method=options.method, gmin=options.solver.gmin)
+    x, t, count, states = op.x, 0.0, 0, [op.x]
+    steps = transient_module._step_count(t_stop, dt)
+    for target in [k * dt for k in range(1, steps)] + [t_stop]:
+        pending = [(t, target, 0)]
+        while pending:
+            start, end, depth = pending.pop()
+            ctx.time, ctx.dt, ctx.x_prev = end, end - start, x
+            result = newton_solve(system, ctx, x, options.solver)
+            count += result.iterations
+            if result.converged:
+                system.plan.commit(ctx)
+                x = result.x
+            else:
+                assert depth < options.max_step_refinements
+                middle = start + (end - start) / 2.0
+                pending += [(middle, end, depth + 1), (start, middle, depth + 1)]
+        t = target
+        states.append(x)
+    return np.array(states), count
+
+
 class TestLockstepTransient:
     """``transient_sweep`` reproduces each circuit's own ``transient`` exactly."""
 
@@ -448,7 +558,7 @@ class TestLockstepTransient:
 
     def test_table1_harnesses(self, tech):
         circuits, t_stop = _table1_circuits(tech)
-        assert len({MnaSystem(c).plan.shape for c in circuits}) == 1
+        assert len({MnaSystem(c).stamps.shape for c in circuits}) == 1
         self._assert_matches_solo(circuits, t_stop)
 
     def test_fault_free_and_defective_mixed(self, tech):
@@ -457,7 +567,7 @@ class TestLockstepTransient:
             (PMOS_SEQUENCES[1], None, None), *TABLE1_ENTRIES[4:],
         ]
         circuits, t_stop = _table1_circuits(tech, entries)
-        shapes = [MnaSystem(c).plan.shape for c in circuits]
+        shapes = [MnaSystem(c).stamps.shape for c in circuits]
         assert len(set(shapes)) == 2 and shapes[0] != shapes[1]
         self._assert_matches_solo(circuits, t_stop)
 
@@ -465,24 +575,40 @@ class TestLockstepTransient:
         circuits, t_stop = _table1_circuits(tech)
         self._assert_matches_solo(circuits, t_stop, TransientOptions(method="trapezoidal"))
 
-    def test_failed_members_refine_inside_a_live_group(self, tech, monkeypatch):
-        """A 4-iteration limit makes some members halve steps mid-sweep."""
+    @pytest.mark.parametrize("method", ["backward_euler", "trapezoidal"])
+    def test_failed_members_refine_inside_a_live_group(self, tech, monkeypatch, method):
+        """A 4-iteration limit makes some members fail a step that the rest of
+        their group passes; they halve it alone, on their own plans, and carry
+        their trapezoidal state back into the group."""
         circuits, t_stop = _table1_circuits(tech)
-        failed = []
-        solve = transient_module.newton_solve
+        partial_failures, solo_solves = [], []
+        lockstep, solve = transient_module.lockstep_newton_solve, transient_module.newton_solve
 
-        def counting_solve(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            failed.append(not result.converged)
+        def spying_lockstep(plan, *args):
+            result = lockstep(plan, *args)
+            partial_failures.append(0 < np.count_nonzero(~result.converged) < plan.members)
             return result
 
-        monkeypatch.setattr(transient_module, "newton_solve", counting_solve)
-        options = TransientOptions(solver=SolverOptions(max_iterations=4))
+        def spying_solve(system, *args):
+            solo_solves.append(system.plan.members)
+            return solve(system, *args)
+
+        monkeypatch.setattr(transient_module, "lockstep_newton_solve", spying_lockstep)
+        monkeypatch.setattr(transient_module, "newton_solve", spying_solve)
+        options = TransientOptions(method=method, solver=SolverOptions(max_iterations=4))
         swept = transient_sweep(circuits, t_stop, 6e-12, options=options)
-        # Only a member that failed its lockstep solve runs the scalar solver.
-        assert any(failed)
+        assert any(partial_failures)
+        assert solo_solves and set(solo_solves) == {1}
         monkeypatch.undo()
         self._assert_matches_solo(circuits, t_stop, options, swept)
+        # Each failed member counts its failed lockstep solve once, as a
+        # circuit stepped on its own counts its first attempt at the step.
+        for circuit, got in zip(circuits, swept):
+            states, count = _stepped_reference(circuit, t_stop, 6e-12, options)
+            assert got.newton_iterations == count
+            system = MnaSystem(circuit)
+            for node, values in got.voltages.items():
+                assert values.tobytes() == states[:, system.node_index(node)].tobytes()
 
     def test_empty_sweep(self):
         assert transient_sweep([], 1e-9, 1e-11) == []
@@ -499,26 +625,27 @@ class TestLockstepTransient:
             return c
 
         circuits = [driven(0.1e-9, 2e-6), driven(0.15e-9, 0.0), driven(0.2e-9, -5e-6)]
-        assert len({MnaSystem(c).plan.shape for c in circuits}) == 1
+        assert len({MnaSystem(c).stamps.shape for c in circuits}) == 1
         self._assert_matches_solo(circuits, 0.6e-9)
 
     def test_companion_terms_built_once_per_step_size(self, tech, monkeypatch):
         """The step t_to - t_from takes a few last-place values along the grid;
-        each (step, method) pair builds its companion terms once."""
+        each (step, method) pair builds its companion terms once, on the
+        group's plan."""
         builds = []
-        build = mna_module._CompanionCache._build_companion
+        build = StampPlan._build_companion
 
-        def counting_build(cache, dt, method):
-            builds.append((type(cache).__name__, dt, method))
-            return build(cache, dt, method)
+        def counting_build(plan, dt, method):
+            builds.append((plan.members, dt, method))
+            return build(plan, dt, method)
 
-        monkeypatch.setattr(mna_module._CompanionCache, "_build_companion", counting_build)
+        monkeypatch.setattr(StampPlan, "_build_companion", counting_build)
         circuits, t_stop = _table1_circuits(tech)
         (result, *_) = transient_sweep(circuits, t_stop, 6e-12)
         steps = set(np.diff(result.time).tolist())
-        assert 1 < len(steps) <= mna_module._CompanionCache.COMPANION_ENTRIES
+        assert 1 < len(steps) <= StampPlan.COMPANION_ENTRIES
         assert sorted(builds) == sorted(
-            ("StackedPlan", step, "backward_euler") for step in steps
+            (len(circuits), step, "backward_euler") for step in steps
         )
 
 
@@ -598,18 +725,40 @@ class TestSolverRobustness:
         options = SolverOptions(gmin=0.0)
         systems = [MnaSystem(floating(volts)) for volts in (0.7, 1.2, 3.0)]
         x0 = np.zeros((len(systems), systems[0].size))
-        plan = systems[0].plan
+        matrices, rhs = _assemble(systems[0].plan, StampContext(gmin=0.0), 0.0, x0[:1])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(*plan.assemble(plan.linear(StampContext(gmin=0.0), 0.0), x0[0]))
-        stack = StackedPlan([system.plan for system in systems])
-        x, converged_at = lockstep_newton_solve(
-            stack, [StampContext(mode="dc", gmin=0.0) for _ in systems], x0, options,
-            stack.source_terms([0.0])[0],
+            np.linalg.solve(matrices[0], rhs[0])
+        plan = StampPlan([system.stamps for system in systems])
+        result = lockstep_newton_solve(
+            plan, StampContext(mode="dc", gmin=0.0), x0, options, plan.source_terms([0.0])[0]
         )
         for m, system in enumerate(systems):
             alone = newton_solve(system, StampContext(mode="dc", gmin=0.0), x0[m], options)
-            assert alone.converged and converged_at[m] == alone.iterations
-            assert x[m].tobytes() == alone.x.tobytes()
+            assert alone.converged
+            _assert_same_outcome(result.member(m), alone)
+
+    def test_lockstep_failures_report_their_solo_outcome(self):
+        """Members that run out of iterations report what their own solve
+        does: the iteration limit, the last iterate and its node change."""
+        options = SolverOptions(max_iterations=8)
+        systems = [MnaSystem(_diode_load(volts)) for volts in (0.7, 3.0, 6.0, 12.0)]
+        x0 = np.zeros((len(systems), systems[0].size))
+        plan = StampPlan([system.stamps for system in systems])
+        sources = plan.source_terms([0.0])[0]
+        result = lockstep_newton_solve(plan, StampContext(mode="dc"), x0, options, sources)
+        assert 0 < np.count_nonzero(result.converged) < len(systems)
+        for m, system in enumerate(systems):
+            alone = newton_solve(system, StampContext(mode="dc"), x0[m], options)
+            _assert_same_outcome(result.member(m), alone)
+            assert alone.converged or alone.iterations == options.max_iterations
+        # The last change is the full Newton step from the iterate before it.
+        before = lockstep_newton_solve(
+            plan, StampContext(mode="dc"), x0, SolverOptions(max_iterations=7), sources
+        )
+        matrices, rhs = _assemble(plan, StampContext(mode="dc"), options.gmin, before.x)
+        steps = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0] - before.x
+        for m in np.flatnonzero(~result.converged):
+            assert result.max_delta[m] == np.abs(steps[m, : plan.num_nodes]).max()
 
     @pytest.mark.parametrize(
         "field,value",
