@@ -23,10 +23,6 @@ class CoverageReport:
     proven_static: int = 0
 
     @property
-    def undetected(self) -> int:
-        return self.total_faults - self.detected
-
-    @property
     def coverage(self) -> float:
         """Detected / total (raw fault coverage)."""
         if self.total_faults == 0:

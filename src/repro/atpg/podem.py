@@ -32,9 +32,9 @@ from typing import Mapping, Optional
 
 from ..analysis_static.analysis import circuit_analysis
 from ..faults.stuck_at import StuckAtFault
-from ..logic.gates import GateType, ternary_table
+from ..logic.gates import GateType, controlling_value, ternary_table
 from ..logic.netlist import LogicCircuit
-from .values import LogicValue, from_bit, noncontrolling_value
+from .values import LogicValue, from_bit
 
 #: The nine (good, faulty) pairs over 0/1/unknown.  The search carries each
 #: net's value as its index here, its *pair code* ``good * 3 + faulty`` with
@@ -276,8 +276,9 @@ class _PodemEngine:
                 gate = frontier[0] - self.index.n_inputs
                 for net in self.index.gate_inputs[gate]:
                     if _GOOD[values[net]] is None:
-                        value = noncontrolling_value(self.index.order[gate].gate_type)
-                        return net, value if value is not None else 1
+                        # The non-controlling value; 1 where the gate has none.
+                        control = controlling_value(self.index.order[gate].gate_type)
+                        return net, 1 - control if control is not None else 1
         return None
 
     def backtrace(self, net: int, value: int) -> tuple[int, int]:

@@ -120,16 +120,3 @@ def evaluate_gate_values(gate_type: GateType | str, inputs: Sequence[LogicValue]
     faulty = _evaluate_three_valued(gate_type, [v.faulty for v in inputs])
     return LogicValue(good, faulty)
 
-
-def noncontrolling_value(gate_type: GateType | str) -> Bit:
-    """Non-controlling input value of a gate (None for XOR-type gates)."""
-    gate_type = GateType(gate_type)
-    if gate_type in (GateType.AND2, GateType.AND3, GateType.NAND2, GateType.NAND3):
-        return 1
-    if gate_type in (GateType.OR2, GateType.OR3, GateType.NOR2, GateType.NOR3):
-        return 0
-    if gate_type in (GateType.INV, GateType.BUF):
-        return 1
-    # Complex / XOR gates: no single non-controlling value.
-    return None
-

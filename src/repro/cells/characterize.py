@@ -11,10 +11,10 @@ circuit before simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..analysis.delay import TransitionMeasurement, measure_transition
-from ..spice.analysis.transient import TransientOptions, TransientResult, transient_sweep
+from ..spice.analysis.transient import TransientResult, transient_sweep
 from .fixtures import GateHarness
 
 #: Callback applied to a harness before simulation (e.g. defect injection).
@@ -39,37 +39,31 @@ class HarnessCharacterization:
         return self.measurement.classification
 
 
-def _recorded_nodes(harness: GateHarness, extra_nodes: Iterable[str]) -> tuple[str, ...]:
-    """The DUT inputs and output, the load nodes and any *extra_nodes*, sorted."""
+def _recorded_nodes(harness: GateHarness) -> tuple[str, ...]:
+    """The DUT inputs and output and the load nodes, sorted."""
     record = set(harness.input_nodes.values())
     record.add(harness.output_node)
     record.update(harness.load_nodes)
-    record.update(extra_nodes)
     return tuple(sorted(record))
 
 
 def simulate_harnesses(
-    harnesses: Sequence[GateHarness],
-    dt: float = 2e-12,
-    extra_nodes: Iterable[str] = (),
-    options: TransientOptions | None = None,
+    harnesses: Sequence[GateHarness], dt: float = 2e-12
 ) -> list[TransientResult]:
     """Run the transient simulation of every harness, in input order.
 
-    Records the DUT inputs, the DUT output, the load nodes and any extra
-    nodes the caller asks for (e.g. the internal breakdown node).  Harnesses
+    Records the DUT inputs, the DUT output and the load nodes.  Harnesses
     with the same stop time and recorded nodes share one
     :func:`~repro.spice.analysis.transient.transient_sweep`.
     """
-    extra_nodes = tuple(extra_nodes)
     sweeps: dict[tuple, list[int]] = {}
     for index, harness in enumerate(harnesses):
-        key = (harness.t_stop, _recorded_nodes(harness, extra_nodes))
+        key = (harness.t_stop, _recorded_nodes(harness))
         sweeps.setdefault(key, []).append(index)
     results: list[Optional[TransientResult]] = [None] * len(harnesses)
     for (t_stop, record), members in sweeps.items():
         circuits = [harnesses[i].circuit for i in members]
-        runs = transient_sweep(circuits, t_stop=t_stop, dt=dt, options=options, record_nodes=record)
+        runs = transient_sweep(circuits, t_stop=t_stop, dt=dt, record_nodes=record)
         for index, result in zip(members, runs):
             results[index] = result
     return results
@@ -115,11 +109,9 @@ def characterize_harnesses(
     harnesses: Sequence[GateHarness],
     dt: float = 2e-12,
     capture_window: Optional[float] = None,
-    extra_nodes: Iterable[str] = (),
-    options: TransientOptions | None = None,
 ) -> list[HarnessCharacterization]:
     """Simulate and measure every (already prepared) harness, in input order."""
-    results = simulate_harnesses(harnesses, dt=dt, extra_nodes=extra_nodes, options=options)
+    results = simulate_harnesses(harnesses, dt=dt)
     return [
         _characterization(harness, result, capture_window)
         for harness, result in zip(harnesses, results)
@@ -131,16 +123,11 @@ def characterize_harness(
     prepare: HarnessPreparer | None = None,
     dt: float = 2e-12,
     capture_window: Optional[float] = None,
-    extra_nodes: Iterable[str] = (),
-    options: TransientOptions | None = None,
 ) -> HarnessCharacterization:
     """Prepare (optionally inject a defect), simulate and measure a harness."""
     if prepare is not None:
         prepare(harness)
-    return characterize_harnesses(
-        [harness], dt=dt, capture_window=capture_window, extra_nodes=extra_nodes,
-        options=options,
-    )[0]
+    return characterize_harnesses([harness], dt=dt, capture_window=capture_window)[0]
 
 
 def _characterization(

@@ -9,7 +9,7 @@ technology instance, so experiments can explore other operating points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..spice.elements import MosfetModel
 
@@ -72,21 +72,6 @@ class Technology:
         if bit not in (0, 1):
             raise ValueError(f"logic level must be 0 or 1, got {bit}")
         return self.vdd if bit else 0.0
-
-    def scaled(self, width_scale: float, name: str | None = None) -> "Technology":
-        """Copy of the technology with all default widths scaled."""
-        if width_scale <= 0.0:
-            raise ValueError("width_scale must be > 0")
-        return replace(
-            self,
-            name=name or f"{self.name}-x{width_scale:g}",
-            nmos_width=self.nmos_width * width_scale,
-            pmos_width=self.pmos_width * width_scale,
-        )
-
-    def with_supply(self, vdd: float) -> "Technology":
-        """Copy of the technology with a different supply voltage."""
-        return replace(self, vdd=vdd, name=f"{self.name}-{vdd:g}V")
 
 
 def default_technology() -> Technology:

@@ -66,10 +66,6 @@ class OBDDefect:
             return self.parameters
         return stage_parameters(self.polarity, self.stage)
 
-    def at_stage(self, stage: BreakdownStage) -> "OBDDefect":
-        """Copy of the defect at a different progression stage."""
-        return replace(self, stage=stage, parameters=None)
-
     def in_gate(self, gate: str) -> "OBDDefect":
         """Copy of the defect bound to a specific gate instance."""
         return replace(self, gate=gate)

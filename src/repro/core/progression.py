@@ -143,15 +143,6 @@ class ProgressionModel:
             raise ValueError("detection window is empty (last_safe precedes first_detectable)")
         return start, end
 
-    def window_fraction(
-        self,
-        first_detectable: BreakdownStage = BreakdownStage.MBD1,
-        last_safe: BreakdownStage = BreakdownStage.HBD,
-    ) -> float:
-        """Detection window length as a fraction of the full SBD-to-HBD time."""
-        start, end = self.detection_window(first_detectable, last_safe)
-        return (end - start) / self.time_to_hbd
-
 
 def _safe_log_fraction(start: float, stop: float, value: float) -> float:
     """Fraction f in [0, 1] with value = exp(log(start) + f*(log(stop)-log(start)))."""

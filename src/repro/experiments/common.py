@@ -104,8 +104,3 @@ def measure_gate_obd_delay(
         gate_type, [(sequence, site, stage)], tech=tech, dt=dt,
         capture_window=capture_window, observation_window=observation_window,
     )[0]
-
-
-def picoseconds(delay: Optional[float]) -> Optional[float]:
-    """Convert seconds to picoseconds (None-preserving)."""
-    return None if delay is None else delay * 1e12

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from ..cells.builder import pin_names
 from ..core.breakdown import BreakdownStage
 from ..core.defect import OBDDefect
 from ..core.excitation import Sequence2, excitation_conditions
-from ..logic.expand import enumerate_obd_sites
+from ..logic.expand import EXPANDABLE_TYPES
 from ..logic.gates import GateType
 from ..logic.netlist import LogicCircuit
 from .base import Fault, FaultList
@@ -69,13 +70,22 @@ def obd_fault_universe(
     circuit: LogicCircuit,
     gate_types: Iterable[GateType | str] | None = None,
 ) -> FaultList[ObdFault]:
-    """All OBD faults of a gate-level netlist.
+    """All OBD faults of a gate-level netlist: one per transistor site.
 
-    ``gate_types`` restricts the universe (the paper's Section 4.3 counts
-    only the NAND gates of the full-adder example: 14 gates x 4 transistors
-    = 56 faults).
+    Every expandable gate contributes ``2 * num_inputs`` faults, an NMOS and
+    a PMOS site per input pin.  ``gate_types`` restricts the universe (the
+    paper's Section 4.3 counts only the NAND gates of the full-adder example:
+    14 gates x 4 transistors = 56 faults); a gate of a requested type that
+    has no transistor-level cell raises :class:`ValueError`.
     """
+    wanted = set(EXPANDABLE_TYPES) if gate_types is None else {GateType(t) for t in gate_types}
     faults = []
-    for site in enumerate_obd_sites(circuit, gate_types=gate_types):
-        faults.append(ObdFault(site.gate_name, site.gate_type, site.site))
+    for gate in circuit:
+        if gate.gate_type not in wanted:
+            continue
+        if gate.gate_type not in EXPANDABLE_TYPES:
+            raise ValueError(f"gate {gate.name!r} of type {gate.gate_type.value} is not expandable")
+        for pin in pin_names(gate.gate_type.num_inputs):
+            faults.append(ObdFault(gate.name, gate.gate_type, f"N{pin}"))
+            faults.append(ObdFault(gate.name, gate.gate_type, f"P{pin}"))
     return FaultList(faults)

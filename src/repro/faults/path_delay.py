@@ -50,8 +50,10 @@ def _structural_paths(
 ) -> list[tuple[str, ...]]:
     """Input-to-output net paths, walked back depth first from each output.
 
-    The walk stops once *limit* paths are found, which guards against the
-    exponential path count of larger netlists.
+    Each distinct fan-in net of a gate is walked once, in pin order, so a
+    net read on two pins of one gate yields its paths once.  The walk stops
+    once *limit* paths are found, which guards against the exponential path
+    count of larger netlists.
     """
     paths: list[tuple[str, ...]] = []
 
@@ -62,7 +64,7 @@ def _structural_paths(
         if driver is None:
             paths.append((net,) + suffix)
             return
-        for source in driver.inputs:
+        for source in dict.fromkeys(driver.inputs):
             walk(source, (net,) + suffix)
 
     for out in [output] if output is not None else circuit.primary_outputs:

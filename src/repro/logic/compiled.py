@@ -621,9 +621,8 @@ def iter_bits(word: int) -> Iterator[int]:
 # Arrays use the explicit little-endian dtype "<u8" with bit i of element j
 # holding pattern ``j * 64 + i`` of the block, so an array's byte stream is
 # exactly the little-endian byte stream of the equivalent big-int word --
-# int_to_words / words_to_int convert by reinterpreting bytes, never by
-# shifting, and the two backends' detection words are bit-identical by
-# construction.
+# words_to_int converts by reinterpreting bytes, never by shifting, and the
+# two backends' detection words are bit-identical by construction.
 
 #: Little-endian uint64, the element dtype of every numpy-backend word array.
 WORD_DTYPE = "<u8"
@@ -634,15 +633,8 @@ def num_words_for(mask_bits: int) -> int:
     return max(1, (mask_bits + 63) >> 6)
 
 
-def int_to_words(word: int, num_words: int) -> "Any":
-    """Big-int packed word -> little-endian ``(num_words,)`` uint64 array."""
-    return _np.frombuffer(
-        word.to_bytes(num_words * 8, "little"), dtype=WORD_DTYPE
-    ).copy()
-
-
 def words_to_int(words: "Any") -> int:
-    """Inverse of :func:`int_to_words`."""
+    """Little-endian uint64 word array -> big-int packed word."""
     return int.from_bytes(_np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(), "little")
 
 

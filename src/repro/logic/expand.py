@@ -1,20 +1,15 @@
-"""Gate-level to transistor-level expansion and defect-site enumeration.
+"""Gate-level to transistor-level expansion.
 
-Two jobs:
-
-* :func:`enumerate_obd_sites` lists every transistor-level OBD defect site of
-  a gate-level netlist (the "56 distinct locations for OBD defects in the 14
-  NAND gates" of Section 4.3).
-* :func:`expand_to_transistors` builds the full transistor-level SPICE
-  circuit of a gate-level netlist, returning the cell instances so that
-  defects can be injected into any of those sites for the Figure-9 style
-  full-circuit simulations.
+:func:`expand_to_transistors` builds the full transistor-level SPICE circuit
+of a gate-level netlist, returning the cell instances so that OBD defects
+(the sites of :func:`repro.faults.obd.obd_fault_universe`) can be injected
+into any of them for the Figure-9 style full-circuit simulations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..spice.elements import PiecewiseLinearWaveform
 from ..spice.netlist import Circuit
@@ -24,7 +19,6 @@ from .netlist import LogicCircuit
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cells/core import logic)
     from ..cells.builder import CellInstance
     from ..cells.technology import Technology
-    from ..core.defect import OBDDefect
 
 #: Gate types that have a direct transistor-level cell implementation.
 EXPANDABLE_TYPES = {
@@ -36,53 +30,6 @@ EXPANDABLE_TYPES = {
     GateType.AOI21: "AOI21",
     GateType.OAI21: "OAI21",
 }
-
-
-@dataclass(frozen=True)
-class GateDefectSite:
-    """One OBD defect site of a gate-level netlist."""
-
-    gate_name: str
-    gate_type: GateType
-    site: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.gate_name}/{self.site}"
-
-    def as_defect(self, stage) -> "OBDDefect":
-        """Build the :class:`OBDDefect` for this site at the given stage."""
-        from ..core.defect import OBDDefect
-
-        return OBDDefect(site=self.site, stage=stage, gate=self.gate_name)
-
-
-def enumerate_obd_sites(
-    circuit: LogicCircuit,
-    gate_types: Iterable[GateType | str] | None = None,
-) -> list[GateDefectSite]:
-    """All transistor-level OBD defect sites of the netlist.
-
-    ``gate_types`` restricts the enumeration (the paper counts only the NAND
-    gates of its example); by default every expandable gate contributes
-    ``2 * num_inputs`` sites.
-    """
-    from ..cells.builder import pin_names
-
-    if gate_types is not None:
-        wanted = {GateType(t) for t in gate_types}
-    else:
-        wanted = set(EXPANDABLE_TYPES)
-    sites: list[GateDefectSite] = []
-    for gate in circuit:
-        if gate.gate_type not in wanted:
-            continue
-        if gate.gate_type not in EXPANDABLE_TYPES:
-            raise ValueError(f"gate {gate.name!r} of type {gate.gate_type.value} is not expandable")
-        for pin in pin_names(gate.gate_type.num_inputs):
-            sites.append(GateDefectSite(gate.name, gate.gate_type, f"N{pin}"))
-            sites.append(GateDefectSite(gate.name, gate.gate_type, f"P{pin}"))
-    return sites
 
 
 @dataclass

@@ -357,19 +357,6 @@ class LogicCircuit:
     # ------------------------------------------------------------------ #
     # Cones.
     # ------------------------------------------------------------------ #
-    def fanin_cone(self, net: str) -> set[str]:
-        """All nets in the transitive fan-in of *net* (including itself)."""
-        cone: set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            if current in cone:
-                continue
-            cone.add(current)
-            driver = self.driver_of(current)
-            if driver is not None:
-                stack.extend(driver.inputs)
-        return cone
 
     def fanout_cone(self, net: str) -> set[str]:
         """All nets in the transitive fan-out of *net* (including itself).

@@ -177,16 +177,8 @@ class ResultCache:
         return path
 
     # ------------------------------------------------------------------ #
-    # Invalidation and reporting.
+    # Clearing and reporting.
     # ------------------------------------------------------------------ #
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; True when it existed."""
-        existed = self._entry_path(key).exists()
-        self._entry_path(key).unlink(missing_ok=True)
-        if existed:
-            self.stats.invalidations += 1
-        return existed
-
     def _entry_files(self) -> list[Path]:
         directory = Path(self.directory)
         return sorted(directory.glob("*.json")) if directory.is_dir() else []

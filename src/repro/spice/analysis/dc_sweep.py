@@ -70,7 +70,7 @@ def dc_sweep(
     recorded = {node: np.zeros(values.size) for node in nodes}
 
     original_dc = source.dc
-    x = system.initial_guess()
+    x = np.zeros(system.size)
     try:
         for i, value in enumerate(values):
             source.dc = float(value)

@@ -18,9 +18,9 @@ change, each tier one array expression over every member:
   :meth:`~repro.spice.elements.PiecewiseLinearWaveform.sample`, any other
   callable at each time);
 * **per solve** -- one time's source terms scattered with one
-  ``np.bincount``, the capacitor companion conductances (cached per
-  ``(dt, method)``, one entry per step size seen), the capacitor history
-  currents computed from ``ctx.x_prev``, and ``gmin`` on the node diagonal;
+  ``np.bincount``, the backward-Euler capacitor companion conductances
+  (cached per step size), the capacitor history currents computed from
+  ``ctx.x_prev``, and ``gmin`` on the node diagonal;
 * **per Newton iteration** -- the devices of all members, evaluated together
   by the array models (:class:`~repro.spice.elements.MosfetBank`,
   :class:`~repro.spice.elements.DiodeBank`) into buffers owned by the plan,
@@ -40,7 +40,7 @@ is tested against.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,8 +85,7 @@ class CircuitStamps:
         self.mosfets: list[tuple] = []
         #: ``(device, (anode, cathode), cells)``.
         self.diodes: list[tuple] = []
-        #: Capacitors with a nonzero capacitance, in the order of
-        #: ``StampContext.capacitor_currents``.
+        #: Capacitors with a nonzero capacitance.
         self.capacitors: list[Capacitor] = []
         self.capacitor_pins: list[tuple[int, int]] = []
         self.capacitor_cells: list[tuple[int, int, int, int]] = []
@@ -173,7 +172,7 @@ class StampPlan:
         members = self.members = len(circuits)
         rows = np.arange(members)[:, None] * dim
         cells = rows * dim
-        self._companions: dict[tuple[float, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._companions: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
         def by_member(values, offset, width):
             """Per-device index tuples of all members, offset into the batch."""
@@ -231,7 +230,6 @@ class StampPlan:
         self._capacitance = np.array([c.capacitance for c in capacitors]).reshape(
             members, len(first.capacitors)
         )
-        self._initial_voltage = np.array([c.initial_voltage or 0.0 for c in capacitors])
         self._linear = np.concatenate([circuit.linear for circuit in circuits])
         self._node_diagonal = (np.arange(first.num_nodes) * (dim + 1) + cells).ravel()
 
@@ -256,33 +254,20 @@ class StampPlan:
         self._source_rows = np.array(targets, dtype=np.intp)
 
     # ------------------------------------------------------------------ #
-    def _companions_active(self, ctx: StampContext) -> bool:
-        return ctx.mode == "tran" and ctx.dt > 0.0 and self._capacitance.size > 0
-
-    def _companion_terms(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
+    def _companion_terms(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Companion conductances and the linear matrix with them stamped in."""
-        key = (dt, method)
-        terms = self._companions.get(key)
+        terms = self._companions.get(dt)
         if terms is None:
             if len(self._companions) >= self.COMPANION_ENTRIES:
                 del self._companions[next(iter(self._companions))]
-            terms = self._companions[key] = self._build_companion(dt, method)
+            terms = self._companions[dt] = self._build_companion(dt)
         return terms
 
-    def _build_companion(self, dt: float, method: str) -> tuple[np.ndarray, np.ndarray]:
-        factor = 2.0 if method == "trapezoidal" else 1.0
-        geq = factor * self._capacitance / dt
+    def _build_companion(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        geq = self._capacitance / dt
         values = (_CONDUCTANCE_SIGNS[:, None] * geq[..., None, :]).ravel()
         matrix = self._linear + np.bincount(self._cap_cells, values, minlength=self._linear.size)
         return geq.ravel(), matrix
-
-    def _capacitor_voltages(self, x: Optional[np.ndarray]) -> np.ndarray:
-        """``v(a) - v(b)`` of every capacitor (initial voltages when *x* is None)."""
-        if x is None:
-            return self._initial_voltage
-        padded = self._capacitor_nodes
-        padded[:, :-1] = x
-        return np.subtract(*padded.ravel()[self._cap_pins])
 
     # ------------------------------------------------------------------ #
     def source_terms(self, times: Sequence[float], scale: float = 1.0) -> np.ndarray:
@@ -312,18 +297,17 @@ class StampPlan:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flat padded matrices and RHS of every stamp fixed within one solve.
 
-        *ctx* is shared by the members; its ``x_prev`` holds their previous
-        solutions and its ``capacitor_currents`` their trapezoidal currents.
-        *sources* is the row of :meth:`source_terms` at the context's time
-        and source scale.
+        *ctx* is shared by the members; in a transient its ``x_prev`` holds
+        their previous solutions.  *sources* is the row of :meth:`source_terms`
+        at the context's time and source scale.
         """
         rhs = np.bincount(self._source_rows, sources, minlength=self.members * self._dim)
         matrix = self._linear
-        if self._companions_active(ctx):
-            geq, matrix = self._companion_terms(ctx.dt, ctx.method)
-            history = geq * self._capacitor_voltages(ctx.x_prev)
-            if ctx.method == "trapezoidal" and ctx.capacitor_currents is not None:
-                history += ctx.capacitor_currents
+        if ctx.mode == "tran" and ctx.dt > 0.0 and self._capacitance.size > 0:
+            geq, matrix = self._companion_terms(ctx.dt)
+            padded = self._capacitor_nodes
+            padded[:, :-1] = ctx.x_prev
+            history = geq * np.subtract(*padded.ravel()[self._cap_pins])
             rhs = rhs + np.bincount(
                 self._cap_rows, np.concatenate([history, -history]), minlength=rhs.size
             )
@@ -381,21 +365,6 @@ class StampPlan:
             matrix.reshape(members, dim, dim)[:, :size, :size],
             rhs.reshape(members, dim)[:, :size],
         )
-
-    def commit(self, ctx: StampContext) -> None:
-        """Record the state of the accepted transient step ``ctx.x``.
-
-        Only the trapezoidal rule has state: every member's capacitor
-        currents, which the next step's history term reads.  Backward Euler
-        stores nothing.
-        """
-        if ctx.method != "trapezoidal" or not self._companions_active(ctx):
-            return
-        geq, _ = self._companion_terms(ctx.dt, ctx.method)
-        currents = geq * (self._capacitor_voltages(ctx.x) - self._capacitor_voltages(ctx.x_prev))
-        if ctx.capacitor_currents is not None:
-            currents -= ctx.capacitor_currents
-        ctx.capacitor_currents = currents
 
 
 class MnaSystem:
@@ -469,12 +438,3 @@ class MnaSystem:
         """Branch currents (one per voltage source) as a dictionary."""
         return {name: float(x[row]) for name, row in self._branch_owner.items()}
 
-    def initial_guess(self, hints: Mapping[str, float] | None = None) -> np.ndarray:
-        """Zero vector, optionally seeded with per-node voltage hints."""
-        x0 = np.zeros(self.size)
-        if hints:
-            for node, value in hints.items():
-                idx = self.node_index(node)
-                if idx >= 0:
-                    x0[idx] = value
-        return x0

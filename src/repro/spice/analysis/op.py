@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,20 +44,15 @@ def operating_point(
     circuit: Circuit,
     time: float = 0.0,
     options: SolverOptions | None = None,
-    initial_guess: Mapping[str, float] | None = None,
 ) -> OperatingPoint:
-    """Solve the DC operating point of *circuit*.
+    """Solve the DC operating point of *circuit*, starting Newton from zero.
 
-    Time-dependent sources are evaluated at *time*, which lets the transient
-    analysis reuse this function to establish its initial condition.
-    ``initial_guess`` maps node names to starting voltages (helpful for
-    bistable circuits).
+    Time-dependent sources are evaluated at *time*.
     """
     options = options or SolverOptions()
     system = MnaSystem(circuit)
     ctx = StampContext(mode="dc", time=time, gmin=options.gmin)
-    x0 = system.initial_guess(initial_guess)
-    result = robust_solve(system, ctx, x0, options)
+    result = robust_solve(system, ctx, np.zeros(system.size), options)
     return OperatingPoint(
         voltages=system.voltages(result.x),
         branch_currents=system.branch_currents(result.x),

@@ -133,8 +133,8 @@ def lockstep_newton_solve(
     """Damped Newton iteration for every member of *plan* at once.
 
     Row ``m`` of *x0* starts member ``m``.  *ctx* is shared by the members:
-    its ``x_prev`` and ``capacitor_currents`` hold one row per member, and
-    ``ctx.x`` is left at the final iterates.  *sources* is the row of
+    its ``x_prev`` holds one row per member, and ``ctx.x`` is left at the
+    final iterates.  *sources* is the row of
     :meth:`StampPlan.source_terms <repro.spice.analysis.mna.StampPlan.source_terms>`
     at the context's time and source scale.  Each iteration assembles all
     members and solves them as one batch; a member is frozen once it
@@ -243,18 +243,16 @@ def robust_solve(
     ctx: StampContext,
     x0: np.ndarray,
     options: SolverOptions | None = None,
-    raise_on_failure: bool = True,
 ) -> SolveResult:
     """Plain Newton, then gmin stepping, then source stepping.
 
-    Raises :class:`~repro.spice.errors.ConvergenceError` when everything
-    fails (unless ``raise_on_failure`` is False).
+    Raises :class:`~repro.spice.errors.ConvergenceError` when everything fails.
     """
     options = options or SolverOptions()
     result = newton_solve(system, ctx, x0, options)
     if result.converged:
         return result
-    return stepping_solve(system, ctx, x0, options, raise_on_failure)
+    return stepping_solve(system, ctx, x0, options)
 
 
 def stepping_solve(
@@ -262,7 +260,6 @@ def stepping_solve(
     ctx: StampContext,
     x0: np.ndarray,
     options: SolverOptions,
-    raise_on_failure: bool = True,
 ) -> SolveResult:
     """Gmin stepping, then source stepping: :func:`robust_solve` once plain
     Newton from *x0* has failed."""
@@ -270,7 +267,7 @@ def stepping_solve(
     if result.converged:
         return result
     result = solve_with_source_stepping(system, ctx, x0, options)
-    if result.converged or not raise_on_failure:
+    if result.converged:
         return result
     raise ConvergenceError(
         f"Newton iteration failed to converge for circuit {system.circuit.title!r} "

@@ -1,4 +1,4 @@
-"""Fixed-step transient analysis with local step refinement on Newton failure.
+"""Fixed-step backward-Euler transient analysis, halving a step on Newton failure.
 
 :func:`transient_sweep` simulates several circuits over one time grid.
 Circuits whose stamps have the same shape form a group with one
@@ -33,11 +33,10 @@ from .solver import SolveResult, SolverOptions, lockstep_newton_solve, newton_so
 
 @dataclass
 class TransientResult:
-    """Sampled node voltages (and source branch currents) over time."""
+    """Sampled node voltages over time."""
 
     time: np.ndarray
     voltages: dict[str, np.ndarray]
-    branch_currents: dict[str, np.ndarray] = field(default_factory=dict)
     #: Newton iterations of all time-step solves, failed ones included (the
     #: DC operating point is not counted).
     newton_iterations: int = 0
@@ -57,18 +56,11 @@ class TransientResult:
 class TransientOptions:
     """Transient analysis controls."""
 
-    method: str = "backward_euler"
     solver: SolverOptions = field(default_factory=SolverOptions)
     #: Maximum number of times a failing step is halved before giving up.
     max_step_refinements: int = 6
-    #: Record every ``decimation``-th accepted step (1 records everything).
-    decimation: int = 1
 
     def __post_init__(self):
-        if self.method not in ("backward_euler", "trapezoidal"):
-            raise AnalysisError(f"unknown integration method {self.method!r}")
-        if self.decimation < 1:
-            raise AnalysisError("decimation must be >= 1")
         refinements = self.max_step_refinements
         if not isinstance(refinements, numbers.Integral) or refinements < 0:
             raise AnalysisError(f"max_step_refinements must be an int >= 0, got {refinements!r}")
@@ -80,19 +72,17 @@ def transient(
     dt: float,
     options: TransientOptions | None = None,
     record_nodes: Optional[Iterable[str]] = None,
-    record_currents: Optional[Iterable[str]] = None,
 ) -> TransientResult:
     """Simulate *circuit* from t=0 to *t_stop* with nominal step *dt*.
 
     The initial condition is the DC operating point with all time-dependent
-    sources evaluated at t=0.  Integration uses backward Euler by default
-    (robust for the stiff breakdown circuits); trapezoidal integration is
-    available via :class:`TransientOptions`.
+    sources evaluated at t=0.  Integration is backward Euler, which is robust
+    for the stiff breakdown circuits.  Every step is recorded.
 
     When a time step fails to converge it is retried with successively halved
     sub-steps before the analysis gives up.
     """
-    return transient_sweep([circuit], t_stop, dt, options, record_nodes, record_currents)[0]
+    return transient_sweep([circuit], t_stop, dt, options, record_nodes)[0]
 
 
 def transient_sweep(
@@ -101,7 +91,6 @@ def transient_sweep(
     dt: float,
     options: TransientOptions | None = None,
     record_nodes: Optional[Iterable[str]] = None,
-    record_currents: Optional[Iterable[str]] = None,
 ) -> list[TransientResult]:
     """:func:`transient` of every circuit, with one shared set of arguments.
 
@@ -117,10 +106,12 @@ def transient_sweep(
         raise AnalysisError("dt must satisfy 0 < dt <= t_stop")
     options = options or TransientOptions()
     nodes = None if record_nodes is None else list(record_nodes)
-    currents = [] if record_currents is None else list(record_currents)
 
     systems = [MnaSystem(circuit) for circuit in circuits]
-    probes = [_probe_rows(system, nodes, currents) for system in systems]
+    probes = [
+        {n: system.node_index(n) for n in (system.node_names if nodes is None else nodes)}
+        for system in systems
+    ]
     groups: dict[tuple, list[int]] = {}
     for index, system in enumerate(systems):
         groups.setdefault(system.stamps.shape, []).append(index)
@@ -132,26 +123,15 @@ def transient_sweep(
         )
         for m, index in enumerate(members):
             columns = trajectory[:, m]
-            node_rows, branch_rows = probes[index]
             results[index] = TransientResult(
                 time=np.array(times),
                 voltages={
                     n: columns[:, row].copy() if row >= 0 else np.zeros(len(times))
-                    for n, row in node_rows.items()
+                    for n, row in probes[index].items()
                 },
-                branch_currents={s: columns[:, row].copy() for s, row in branch_rows.items()},
                 newton_iterations=int(iterations[m]),
             )
     return results
-
-
-def _probe_rows(system, nodes, currents) -> tuple[dict[str, int], dict[str, int]]:
-    """Solution rows of the recorded nodes (-1 for ground) and source currents."""
-    nodes = system.node_names if nodes is None else nodes
-    return (
-        {n: system.node_index(n) for n in nodes},
-        {s: system.branch_index(s) for s in currents},
-    )
 
 
 def _integrate(
@@ -159,30 +139,19 @@ def _integrate(
 ) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Step one group of equal-shape systems from their operating points to *t_stop*.
 
-    Returns the recorded times, the members' solutions at each of them as one
+    Returns the times, the members' solutions at each of them as one
     ``(times, members, size)`` array and each member's total Newton iterations.
     """
     plan = StampPlan([system.stamps for system in systems])
     # Initial conditions: DC operating points at t = 0.
     x = np.array([op.x for op in lockstep_operating_points(systems, plan, options.solver)])
-    ctx = StampContext(
-        mode="tran", time=0.0, dt=dt, x_prev=x, method=options.method,
-        gmin=options.solver.gmin,
-    )
+    ctx = StampContext(mode="tran", time=0.0, dt=dt, x_prev=x, gmin=options.solver.gmin)
     iterations = np.zeros(len(systems), dtype=int)
-    times = [0.0]
     states = [x]
-    t = 0.0
-    num_steps = _step_count(t_stop, dt)
-    grid = [step * dt for step in range(1, num_steps)] + [t_stop]
-    sources = plan.source_terms(grid)
-
-    for step, t_target in enumerate(grid, start=1):
-        x = _advance(plan, systems, ctx, iterations, t, t_target, sources[step - 1], options)
-        t = t_target
-        if step % options.decimation == 0 or t >= t_stop:
-            times.append(t)
-            states.append(x)
+    times = [0.0] + [step * dt for step in range(1, _step_count(t_stop, dt))] + [t_stop]
+    sources = plan.source_terms(times[1:])
+    for t_from, t_to, row in zip(times, times[1:], sources):
+        states.append(_advance(plan, systems, ctx, iterations, t_from, t_to, row, options))
     return times, np.stack(states), iterations
 
 
@@ -210,24 +179,12 @@ def _advance(plan, systems, ctx, iterations, t_from, t_to, sources, options) -> 
     ctx.dt = t_to - t_from
     result = lockstep_newton_solve(plan, ctx, ctx.x_prev, options.solver, sources)
     iterations += result.iterations
-    previous = ctx.capacitor_currents
-    plan.commit(ctx)
     for m in np.flatnonzero(~result.converged):
-        own = StampContext(
-            mode="tran", x_prev=ctx.x_prev[m], method=ctx.method, gmin=ctx.gmin,
-            capacitor_currents=_member_row(previous, m, plan),
-        )
+        own = StampContext(mode="tran", x_prev=ctx.x_prev[m], gmin=ctx.gmin)
         result.x[m], count = _refine(systems[m], own, result.member(m), t_from, t_to, options)
         iterations[m] += count
-        if own.capacitor_currents is not None:
-            _member_row(ctx.capacitor_currents, m, plan)[:] = own.capacitor_currents
     ctx.x_prev = result.x
     return result.x
-
-
-def _member_row(values: Optional[np.ndarray], m: int, plan: StampPlan) -> Optional[np.ndarray]:
-    """Member *m*'s slice of a flat per-capacitor array (None stays None)."""
-    return None if values is None else values.reshape(plan.members, -1)[m]
 
 
 def _refine(system, ctx, failed: SolveResult, t_from, t_to, options) -> tuple[np.ndarray, int]:
@@ -243,7 +200,6 @@ def _refine(system, ctx, failed: SolveResult, t_from, t_to, options) -> tuple[np
     start, target, depth, result = t_from, t_to, 0, failed
     while True:
         if result.converged:
-            system.plan.commit(ctx)
             x = result.x
         elif depth >= options.max_step_refinements:
             raise ConvergenceError(

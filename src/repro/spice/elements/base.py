@@ -49,21 +49,11 @@ class StampContext:
     x_prev:
         Accepted solution of the previous time point (transient only); one
         row per member when a stamp plan solves several circuits at once.
-    method:
-        Integration method, ``"backward_euler"`` or ``"trapezoidal"``.
     source_scale:
         Scale factor applied to independent sources (used by source-stepping
         homotopy during difficult operating-point solves).
     gmin:
         Minimum conductance tied from every node to ground for convergence.
-    state:
-        Per-element persistent state (e.g. capacitor branch currents for the
-        trapezoidal rule), keyed by element name, as read by
-        :meth:`Element.stamp`.  Owned by the analysis.
-    capacitor_currents:
-        The same trapezoidal capacitor currents as one flat array, member by
-        member in the order of each circuit's compiled ``capacitors``; written
-        and read by the stamp plan (:class:`repro.spice.analysis.mna.StampPlan`).
     """
 
     mode: str = "dc"
@@ -71,11 +61,8 @@ class StampContext:
     time: float = 0.0
     dt: float = 0.0
     x_prev: Optional[np.ndarray] = None
-    method: str = "backward_euler"
     source_scale: float = 1.0
     gmin: float = 1e-12
-    state: dict = field(default_factory=dict)
-    capacitor_currents: Optional[np.ndarray] = None
 
 
 class Element(ABC):

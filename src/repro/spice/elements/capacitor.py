@@ -1,4 +1,4 @@
-"""Linear capacitor element with backward-Euler and trapezoidal companions."""
+"""Linear capacitor element with its backward-Euler companion."""
 
 from __future__ import annotations
 
@@ -9,46 +9,24 @@ class Capacitor(Element):
     """Ideal linear capacitor between nodes ``a`` and ``b``.
 
     In DC analyses the capacitor is an open circuit.  In transient analyses it
-    is replaced by its integration-method companion model:
-
-    * backward Euler:   ``i_n = (C/h) (v_n - v_{n-1})``
-    * trapezoidal:      ``i_n = (2C/h) (v_n - v_{n-1}) - i_{n-1}``
-
-    The trapezoidal rule requires the element to remember its branch current
-    from the previous accepted step, which :meth:`stamp` reads from
-    ``ctx.state``.
+    is replaced by its backward-Euler companion model
+    ``i_n = (C/h) (v_n - v_{n-1})``, with ``v_{n-1}`` read from ``ctx.x_prev``.
     """
 
-    def __init__(self, name: str, a: str, b: str, capacitance: float, ic: float | None = None):
+    def __init__(self, name: str, a: str, b: str, capacitance: float):
         super().__init__(name, (a, b))
         if capacitance < 0.0:
             raise ValueError(f"capacitor {name}: capacitance must be >= 0, got {capacitance}")
         self.capacitance = float(capacitance)
-        #: Optional initial voltage across the capacitor (a minus b).
-        self.initial_voltage = ic
-
-    # ------------------------------------------------------------------ #
-    def _previous_voltage(self, ctx: StampContext) -> float:
-        a, b = self._indices
-        if ctx.x_prev is None:
-            return self.initial_voltage or 0.0
-        va = ctx.x_prev[a] if a >= 0 else 0.0
-        vb = ctx.x_prev[b] if b >= 0 else 0.0
-        return float(va - vb)
 
     def stamp(self, stamper: Stamper, ctx: StampContext) -> None:
         if ctx.mode != "tran" or ctx.dt <= 0.0 or self.capacitance == 0.0:
             return
         a, b = self._indices
-        v_prev = self._previous_voltage(ctx)
-        if ctx.method == "trapezoidal":
-            geq = 2.0 * self.capacitance / ctx.dt
-            i_prev = float(ctx.state.get(self.name, {}).get("current", 0.0))
-            i_rhs = geq * v_prev + i_prev
-        else:  # backward Euler
-            geq = self.capacitance / ctx.dt
-            i_rhs = geq * v_prev
+        va = ctx.x_prev[a] if a >= 0 else 0.0
+        vb = ctx.x_prev[b] if b >= 0 else 0.0
+        geq = self.capacitance / ctx.dt
         stamper.conductance(a, b, geq)
-        # Element current (a -> b) is geq * v_ab - i_rhs; the constant term is
-        # an injection of i_rhs into node a (see Stamper.current convention).
-        stamper.current(a, b, -i_rhs)
+        # Element current (a -> b) is geq * v_ab - geq * v_prev; the constant
+        # term is an injection into node a (see Stamper.current convention).
+        stamper.current(a, b, -geq * float(va - vb))

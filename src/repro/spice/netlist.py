@@ -86,18 +86,6 @@ class Circuit:
             other.add(el.clone())
         return other
 
-    def merge(self, other: "Circuit", rename: str | None = None) -> None:
-        """Add every element of *other* into this circuit.
-
-        When *rename* is given, element names are prefixed with ``rename + ':'``
-        (node names are left untouched, so the caller controls sharing).
-        """
-        for el in other.elements:
-            el = el.clone()
-            if rename:
-                el.name = f"{rename}:{el.name}"
-            self.add(el)
-
     # ------------------------------------------------------------------ #
     # Convenience builders.
     # ------------------------------------------------------------------ #

@@ -71,15 +71,6 @@ class Waveform:
     def maximum(self) -> float:
         return float(np.max(self.values))
 
-    def slice(self, t0: float, t1: float) -> "Waveform":
-        """Sub-waveform restricted to ``t0 <= t <= t1`` (endpoints interpolated)."""
-        if t1 < t0:
-            raise ValueError("slice requires t1 >= t0")
-        mask = (self.time > t0) & (self.time < t1)
-        times = np.concatenate(([t0], self.time[mask], [t1]))
-        values = np.concatenate(([self.at(t0)], self.values[mask], [self.at(t1)]))
-        return Waveform(times, values, name=self.name)
-
     # ------------------------------------------------------------------ #
     # Threshold crossings.
     # ------------------------------------------------------------------ #
@@ -118,37 +109,6 @@ class Waveform:
             if t >= after:
                 return t
         return None
-
-    def crosses(self, threshold: float, direction: str = "any", after: float = 0.0) -> bool:
-        """True when the waveform crosses *threshold* after time *after*."""
-        return self.first_crossing(threshold, direction, after) is not None
-
-    # ------------------------------------------------------------------ #
-    # Edge measurements.
-    # ------------------------------------------------------------------ #
-    def rise_time(self, vlow: float, vhigh: float, after: float = 0.0) -> Optional[float]:
-        """10/90-style rise time between the two given absolute levels."""
-        t_lo = self.first_crossing(vlow, "rising", after)
-        if t_lo is None:
-            return None
-        t_hi = self.first_crossing(vhigh, "rising", t_lo)
-        if t_hi is None:
-            return None
-        return t_hi - t_lo
-
-    def fall_time(self, vhigh: float, vlow: float, after: float = 0.0) -> Optional[float]:
-        """90/10-style fall time between the two given absolute levels."""
-        t_hi = self.first_crossing(vhigh, "falling", after)
-        if t_hi is None:
-            return None
-        t_lo = self.first_crossing(vlow, "falling", t_hi)
-        if t_lo is None:
-            return None
-        return t_lo - t_hi
-
-    def shifted(self, dt: float) -> "Waveform":
-        """Copy with the time axis shifted by *dt*."""
-        return Waveform(self.time + dt, self.values.copy(), name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Waveform {self.name!r} n={len(self)} [{self.t_start:g},{self.t_stop:g}]s>"

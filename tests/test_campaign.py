@@ -448,7 +448,6 @@ class TestReporting:
         coverage = result.coverage
         assert coverage.total_faults == 56
         assert coverage.detected == len(result.detected_faults)
-        assert coverage.detected + coverage.undetected == coverage.total_faults
         assert coverage.num_tests == result.merged_report.num_tests
 
     def test_wrappers_still_delegate(self, fa_sum):

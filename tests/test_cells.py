@@ -46,17 +46,6 @@ class TestTechnology:
         with pytest.raises(ValueError):
             tech.logic_level(2)
 
-    def test_scaling(self, tech):
-        scaled = tech.scaled(2.0)
-        assert scaled.nmos_width == pytest.approx(2 * tech.nmos_width)
-        with pytest.raises(ValueError):
-            tech.scaled(0.0)
-
-    def test_with_supply(self, tech):
-        low = tech.with_supply(2.5)
-        assert low.vdd == 2.5
-        assert low.half_vdd == pytest.approx(1.25)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Technology(vdd=-1.0)

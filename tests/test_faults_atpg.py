@@ -34,7 +34,7 @@ from repro.atpg import (
 )
 from repro.atpg.podem import _PAIRS, _table
 from repro.atpg.values import D, DBAR, ONE, X, ZERO, LogicValue, evaluate_gate_values, from_bit
-from repro.campaign import Campaign, CampaignSpec, get_model
+from repro.campaign import Campaign, CampaignSpec, get_model, resolve_circuit
 from repro.campaign.runner import generate_atpg_outcomes
 from repro.core.excitation import (
     all_sequences,
@@ -56,7 +56,8 @@ from repro.faults import (
     stuck_at_universe,
     transition_fault_universe,
 )
-from repro.logic import GateType, simulate_pattern, two_to_one_mux
+from repro.faults.path_delay import _structural_paths
+from repro.logic import GateType, LogicCircuit, simulate_pattern, two_to_one_mux
 
 
 class TestFaultModels:
@@ -82,8 +83,20 @@ class TestFaultModels:
         assert len(transition_fault_universe(c17_circuit)) == 2 * len(c17_circuit.nets())
 
     def test_obd_universe_counts(self, fa_sum):
+        """Two transistor sites per gate input; the universe keys faults by
+        site, so the counts also show every site is distinct."""
         assert len(obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])) == 56
-        assert len(obd_fault_universe(fa_sum)) == 84
+        assert len(obd_fault_universe(fa_sum)) == 56 + 2 * 14  # NANDs + inverters
+
+    def test_obd_universe_rejects_gates_without_a_cell(self):
+        circuit = LogicCircuit("and")
+        circuit.add_input("a")
+        circuit.add_input("b")
+        circuit.add_gate("g_and", GateType.AND2, ["a", "b"], "y")
+        circuit.add_output("y")
+        assert len(obd_fault_universe(circuit)) == 0
+        with pytest.raises(ValueError, match="'g_and'"):
+            obd_fault_universe(circuit, gate_types=["AND2"])
 
     def test_obd_fault_properties(self):
         fault = ObdFault("g1", GateType.NAND2, "PA")
@@ -346,12 +359,10 @@ class TestPathDelay:
             ("c17_circuit", 5, 5),
             ("fa_sum", None, 12),
             ("fa_sum", 5, 5),
-            # The limit counts walked paths, duplicates included: fa_sum's
-            # 7th to 9th walked paths repeat its 4th to 6th (a NAND used as
-            # an inverter reads one net twice), and the universe keeps the
-            # first copy of each.
-            ("fa_sum", 9, 6),
-            ("fa_sum", 10, 7),
+            # The limit counts distinct paths: a NAND used as an inverter
+            # reads one net on both pins, and the walk follows that net once.
+            ("fa_sum", 9, 9),
+            ("fa_sum", 10, 10),
         ],
     )
     def test_universe_walk_order_and_limit(self, fixture, limit, distinct, request):
@@ -361,6 +372,30 @@ class TestPathDelay:
         assert path_delay_universe(circuit, **options).keys() == [
             f"{path}/{direction}" for path in paths for direction in ("rising", "falling")
         ]
+
+    def test_net_read_on_two_pins_is_walked_once(self):
+        circuit = LogicCircuit("twice")
+        circuit.add_input("a")
+        circuit.add_input("b")
+        circuit.add_gate("g_inv", GateType.NAND2, ["a", "a"], "x")
+        circuit.add_gate("g_out", GateType.NAND2, ["x", "b"], "y")
+        circuit.add_output("y")
+        assert _structural_paths(circuit, None, 1000) == [("a", "x", "y"), ("b", "y")]
+        assert len(path_delay_universe(circuit, limit=2)) == 4
+
+    @pytest.mark.parametrize(
+        "ref,count",
+        [("c17", 11), ("fa_sum", 12), ("rca:4", None), ("mult:3", None),
+         ("rdag:60,5", 455), ("alu:3", None)],
+    )
+    def test_walk_yields_each_path_once(self, ref, count):
+        """The uncapped walk repeats no path, so the universe keeps all it walks."""
+        circuit = resolve_circuit(ref)
+        paths = _structural_paths(circuit, None, 10**6)
+        assert len(set(paths)) == len(paths)
+        assert len(path_delay_universe(circuit, limit=10**6)) == 2 * len(paths)
+        if count is not None:
+            assert len(paths) == count
 
     @pytest.mark.parametrize("fixture", ["c17_circuit", "fa_sum"])
     def test_paths_follow_gates_and_span_the_depth(self, fixture, request):
@@ -530,14 +565,13 @@ class TestFaultSimulation:
         assert cov.total_faults == 0
         assert cov.coverage == 1.0
         assert cov.test_efficiency == 1.0
-        assert cov.undetected == 0
+        assert cov.detected == 0
         assert "0/0" in cov.describe() or "0" in cov.describe()
 
     def test_coverage_report_untestable_and_aborted_accounting(self):
         cov = CoverageReport(
             model="obd", total_faults=10, detected=6, untestable=3, aborted=1, num_tests=4
         )
-        assert cov.undetected == 4
         assert cov.coverage == pytest.approx(0.6)
         # Proven-untestable faults count toward efficiency; aborted ones do not.
         assert cov.test_efficiency == pytest.approx(0.9)
@@ -549,7 +583,7 @@ class TestFaultSimulation:
         report = simulate_stuck_at(c17_circuit, exhaustive_patterns(c17_circuit), faults)
         cov = coverage_from_report("sa", report)
         assert cov.total_faults == len(faults)
-        assert cov.detected + cov.undetected == cov.total_faults
+        assert 0 <= cov.detected <= cov.total_faults
         assert 0.0 <= cov.coverage <= 1.0
         assert "sa" in cov.describe()
 

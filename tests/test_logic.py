@@ -13,7 +13,6 @@ from repro.logic import (
     LogicCircuitError,
     all_input_patterns,
     controlling_value,
-    enumerate_obd_sites,
     evaluate_gate,
     expand_to_transistors,
     simulate,
@@ -22,6 +21,7 @@ from repro.logic import (
     two_pattern_input_waveforms,
     two_to_one_mux,
 )
+from repro.faults import obd_fault_universe
 from repro.spice import operating_point
 
 
@@ -65,6 +65,23 @@ class TestGateEvaluation:
         assert controlling_value(GateType.NAND2) == 0
         assert controlling_value(GateType.NOR3) == 1
         assert controlling_value(GateType.XOR2) is None
+
+    @pytest.mark.parametrize("gate", list(GateType))
+    def test_controlling_value_matches_truth_table(self, gate):
+        """The table agrees with the gate's truth table: a gate has a
+        controlling value when exactly one value forces its output from any
+        single pin (a one-input gate, where both do, has none)."""
+        table = truth_table(gate)
+
+        def controls(value):
+            return all(
+                len({out for bits, out in table.items() if bits[pin] == value}) == 1
+                for pin in range(gate.num_inputs)
+            )
+
+        forcing = [value for value in (0, 1) if controls(value)]
+        expected = forcing[0] if len(forcing) == 1 else None
+        assert controlling_value(gate) == expected
 
     def test_pattern_helpers(self):
         assert len(all_input_patterns(3)) == 8
@@ -111,8 +128,7 @@ class TestLogicCircuit:
         loads = c17_circuit.loads_of("G11")
         assert {g.name for g, _ in loads} == {"g16", "g19"}
 
-    def test_fanin_fanout_cones(self, c17_circuit):
-        assert "G1" in c17_circuit.fanin_cone("G22")
+    def test_fanout_cone(self, c17_circuit):
         assert "G22" in c17_circuit.fanout_cone("G10")
 
     def test_gate_count_by_type(self, fa_sum):
@@ -163,13 +179,13 @@ class TestLogicSimulation:
 
 class TestExpansion:
     def test_site_enumeration_counts(self, fa_sum):
-        nand_sites = enumerate_obd_sites(fa_sum, gate_types=[GateType.NAND2])
+        nand_sites = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
         assert len(nand_sites) == 56
-        all_sites = enumerate_obd_sites(fa_sum)
+        all_sites = obd_fault_universe(fa_sum)
         assert len(all_sites) == 56 + 2 * 14  # NANDs + inverters
 
     def test_site_keys_unique(self, fa_sum):
-        sites = enumerate_obd_sites(fa_sum)
+        sites = obd_fault_universe(fa_sum)
         keys = [s.key for s in sites]
         assert len(keys) == len(set(keys))
 

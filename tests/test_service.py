@@ -210,19 +210,17 @@ class TestResultCache:
         )
         assert cache.get(key) is None
 
-    def test_invalidate_clear_and_report(self, tmp_path):
+    def test_clear_and_report(self, tmp_path):
         cache = ResultCache(tmp_path)
         key, _ = cache.fetch(None, _spec())
         cache.put(key, Campaign(_spec()).run())
         report = cache.report()
         assert report["entries"] == 1 and report["bytes"] > 0
         assert report["inventory"][0]["circuit"] == "fa_sum"
-        assert cache.invalidate(key) is True
-        assert cache.invalidate(key) is False
-        assert cache.get(key) is None
         key2, _ = cache.fetch(None, _spec(seed=5))
         cache.put(key2, Campaign(_spec(seed=5)).run())
-        assert cache.clear() == 1
+        assert cache.clear() == 2
+        assert cache.get(key) is None
         assert cache.report()["entries"] == 0
         assert cache.stats.invalidations == 2
 

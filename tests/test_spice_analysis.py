@@ -91,15 +91,13 @@ class TestMnaSystem:
 
 def _cell_fixture(tech, gate_type, sequence, defect_site):
     """A Figure-5 harness, optionally with an OBD defect, plus odd elements: a
-    current source, a zero-valued capacitor, a capacitor with an initial
-    voltage and a ground-to-ground resistor."""
+    current source, a zero-valued capacitor and a ground-to-ground resistor."""
     harness = build_gate_harness(tech, gate_type, sequence)
     if defect_site is not None:
         inject_into_harness(harness, OBDDefect(site=defect_site, stage=BreakdownStage.MBD2))
     circuit = harness.circuit
     circuit.add_current_source("iprobe", "out", "0", dc=2e-6)
     circuit.add_capacitor("czero", "out", "vdd", 0.0)
-    circuit.add(Capacitor("cic", "load1", "0", 5e-15, ic=0.7))
     circuit.add_resistor("rgnd", "0", "gnd", 1e3)
     return circuit
 
@@ -140,9 +138,6 @@ def _assemble(plan, ctx, gmin, x):
     return plan.assemble(plan.linear(ctx, gmin, sources), x)
 
 
-PLAN_MODES = (("dc", "backward_euler"), ("tran", "backward_euler"), ("tran", "trapezoidal"))
-
-
 class TestStampPlanParity:
     """The stamp plan assembles exactly the reference system, for a lone
     circuit and for every member of a stack."""
@@ -160,18 +155,15 @@ class TestStampPlanParity:
         assert any(c.capacitance == 0.0 for c in all_capacitors)
         assert [c.capacitance != 0.0 for c in all_capacitors].count(True) == len(capacitors)
         reversed_seen, regions_seen = set(), set()
-        for trial in range(6):
+        for trial in range(7):
             x = rng.uniform(-1.5, tech.vdd + 2.5, system.size)
             x_prev = rng.uniform(-0.5, tech.vdd + 0.5, system.size)
-            currents = rng.normal(scale=1e-4, size=len(capacitors))
-            state = {c.name: {"current": i} for c, i in zip(capacitors, currents)}
-            for (mode, method), gmin, scale, previous in itertools.product(
-                PLAN_MODES, (0.0, 1e-12, 1e-3), (1.0, 0.35), (x_prev, None)
+            for mode, gmin, scale in itertools.product(
+                ("dc", "tran"), (0.0, 1e-12, 1e-3), (1.0, 0.35)
             ):
                 ctx = StampContext(
                     mode=mode, x=x, time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
-                    x_prev=previous, method=method, source_scale=scale, gmin=gmin,
-                    state=state, capacitor_currents=currents,
+                    x_prev=x_prev, source_scale=scale, gmin=gmin,
                 )
                 matrices, rhs = _assemble(plan, ctx, gmin, x[None])
                 ref_matrix, ref_rhs = _reference_system(system, ctx, gmin)
@@ -188,8 +180,8 @@ class TestStampPlanParity:
 
     @pytest.mark.parametrize("gate_type,sequence,defect_site", CELL_FIXTURES)
     def test_stacked_plan_matches_member_plans(self, tech, gate_type, sequence, defect_site):
-        """Row m of a stack's matrices, RHS and trapezoidal commit equals
-        member m's own one-member plan exactly, scaled sources included."""
+        """Row m of a stack's matrices and RHS equals member m's own
+        one-member plan exactly, scaled sources included."""
         systems = []
         for m in range(3):
             circuit = _cell_fixture(tech, gate_type, sequence, defect_site)
@@ -197,35 +189,21 @@ class TestStampPlanParity:
             systems.append(MnaSystem(circuit))
         members, size = len(systems), systems[0].size
         plan = StampPlan([system.stamps for system in systems])
-        caps = len(systems[0].stamps.capacitors)
         rng = np.random.default_rng(3)
         for trial in range(4):
             x = rng.uniform(-1.5, tech.vdd + 2.5, (members, size))
             x_prev = rng.uniform(-0.5, tech.vdd + 0.5, (members, size))
-            currents = rng.normal(scale=1e-4, size=(members, caps))
-            for (mode, method), gmin, scale, previous in itertools.product(
-                PLAN_MODES, (1e-12, 1e-3), (1.0, 0.35), (x_prev, None)
-            ):
+            for mode, gmin, scale in itertools.product(("dc", "tran"), (1e-12, 1e-3), (1.0, 0.35)):
                 fields = dict(
                     mode=mode, time=2.01e-9 + 1e-11 * trial, dt=3e-12 * (1 + trial),
-                    method=method, source_scale=scale, gmin=gmin,
+                    source_scale=scale, gmin=gmin,
                 )
-                ctx = StampContext(
-                    x=x, x_prev=previous, capacitor_currents=currents.ravel(), **fields
-                )
-                matrices, rhs = _assemble(plan, ctx, gmin, x)
-                plan.commit(ctx)
-                committed = ctx.capacitor_currents.reshape(members, caps)
+                matrices, rhs = _assemble(plan, StampContext(x=x, x_prev=x_prev, **fields), gmin, x)
                 for m, system in enumerate(systems):
-                    own = StampContext(
-                        x=x[m], x_prev=None if previous is None else previous[m],
-                        capacitor_currents=currents[m], **fields,
-                    )
+                    own = StampContext(x=x[m], x_prev=x_prev[m], **fields)
                     want_matrix, want_rhs = _assemble(system.plan, own, gmin, x[m][None])
                     np.testing.assert_array_equal(matrices[m], want_matrix[0])
                     np.testing.assert_array_equal(rhs[m], want_rhs[0])
-                    system.plan.commit(own)
-                    assert committed[m].tobytes() == own.capacitor_currents.tobytes()
 
     def test_stacked_plan_rejects_mixed_shapes(self, tech):
         clean = MnaSystem(_cell_fixture(tech, "NAND2", ((0, 1), (1, 1)), None)).stamps
@@ -233,30 +211,6 @@ class TestStampPlanParity:
         assert clean.shape != defective.shape
         with pytest.raises(CircuitError):
             StampPlan([clean, defective])
-
-    def test_trapezoidal_commit_stores_capacitor_currents(self):
-        c = Circuit("rc")
-        c.add_voltage_source("v1", "a", "0", dc=1.0)
-        c.add_resistor("r1", "a", "b", 1000.0)
-        c.add_capacitor("c1", "b", "0", 1e-12)
-        c.add_capacitor("c2", "a", "b", 2e-12)
-        system = MnaSystem(c)
-        x_prev = np.array([1.0, 0.2, 0.0])
-        x_now = np.array([1.0, 0.5, -1e-3])
-        ctx = StampContext(mode="tran", dt=1e-12, x_prev=x_prev, method="trapezoidal", x=x_now)
-        previous = np.array([1e-3, -2e-3])
-        ctx.capacitor_currents = previous.copy()
-        system.plan.commit(ctx)
-        v_now = np.array([0.5, 0.5])
-        v_prev = np.array([0.2, 0.8])
-        geq = 2.0 * np.array([1e-12, 2e-12]) / 1e-12
-        np.testing.assert_allclose(ctx.capacitor_currents, geq * (v_now - v_prev) - previous)
-
-    def test_backward_euler_commit_stores_nothing(self):
-        system = MnaSystem(_divider())
-        ctx = StampContext(mode="tran", dt=1e-12, x_prev=np.zeros(3), x=np.ones(3))
-        system.plan.commit(ctx)
-        assert ctx.capacitor_currents is None
 
 
 class TestOperatingPoint:
@@ -284,10 +238,6 @@ class TestOperatingPoint:
         c["vin"].dc = tech.vdd
         op_high = operating_point(c)
         assert op_high.voltage("out") == pytest.approx(0.0, abs=1e-3)
-
-    def test_initial_guess_accepted(self):
-        op = operating_point(_divider(), initial_guess={"b": 2.0})
-        assert op.voltage("b") == pytest.approx(2.0, rel=1e-6)
 
     def test_kcl_residual_is_small(self, tech):
         """The solution satisfies KCL at internal nodes (flat rebuild check)."""
@@ -321,7 +271,7 @@ class TestOperatingPoint:
 
         monkeypatch.setattr(solver_module, "newton_solve", newton_spy)
         result = solver_module.solve_with_gmin_stepping(
-            system, ctx, system.initial_guess(), gmin_ladder=(1e-2, 1e-4, 1e-6)
+            system, ctx, np.zeros(system.size), gmin_ladder=(1e-2, 1e-4, 1e-6)
         )
         assert result.converged
         assert np.all(np.isfinite(result.x))
@@ -419,15 +369,21 @@ class TestTransient:
         assert wave.at(tau) == pytest.approx(1.0 - np.exp(-1.0), rel=0.05)
         assert wave.final_value() == pytest.approx(1.0, rel=0.01)
 
-    def test_rc_trapezoidal_matches_analytic(self):
+    def test_rc_follows_the_backward_euler_recurrence(self):
+        """Every step obeys v_n = (v_{n-1} + (h/RC) * v_src(t_n)) / (1 + h/RC),
+        the backward-Euler update of an RC low pass, on the time points the
+        run took."""
         c = Circuit("rc")
-        wf = PiecewiseLinearWaveform([(0.0, 0.0), (1e-12, 1.0)])
+        wf = PiecewiseLinearWaveform([(0.0, 0.0), (25e-12, 1.0)])
         c.add_voltage_source("v1", "a", "0", waveform=wf)
         c.add_resistor("r1", "a", "b", 1000.0)
         c.add_capacitor("c1", "b", "0", 1e-12)
-        options = TransientOptions(method="trapezoidal")
-        result = transient(c, 3e-9, 10e-12, options=options, record_nodes=["b"])
-        assert result.waveform("b").at(1e-9) == pytest.approx(1.0 - np.exp(-1.0), rel=0.03)
+        result = transient(c, 0.5e-9, 10e-12, record_nodes=["a", "b"])
+        source, out = result.waveform("a").values, result.waveform("b").values
+        ratio = np.diff(result.time) / 1e-9
+        np.testing.assert_allclose(
+            out[1:], (out[:-1] + ratio * source[1:]) / (1.0 + ratio), rtol=1e-6, atol=1e-9
+        )
 
     def test_inverter_switching(self, tech):
         c = _inverter(tech)
@@ -483,14 +439,6 @@ class TestTransient:
         with pytest.raises(AnalysisError):
             result.waveform("in")
 
-    def test_decimation_reduces_samples(self, tech):
-        c = _inverter(tech)
-        dense = transient(c, 0.2e-9, 5e-12, record_nodes=["out"])
-        sparse = transient(
-            c, 0.2e-9, 5e-12, options=TransientOptions(decimation=4), record_nodes=["out"]
-        )
-        assert len(sparse.time) < len(dense.time)
-
 
 #: Table-1 entries of the end-to-end benchmark: NMOS MBD3 at NA and NB, PMOS
 #: MBD1 at PB, both input sequences each.
@@ -517,7 +465,7 @@ def _stepped_reference(circuit, t_stop, dt, options):
     per-circuit loop that a lockstep group must reproduce member by member."""
     op = operating_point(circuit, options=options.solver)
     system = op.system
-    ctx = StampContext(mode="tran", method=options.method, gmin=options.solver.gmin)
+    ctx = StampContext(mode="tran", gmin=options.solver.gmin)
     x, t, count, states = op.x, 0.0, 0, [op.x]
     steps = transient_module._step_count(t_stop, dt)
     for target in [k * dt for k in range(1, steps)] + [t_stop]:
@@ -528,7 +476,6 @@ def _stepped_reference(circuit, t_stop, dt, options):
             result = newton_solve(system, ctx, x, options.solver)
             count += result.iterations
             if result.converged:
-                system.plan.commit(ctx)
                 x = result.x
             else:
                 assert depth < options.max_step_refinements
@@ -571,15 +518,9 @@ class TestLockstepTransient:
         assert len(set(shapes)) == 2 and shapes[0] != shapes[1]
         self._assert_matches_solo(circuits, t_stop)
 
-    def test_trapezoidal(self, tech):
-        circuits, t_stop = _table1_circuits(tech)
-        self._assert_matches_solo(circuits, t_stop, TransientOptions(method="trapezoidal"))
-
-    @pytest.mark.parametrize("method", ["backward_euler", "trapezoidal"])
-    def test_failed_members_refine_inside_a_live_group(self, tech, monkeypatch, method):
+    def test_failed_members_refine_inside_a_live_group(self, tech, monkeypatch):
         """A 4-iteration limit makes some members fail a step that the rest of
-        their group passes; they halve it alone, on their own plans, and carry
-        their trapezoidal state back into the group."""
+        their group passes; they halve it alone, on their own plans."""
         circuits, t_stop = _table1_circuits(tech)
         partial_failures, solo_solves = [], []
         lockstep, solve = transient_module.lockstep_newton_solve, transient_module.newton_solve
@@ -595,7 +536,7 @@ class TestLockstepTransient:
 
         monkeypatch.setattr(transient_module, "lockstep_newton_solve", spying_lockstep)
         monkeypatch.setattr(transient_module, "newton_solve", spying_solve)
-        options = TransientOptions(method=method, solver=SolverOptions(max_iterations=4))
+        options = TransientOptions(solver=SolverOptions(max_iterations=4))
         swept = transient_sweep(circuits, t_stop, 6e-12, options=options)
         assert any(partial_failures)
         assert solo_solves and set(solo_solves) == {1}
@@ -630,23 +571,20 @@ class TestLockstepTransient:
 
     def test_companion_terms_built_once_per_step_size(self, tech, monkeypatch):
         """The step t_to - t_from takes a few last-place values along the grid;
-        each (step, method) pair builds its companion terms once, on the
-        group's plan."""
+        each step size builds its companion terms once, on the group's plan."""
         builds = []
         build = StampPlan._build_companion
 
-        def counting_build(plan, dt, method):
-            builds.append((plan.members, dt, method))
-            return build(plan, dt, method)
+        def counting_build(plan, dt):
+            builds.append((plan.members, dt))
+            return build(plan, dt)
 
         monkeypatch.setattr(StampPlan, "_build_companion", counting_build)
         circuits, t_stop = _table1_circuits(tech)
         (result, *_) = transient_sweep(circuits, t_stop, 6e-12)
         steps = set(np.diff(result.time).tolist())
         assert 1 < len(steps) <= StampPlan.COMPANION_ENTRIES
-        assert sorted(builds) == sorted(
-            (len(circuits), step, "backward_euler") for step in steps
-        )
+        assert sorted(builds) == sorted((len(circuits), step) for step in steps)
 
 
 class TestWaveform:
@@ -661,21 +599,9 @@ class TestWaveform:
         assert w.first_crossing(0.5, "rising", after=1.0) == pytest.approx(2.5)
         assert w.first_crossing(2.0, "rising") is None
 
-    def test_interpolation_and_slice(self):
+    def test_interpolation(self):
         w = Waveform(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]))
         assert w.at(0.5) == pytest.approx(1.0)
-        piece = w.slice(0.5, 1.5)
-        assert piece.t_start == pytest.approx(0.5)
-        assert piece.t_stop == pytest.approx(1.5)
-        assert piece.initial_value() == pytest.approx(1.0)
-
-    def test_rise_and_fall_times(self):
-        t = np.linspace(0.0, 1.0, 101)
-        w = Waveform(t, t.copy())
-        rise = w.rise_time(0.1, 0.9)
-        assert rise == pytest.approx(0.8, rel=1e-3)
-        falling = Waveform(t, 1.0 - t)
-        assert falling.fall_time(0.9, 0.1) == pytest.approx(0.8, rel=1e-3)
 
     def test_transition_delay_none_when_stuck(self):
         t = np.linspace(0.0, 1.0, 11)
@@ -693,10 +619,6 @@ class TestWaveform:
     def test_non_monotonic_time_rejected(self):
         with pytest.raises(ValueError):
             Waveform(np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 2.0]))
-
-    def test_shifted(self):
-        w = Waveform(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        assert w.shifted(0.5).t_start == pytest.approx(0.5)
 
 
 class TestSolverRobustness:

@@ -79,27 +79,12 @@ class TestCapacitor:
         c = Capacitor("c1", "a", "0", 1e-12)
         c.assign_indices((0, -1))
         stamper = Stamper(1)
-        ctx = StampContext(mode="tran", dt=1e-12, x_prev=np.array([2.0]), method="backward_euler")
+        ctx = StampContext(mode="tran", dt=1e-12, x_prev=np.array([2.0]))
         c.stamp(stamper, ctx)
         geq = 1e-12 / 1e-12
         assert stamper.matrix[0, 0] == pytest.approx(geq)
         # RHS injects geq * v_prev into node a.
         assert stamper.rhs[0] == pytest.approx(geq * 2.0)
-
-    def test_trapezoidal_uses_stored_current(self):
-        import numpy as np
-
-        c = Capacitor("c1", "a", "0", 1e-12)
-        c.assign_indices((0, -1))
-        ctx = StampContext(
-            mode="tran", dt=1e-12, x_prev=np.array([1.0]), method="trapezoidal",
-            state={"c1": {"current": 5e-3}},
-        )
-        stamper = Stamper(1)
-        c.stamp(stamper, ctx)
-        geq = 2e-12 / 1e-12
-        assert stamper.matrix[0, 0] == pytest.approx(geq)
-        assert stamper.rhs[0] == pytest.approx(geq * 1.0 + 5e-3)
 
 
 class TestDiode:
