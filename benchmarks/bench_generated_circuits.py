@@ -23,9 +23,8 @@ from repro.atpg import (
     compile_for_engine,
     random_patterns,
     serial_simulate_stuck_at,
-    simulate_stuck_at,
 )
-from repro.campaign import CampaignSpec, resolve_circuit, run_campaign
+from repro.campaign import CampaignSpec, get_model, resolve_circuit, run_campaign
 from repro.faults import stuck_at_universe
 from repro.logic import random_dag
 
@@ -56,7 +55,7 @@ def test_packed_throughput_per_family(ref, benchmark):
     compiled = compile_for_engine(circuit, "packed", None)
 
     rep = benchmark.pedantic(
-        simulate_stuck_at,
+        get_model("stuck-at").simulate,
         args=(circuit, patterns, faults),
         kwargs={"compiled": compiled},
         rounds=3,
@@ -69,7 +68,7 @@ def test_packed_throughput_per_family(ref, benchmark):
         elapsed = timing.stats.mean
     else:
         start = time.perf_counter()
-        simulate_stuck_at(circuit, patterns, faults, compiled=compiled)
+        get_model("stuck-at").simulate(circuit, patterns, faults, compiled=compiled)
         elapsed = time.perf_counter() - start
     throughput = record_faultsim(
         circuit=ref,
@@ -123,7 +122,7 @@ def test_serial_packed_agree_on_generated_workload(benchmark):
     faults = list(stuck_at_universe(circuit))
     serial = serial_simulate_stuck_at(circuit, patterns, faults)
     packed = benchmark.pedantic(
-        simulate_stuck_at, args=(circuit, patterns, faults), rounds=1, iterations=1
+        get_model("stuck-at").simulate, args=(circuit, patterns, faults), rounds=1, iterations=1
     )
     assert packed.detections == serial.detections
     assert packed.num_tests == serial.num_tests

@@ -51,12 +51,8 @@ from repro.atpg import (
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
     serial_simulate_transition,
-    simulate_obd,
-    simulate_path_delay,
-    simulate_stuck_at,
-    simulate_transition,
 )
-from repro.campaign import resolve_circuit
+from repro.campaign import get_model, resolve_circuit
 from repro.faults import (
     obd_fault_universe,
     path_delay_universe,
@@ -149,10 +145,10 @@ def test_packed_stuck_at_speedup(rca8, benchmark):
     patterns = random_patterns(rca8, NUM_TESTS, seed=11)
     faults = list(stuck_at_universe(rca8))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_stuck_at, simulate_stuck_at, rca8, patterns, faults
+        serial_simulate_stuck_at, get_model("stuck-at").simulate, rca8, patterns, faults
     )
     benchmark.pedantic(
-        simulate_stuck_at, args=(rca8, patterns, faults), rounds=3, iterations=1
+        get_model("stuck-at").simulate, args=(rca8, patterns, faults), rounds=3, iterations=1
     )
     speedup = serial_s / packed_s
     _record_rca("stuck-at", len(faults), serial_s, packed_s)
@@ -171,10 +167,10 @@ def test_packed_transition_speedup(rca8, benchmark):
     pairs = random_pairs(rca8, NUM_TESTS, seed=12)
     faults = list(transition_fault_universe(rca8))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_transition, simulate_transition, rca8, pairs, faults
+        serial_simulate_transition, get_model("transition").simulate, rca8, pairs, faults
     )
     benchmark.pedantic(
-        simulate_transition, args=(rca8, pairs, faults), rounds=3, iterations=1
+        get_model("transition").simulate, args=(rca8, pairs, faults), rounds=3, iterations=1
     )
     speedup = serial_s / packed_s
     _record_rca("transition", len(faults), serial_s, packed_s)
@@ -193,10 +189,10 @@ def test_packed_path_delay_speedup(rca8, benchmark):
     pairs = random_pairs(rca8, NUM_TESTS, seed=14)
     faults = list(path_delay_universe(rca8, limit=PATH_LIMIT))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_path_delay, simulate_path_delay, rca8, pairs, faults
+        serial_simulate_path_delay, get_model("path-delay").simulate, rca8, pairs, faults
     )
     benchmark.pedantic(
-        simulate_path_delay, args=(rca8, pairs, faults), rounds=3, iterations=1
+        get_model("path-delay").simulate, args=(rca8, pairs, faults), rounds=3, iterations=1
     )
     speedup = serial_s / packed_s
     _record_rca("path-delay", len(faults), serial_s, packed_s)
@@ -215,9 +211,9 @@ def test_packed_obd_speedup(rca8, benchmark):
     pairs = random_pairs(rca8, NUM_TESTS, seed=13)
     faults = list(obd_fault_universe(rca8))
     serial_s, packed_s, rep = _speedup(
-        serial_simulate_obd, simulate_obd, rca8, pairs, faults
+        serial_simulate_obd, get_model("obd").simulate, rca8, pairs, faults
     )
-    benchmark.pedantic(simulate_obd, args=(rca8, pairs, faults), rounds=3, iterations=1)
+    benchmark.pedantic(get_model("obd").simulate, args=(rca8, pairs, faults), rounds=3, iterations=1)
     speedup = serial_s / packed_s
     _record_rca("obd", len(faults), serial_s, packed_s)
     report(
@@ -270,8 +266,8 @@ def test_numpy_speedup_over_codegen(benchmark):
             f"x {NUMPY_TESTS} tests, word_bits={engines['numpy'][1].word_bits})"
         )
         workloads = [
-            ("stuck-at", simulate_stuck_at, patterns, sa_faults, serial_simulate_stuck_at),
-            ("transition", simulate_transition, pairs, tr_faults, serial_simulate_transition),
+            ("stuck-at", get_model("stuck-at").simulate, patterns, sa_faults, serial_simulate_stuck_at),
+            ("transition", get_model("transition").simulate, pairs, tr_faults, serial_simulate_transition),
         ]
         for model, fn, tests, faults, serial_fn in workloads:
             reports = {}
@@ -309,7 +305,7 @@ def test_numpy_speedup_over_codegen(benchmark):
 
     circuit, patterns, sa_faults, numpy_cc = numpy_pedantic
     benchmark.pedantic(
-        simulate_stuck_at,
+        get_model("stuck-at").simulate,
         args=(circuit, patterns, sa_faults),
         kwargs={"engine": "numpy", "compiled": numpy_cc},
         rounds=3,

@@ -27,10 +27,10 @@ import time
 
 import pytest
 
-from repro.atpg import PodemOptions, get_atpg_engine, simulate_stuck_at
+from repro.atpg import PodemOptions, get_atpg_engine
 from repro.atpg.podem import generate_stuck_at_test
 from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
-from repro.campaign import resolve_circuit
+from repro.campaign import get_model, resolve_circuit
 from repro.faults.collapse import collapse_stuck_at_faults
 from repro.faults.stuck_at import stuck_at_universe
 
@@ -113,7 +113,7 @@ def test_structural_engines_throughput_and_coverage_floor(ref, benchmark):
         # Soundness: every vector must detect its fault under packed sim.
         if vectors:
             patterns = [p for _, p in vectors]
-            packed = simulate_stuck_at(circuit, patterns, [f for f, _ in vectors])
+            packed = get_model("stuck-at").simulate(circuit, patterns, [f for f, _ in vectors])
             for index, (fault, _) in enumerate(vectors):
                 assert index in packed.detections[fault.key], (name, fault.key)
     report(rows)

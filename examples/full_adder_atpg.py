@@ -47,7 +47,6 @@ from __future__ import annotations
 from repro.atpg import (
     greedy_compaction,
     random_pairs,
-    simulate_obd,
     single_input_change_pairs,
 )
 from repro.campaign import CampaignSpec, get_model, run_campaign
@@ -74,7 +73,7 @@ def main() -> None:
     )
 
     pairs = [pair for outcome in outcomes for pair in outcome.tests]
-    report = simulate_obd(circuit, pairs, faults)
+    report = get_model("obd").simulate(circuit, pairs, faults)
     compacted = greedy_compaction(report)
     print(
         f"ATPG test set: {len(pairs)} pattern pairs, "
@@ -85,9 +84,9 @@ def main() -> None:
         print(f"  apply {format_sequence((first, second))} at inputs (A, B, C)")
 
     # Baseline 1: launch-on-capture style single-input-change transitions.
-    sic_report = simulate_obd(circuit, single_input_change_pairs(circuit), faults)
+    sic_report = get_model("obd").simulate(circuit, single_input_change_pairs(circuit), faults)
     # Baseline 2: 20 random pattern pairs.
-    random_report = simulate_obd(circuit, random_pairs(circuit, 20, seed=7), faults)
+    random_report = get_model("obd").simulate(circuit, random_pairs(circuit, 20, seed=7), faults)
 
     print("\nCoverage comparison (detected / total OBD faults):")
     print(f"  OBD-aware ATPG:                {len(report.detected_faults):>3} / {len(faults)}")

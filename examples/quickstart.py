@@ -9,9 +9,10 @@ report all happen behind one call::
 
     result = run_campaign(full_adder_sum(), CampaignSpec(model="obd", ...))
 
-The per-model fault simulators (``simulate_obd``, ...) are thin wrappers
-over the same registry, and every model's test generator returns the same
-per-fault ``AtpgOutcome`` the campaign collects.
+Outside a campaign, fault simulation has one entry point, the registered
+model's own ``get_model("obd").simulate(circuit, pairs, faults)``, and
+every model's test generator returns the same per-fault ``AtpgOutcome``
+the campaign collects.
 
 Part 2 shows the benchmark-circuit subsystem: parametric generator
 families, ISCAS-85 ``.bench`` netlist round-trips, and campaigns that name

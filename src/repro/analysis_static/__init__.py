@@ -29,7 +29,7 @@ faults are recorded as untestable with ``proven_static`` provenance.
 from .analysis import CircuitAnalysis, circuit_analysis
 from .diagnostics import Diagnostic, LintReport, Severity
 from .implication import ImplicationEngine, StaticLearning, learn_implications
-from .lint import LintRule, lint_bench, lint_circuit, registered_rules
+from .lint import LintRule, lint_bench, lint_circuit
 from .scoap import ScoapMeasures, scoap_measures, scoap_summary
 from .untestable import (
     StaticProof,
@@ -45,7 +45,6 @@ __all__ = [
     "LintRule",
     "lint_circuit",
     "lint_bench",
-    "registered_rules",
     "ScoapMeasures",
     "scoap_measures",
     "scoap_summary",

@@ -25,7 +25,7 @@ cascade of follow-on noise.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from ..logic.bench import _DECL_RE, _GATE_RE, _strip, parse_bench
 from ..logic.netlist import LogicCircuitError
@@ -119,11 +119,6 @@ def register_rule(rule: LintRule) -> LintRule:
         raise ValueError(f"lint rule {rule.rule_id!r} is already registered")
     _RULES[rule.rule_id] = rule
     return rule
-
-
-def registered_rules() -> tuple[str, ...]:
-    """Ids of all registered rules, in registration (execution) order."""
-    return tuple(_RULES)
 
 
 # --------------------------------------------------------------------------- #
@@ -317,22 +312,12 @@ def lint_circuit(
     *,
     net_lines: Mapping[str, int] | None = None,
     bench_drivers: Mapping[str, list[int]] | None = None,
-    rules: Iterable[str] | None = None,
 ) -> LintReport:
-    """Run the registered rules (or the *rules* subset) over *circuit*."""
+    """Run every registered rule over *circuit*."""
     context = LintContext(circuit, net_lines=net_lines, bench_drivers=bench_drivers)
-    selected = list(_RULES.values())
-    if rules is not None:
-        wanted = set(rules)
-        unknown = wanted - set(_RULES)
-        if unknown:
-            raise ValueError(
-                f"unknown lint rules {sorted(unknown)}; registered: {registered_rules()}"
-            )
-        selected = [rule for rule in selected if rule.rule_id in wanted]
     well_formed = context.well_formed
     diagnostics: list[Diagnostic] = []
-    for rule in selected:
+    for rule in _RULES.values():
         if rule.requires_well_formed and not well_formed:
             continue
         diagnostics.extend(rule.check(context))

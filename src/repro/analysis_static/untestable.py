@@ -175,10 +175,9 @@ class StaticUntestabilityProver:
 def prove_stuck_at_untestable(
     circuit: "LogicCircuit",
     faults: Iterable["StuckAtFault"],
-    prover: StaticUntestabilityProver | None = None,
 ) -> dict[str, StaticProof]:
     """Proofs for every provably untestable stuck-at fault, keyed by fault key."""
-    prover = prover or StaticUntestabilityProver(circuit)
+    prover = StaticUntestabilityProver(circuit)
     proofs: dict[str, StaticProof] = {}
     for fault in faults:
         found = prover.prove_stuck_at(fault.net, fault.value)
@@ -191,10 +190,9 @@ def prove_stuck_at_untestable(
 def prove_transition_untestable(
     circuit: "LogicCircuit",
     faults: Iterable["TransitionFault"],
-    prover: StaticUntestabilityProver | None = None,
 ) -> dict[str, StaticProof]:
     """Proofs for every provably untestable transition fault, keyed by fault key."""
-    prover = prover or StaticUntestabilityProver(circuit)
+    prover = StaticUntestabilityProver(circuit)
     proofs: dict[str, StaticProof] = {}
     for fault in faults:
         found = prover.prove_transition(fault.net, fault.launch_value)

@@ -21,9 +21,9 @@ greedy compaction and a unified :class:`~repro.campaign.CampaignResult`::
 Per-model entry points
 ----------------------
 
-The per-model fault simulators exported here (``simulate_stuck_at`` /
-``simulate_transition`` / ``simulate_path_delay`` / ``simulate_obd``) are
-thin wrappers over the registry.  The test generators are the models' own
+Fault simulation has one entry point, the model's own:
+``get_model(name).simulate(circuit, tests, faults, engine=...)`` (see
+:func:`repro.campaign.get_model`).  The test generators are the models' own
 routines and return the same two records as the campaign: one
 :class:`~repro.atpg.podem.StructuralResult` per search
 (``generate_stuck_at_test``, ``justify`` and the structural engines) and one
@@ -37,7 +37,7 @@ Fault-simulation engines
 ------------------------
 
 Three engines produce identical :class:`~repro.atpg.fault_sim.DetectionReport`
-objects behind the ``simulate_*`` entry points:
+objects behind ``get_model(name).simulate``:
 
 * **packed** (default) -- the bit-parallel engine in
   :mod:`repro.atpg.parallel_sim` running per-circuit generated code
@@ -78,10 +78,6 @@ from .fault_sim import (
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
     serial_simulate_transition,
-    simulate_obd,
-    simulate_path_delay,
-    simulate_stuck_at,
-    simulate_transition,
     simulate_with_forced_net,
 )
 from .obd_atpg import generate_obd_test
@@ -135,10 +131,6 @@ __all__ = [
     "generate_obd_test",
     "generate_path_delay_test",
     "DetectionReport",
-    "simulate_stuck_at",
-    "simulate_transition",
-    "simulate_path_delay",
-    "simulate_obd",
     "serial_simulate_stuck_at",
     "serial_simulate_transition",
     "serial_simulate_path_delay",

@@ -47,14 +47,15 @@ class CoverageReport:
         )
 
 
-def coverage_from_report(model: str, report: DetectionReport, untestable: int = 0,
-                         aborted: int = 0) -> CoverageReport:
-    """Build a :class:`CoverageReport` from a fault-simulation detection report."""
+def coverage_from_report(model: str, report: DetectionReport) -> CoverageReport:
+    """Build a :class:`CoverageReport` from a fault-simulation detection report.
+
+    Simulation proves nothing untestable and aborts nothing, so those counts
+    are 0.
+    """
     return CoverageReport(
         model=model,
         total_faults=len(report.words),
         detected=len(report.detected_faults),
-        untestable=untestable,
-        aborted=aborted,
         num_tests=report.num_tests,
     )

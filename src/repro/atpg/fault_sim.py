@@ -15,11 +15,12 @@ executable specification the packed engines are property-tested against, and
 remains available via ``engine="serial"`` for debugging and for
 cross-checking.
 
-The ``simulate_*`` entry points are thin compatibility wrappers over the
-fault-model registry (:mod:`repro.campaign`): each registered
-:class:`~repro.campaign.FaultModel` packages the serial and packed hooks of
-one model, and :class:`~repro.campaign.Campaign` drives them through the full
-universe -> patterns -> ATPG -> compaction pipeline.  The models are:
+The one entry point is the fault-model registry's
+``get_model(name).simulate`` (:mod:`repro.campaign`): each registered
+:class:`~repro.campaign.FaultModel` packages the serial engine of this module
+and the packed hooks of one model, and :class:`~repro.campaign.Campaign`
+drives them through the full universe -> patterns -> ATPG -> compaction
+pipeline.  The models are:
 classical stuck-at, classical transition, path-delay (non-robust functional
 sensitization) and the paper's OBD model whose *input-specific* excitation
 conditions are enforced before checking propagation -- the behavioural
@@ -37,14 +38,14 @@ from ..faults.obd import ObdFault
 from ..faults.path_delay import RISING, PathDelayFault
 from ..faults.stuck_at import StuckAtFault
 from ..faults.transition import TransitionFault
-from ..logic.compiled import CompiledCircuit, iter_bits
+from ..logic.compiled import iter_bits
 from ..logic.netlist import LogicCircuit
 from ..logic.simulator import simulate_pattern
 
 Pattern = tuple[int, ...]
 PatternPair = tuple[Pattern, Pattern]
 
-#: Engine names accepted by the ``simulate_*`` entry points: ``"packed"``
+#: Engine names accepted by ``FaultModel.simulate``: ``"packed"``
 #: (generated code, wide big-int words -- the default), ``"numpy"``
 #: (generated code over uint64 ndarray words with PPSFP fault batching) and
 #: ``"serial"`` (the one-(fault, pattern)-at-a-time reference).
@@ -116,28 +117,6 @@ class DetectionReport:
 # --------------------------------------------------------------------------- #
 # Stuck-at faults.
 # --------------------------------------------------------------------------- #
-def simulate_stuck_at(
-    circuit: LogicCircuit,
-    patterns: Sequence[Pattern],
-    faults: Iterable[StuckAtFault],
-    drop_detected: bool = False,
-    engine: str = "packed",
-    compiled: CompiledCircuit | None = None,
-    word_bits: int | None = None,
-) -> DetectionReport:
-    """Stuck-at fault simulation of a pattern set (packed engine by default).
-
-    Compatibility wrapper over ``get_model("stuck-at").simulate``; pass a
-    prebuilt *compiled* circuit to skip recompilation across calls.
-    """
-    from ..campaign import get_model
-
-    return get_model("stuck-at").simulate(
-        circuit, patterns, faults, drop_detected=drop_detected, engine=engine,
-        compiled=compiled, word_bits=word_bits,
-    )
-
-
 def serial_simulate_stuck_at(
     circuit: LogicCircuit,
     patterns: Sequence[Pattern],
@@ -177,28 +156,6 @@ def _transition_detected_with_values(
         return False
     faulty = simulate_with_forced_net(circuit, second, fault.net, fault.launch_value)
     return _outputs(circuit, faulty) != good_outputs
-
-
-def simulate_transition(
-    circuit: LogicCircuit,
-    pairs: Sequence[PatternPair],
-    faults: Iterable[TransitionFault],
-    drop_detected: bool = False,
-    engine: str = "packed",
-    compiled: CompiledCircuit | None = None,
-    word_bits: int | None = None,
-) -> DetectionReport:
-    """Transition-fault simulation of a two-pattern test set (packed default).
-
-    Compatibility wrapper over ``get_model("transition").simulate``; pass a
-    prebuilt *compiled* circuit to skip recompilation across calls.
-    """
-    from ..campaign import get_model
-
-    return get_model("transition").simulate(
-        circuit, pairs, faults, drop_detected=drop_detected, engine=engine,
-        compiled=compiled, word_bits=word_bits,
-    )
 
 
 def serial_simulate_transition(
@@ -243,28 +200,6 @@ def _path_delay_sensitized_with_values(
     return all(values1[net] != values2[net] for net in fault.nets)
 
 
-def simulate_path_delay(
-    circuit: LogicCircuit,
-    pairs: Sequence[PatternPair],
-    faults: Iterable[PathDelayFault],
-    drop_detected: bool = False,
-    engine: str = "packed",
-    compiled: CompiledCircuit | None = None,
-    word_bits: int | None = None,
-) -> DetectionReport:
-    """Path-delay fault simulation of a two-pattern test set (packed default).
-
-    Compatibility wrapper over ``get_model("path-delay").simulate``; pass a
-    prebuilt *compiled* circuit to skip recompilation across calls.
-    """
-    from ..campaign import get_model
-
-    return get_model("path-delay").simulate(
-        circuit, pairs, faults, drop_detected=drop_detected, engine=engine,
-        compiled=compiled, word_bits=word_bits,
-    )
-
-
 def serial_simulate_path_delay(
     circuit: LogicCircuit,
     pairs: Sequence[PatternPair],
@@ -306,28 +241,6 @@ def _obd_detected_with_values(
         return False
     faulty = simulate_with_forced_net(circuit, second, gate.output, values1[gate.output])
     return _outputs(circuit, faulty) != good_outputs
-
-
-def simulate_obd(
-    circuit: LogicCircuit,
-    pairs: Sequence[PatternPair],
-    faults: Iterable[ObdFault],
-    drop_detected: bool = False,
-    engine: str = "packed",
-    compiled: CompiledCircuit | None = None,
-    word_bits: int | None = None,
-) -> DetectionReport:
-    """OBD fault simulation of a two-pattern test set (packed engine default).
-
-    Compatibility wrapper over ``get_model("obd").simulate``; pass a prebuilt
-    *compiled* circuit to skip recompilation across calls.
-    """
-    from ..campaign import get_model
-
-    return get_model("obd").simulate(
-        circuit, pairs, faults, drop_detected=drop_detected, engine=engine,
-        compiled=compiled, word_bits=word_bits,
-    )
 
 
 def serial_simulate_obd(

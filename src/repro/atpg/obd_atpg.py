@@ -27,7 +27,7 @@ excitation cubes, so the same searches recur across faults.  The ATPG loop
 (:func:`~repro.campaign.runner.generate_atpg_outcomes`, run by a campaign or
 one shard) passes a *searches* dict that memoizes each capture search and
 launch justification by (kind, fault net, stuck value, cube in gate-input
-order, option values).  A hit returns the stored
+order, backtrack budget).  A hit returns the stored
 :class:`~repro.atpg.podem.StructuralResult`, with its own backtracks and
 decisions, so the summed counters are unchanged.  On ``rdag:60,4`` with
 256 random pairs this runs 58 of 242 capture searches and 9 of 21
@@ -84,7 +84,7 @@ def generate_obd_test(
     """
     options = options or PodemOptions()
     searches = {} if searches is None else searches
-    option_values = (options.max_backtracks, options.fill_value)
+    budget = options.max_backtracks
     gate = circuit.gate(fault.gate_name)
     run: list[StructuralResult] = []
 
@@ -104,7 +104,7 @@ def generate_obd_test(
 
         capture = _search(
             searches,
-            ("capture", gate.output, o1, tuple(capture_constraints.items()), *option_values),
+            ("capture", gate.output, o1, tuple(capture_constraints.items()), budget),
             generate_stuck_at_test,
             circuit,
             StuckAtFault(gate.output, o1),
@@ -117,7 +117,7 @@ def generate_obd_test(
 
         launch = _search(
             searches,
-            ("justify", None, None, tuple(launch_cube.items()), *option_values),
+            ("justify", None, None, tuple(launch_cube.items()), budget),
             justify,
             circuit,
             launch_cube,

@@ -333,19 +333,12 @@ def compile_for_engine(
     return compile_circuit(circuit, word_bits=word_bits, backend=backend)
 
 
-def compiled_matches_engine(
-    compiled: CompiledCircuit | None,
-    engine: str,
-    word_bits: int | None = None,
-) -> bool:
-    """Is *compiled* the flavor (backend, width) *engine* needs?
+def compiled_matches_engine(compiled: CompiledCircuit | None, engine: str) -> bool:
+    """Is *compiled* the backend *engine* needs (at any block width)?
 
-    A None *word_bits* accepts any width; a concrete one must match exactly.
     Callers recompile via :func:`compile_for_engine` on a mismatch instead
     of silently running a different engine than requested.
     """
     if engine == "serial" or compiled is None:
         return (compiled is None) == (engine == "serial")
-    return compiled.backend == ENGINE_BACKENDS.get(engine) and (
-        word_bits is None or compiled.word_bits == word_bits
-    )
+    return compiled.backend == ENGINE_BACKENDS.get(engine)

@@ -28,7 +28,7 @@ from .podem import PodemOptions, justify
 from .two_pattern import AtpgOutcome, pair_outcome
 
 #: Cap on the number of interior value assignments explored per fault.
-DEFAULT_MAX_BRANCHES = 256
+MAX_BRANCHES = 256
 
 
 def _preferred_values(circuit: LogicCircuit, nets, launch_value: int) -> list[int]:
@@ -66,15 +66,14 @@ def generate_path_delay_test(
     circuit: LogicCircuit,
     fault: PathDelayFault,
     options: PodemOptions | None = None,
-    max_branches: int = DEFAULT_MAX_BRANCHES,
 ) -> AtpgOutcome:
     """Generate a two-pattern (non-robust) test for a path-delay fault."""
     options = options or PodemOptions()
     launch_value = 1 if fault.direction == RISING else 0
     run = []
-    truncated = 2 ** (len(fault.nets) - 1) > max_branches
+    truncated = 2 ** (len(fault.nets) - 1) > MAX_BRANCHES
 
-    for second_values in _value_candidates(circuit, fault.nets, launch_value, max_branches):
+    for second_values in _value_candidates(circuit, fault.nets, launch_value, MAX_BRANCHES):
         capture_cube = dict(zip(fault.nets, second_values))
         launch_cube = {net: 1 - value for net, value in capture_cube.items()}
 

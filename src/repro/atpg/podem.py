@@ -71,12 +71,8 @@ class PodemOptions:
     """Search controls for the PODEM engine."""
 
     max_backtracks: int = 20_000
-    #: Value used to fill unassigned primary inputs in the returned pattern.
-    fill_value: int = 0
 
     def __post_init__(self) -> None:
-        if self.fill_value not in (0, 1):
-            raise ValueError(f"fill_value must be 0 or 1, got {self.fill_value!r}")
         budget = self.max_backtracks
         if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
             raise ValueError(f"max_backtracks must be an int >= 0, got {budget!r}")
@@ -347,9 +343,9 @@ class _PodemEngine:
         return False
 
     def _success(self) -> StructuralResult:
-        fill = self.options.fill_value
+        # Primary inputs the search left unassigned are filled with 0.
         pattern = {
-            net: _GOOD[code] if _KNOWN[code] else fill
+            net: _GOOD[code] if _KNOWN[code] else 0
             for net, code in zip(self.index.names, self.inputs)
         }
         return self._result(TESTED, pattern)

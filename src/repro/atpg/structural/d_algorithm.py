@@ -300,11 +300,10 @@ class _DAlgSearch:
                 return self._result(PROVEN_REDUNDANT, None)
 
     def _pattern(self) -> dict[str, int]:
-        fill = self.options.fill_value
         pattern = {}
         for net in self.circuit.primary_inputs:
             bit = good_bit(self.values.get(net, VX))
-            pattern[net] = fill if bit is None else bit
+            pattern[net] = 0 if bit is None else bit
         return pattern
 
     def _result(self, status: str, pattern: dict[str, int] | None) -> StructuralResult:

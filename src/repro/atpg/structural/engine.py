@@ -116,13 +116,10 @@ class StructuralAtpg:
 ATPG_ENGINES: dict[str, StructuralAtpg] = {}
 
 
-def register_atpg_engine(engine: StructuralAtpg, replace: bool = False) -> StructuralAtpg:
+def register_atpg_engine(engine: StructuralAtpg) -> StructuralAtpg:
     """Register *engine* under ``engine.name``; returns it for chaining."""
-    if engine.name in ATPG_ENGINES and not replace:
-        raise ValueError(
-            f"ATPG engine {engine.name!r} is already registered; "
-            f"pass replace=True to override"
-        )
+    if engine.name in ATPG_ENGINES:
+        raise ValueError(f"ATPG engine {engine.name!r} is already registered")
     ATPG_ENGINES[engine.name] = engine
     return engine
 

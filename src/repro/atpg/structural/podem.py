@@ -243,9 +243,8 @@ class _PodemSearch:
         return False
 
     def _pattern(self) -> dict[str, int]:
-        fill = self.options.fill_value
         return {
-            net: fill if value == VX else value
+            net: 0 if value == VX else value
             for net, value in zip(self.index.names, self.inputs)
         }
 

@@ -27,8 +27,9 @@ this package exposes that flow as one declarative API:
   models x engines cross product) over one shared worker pool, with a
   consolidated JSON / CSV report.
 
-The per-model fault simulators in :mod:`repro.atpg` (``simulate_stuck_at``,
-``simulate_obd``, ...) are thin wrappers over this registry.  Deterministic
+Fault simulation has one entry point, ``get_model(name).simulate``: the
+serial reference engines of :mod:`repro.atpg.fault_sim` and the packed
+engines of :mod:`repro.atpg.parallel_sim` sit behind it.  Deterministic
 ATPG has one loop, the campaign's: every model's ``generate_test`` returns
 one :class:`~repro.atpg.AtpgOutcome` per fault, and
 :func:`~repro.campaign.runner.generate_atpg_outcomes` runs it over a fault

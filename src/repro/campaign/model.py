@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from ..atpg.fault_sim import DetectionReport
-from ..atpg.podem import PodemOptions
 from ..atpg.two_pattern import AtpgOutcome
 from ..faults.base import Fault, FaultList
 from ..logic.compiled import CompiledCircuit
@@ -54,23 +53,21 @@ class FaultModel(Protocol):
         drop_detected: bool = False,
         engine: str = "packed",
         compiled: CompiledCircuit | None = None,
-        word_bits: int | None = None,
     ) -> DetectionReport:
         """Fault-simulate *tests* (in the model's native shape) over *faults*.
 
         *compiled* lets a caller (e.g. the campaign runner) reuse one
-        :class:`~repro.logic.compiled.CompiledCircuit` across every phase
-        instead of recompiling per call; serial simulation ignores it.
-        *word_bits* overrides the engine's default block width -- a
-        *compiled* circuit of a different width (or engine flavor) is
-        recompiled rather than silently reused.
+        :class:`~repro.logic.compiled.CompiledCircuit`, at any block width,
+        across every phase instead of recompiling per call; serial
+        simulation ignores it.  A *compiled* circuit of another engine
+        flavor is recompiled at the engine's default width rather than
+        silently reused.
         """
 
     def generate_test(
         self,
         circuit: LogicCircuit,
         fault: Fault,
-        options: PodemOptions | None = None,
         atpg_engine: str | None = None,
         searches: dict | None = None,
     ) -> AtpgOutcome:
@@ -101,12 +98,10 @@ class FaultModel(Protocol):
 _REGISTRY: dict[str, FaultModel] = {}
 
 
-def register_model(model: FaultModel, replace: bool = False) -> FaultModel:
+def register_model(model: FaultModel) -> FaultModel:
     """Register *model* under ``model.name``; returns the model for chaining."""
-    if model.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"fault model {model.name!r} is already registered; pass replace=True to override"
-        )
+    if model.name in _REGISTRY:
+        raise ValueError(f"fault model {model.name!r} is already registered")
     _REGISTRY[model.name] = model
     return model
 

@@ -8,9 +8,8 @@ model supplies only its serial reference and its per-fault
 ``simulate`` method runs both word backends through one block loop.  For
 ATPG the two-pattern models return their generator's
 :class:`~repro.atpg.two_pattern.AtpgOutcome` as it comes; stuck-at turns
-its structural engine's search result into one.  The free
-``simulate_*`` functions of :mod:`repro.atpg` are thin wrappers over these
-adapters.
+its structural engine's search result into one.  ``simulate`` is the one
+fault-simulation entry point of the package.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from ..atpg.parallel_sim import (
     simulate_sites,
 )
 from ..atpg.path_delay_atpg import generate_path_delay_test
-from ..atpg.podem import PodemOptions
 from ..atpg.structural import get_atpg_engine
 from ..atpg.two_pattern import AtpgOutcome, generate_transition_test, pattern_tuple
 from ..faults.base import Fault, FaultList
@@ -110,7 +108,6 @@ class _ModelBase:
         drop_detected: bool = False,
         engine: str = "packed",
         compiled: CompiledCircuit | None = None,
-        word_bits: int | None = None,
     ) -> DetectionReport:
         """Route one call to the serial reference or the block loop.
 
@@ -119,15 +116,15 @@ class _ModelBase:
         the :class:`CompiledCircuit` flavor (see
         :func:`~repro.atpg.parallel_sim.compile_for_engine`).  A
         caller-supplied *compiled* circuit is reused when its flavor matches
-        the requested engine and *word_bits*, so campaigns compile exactly
-        once; on any mismatch the call recompiles rather than silently
-        simulating at the wrong width or through the wrong engine.
+        the requested engine, so campaigns compile exactly once; on a
+        mismatch the call recompiles rather than silently simulating
+        through the wrong engine.
         """
         _check_engine(engine)
         if engine == "serial":
             return self.serial_simulate(circuit, tests, faults, drop_detected=drop_detected)
-        if not compiled_matches_engine(compiled, engine, word_bits):
-            compiled = compile_for_engine(circuit, engine, word_bits)
+        if not compiled_matches_engine(compiled, engine):
+            compiled = compile_for_engine(circuit, engine, None)
         return simulate_sites(
             compiled,
             tests,
@@ -183,12 +180,11 @@ class StuckAtModel(_ModelBase):
         self,
         circuit: LogicCircuit,
         fault: StuckAtFault,
-        options: PodemOptions | None = None,
         atpg_engine: str | None = None,
         searches: dict | None = None,
     ) -> AtpgOutcome:
         engine = get_atpg_engine(atpg_engine or self.default_atpg_engine)
-        result = engine.generate(circuit, fault, options)
+        result = engine.generate(circuit, fault)
         tests = (pattern_tuple(circuit, result.pattern),) if result.success else ()
         return AtpgOutcome(
             fault,
@@ -239,13 +235,11 @@ class TransitionModel(_ModelBase):
         self,
         circuit: LogicCircuit,
         fault: TransitionFault,
-        options: PodemOptions | None = None,
         atpg_engine: str | None = None,
         searches: dict | None = None,
     ) -> AtpgOutcome:
         return generate_transition_test(
-            circuit, fault, options=options,
-            atpg_engine=atpg_engine or self.default_atpg_engine,
+            circuit, fault, atpg_engine=atpg_engine or self.default_atpg_engine
         )
 
 
@@ -281,13 +275,12 @@ class PathDelayModel(_ModelBase):
         self,
         circuit: LogicCircuit,
         fault: PathDelayFault,
-        options: PodemOptions | None = None,
         atpg_engine: str | None = None,
         searches: dict | None = None,
     ) -> AtpgOutcome:
         # atpg_engine is accepted for interface uniformity: the path-delay
         # search is objective-driven, not a stuck-at search to delegate.
-        return generate_path_delay_test(circuit, fault, options=options)
+        return generate_path_delay_test(circuit, fault)
 
 
 class ObdModel(_ModelBase):
@@ -330,14 +323,13 @@ class ObdModel(_ModelBase):
         self,
         circuit: LogicCircuit,
         fault: ObdFault,
-        options: PodemOptions | None = None,
         atpg_engine: str | None = None,
         searches: dict | None = None,
     ) -> AtpgOutcome:
         # atpg_engine is accepted for interface uniformity: OBD excitation
         # cubes pin the defective gate's inputs, a constrained search the
         # structural stuck-at engines do not model.
-        return generate_obd_test(circuit, fault, options=options, searches=searches)
+        return generate_obd_test(circuit, fault, searches=searches)
 
 
 STUCK_AT = register_model(StuckAtModel())

@@ -38,7 +38,6 @@ from ..atpg.compaction import (
 from ..atpg.coverage import CoverageReport, coverage_from_report
 from ..atpg.fault_sim import DetectionReport, _check_engine
 from ..atpg.parallel_sim import compile_for_engine
-from ..atpg.podem import PodemOptions
 from ..atpg.random_tpg import (
     exhaustive_pairs,
     exhaustive_patterns,
@@ -60,6 +59,10 @@ PATTERN_SOURCES = ("none", "random", "exhaustive", "sic")
 #: Accepted ``CampaignSpec.collapse`` values (booleans are also accepted:
 #: False = no collapsing, True = "equivalence").
 COLLAPSE_MODES = ("equivalence", "dominance")
+
+#: The on/off fields of :class:`CampaignSpec`.  Job files fill a spec from
+#: JSON, so each must be a real ``bool``: ``"off"`` is truthy.
+_FLAG_FIELDS = ("run_atpg", "compact", "drop_detected", "static_phase", "allow_degraded")
 
 
 def check_count(name: str, value: Any, minimum: int) -> None:
@@ -139,7 +142,6 @@ class CampaignSpec:
     pattern_count: int = 64
     seed: int = 0
     run_atpg: bool = True
-    podem_options: Optional[PodemOptions] = None
     #: Structural ATPG engine for the top-up phase: any name registered in
     #: :data:`repro.atpg.structural.ATPG_ENGINES` (``"podem"`` -- the
     #: frontier-based PODEM, the default -- or ``"d-alg"``).
@@ -178,6 +180,16 @@ class CampaignSpec:
         self.validate()
 
     def validate(self) -> None:
+        for name in _FLAG_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise CampaignError(f"{name} must be True or False, got {getattr(self, name)!r}")
+        # A str or float seed would seed a different random stream.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise CampaignError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.universe_options, dict):
+            raise CampaignError(
+                f"universe_options must be a dict, got {self.universe_options!r}"
+            )
         check_count("pattern_count", self.pattern_count, 0)
         check_count("shards", self.shards, 1)
         check_count("max_retries", self.max_retries, 0)
@@ -186,7 +198,7 @@ class CampaignSpec:
         if self.shard_timeout is not None:
             check_seconds("shard_timeout", self.shard_timeout, allow_zero=False)
         check_seconds("retry_backoff", self.retry_backoff, allow_zero=True)
-        if isinstance(self.collapse, str) and self.collapse not in COLLAPSE_MODES:
+        if not isinstance(self.collapse, bool) and self.collapse not in COLLAPSE_MODES:
             raise CampaignError(
                 f"unknown collapse mode {self.collapse!r}; expected a boolean "
                 f"or one of {COLLAPSE_MODES}"
@@ -506,8 +518,8 @@ class CampaignResult:
             payload["degraded"] = _jsonable(self.degraded)
         return payload
 
-    def to_json(self, indent: int | None = None, include_runtime: bool = True) -> str:
-        return json.dumps(self.as_dict(include_runtime=include_runtime), indent=indent)
+    def to_json(self, indent: int | None = None) -> str:
+        return json.dumps(self.as_dict(), indent=indent)
 
 
 def _coverage_dict(report: CoverageReport) -> dict[str, Any]:
@@ -525,7 +537,8 @@ def _coverage_dict(report: CoverageReport) -> dict[str, Any]:
 
 #: The spec fields a result embeds, in report order.  The result cache's
 #: fingerprint (:func:`repro.service.fingerprint.spec_canonical_form`) keys on
-#: them too, plus ``podem_options``.
+#: them too, plus one constant key kept so cache keys and checkpoint
+#: manifests written before the ``podem_options`` field was deleted still match.
 _RESULT_SPEC_FIELDS = (
     "model", "circuit", "universe_options", "collapse", "pattern_source",
     "pattern_count", "seed", "run_atpg", "compact", "drop_detected", "engine",
@@ -610,7 +623,6 @@ def generate_atpg_outcomes(
     circuit: LogicCircuit,
     faults: Iterable,
     detected: set[str],
-    options: Optional[PodemOptions] = None,
     proven: frozenset[str] = frozenset(),
     atpg_engine: str | None = None,
 ) -> tuple[list[AtpgOutcome], list[str]]:
@@ -636,9 +648,7 @@ def generate_atpg_outcomes(
             skipped.append(fault.key)
             continue
         outcomes.append(
-            model.generate_test(
-                circuit, fault, options=options, atpg_engine=atpg_engine, searches=searches
-            )
+            model.generate_test(circuit, fault, atpg_engine=atpg_engine, searches=searches)
         )
     return outcomes, skipped
 
@@ -701,7 +711,7 @@ def simulate_and_generate(
     if spec.run_atpg:
         t0 = time.perf_counter()
         outcomes, skipped = generate_atpg_outcomes(
-            model, circuit, faults, detected, spec.podem_options, proven=frozenset(proofs),
+            model, circuit, faults, detected, proven=frozenset(proofs),
             atpg_engine=spec.atpg_engine,
         )
         gen_seconds = time.perf_counter() - t0

@@ -573,33 +573,23 @@ class _ShardRounds(AbstractContextManager):
 
 
 def run_sharded_campaign(
-    circuit: LogicCircuit | str | None = None,
     spec: Optional[CampaignSpec] = None,
     *,
     shards: Optional[int] = None,
     max_workers: Optional[int] = None,
-    pool: Optional[Executor] = None,
-    checkpoint_dir: str | os.PathLike | None = None,
-    resume: bool = True,
     **spec_kwargs,
 ) -> CampaignResult:
-    """One-call convenience mirroring :func:`~repro.campaign.run_campaign`.
+    """One-call convenience: build a spec (or take one) and run it sharded.
 
-    Builds a spec (or takes one), partitions the fault universe into
-    *shards* (default: the spec's ``shards`` field) and runs the campaign
+    The spec names the circuit.  The fault universe is partitioned into
+    *shards* (default: the spec's ``shards`` field) and the campaign runs
     across worker processes; the result is bit-identical to the
-    single-process :func:`~repro.campaign.run_campaign`.  *checkpoint_dir*
-    persists every completed shard so a killed run resumes where it left
-    off (see :class:`ShardedCampaign`).
+    single-process :func:`~repro.campaign.run_campaign`.  Pools, checkpoints
+    and resumes are :class:`ShardedCampaign`'s.
     """
     if spec is not None and spec_kwargs:
         raise CampaignError("pass either a CampaignSpec or keyword fields, not both")
     executor = ShardedCampaign(
-        spec or CampaignSpec(**spec_kwargs),
-        shards=shards,
-        max_workers=max_workers,
-        pool=pool,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
+        spec or CampaignSpec(**spec_kwargs), shards=shards, max_workers=max_workers
     )
-    return executor.run(circuit)
+    return executor.run()

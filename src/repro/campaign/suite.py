@@ -152,15 +152,15 @@ class SuiteResult:
             writer.writerow({k: row.get(k, "") for k in SUITE_CSV_COLUMNS})
         return buffer.getvalue()
 
-    def write_report(self, directory: str | os.PathLike, stem: str = "suite_report") -> tuple[Path, Path]:
-        """Write ``<stem>.json`` and ``<stem>.csv`` under *directory*.
+    def write_report(self, directory: str | os.PathLike) -> tuple[Path, Path]:
+        """Write ``suite_report.json`` and ``suite_report.csv`` under *directory*.
 
         Both files are written atomically (temp file + ``os.replace``), so
         a battery killed mid-write never leaves a truncated report behind.
         """
         out = Path(directory)
-        json_path = atomic_write_text(out / f"{stem}.json", self.to_json() + "\n")
-        csv_path = atomic_write_text(out / f"{stem}.csv", self.to_csv())
+        json_path = atomic_write_text(out / "suite_report.json", self.to_json() + "\n")
+        csv_path = atomic_write_text(out / "suite_report.csv", self.to_csv())
         return json_path, csv_path
 
     def describe(self) -> str:
@@ -233,28 +233,22 @@ class CampaignSuite:
         models: Sequence[str] = ("stuck-at", "transition", "path-delay", "obd"),
         engines: Sequence[str] = ("packed",),
         *,
-        base: Optional[CampaignSpec] = None,
         max_workers: Optional[int] = None,
         cache_dir: str | os.PathLike | None = None,
         **spec_kwargs: Any,
     ) -> "CampaignSuite":
         """The cross-product battery: circuits x models x engines.
 
-        *base* (or ``**spec_kwargs``) supplies the shared pipeline settings
-        -- pattern source and count, seed, collapsing, dropping, shards --
-        and every combination gets its own spec via ``dataclasses.replace``.
+        ``**spec_kwargs`` supplies the shared pipeline settings -- pattern
+        source and count, seed, collapsing, dropping, shards -- and every
+        combination gets its own spec via ``dataclasses.replace``.
         """
-        if base is not None and spec_kwargs:
-            raise CampaignError("pass either a base CampaignSpec or keyword fields, not both")
-        if base is not None:
-            template = base
-        else:
-            # Seed the template with the first battery model so cross-field
-            # validation (e.g. sic needs a two-pattern model) judges a spec
-            # that will actually run, not the placeholder default.
-            if models:
-                spec_kwargs.setdefault("model", models[0])
-            template = CampaignSpec(**spec_kwargs)
+        # Seed the template with the first battery model so cross-field
+        # validation (e.g. sic needs a two-pattern model) judges a spec
+        # that will actually run, not the placeholder default.
+        if models:
+            spec_kwargs.setdefault("model", models[0])
+        template = CampaignSpec(**spec_kwargs)
         specs = [
             replace(template, circuit=circuit, model=model, engine=engine)
             for circuit in circuits

@@ -45,9 +45,7 @@ class PathDelayFault(Fault):
         return self.nets[0]
 
 
-def _structural_paths(
-    circuit: LogicCircuit, output: str | None, limit: int
-) -> list[tuple[str, ...]]:
+def _structural_paths(circuit: LogicCircuit, limit: int) -> list[tuple[str, ...]]:
     """Input-to-output net paths, walked back depth first from each output.
 
     Each distinct fan-in net of a gate is walked once, in pin order, so a
@@ -67,17 +65,15 @@ def _structural_paths(
         for source in dict.fromkeys(driver.inputs):
             walk(source, (net,) + suffix)
 
-    for out in [output] if output is not None else circuit.primary_outputs:
+    for out in circuit.primary_outputs:
         walk(out, ())
     return paths
 
 
-def path_delay_universe(
-    circuit: LogicCircuit, output: str | None = None, limit: int = 1000
-) -> FaultList[PathDelayFault]:
+def path_delay_universe(circuit: LogicCircuit, limit: int = 1000) -> FaultList[PathDelayFault]:
     """Rising and falling path-delay faults along every structural path."""
     faults: list[PathDelayFault] = []
-    for nets in _structural_paths(circuit, output, limit):
+    for nets in _structural_paths(circuit, limit):
         faults.append(PathDelayFault(nets, RISING))
         faults.append(PathDelayFault(nets, FALLING))
     return FaultList(faults)

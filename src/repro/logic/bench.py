@@ -237,28 +237,26 @@ def parse_bench(text: str, name: str = "") -> LogicCircuit:
     return circuit
 
 
-def load_bench(path: str | Path, name: str | None = None) -> LogicCircuit:
+def load_bench(path: str | Path) -> LogicCircuit:
     """Read and parse a ``.bench`` file; the circuit is named after the file."""
     path = Path(path)
-    return parse_bench(path.read_text(), name=name if name is not None else path.stem)
+    return parse_bench(path.read_text(), name=path.stem)
 
 
-def write_bench(circuit: LogicCircuit, header: bool = True) -> str:
+def write_bench(circuit: LogicCircuit) -> str:
     """Render a circuit as ``.bench`` text.
 
-    Primary inputs come first (declaration order), then primary outputs,
-    then one assignment per gate in topological order.  With ``header`` a
-    comment block records the circuit name and structural summary; parsers
-    (including this module's) ignore it.
+    A comment block records the circuit name and structural summary;
+    parsers (including this module's) ignore it.  Primary inputs come next
+    (declaration order), then primary outputs, then one assignment per gate
+    in topological order.
     """
-    lines: list[str] = []
-    if header:
-        lines.append(f"# {circuit.name or 'circuit'}")
-        s = circuit.stats()
-        lines.append(
-            f"# {s.num_inputs} inputs, {s.num_outputs} outputs, "
-            f"{s.num_gates} gates, depth {s.depth}"
-        )
+    s = circuit.stats()
+    lines = [
+        f"# {circuit.name or 'circuit'}",
+        f"# {s.num_inputs} inputs, {s.num_outputs} outputs, "
+        f"{s.num_gates} gates, depth {s.depth}",
+    ]
     for net in circuit.primary_inputs:
         lines.append(f"INPUT({net})")
     for net in circuit.primary_outputs:
@@ -270,10 +268,10 @@ def write_bench(circuit: LogicCircuit, header: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_bench(circuit: LogicCircuit, path: str | Path, header: bool = True) -> Path:
+def save_bench(circuit: LogicCircuit, path: str | Path) -> Path:
     """Write a circuit to a ``.bench`` file and return the path."""
     path = Path(path)
-    path.write_text(write_bench(circuit, header=header))
+    path.write_text(write_bench(circuit))
     return path
 
 

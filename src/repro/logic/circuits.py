@@ -15,7 +15,7 @@ from .gates import GateType
 from .netlist import LogicCircuit, LogicCircuitError
 
 
-def full_adder_sum(name: str = "fa_sum") -> LogicCircuit:
+def full_adder_sum() -> LogicCircuit:
     """The paper's Figure-8 circuit: sum bit of a full adder, NAND/INV only.
 
     The function computed is ``sum = A xor B xor C`` expressed as the
@@ -39,7 +39,7 @@ def full_adder_sum(name: str = "fa_sum") -> LogicCircuit:
     but carries three extra inverters because the exact netlist is not
     recoverable from the paper.)
     """
-    c = LogicCircuit(name)
+    c = LogicCircuit("fa_sum")
     a, b, ci = c.add_inputs(["A", "B", "C"])
     c.add_output("SUM")
 
@@ -75,14 +75,14 @@ def full_adder_sum(name: str = "fa_sum") -> LogicCircuit:
     return c
 
 
-def full_adder(name: str = "full_adder") -> LogicCircuit:
+def full_adder() -> LogicCircuit:
     """A complete full adder (sum and carry) in NAND/INV form.
 
     Used by the wider ATPG and fault-simulation tests; the sum cone follows
     the same unoptimized construction as :func:`full_adder_sum`, the carry is
     the standard NAND-only majority implementation.
     """
-    c = LogicCircuit(name)
+    c = LogicCircuit("full_adder")
     a, b, ci = c.add_inputs(["A", "B", "C"])
     c.add_output("SUM")
     c.add_output("COUT")
@@ -106,7 +106,7 @@ def full_adder(name: str = "full_adder") -> LogicCircuit:
     return c
 
 
-def ripple_carry_adder(bits: int, name: str | None = None) -> LogicCircuit:
+def ripple_carry_adder(bits: int) -> LogicCircuit:
     """An N-bit ripple-carry adder built from NAND/INV full adders.
 
     Provides a scalable combinational workload for ATPG-complexity and
@@ -114,7 +114,7 @@ def ripple_carry_adder(bits: int, name: str | None = None) -> LogicCircuit:
     """
     if bits < 1:
         raise LogicCircuitError(f"ripple-carry adder needs bits >= 1, got {bits}")
-    c = LogicCircuit(name or f"rca{bits}")
+    c = LogicCircuit(f"rca{bits}")
     a_bits = c.add_inputs([f"A{i}" for i in range(bits)])
     b_bits = c.add_inputs([f"B{i}" for i in range(bits)])
     cin = c.add_input("CIN")
@@ -143,13 +143,13 @@ def ripple_carry_adder(bits: int, name: str | None = None) -> LogicCircuit:
     return c
 
 
-def c17(name: str = "c17") -> LogicCircuit:
+def c17() -> LogicCircuit:
     """The classic ISCAS-85 C17 benchmark (6 NAND2 gates).
 
     A small standard circuit useful for exercising ATPG and fault simulation
     against well-known results.
     """
-    c = LogicCircuit(name)
+    c = LogicCircuit("c17")
     c.add_inputs(["G1", "G2", "G3", "G6", "G7"])
     c.add_output("G22")
     c.add_output("G23")
@@ -163,14 +163,14 @@ def c17(name: str = "c17") -> LogicCircuit:
     return c
 
 
-def nand_chain(length: int, name: str | None = None) -> LogicCircuit:
+def nand_chain(length: int) -> LogicCircuit:
     """A chain of 2-input NAND gates (second input tied to a shared enable).
 
     Simple deep circuit used for path-depth and propagation tests.
     """
     if length < 1:
         raise LogicCircuitError(f"NAND chain needs length >= 1, got {length}")
-    c = LogicCircuit(name or f"nand_chain{length}")
+    c = LogicCircuit(f"nand_chain{length}")
     data = c.add_input("D")
     enable = c.add_input("EN")
     c.add_output("OUT")
@@ -183,9 +183,9 @@ def nand_chain(length: int, name: str | None = None) -> LogicCircuit:
     return c
 
 
-def two_to_one_mux(name: str = "mux2") -> LogicCircuit:
+def two_to_one_mux() -> LogicCircuit:
     """A 2:1 multiplexer in NAND/INV form (classic redundant-free circuit)."""
-    c = LogicCircuit(name)
+    c = LogicCircuit("mux2")
     c.add_inputs(["D0", "D1", "S"])
     c.add_output("Y")
     c.add_gate("inv_s", GateType.INV, ["S"], "s_n")

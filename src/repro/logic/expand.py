@@ -41,7 +41,6 @@ class ExpandedCircuit:
     tech: "Technology"
     cells: dict[str, "CellInstance"]
     input_sources: dict[str, str]
-    vdd_node: str = "vdd"
 
     def cell(self, gate_name: str) -> "CellInstance":
         return self.cells[gate_name]
@@ -102,16 +101,22 @@ def expand_to_transistors(
     )
 
 
+#: Rise/fall time of the primary-input edges of a two-pattern test.
+INPUT_EDGE_S = 50e-12
+
+
 def two_pattern_input_waveforms(
     logic: LogicCircuit,
     tech: "Technology",
     first: Sequence[int],
     second: Sequence[int],
     launch_time: float,
-    transition_time: float = 50e-12,
     t_stop: float | None = None,
 ) -> dict[str, PiecewiseLinearWaveform]:
-    """PWL waveforms applying a two-pattern sequence at the primary inputs."""
+    """PWL waveforms applying a two-pattern sequence at the primary inputs.
+
+    Each input that changes ramps linearly over :data:`INPUT_EDGE_S`.
+    """
     inputs = logic.primary_inputs
     if len(first) != len(inputs) or len(second) != len(inputs):
         raise ValueError("pattern width does not match the number of primary inputs")
@@ -124,7 +129,7 @@ def two_pattern_input_waveforms(
             [
                 (0.0, level1),
                 (launch_time, level1),
-                (launch_time + transition_time, level2),
+                (launch_time + INPUT_EDGE_S, level2),
                 (end, level2),
             ]
         )

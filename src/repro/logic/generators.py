@@ -9,7 +9,7 @@ generator for property-based serial-vs-packed equivalence testing.
 
 Every generator validates its size parameters and raises
 :class:`~repro.logic.netlist.LogicCircuitError` on degenerate requests
-(zero widths, zero gates, impossible fan-in) instead of crashing or
+(zero widths, zero gates, an empty gate palette) instead of crashing or
 emitting an unusable netlist.  All families are registered in
 :data:`GENERATOR_FAMILIES` so the campaign circuit registry and the
 benchmark harness can enumerate them by name.
@@ -88,7 +88,7 @@ def _full_adder(c: LogicCircuit, tag: str, a: str, b: str, cin: str, s: str, cy:
 # --------------------------------------------------------------------------- #
 # Arithmetic / datapath families.
 # --------------------------------------------------------------------------- #
-def parity_tree(width: int, name: str | None = None) -> LogicCircuit:
+def parity_tree(width: int) -> LogicCircuit:
     """Balanced XOR tree computing the parity of *width* input bits.
 
     The classic observability workload: every input is on a reconvergence-
@@ -96,7 +96,7 @@ def parity_tree(width: int, name: str | None = None) -> LogicCircuit:
     and the tree depth grows as ``log2(width)``.
     """
     _require(width >= 2, f"parity tree needs width >= 2, got {width}")
-    c = LogicCircuit(name or f"parity{width}")
+    c = LogicCircuit(f"parity{width}")
     nets = c.add_inputs([f"D{i}" for i in range(width)])
     c.add_output("PAR")
     level = 0
@@ -114,7 +114,7 @@ def parity_tree(width: int, name: str | None = None) -> LogicCircuit:
     return c
 
 
-def carry_lookahead_adder(bits: int, name: str | None = None) -> LogicCircuit:
+def carry_lookahead_adder(bits: int) -> LogicCircuit:
     """N-bit adder with fully expanded carry lookahead.
 
     Each carry is the two-level sum-of-products
@@ -124,7 +124,7 @@ def carry_lookahead_adder(bits: int, name: str | None = None) -> LogicCircuit:
     ripple_carry_adder` and a heavy fan-out workload for the packed engine.
     """
     _require(bits >= 1, f"carry-lookahead adder needs bits >= 1, got {bits}")
-    c = LogicCircuit(name or f"cla{bits}")
+    c = LogicCircuit(f"cla{bits}")
     a = c.add_inputs([f"A{i}" for i in range(bits)])
     b = c.add_inputs([f"B{i}" for i in range(bits)])
     cin = c.add_input("CIN")
@@ -156,7 +156,7 @@ def carry_lookahead_adder(bits: int, name: str | None = None) -> LogicCircuit:
     return c
 
 
-def array_multiplier(bits: int, name: str | None = None) -> LogicCircuit:
+def array_multiplier(bits: int) -> LogicCircuit:
     """N x N array multiplier (AND partial products + carry-save adder rows).
 
     Produces the ``2N``-bit product ``P`` of inputs ``A`` and ``B``.  The
@@ -164,7 +164,7 @@ def array_multiplier(bits: int, name: str | None = None) -> LogicCircuit:
     largest-footprint family per parameter step.
     """
     _require(bits >= 1, f"array multiplier needs bits >= 1, got {bits}")
-    c = LogicCircuit(name or f"mult{bits}")
+    c = LogicCircuit(f"mult{bits}")
     a = c.add_inputs([f"A{i}" for i in range(bits)])
     b = c.add_inputs([f"B{i}" for i in range(bits)])
     for i in range(2 * bits):
@@ -223,7 +223,7 @@ def array_multiplier(bits: int, name: str | None = None) -> LogicCircuit:
     return c
 
 
-def magnitude_comparator(bits: int, name: str | None = None) -> LogicCircuit:
+def magnitude_comparator(bits: int) -> LogicCircuit:
     """N-bit magnitude comparator with ``EQ``, ``GT`` and ``LT`` outputs.
 
     ``GT`` is the standard priority chain: A > B iff some bit position i
@@ -231,7 +231,7 @@ def magnitude_comparator(bits: int, name: str | None = None) -> LogicCircuit:
     is derived as ``NOR(EQ, GT)``.
     """
     _require(bits >= 1, f"magnitude comparator needs bits >= 1, got {bits}")
-    c = LogicCircuit(name or f"cmp{bits}")
+    c = LogicCircuit(f"cmp{bits}")
     a = c.add_inputs([f"A{i}" for i in range(bits)])
     b = c.add_inputs([f"B{i}" for i in range(bits)])
     c.add_output("EQ")
@@ -259,7 +259,7 @@ def magnitude_comparator(bits: int, name: str | None = None) -> LogicCircuit:
     return c
 
 
-def alu_slice(bits: int, name: str | None = None) -> LogicCircuit:
+def alu_slice(bits: int) -> LogicCircuit:
     """N-bit ALU slice: AND / OR / XOR / ADD selected by ``S1 S0``.
 
     Op encoding: ``00`` bitwise AND, ``01`` bitwise OR, ``10`` bitwise
@@ -268,7 +268,7 @@ def alu_slice(bits: int, name: str | None = None) -> LogicCircuit:
     of datapath and control structure.
     """
     _require(bits >= 1, f"ALU slice needs bits >= 1, got {bits}")
-    c = LogicCircuit(name or f"alu{bits}")
+    c = LogicCircuit(f"alu{bits}")
     a = c.add_inputs([f"A{i}" for i in range(bits)])
     b = c.add_inputs([f"B{i}" for i in range(bits)])
     c.add_input("CIN")
@@ -339,18 +339,16 @@ def random_dag(
     seed: int = 0,
     num_inputs: int = 4,
     max_depth: int | None = None,
-    max_fan_in: int = 3,
     gate_types: Sequence[GateType] | None = None,
-    name: str | None = None,
 ) -> LogicCircuit:
-    """Seeded random combinational DAG with controllable depth and fan-in.
+    """Seeded random combinational DAG with controllable depth.
 
     The positional order ``(num_gates, seed, num_inputs)`` is shared with
     the campaign circuit registry (``"rdag:40,7"`` is 40 gates, seed 7), so
     the two public entry points name the same circuit the same way.
 
     Gates are added one at a time; each draws a type from *gate_types*
-    (restricted to at most *max_fan_in* inputs) and its input nets from the
+    (default :data:`DEFAULT_DAG_GATE_TYPES`) and its input nets from the
     already-available nets.  *max_depth* both caps the circuit depth (gate
     operands are drawn only from nets below the cap) and biases one operand
     of each gate toward the deepest admissible net, so requested depths are
@@ -365,19 +363,11 @@ def random_dag(
         max_depth is None or max_depth >= 1,
         f"random DAG needs max_depth >= 1, got {max_depth}",
     )
-    _require(
-        1 <= max_fan_in <= 3,
-        f"random DAG fan-in must be between 1 and 3, got {max_fan_in}",
-    )
     palette = tuple(gate_types) if gate_types is not None else DEFAULT_DAG_GATE_TYPES
-    palette = tuple(t for t in palette if t.num_inputs <= max_fan_in)
-    _require(
-        bool(palette),
-        f"no gate types with fan-in <= {max_fan_in} in the requested palette",
-    )
+    _require(bool(palette), "random DAG needs at least one gate type")
 
     rng = random.Random(seed)
-    c = LogicCircuit(name or f"rdag{num_gates}g{num_inputs}i_s{seed}")
+    c = LogicCircuit(f"rdag{num_gates}g{num_inputs}i_s{seed}")
     nets = c.add_inputs([f"I{i}" for i in range(num_inputs)])
     level = {net: 0 for net in nets}
 

@@ -75,7 +75,7 @@ class ResultCache:
 
     directory: str | os.PathLike
     schema_version: int = SCHEMA_VERSION
-    stats: CacheStats = field(default_factory=CacheStats)
+    stats: CacheStats = field(default_factory=CacheStats, init=False)
 
     def __post_init__(self) -> None:
         self.directory = Path(self.directory)

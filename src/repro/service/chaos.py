@@ -111,8 +111,6 @@ def base_spec(
     *,
     shards: int = 2,
     pattern_count: int = 8,
-    seed: int = 3,
-    engine: str = "packed",
 ) -> CampaignSpec:
     """The campaign every scenario runs (policy knobs applied per scenario).
 
@@ -125,8 +123,8 @@ def base_spec(
         circuit=circuit,
         pattern_source="random",
         pattern_count=pattern_count,
-        seed=seed,
-        engine=engine,
+        seed=3,
+        engine="packed",
         shards=shards,
         drop_detected=False,
     )
@@ -146,7 +144,7 @@ class ScenarioResult:
     checkpoint: Optional[dict] = None
     cache_stats: Optional[dict] = None
     recovery: Optional[dict] = None     # the chaos-lifted resume pass
-    violations: list[str] = field(default_factory=list)
+    violations: list[str] = field(default_factory=list, init=False)
 
     @property
     def passed(self) -> bool:
@@ -271,7 +269,6 @@ def run_matrix(
     circuit: str = "c17",
     shards: int = 2,
     pattern_count: int = 8,
-    workdir: str | Path | None = None,
     only: Optional[str] = None,
 ) -> dict[str, Any]:
     """Run the seeded chaos matrix; returns the machine-readable report."""
@@ -285,8 +282,7 @@ def run_matrix(
     baseline = canonical_result(Campaign(spec).run())
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        root = Path(workdir) if workdir is not None else Path(tmp)
-        root.mkdir(parents=True, exist_ok=True)
+        root = Path(tmp)
         scenarios = []
         for plan in plans:
             policy = POLICIES.get(plan.name, DEFAULT_POLICY)

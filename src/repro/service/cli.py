@@ -86,7 +86,7 @@ def load_job_file(path: Path) -> tuple[str, CampaignSpec]:
             raise CampaignError(f"job file {path}: 'spec' must be an object")
     try:
         return client, CampaignSpec(**spec_fields)
-    except TypeError as exc:
+    except (TypeError, CampaignError) as exc:  # unknown field, or a bad value
         raise CampaignError(f"job file {path}: {exc}") from None
 
 

@@ -75,9 +75,8 @@ class InjectedFault(RuntimeError):
 
     category = "crash"
 
-    def __init__(self, site: str, kind: str, detail: str = ""):
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"injected {kind} at {site}{suffix}")
+    def __init__(self, site: str, kind: str):
+        super().__init__(f"injected {kind} at {site}")
         self.site = site
         self.kind = kind
 

@@ -14,7 +14,10 @@ on:
   construction).
 * :func:`spec_canonical_form` holds every :class:`~repro.campaign.runner.
   CampaignSpec` field that can influence the result, including
-  ``universe_options`` and ``podem_options``.
+  ``universe_options``, plus a constant ``"podem_options": None``: the spec
+  once had that field, no caller ever set it, and keeping its key keeps
+  the fingerprints of the cache entries and checkpoints written before it
+  was deleted.
 * :func:`campaign_fingerprint` hashes the two with the circuit name (it
   appears verbatim in reports) and :data:`SCHEMA_VERSION`.
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from typing import Any
 
 from ..campaign.runner import CampaignSpec, _jsonable, spec_result_fields
@@ -76,12 +78,9 @@ def spec_canonical_form(spec: CampaignSpec) -> dict[str, Any]:
     bit-identical: the spec is embedded verbatim in the JSON report, so two
     shard counts are two distinct (both correct) cacheable artifacts.
     """
-    return _jsonable(
-        {
-            **spec_result_fields(spec),
-            "podem_options": asdict(spec.podem_options) if spec.podem_options else None,
-        }
-    )
+    # The deleted ``podem_options`` field was always None; its key stays so
+    # that existing cache entries and checkpoints keep their fingerprints.
+    return _jsonable({**spec_result_fields(spec), "podem_options": None})
 
 
 def campaign_fingerprint(

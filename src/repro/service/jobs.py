@@ -49,7 +49,7 @@ from ..campaign.runner import (
 )
 from .cache import ResultCache
 from .faultinject import inject
-from .fingerprint import SCHEMA_VERSION, campaign_fingerprint
+from .fingerprint import campaign_fingerprint
 
 # NOTE: repro.campaign.sharded is imported lazily (inside functions) --
 # sharded.py hooks into repro.service.faultinject at module level, so a
@@ -136,7 +136,7 @@ class Job:
     #: Seconds the latest attempt spent in the job body (0.0 when its
     #: worker died before reporting).
     runtime: float = 0.0
-    _event: threading.Event = field(default_factory=threading.Event, repr=False)
+    _event: threading.Event = field(default_factory=threading.Event, init=False, repr=False)
 
     def info(self) -> dict[str, Any]:
         """JSON-able status snapshot (no result payload)."""
@@ -157,7 +157,6 @@ def _execute_job(
     spec: CampaignSpec,
     cache_dir: Optional[str],
     checkpoint_root: Optional[str],
-    schema_version: int,
 ) -> dict[str, Any]:
     """Worker-side job body: cache lookup, run, cache store -- all trapped.
 
@@ -175,14 +174,14 @@ def _execute_job(
         # Tagged by circuit reference, not call count: the hook stays
         # deterministic across pool rebuilds and worker process reuse.
         inject("job.run", tag=spec.circuit)
-        cache = ResultCache(cache_dir, schema_version=schema_version) if cache_dir else None
+        cache = ResultCache(cache_dir) if cache_dir else None
         key, result = cache.fetch(None, spec) if cache is not None else (None, None)
         payload = {"ok": True, "result": result, "cache_hit": result is not None}
         if result is None:
             checkpoint_dir = None
             if checkpoint_root is not None:
                 circuit = resolve_campaign_circuit(None, spec)
-                fingerprint = campaign_fingerprint(circuit, spec, schema_version=schema_version)
+                fingerprint = campaign_fingerprint(circuit, spec)
                 checkpoint_dir = str(Path(checkpoint_root) / fingerprint[:24])
             if checkpoint_dir is not None or spec.shards > 1:
                 sharded = ShardedCampaign(
@@ -218,8 +217,8 @@ class CampaignService:
     dispatcher stays parked until :meth:`start`, letting callers stage a
     burst of submissions that is then scheduled strictly fairly.
 
-    The service is a context manager; leaving the ``with`` block drains or
-    cancels the queue (``close(cancel_queued=True)`` cancels).
+    The service is a context manager; leaving the ``with`` block cancels
+    the jobs still queued (:meth:`close`).
 
     **Failure handling.**  Worker failures come back as structured
     :class:`JobError`\\ s with a taxonomy category; jobs failing with a
@@ -237,7 +236,6 @@ class CampaignService:
         max_workers: Optional[int] = None,
         cache_dir: str | os.PathLike | None = None,
         checkpoint_root: str | os.PathLike | None = None,
-        schema_version: int = SCHEMA_VERSION,
         autostart: bool = True,
         job_timeout: Optional[float] = None,
         max_job_retries: int = 0,
@@ -250,7 +248,6 @@ class CampaignService:
             raise CampaignError(f"max_job_retries must be >= 0, got {max_job_retries}")
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.checkpoint_root = str(checkpoint_root) if checkpoint_root is not None else None
-        self.schema_version = schema_version
         self.job_timeout = job_timeout
         self.max_job_retries = max_job_retries
         self._inline = max_workers == 0
@@ -385,24 +382,21 @@ class CampaignService:
             "degraded_jobs": sum(1 for job in jobs if job.degraded),
         }
         if self.cache_dir is not None:
-            payload["cache"] = ResultCache(
-                self.cache_dir, schema_version=self.schema_version
-            ).report()
+            payload["cache"] = ResultCache(self.cache_dir).report()
         return payload
 
-    def close(self, cancel_queued: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting jobs; cancel (default) or drain the queue, shut down."""
+    def close(self) -> None:
+        """Stop accepting jobs, cancel the queued ones and shut down."""
         with self._wake:
-            if cancel_queued:
-                for queue in self._queues.values():
-                    while queue:
-                        job = self._jobs[queue.popleft()]
-                        job.status = JobStatus.CANCELLED
-                        job._event.set()
+            for queue in self._queues.values():
+                while queue:
+                    job = self._jobs[queue.popleft()]
+                    job.status = JobStatus.CANCELLED
+                    job._event.set()
             self._closed = True
             self._started = True
             self._wake.notify_all()
-        self._dispatcher.join(timeout)
+        self._dispatcher.join()
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "CampaignService":
@@ -470,7 +464,6 @@ class CampaignService:
                     job.spec,
                     self.cache_dir,
                     self.checkpoint_root,
-                    self.schema_version,
                 )
             except Exception as exc:
                 self._finish_with_error(job_id, attempt, exc)

@@ -26,7 +26,6 @@ from ..analysis_static.untestable import StaticProof
 from ..atpg.compaction import CompactionResult
 from ..atpg.coverage import CoverageReport
 from ..atpg.fault_sim import DetectionReport
-from ..atpg.podem import PodemOptions
 from ..campaign.model import AtpgOutcome
 from ..campaign.runner import (
     AtpgPhaseResult,
@@ -48,13 +47,18 @@ QUARANTINE_DIR = "quarantine"
 ALLOWED: dict[str, type] = {
     cls.__qualname__: cls
     for cls in (
-        CampaignResult, CampaignSpec, PodemOptions, CircuitStats, FaultList,
+        CampaignResult, CampaignSpec, CircuitStats, FaultList,
         StuckAtFault, TransitionFault, PathDelayFault, ObdFault, GateType,
         StaticPhaseResult, LintReport, Diagnostic, Severity, StaticProof,
         PatternPhaseResult, AtpgPhaseResult, AtpgOutcome, DetectionReport,
         CoverageReport, CompactionResult, Round1Record,
     )
 }
+
+#: Fields deleted from a class on :data:`ALLOWED`, with the value every
+#: record written before the deletion holds there: :func:`decode` drops
+#: that key, so those records still load.  Any other value is damage.
+_RETIRED: dict[str, dict[str, Any]] = {"CampaignSpec": {"podem_options": None}}
 
 #: Ints from here on are stored as hex: JSON readers hold numbers as
 #: doubles, and Python's int -> decimal conversion stops at 4,300 digits.
@@ -118,7 +122,11 @@ def decode(data: Any) -> Any:
         return cls(data["value"])
     if cls is FaultList:
         return FaultList(decode(fault) for fault in data["faults"])
-    return cls(**{key: decode(item) for key, item in data.items() if key != "#"})
+    retired = _RETIRED.get(tag, {})
+    return cls(**{
+        key: decode(item) for key, item in data.items()
+        if key != "#" and not (key in retired and item == retired[key])
+    })
 
 
 def _trailer(body: str) -> str:

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from repro.atpg import generate_obd_test, greedy_compaction, simulate_obd
+from repro.atpg import generate_obd_test, greedy_compaction, serial_simulate_obd
 from repro.campaign import (
     SINGLE_PATTERN,
     TWO_PATTERN,
@@ -41,8 +41,7 @@ class TestRegistry:
         model = get_model("obd")
         with pytest.raises(ValueError, match="already registered"):
             register_model(model)
-        # replace=True keeps the registry unchanged but does not raise.
-        assert register_model(model, replace=True) is model
+        assert get_model("obd") is model
 
     def test_models_expose_universe_and_atpg(self, fa_sum):
         for name in registered_models():
@@ -130,6 +129,30 @@ class TestSpecValidation:
         sleep, so both are refused at construction, naming the field."""
         with pytest.raises(CampaignError, match=f"{field_name} must be "):
             CampaignSpec(circuit="c17", **{field_name: bad})
+
+    @pytest.mark.parametrize(
+        "field_name,bad",
+        [
+            ("static_phase", "off"),
+            ("run_atpg", 1),
+            ("compact", None),
+            ("drop_detected", "yes"),
+            ("allow_degraded", 0),
+            ("seed", "1"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("universe_options", [1]),
+            ("universe_options", None),
+            ("collapse", 1),
+            ("collapse", None),
+            ("collapse", "strict"),
+        ],
+    )
+    def test_job_file_values_are_type_checked(self, field_name, bad):
+        """Job files fill a spec from JSON: a truthy string must not switch a
+        phase on, nor a string seed pick another random stream."""
+        with pytest.raises(CampaignError, match=field_name):
+            CampaignSpec(circuit="c17", pattern_source="random", **{field_name: bad})
 
     @pytest.mark.parametrize(
         "fields", [{"shard_timeout": None}, {"shard_timeout": 2}, {"retry_backoff": 0}]
@@ -273,7 +296,7 @@ class TestSection43Parity:
         searches: dict = {}
         outcomes = [generate_obd_test(fa_sum, fault, searches=searches) for fault in faults]
         pairs = [pair for outcome in outcomes for pair in outcome.tests]
-        report = simulate_obd(fa_sum, pairs, faults)
+        report = get_model("obd").simulate(fa_sum, pairs, faults)
         return outcomes, pairs, report, greedy_compaction(report)
 
     def test_same_tests(self, obd_campaign, hand_wired):
@@ -450,18 +473,16 @@ class TestReporting:
         assert coverage.detected == len(result.detected_faults)
         assert coverage.num_tests == result.merged_report.num_tests
 
-    def test_wrappers_still_delegate(self, fa_sum):
-        """The legacy silo entry points agree with the registry they wrap."""
+    def test_registry_simulate_matches_serial_reference(self, fa_sum):
+        """The one entry point agrees with the serial engine it is checked against."""
         faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
         pairs = Campaign(CampaignSpec(model="obd", pattern_source="sic")).patterns_for(fa_sum)
-        legacy = simulate_obd(fa_sum, pairs, faults)
-        registry = get_model("obd").simulate(fa_sum, pairs, faults)
-        assert legacy.detections == registry.detections
+        packed = get_model("obd").simulate(fa_sum, pairs, faults)
+        serial = serial_simulate_obd(fa_sum, pairs, faults)
+        assert packed.detections == serial.detections
 
-    def test_stuck_at_wrapper_engine_validation(self, fa_sum):
-        from repro.atpg import simulate_stuck_at
-
+    def test_simulate_engine_validation(self, fa_sum):
         faults = list(stuck_at_universe(fa_sum))
         for engine in ("quantum", "interp"):
             with pytest.raises(ValueError, match="unknown fault-simulation engine"):
-                simulate_stuck_at(fa_sum, [(0, 0, 0)], faults, engine=engine)
+                get_model("stuck-at").simulate(fa_sum, [(0, 0, 0)], faults, engine=engine)

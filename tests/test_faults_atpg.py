@@ -25,10 +25,6 @@ from repro.atpg import (
     serial_simulate_obd,
     serial_simulate_path_delay,
     serial_simulate_transition,
-    simulate_obd,
-    simulate_path_delay,
-    simulate_stuck_at,
-    simulate_transition,
     simulate_with_forced_net,
     single_input_change_pairs,
 )
@@ -193,7 +189,7 @@ class TestPodem:
             result = generate_stuck_at_test(c17_circuit, fault)
             assert result.success, fault.key
             patterns.append(tuple(result.pattern[n] for n in c17_circuit.primary_inputs))
-        report = simulate_stuck_at(c17_circuit, patterns, faults)
+        report = get_model("stuck-at").simulate(c17_circuit, patterns, faults)
         assert coverage_from_report("sa", report).coverage == 1.0
 
     def test_generated_test_actually_detects(self, fa_sum):
@@ -201,7 +197,7 @@ class TestPodem:
         result = generate_stuck_at_test(fa_sum, fault)
         assert result.success
         pattern = tuple(result.pattern[n] for n in fa_sum.primary_inputs)
-        report = simulate_stuck_at(fa_sum, [pattern], [fault])
+        report = get_model("stuck-at").simulate(fa_sum, [pattern], [fault])
         assert report.detected_faults == [fault.key]
 
     def test_constraint_satisfaction(self, fa_sum):
@@ -279,7 +275,7 @@ class TestTwoPatternAndObdAtpg:
     def test_obd_atpg_matches_exhaustive_simulation(self, fa_sum):
         faults = obd_fault_universe(fa_sum, **NAND2_ONLY)
         outcomes, _ = generate_atpg_outcomes(OBD, fa_sum, faults, set())
-        report = simulate_obd(fa_sum, exhaustive_pairs(fa_sum), faults)
+        report = get_model("obd").simulate(fa_sum, exhaustive_pairs(fa_sum), faults)
         assert {o.fault.key for o in outcomes if o.success} == set(report.detected_faults)
         assert not [o for o in outcomes if o.aborted]
 
@@ -296,7 +292,7 @@ class TestTwoPatternAndObdAtpg:
     def test_obd_atpg_skips_already_detected(self, fa_sum):
         """Cross-phase fault dropping: detected faults never reach PODEM."""
         faults = obd_fault_universe(fa_sum, **NAND2_ONLY)
-        report = simulate_obd(fa_sum, single_input_change_pairs(fa_sum), faults)
+        report = get_model("obd").simulate(fa_sum, single_input_change_pairs(fa_sum), faults)
         outcomes, skipped = generate_atpg_outcomes(
             OBD, fa_sum, faults, set(report.detected_faults)
         )
@@ -380,7 +376,7 @@ class TestPathDelay:
         circuit.add_gate("g_inv", GateType.NAND2, ["a", "a"], "x")
         circuit.add_gate("g_out", GateType.NAND2, ["x", "b"], "y")
         circuit.add_output("y")
-        assert _structural_paths(circuit, None, 1000) == [("a", "x", "y"), ("b", "y")]
+        assert _structural_paths(circuit, 1000) == [("a", "x", "y"), ("b", "y")]
         assert len(path_delay_universe(circuit, limit=2)) == 4
 
     @pytest.mark.parametrize(
@@ -391,7 +387,7 @@ class TestPathDelay:
     def test_walk_yields_each_path_once(self, ref, count):
         """The uncapped walk repeats no path, so the universe keeps all it walks."""
         circuit = resolve_circuit(ref)
-        paths = _structural_paths(circuit, None, 10**6)
+        paths = _structural_paths(circuit, 10**6)
         assert len(set(paths)) == len(paths)
         assert len(path_delay_universe(circuit, limit=10**6)) == 2 * len(paths)
         if count is not None:
@@ -413,15 +409,15 @@ class TestPathDelay:
     def test_simulate_engines_agree(self, fa_sum):
         faults = list(path_delay_universe(fa_sum))
         pairs = exhaustive_pairs(fa_sum)
-        packed = simulate_path_delay(fa_sum, pairs, faults, engine="packed")
-        serial = simulate_path_delay(fa_sum, pairs, faults, engine="serial")
+        packed = get_model("path-delay").simulate(fa_sum, pairs, faults, engine="packed")
+        serial = get_model("path-delay").simulate(fa_sum, pairs, faults, engine="serial")
         assert packed.detections == serial.detections
         assert packed.num_tests == serial.num_tests == len(pairs)
 
     def test_detection_matches_is_sensitized(self, fa_sum):
         faults = list(path_delay_universe(fa_sum))
         pairs = exhaustive_pairs(fa_sum)[:20]
-        report = simulate_path_delay(fa_sum, pairs, faults)
+        report = get_model("path-delay").simulate(fa_sum, pairs, faults)
         for fault in faults:
             for index, pair in enumerate(pairs):
                 expected = is_sensitized(fa_sum, fault, pair[0], pair[1])
@@ -440,7 +436,7 @@ class TestPathDelay:
         """ATPG testability agrees with exhaustive two-pattern simulation on
         the complete full adder (whose XOR trees make some paths untestable)."""
         faults = list(path_delay_universe(fa_full))
-        report = simulate_path_delay(fa_full, exhaustive_pairs(fa_full), faults)
+        report = get_model("path-delay").simulate(fa_full, exhaustive_pairs(fa_full), faults)
         for fault in faults:
             result = generate_path_delay_test(fa_full, fault)
             assert not result.aborted, fault.key
@@ -449,9 +445,9 @@ class TestPathDelay:
     def test_drop_detected_first_index_parity(self, fa_sum):
         faults = list(path_delay_universe(fa_sum))
         pairs = exhaustive_pairs(fa_sum)
-        full = simulate_path_delay(fa_sum, pairs, faults)
+        full = get_model("path-delay").simulate(fa_sum, pairs, faults)
         for engine in ("packed", "serial"):
-            dropped = simulate_path_delay(fa_sum, pairs, faults,
+            dropped = get_model("path-delay").simulate(fa_sum, pairs, faults,
                                           drop_detected=True, engine=engine)
             for key, detecting in full.detections.items():
                 assert dropped.detections[key] == detecting[:1], (key, engine)
@@ -512,13 +508,13 @@ class TestFaultSimulation:
 
     def test_exhaustive_beats_random_for_obd(self, fa_sum):
         faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
-        exhaustive = simulate_obd(fa_sum, exhaustive_pairs(fa_sum), faults)
-        random_report = simulate_obd(fa_sum, random_pairs(fa_sum, 10, seed=3), faults)
+        exhaustive = get_model("obd").simulate(fa_sum, exhaustive_pairs(fa_sum), faults)
+        random_report = get_model("obd").simulate(fa_sum, random_pairs(fa_sum, 10, seed=3), faults)
         assert len(exhaustive.detected_faults) >= len(random_report.detected_faults)
 
     def test_compaction_covers_all_detected(self, fa_sum):
         faults = obd_fault_universe(fa_sum, gate_types=[GateType.NAND2])
-        report = simulate_obd(fa_sum, exhaustive_pairs(fa_sum), faults)
+        report = get_model("obd").simulate(fa_sum, exhaustive_pairs(fa_sum), faults)
         compaction = greedy_compaction(report)
         assert set(compaction.covered_faults) == set(report.detected_faults)
         assert compaction.size <= report.num_tests
@@ -580,7 +576,9 @@ class TestFaultSimulation:
 
     def test_coverage_report_arithmetic(self, c17_circuit):
         faults = list(stuck_at_universe(c17_circuit))
-        report = simulate_stuck_at(c17_circuit, exhaustive_patterns(c17_circuit), faults)
+        report = get_model("stuck-at").simulate(
+            c17_circuit, exhaustive_patterns(c17_circuit), faults
+        )
         cov = coverage_from_report("sa", report)
         assert cov.total_faults == len(faults)
         assert 0 <= cov.detected <= cov.total_faults
@@ -624,9 +622,9 @@ class TestFaultSimulation:
         pairs = exhaustive_pairs(fa_sum)
         patterns = exhaustive_patterns(fa_sum)
         cases = [
-            (simulate_stuck_at, patterns, list(stuck_at_universe(fa_sum))),
-            (simulate_transition, pairs, list(transition_fault_universe(fa_sum))),
-            (simulate_obd, pairs, list(obd_fault_universe(fa_sum))),
+            (get_model("stuck-at").simulate, patterns, list(stuck_at_universe(fa_sum))),
+            (get_model("transition").simulate, pairs, list(transition_fault_universe(fa_sum))),
+            (get_model("obd").simulate, pairs, list(obd_fault_universe(fa_sum))),
         ]
         for simulate, tests, faults in cases:
             full = simulate(fa_sum, tests, faults)

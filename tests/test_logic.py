@@ -206,13 +206,13 @@ class TestExpansion:
         the edge, and only the inputs that change move."""
         first, second = (0, 1, 1), (1, 1, 0)
         waveforms = two_pattern_input_waveforms(
-            fa_sum, tech, first, second, launch_time=2e-9, transition_time=0.1e-9
+            fa_sum, tech, first, second, launch_time=2e-9
         )
         assert list(waveforms) == fa_sum.primary_inputs
         for net, bit1, bit2 in zip(fa_sum.primary_inputs, first, second):
             wf = waveforms[net]
             assert wf(1e-9) == pytest.approx(tech.logic_level(bit1))
-            assert wf(2.05e-9) == pytest.approx(
+            assert wf(2.025e-9) == pytest.approx(
                 (tech.logic_level(bit1) + tech.logic_level(bit2)) / 2
             )
             assert wf(3e-9) == pytest.approx(tech.logic_level(bit2))

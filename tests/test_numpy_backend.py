@@ -28,8 +28,8 @@ from repro.campaign import (
     Campaign,
     CampaignSpec,
     get_model,
+    ShardedCampaign,
     models,
-    run_sharded_campaign,
 )
 from repro.campaign.sharded import DEGRADE_FALLBACK, RetryPolicy
 from repro.faults import (
@@ -129,8 +129,6 @@ class TestEngineRegistry:
     def test_compiled_matches_engine(self, c17_circuit):
         cc = compile_circuit(c17_circuit, word_bits=128, backend="numpy")
         assert compiled_matches_engine(cc, "numpy")
-        assert compiled_matches_engine(cc, "numpy", word_bits=128)
-        assert not compiled_matches_engine(cc, "numpy", word_bits=64)
         assert not compiled_matches_engine(cc, "packed")
         assert compiled_matches_engine(None, "serial")
         assert not compiled_matches_engine(None, "packed")
@@ -268,7 +266,7 @@ class TestNumpyCampaign:
             CampaignSpec(model="stuck-at", pattern_source="random",
                          pattern_count=16, seed=4, engine="packed")
         ).run(fa_sum)
-        sharded = run_sharded_campaign(fa_sum, spec, shards=shards, max_workers=0)
+        sharded = ShardedCampaign(spec, shards=shards, max_workers=0).run(fa_sum)
         assert _normalized(sharded) == _normalized(base)
 
     def test_sharded_real_process_pool(self, fa_sum):
@@ -277,22 +275,24 @@ class TestNumpyCampaign:
         spec = CampaignSpec(model="transition", pattern_source="random",
                             pattern_count=12, seed=6, engine="numpy")
         base = Campaign(spec).run(fa_sum)
-        sharded = run_sharded_campaign(fa_sum, spec, shards=3, max_workers=2)
+        sharded = ShardedCampaign(spec, shards=3, max_workers=2).run(fa_sum)
         assert sharded.as_dict(include_runtime=False) == base.as_dict(include_runtime=False)
 
-    def test_model_simulate_accepts_word_bits(self, c17_circuit):
+    def test_model_simulate_reuses_compiled_of_any_width(self, c17_circuit):
         model = get_model("stuck-at")
         patterns = random_patterns(c17_circuit, 20, seed=3)
         faults = list(stuck_at_universe(c17_circuit))
         default = model.simulate(c17_circuit, patterns, faults, engine="numpy")
+        narrow_cc = compile_for_engine(c17_circuit, "numpy", 8)
         narrow = model.simulate(
-            c17_circuit, patterns, faults, engine="numpy", word_bits=8
+            c17_circuit, patterns, faults, engine="numpy", compiled=narrow_cc
         )
         assert narrow.detections == default.detections
+        assert narrow_cc.word_bits == 8
 
     def test_model_simulate_recompiles_mismatched_flavor(self, c17_circuit):
-        # A packed-flavored compiled circuit handed to engine="numpy" (or the
-        # wrong width) is recompiled, never silently reused.
+        # A packed-flavored compiled circuit handed to engine="numpy" is
+        # recompiled, never silently reused.
         model = get_model("stuck-at")
         patterns = random_patterns(c17_circuit, 20, seed=3)
         faults = list(stuck_at_universe(c17_circuit))

@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from repro.atpg import PodemOptions, generate_obd_test, podem
+from repro.atpg import PodemOptions, generate_obd_test, get_atpg_engine, podem
 from repro.campaign import Campaign, CampaignSpec, ShardedCampaign, get_model
 from repro.campaign.circuits import resolve_circuit
 from repro.campaign.runner import generate_atpg_outcomes
-from repro.faults import obd_fault_universe
-from repro.logic import LogicCircuit
+from repro.faults import StuckAtFault, obd_fault_universe
+from repro.logic import GateType, LogicCircuit
 
 #: The end-to-end benchmark's OBD campaign (``obd-rdag``).
 BENCHMARK_SPEC = CampaignSpec(
@@ -54,20 +54,29 @@ def search_calls(monkeypatch):
 
 
 class TestPodemOptionsValidation:
-    @pytest.mark.parametrize("fill_value", [7, -1, 2, None])
-    def test_fill_value_must_be_a_bit(self, fill_value):
-        with pytest.raises(ValueError, match="fill_value"):
-            PodemOptions(fill_value=fill_value)
+    @pytest.mark.parametrize("engine", ["two-rail", "podem", "d-alg"])
+    def test_unassigned_inputs_are_filled_with_zero(self, engine):
+        circuit = LogicCircuit("fill")
+        circuit.add_inputs(["A", "B", "C"])
+        circuit.add_output("Y")
+        circuit.add_output("Z")
+        circuit.add_gate("g1", GateType.AND2, ["A", "B"], "Y")
+        circuit.add_gate("g2", GateType.INV, ["C"], "Z")
+        fault = StuckAtFault("Y", 0)
+        if engine == "two-rail":
+            result = podem.generate_stuck_at_test(circuit, fault)
+        else:
+            result = get_atpg_engine(engine).generate(circuit, fault)
+        assert result.pattern == {"A": 1, "B": 1, "C": 0}
 
     @pytest.mark.parametrize("max_backtracks", [-1, 1.5, "10", True, None])
     def test_max_backtracks_must_be_a_nonnegative_int(self, max_backtracks):
         with pytest.raises(ValueError, match="max_backtracks"):
             PodemOptions(max_backtracks=max_backtracks)
 
-    @pytest.mark.parametrize("fill_value", [0, 1])
-    def test_valid_options_accepted(self, fill_value):
-        options = PodemOptions(max_backtracks=0, fill_value=fill_value)
-        assert (options.max_backtracks, options.fill_value) == (0, fill_value)
+    @pytest.mark.parametrize("max_backtracks", [0, 1])
+    def test_valid_options_accepted(self, max_backtracks):
+        assert PodemOptions(max_backtracks=max_backtracks).max_backtracks == max_backtracks
 
 
 class TestSearchCounts:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from parity_cases import late_tests, one_gate_obd_faults, same_net_stuck_at
 
 from repro.atpg import (
+    compile_for_engine,
     exhaustive_pairs,
     exhaustive_patterns,
     random_pairs,
@@ -19,13 +20,9 @@ from repro.atpg import (
     serial_simulate_path_delay,
     serial_simulate_stuck_at,
     serial_simulate_transition,
-    simulate_obd,
-    simulate_path_delay,
-    simulate_stuck_at,
-    simulate_transition,
     simulate_with_forced_net,
 )
-from repro.campaign import Campaign, CampaignSpec
+from repro.campaign import Campaign, CampaignSpec, get_model
 from repro.faults import (
     obd_fault_universe,
     path_delay_universe,
@@ -228,9 +225,9 @@ class TestCompiledCircuit:
         faults = list(stuck_at_universe(c17_circuit))
         bad = [(2, 0, 1, 0, 1)]
         with pytest.raises(LogicCircuitError):
-            simulate_stuck_at(c17_circuit, bad, faults)
+            get_model("stuck-at").simulate(c17_circuit, bad, faults)
         with pytest.raises(LogicCircuitError):
-            simulate_stuck_at(c17_circuit, bad, faults, engine="serial")
+            get_model("stuck-at").simulate(c17_circuit, bad, faults, engine="serial")
 
 
 # --------------------------------------------------------------------------- #
@@ -242,15 +239,15 @@ class TestPackedSerialIdentity:
         patterns = exhaustive_patterns(fa_sum)
         pairs = exhaustive_pairs(fa_sum)
         sa = list(stuck_at_universe(fa_sum))
-        packed = simulate_stuck_at(fa_sum, patterns, sa, drop_detected=drop)
+        packed = get_model("stuck-at").simulate(fa_sum, patterns, sa, drop_detected=drop)
         serial = serial_simulate_stuck_at(fa_sum, patterns, sa, drop_detected=drop)
         assert packed.detections == serial.detections
         tr = list(transition_fault_universe(fa_sum))
-        packed = simulate_transition(fa_sum, pairs, tr, drop_detected=drop)
+        packed = get_model("transition").simulate(fa_sum, pairs, tr, drop_detected=drop)
         serial = serial_simulate_transition(fa_sum, pairs, tr, drop_detected=drop)
         assert packed.detections == serial.detections
         obd = list(obd_fault_universe(fa_sum))
-        packed = simulate_obd(fa_sum, pairs, obd, drop_detected=drop)
+        packed = get_model("obd").simulate(fa_sum, pairs, obd, drop_detected=drop)
         serial = serial_simulate_obd(fa_sum, pairs, obd, drop_detected=drop)
         assert packed.detections == serial.detections
 
@@ -259,17 +256,17 @@ class TestPackedSerialIdentity:
         pairs = random_pairs(c17_circuit, 100, seed=5)
         sa = list(stuck_at_universe(c17_circuit))
         assert (
-            simulate_stuck_at(c17_circuit, patterns, sa).detections
+            get_model("stuck-at").simulate(c17_circuit, patterns, sa).detections
             == serial_simulate_stuck_at(c17_circuit, patterns, sa).detections
         )
         tr = list(transition_fault_universe(c17_circuit))
         assert (
-            simulate_transition(c17_circuit, pairs, tr).detections
+            get_model("transition").simulate(c17_circuit, pairs, tr).detections
             == serial_simulate_transition(c17_circuit, pairs, tr).detections
         )
         obd = list(obd_fault_universe(c17_circuit))
         assert (
-            simulate_obd(c17_circuit, pairs, obd).detections
+            get_model("obd").simulate(c17_circuit, pairs, obd).detections
             == serial_simulate_obd(c17_circuit, pairs, obd).detections
         )
 
@@ -277,16 +274,16 @@ class TestPackedSerialIdentity:
         """simulate_* with default engine equals both explicit engines."""
         patterns = exhaustive_patterns(c17_circuit)
         faults = list(stuck_at_universe(c17_circuit))
-        default = simulate_stuck_at(c17_circuit, patterns, faults)
-        explicit = simulate_stuck_at(c17_circuit, patterns, faults, engine="serial")
+        default = get_model("stuck-at").simulate(c17_circuit, patterns, faults)
+        explicit = get_model("stuck-at").simulate(c17_circuit, patterns, faults, engine="serial")
         assert default.detections == explicit.detections
         with pytest.raises(ValueError):
-            simulate_stuck_at(c17_circuit, patterns, faults, engine="warp")
+            get_model("stuck-at").simulate(c17_circuit, patterns, faults, engine="warp")
 
     def test_num_tests_and_coverage_survive_delegation(self, fa_sum):
         pairs = exhaustive_pairs(fa_sum)
         faults = list(obd_fault_universe(fa_sum, gate_types=[GateType.NAND2]))
-        report = simulate_obd(fa_sum, pairs, faults)
+        report = get_model("obd").simulate(fa_sum, pairs, faults)
         assert report.num_tests == len(pairs)
         assert 0.0 < report.coverage <= 1.0
 
@@ -319,37 +316,21 @@ class TestCodegen:
         patterns = exhaustive_patterns(c17_circuit)
         faults = list(stuck_at_universe(c17_circuit))
         with pytest.raises(ValueError, match="unknown fault-simulation engine 'interp'"):
-            simulate_stuck_at(c17_circuit, patterns, faults, engine="interp")
+            get_model("stuck-at").simulate(c17_circuit, patterns, faults, engine="interp")
         with pytest.raises(ValueError, match="unknown fault-simulation engine 'interp'"):
-            simulate_obd(c17_circuit, exhaustive_pairs(c17_circuit), [], engine="interp")
+            get_model("obd").simulate(
+                c17_circuit, exhaustive_pairs(c17_circuit), [], engine="interp"
+            )
 
-    def test_wrapper_reuses_prebuilt_compiled(self, c17_circuit):
+    def test_simulate_reuses_prebuilt_compiled(self, c17_circuit):
         patterns = exhaustive_patterns(c17_circuit)
         faults = list(stuck_at_universe(c17_circuit))
         cc = compile_circuit(c17_circuit, word_bits=16)
-        via_wrapper = simulate_stuck_at(c17_circuit, patterns, faults, compiled=cc)
-        fresh = simulate_stuck_at(c17_circuit, patterns, faults)
-        assert via_wrapper.detections == fresh.detections
+        reused = get_model("stuck-at").simulate(c17_circuit, patterns, faults, compiled=cc)
+        fresh = get_model("stuck-at").simulate(c17_circuit, patterns, faults)
+        assert reused.detections == fresh.detections
         # The prebuilt circuit ran the call: its sites walked their cones.
         assert cc._cone_walks
-
-    def test_conflicting_compiled_and_word_bits_recompiles(self, c17_circuit):
-        patterns = exhaustive_patterns(c17_circuit)
-        faults = list(stuck_at_universe(c17_circuit))
-        cc = compile_circuit(c17_circuit, word_bits=16)
-        rep = simulate_stuck_at(
-            c17_circuit, patterns, faults, compiled=cc, word_bits=64
-        )
-        # The width wins: the 16-bit circuit was not used.
-        assert not cc._cone_walks and not cc._diff_kernels
-        assert rep.detections == (
-            serial_simulate_stuck_at(c17_circuit, patterns, faults).detections
-        )
-        # Agreement reuses it.
-        rep = simulate_stuck_at(
-            c17_circuit, patterns, faults, compiled=cc, word_bits=16
-        )
-        assert rep.num_tests == len(patterns) and cc._cone_walks
 
 
 # --------------------------------------------------------------------------- #
@@ -373,21 +354,21 @@ def _parity_cases(drop):
     patterns = random_patterns(circuit, _PARITY_TESTS, seed=7)
     pairs = random_pairs(circuit, _PARITY_TESTS, seed=8)
     models = [
-        (simulate_stuck_at, serial_simulate_stuck_at,
+        (get_model("stuck-at").simulate, serial_simulate_stuck_at,
          patterns, list(stuck_at_universe(circuit))),
-        (simulate_stuck_at, serial_simulate_stuck_at,
+        (get_model("stuck-at").simulate, serial_simulate_stuck_at,
          patterns, same_net_stuck_at(circuit)),
-        (simulate_stuck_at, serial_simulate_stuck_at,
+        (get_model("stuck-at").simulate, serial_simulate_stuck_at,
          late_tests(patterns), list(stuck_at_universe(circuit))),
-        (simulate_transition, serial_simulate_transition,
+        (get_model("transition").simulate, serial_simulate_transition,
          pairs, list(transition_fault_universe(circuit))),
-        (simulate_path_delay, serial_simulate_path_delay,
+        (get_model("path-delay").simulate, serial_simulate_path_delay,
          pairs, list(path_delay_universe(circuit, limit=60))),
-        (simulate_obd, serial_simulate_obd,
+        (get_model("obd").simulate, serial_simulate_obd,
          pairs, list(obd_fault_universe(circuit))),
-        (simulate_obd, serial_simulate_obd,
+        (get_model("obd").simulate, serial_simulate_obd,
          pairs, one_gate_obd_faults(circuit)),
-        (simulate_obd, serial_simulate_obd,
+        (get_model("obd").simulate, serial_simulate_obd,
          late_tests(pairs), list(obd_fault_universe(circuit))),
     ]
     return circuit, [
@@ -402,9 +383,9 @@ def _assert_engine_parity(word_bits, drop, engines):
         for engine in engines:
             packed = simulate(
                 circuit, tests, faults, drop_detected=drop, engine=engine,
-                word_bits=word_bits,
+                compiled=compile_for_engine(circuit, engine, word_bits),
             )
-            assert packed.detections == serial.detections, (simulate.__name__, engine)
+            assert packed.detections == serial.detections, (simulate.__self__.name, engine)
             assert packed.num_tests == serial.num_tests
 
 
@@ -467,7 +448,7 @@ class TestConeTiers:
         # One fault per net, so a net's detector runs at most once per block.
         faults = [fault for fault in stuck_at_universe(circuit) if fault.value == 0]
         cc = compile_circuit(circuit, word_bits=8)
-        first = simulate_stuck_at(circuit, patterns, faults, compiled=cc)
+        first = get_model("stuck-at").simulate(circuit, patterns, faults, compiled=cc)
         goods = [simulate_pattern(circuit, pattern) for pattern in patterns]
         activated = _activated(cc, faults, goods)
         # Every activated site is first activated in the first block.
@@ -481,8 +462,8 @@ class TestConeTiers:
         assert sorted(cone_calls["compile"]) == sorted(activated)
         # A second call on the same circuit reuses every kernel, even on a
         # dropping run whose single first block would walk a fresh site.
-        again = simulate_stuck_at(circuit, patterns, faults, compiled=cc)
-        dropped = simulate_stuck_at(
+        again = get_model("stuck-at").simulate(circuit, patterns, faults, compiled=cc)
+        dropped = get_model("stuck-at").simulate(
             circuit, patterns[:8], faults, compiled=cc, drop_detected=True
         )
         assert again.detections == first.detections
@@ -496,7 +477,7 @@ class TestConeTiers:
         index = cc.index.ids["G11"]
         reference = serial_simulate_stuck_at(c17_circuit, patterns, [fault], drop_detected=True)
         for call in range(1, 20):
-            report = simulate_stuck_at(
+            report = get_model("stuck-at").simulate(
                 c17_circuit, patterns, [fault], compiled=cc, drop_detected=True
             )
             assert report.detections == reference.detections
@@ -511,7 +492,9 @@ class TestConeTiers:
         patterns = random_patterns(circuit, 8 * blocks, seed=3)
         faults = [fault for fault in stuck_at_universe(circuit) if fault.value == 0]
         cc = compile_circuit(circuit, word_bits=8)
-        report = simulate_stuck_at(circuit, patterns, faults, compiled=cc, drop_detected=True)
+        report = get_model("stuck-at").simulate(
+            circuit, patterns, faults, compiled=cc, drop_detected=True
+        )
         assert report.detections == (
             serial_simulate_stuck_at(circuit, patterns, faults, drop_detected=True).detections
         )
@@ -547,7 +530,7 @@ def test_packed_equals_serial_stuck_at(params, pattern_seed, drop):
     circuit = random_circuit(*params)
     patterns = random_patterns(circuit, 70, seed=pattern_seed)
     faults = list(stuck_at_universe(circuit))
-    packed = simulate_stuck_at(circuit, patterns, faults, drop_detected=drop)
+    packed = get_model("stuck-at").simulate(circuit, patterns, faults, drop_detected=drop)
     serial = serial_simulate_stuck_at(circuit, patterns, faults, drop_detected=drop)
     assert packed.detections == serial.detections
     assert packed.num_tests == serial.num_tests
@@ -559,7 +542,7 @@ def test_packed_equals_serial_transition(params, pattern_seed, drop):
     circuit = random_circuit(*params)
     pairs = random_pairs(circuit, 70, seed=pattern_seed)
     faults = list(transition_fault_universe(circuit))
-    packed = simulate_transition(circuit, pairs, faults, drop_detected=drop)
+    packed = get_model("transition").simulate(circuit, pairs, faults, drop_detected=drop)
     serial = serial_simulate_transition(circuit, pairs, faults, drop_detected=drop)
     assert packed.detections == serial.detections
 
@@ -570,6 +553,6 @@ def test_packed_equals_serial_obd(params, pattern_seed, drop):
     circuit = random_circuit(*params)
     pairs = random_pairs(circuit, 70, seed=pattern_seed)
     faults = list(obd_fault_universe(circuit))
-    packed = simulate_obd(circuit, pairs, faults, drop_detected=drop)
+    packed = get_model("obd").simulate(circuit, pairs, faults, drop_detected=drop)
     serial = serial_simulate_obd(circuit, pairs, faults, drop_detected=drop)
     assert packed.detections == serial.detections

@@ -25,10 +25,12 @@ from repro.campaign import (
     CampaignSuite,
     InlineExecutor,
     ShardedCampaign,
+    resolve_circuit,
 )
 from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
 from repro.service.cache import CACHE_SCHEMA
 from repro.service.checkpoint import CHECKPOINT_SCHEMA
+from repro.service.cli import load_job_file
 from repro.service.records import decode, encode_record
 from repro.logic import GateType, LogicCircuit, full_adder_sum
 from repro.service import (
@@ -94,6 +96,23 @@ def _spec(**overrides) -> CampaignSpec:
 
 
 class TestFingerprintInvalidation:
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (CampaignSpec(circuit="c17"),
+             "900c10a6c6d58dd6eab5762e7c393cb2d7a722c7acc36ca2d65ef398c104e2d7"),
+            (CampaignSpec(model="obd", circuit="fa_sum", pattern_source="random",
+                          pattern_count=16, seed=3),
+             "2be6b22e66305395eccf31a1791d7755c82ddf36b112292fe185f8714006e35c"),
+        ],
+        ids=["c17-default", "fa_sum-obd"],
+    )
+    def test_fingerprint_is_pinned(self, spec, digest):
+        """Cache keys and checkpoint manifests already on disk stay valid:
+        any change to the canonical form fails here."""
+        circuit = resolve_circuit(spec.circuit)
+        assert campaign_fingerprint(circuit, spec) == digest
+
     def test_identical_rebuild_shares_key(self):
         a = campaign_fingerprint(full_adder_sum(), _spec())
         b = campaign_fingerprint(full_adder_sum(), _spec())
@@ -191,6 +210,23 @@ class TestResultCache:
         assert new.fetch(None, spec)[1] is None
         # Even a forced read under the old key revalidates the version.
         assert new.get(key) is None
+
+    @pytest.mark.parametrize("value,hits", [(None, True), ({"max_backtracks": 5}, False)])
+    def test_entry_with_the_deleted_podem_options_field(self, tmp_path, value, hits):
+        """Entries written while the spec had ``podem_options`` (always None)
+        still hit; any other value no spec could hold is damage."""
+        spec = _spec()
+        cache = ResultCache(tmp_path)
+        key, _ = cache.fetch(None, spec)
+        cache.put(key, Campaign(spec).run())
+        path = tmp_path / f"{key}.json"
+        body = json.loads(path.read_text().split("\n")[0])
+        body["result"]["spec"]["podem_options"] = value
+        path.write_text(encode_record(body))
+        hit = cache.get(key)
+        assert (hit is not None) == hits
+        if hits:
+            assert hit.as_dict(include_runtime=False) == baseline(spec)
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
         spec = _spec()
@@ -518,6 +554,20 @@ class TestKillAndResume:
 # The async job service (inline workers: deterministic, process-free).
 # --------------------------------------------------------------------------- #
 class TestCampaignService:
+    @pytest.mark.parametrize(
+        "fields,named",
+        [({"podem_options": {"max_backtracks": 5}}, "podem_options"),
+         ({"static_phase": "off"}, "static_phase")],
+    )
+    def test_job_file_with_a_bad_field_is_refused(self, tmp_path, fields, named):
+        """A job file naming a deleted field, or a value of the wrong type, is
+        refused when it is read, naming the file, not inside a worker."""
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"client": "alice", "spec": {"circuit": "c17", **fields}}))
+        with pytest.raises(CampaignError) as info:
+            load_job_file(path)
+        assert str(path) in str(info.value) and named in str(info.value)
+
     def test_submit_result_matches_single_process(self, tmp_path):
         spec = _spec()
         with CampaignService(max_workers=0) as service:
@@ -622,17 +672,18 @@ class TestServiceRobustness:
     def test_close_cancels_queued_jobs(self):
         service = CampaignService(max_workers=0, autostart=False)
         ids = [service.submit(_spec(seed=i)) for i in range(3)]
-        service.close()  # cancel_queued=True: nothing ever ran
+        service.close()  # nothing ever ran
         for job_id in ids:
             assert service.status(job_id) is JobStatus.CANCELLED
         with pytest.raises(JobFailedError):
             service.result(ids[0])
 
-    def test_draining_close_finishes_queued_jobs(self):
+    def test_close_keeps_finished_jobs(self):
         service = CampaignService(max_workers=0, autostart=False)
         ids = [service.submit(_spec(seed=i)) for i in range(2)]
         service.start()
-        service.close(cancel_queued=False)
+        service.wait_all(timeout=60)
+        service.close()
         for job_id in ids:
             assert service.status(job_id) is JobStatus.DONE
 

@@ -194,7 +194,7 @@ class TestShardedCampaign:
         spec = CampaignSpec(model="stuck-at", pattern_source="random",
                             pattern_count=8, seed=3)
         base = Campaign(spec).run(fa_sum)
-        sharded = run_sharded_campaign(fa_sum, spec, shards=3, max_workers=2)
+        sharded = ShardedCampaign(spec, shards=3, max_workers=2).run(fa_sum)
         assert sharded.as_dict(include_runtime=False) == base.as_dict(include_runtime=False)
         assert sharded.tests == base.tests
         assert sharded.compacted_tests == base.compacted_tests
@@ -254,7 +254,7 @@ class TestShardedCampaign:
 
     def test_spec_or_kwargs_not_both(self, fa_sum):
         with pytest.raises(CampaignError, match="not both"):
-            run_sharded_campaign(fa_sum, CampaignSpec(), model="obd")
+            run_sharded_campaign(CampaignSpec(), model="obd")
 
     def test_inline_executor_runs_submissions_eagerly(self):
         future = InlineExecutor().submit(lambda x: x + 1, 41)
@@ -400,9 +400,9 @@ class TestCampaignSuite:
         with pytest.raises(CampaignError, match="empty campaign suite"):
             CampaignSuite([])
 
-    def test_cross_base_and_kwargs_exclusive(self):
-        with pytest.raises(CampaignError, match="not both"):
-            CampaignSuite.cross(["c17"], base=CampaignSpec(), seed=1)
+    def test_cross_rejects_a_bad_shared_field(self):
+        with pytest.raises(CampaignError, match="seed"):
+            CampaignSuite.cross(["c17"], seed="1")
 
     def test_cross_sic_battery_over_two_pattern_models(self):
         """The kwargs template must not trip sic validation on the default

@@ -121,6 +121,31 @@ def _diode_region(diode, vd):
     return "exponential"
 
 
+DIODE_REGIONS = ("linearized", "exponential", "reverse")
+
+
+def _place_diodes(system, diodes, x, region, rng):
+    """Set each diode's voltage to a draw from *region*, diode by diode.
+
+    A later diode may share a node with an earlier one, but the last diode
+    placed keeps its draw, so *region* is reached by construction.
+    """
+    for diode in diodes:
+        model = diode.model
+        vcrit, reverse = model.critical_voltage, -5.0 * model.thermal_voltage
+        low, high = {
+            "linearized": (vcrit, vcrit + 1.0),
+            "exponential": (reverse, vcrit),
+            "reverse": (reverse - 2.0, reverse),
+        }[region]
+        vd = rng.uniform(low, high)
+        anode, cathode = (system.node_index(n) for n in diode.nodes)
+        if anode >= 0:
+            x[anode] = system.voltage(x, diode.nodes[1]) + vd
+        else:
+            x[cathode] = -vd
+
+
 CELL_FIXTURES = [
     ("INV", ((0,), (1,)), None),
     ("INV", ((0,), (1,)), "NA"),
@@ -158,6 +183,7 @@ class TestStampPlanParity:
         for trial in range(7):
             x = rng.uniform(-1.5, tech.vdd + 2.5, system.size)
             x_prev = rng.uniform(-0.5, tech.vdd + 0.5, system.size)
+            _place_diodes(system, diodes, x, DIODE_REGIONS[trial % 3], rng)
             for mode, gmin, scale in itertools.product(
                 ("dc", "tran"), (0.0, 1e-12, 1e-3), (1.0, 0.35)
             ):
@@ -176,7 +202,7 @@ class TestStampPlanParity:
                 regions_seen.add(_diode_region(d, vd))
         assert reversed_seen == {False, True}
         if diodes:
-            assert regions_seen == {"linearized", "exponential", "reverse"}
+            assert regions_seen == set(DIODE_REGIONS)
 
     @pytest.mark.parametrize("gate_type,sequence,defect_site", CELL_FIXTURES)
     def test_stacked_plan_matches_member_plans(self, tech, gate_type, sequence, defect_site):

@@ -27,7 +27,6 @@ from repro.atpg import (
     get_atpg_engine,
     register_atpg_engine,
     serial_simulate_stuck_at,
-    simulate_stuck_at,
 )
 from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
 from repro.atpg.structural.logic5 import (
@@ -40,7 +39,7 @@ from repro.atpg.structural.logic5 import (
     justification_cubes,
     propagation_cubes,
 )
-from repro.campaign import Campaign, CampaignSpec, ShardedCampaign, run_campaign
+from repro.campaign import Campaign, CampaignSpec, ShardedCampaign, get_model, run_campaign
 from repro.campaign.circuits import resolve_circuit
 from repro.campaign.errors import CampaignError
 from repro.campaign.sharded import run_sharded_campaign
@@ -190,7 +189,7 @@ def test_engines_agree_and_vectors_detect(ref):
                 tuple(r.pattern[n] for n in circuit.primary_inputs) for _, r in tested
             ]
             for engine_report in (
-                simulate_stuck_at(circuit, patterns, [f for f, _ in tested]),
+                get_model("stuck-at").simulate(circuit, patterns, [f for f, _ in tested]),
                 serial_simulate_stuck_at(circuit, patterns, [f for f, _ in tested]),
             ):
                 for index, (fault, _) in enumerate(tested):
@@ -349,7 +348,7 @@ def test_sharded_campaign_bit_identical_per_engine(engine):
         atpg_engine=engine,
     )
     single = run_campaign(kwargs["circuit"], CampaignSpec(**kwargs))
-    sharded = run_sharded_campaign(kwargs["circuit"], CampaignSpec(**kwargs, shards=3))
+    sharded = run_sharded_campaign(CampaignSpec(**kwargs, shards=3))
     d1 = single.as_dict(include_runtime=False)
     d2 = sharded.as_dict(include_runtime=False)
     d1["spec"].pop("shards")
