@@ -1,11 +1,8 @@
 """Measurement helpers shared by the experiments: delays and VTC metrics."""
 
-from .delay import TransitionMeasurement, measure_transition
-from .vtc import VtcMetrics, analyze_vtc
+from .._exports import _lazy_exports
 
-__all__ = [
-    "TransitionMeasurement",
-    "measure_transition",
-    "VtcMetrics",
-    "analyze_vtc",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".delay": ("TransitionMeasurement", "measure_transition"),
+    ".vtc": ("VtcMetrics", "analyze_vtc"),
+})

@@ -26,35 +26,16 @@ The campaign integration lives in :mod:`repro.campaign`: lint errors become
 faults are recorded as untestable with ``proven_static`` provenance.
 """
 
-from .analysis import CircuitAnalysis, circuit_analysis
-from .diagnostics import Diagnostic, LintReport, Severity
-from .implication import ImplicationEngine, StaticLearning, learn_implications
-from .lint import LintRule, lint_bench, lint_circuit
-from .scoap import ScoapMeasures, scoap_measures, scoap_summary
-from .untestable import (
-    StaticProof,
-    StaticUntestabilityProver,
-    prove_stuck_at_untestable,
-    prove_transition_untestable,
-)
+from .._exports import _lazy_exports
 
-__all__ = [
-    "Severity",
-    "Diagnostic",
-    "LintReport",
-    "LintRule",
-    "lint_circuit",
-    "lint_bench",
-    "ScoapMeasures",
-    "scoap_measures",
-    "scoap_summary",
-    "ImplicationEngine",
-    "StaticLearning",
-    "learn_implications",
-    "CircuitAnalysis",
-    "circuit_analysis",
-    "StaticProof",
-    "StaticUntestabilityProver",
-    "prove_stuck_at_untestable",
-    "prove_transition_untestable",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".analysis": ("CircuitAnalysis", "circuit_analysis"),
+    ".diagnostics": ("Severity", "Diagnostic", "LintReport"),
+    ".implication": ("ImplicationEngine", "StaticLearning", "learn_implications"),
+    ".lint": ("LintRule", "lint_circuit", "lint_bench"),
+    ".scoap": ("ScoapMeasures", "scoap_measures", "scoap_summary"),
+    ".untestable": (
+        "StaticProof", "StaticUntestabilityProver", "prove_stuck_at_untestable",
+        "prove_transition_untestable",
+    ),
+})

@@ -65,89 +65,29 @@ descriptors each fault model builds.  All four models support
 every engine with identical first-detection indices, at any ``word_bits``.
 """
 
-from .compaction import (
-    CompactionResult,
-    concat_phase_reports,
-    greedy_compaction,
-    merge_fault_shards,
-)
-from .coverage import CoverageReport, coverage_from_report
-from .fault_sim import (
-    DetectionReport,
-    serial_simulate_obd,
-    serial_simulate_path_delay,
-    serial_simulate_stuck_at,
-    serial_simulate_transition,
-    simulate_with_forced_net,
-)
-from .obd_atpg import generate_obd_test
-from .parallel_sim import (
-    ENGINE_BACKENDS,
-    compile_for_engine,
-    compiled_matches_engine,
-)
-from .path_delay_atpg import generate_path_delay_test
-from .podem import PodemOptions, generate_stuck_at_test, justify
-from .random_tpg import (
-    exhaustive_pairs,
-    exhaustive_patterns,
-    random_pairs,
-    random_patterns,
-    single_input_change_pairs,
-)
-from .structural import (
-    ATPG_ENGINES,
-    StructuralAtpg,
-    StructuralAtpgError,
-    StructuralResult,
-    atpg_engine_names,
-    get_atpg_engine,
-    register_atpg_engine,
-)
-from .two_pattern import AtpgOutcome, generate_transition_test
-from .values import D, DBAR, ONE, X, ZERO, LogicValue, evaluate_gate_values, from_bit
+from .._exports import _lazy_exports
 
-__all__ = [
-    "LogicValue",
-    "ZERO",
-    "ONE",
-    "X",
-    "D",
-    "DBAR",
-    "from_bit",
-    "evaluate_gate_values",
-    "PodemOptions",
-    "generate_stuck_at_test",
-    "justify",
-    "ATPG_ENGINES",
-    "StructuralAtpg",
-    "StructuralAtpgError",
-    "StructuralResult",
-    "atpg_engine_names",
-    "get_atpg_engine",
-    "register_atpg_engine",
-    "AtpgOutcome",
-    "generate_transition_test",
-    "generate_obd_test",
-    "generate_path_delay_test",
-    "DetectionReport",
-    "serial_simulate_stuck_at",
-    "serial_simulate_transition",
-    "serial_simulate_path_delay",
-    "serial_simulate_obd",
-    "ENGINE_BACKENDS",
-    "compile_for_engine",
-    "compiled_matches_engine",
-    "simulate_with_forced_net",
-    "exhaustive_patterns",
-    "exhaustive_pairs",
-    "random_patterns",
-    "random_pairs",
-    "single_input_change_pairs",
-    "greedy_compaction",
-    "merge_fault_shards",
-    "concat_phase_reports",
-    "CompactionResult",
-    "CoverageReport",
-    "coverage_from_report",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".compaction": (
+        "greedy_compaction", "merge_fault_shards", "concat_phase_reports", "CompactionResult",
+    ),
+    ".coverage": ("CoverageReport", "coverage_from_report"),
+    ".fault_sim": (
+        "DetectionReport", "serial_simulate_stuck_at", "serial_simulate_transition",
+        "serial_simulate_path_delay", "serial_simulate_obd", "simulate_with_forced_net",
+    ),
+    ".obd_atpg": ("generate_obd_test",),
+    ".parallel_sim": ("ENGINE_BACKENDS", "compile_for_engine", "compiled_matches_engine"),
+    ".path_delay_atpg": ("generate_path_delay_test",),
+    ".podem": ("PodemOptions", "generate_stuck_at_test", "justify"),
+    ".random_tpg": (
+        "exhaustive_patterns", "exhaustive_pairs", "random_patterns", "random_pairs",
+        "single_input_change_pairs",
+    ),
+    ".structural": (
+        "ATPG_ENGINES", "StructuralAtpg", "StructuralAtpgError", "StructuralResult",
+        "atpg_engine_names", "get_atpg_engine", "register_atpg_engine",
+    ),
+    ".two_pattern": ("AtpgOutcome", "generate_transition_test"),
+    ".values": ("LogicValue", "ZERO", "ONE", "X", "D", "DBAR", "from_bit", "evaluate_gate_values"),
+})

@@ -19,30 +19,14 @@ Every engine resolves a stuck-at fault to a
 Campaigns select an engine via ``CampaignSpec.atpg_engine``.
 """
 
-from ..podem import ABORTED, PROVEN_REDUNDANT, STATUSES, TESTED, StructuralResult
-from .d_algorithm import DAlgorithm
-from .engine import (
-    ATPG_ENGINES,
-    StructuralAtpg,
-    StructuralAtpgError,
-    atpg_engine_names,
-    get_atpg_engine,
-    register_atpg_engine,
-)
-from .podem import StructuralPodem
+from ..._exports import _lazy_exports
 
-__all__ = [
-    "ABORTED",
-    "ATPG_ENGINES",
-    "PROVEN_REDUNDANT",
-    "STATUSES",
-    "TESTED",
-    "DAlgorithm",
-    "StructuralAtpg",
-    "StructuralAtpgError",
-    "StructuralPodem",
-    "StructuralResult",
-    "atpg_engine_names",
-    "get_atpg_engine",
-    "register_atpg_engine",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "..podem": ("ABORTED", "PROVEN_REDUNDANT", "STATUSES", "TESTED", "StructuralResult"),
+    ".d_algorithm": ("DAlgorithm",),
+    ".engine": (
+        "ATPG_ENGINES", "StructuralAtpg", "StructuralAtpgError", "atpg_engine_names",
+        "get_atpg_engine", "register_atpg_engine",
+    ),
+    ".podem": ("StructuralPodem",),
+})

@@ -137,3 +137,8 @@ def get_atpg_engine(name: str) -> StructuralAtpg:
 def atpg_engine_names() -> tuple[str, ...]:
     """Names of all registered engines, sorted."""
     return tuple(sorted(ATPG_ENGINES))
+
+
+# The built-in engines register themselves on import; importing them here
+# fills the registry for every importer of this module, whatever the order.
+from . import d_algorithm, podem  # noqa: F401

@@ -41,6 +41,7 @@ list, skipping the faults an earlier phase detected.
 >>> print(result.describe())          # doctest: +SKIP
 """
 
+# Eager, not lazy: the pipeline's front door, so importing the package loads the pipeline.
 from .circuits import (
     circuit_names,
     register_circuit,

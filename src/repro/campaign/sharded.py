@@ -61,9 +61,8 @@ from ..atpg.parallel_sim import compile_for_engine
 from ..faults.base import Fault, FaultList
 from ..logic.netlist import LogicCircuit
 
-# faultinject has no repro dependencies and service/__init__ imports it
-# before service.jobs, so this cross-package hook cannot cycle; the hooks
-# are no-ops unless an injection plan is installed.
+# faultinject has no repro dependencies, so this cross-package hook cannot
+# cycle; the hooks are no-ops unless an injection plan is installed.
 from ..service.faultinject import inject
 from .errors import CampaignError, ShardExecutionError
 from .model import get_model

@@ -1,59 +1,23 @@
 """Transistor-level CMOS standard cells and measurement fixtures."""
 
-from .builder import (
-    CellInstance,
-    TransistorSite,
-    add_transistor,
-    available_cells,
-    build_cell,
-    pin_names,
-    register_cell,
-)
-from .characterize import (
-    HarnessCharacterization,
-    characterize_harness,
-    characterize_harnesses,
-    measure_harness,
-    simulate_harnesses,
-)
-from .complex_gates import add_aoi21, add_oai21
-from .fixtures import (
-    GateHarness,
-    TwoPatternSequence,
-    build_gate_harness,
-    build_inverter_dc_circuit,
-    build_nand_harness,
-    validate_sequence,
-)
-from .inverter import add_inverter
-from .nand import add_nand
-from .nor import add_nor
-from .technology import Technology, default_technology
+from .._exports import _lazy_exports
 
-__all__ = [
-    "Technology",
-    "default_technology",
-    "CellInstance",
-    "TransistorSite",
-    "add_transistor",
-    "register_cell",
-    "available_cells",
-    "build_cell",
-    "pin_names",
-    "add_inverter",
-    "add_nand",
-    "add_nor",
-    "add_aoi21",
-    "add_oai21",
-    "GateHarness",
-    "TwoPatternSequence",
-    "build_gate_harness",
-    "build_nand_harness",
-    "build_inverter_dc_circuit",
-    "validate_sequence",
-    "HarnessCharacterization",
-    "simulate_harnesses",
-    "measure_harness",
-    "characterize_harness",
-    "characterize_harnesses",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".builder": (
+        "CellInstance", "TransistorSite", "add_transistor", "register_cell", "available_cells",
+        "build_cell", "pin_names",
+    ),
+    ".characterize": (
+        "HarnessCharacterization", "simulate_harnesses", "measure_harness", "characterize_harness",
+        "characterize_harnesses",
+    ),
+    ".complex_gates": ("add_aoi21", "add_oai21"),
+    ".fixtures": (
+        "GateHarness", "TwoPatternSequence", "build_gate_harness", "build_nand_harness",
+        "build_inverter_dc_circuit", "validate_sequence",
+    ),
+    ".inverter": ("add_inverter",),
+    ".nand": ("add_nand",),
+    ".nor": ("add_nor",),
+    ".technology": ("Technology", "default_technology"),
+})

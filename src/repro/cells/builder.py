@@ -164,3 +164,8 @@ def pin_names(count: int) -> list[str]:
     if count < 1 or count > len(INPUT_PIN_NAMES):
         raise ValueError(f"unsupported input count {count}")
     return list(INPUT_PIN_NAMES[:count])
+
+
+# The built-in cells register themselves on import; importing them here fills
+# the registry for every importer of this module, whatever the import order.
+from . import complex_gates, inverter, nand, nor  # noqa: F401

@@ -12,79 +12,26 @@
   the EM-versus-OBD comparison.
 """
 
-from .breakdown import (
-    NMOS_STAGE_PARAMETERS,
-    PMOS_STAGE_PARAMETERS,
-    TABLE1_NMOS_STAGES,
-    TABLE1_PMOS_STAGES,
-    BreakdownParameters,
-    BreakdownStage,
-    stage_ladder,
-    stage_parameters,
-)
-from .defect import OBDDefect
-from .detection import (
-    EmObdComparison,
-    GateTestSet,
-    analyze_gate,
-    compare_em_and_obd,
-    paper_nand_test_set,
-    paper_nor_test_set,
-)
-from .excitation import (
-    GateStructure,
-    Sequence2,
-    SwitchDevice,
-    all_sequences,
-    excitation_conditions,
-    excited_sites,
-    format_sequence,
-    gate_structure,
-    is_excited_obd,
-    is_exercised_em,
-    output_switches,
-)
-from .injection import (
-    InjectedDefect,
-    harness_preparer,
-    inject_at_site,
-    inject_into_cell,
-    inject_into_harness,
-)
-from .progression import DEFAULT_SBD_TO_HBD_SECONDS, ProgressionModel
+from .._exports import _lazy_exports
 
-__all__ = [
-    "BreakdownStage",
-    "BreakdownParameters",
-    "NMOS_STAGE_PARAMETERS",
-    "PMOS_STAGE_PARAMETERS",
-    "TABLE1_NMOS_STAGES",
-    "TABLE1_PMOS_STAGES",
-    "stage_parameters",
-    "stage_ladder",
-    "OBDDefect",
-    "InjectedDefect",
-    "inject_at_site",
-    "inject_into_cell",
-    "inject_into_harness",
-    "harness_preparer",
-    "ProgressionModel",
-    "DEFAULT_SBD_TO_HBD_SECONDS",
-    "GateStructure",
-    "SwitchDevice",
-    "Sequence2",
-    "gate_structure",
-    "all_sequences",
-    "is_excited_obd",
-    "is_exercised_em",
-    "output_switches",
-    "excitation_conditions",
-    "excited_sites",
-    "format_sequence",
-    "GateTestSet",
-    "analyze_gate",
-    "EmObdComparison",
-    "compare_em_and_obd",
-    "paper_nand_test_set",
-    "paper_nor_test_set",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".breakdown": (
+        "BreakdownStage", "BreakdownParameters", "NMOS_STAGE_PARAMETERS", "PMOS_STAGE_PARAMETERS",
+        "TABLE1_NMOS_STAGES", "TABLE1_PMOS_STAGES", "stage_parameters", "stage_ladder",
+    ),
+    ".defect": ("OBDDefect",),
+    ".detection": (
+        "GateTestSet", "analyze_gate", "EmObdComparison", "compare_em_and_obd",
+        "paper_nand_test_set", "paper_nor_test_set",
+    ),
+    ".excitation": (
+        "GateStructure", "SwitchDevice", "Sequence2", "gate_structure", "all_sequences",
+        "is_excited_obd", "is_exercised_em", "output_switches", "excitation_conditions",
+        "excited_sites", "format_sequence",
+    ),
+    ".injection": (
+        "InjectedDefect", "inject_at_site", "inject_into_cell", "inject_into_harness",
+        "harness_preparer",
+    ),
+    ".progression": ("ProgressionModel", "DEFAULT_SBD_TO_HBD_SECONDS"),
+})

@@ -1,106 +1,29 @@
 """Gate-level substrate: netlists, logic simulation, circuits, .bench I/O."""
 
-from .bench import (
-    load_bench,
-    parse_bench,
-    save_bench,
-    structurally_equal,
-    write_bench,
-)
-from .circuits import (
-    c17,
-    full_adder,
-    full_adder_sum,
-    nand_chain,
-    ripple_carry_adder,
-    two_to_one_mux,
-)
-from .compiled import (
-    BACKENDS,
-    DEFAULT_NUMPY_WORD_BITS,
-    DEFAULT_WORD_BITS,
-    CompiledCircuit,
-    compile_circuit,
-    iter_bits,
-    pack_pair_blocks,
-    pack_pair_blocks_array,
-    pack_pattern_blocks,
-    pack_pattern_blocks_array,
-)
-from .expand import (
-    EXPANDABLE_TYPES,
-    ExpandedCircuit,
-    expand_to_transistors,
-    two_pattern_input_waveforms,
-)
-from .gates import (
-    GateType,
-    all_input_patterns,
-    controlling_value,
-    evaluate_gate,
-    truth_table,
-)
-from .generators import (
-    DEFAULT_DAG_GATE_TYPES,
-    GENERATOR_FAMILIES,
-    OBD_DAG_GATE_TYPES,
-    alu_slice,
-    array_multiplier,
-    carry_lookahead_adder,
-    generate,
-    magnitude_comparator,
-    parity_tree,
-    random_dag,
-)
-from .netlist import CircuitStats, Gate, LogicCircuit, LogicCircuitError, NetIndex
-from .simulator import simulate, simulate_pattern
+from .._exports import _lazy_exports
 
-__all__ = [
-    "GateType",
-    "evaluate_gate",
-    "truth_table",
-    "controlling_value",
-    "all_input_patterns",
-    "Gate",
-    "LogicCircuit",
-    "LogicCircuitError",
-    "NetIndex",
-    "CircuitStats",
-    "parse_bench",
-    "load_bench",
-    "write_bench",
-    "save_bench",
-    "structurally_equal",
-    "GENERATOR_FAMILIES",
-    "DEFAULT_DAG_GATE_TYPES",
-    "OBD_DAG_GATE_TYPES",
-    "generate",
-    "parity_tree",
-    "carry_lookahead_adder",
-    "array_multiplier",
-    "magnitude_comparator",
-    "alu_slice",
-    "random_dag",
-    "DEFAULT_WORD_BITS",
-    "DEFAULT_NUMPY_WORD_BITS",
-    "BACKENDS",
-    "CompiledCircuit",
-    "compile_circuit",
-    "pack_pattern_blocks",
-    "pack_pair_blocks",
-    "pack_pattern_blocks_array",
-    "pack_pair_blocks_array",
-    "iter_bits",
-    "simulate",
-    "simulate_pattern",
-    "full_adder_sum",
-    "full_adder",
-    "ripple_carry_adder",
-    "c17",
-    "nand_chain",
-    "two_to_one_mux",
-    "ExpandedCircuit",
-    "expand_to_transistors",
-    "two_pattern_input_waveforms",
-    "EXPANDABLE_TYPES",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".bench": ("parse_bench", "load_bench", "write_bench", "save_bench", "structurally_equal"),
+    ".circuits": (
+        "full_adder_sum", "full_adder", "ripple_carry_adder", "c17", "nand_chain", "two_to_one_mux",
+    ),
+    ".compiled": (
+        "DEFAULT_WORD_BITS", "DEFAULT_NUMPY_WORD_BITS", "BACKENDS", "CompiledCircuit",
+        "compile_circuit", "pack_pattern_blocks", "pack_pair_blocks", "pack_pattern_blocks_array",
+        "pack_pair_blocks_array", "iter_bits",
+    ),
+    ".expand": (
+        "ExpandedCircuit", "expand_to_transistors", "two_pattern_input_waveforms",
+        "EXPANDABLE_TYPES",
+    ),
+    ".gates": (
+        "GateType", "evaluate_gate", "truth_table", "controlling_value", "all_input_patterns",
+    ),
+    ".generators": (
+        "GENERATOR_FAMILIES", "DEFAULT_DAG_GATE_TYPES", "OBD_DAG_GATE_TYPES", "generate",
+        "parity_tree", "carry_lookahead_adder", "array_multiplier", "magnitude_comparator",
+        "alu_slice", "random_dag",
+    ),
+    ".netlist": ("Gate", "LogicCircuit", "LogicCircuitError", "NetIndex", "CircuitStats"),
+    ".simulator": ("simulate", "simulate_pattern"),
+})

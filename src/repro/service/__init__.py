@@ -18,57 +18,17 @@ This package turns the one-shot campaign pipeline into a serving stack:
   specs.
 """
 
-# faultinject first: it has no repro dependencies, and the campaign layer's
-# modules (imported transitively by everything below) hook into it at import
-# time -- loading it before them keeps the import graph acyclic.
-from .faultinject import (
-    ChaosExecutor,
-    FaultInjector,
-    InjectedFault,
-    Injection,
-    InjectionPlan,
-    inject,
-    install,
-    seeded_matrix,
-)
+from .._exports import _lazy_exports
 
-from .cache import CACHE_SCHEMA, CacheStats, ResultCache
-from .checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
-from .fingerprint import (
-    SCHEMA_VERSION,
-    campaign_fingerprint,
-    circuit_canonical_form,
-    spec_canonical_form,
-)
-from .jobs import (
-    CampaignService,
-    Job,
-    JobError,
-    JobFailedError,
-    JobStatus,
-)
-
-__all__ = [
-    "ChaosExecutor",
-    "FaultInjector",
-    "InjectedFault",
-    "Injection",
-    "InjectionPlan",
-    "inject",
-    "install",
-    "seeded_matrix",
-    "SCHEMA_VERSION",
-    "CACHE_SCHEMA",
-    "CHECKPOINT_SCHEMA",
-    "circuit_canonical_form",
-    "spec_canonical_form",
-    "campaign_fingerprint",
-    "CheckpointStore",
-    "ResultCache",
-    "CacheStats",
-    "CampaignService",
-    "Job",
-    "JobError",
-    "JobFailedError",
-    "JobStatus",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".faultinject": (
+        "ChaosExecutor", "FaultInjector", "InjectedFault", "Injection", "InjectionPlan", "inject",
+        "install", "seeded_matrix",
+    ),
+    ".cache": ("CACHE_SCHEMA", "ResultCache", "CacheStats"),
+    ".checkpoint": ("CHECKPOINT_SCHEMA", "CheckpointStore"),
+    ".fingerprint": (
+        "SCHEMA_VERSION", "circuit_canonical_form", "spec_canonical_form", "campaign_fingerprint",
+    ),
+    ".jobs": ("CampaignService", "Job", "JobError", "JobFailedError", "JobStatus"),
+})

@@ -80,6 +80,11 @@ class InjectedFault(RuntimeError):
         self.site = site
         self.kind = kind
 
+    def __reduce__(self):
+        # ``args`` holds only the message, so rebuild from the fields: a
+        # crash raised in a worker process must unpickle in its parent.
+        return type(self), (self.site, self.kind)
+
 
 @dataclass(frozen=True)
 class Injection:

@@ -47,14 +47,10 @@ from ..campaign.runner import (
     CampaignSpec,
     resolve_campaign_circuit,
 )
+from ..campaign.sharded import InlineExecutor, ShardedCampaign, worker_pool
 from .cache import ResultCache
 from .faultinject import inject
 from .fingerprint import campaign_fingerprint
-
-# NOTE: repro.campaign.sharded is imported lazily (inside functions) --
-# sharded.py hooks into repro.service.faultinject at module level, so a
-# top-level import here would complete the cycle campaign.sharded ->
-# service.__init__ -> service.jobs -> campaign.sharded.
 
 
 class JobStatus(str, Enum):
@@ -167,8 +163,6 @@ def _execute_job(
     directory is derived from the campaign fingerprint, so a resubmitted
     job resumes the shards a crashed predecessor completed.
     """
-    from ..campaign.sharded import InlineExecutor, ShardedCampaign
-
     start = time.perf_counter()
     try:
         # Tagged by circuit reference, not call count: the hook stays
@@ -240,8 +234,6 @@ class CampaignService:
         job_timeout: Optional[float] = None,
         max_job_retries: int = 0,
     ):
-        from ..campaign.sharded import InlineExecutor, worker_pool
-
         if job_timeout is not None and job_timeout <= 0:
             raise CampaignError(f"job_timeout must be positive or None, got {job_timeout}")
         if max_job_retries < 0:
@@ -449,8 +441,6 @@ class CampaignService:
                 attempt = job.attempts
                 self._in_flight.add(job_id)
                 if self._pool_broken:
-                    from ..campaign.sharded import worker_pool
-
                     old = self._executor
                     self._executor = worker_pool(self._slots)
                     self._pool_broken = False

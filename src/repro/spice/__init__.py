@@ -17,59 +17,18 @@ Public entry points
 * :class:`Waveform` -- the measurement primitive.
 """
 
-from .analysis import (
-    DcSweepResult,
-    MnaSystem,
-    OperatingPoint,
-    SolverOptions,
-    TransientOptions,
-    TransientResult,
-    dc_sweep,
-    operating_point,
-    transient,
-    transient_sweep,
-)
-from .elements import (
-    Capacitor,
-    CurrentSource,
-    Diode,
-    DiodeModel,
-    Element,
-    Mosfet,
-    MosfetModel,
-    PiecewiseLinearWaveform,
-    Resistor,
-    VoltageSource,
-)
-from .errors import AnalysisError, CircuitError, ConvergenceError, SpiceError
-from .netlist import Circuit
-from .waveform import Waveform
+from .._exports import _lazy_exports
 
-__all__ = [
-    "Circuit",
-    "Element",
-    "Resistor",
-    "Capacitor",
-    "Diode",
-    "DiodeModel",
-    "Mosfet",
-    "MosfetModel",
-    "VoltageSource",
-    "CurrentSource",
-    "PiecewiseLinearWaveform",
-    "MnaSystem",
-    "SolverOptions",
-    "operating_point",
-    "OperatingPoint",
-    "dc_sweep",
-    "DcSweepResult",
-    "transient",
-    "transient_sweep",
-    "TransientOptions",
-    "TransientResult",
-    "Waveform",
-    "SpiceError",
-    "CircuitError",
-    "ConvergenceError",
-    "AnalysisError",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".analysis": (
+        "MnaSystem", "SolverOptions", "operating_point", "OperatingPoint", "dc_sweep",
+        "DcSweepResult", "transient", "transient_sweep", "TransientOptions", "TransientResult",
+    ),
+    ".elements": (
+        "Element", "Resistor", "Capacitor", "Diode", "DiodeModel", "Mosfet", "MosfetModel",
+        "VoltageSource", "CurrentSource", "PiecewiseLinearWaveform",
+    ),
+    ".errors": ("SpiceError", "CircuitError", "ConvergenceError", "AnalysisError"),
+    ".netlist": ("Circuit",),
+    ".waveform": ("Waveform",),
+})

@@ -1,33 +1,12 @@
 """Circuit elements understood by the MNA engine."""
 
-from .base import GROUND_NAMES, Element, StampContext, Stamper, is_ground
-from .capacitor import Capacitor
-from .diode import THERMAL_VOLTAGE, Diode, DiodeBank, DiodeModel
-from .mosfet import Mosfet, MosfetBank, MosfetModel, MosfetOperatingPoint
-from .resistor import Resistor
-from .sources import (
-    CurrentSource,
-    PiecewiseLinearWaveform,
-    VoltageSource,
-)
+from ..._exports import _lazy_exports
 
-__all__ = [
-    "Element",
-    "StampContext",
-    "Stamper",
-    "GROUND_NAMES",
-    "is_ground",
-    "Resistor",
-    "Capacitor",
-    "Diode",
-    "DiodeModel",
-    "DiodeBank",
-    "THERMAL_VOLTAGE",
-    "Mosfet",
-    "MosfetModel",
-    "MosfetBank",
-    "MosfetOperatingPoint",
-    "VoltageSource",
-    "CurrentSource",
-    "PiecewiseLinearWaveform",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".base": ("Element", "StampContext", "Stamper", "GROUND_NAMES", "is_ground"),
+    ".capacitor": ("Capacitor",),
+    ".diode": ("Diode", "DiodeModel", "DiodeBank", "THERMAL_VOLTAGE"),
+    ".mosfet": ("Mosfet", "MosfetModel", "MosfetBank", "MosfetOperatingPoint"),
+    ".resistor": ("Resistor",),
+    ".sources": ("VoltageSource", "CurrentSource", "PiecewiseLinearWaveform"),
+})

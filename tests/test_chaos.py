@@ -16,11 +16,12 @@ Three layers, mirroring the production stack:
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
-from repro.campaign import Campaign, CampaignError, CampaignSpec
+from repro.campaign import Campaign, CampaignError, CampaignSpec, ShardedCampaign
 from repro.campaign.errors import ShardExecutionError
 from repro.campaign.sharded import RetryPolicy, RoundStats, _collect_round
 from repro.service import (
@@ -100,6 +101,13 @@ class TestFaultInjector:
         assert injector.summary() == {
             "fired": 2, "by_site": {"worker.round1:crash": 2},
         }
+
+    def test_injected_fault_survives_a_pickle_round_trip(self):
+        # A crash raised in a worker process reaches its parent pickled.
+        fault = pickle.loads(pickle.dumps(InjectedFault("worker.round1", "crash")))
+        assert type(fault) is InjectedFault
+        assert (fault.site, fault.kind) == ("worker.round1", "crash")
+        assert str(fault) == "injected crash at worker.round1"
 
     def test_io_error_and_broken_pool_raise_native_types(self):
         injector = FaultInjector(InjectionPlan((
@@ -423,3 +431,26 @@ class TestChaosMatrix:
         assert report["passed"]
         with pytest.raises(ValueError, match="no matrix scenario"):
             run_matrix(seed=0, only="does-not-exist")
+
+
+class TestRealWorkerCrash:
+    @pytest.mark.slow
+    def test_crash_in_a_process_pool_worker_is_retried(self, tmp_path, monkeypatch):
+        # The crash must reach the parent as an InjectedFault, not as a
+        # BrokenProcessPool that forces pool rebuilds and re-fires the
+        # injection in every fresh worker.
+        path = InjectionPlan(
+            (Injection("worker.round1", "crash", shard=0),),
+        ).dump(tmp_path / "plan.json")
+        monkeypatch.setenv(PLAN_ENV, str(path))
+        spec = CampaignSpec(model="stuck-at", circuit="c17", max_retries=1, retry_backoff=0.0)
+        campaign = ShardedCampaign(spec, shards=2, max_workers=2)
+        result = campaign.run()
+        assert campaign.fault_tolerance == {
+            "retries": 1, "crashes": 1, "timeouts": 0, "rebuilds": 0, "degraded_shards": 0,
+        }
+        clean = Campaign(CampaignSpec(model="stuck-at", circuit="c17")).run()
+        payloads = [r.as_dict(include_runtime=False) for r in (result, clean)]
+        for payload in payloads:
+            del payload["spec"]  # the retry budget differs
+        assert payloads[0] == payloads[1]
